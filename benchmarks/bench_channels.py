@@ -9,19 +9,14 @@ machines), measuring
   exactly ``1/channels`` and achieved internal bandwidth by
   ``channels``;
 * **scheduling wall-clock** — one ``CommandScheduler.run`` over the
-  channel-replicated stream, serial vs fanned across per-channel worker
-  processes (``repro.service.pool.schedule_channels``); the parallel
-  path must produce identical schedules, and its speedup is recorded
-  honestly — it depends on available cores and on the per-channel work
-  amortizing the fork, so a single-core host records a slowdown (<1)
-  and the bench gates on identity, never on the speedup;
+  channel-replicated stream (the serial per-channel partition path,
+  recorded, not gated);
 * **the channels=1 golden** — a ResNet-18 Fig. 9 ``NetworkResult``
   under the current defaults must serialize byte-identically to the
-  checked-in pre-channel golden (``golden_fig9_resnet18.json``) and to
-  the retained seed configuration (reference greedy scheduler +
-  thorough validator), and the multi-channel partitioning code path
-  must reproduce the single-channel schedule bit-for-bit. These are
-  the gates that make the whole channel dimension safe to ship.
+  checked-in pre-channel golden (``golden_fig9_resnet18.json``), and
+  the multi-channel partitioning code path must reproduce the
+  single-channel schedule bit-for-bit. These are the gates that make
+  the whole channel dimension safe to ship.
 
 Usage::
 
@@ -29,8 +24,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_channels.py --quick   # CI
 
 Exit status is non-zero when the channels=1 golden diverges, when the
-architectural scaling is off, or when parallel scheduling produces a
-different schedule than serial.
+architectural scaling is off, or when the partition path diverges.
 
 JSON schema (``BENCH_channels.json``)::
 
@@ -46,13 +40,7 @@ JSON schema (``BENCH_channels.json``)::
         {
           "channels": int,
           "n_commands": int,
-          "schedule_serial_s": float,
-          "schedule_parallel_s": float,
-          "parallel_workers": int,
-          "parallel_speedup": float,
-          "parallel_identical": bool,
-          "scheduling_path": "parallel" | "serial-small-stream" | ...,
-          "min_commands_per_worker": int,
+          "schedule_s": float,
           "sim_ns_per_param": float,
           "rate_scaling_vs_one_channel": float,
           "achieved_internal_gbps": float,
@@ -61,8 +49,7 @@ JSON schema (``BENCH_channels.json``)::
       ],
       "summary": {
         "max_channels": int,
-        "rate_scaling_at_max": float,
-        "best_parallel_speedup": float
+        "rate_scaling_at_max": float
       }
     }
 """
@@ -79,13 +66,11 @@ from pathlib import Path
 
 from _record import write_record
 from repro.dram.geometry import DeviceGeometry
-from repro.dram.parallel import PARALLEL_MIN_COMMANDS_PER_WORKER
 from repro.dram.scheduler import CommandScheduler, replicate_across_channels
 from repro.dram.timing import HBM_LIKE
 from repro.models.zoo import build_network
 from repro.optim.precision import PRECISION_8_32
 from repro.optim.registry import build_optimizer
-from repro.service.pool import schedule_channels
 from repro.system.design import DESIGNS, DesignPoint
 from repro.system.training import TrainingSimulator
 from repro.system.update_model import UpdatePhaseModel
@@ -128,13 +113,11 @@ def bench_channels(
     profile = model.profile(DESIGN, optimizer, PRECISION_8_32)
 
     config = DESIGNS[DESIGN]
-    commands, _, _, dependents, _period, _art = model._build_stream(
+    commands, _, _, _period, _art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
     if n_channels > 1:
-        commands, dependents = replicate_across_channels(
-            commands, n_channels, dependents
-        )
+        commands = replicate_across_channels(commands, n_channels)
     scheduler = CommandScheduler(
         HBM_LIKE,
         geometry,
@@ -142,45 +125,12 @@ def bench_channels(
         per_bank_pim=config.per_bank_pim,
         data_bus_scope=config.data_bus_scope,
     )
-    serial = scheduler.run(commands, dependents=dependents)
-    # Identity gate: force the fork machinery regardless of the
-    # small-stream threshold so the parallel code path stays exercised.
-    parallel = schedule_channels(
-        scheduler, commands, dependents=dependents, workers=n_channels,
-        min_commands_per_worker=0,
-    )
-    identical = (
-        serial.issue_cycles() == parallel.issue_cycles()
-        and serial.stats == parallel.stats
-    )
-    serial_s = _best_of(
-        lambda: scheduler.run(commands, dependents=dependents), repeats
-    )
-    # Production policy: streams below the per-worker command floor
-    # schedule serially (the fork was a measured regression there —
-    # the result's own stats record which path actually served the
-    # call, so nothing is re-derived out-of-band).
-    last: dict = {}
-
-    def _timed_parallel() -> None:
-        last["result"] = schedule_channels(
-            scheduler, commands, dependents=dependents,
-            workers=n_channels,
-        )
-
-    parallel_s = _best_of(_timed_parallel, repeats)
-    production_path = last["result"].stats.scheduling_path
+    schedule_s = _best_of(lambda: scheduler.run(commands), repeats)
     rate = profile.seconds_per_param
     return {
         "channels": n_channels,
         "n_commands": len(commands),
-        "schedule_serial_s": serial_s,
-        "schedule_parallel_s": parallel_s,
-        "parallel_workers": n_channels,
-        "parallel_speedup": serial_s / parallel_s,
-        "parallel_identical": identical,
-        "scheduling_path": production_path,
-        "min_commands_per_worker": PARALLEL_MIN_COMMANDS_PER_WORKER,
+        "schedule_s": schedule_s,
         "sim_ns_per_param": rate * 1e9,
         "rate_scaling_vs_one_channel": (
             one_channel_rate / rate if one_channel_rate else 1.0
@@ -200,34 +150,21 @@ def bench_channels(
 GOLDEN_PATH = Path(__file__).with_name("golden_fig9_resnet18.json")
 
 
-def check_fig9_channels1(network: str = "ResNet18") -> bool:
-    """The fig9 golden: a channels=1 run of the current defaults must
-    be byte-identical to the checked-in pre-channel golden artifact
-    *and* to the retained seed configuration (reference greedy
-    scheduler + thorough family-by-family validator)."""
-    payloads = []
-    for config in (
-        {"engine": "reference", "thorough_validate": True},
-        {},  # current defaults (incremental engine, fused validator)
-    ):
-        optimizer = build_optimizer(*OPTIMIZER)
-        simulator = TrainingSimulator(
-            optimizer=optimizer,
-            precision=PRECISION_8_32,
-            update_model=UpdatePhaseModel(**config),
-        )
-        result = simulator.simulate(build_network(network))
-        payloads.append(
-            json.dumps(result.to_dict(), sort_keys=True).encode()
-        )
-    if payloads[0] != payloads[1]:
-        return False
-    if network == "ResNet18":
-        golden = json.dumps(
-            json.loads(GOLDEN_PATH.read_text()), sort_keys=True
-        ).encode()
-        return payloads[1] == golden
-    return True
+def check_fig9_channels1() -> bool:
+    """The fig9 golden: a channels=1 ResNet-18 run of the current
+    defaults must be byte-identical to the checked-in pre-channel
+    golden artifact."""
+    simulator = TrainingSimulator(
+        optimizer=build_optimizer(*OPTIMIZER),
+        precision=PRECISION_8_32,
+        update_model=UpdatePhaseModel(),
+    )
+    result = simulator.simulate(build_network("ResNet18"))
+    payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+    golden = json.dumps(
+        json.loads(GOLDEN_PATH.read_text()), sort_keys=True
+    ).encode()
+    return payload == golden
 
 
 def check_partition_path_identity(columns_per_stripe: int) -> bool:
@@ -241,7 +178,7 @@ def check_partition_path_identity(columns_per_stripe: int) -> bool:
         timing=HBM_LIKE, columns_per_stripe=columns_per_stripe
     )
     config = DESIGNS[DESIGN]
-    commands, _, _, dependents, _period, _art = model._build_stream(
+    commands, _, _, _period, _art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
     results = []
@@ -253,9 +190,7 @@ def check_partition_path_identity(columns_per_stripe: int) -> bool:
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
-        results.append(
-            scheduler.run(commands, dependents=dependents).issue_cycles()
-        )
+        results.append(scheduler.run(commands).issue_cycles())
     return results[0] == results[1]
 
 
@@ -291,22 +226,14 @@ def main(argv=None) -> int:
         results.append(row)
         print(
             f"channels={n_channels:<2d} "
-            f"schedule {row['schedule_serial_s'] * 1e3:7.1f} ms serial "
-            f"/ {row['schedule_parallel_s'] * 1e3:7.1f} ms parallel "
-            f"(x{row['parallel_speedup']:4.2f})  "
+            f"schedule {row['schedule_s'] * 1e3:7.1f} ms  "
             f"rate x{row['rate_scaling_vs_one_channel']:4.2f}  "
-            f"internal {row['achieved_internal_gbps']:6.1f} GB/s  "
-            f"identical={row['parallel_identical']}  "
-            f"path={row['scheduling_path']}",
+            f"internal {row['achieved_internal_gbps']:6.1f} GB/s",
             file=sys.stderr,
         )
-    # Always the ResNet-18 workload: the checked-in golden artifact is
-    # what makes this gate able to catch a regression that every
-    # current configuration shares.
-    golden_ok = check_fig9_channels1("ResNet18")
+    golden_ok = check_fig9_channels1()
     print(
-        f"fig9 channels=1 byte-identical to golden + seed config: "
-        f"{golden_ok}",
+        f"fig9 channels=1 byte-identical to golden: {golden_ok}",
         file=sys.stderr,
     )
     partition_ok = check_partition_path_identity(columns)
@@ -322,8 +249,6 @@ def main(argv=None) -> int:
     if not partition_ok:
         failures.append("partition-path-divergence")
     for row in results:
-        if not row["parallel_identical"]:
-            failures.append(f"parallel-divergence@{row['channels']}")
         expected = float(row["channels"])
         if abs(row["rate_scaling_vs_one_channel"] - expected) > 1e-6:
             failures.append(f"rate-scaling@{row['channels']}")
@@ -342,17 +267,6 @@ def main(argv=None) -> int:
             "max_channels": max(r["channels"] for r in results),
             "rate_scaling_at_max": max(
                 r["rate_scaling_vs_one_channel"] for r in results
-            ),
-            # Only rows that actually exercised the parallel fan-out
-            # (channels=1 degenerates to the serial loop twice, which
-            # would report timing noise as a "speedup").
-            "best_parallel_speedup": max(
-                (
-                    r["parallel_speedup"]
-                    for r in results
-                    if r["channels"] > 1
-                ),
-                default=None,
             ),
         },
     }

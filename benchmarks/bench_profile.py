@@ -1,7 +1,7 @@
 """Update-phase profiling benchmark -> BENCH_profile.json.
 
 Times ``UpdatePhaseModel.profile()`` cold — stream compilation,
-scheduling, validation, everything — for the incremental engine against
+scheduling, validation, everything — for the columnar engine against
 the periodic steady-state engine (:mod:`repro.dram.steady`), across the
 design points and a workload set, at the default sample width
 (``columns_per_stripe=32``) and the full-row width (128, the most
@@ -11,11 +11,12 @@ matters).
 Two hard gates make this benchmark CI-worthy; both are about
 *exactness*, never about machine-dependent wall-clock:
 
-* every periodic profile must be byte-identical to the incremental
-  engine's (the steady-state fast path's contract);
-* a fig9 ResNet-18 end-to-end run under the periodic engine must
-  serialize byte-identically to the checked-in golden artifact
-  (``golden_fig9_resnet18.json``) and to the incremental engine.
+* every periodic and columnar profile must be byte-identical to the
+  profile the test-suite oracles imply (``tests/oracle.py``: the
+  reference greedy loop plus the family-by-family validator);
+* a fig9 ResNet-18 end-to-end run under both engines must serialize
+  byte-identically to the checked-in golden artifact
+  (``golden_fig9_resnet18.json``).
 
 Speedups are recorded honestly per cell, with the fast-path /
 fallback / warm-run accounting that explains them: workloads whose
@@ -47,6 +48,9 @@ from repro.optim.registry import build_optimizer
 from repro.system.design import DESIGN_ORDER, DesignPoint
 from repro.system.training import TrainingSimulator
 from repro.system.update_model import UpdatePhaseModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracle import oracle_profile  # noqa: E402
 
 #: The paper's default update algorithm.
 MOMENTUM = ("momentum_sgd", {
@@ -93,8 +97,8 @@ def bench_cell(design, optimizer_name, optimizer_params, precision,
     """Cold ``profile()`` for one design x workload x sample width."""
     results = {}
     times = {}
-    report = {}
-    for engine in ("incremental", "periodic"):
+    reports = {}
+    for engine in ("columnar", "periodic"):
         def run():
             model = UpdatePhaseModel(
                 columns_per_stripe=columns,
@@ -109,27 +113,32 @@ def bench_cell(design, optimizer_name, optimizer_params, precision,
             return model, profile
         times[engine], (model, profile) = _best_of(run, repeats)
         results[engine] = profile
-        report[engine] = dict(model.periodic_report)
-    identical = results["incremental"] == results["periodic"]
+        reports[engine] = model.report
+    expected = oracle_profile(
+        UpdatePhaseModel(columns_per_stripe=columns, extended_alu=True),
+        design,
+        build_optimizer(optimizer_name, optimizer_params),
+        PRECISIONS[precision],
+    )
+    identical = results["columnar"] == results["periodic"] == expected
     return {
         "design": design.value,
         "optimizer": optimizer_name,
         "precision": precision,
         "columns_per_stripe": columns,
-        "profile_incremental_s": times["incremental"],
+        "profile_columnar_s": times["columnar"],
         "profile_periodic_s": times["periodic"],
-        "speedup": times["incremental"] / times["periodic"],
+        "speedup": times["columnar"] / times["periodic"],
         "identical": identical,
-        "fast_path": bool(report["periodic"]["fast_path"]),
-        "warm_runs": report["periodic"]["warm_runs"],
+        "fast_path": bool(reports["periodic"].fast_path),
+        "warm_runs": reports["periodic"].warm_runs,
     }
 
 
 def check_fig9_resnet18() -> bool:
-    """fig9 under the periodic engine must match the golden + the
-    incremental engine byte for byte."""
+    """fig9 under both engines must match the golden byte for byte."""
     payloads = {}
-    for engine in ("incremental", "periodic"):
+    for engine in ("columnar", "periodic"):
         simulator = TrainingSimulator(
             optimizer=build_optimizer(*MOMENTUM),
             precision=PRECISIONS["8/32"],
@@ -139,7 +148,7 @@ def check_fig9_resnet18() -> bool:
         payloads[engine] = json.dumps(
             result.to_dict(), sort_keys=True
         ).encode()
-    if payloads["incremental"] != payloads["periodic"]:
+    if payloads["columnar"] != payloads["periodic"]:
         return False
     golden = json.dumps(
         json.loads(GOLDEN_PATH.read_text()), sort_keys=True
@@ -194,7 +203,7 @@ def main(argv=None) -> int:
                 print(
                     f"{design.value:11s} {name:12s} {precision:6s} "
                     f"k={columns:<3d} "
-                    f"{row['profile_incremental_s'] * 1e3:7.1f} -> "
+                    f"{row['profile_columnar_s'] * 1e3:7.1f} -> "
                     f"{row['profile_periodic_s'] * 1e3:7.1f} ms "
                     f"(x{row['speedup']:5.2f})  "
                     f"fast_path={row['fast_path']}  "
@@ -204,7 +213,7 @@ def main(argv=None) -> int:
 
     fig9_ok = check_fig9_resnet18()
     print(
-        f"fig9 ResNet-18 byte-identical (periodic vs incremental vs "
+        f"fig9 ResNet-18 byte-identical (periodic vs columnar vs "
         f"golden): {fig9_ok}",
         file=sys.stderr,
     )

@@ -1,32 +1,29 @@
 """Scheduler engine benchmark -> BENCH_scheduler.json.
 
-Times the reference (seed) scheduling pipeline against the incremental
-event-driven engine and the columnar struct-of-arrays engine on every
-design point of the paper's evaluation, verifies exact equivalence on
-each timed stream, and emits a JSON record seeding the repo's
-performance trajectory.
+Times the reference greedy loop (the test-suite oracle,
+``tests/oracle.py``) against the columnar engine and the periodic
+engine on every design point of the paper's evaluation, verifies exact
+equivalence with the oracle on each timed stream, and emits a JSON
+record for the repo's performance trajectory.
 
 Measurements per (design, window):
 
-* ``run`` — one ``CommandScheduler.run`` over the design's compiled
-  update stream: reference greedy loop vs incremental engine vs the
-  columnar engine. The columnar engine is timed twice: *cold* (a fresh
-  ``ColumnarStream`` per call, so per-substrate preparation and the
-  scheduling loop both run) and *warm* (one shared stream, the
-  steady-state replay the service layer sees, where the issue-cycle
-  memo turns scheduling into an O(n) copy).
-* stream build — ``build_dependents`` (what the incremental engine
-  consumes) and ``ColumnarStream.from_commands`` (what the columnar
-  engine consumes), per design.
+* ``run`` — one schedule of the design's compiled update stream: the
+  oracle loop vs the columnar engine vs the periodic engine (with the
+  stream's period metadata). The columnar engine is timed twice:
+  *cold* (a fresh ``ColumnarStream`` per call, so preparation and the
+  scheduling loop both run) and *warm* (one shared stream, the replay
+  the service layer sees, where the issue-cycle memo turns scheduling
+  into an O(n) copy).
+* stream build — ``ColumnarStream.from_commands`` per design.
 * ``profile`` — a cold end-to-end ``UpdatePhaseModel.profile()``
-  (stream compile + schedule + trace validation + rate extraction):
-  seed configuration (reference engine, thorough family-by-family
-  validator) vs incremental (fused sort-and-sweep validator) vs
-  columnar (vectorized accept-fast validator).
-* equivalence — issue cycles and ``TraceStats`` must match exactly
-  across all three engines, and one ResNet-18 ``NetworkResult`` (the
-  paper's Fig. 9 workload) must serialize byte-identically under all
-  configurations.
+  (stream compile + schedule + vectorized trace validation + rate
+  extraction) vs the same pipeline on the oracles (reference loop +
+  family-by-family validator).
+* equivalence — issue cycles and ``TraceStats`` of both engines must
+  match the oracle exactly, and one ResNet-18 ``NetworkResult`` (the
+  paper's Fig. 9 workload) must serialize byte-identically to the
+  checked-in golden under both engines.
 
 Usage::
 
@@ -37,11 +34,10 @@ Usage::
         --baseline BENCH_scheduler.json         # gate vs checked-in
 
 Exit status is non-zero when any design point schedules slower on the
-incremental engine than on the reference, when warm columnar replay is
-below 10x over the incremental engine, when any equivalence check
-fails, or (with ``--baseline``) when a summary speedup regresses more
-than 10% against the checked-in record — the CI benchmark job gates on
-this.
+columnar engine (cold) than on the oracle loop, when warm columnar
+replay is below 10x over a cold run, when any equivalence check fails,
+or (with ``--baseline``) when a summary speedup regresses more than
+10% against the checked-in record — the CI benchmark job gates on this.
 
 JSON schema (``BENCH_scheduler.json``)::
 
@@ -58,38 +54,33 @@ JSON schema (``BENCH_scheduler.json``)::
           "design": "<design point>",
           "window": int,
           "n_commands": int,
-          "build_dependents_s": float,      # best-of-N
           "build_columnar_s": float,        # best-of-N, from_commands
           "columnar_nbytes": int,           # stream footprint
-          "run_reference_s": float,         # best-of-N, seed greedy loop
-          "run_incremental_s": float,       # best-of-N, event engine
+          "run_reference_s": float,         # best-of-N, oracle loop
           "run_columnar_cold_s": float,     # best-of-N, fresh stream
           "run_columnar_warm_s": float,     # best-of-N, memoized replay
-          "run_speedup": float,             # reference / incremental
-          "columnar_cold_speedup": float,   # incremental / cold
-          "columnar_warm_speedup": float,   # incremental / warm
-          "profile_seed_s": float,
-          "profile_new_s": float,
-          "profile_columnar_s": float,
+          "run_periodic_s": float,          # best-of-N, steady engine
+          "run_speedup": float,             # reference / columnar cold
+          "columnar_warm_speedup": float,   # columnar cold / warm
+          "periodic_speedup": float,        # columnar cold / periodic
+          "profile_seed_s": float,          # oracle pipeline
+          "profile_new_s": float,           # UpdatePhaseModel.profile
           "profile_speedup": float,
-          "schedules_identical": bool,      # incremental vs reference
-          "columnar_identical": bool        # columnar vs reference
+          "columnar_identical": bool,       # columnar vs oracle
+          "periodic_identical": bool        # periodic vs oracle
         }, ...
       ],
       "large": {                            # only with --large
         "design": "<design point>",
         "n_commands": int, "reps": int,
-        "build_dependents_s": float, "build_columnar_s": float,
-        "columnar_nbytes": int,
-        "run_incremental_s": float,
+        "build_columnar_s": float, "columnar_nbytes": int,
         "run_columnar_cold_s": float, "run_columnar_warm_s": float,
-        "columnar_cold_speedup": float, "columnar_warm_speedup": float,
-        "columnar_identical": bool
+        "columnar_warm_speedup": float,
+        "columnar_valid": bool              # vectorized validator
       },
       "summary": {
         "min_run_speedup": float,
         "min_columnar_warm_speedup": float,
-        "min_columnar_cold_speedup": float,
         "min_profile_speedup": float,
         "pim_kernel_profile_speedup": float  # geomean, pim designs
       }
@@ -109,8 +100,9 @@ from pathlib import Path
 from _record import write_record
 from repro.dram.columnar import ColumnarStream
 from repro.dram.commands import Command
-from repro.dram.engine import build_dependents
 from repro.dram.scheduler import CommandScheduler
+from repro.dram.validator import validate_trace_columnar
+from repro.errors import TimingViolation
 from repro.models.zoo import build_network
 from repro.optim.precision import PRECISION_8_32
 from repro.optim.registry import build_optimizer
@@ -118,17 +110,15 @@ from repro.system.design import DESIGNS, DesignPoint, UPDATE_PIM_KERNEL
 from repro.system.training import TrainingSimulator
 from repro.system.update_model import UpdatePhaseModel
 
-#: (engine, thorough_validate) of the compared configurations.
-SEED_CONFIG = {"engine": "reference", "thorough_validate": True}
-NEW_CONFIG = {"engine": "incremental", "thorough_validate": False}
-COLUMNAR_CONFIG = {"engine": "columnar", "thorough_validate": False}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracle import ReferenceScheduler, oracle_profile  # noqa: E402
 
 OPTIMIZER = ("momentum_sgd", {
     "eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4,
 })
 
-#: Warm columnar replay must beat the incremental engine by at least
-#: this factor (the PR's acceptance bar).
+#: Warm columnar replay must beat a cold columnar run by at least this
+#: factor (the memo's reason to exist).
 COLUMNAR_WARM_GATE = 10.0
 
 #: A summary speedup may not drop below this fraction of the baseline.
@@ -144,6 +134,9 @@ BASELINE_METRICS = (
     "min_run_speedup",
     "pim_kernel_profile_speedup",
 )
+
+#: Pre-channel ResNet-18 Fig. 9 NetworkResult, checked into the repo.
+GOLDEN_PATH = Path(__file__).with_name("golden_fig9_resnet18.json")
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -161,19 +154,15 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _stats_equal(a, b) -> bool:
-    return (
-        a.counts == b.counts
-        and a.total_cycles == b.total_cycles
-        and a.issued_commands == b.issued_commands
-        and a.port_issued == b.port_issued
-    )
+def _identical(a, b) -> bool:
+    return a.issue_cycles() == b.issue_cycles() and a.stats == b.stats
 
 
-def _make_scheduler(model, config, window: int, engine: str):
-    return CommandScheduler(
-        model.timing, model.geometry, config.issue_model(model.geometry),
-        engine=engine,
+def _substrate(model, config, window: int) -> dict:
+    return dict(
+        timing=model.timing,
+        geometry=model.geometry,
+        issue_model=config.issue_model(model.geometry),
         per_bank_pim=config.per_bank_pim,
         window=window,
         data_bus_scope=config.data_bus_scope,
@@ -185,44 +174,33 @@ def bench_design(design, window: int, repeats: int) -> dict:
     config = DESIGNS[design]
     optimizer = build_optimizer(*OPTIMIZER)
     model = UpdatePhaseModel(window=window)
-    commands, _, _, dependents, _period, _art = model._build_stream(
+    commands, _, _, period, art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
-    reference = _make_scheduler(model, config, window, "reference")
-    incremental = _make_scheduler(model, config, window, "incremental")
-    columnar = _make_scheduler(model, config, window, "columnar")
+    substrate = _substrate(model, config, window)
+    reference = ReferenceScheduler(**substrate)
+    columnar = CommandScheduler(engine="columnar", **substrate)
+    periodic = CommandScheduler(engine="periodic", **substrate)
+    dependents = art.dependents
 
-    build_deps_s = _best_of(lambda: build_dependents(commands), repeats)
     build_col_s = _best_of(
-        lambda: ColumnarStream.from_commands(
-            commands, dependents=dependents
-        ),
-        repeats,
+        lambda: ColumnarStream.from_commands(commands), repeats
     )
-    stream = ColumnarStream.from_commands(commands, dependents=dependents)
+    stream = ColumnarStream.from_commands(commands)
 
     ref_result = reference.run(commands)
-    new_result = incremental.run(commands, dependents=dependents)
-    col_result = columnar.run(commands, columnar=stream)
-    ref_cycles = ref_result.issue_cycles()
-    identical = (
-        ref_cycles == new_result.issue_cycles()
-        and _stats_equal(ref_result.stats, new_result.stats)
+    col_identical = _identical(
+        ref_result, columnar.run(commands, columnar=stream)
     )
-    col_identical = (
-        ref_cycles == col_result.issue_cycles()
-        and _stats_equal(ref_result.stats, col_result.stats)
+    per_identical = _identical(
+        ref_result,
+        periodic.run(commands, dependents=dependents, period=period),
     )
 
     run_ref = _best_of(lambda: reference.run(commands), repeats)
-    run_new = _best_of(
-        lambda: incremental.run(commands, dependents=dependents), repeats
-    )
-    # Cold: a fresh stream per call defeats both the per-substrate
-    # preparation cache and the issue-cycle memo.
+    # Cold: a fresh stream per call defeats the issue-cycle memo.
     cold_streams = iter([
-        ColumnarStream.from_commands(commands, dependents=dependents)
-        for _ in range(repeats)
+        ColumnarStream.from_commands(commands) for _ in range(repeats)
     ])
     run_col_cold = _best_of(
         lambda: columnar.run(commands, columnar=next(cold_streams)),
@@ -233,37 +211,43 @@ def bench_design(design, window: int, repeats: int) -> dict:
     run_col_warm = _best_of(
         lambda: columnar.run(commands, columnar=stream), repeats
     )
+    run_per = _best_of(
+        lambda: periodic.run(
+            commands, dependents=dependents, period=period
+        ),
+        repeats,
+    )
 
     # Cold end-to-end profile(): a fresh model per invocation so the
     # internal profile cache never hides the work being measured.
-    def profile(config_kwargs):
-        UpdatePhaseModel(window=window, **config_kwargs).profile(
-            design, optimizer
-        )
-
-    prof_seed = _best_of(lambda: profile(SEED_CONFIG), repeats)
-    prof_new = _best_of(lambda: profile(NEW_CONFIG), repeats)
-    prof_col = _best_of(lambda: profile(COLUMNAR_CONFIG), repeats)
+    prof_seed = _best_of(
+        lambda: oracle_profile(
+            UpdatePhaseModel(window=window), design, optimizer
+        ),
+        repeats,
+    )
+    prof_new = _best_of(
+        lambda: UpdatePhaseModel(window=window).profile(design, optimizer),
+        repeats,
+    )
     return {
         "design": design.value,
         "window": window,
         "n_commands": len(commands),
-        "build_dependents_s": build_deps_s,
         "build_columnar_s": build_col_s,
         "columnar_nbytes": stream.nbytes,
         "run_reference_s": run_ref,
-        "run_incremental_s": run_new,
         "run_columnar_cold_s": run_col_cold,
         "run_columnar_warm_s": run_col_warm,
-        "run_speedup": run_ref / run_new,
-        "columnar_cold_speedup": run_new / max(run_col_cold, 1e-9),
-        "columnar_warm_speedup": run_new / max(run_col_warm, 1e-9),
+        "run_periodic_s": run_per,
+        "run_speedup": run_ref / run_col_cold,
+        "columnar_warm_speedup": run_col_cold / max(run_col_warm, 1e-9),
+        "periodic_speedup": run_col_cold / run_per,
         "profile_seed_s": prof_seed,
         "profile_new_s": prof_new,
-        "profile_columnar_s": prof_col,
         "profile_speedup": prof_seed / prof_new,
-        "schedules_identical": identical,
         "columnar_identical": col_identical,
+        "periodic_identical": per_identical,
     }
 
 
@@ -297,92 +281,120 @@ def tile_commands(commands: list[Command], reps: int) -> list[Command]:
 
 
 def bench_large(target: int, window: int) -> dict:
-    """Million-command synthetic stream: incremental vs columnar.
+    """Million-command synthetic stream on the columnar engine.
 
-    The reference engine is quadratic in stream length and is left out;
-    equivalence is checked incremental-vs-columnar (the incremental
-    engine is itself equivalence-gated against the reference on every
+    The oracle is quadratic in stream length and is left out; the
+    schedule is checked by the vectorized validator instead (the
+    engine itself is equivalence-gated against the oracle on every
     design stream above).
     """
     design = DesignPoint.GRADPIM_BUFFERED
     config = DESIGNS[design]
     optimizer = build_optimizer(*OPTIMIZER)
     model = UpdatePhaseModel(window=window)
-    seed_cmds, _, _, _, _period, _art = model._build_stream(
+    seed_cmds, _, _, _period, _art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
     reps = max(1, target // len(seed_cmds))
     commands = tile_commands(seed_cmds, reps)
 
     t0 = time.perf_counter()
-    dependents = build_dependents(commands)
-    build_deps_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    stream = ColumnarStream.from_commands(commands, dependents=dependents)
+    stream = ColumnarStream.from_commands(commands)
     build_col_s = time.perf_counter() - t0
 
-    incremental = _make_scheduler(model, config, window, "incremental")
-    columnar = _make_scheduler(model, config, window, "columnar")
-
+    substrate = _substrate(model, config, window)
+    columnar = CommandScheduler(engine="columnar", **substrate)
     t0 = time.perf_counter()
-    inc_result = incremental.run(commands, dependents=dependents)
-    run_inc = time.perf_counter() - t0
-    cold_stream = ColumnarStream.from_commands(
-        commands, dependents=dependents
-    )
-    t0 = time.perf_counter()
-    col_result = columnar.run(commands, columnar=cold_stream)
+    result = columnar.run(commands, columnar=stream)
     run_cold = time.perf_counter() - t0
-    columnar.run(commands, columnar=stream)  # warm the memo
     run_warm = _best_of(
         lambda: columnar.run(commands, columnar=stream), 3
     )
-
-    identical = (
-        inc_result.issue_cycles() == col_result.issue_cycles()
-        and _stats_equal(inc_result.stats, col_result.stats)
-    )
+    try:
+        validate_trace_columnar(
+            result.columnar, model.timing, model.geometry,
+            substrate["issue_model"].port_of_rank,
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope,
+        )
+        valid = True
+    except TimingViolation:
+        valid = False
     return {
         "design": design.value,
         "n_commands": len(commands),
         "reps": reps,
-        "build_dependents_s": build_deps_s,
         "build_columnar_s": build_col_s,
         "columnar_nbytes": stream.nbytes,
-        "run_incremental_s": run_inc,
         "run_columnar_cold_s": run_cold,
         "run_columnar_warm_s": run_warm,
-        "columnar_cold_speedup": run_inc / max(run_cold, 1e-9),
-        "columnar_warm_speedup": run_inc / max(run_warm, 1e-9),
-        "columnar_identical": identical,
+        "columnar_warm_speedup": run_cold / max(run_warm, 1e-9),
+        "columnar_valid": valid,
     }
 
 
 def check_fig9_resnet() -> bool:
-    """ResNet-18 NetworkResult must be byte-identical on all configs."""
-    payloads = []
-    for config in (SEED_CONFIG, NEW_CONFIG, COLUMNAR_CONFIG):
-        optimizer = build_optimizer(*OPTIMIZER)
+    """ResNet-18 NetworkResult must be byte-identical to the golden
+    under both engines."""
+    golden = json.dumps(
+        json.loads(GOLDEN_PATH.read_text()), sort_keys=True
+    ).encode()
+    for engine in ("columnar", "periodic"):
         simulator = TrainingSimulator(
-            optimizer=optimizer,
+            optimizer=build_optimizer(*OPTIMIZER),
             precision=PRECISION_8_32,
-            update_model=UpdatePhaseModel(**config),
+            update_model=UpdatePhaseModel(engine=engine),
         )
         result = simulator.simulate(build_network("ResNet18"))
-        payloads.append(
-            json.dumps(result.to_dict(), sort_keys=True).encode()
-        )
-    return all(p == payloads[0] for p in payloads)
+        payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+        if payload != golden:
+            return False
+    return True
 
 
-def check_baseline(summary: dict, baseline_text: str) -> list[str]:
+def summarize(results: list[dict]) -> dict:
+    """The record's ``summary`` block over ``results`` rows."""
+    pim_rows = [
+        r for r in results
+        if DESIGNS[DesignPoint(r["design"])].update_kind
+        == UPDATE_PIM_KERNEL
+    ]
+    return {
+        "min_run_speedup": min(r["run_speedup"] for r in results),
+        "min_columnar_warm_speedup": min(
+            r["columnar_warm_speedup"] for r in results
+        ),
+        "min_profile_speedup": min(
+            r["profile_speedup"] for r in results
+        ),
+        "pim_kernel_profile_speedup": math.exp(
+            sum(math.log(r["profile_speedup"]) for r in pim_rows)
+            / len(pim_rows)
+        ),
+    }
+
+
+def check_baseline(
+    results: list[dict], baseline_text: str
+) -> list[str]:
     """Compare summary speedups against a checked-in record.
 
+    The baseline summary is recomputed over its rows at the windows
+    this run measured (profile speedups grow with the window, so a
+    ``--quick`` run gates against the record's own window-16 rows).
     Returns a list of human-readable regression descriptions (empty
     when within tolerance). Ratios are compared, not wall-clock times,
     so records from different machines stay comparable.
     """
-    base_summary = json.loads(baseline_text).get("summary", {})
+    windows = {r["window"] for r in results}
+    base_rows = [
+        r for r in json.loads(baseline_text).get("results", [])
+        if r["window"] in windows
+    ]
+    if not base_rows:
+        return []
+    summary = summarize(results)
+    base_summary = summarize(base_rows)
     regressions = []
     for key in BASELINE_METRICS:
         ours = summary.get(key)
@@ -399,7 +411,7 @@ def check_baseline(summary: dict, baseline_text: str) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the scheduler engines against the seed."
+        description="Benchmark the scheduler engines against the oracle."
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -416,7 +428,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--large", action="store_true",
         help="also time a ~million-command tiled synthetic stream "
-             "(incremental vs columnar only)",
+             "on the columnar engine",
     )
     parser.add_argument(
         "--large-commands", type=int, default=1_000_000,
@@ -444,28 +456,18 @@ def main(argv=None) -> int:
             print(
                 f"{row['design']:12s} w={window:<3d} "
                 f"run {row['run_reference_s'] * 1e3:7.1f} -> "
-                f"{row['run_incremental_s'] * 1e3:6.1f} ms "
+                f"{row['run_columnar_cold_s'] * 1e3:6.1f} ms "
                 f"(x{row['run_speedup']:4.1f})  "
-                f"columnar cold x{row['columnar_cold_speedup']:4.1f} "
                 f"warm x{row['columnar_warm_speedup']:5.1f}  "
+                f"periodic x{row['periodic_speedup']:4.1f}  "
                 f"profile x{row['profile_speedup']:4.1f}  "
-                f"identical={row['schedules_identical']}/"
-                f"{row['columnar_identical']}",
+                f"identical={row['columnar_identical']}/"
+                f"{row['periodic_identical']}",
                 file=sys.stderr,
             )
     fig9_ok = check_fig9_resnet()
     print(f"fig9 ResNet-18 byte-identical: {fig9_ok}", file=sys.stderr)
 
-    pim_rows = [
-        r for r in results
-        if DESIGNS[
-            next(d for d in DESIGNS if d.value == r["design"])
-        ].update_kind == UPDATE_PIM_KERNEL
-    ]
-    geomean = math.exp(
-        sum(math.log(r["profile_speedup"]) for r in pim_rows)
-        / len(pim_rows)
-    )
     payload = {
         "benchmark": "scheduler",
         "quick": args.quick,
@@ -475,31 +477,17 @@ def main(argv=None) -> int:
         "columns_per_stripe": 32,
         "fig9_resnet_identical": fig9_ok,
         "results": results,
-        "summary": {
-            "min_run_speedup": min(r["run_speedup"] for r in results),
-            "min_columnar_warm_speedup": min(
-                r["columnar_warm_speedup"] for r in results
-            ),
-            "min_columnar_cold_speedup": min(
-                r["columnar_cold_speedup"] for r in results
-            ),
-            "min_profile_speedup": min(
-                r["profile_speedup"] for r in results
-            ),
-            "pim_kernel_profile_speedup": geomean,
-        },
+        "summary": summarize(results),
     }
     if args.large:
         large = bench_large(args.large_commands, window=16)
         payload["large"] = large
         print(
             f"large {large['n_commands']} commands: "
-            f"incremental {large['run_incremental_s']:.2f}s, "
-            f"columnar cold {large['run_columnar_cold_s']:.2f}s "
-            f"(x{large['columnar_cold_speedup']:.1f}), "
+            f"columnar cold {large['run_columnar_cold_s']:.2f}s, "
             f"warm {large['run_columnar_warm_s'] * 1e3:.0f}ms "
             f"(x{large['columnar_warm_speedup']:.1f}), "
-            f"identical={large['columnar_identical']}",
+            f"valid={large['columnar_valid']}",
             file=sys.stderr,
         )
     write_record(args.output, payload)
@@ -508,8 +496,8 @@ def main(argv=None) -> int:
     failures = [
         r["design"] for r in results
         if r["run_speedup"] < 1.0
-        or not r["schedules_identical"]
         or not r["columnar_identical"]
+        or not r["periodic_identical"]
     ]
     if payload["summary"]["min_columnar_warm_speedup"] < (
         COLUMNAR_WARM_GATE
@@ -519,12 +507,12 @@ def main(argv=None) -> int:
         )
     if not fig9_ok:
         failures.append("fig9-resnet")
-    if args.large and not payload["large"]["columnar_identical"]:
-        failures.append("large-equivalence")
+    if args.large and not payload["large"]["columnar_valid"]:
+        failures.append("large-validation")
     if baseline_record is not None:
         # Compare against the pre-read text: the output above may have
         # overwritten the baseline path.
-        regressions = check_baseline(payload["summary"], baseline_record)
+        regressions = check_baseline(results, baseline_record)
         for item in regressions:
             print(f"BASELINE REGRESSION: {item}", file=sys.stderr)
         failures.extend(regressions)

@@ -39,8 +39,6 @@ from repro.dram.columnar import (
     ColumnarStream,
     schedule_columnar,
 )
-from repro.dram.engine import build_dependents
-from repro.dram.parallel import schedule_channels
 from repro.dram.scheduler import (
     ChannelPartition,
     CommandScheduler,
@@ -56,6 +54,7 @@ from repro.dram.steady import (
     SegmentLock,
     SegmentRecorder,
     StreamPeriod,
+    build_dependents,
 )
 from repro.dram.validator import validate_trace, validate_trace_columnar
 
@@ -82,7 +81,6 @@ __all__ = [
     "ScheduleResult",
     "build_dependents",
     "replicate_across_channels",
-    "schedule_channels",
     "schedule_columnar",
     "split_channels",
     "EnergyModel",

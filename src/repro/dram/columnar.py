@@ -1,4 +1,4 @@
-"""Columnar (struct-of-arrays) command-stream core.
+"""Columnar (struct-of-arrays) command streams and the exact scheduling loop.
 
 A :class:`ColumnarStream` holds one command stream as parallel numpy
 columns — opcode, rank, bankgroup, bank, row, col, channel, operand
@@ -12,45 +12,41 @@ payloads. Kernel generators attach the columnar form to their stream
 artifacts (see :class:`repro.kernels.artifact.CommandStreamArtifact`),
 so the hot path never re-derives it.
 
-``engine="columnar"`` in
-:class:`~repro.dram.scheduler.CommandScheduler` schedules directly off
-these arrays (:func:`schedule_columnar`):
+:func:`schedule_columnar` is the simulator's one exact greedy FR-FCFS
+loop (``engine="columnar"`` in
+:class:`~repro.dram.scheduler.CommandScheduler`, and every fallback of
+the periodic engine):
 
-* **Vectorized stream preparation.** Everything the issue loop needs
-  per command — kind codes, completion latencies, flat bank/group/rank
-  /bus ids, data-burst offsets, read/write flags, per-port queue links,
-  initial dependency refcounts — is derived from the columns with numpy
-  in one shot and cached on the stream per scheduler substrate
-  (timing, geometry, issue model, bus scope, per-bank PIM). The
-  reference and incremental engines re-derive all of it per ``run()``
-  with per-command Python work.
+* **Per-run preparation.** Everything the issue loop needs per command
+  — kind codes, completion latencies, flat bank/group/rank/bus ids,
+  data-burst offsets, read/write flags, per-port queue links, initial
+  dependency refcounts — is derived from the columns with numpy in one
+  shot at the start of a cold run, and dropped when the run ends. Only
+  the schedule-independent statistics (per-kind counts, per-port
+  totals) outlive it, beside the issue-cycle memo.
 
 * **Vectorized validation and statistics.** Backward-dependency and
   rank/channel range checks are single array comparisons (cached per
-  geometry), and the :class:`~repro.dram.stats.TraceStats` counters
-  (per-kind counts, per-port totals) are ``bincount`` results computed
-  once per stream — every command issues exactly once, so they do not
-  depend on the schedule at all.
+  geometry), and the :class:`~repro.dram.stats.TraceStats` counters are
+  ``bincount`` results — every command issues exactly once, so they do
+  not depend on the schedule at all.
 
-* **Issue-cycle memoization (batch dependency resolution).** The greedy
-  schedule of a given (stream, substrate, window) is deterministic, so
-  the engine memoizes the resulting issue-cycle vector on the stream
-  (whose columns are frozen read-only at construction, making identity
-  caching sound) and replays it as one array copy on re-scheduling.
-  This is what the service layer does all day — re-scheduling identical
-  cached streams across jobs, sweeps and figure harnesses — and it
-  turns those repeats into O(1) array traffic instead of a per-command
-  Python loop. First-visit (cold) scheduling runs the exact greedy
-  selection loop below over flat preprocessed arrays.
+* **Issue-cycle memoization.** The greedy schedule of a given (stream,
+  substrate, window) is deterministic, so the resulting issue-cycle
+  vector is memoized on the stream (whose columns are frozen read-only
+  at construction, making identity caching sound) and replayed as one
+  array copy on re-scheduling — what the service layer does all day
+  across jobs, sweeps and figure harnesses.
 
-The cold loop is a field-for-field port of
-:func:`repro.dram.engine.schedule_incremental` (dirty-set earliest-cycle
-caching, index-linked port queues, stream-order scan cut-off) operating
-on flat Python lists sliced out of the numpy columns instead of
-`Command` objects and per-machine state objects. Exactness against the
-reference engine is enforced by the same golden + Hypothesis contract
-as the other engines (``tests/dram/test_engine_equivalence.py``,
-``tests/dram/test_columnar.py``).
+The cold loop keeps the machine state in flat Python lists (banks,
+bank groups, ranks and buses indexed by flat ids), caches each
+candidate's earliest feasible cycle until one of the machines it read
+changes (per-machine dirty lists), keeps per-port queues as
+index-linked lists, and stops a port's scan at the first candidate
+issuable at the port's own floor cycle (later candidates tie and lose
+on stream index). Exactness against the reference greedy loop kept in
+the test suite is enforced by golden and Hypothesis tests
+(``tests/dram/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -64,13 +60,43 @@ from repro.dram.channel import TURNAROUND_GAP
 from repro.dram.commands import (
     Command,
     CommandType,
+    EXTERNAL_COLUMN_COMMANDS,
+    INTERNAL_COLUMN_COMMANDS,
+    PIM_ALU_COMMANDS,
     READ_COMMANDS,
     WRITE_COMMANDS,
     command_latency,
 )
-from repro.dram.engine import _ACT, _ALU, _EXT_COL, _INT_COL, _KIND_CODE, _PRE
 from repro.dram.stats import TraceStats
 from repro.errors import SimulationError
+
+# Command-kind classes driving the scheduling loops' earliest-cycle
+# computation (shared with the periodic engine in repro.dram.steady).
+_ACT = 0
+_PRE = 1
+_INT_COL = 2
+_EXT_COL = 3
+_ALU = 4
+_OTHER = 5  # REF / MRW: no state machine constrains them
+
+
+def _kind_class(kind: CommandType) -> int:
+    if kind is CommandType.ACT:
+        return _ACT
+    if kind is CommandType.PRE:
+        return _PRE
+    if kind in INTERNAL_COLUMN_COMMANDS:
+        return _INT_COL
+    if kind in EXTERNAL_COLUMN_COMMANDS:
+        return _EXT_COL
+    if kind in PIM_ALU_COMMANDS:
+        return _ALU
+    return _OTHER
+
+
+_KIND_CODE: dict[CommandType, int] = {
+    k: _kind_class(k) for k in CommandType
+}
 
 #: Canonical kind <-> small-integer encoding (enum definition order).
 KIND_ORDER: tuple[CommandType, ...] = tuple(CommandType)
@@ -102,25 +128,22 @@ class ColumnarStream:
     """One command stream as parallel read-only numpy columns.
 
     Columns are frozen at construction (``writeable=False``): a stream
-    is a value, and freezing is what makes the per-substrate prepare
-    cache and the issue-cycle memo sound without re-hashing content.
-    ``tags`` / ``scalers`` are kept as plain lists (or ``None`` when the
-    whole stream carries none) purely for lossless round-tripping; no
-    hot path reads them.
+    is a value, and freezing is what makes the issue-cycle memo sound
+    without re-hashing content. ``tags`` / ``scalers`` are kept as plain
+    lists (or ``None`` when the whole stream carries none) purely for
+    lossless round-tripping; no hot path reads them.
     """
 
     __slots__ = (
         "n", "kind", "rank", "bankgroup", "bank", "row", "col",
         "channel", "scale_id", "dst_reg", "src_reg", "position",
         "issue_cycle", "dep_indptr", "dep_indices", "out_indptr",
-        "out_indices", "tags", "scalers", "_prepared", "_memo",
-        "_structure_ok",
+        "out_indices", "tags", "scalers", "_memo", "_structure_ok",
     )
 
-    #: Bound on cached prepared substrates / memoized schedules kept
-    #: per stream (FIFO eviction) — mirrors the update model's small
-    #: stream cache; one stream is typically scheduled under a handful
-    #: of substrates at most.
+    #: Bound on memoized schedules kept per stream (FIFO eviction) —
+    #: mirrors the update model's small stream cache; one stream is
+    #: typically scheduled under a handful of substrates at most.
     CACHE_MAX = 8
 
     def __init__(
@@ -140,8 +163,6 @@ class ColumnarStream:
         issue_cycle: np.ndarray,
         dep_indptr: np.ndarray,
         dep_indices: np.ndarray,
-        out_indptr: Optional[np.ndarray] = None,
-        out_indices: Optional[np.ndarray] = None,
         tags: Optional[list] = None,
         scalers: Optional[list] = None,
     ) -> None:
@@ -160,13 +181,11 @@ class ColumnarStream:
         self.issue_cycle = _freeze(np.asarray(issue_cycle, dtype=np.int64))
         self.dep_indptr = _freeze(np.asarray(dep_indptr, dtype=np.int64))
         self.dep_indices = _freeze(np.asarray(dep_indices, dtype=np.int64))
-        if out_indptr is None or out_indices is None:
-            out_indptr, out_indices = self._transpose_deps()
-        self.out_indptr = _freeze(np.asarray(out_indptr, dtype=np.int64))
-        self.out_indices = _freeze(np.asarray(out_indices, dtype=np.int64))
+        out_indptr, out_indices = self._transpose_deps()
+        self.out_indptr = _freeze(out_indptr)
+        self.out_indices = _freeze(out_indices)
         self.tags = tags
         self.scalers = scalers
-        self._prepared: dict = {}
         self._memo: dict = {}
         self._structure_ok: set = set()
 
@@ -175,8 +194,8 @@ class ColumnarStream:
         """Dependents CSR (the transpose of the deps CSR), vectorized.
 
         Row order within each dependent list is ascending consumer
-        index — exactly what
-        :func:`repro.dram.engine.build_dependents` produces.
+        index (a duplicated dependency appears twice) — exactly what
+        :func:`repro.dram.steady.build_dependents` produces.
         """
         n = self.n
         counts = np.diff(self.dep_indptr)
@@ -192,11 +211,7 @@ class ColumnarStream:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_commands(
-        cls,
-        commands: Sequence[Command],
-        dependents: Optional[Sequence[Sequence[int]]] = None,
-    ) -> "ColumnarStream":
+    def from_commands(cls, commands: Sequence[Command]) -> "ColumnarStream":
         """Build the columnar form of a ``Command`` list (lossless)."""
         n = len(commands)
         kind = [0] * n
@@ -241,16 +256,6 @@ class ColumnarStream:
                 if scalers is None:
                     scalers = [None] * n
                 scalers[i] = cmd.scaler
-        out_indptr = out_indices = None
-        if dependents is not None:
-            out_indptr = [0] * (n + 1)
-            out_indices_l: list[int] = []
-            for d, lst in enumerate(dependents):
-                if lst:
-                    out_indices_l.extend(lst)
-                out_indptr[d + 1] = len(out_indices_l)
-            out_indices = np.array(out_indices_l, dtype=np.int64)
-            out_indptr = np.array(out_indptr, dtype=np.int64)
         return cls(
             kind=np.array(kind, dtype=np.int16),
             rank=np.array(rank, dtype=np.int32),
@@ -266,8 +271,6 @@ class ColumnarStream:
             issue_cycle=np.array(issue_cycle, dtype=np.int64),
             dep_indptr=np.array(dep_indptr, dtype=np.int64),
             dep_indices=np.array(dep_indices, dtype=np.int64),
-            out_indptr=out_indptr,
-            out_indices=out_indices,
             tags=tags,
             scalers=scalers,
         )
@@ -324,15 +327,6 @@ class ColumnarStream:
         return out
 
     # ------------------------------------------------------------------
-    def dependents_lists(self) -> list[list[int]]:
-        """The dependents adjacency as list-of-lists (CSR unpacked) —
-        identical to :func:`repro.dram.engine.build_dependents`."""
-        indptr = self.out_indptr.tolist()
-        indices = self.out_indices.tolist()
-        return [
-            indices[indptr[i]:indptr[i + 1]] for i in range(self.n)
-        ]
-
     def __len__(self) -> int:
         return self.n
 
@@ -385,24 +379,6 @@ class ColumnarStream:
             )
         self._structure_ok.add(key)
 
-    # ------------------------------------------------------------------
-    def _prepare(self, timing, geometry, issue_model, per_bank_pim,
-                 bus_ids) -> "_Prepared":
-        key = (timing, geometry.ranks, geometry.bankgroups,
-               geometry.banks_per_group, issue_model.port_of_rank,
-               per_bank_pim, tuple(bus_ids))
-        prep = self._prepared.get(key)
-        if prep is None:
-            prep = _Prepared(self, timing, geometry, issue_model,
-                             per_bank_pim, bus_ids)
-            self._prepared[key] = prep
-            while len(self._prepared) > self.CACHE_MAX:
-                self._prepared.pop(next(iter(self._prepared)))
-        return prep
-
-    def _memo_get(self, key):
-        return self._memo.get(key)
-
     def _memo_put(self, key, value) -> None:
         self._memo[key] = value
         while len(self._memo) > self.CACHE_MAX:
@@ -429,28 +405,30 @@ class ColumnarSchedule:
 
 
 class _Prepared:
-    """Flat per-substrate arrays feeding the cold scheduling loop.
+    """Flat arrays feeding one cold run of the scheduling loop.
 
-    Everything here is issue-order independent: derived once per
-    (stream, substrate) with numpy and reused by every ``run()``.
+    Derived from the columns with numpy at the start of a cold run and
+    dropped when it ends: as Python lists they cost several times the
+    stream's own columns, so no stream keeps them between runs. The
+    loop consumes the queue links and dependency counters in place.
     """
 
     __slots__ = (
         "kc", "kidx", "lat", "bank_id", "group_id", "rank", "bus",
-        "row", "big", "bg", "doff", "isrd", "iswr", "ndeps0",
-        "dep_lists", "heads0", "tails0", "nxt0", "prv0", "n_ports",
-        "n_banks", "n_groups", "n_ranks", "n_buses", "counts",
-        "port_issued", "window_free",
+        "row", "big", "bg", "doff", "isrd", "iswr", "ndeps", "optr",
+        "oidx", "heads", "tails", "nxt", "prv", "n_ports", "n_banks",
+        "n_groups", "n_ranks", "n_buses", "counts", "port_issued",
     )
 
     def __init__(self, stream: ColumnarStream, timing, geometry,
-                 issue_model, per_bank_pim, bus_ids) -> None:
+                 issue_model, bus_ids) -> None:
         n = stream.n
         n_ranks = geometry.ranks
         n_bg = geometry.bankgroups
         bpg = geometry.banks_per_group
         kind = stream.kind.astype(np.int64)
-        self.kc = _KC_TABLE[kind].tolist()
+        kc_arr = _KC_TABLE[kind]
+        self.kc = kc_arr.tolist()
         self.kidx = kind.tolist()
         self.lat = _latency_table(timing)[kind].tolist()
         rank = stream.rank.astype(np.int64)
@@ -460,13 +438,11 @@ class _Prepared:
         self.bank_id = (gid * bpg + bank).tolist()
         self.group_id = gid.tolist()
         self.rank = rank.tolist()
-        bus_map = np.asarray(bus_ids, dtype=np.int64)
-        self.bus = bus_map[rank].tolist()
+        self.bus = np.asarray(bus_ids, dtype=np.int64)[rank].tolist()
         self.row = stream.row.tolist()
         self.big = bank.tolist()
         self.bg = bg.tolist()
-        kc_arr = _KC_TABLE[kind]
-        doff = np.where(
+        self.doff = np.where(
             kc_arr == _EXT_COL,
             np.where(
                 kind == KIND_INDEX[CommandType.RD],
@@ -474,16 +450,12 @@ class _Prepared:
                 timing.tCWL,
             ),
             0,
-        )
-        self.doff = doff.tolist()
+        ).tolist()
         self.isrd = _ISRD_TABLE[kind].tolist()
         self.iswr = _ISWR_TABLE[kind].tolist()
-        self.ndeps0 = np.diff(stream.dep_indptr).tolist()
-        optr = stream.out_indptr.tolist()
-        oidx = stream.out_indices.tolist()
-        self.dep_lists = [
-            oidx[optr[i]:optr[i + 1]] for i in range(n)
-        ]
+        self.ndeps = np.diff(stream.dep_indptr).tolist()
+        self.optr = stream.out_indptr.tolist()
+        self.oidx = stream.out_indices.tolist()
         # Per-port pending queues as index-linked lists in stream order.
         n_ports = issue_model.n_ports
         port = np.asarray(issue_model.port_of_rank, dtype=np.int64)[rank]
@@ -498,10 +470,10 @@ class _Prepared:
                 tails[p] = int(idxs[-1])
                 nxt[idxs[:-1]] = idxs[1:]
                 prv[idxs[1:]] = idxs[:-1]
-        self.heads0 = heads
-        self.tails0 = tails
-        self.nxt0 = nxt.tolist()
-        self.prv0 = prv.tolist()
+        self.heads = heads
+        self.tails = tails
+        self.nxt = nxt.tolist()
+        self.prv = prv.tolist()
         self.n_ports = n_ports
         self.n_banks = n_ranks * n_bg * bpg
         self.n_groups = n_ranks * n_bg
@@ -516,11 +488,7 @@ class _Prepared:
             for k, c in enumerate(kcounts.tolist())
             if c
         }
-        if n:
-            pcounts = np.bincount(port)
-            self.port_issued = [int(c) for c in pcounts.tolist()]
-        else:
-            self.port_issued = []
+        self.port_issued = np.bincount(port).tolist() if n else []
 
 
 def schedule_columnar(
@@ -534,7 +502,7 @@ def schedule_columnar(
 ) -> tuple[np.ndarray, TraceStats]:
     """Schedule a columnar stream; return (issue cycles, stats).
 
-    Byte-identical to the reference engine on every stream (the
+    Byte-identical to the reference greedy loop on every stream (the
     equivalence contract). Repeat scheduling of the same stream under
     the same substrate replays the memoized issue-cycle vector.
     """
@@ -543,32 +511,30 @@ def schedule_columnar(
         geometry.banks_per_group, issue_model.port_of_rank,
         per_bank_pim, tuple(bus_ids), window,
     )
-    hit = stream._memo_get(memo_key)
-    prep = stream._prepare(
-        timing, geometry, issue_model, per_bank_pim, bus_ids
+    hit = stream._memo.get(memo_key)
+    if hit is None:
+        prep = _Prepared(stream, timing, geometry, issue_model, bus_ids)
+        issue, total_cycles = _schedule_cold(
+            prep, timing, per_bank_pim, window
+        )
+        hit = (
+            _freeze(np.array(issue, dtype=np.int64)),
+            total_cycles,
+            prep.counts,
+            prep.port_issued,
+        )
+        stream._memo_put(memo_key, hit)
+    issue, total_cycles, counts, port_issued = hit
+    stats = TraceStats(
+        counts=dict(counts),
+        total_cycles=total_cycles,
+        issued_commands=stream.n,
+        port_issued=list(port_issued),
     )
-    if hit is not None:
-        issue, total_cycles = hit
-        return issue, _stats_from(prep, stream.n, total_cycles)
-    issue, total_cycles = _schedule_cold(
-        stream, prep, timing, per_bank_pim, window
-    )
-    issue = _freeze(np.array(issue, dtype=np.int64))
-    stream._memo_put(memo_key, (issue, total_cycles))
-    return issue, _stats_from(prep, stream.n, total_cycles)
-
-
-def _stats_from(prep: _Prepared, n: int, total_cycles: int) -> TraceStats:
-    stats = TraceStats()
-    stats.counts = dict(prep.counts)
-    stats.issued_commands = n
-    stats.port_issued = list(prep.port_issued)
-    stats.total_cycles = total_cycles
-    return stats
+    return issue, stats
 
 
 def _schedule_cold(
-    stream: ColumnarStream,
     prep: _Prepared,
     timing,
     per_bank_pim: bool,
@@ -576,12 +542,13 @@ def _schedule_cold(
 ) -> tuple[list[int], int]:
     """The exact greedy selection loop over the prepared flat arrays.
 
-    A port of :func:`repro.dram.engine.schedule_incremental` with the
-    per-machine state objects flattened into plain lists (banks, bank
-    groups, ranks and buses indexed by the prepared flat ids) and all
-    per-command precomputation replaced by the prepared columns.
+    The four state machines (:mod:`repro.dram.bank`,
+    :mod:`~repro.dram.bankgroup`, :mod:`~repro.dram.rank`,
+    :mod:`~repro.dram.channel`) are flattened into plain lists indexed
+    by the prepared flat ids, and their ``earliest`` / ``apply``
+    methods are inlined below.
     """
-    n = stream.n
+    n = len(prep.kc)
     n_banks, n_groups = prep.n_banks, prep.n_groups
     n_ranks, n_buses = prep.n_ranks, prep.n_buses
 
@@ -605,6 +572,8 @@ def _schedule_cold(
     bus_kind = [-1] * n_buses  # kind index, -1 == untouched bus
     bus_rank = [-1] * n_buses
 
+    # Dirty lists: candidates whose cached cycle must be recomputed
+    # when the corresponding state machine changes.
     dirty_bank: list[list[int]] = [[] for _ in range(n_banks)]
     dirty_group: list[list[int]] = [[] for _ in range(n_groups)]
     dirty_rank: list[list[int]] = [[] for _ in range(n_ranks)]
@@ -623,12 +592,13 @@ def _schedule_cold(
     data_off = prep.doff
     is_read = prep.isrd
     is_write = prep.iswr
-    dep_lists = prep.dep_lists
-    ndeps = prep.ndeps0.copy()
-    nxt = prep.nxt0.copy()
-    prv = prep.prv0.copy()
-    heads = prep.heads0.copy()
-    tails = prep.tails0.copy()
+    optr = prep.optr
+    oidx = prep.oidx
+    ndeps = prep.ndeps
+    nxt = prep.nxt
+    prv = prep.prv
+    heads = prep.heads
+    tails = prep.tails
     n_ports = prep.n_ports
 
     dep_ready = [0] * n
@@ -867,7 +837,7 @@ def _schedule_cold(
             tails[best_port] = p
 
         remaining -= 1
-        for j in dep_lists[i]:
+        for j in oidx[optr[i]:optr[i + 1]]:
             ndeps[j] -= 1
             if comp > dep_ready[j]:
                 dep_ready[j] = comp

@@ -24,40 +24,30 @@ Refresh is accounted analytically (a tRFC/tREFI derate applied by
 sampling windows used for steady-state measurement are much shorter than
 tREFI; this is documented in DESIGN.md §3.
 
-Performance
------------
+Engines
+-------
 
-Four interchangeable engines produce the schedule:
+Two engines produce the schedule:
 
-* ``engine="incremental"`` (the default) — the event-driven engine in
-  :mod:`repro.dram.engine`: dependency reference-counting, per-candidate
-  earliest-cycle caching invalidated through state-machine version
-  stamps, and index-linked ready queues. This is the hot path behind
-  every ``UpdatePhaseModel.profile()``.
-* ``engine="periodic"`` — the steady-state engine in
-  :mod:`repro.dram.steady`: locks the scheduler's fixed cycle over
+* ``engine="columnar"`` (the default) — the exact greedy loop of
+  :mod:`repro.dram.columnar`: it schedules a
+  :class:`~repro.dram.columnar.ColumnarStream` directly, with
+  vectorized stream preparation and validation, and memoizes issue
+  cycles on the immutable stream.
+* ``engine="periodic"`` — the steady-state engine of
+  :mod:`repro.dram.steady`: it locks the scheduler's fixed cycle over
   stripe-periodic stream bodies (kernel generators attach the
   :class:`~repro.dram.steady.StreamPeriod` metadata; pass it via
-  ``run(..., period=...)``) and replays locked sweeps arithmetically,
-  degrading to the incremental engine wherever nothing locks.
-* ``engine="columnar"`` — the struct-of-arrays engine in
-  :mod:`repro.dram.columnar`: schedules
-  :class:`~repro.dram.columnar.ColumnarStream` columns directly with
-  vectorized stream preparation/validation and issue-cycle memoization
-  on the immutable stream, skipping per-command copies and Python
-  validation loops entirely.
-* ``engine="reference"`` — the original greedy loop, kept verbatim as
-  the equivalence oracle for tests and ``benchmarks/bench_scheduler.py``.
+  ``run(..., period=...)``) and replays locked sweeps arithmetically.
+  Streams without metadata schedule on the columnar engine.
 
-All engines produce identical issue cycles and statistics on every
-stream; the contract is enforced by golden and property tests
-(``tests/dram/test_engine_equivalence.py``,
-``tests/dram/test_steady.py``).
+Both produce the issue cycles and statistics of the original greedy
+loop, which the test suite keeps as its oracle
+(``tests/dram/test_engine_equivalence.py``, ``tests/dram/test_steady.py``).
 
-``run`` never mutates the caller's :class:`Command` objects: commands
-are scheduled over fresh copies and the annotated copies are returned
-in the :class:`ScheduleResult`, so re-scheduling the same stream (or
-scheduling it under a different configuration) always starts clean.
+``run`` never mutates the caller's :class:`Command` objects: the
+columnar engine never touches them, and the periodic engine schedules
+fresh copies, returned in the :class:`ScheduleResult`.
 
 Channels
 --------
@@ -66,12 +56,11 @@ A multi-channel geometry (``DeviceGeometry.channels > 1``) gives every
 channel its own full replica of the state machines: banks, bank groups,
 ranks, data buses *and* issue ports. Channels share nothing, so the
 scheduler partitions the stream by ``Command.channel`` and schedules
-each partition independently (:func:`split_channels`); dependencies may
-not cross channels. Statistics aggregate across channels
-(:meth:`TraceStats.merge_channels`) with elapsed time set by the
-slowest channel. A single-channel geometry bypasses the partitioning
-entirely, so ``channels=1`` schedules are bit-identical to the
-historical single-channel implementation.
+each partition independently on the columnar engine
+(:func:`split_channels`); dependencies may not cross channels.
+Statistics aggregate across channels (:meth:`TraceStats.merge_channels`)
+with elapsed time set by the slowest channel. A single-channel geometry
+bypasses the partitioning entirely.
 """
 
 from __future__ import annotations
@@ -84,22 +73,42 @@ from repro.dram.columnar import (
     ColumnarStream,
     schedule_columnar,
 )
-from repro.dram.engine import schedule_incremental
+from repro.dram.commands import Command
+from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
+from repro.dram.stats import TraceStats
 from repro.dram.steady import (
     PeriodicOutcome,
     StreamPeriod,
     schedule_steady,
 )
-
-from repro.dram.bank import BankState
-from repro.dram.bankgroup import BankGroupState
-from repro.dram.channel import DataBusState
-from repro.dram.commands import Command, command_latency
-from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
-from repro.dram.rank import RankState
-from repro.dram.stats import TraceStats
 from repro.dram.timing import TimingParams
 from repro.errors import ConfigError, SimulationError
+
+#: The scheduler engines (see the module docstring).
+ENGINES = ("columnar", "periodic")
+
+#: Engine spellings accepted on the job surface (``SimJobSpec``,
+#: ``UpdatePhaseModel``, the CLIs). ``"incremental"`` and
+#: ``"reference"`` name engines that have been folded into the columnar
+#: loop; they stay accepted so stored specs and their content hashes
+#: keep working, and select the one exact loop.
+ENGINE_SPELLINGS = {
+    "incremental": "columnar",
+    "reference": "columnar",
+    "columnar": "columnar",
+    "periodic": "periodic",
+}
+
+
+def resolve_engine(name: str) -> str:
+    """The scheduler engine an accepted spelling selects."""
+    try:
+        return ENGINE_SPELLINGS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown engine {name!r}; choose from "
+            f"{tuple(ENGINE_SPELLINGS)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ class IssueModel:
 class ScheduleResult:
     """Outcome of scheduling one command stream.
 
-    The columnar engine returns results backed by a
+    Columnar runs return results backed by a
     :class:`~repro.dram.columnar.ColumnarSchedule` instead of a list of
     annotated :class:`Command` objects; ``commands`` materializes the
     objects lazily on first access, so consumers that only read
@@ -172,7 +181,7 @@ class ScheduleResult:
         #: per-segment locks, commands simulated vs. arithmetically
         #: replayed, and the fallback reason when it did not engage.
         self.periodic = periodic
-        #: The scheduled columnar stream (``engine="columnar"`` only).
+        #: The scheduled columnar stream (single-channel columnar runs).
         self.columnar = columnar
 
     @property
@@ -212,23 +221,13 @@ class CommandScheduler:
         per_bank_pim: bool = False,
         window: int = 16,
         data_bus_scope: str = "channel",
-        engine: str = "incremental",
+        engine: str = "columnar",
     ) -> None:
         """``data_bus_scope`` selects how external bursts share wiring:
         ``"channel"`` (one bus, direct-attach), ``"dimm"`` (one private
         bus per DIMM buffer device — TensorDIMM), or ``"rank"``.
-        ``engine`` picks the implementation: ``"incremental"`` (fast,
-        default), ``"reference"`` (the original greedy loop, kept as
-        the equivalence oracle), or ``"periodic"`` (the steady-state
-        engine of :mod:`repro.dram.steady`, which replays locked
-        stripe-periodic sweeps arithmetically and degrades to the
-        incremental engine's exact behaviour when streams carry no
-        period metadata or never lock), or ``"columnar"`` (the
-        struct-of-arrays engine of :mod:`repro.dram.columnar`:
-        vectorized stream preparation and validation over a
-        :class:`~repro.dram.columnar.ColumnarStream` plus issue-cycle
-        memoization on the immutable stream, byte-identical to the
-        reference on every input)."""
+        ``engine`` is ``"columnar"`` or ``"periodic"`` (see the module
+        docstring)."""
         if issue_model is None:
             issue_model = IssueModel.direct(geometry.ranks)
         if len(issue_model.port_of_rank) != geometry.ranks:
@@ -242,10 +241,10 @@ class CommandScheduler:
             raise ConfigError(
                 f"unknown data_bus_scope {data_bus_scope!r}"
             )
-        if engine not in (
-            "incremental", "reference", "periodic", "columnar"
-        ):
-            raise ConfigError(f"unknown engine {engine!r}")
+        if engine not in ENGINES:
+            raise ConfigError(
+                f"unknown engine {engine!r}; choose from {ENGINES}"
+            )
         self.timing = timing
         self.geometry = geometry
         self.issue_model = issue_model
@@ -253,20 +252,21 @@ class CommandScheduler:
         self.window = window
         self.data_bus_scope = data_bus_scope
         self.engine = engine
-
-    def _bus_of_rank(self, rank: int) -> int:
-        if self.data_bus_scope == "channel":
-            return 0
-        if self.data_bus_scope == "dimm":
-            return self.geometry.dimm_of_rank(rank)
-        return rank
+        # Data-bus index serving each rank.
+        if data_bus_scope == "channel":
+            self._bus_ids = (0,) * geometry.ranks
+        elif data_bus_scope == "dimm":
+            self._bus_ids = tuple(
+                geometry.dimm_of_rank(r) for r in range(geometry.ranks)
+            )
+        else:
+            self._bus_ids = tuple(range(geometry.ranks))
 
     # ------------------------------------------------------------------
     def run(
         self,
         commands: Sequence[Command],
         dependents: Optional[Sequence[Sequence[int]]] = None,
-        partition_runner=None,
         period: Optional[StreamPeriod] = None,
         columnar: Optional[ColumnarStream] = None,
     ) -> ScheduleResult:
@@ -274,71 +274,55 @@ class CommandScheduler:
 
         Dependencies must point backwards (``dep < index``); forward or
         self references raise :class:`SimulationError`. The caller's
-        command objects are never mutated: scheduling happens over
-        fresh copies, which the result carries.
-
-        ``dependents`` optionally supplies the precomputed
-        dependent-command adjacency (see
-        :func:`repro.dram.engine.build_dependents`); kernel generators
-        cache it so repeated scheduling skips the rebuild.
-
-        ``partition_runner`` (multi-channel geometries only) is a
-        callable taking the list of :class:`ChannelPartition` and
-        returning one :class:`TraceStats` per partition with the
-        partitions' commands annotated — the hook the service pool uses
-        to schedule channels in parallel processes. Returning ``None``
-        falls back to the in-process serial loop.
+        command objects are never mutated.
 
         ``period`` optionally supplies the stream's
         :class:`~repro.dram.steady.StreamPeriod` metadata (kernel
-        generators attach it to their streams); only the
-        ``"periodic"`` engine consumes it. Without metadata — or on
-        multi-channel geometries, where partitions carry no metadata —
-        the periodic engine schedules through the incremental engine,
+        generators attach it to their streams); only the ``"periodic"``
+        engine consumes it, together with ``dependents``, the optional
+        precomputed dependent-command adjacency (see
+        :func:`repro.dram.steady.build_dependents`). Without metadata —
+        or on multi-channel geometries, where partitions carry no
+        metadata — the periodic engine schedules on the columnar loop,
         so it is always safe to select.
 
         ``columnar`` optionally supplies the stream's prebuilt
         :class:`~repro.dram.columnar.ColumnarStream` (it must describe
         the same stream as ``commands``; kernel artifacts cache it).
-        Only the ``"columnar"`` engine consumes it — that engine builds
-        the stream from ``commands`` on the fly when it is absent.
+        The columnar loop builds it from ``commands`` when absent.
         """
         geom = self.geometry
-        if self.engine == "columnar" and geom.channels == 1:
-            # Single-channel columnar fast path: vectorized validation
-            # over the columns, no per-command copies, no Python
-            # per-command validation loops.
-            return self._run_columnar(commands, dependents, columnar)
-        for i, cmd in enumerate(commands):
-            for d in cmd.deps:
-                if d >= i or d < 0:
-                    raise SimulationError(
-                        f"command {i} has illegal dependency {d}"
-                    )
-        for i, cmd in enumerate(commands):
-            if not 0 <= cmd.rank < geom.ranks:
-                raise SimulationError(f"command {i} rank out of range")
-            if not 0 <= cmd.channel < geom.channels:
-                raise SimulationError(
-                    f"command {i} channel {cmd.channel} out of range "
-                    f"(geometry has {geom.channels})"
+        steady = (
+            self.engine == "periodic"
+            and period is not None
+            and bool(period.segments)
+        )
+        if geom.channels == 1 and not steady:
+            result = self._run_columnar(commands, columnar)
+            if self.engine == "periodic":
+                result.periodic = PeriodicOutcome(
+                    reason="no-period-metadata", simulated=len(commands)
                 )
+            return result
+        _check_structure(commands, geom)
         copies = [_fresh_copy(cmd) for cmd in commands]
         periodic = None
         if geom.channels > 1:
-            stats = self._run_channels(
-                commands, copies, dependents, partition_runner
-            )
+            stats = self._run_channels(commands, copies)
             if self.engine == "periodic":
                 periodic = PeriodicOutcome(reason="multi-channel")
-        elif self.engine == "reference":
-            stats = self._run_reference(copies)
-        elif self.engine == "periodic":
-            stats, periodic = self._run_periodic(
-                copies, dependents, period
+        else:
+            stats, periodic = schedule_steady(
+                self.timing,
+                geom,
+                self.issue_model,
+                self.per_bank_pim,
+                self.window,
+                self._bus_ids,
+                copies,
+                dependents,
+                period,
             )
-        else:  # incremental (columnar single-channel returned above)
-            stats = self._run_incremental(copies, dependents)
         return ScheduleResult(
             commands=copies,
             stats=stats,
@@ -349,104 +333,41 @@ class CommandScheduler:
         )
 
     # ------------------------------------------------------------------
-    def schedule_partition(self, partition: "ChannelPartition") -> TraceStats:
-        """Schedule one channel's sub-stream in place (issue cycles are
-        written onto ``partition.commands``). Channels share no state,
-        so partitions may be scheduled in any order — or in parallel
-        processes (see ``repro.service.pool.schedule_channels``).
-        Partitions carry no period metadata, so the ``"periodic"``
-        engine schedules them through the incremental engine."""
-        if self.engine == "reference":
-            return self._run_reference(partition.commands)
-        if self.engine == "columnar":
-            stream = ColumnarStream.from_commands(
-                partition.commands, dependents=partition.dependents
-            )
-            issue, stats = self._schedule_stream(stream)
-            for cmd, cycle in zip(partition.commands, issue.tolist()):
-                cmd.issue_cycle = cycle
-            return stats
-        return self._run_incremental(
-            partition.commands, partition.dependents
-        )
-
     def _run_channels(
-        self,
-        commands: Sequence[Command],
-        copies: list[Command],
-        dependents: Optional[Sequence[Sequence[int]]],
-        partition_runner=None,
+        self, commands: Sequence[Command], copies: list[Command]
     ) -> TraceStats:
-        """Partition by channel, schedule each independently, merge."""
-        parts = split_channels(
-            commands, self.geometry.channels, dependents
-        )
-        per_channel = None
-        if partition_runner is not None:
-            per_channel = partition_runner(parts)
-        if per_channel is None:
-            per_channel = [self.schedule_partition(p) for p in parts]
-        for part in parts:
-            for local, global_i in enumerate(part.indices):
-                copies[global_i].issue_cycle = (
-                    part.commands[local].issue_cycle
-                )
-        merged = TraceStats.merge_channels(per_channel)
-        # Default attribution; schedule_channels overwrites it with the
-        # path its partition runner actually took.
-        merged.scheduling_path = "serial"
-        return merged
+        """Partition by channel, schedule each on the columnar loop,
+        annotate ``copies`` and merge the per-channel statistics."""
+        per_channel = []
+        for part in split_channels(commands, self.geometry.channels):
+            stream = ColumnarStream.from_commands(part.commands)
+            issue, stats = self._schedule_stream(stream)
+            for global_i, cycle in zip(part.indices, issue.tolist()):
+                copies[global_i].issue_cycle = cycle
+            per_channel.append(stats)
+        return TraceStats.merge_channels(per_channel)
 
-    # ------------------------------------------------------------------
-    def _run_incremental(
-        self,
-        commands: list[Command],
-        dependents: Optional[Sequence[Sequence[int]]],
-    ) -> TraceStats:
-        """The event-driven engine (see :mod:`repro.dram.engine`)."""
-        geom = self.geometry
-        bus_ids = tuple(
-            self._bus_of_rank(r) for r in range(geom.ranks)
-        )
-        return schedule_incremental(
-            self.timing,
-            geom,
-            self.issue_model,
-            self.per_bank_pim,
-            self.window,
-            bus_ids,
-            commands,
-            dependents,
-        )
-
-    # ------------------------------------------------------------------
     def _schedule_stream(self, stream: ColumnarStream):
         """Schedule a columnar stream under this scheduler's substrate."""
-        geom = self.geometry
-        bus_ids = tuple(
-            self._bus_of_rank(r) for r in range(geom.ranks)
-        )
         return schedule_columnar(
             stream,
             self.timing,
-            geom,
+            self.geometry,
             self.issue_model,
             self.per_bank_pim,
             self.window,
-            bus_ids,
+            self._bus_ids,
         )
 
     def _run_columnar(
         self,
         commands: Sequence[Command],
-        dependents: Optional[Sequence[Sequence[int]]],
         stream: Optional[ColumnarStream],
     ) -> ScheduleResult:
-        """The struct-of-arrays engine (see :mod:`repro.dram.columnar`)."""
+        """Single-channel columnar run: vectorized validation, no
+        per-command copies."""
         if stream is None:
-            stream = ColumnarStream.from_commands(
-                commands, dependents=dependents
-            )
+            stream = ColumnarStream.from_commands(commands)
         stream.check_structure(self.geometry)
         issue, stats = self._schedule_stream(stream)
         return ScheduleResult(
@@ -457,144 +378,26 @@ class CommandScheduler:
             columnar=ColumnarSchedule(stream, issue),
         )
 
-    # ------------------------------------------------------------------
-    def _run_periodic(
-        self,
-        commands: list[Command],
-        dependents: Optional[Sequence[Sequence[int]]],
-        period: Optional[StreamPeriod],
-    ) -> tuple[TraceStats, PeriodicOutcome]:
-        """The steady-state engine (see :mod:`repro.dram.steady`)."""
-        if period is None or not period.segments:
-            stats = self._run_incremental(commands, dependents)
-            return stats, PeriodicOutcome(
-                reason="no-period-metadata", simulated=len(commands)
-            )
-        geom = self.geometry
-        bus_ids = tuple(
-            self._bus_of_rank(r) for r in range(geom.ranks)
-        )
-        return schedule_steady(
-            self.timing,
-            geom,
-            self.issue_model,
-            self.per_bank_pim,
-            self.window,
-            bus_ids,
-            commands,
-            dependents,
-            period,
-        )
 
-    # ------------------------------------------------------------------
-    def _run_reference(self, commands: list[Command]) -> TraceStats:
-        """The original greedy loop, kept as the equivalence oracle."""
-        timing = self.timing
-        geom = self.geometry
-
-        # State machines.
-        banks = [
-            [
-                [BankState(timing) for _ in range(geom.banks_per_group)]
-                for _ in range(geom.bankgroups)
-            ]
-            for _ in range(geom.ranks)
-        ]
-        groups = [
-            [
-                BankGroupState(
-                    timing, geom.banks_per_group, self.per_bank_pim
-                )
-                for _ in range(geom.bankgroups)
-            ]
-            for _ in range(geom.ranks)
-        ]
-        ranks = [RankState(timing) for _ in range(geom.ranks)]
-        n_buses = len({self._bus_of_rank(r) for r in range(geom.ranks)})
-        buses = [DataBusState(timing) for _ in range(n_buses)]
-
-        # Per-port pending queues, in stream order.
-        n_ports = self.issue_model.n_ports
-        queues: list[list[int]] = [[] for _ in range(n_ports)]
-        for i, cmd in enumerate(commands):
-            queues[self.issue_model.port_of_rank[cmd.rank]].append(i)
-
-        completion = [0] * len(commands)
-        port_free = [0] * n_ports
-        stats = TraceStats()
-        remaining = len(commands)
-        window = self.window
-
-        while remaining:
-            best_cycle = None
-            best_port = -1
-            best_pos = -1
-            best_idx = -1
-            for port in range(n_ports):
-                queue = queues[port]
-                examined = 0
-                for pos, idx in enumerate(queue):
-                    if examined >= window:
-                        break
-                    examined += 1
-                    cmd = commands[idx]
-                    # Dependency readiness.
-                    ready = port_free[port]
-                    blocked = False
-                    for d in cmd.deps:
-                        if commands[d].issue_cycle < 0:
-                            blocked = True
-                            break
-                        if completion[d] > ready:
-                            ready = completion[d]
-                    if blocked:
-                        continue
-                    bank = banks[cmd.rank][cmd.bankgroup][cmd.bank]
-                    group = groups[cmd.rank][cmd.bankgroup]
-                    rank = ranks[cmd.rank]
-                    bus = buses[self._bus_of_rank(cmd.rank)]
-                    try:
-                        e = bank.earliest(cmd)
-                    except SimulationError:
-                        # Structurally not issuable yet (e.g. PRE of the
-                        # previous row hasn't gone out): skip; ordering
-                        # dependencies will unblock it later.
-                        continue
-                    e = max(
-                        ready,
-                        e,
-                        group.earliest(cmd),
-                        rank.earliest(cmd),
-                        bus.earliest(cmd),
-                    )
-                    if (
-                        best_cycle is None
-                        or e < best_cycle
-                        or (e == best_cycle and idx < best_idx)
-                    ):
-                        best_cycle, best_port = e, port
-                        best_pos, best_idx = pos, idx
-            if best_idx < 0:
+def _check_structure(
+    commands: Sequence[Command], geometry: DeviceGeometry
+) -> None:
+    """``run()`` preconditions over a ``Command`` list (the scalar twin
+    of :meth:`ColumnarStream.check_structure`, same messages)."""
+    for i, cmd in enumerate(commands):
+        for d in cmd.deps:
+            if d >= i or d < 0:
                 raise SimulationError(
-                    "deadlock: no pending command is issuable "
-                    f"({remaining} remaining)"
+                    f"command {i} has illegal dependency {d}"
                 )
-
-            cmd = commands[best_idx]
-            cycle = best_cycle
-            cmd.issue_cycle = cycle
-            completion[best_idx] = cycle + command_latency(cmd.kind, timing)
-            banks[cmd.rank][cmd.bankgroup][cmd.bank].apply(cmd, cycle)
-            groups[cmd.rank][cmd.bankgroup].apply(cmd, cycle)
-            ranks[cmd.rank].apply(cmd, cycle)
-            buses[self._bus_of_rank(cmd.rank)].apply(cmd, cycle)
-            port_free[best_port] = cycle + 1
-            queues[best_port].pop(best_pos)
-            stats.record(cmd, best_port)
-            remaining -= 1
-
-        stats.total_cycles = max(completion, default=0)
-        return stats
+    for i, cmd in enumerate(commands):
+        if not 0 <= cmd.rank < geometry.ranks:
+            raise SimulationError(f"command {i} rank out of range")
+        if not 0 <= cmd.channel < geometry.channels:
+            raise SimulationError(
+                f"command {i} channel {cmd.channel} out of range "
+                f"(geometry has {geometry.channels})"
+            )
 
 
 def _fresh_copy(cmd: Command) -> Command:
@@ -635,13 +438,10 @@ class ChannelPartition:
     channel: int
     indices: list[int]
     commands: list[Command]
-    dependents: Optional[list[list[int]]]
 
 
 def split_channels(
-    commands: Sequence[Command],
-    n_channels: int,
-    dependents: Optional[Sequence[Sequence[int]]] = None,
+    commands: Sequence[Command], n_channels: int
 ) -> list[ChannelPartition]:
     """Partition a stream into per-channel sub-streams, one partition
     per channel id (empty channels get empty partitions so channel ids
@@ -654,12 +454,7 @@ def split_channels(
     """
     local_index = [0] * len(commands)
     parts = [
-        ChannelPartition(
-            channel=c,
-            indices=[],
-            commands=[],
-            dependents=None if dependents is None else [],
-        )
+        ChannelPartition(channel=c, indices=[], commands=[])
         for c in range(n_channels)
     ]
     for i, cmd in enumerate(commands):
@@ -685,18 +480,12 @@ def split_channels(
                     )
             copy.deps = tuple(local_index[d] for d in cmd.deps)
         part.commands.append(copy)
-        if dependents is not None:
-            part.dependents.append(
-                [local_index[j] for j in dependents[i]]
-            )
     return parts
 
 
 def replicate_across_channels(
-    commands: Sequence[Command],
-    channels: int,
-    dependents: Optional[Sequence[Sequence[int]]] = None,
-) -> tuple[list[Command], Optional[list[list[int]]]]:
+    commands: Sequence[Command], channels: int
+) -> list[Command]:
     """Tile a single-channel stream across every channel of a device.
 
     Replica ``c`` is the same stream targeted at channel ``c`` with its
@@ -706,9 +495,6 @@ def replicate_across_channels(
     """
     n = len(commands)
     out: list[Command] = []
-    out_deps: Optional[list[list[int]]] = (
-        None if dependents is None else []
-    )
     for c in range(channels):
         offset = c * n
         for cmd in commands:
@@ -717,8 +503,4 @@ def replicate_across_channels(
             if cmd.deps:
                 copy.deps = tuple(d + offset for d in cmd.deps)
             out.append(copy)
-        if dependents is not None:
-            out_deps.extend(
-                [j + offset for j in lst] for lst in dependents
-            )
-    return out, out_deps
+    return out

@@ -22,14 +22,6 @@ class TraceStats:
     #: ``total_cycles`` carries the whole story (kept empty there so
     #: ``channels=1`` stats stay identical to the historical form).
     channel_cycles: list[int] = field(default_factory=list)
-    #: How a multi-channel schedule's partitions were run: ``"serial"``
-    #: (the in-process loop), ``"parallel"``, or one of the
-    #: ``"serial-*"`` fallbacks of
-    #: :func:`repro.dram.parallel.schedule_channels`. Empty for
-    #: single-channel schedules. Excluded from equality: serial and
-    #: parallel runs of the same stream produce *identical* statistics
-    #: (a tested invariant) while necessarily differing here.
-    scheduling_path: str = field(default="", compare=False, repr=False)
 
     @classmethod
     def merge_channels(

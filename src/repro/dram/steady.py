@@ -16,8 +16,9 @@ exactness*:
   phase), the index range of the periodic body and the commands per
   sweep.
 
-* :func:`schedule_steady` runs the same event-driven loop as
-  :mod:`repro.dram.engine`, but tracks the *frontier* (lowest unissued
+* :func:`schedule_steady` runs the same event-driven greedy loop as
+  the columnar engine (:func:`repro.dram.columnar.schedule_columnar`)
+  over ``Command`` lists, but tracks the *frontier* (lowest unissued
   stream index) and, each time it crosses a sweep boundary, fingerprints
   the complete dynamic scheduler state: every bank / bank-group / rank /
   data-bus timer, the per-port issue floors, the set of commands issued
@@ -40,13 +41,15 @@ exactness*:
   event loop resumes to simulate the segment tail (where lookahead into
   the next phase perturbs the pattern) for real.
 
-The result is *byte-identical* to the incremental engine — the same
+The result is *byte-identical* to the reference greedy loop — the same
 issue cycle for every command and the same :class:`TraceStats` — which
 is enforced by golden and Hypothesis property tests
 (``tests/dram/test_steady.py``). Streams that never lock (irregular
 patterns, perturbed dependencies, windows too small to settle) simply
-simulate every command, so the engine transparently degrades to the
-incremental engine's behaviour, including its deadlock detection.
+simulate every command, so the engine transparently degrades to plain
+exact scheduling, including deadlock detection. Streams without period
+metadata never reach this module: the scheduler routes them to the
+columnar engine.
 
 Soundness of the lock
 ---------------------
@@ -74,12 +77,17 @@ from typing import Optional, Sequence
 from repro.dram.bank import BankState
 from repro.dram.bankgroup import BankGroupState
 from repro.dram.channel import DataBusState, TURNAROUND_GAP
+from repro.dram.columnar import (
+    _ACT,
+    _ALU,
+    _EXT_COL,
+    _INT_COL,
+    _KIND_CODE,
+    _PRE,
+)
 from repro.dram.commands import (
     Command,
     CommandType,
-    EXTERNAL_COLUMN_COMMANDS,
-    INTERNAL_COLUMN_COMMANDS,
-    PIM_ALU_COMMANDS,
     READ_COMMANDS,
     WRITE_COMMANDS,
     command_latency,
@@ -88,35 +96,23 @@ from repro.dram.rank import RankState
 from repro.dram.stats import TraceStats
 from repro.errors import ConfigError, SimulationError
 
-# Command-kind codes driving the inlined earliest-cycle computation
-# (identical to repro.dram.engine, re-derived here so the two engines
-# stay independently readable).
-_ACT = 0
-_PRE = 1
-_INT_COL = 2
-_EXT_COL = 3
-_ALU = 4
-_OTHER = 5
-
 #: Test/debug hook: when set to a list, every boundary snapshot is
 #: appended as ``(segment_index, boundary, anchor, fingerprint)``.
 _DEBUG_SNAPSHOTS: Optional[list] = None
 
-_KIND_CODE: dict[CommandType, int] = {}
-for _k in CommandType:
-    if _k is CommandType.ACT:
-        _KIND_CODE[_k] = _ACT
-    elif _k is CommandType.PRE:
-        _KIND_CODE[_k] = _PRE
-    elif _k in INTERNAL_COLUMN_COMMANDS:
-        _KIND_CODE[_k] = _INT_COL
-    elif _k in EXTERNAL_COLUMN_COMMANDS:
-        _KIND_CODE[_k] = _EXT_COL
-    elif _k in PIM_ALU_COMMANDS:
-        _KIND_CODE[_k] = _ALU
-    else:
-        _KIND_CODE[_k] = _OTHER
-del _k
+
+def build_dependents(commands: Sequence[Command]) -> list[list[int]]:
+    """Adjacency from each command to the commands that depend on it.
+
+    The periodic engine's loop walks it on every issue; kernel
+    artifacts cache it (``CommandStreamArtifact.dependents``) so warm
+    samples re-scheduled under several substrates build it once.
+    """
+    out: list[list[int]] = [[] for _ in commands]
+    for i, cmd in enumerate(commands):
+        for d in cmd.deps:
+            out[d].append(i)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -336,11 +332,11 @@ def schedule_steady(
 ) -> tuple[TraceStats, PeriodicOutcome]:
     """Annotate ``commands`` with issue cycles; return stats + outcome.
 
-    Produces exactly the schedule :func:`repro.dram.engine.
-    schedule_incremental` produces, skipping locked steady-state sweeps
-    arithmetically where the period metadata allows it. ``commands``
-    must already be validated and carry ``issue_cycle == -1``; the
-    caller owns copying.
+    Produces exactly the schedule the greedy loop produces, skipping
+    locked steady-state sweeps arithmetically where the period metadata
+    allows it. ``commands`` must already be validated and carry
+    ``issue_cycle == -1``; the caller owns copying. ``dependents``
+    (see :func:`build_dependents`) is built here when not supplied.
     """
     outcome = PeriodicOutcome()
     segments = tuple(period.segments) if period is not None else ()
@@ -399,9 +395,8 @@ def schedule_steady(
         )
         for k in CommandType
     }
-    build_deps = dependents is None
-    if build_deps:
-        dependents = [[] for _ in range(n)]
+    if dependents is None:
+        dependents = build_dependents(commands)
     n_ports = issue_model.n_ports
     heads = [-1] * n_ports
     tails = [-1] * n_ports
@@ -427,11 +422,7 @@ def schedule_steady(
         row_arr[i] = cmd.row
         bank_in_group[i] = bank
         bg_arr[i] = bg
-        deps = cmd.deps
-        ndeps[i] = len(deps)
-        if build_deps and deps:
-            for dep in deps:
-                dependents[dep].append(i)
+        ndeps[i] = len(cmd.deps)
         port = port_of_rank[r]
         port_arr[i] = port
         if tails[port] < 0:

@@ -2,36 +2,32 @@
 
 This module deliberately re-implements the JEDEC rules from scratch,
 sharing no logic with the scheduler's state machines. The test suite
-runs every scheduled trace through :func:`validate_trace`; a
-disagreement between the two implementations surfaces as a
-:class:`~repro.errors.TimingViolation`.
+runs every scheduled trace through it; a disagreement between the two
+implementations surfaces as a :class:`~repro.errors.TimingViolation`.
 
-Performance
------------
+Two entry points cover the same rules:
 
-Two checking modes cover the same rules:
+* :func:`validate_trace` checks a ``Command`` list in a **single
+  sort-and-sweep pass**: the trace is sorted once by issue cycle and
+  every rule family (command-bus slots, bank row-state, bank-group
+  tCCD_L/tWTR_L/tPIM, rank tRRD/tFAW/tCCD_S/tWTR_S) advances its
+  running state per command — linear in trace length after the sort.
+  Data-bus occupancy is a second sort-and-sweep over the external
+  bursts of each bus scope. Its exception names the first offender,
+  which makes it the canonical source of violation messages.
+* :func:`validate_trace_columnar` checks a scheduled
+  :class:`~repro.dram.columnar.ColumnarSchedule` without ever
+  materializing ``Command`` objects: every rule family is evaluated as
+  a handful of whole-array numpy operations (segmented sorts, adjacent
+  differences, exclusive running maxima), fused across channels
+  through global resource ids. The accept path — the only path valid
+  traces take — is O(sort) with no per-command Python work. When any
+  family flags a problem, the trace is materialized and re-checked
+  through :func:`validate_trace` so the raised :class:`TimingViolation`
+  is byte-identical.
 
-* the default is a **single sort-and-sweep pass**: the trace is sorted
-  once by issue cycle and every rule family (command-bus slots, bank
-  row-state, bank-group tCCD_L/tWTR_L/tPIM, rank tRRD/tFAW/tCCD_S/
-  tWTR_S) advances its running state per command — linear in trace
-  length after the sort. Data-bus occupancy is a second
-  sort-and-sweep over the external bursts of each bus scope.
-* ``thorough=True`` retains the original family-by-family checkers,
-  each walking the full trace with its own state reconstruction. The
-  test suite runs both modes and asserts they accept the same traces
-  and reject the same seeded violations.
-
-A third entry point, :func:`validate_trace_columnar`, checks a
-scheduled :class:`~repro.dram.columnar.ColumnarSchedule` without ever
-materializing ``Command`` objects: every rule family is evaluated as a
-handful of whole-array numpy operations (segmented sorts, adjacent
-differences, exclusive running maxima), fused across channels through
-global resource ids. The accept path — the only path valid traces take
-— is O(sort) with no per-command Python work. When any family flags a
-problem, the trace is materialized and re-checked through the scalar
-sweep so the raised :class:`TimingViolation` is byte-identical to the
-one ``validate_trace`` produces.
+The test suite keeps a third, family-by-family formulation of the same
+rules as the oracle both are checked against.
 
 Production sweeps that trust the (property-tested) scheduler can skip
 validation entirely via ``SimJobSpec(validate=False)`` /
@@ -61,15 +57,6 @@ from repro.dram.timing import TimingParams
 from repro.errors import TimingViolation
 
 
-def _data_interval(cmd: Command, timing: TimingParams) -> tuple[int, int]:
-    """(start, end) cycles of an external command's data burst."""
-    if cmd.kind is CommandType.RD:
-        start = cmd.issue_cycle + timing.tCL
-    else:
-        start = cmd.issue_cycle + timing.tCWL
-    return start, start + timing.tBURST
-
-
 def _write_data_end(cmd: Command, timing: TimingParams) -> int:
     """Cycle at which a write-type command's data has fully arrived."""
     if cmd.kind is CommandType.WR:
@@ -85,62 +72,42 @@ def validate_trace(
     port_of_rank: Sequence[int],
     per_bank_pim: bool = False,
     data_bus_scope: str = "channel",
-    thorough: bool = False,
 ) -> None:
     """Raise :class:`TimingViolation` on the first rule breach.
 
-    ``commands`` must carry issue cycles (``issue_cycle >= 0``). The
-    default mode is the linear fused sweep; ``thorough=True`` runs the
-    original family-by-family checkers instead (same rules, kept as a
-    second, independent formulation for the test suite).
+    ``commands`` must carry issue cycles (``issue_cycle >= 0``).
     """
     if data_bus_scope not in ("channel", "dimm", "rank"):
         raise TimingViolation(
             "config", 0, f"unknown data_bus_scope {data_bus_scope!r}"
         )
-    if geometry.channels > 1:
-        # Channels are fully independent replicas of every state
-        # machine (ports, banks, groups, ranks, data buses), so each
-        # channel's sub-trace checks in isolation. Dependencies index
-        # the *global* stream and are checked once, up front.
-        groups: list[list[Command]] = [
-            [] for _ in range(geometry.channels)
-        ]
-        for i, cmd in enumerate(commands):
-            if not 0 <= cmd.channel < geometry.channels:
-                raise TimingViolation(
-                    "channel",
-                    max(cmd.issue_cycle, 0),
-                    f"command {i} channel {cmd.channel} out of range",
-                )
-        _require_issued(commands)
-        _check_dependencies(commands, timing)
-        for cmd in commands:
-            groups[cmd.channel].append(cmd)
-        for subset in groups:
-            if not thorough:
-                _validate_sweep(
-                    subset, timing, geometry, port_of_rank,
-                    per_bank_pim, data_bus_scope, check_deps=False,
-                )
-            else:
-                _validate_thorough(
-                    subset, timing, geometry, port_of_rank,
-                    per_bank_pim, data_bus_scope,
-                )
-        return
-    if not thorough:
+    if geometry.channels == 1:
         _validate_sweep(
             commands, timing, geometry, port_of_rank,
             per_bank_pim, data_bus_scope,
         )
         return
+    # Channels are fully independent replicas of every state machine
+    # (ports, banks, groups, ranks, data buses), so each channel's
+    # sub-trace checks in isolation. Dependencies index the *global*
+    # stream and are checked once, up front.
+    groups: list[list[Command]] = [[] for _ in range(geometry.channels)]
+    for i, cmd in enumerate(commands):
+        if not 0 <= cmd.channel < geometry.channels:
+            raise TimingViolation(
+                "channel",
+                max(cmd.issue_cycle, 0),
+                f"command {i} channel {cmd.channel} out of range",
+            )
     _require_issued(commands)
     _check_dependencies(commands, timing)
-    _validate_thorough(
-        commands, timing, geometry, port_of_rank,
-        per_bank_pim, data_bus_scope,
-    )
+    for cmd in commands:
+        groups[cmd.channel].append(cmd)
+    for subset in groups:
+        _validate_sweep(
+            subset, timing, geometry, port_of_rank,
+            per_bank_pim, data_bus_scope, check_deps=False,
+        )
 
 
 def _require_issued(commands: Sequence[Command]) -> None:
@@ -151,42 +118,8 @@ def _require_issued(commands: Sequence[Command]) -> None:
             )
 
 
-def _validate_thorough(
-    commands: Sequence[Command],
-    timing: TimingParams,
-    geometry: DeviceGeometry,
-    port_of_rank: Sequence[int],
-    per_bank_pim: bool,
-    data_bus_scope: str,
-) -> None:
-    """The family-by-family checkers over one channel's trace (the
-    dependency and unissued checks are the caller's job)."""
-    trace = sorted(
-        (c for c in commands),
-        key=lambda c: (c.issue_cycle, id(c)),
-    )
-    _require_issued(trace)
-    _check_ports(trace, port_of_rank)
-    _check_banks(trace, timing)
-    _check_bankgroups(trace, timing, per_bank_pim)
-    _check_ranks(trace, timing)
-    if data_bus_scope == "channel":
-        _check_data_bus(trace, timing)
-    elif data_bus_scope == "dimm":
-        for dimm in range(geometry.dimms):
-            subset = [
-                c
-                for c in trace
-                if geometry.dimm_of_rank(c.rank) == dimm
-            ]
-            _check_data_bus(subset, timing)
-    else:  # rank
-        for rank in range(geometry.ranks):
-            _check_data_bus([c for c in trace if c.rank == rank], timing)
-
-
 # ----------------------------------------------------------------------
-# Fused single-pass checker (the default mode)
+# Fused single-pass checker
 # ----------------------------------------------------------------------
 def _validate_sweep(
     commands: Sequence[Command],
@@ -199,12 +132,13 @@ def _validate_sweep(
 ) -> None:
     """All rule families in one pass over the cycle-sorted trace.
 
-    State per family is carried in dictionaries keyed exactly like the
-    thorough checkers'; every command advances each family it belongs
-    to, so the cost is one dict update per (command, family) instead of
-    one full trace walk per family. ``check_deps=False`` skips the
-    dependency sweep (multi-channel validation checks dependencies once
-    globally, then sweeps each channel's sub-trace).
+    State per family is carried in dictionaries keyed by the family's
+    resource (bank, bank group or PIM unit, rank, bus); every command
+    advances each family it belongs to, so the cost is one dict update
+    per (command, family) instead of one full trace walk per family.
+    ``check_deps=False`` skips the dependency sweep (multi-channel
+    validation checks dependencies once globally, then sweeps each
+    channel's sub-trace).
     """
     trace = sorted(commands, key=operator.attrgetter("issue_cycle"))
     if trace and trace[0].issue_cycle < 0:
@@ -500,11 +434,11 @@ def validate_trace_columnar(
 ) -> None:
     """Validate a :class:`~repro.dram.columnar.ColumnarSchedule`.
 
-    Same rules and same exceptions as :func:`validate_trace` (default
-    sweep mode), evaluated as whole-array numpy passes over the
-    schedule's columns. Valid traces — the only traces the scheduler
-    emits — never materialize a single ``Command``; a flagged trace is
-    re-checked through the scalar sweep to raise the identical
+    Same rules and same exceptions as :func:`validate_trace`, evaluated
+    as whole-array numpy passes over the schedule's columns. Valid
+    traces — the only traces the scheduler emits — never materialize a
+    single ``Command``; a flagged trace is re-checked through
+    :func:`validate_trace` to raise the identical
     :class:`TimingViolation`.
     """
     if data_bus_scope not in ("channel", "dimm", "rank"):
@@ -733,171 +667,3 @@ def _check_dependencies(
                     f"command {i} issued before dependency {d} "
                     f"completed at {done[d]}",
                 )
-
-
-def _check_ports(
-    trace: Sequence[Command], port_of_rank: Sequence[int]
-) -> None:
-    seen: dict[tuple[int, int], int] = {}
-    for cmd in trace:
-        key = (port_of_rank[cmd.rank], cmd.issue_cycle)
-        seen[key] = seen.get(key, 0) + 1
-        if seen[key] > 1:
-            raise TimingViolation(
-                "command-bus",
-                cmd.issue_cycle,
-                f"port {key[0]} issued two commands in one cycle",
-            )
-
-
-def _check_banks(trace: Sequence[Command], timing: TimingParams) -> None:
-    state: dict[tuple[int, int, int], dict] = {}
-    for cmd in trace:
-        if not (
-            cmd.kind in (CommandType.ACT, CommandType.PRE) or cmd.is_column()
-        ):
-            continue
-        key = (cmd.rank, cmd.bankgroup, cmd.bank)
-        s = state.setdefault(
-            key,
-            {"row": None, "act": None, "pre": None, "rd": None, "wr_end": None},
-        )
-        t = cmd.issue_cycle
-        if cmd.kind is CommandType.ACT:
-            if s["row"] is not None:
-                raise TimingViolation("ACT-open", t, f"bank {key} already open")
-            if s["pre"] is not None and t < s["pre"] + timing.tRP:
-                raise TimingViolation("tRP", t, f"bank {key}")
-            s["row"], s["act"] = cmd.row, t
-        elif cmd.kind is CommandType.PRE:
-            if s["row"] is None:
-                raise TimingViolation("PRE-closed", t, f"bank {key}")
-            if t < s["act"] + timing.tRAS:
-                raise TimingViolation("tRAS", t, f"bank {key}")
-            if s["rd"] is not None and t < s["rd"] + timing.tRTP:
-                raise TimingViolation("tRTP", t, f"bank {key}")
-            if s["wr_end"] is not None and t < s["wr_end"] + timing.tWR:
-                raise TimingViolation("tWR", t, f"bank {key}")
-            s["row"], s["pre"] = None, t
-        else:  # column access
-            if s["row"] != cmd.row:
-                raise TimingViolation(
-                    "row-match",
-                    t,
-                    f"bank {key}: access to row {cmd.row}, open {s['row']}",
-                )
-            if t < s["act"] + timing.tRCD:
-                raise TimingViolation("tRCD", t, f"bank {key}")
-            if cmd.is_read():
-                s["rd"] = t if s["rd"] is None else max(s["rd"], t)
-            if cmd.is_write():
-                end = _write_data_end(cmd, timing)
-                s["wr_end"] = (
-                    end if s["wr_end"] is None else max(s["wr_end"], end)
-                )
-
-
-def _check_bankgroups(
-    trace: Sequence[Command], timing: TimingParams, per_bank_pim: bool
-) -> None:
-    col_last: dict[tuple, int] = {}
-    alu_last: dict[tuple, int] = {}
-    wtr_ready: dict[tuple[int, int], int] = {}
-    for cmd in trace:
-        t = cmd.issue_cycle
-        gkey = (cmd.rank, cmd.bankgroup)
-        if cmd.is_column():
-            if cmd.is_internal_column() and per_bank_pim:
-                key = (cmd.rank, cmd.bankgroup, cmd.bank, "pb")
-            else:
-                key = gkey
-            prev = col_last.get(key)
-            if prev is not None and t < prev + timing.tCCD_L:
-                raise TimingViolation(
-                    "tCCD_L", t, f"bank group {key}, prev at {prev}"
-                )
-            col_last[key] = t
-            if cmd.is_read():
-                ready = wtr_ready.get(gkey)
-                if ready is not None and t < ready:
-                    raise TimingViolation(
-                        "tWTR_L", t, f"bank group {gkey}, ready at {ready}"
-                    )
-            if cmd.is_write():
-                end = _write_data_end(cmd, timing) + timing.tWTR_L
-                wtr_ready[gkey] = max(wtr_ready.get(gkey, 0), end)
-        elif cmd.is_pim_alu():
-            key = (
-                (cmd.rank, cmd.bankgroup, cmd.bank)
-                if per_bank_pim
-                else gkey
-            )
-            prev = alu_last.get(key)
-            if prev is not None and t < prev + timing.tPIM:
-                raise TimingViolation(
-                    "tPIM", t, f"PIM unit {key}, prev at {prev}"
-                )
-            alu_last[key] = t
-
-
-def _check_ranks(trace: Sequence[Command], timing: TimingParams) -> None:
-    acts: dict[int, list[tuple[int, int]]] = {}
-    ext_last: dict[int, int] = {}
-    wtr_ready: dict[int, int] = {}
-    for cmd in trace:
-        t = cmd.issue_cycle
-        if cmd.kind is CommandType.ACT:
-            history = acts.setdefault(cmd.rank, [])
-            if history:
-                prev_t, prev_bg = history[-1]
-                spacing = (
-                    timing.tRRD_L
-                    if prev_bg == cmd.bankgroup
-                    else timing.tRRD_S
-                )
-                if t < prev_t + spacing:
-                    raise TimingViolation("tRRD", t, f"rank {cmd.rank}")
-            if len(history) >= 4 and t < history[-4][0] + timing.tFAW:
-                raise TimingViolation("tFAW", t, f"rank {cmd.rank}")
-            history.append((t, cmd.bankgroup))
-        elif cmd.is_external_column():
-            prev = ext_last.get(cmd.rank)
-            if prev is not None and t < prev + timing.tCCD_S:
-                raise TimingViolation("tCCD_S", t, f"rank {cmd.rank}")
-            ext_last[cmd.rank] = t
-            if cmd.is_read():
-                ready = wtr_ready.get(cmd.rank)
-                if ready is not None and t < ready:
-                    raise TimingViolation("tWTR_S", t, f"rank {cmd.rank}")
-            if cmd.kind is CommandType.WR:
-                end = _write_data_end(cmd, timing) + timing.tWTR_S
-                wtr_ready[cmd.rank] = max(wtr_ready.get(cmd.rank, 0), end)
-
-
-def _check_data_bus(trace: Sequence[Command], timing: TimingParams) -> None:
-    last_end = None
-    last_kind = None
-    last_rank = None
-    bursts = sorted(
-        (
-            (*_data_interval(c, timing), c.kind, c.rank)
-            for c in trace
-            if c.is_external_column()
-        ),
-        key=lambda x: x[0],
-    )
-    for start, end, kind, rank in bursts:
-        if last_end is not None:
-            gap = 0
-            if kind is not last_kind:
-                gap = max(gap, 2)
-            if rank != last_rank:
-                gap = max(gap, timing.rank_switch_penalty)
-            if start < last_end + gap:
-                raise TimingViolation(
-                    "data-bus",
-                    start,
-                    f"burst at {start} overlaps previous ending {last_end} "
-                    f"(required gap {gap})",
-                )
-        last_end, last_kind, last_rank = end, kind, rank

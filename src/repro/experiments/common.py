@@ -67,9 +67,12 @@ class ExperimentContext:
     #: (``--no-validate`` on the runner CLI turns it off for faster
     #: sweeps; the scheduler stays property-tested either way).
     validate: bool = True
-    #: Scheduler engine for update-phase profiling ("incremental",
-    #: "reference", or "periodic" — the steady-state extrapolation fast
-    #: path; all three produce byte-identical profiles).
+    #: Scheduler engine spelling for update-phase profiling (see
+    #: :data:`repro.dram.scheduler.ENGINE_SPELLINGS`): "periodic" is the
+    #: steady-state extrapolation fast path, every other spelling the
+    #: columnar loop; all produce byte-identical profiles. The default
+    #: keeps its historical spelling because job specs — and so cache
+    #: keys — carry it.
     engine: str = "incremental"
     cache: ResultCache = field(default_factory=ResultCache)
     _update_models: dict = field(default_factory=dict)

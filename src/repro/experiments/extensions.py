@@ -99,15 +99,11 @@ def run_channel_sweep(
     channel_counts: tuple[int, ...] = (1, 2, 4, 8),
     timing: TimingParams = HBM_LIKE,
     columns_per_stripe: int = 16,
-    channel_workers: int = 1,
 ) -> list[ChannelPoint]:
     """Update-phase gains as independent channels scale toward HBM2.
 
     Each point models every channel with its own command bus, data bus
-    and bank state machines; ``channel_workers > 1`` schedules channels
-    in parallel worker processes (identical results; wall-clock gains
-    require real cores and enough per-channel work to amortize the
-    fork).
+    and bank state machines.
     """
     optimizer = MomentumSGD(eta=0.01, alpha=0.9, weight_decay=1e-4)
     out = []
@@ -118,7 +114,6 @@ def run_channel_sweep(
             timing=timing,
             geometry=geometry,
             columns_per_stripe=columns_per_stripe,
-            channel_workers=channel_workers,
         )
         base = model.profile(
             DesignPoint.BASELINE, optimizer, PRECISION_8_32

@@ -29,6 +29,7 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.dram.scheduler import ENGINE_SPELLINGS
 from repro.experiments.common import ExperimentContext
 from repro.experiments.fig2 import render_fig2, run_fig2
 from repro.experiments.fig9 import render_fig9, run_fig9
@@ -71,8 +72,9 @@ USAGE = (
     "[--engine ENGINE] [--trace FILE] [figure ...]"
 )
 
-#: Scheduler engines selectable on the CLI (all exact-equivalent).
-ENGINES = ("incremental", "reference", "periodic", "columnar")
+#: Engine spellings selectable on the CLI (all exact-equivalent; see
+#: :data:`repro.dram.scheduler.ENGINE_SPELLINGS`).
+ENGINES = tuple(ENGINE_SPELLINGS)
 
 
 class _HelpRequested(ValueError):

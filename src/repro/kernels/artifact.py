@@ -2,21 +2,20 @@
 
 The three kernel generators (:mod:`repro.kernels.compiler`,
 :mod:`repro.kernels.streams`, :mod:`repro.kernels.aos`) each produce a
-dataclass wrapping a ``commands`` list. They all need the same two
-derived (and expensive) views, so both live here once:
+dataclass wrapping a ``commands`` list. The derived scheduling views
+live here once, each built on first access and then owned by the
+artifact for its lifetime (the update model's stream cache keeps
+artifacts alive across jobs):
 
-* ``dependents`` — the dependent-command adjacency
-  (:func:`repro.dram.engine.build_dependents`), fed to
-  ``CommandScheduler.run`` so re-scheduling skips the O(N + E) rebuild.
 * ``columnar`` — the stream's struct-of-arrays form
-  (:class:`repro.dram.columnar.ColumnarStream`), built from the cached
-  adjacency so the CSR transpose is free, fed to the ``"columnar"``
-  engine. The stream object is what the engine memoizes schedules on,
-  so caching it here is what makes re-profiling a cached kernel O(1).
-
-Both are ``cached_property``: computed on first access, then owned by
-the artifact for its lifetime (the update model's stream cache keeps
-artifacts alive across jobs).
+  (:class:`repro.dram.columnar.ColumnarStream`, with its CSR
+  dependency adjacency), fed to the columnar engine. The stream object
+  is what the engine memoizes schedules on, so caching it here is what
+  makes re-profiling a cached kernel O(1).
+* ``dependents`` — the dependent-command adjacency as Python lists
+  (:func:`repro.dram.steady.build_dependents`), fed to the periodic
+  engine's loop. Only periodic warm samples read it, so a stream the
+  columnar loop schedules never builds it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from repro.dram.columnar import ColumnarStream
-from repro.dram.engine import build_dependents
+from repro.dram.steady import build_dependents
 
 
 class CommandStreamArtifact:
@@ -37,11 +36,8 @@ class CommandStreamArtifact:
 
     @cached_property
     def dependents(self) -> list[list[int]]:
-        """Dependent-command adjacency, computed once per stream.
-
-        Passed to :meth:`CommandScheduler.run` so re-scheduling the
-        same stream (different windows, issue models, engines) skips
-        the O(commands + deps) rebuild."""
+        """Dependent-command adjacency for the periodic engine,
+        computed once per stream."""
         return build_dependents(self.commands)
 
     @cached_property
@@ -49,6 +45,4 @@ class CommandStreamArtifact:
         """Struct-of-arrays form of the stream, built once per
         artifact and shared by every schedule of it (the columnar
         engine memoizes issue cycles on this object)."""
-        return ColumnarStream.from_commands(
-            self.commands, dependents=self.dependents
-        )
+        return ColumnarStream.from_commands(self.commands)

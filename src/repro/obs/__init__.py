@@ -4,8 +4,7 @@ Every layer of the repo — the DRAM engines, the update-phase model, the
 service pool, the HTTP gateway — reports through this package:
 
 * :mod:`repro.obs.metrics` — streaming histograms and the Prometheus
-  registry (promoted from ``repro.server.metrics``, which re-exports
-  for compatibility), plus a process-global default registry and
+  registry, plus a process-global default registry and
   cross-process snapshot/merge so pool workers' counters and latency
   histograms survive the process boundary.
 * :mod:`repro.obs.trace` — span-based tracing: a context-manager API,

@@ -1,8 +1,7 @@
 """Streaming histograms and the Prometheus registry.
 
-Promoted from ``repro.server.metrics`` (which re-exports for
-compatibility) so every layer of the stack — not just the HTTP
-gateway — can record telemetry.
+Shared by every layer of the stack — not just the HTTP gateway — so
+each can record telemetry.
 
 The gateway needs request-latency percentiles that survive millions of
 observations without storing them, so :class:`StreamingHistogram` bins

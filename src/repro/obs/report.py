@@ -1,11 +1,10 @@
 """The scheduler-engine flight recorder.
 
-:class:`EngineReport` replaces the ad-hoc ``periodic_report`` dict that
-used to live on :class:`~repro.system.update_model.UpdatePhaseModel`:
-a structured, mergeable record of what the engine actually did —
-warm-sample escalation rungs, lock attempts and confirmations,
-super-period lengths, replayed-vs-simulated sweeps, *why* each
-fallback to full simulation happened, and which channel scheduling
+:class:`EngineReport` is the structured, mergeable record of what
+:class:`~repro.system.update_model.UpdatePhaseModel`'s engines
+actually did — warm-sample escalation rungs, lock attempts and
+confirmations, super-period lengths, replayed-vs-simulated sweeps,
+*why* each fallback to full simulation happened, and which scheduling
 path served each schedule.
 
 Reports are plain JSON-able state: the service pool snapshots the
@@ -25,7 +24,6 @@ from typing import Mapping, Optional
 #: spelling.
 FALLBACK_NO_METADATA = "no-metadata"
 FALLBACK_HORIZON_EXCEEDED = "horizon-exceeded"
-FALLBACK_MULTI_CHANNEL = "multi-channel"
 FALLBACK_DEADLOCK = "deadlock"
 FALLBACK_NO_LOCK = "no-lock"
 FALLBACK_ECONOMICS = "economics"
@@ -33,7 +31,6 @@ FALLBACK_ECONOMICS = "economics"
 FALLBACK_REASONS = (
     FALLBACK_NO_METADATA,
     FALLBACK_HORIZON_EXCEEDED,
-    FALLBACK_MULTI_CHANNEL,
     FALLBACK_DEADLOCK,
     FALLBACK_NO_LOCK,
     FALLBACK_ECONOMICS,
@@ -72,11 +69,11 @@ class EngineReport:
     split the periodic engine's commands into genuinely scheduled by
     the event loop vs annotated arithmetically; ``sweeps_extended``
     counts the sweeps the closed-form extension added on top of the
-    warm sample. ``scheduling_paths``
-    histograms :data:`~repro.dram.stats.TraceStats.scheduling_path`
-    over every schedule the model ran (plus the synthetic
-    ``"steady-warm"`` entry for the periodic engine's single-channel
-    warm samples, which never touch the channel fan-out).
+    warm sample. ``scheduling_paths`` histograms how every schedule
+    the model ran was served: ``"single-channel"``,
+    ``"serial-replicated"`` (one channel scheduled, aggregated across
+    identical replicas) or ``"steady-warm"`` (a periodic warm
+    sample).
     """
 
     engine: str = ""
@@ -122,7 +119,7 @@ class EngineReport:
         self.sweeps_extended += sweeps
 
     def record_scheduling_path(self, path: str) -> None:
-        self._bump(self.scheduling_paths, path or "serial")
+        self._bump(self.scheduling_paths, path)
 
     @staticmethod
     def _bump(table: dict, key) -> None:

@@ -5,8 +5,6 @@ callers POST :class:`~repro.service.spec.SimJobSpec` JSON and get
 content-addressed, cached, coalesced simulation results back.
 
 * :mod:`repro.server.config` — :class:`ServerConfig`, every tunable;
-* :mod:`repro.server.metrics` — streaming latency histograms and the
-  Prometheus ``/metrics`` registry;
 * :mod:`repro.server.jobs` — job lifecycle records and the bounded
   job store behind ``/v1/jobs``;
 * :mod:`repro.server.dispatcher` — the bounded queue, in-flight
@@ -32,7 +30,7 @@ from repro.server.client import ServerClient, ServerError
 from repro.server.config import ServerConfig
 from repro.server.dispatcher import Backpressure, Dispatcher
 from repro.server.jobs import Job, JobStore
-from repro.server.metrics import MetricsRegistry, StreamingHistogram
+from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 
 __all__ = [
     "Backpressure",

@@ -34,7 +34,7 @@ from repro.obs.metrics import default_registry
 from repro.server.config import ServerConfig
 from repro.server.dispatcher import Backpressure, Dispatcher
 from repro.server.jobs import JobStore
-from repro.server.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.spec import SimJobSpec
 

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from repro.obs.metrics import StreamingHistogram
 from repro.server.jobs import TERMINAL_STATES
-from repro.server.metrics import parse_prometheus
+from repro.obs.metrics import parse_prometheus
 from repro.service.spec import SimJobSpec
 
 SpecLike = Union[SimJobSpec, Mapping]

@@ -39,7 +39,7 @@ from repro.obs.log import correlation_scope, get_logger
 from repro.obs.trace import instant, span
 from repro.server.config import ServerConfig
 from repro.server.jobs import Job, JobStore
-from repro.server.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service import api
 from repro.service.cache import ResultCache, cache_key
 from repro.service.config import ServiceConfig

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import faults
+from repro.dram.scheduler import ENGINE_SPELLINGS
 from repro.errors import ConfigError
 from repro.obs.log import configure_json_logging
 from repro.obs.trace import disable_tracing, enable_tracing
@@ -95,13 +96,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("incremental", "reference", "periodic", "columnar"),
+        choices=tuple(ENGINE_SPELLINGS),
         default=None,
         help=(
             "force a scheduler engine onto every job (periodic = "
-            "steady-state extrapolation, columnar = vectorized "
-            "struct-of-arrays hot path; all engines produce "
-            "byte-identical results)"
+            "steady-state extrapolation; columnar = the exact loop, "
+            "also spelled incremental or reference; all engines "
+            "produce byte-identical results)"
         ),
     )
     parser.add_argument(

@@ -83,25 +83,13 @@ class ResultCache:
     :data:`DEFAULT_MAX_ENTRIES`; ``0`` disables it); the disk layer
     (when a ``directory`` is given) keeps everything ever stored — it
     is the content-addressed archive, bounded only by disk.
-    ``capacity`` is accepted as a keyword alias of ``max_entries`` for
-    backwards compatibility.
     """
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
         directory: str | Path | None = None,
-        *,
-        capacity: Optional[int] = None,
     ) -> None:
-        if max_entries is not None and capacity is not None:
-            raise ValueError(
-                "pass max_entries or its alias capacity, not both"
-            )
-        if max_entries is None:
-            max_entries = (
-                capacity if capacity is not None else DEFAULT_MAX_ENTRIES
-            )
         if max_entries < 0:
             raise ValueError(
                 f"max_entries must be >= 0, got {max_entries}"
@@ -114,11 +102,6 @@ class ResultCache:
         self.misses = 0
         self.disk_hits = 0
         self.checksum_failures = 0
-
-    @property
-    def capacity(self) -> int:
-        """Backwards-compatible alias of :attr:`max_entries`."""
-        return self.max_entries
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -242,7 +225,6 @@ class ResultCache:
                 "checksum_failures": self.checksum_failures,
                 "entries": len(self._memory),
                 "max_entries": self.max_entries,
-                "capacity": self.max_entries,  # legacy key
                 "directory": (
                     str(self.directory)
                     if self.directory is not None

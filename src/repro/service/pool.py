@@ -44,11 +44,7 @@ from multiprocessing import connection
 from typing import Optional, Sequence
 
 from repro import faults
-
-# Channel-level parallel scheduling lives beside the scheduler
-# (repro.dram.parallel) and is re-exported here so job-level and
-# channel-level parallelism share one front door.
-from repro.dram.parallel import schedule_channels  # noqa: F401
+from repro.dram.scheduler import resolve_engine
 from repro.models.zoo import build_network
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
@@ -65,7 +61,8 @@ _logger = obs_log.get_logger("repro.service.pool")
 
 #: Process-local update-model cache (cycle-sim profiles are expensive).
 #: Keyed by hardware substrate only — timing grade, geometry, stripe
-#: width, validation mode. The model itself memoizes profiles per
+#: width, validation mode — plus the scheduler engine the spec's engine
+#: spelling selects. The model itself memoizes profiles per
 #: (design, optimizer identity, precision) — the identity covers
 #: hyperparameters (see ``Optimizer.cache_key``), so one model safely
 #: serves every job on the substrate: a worker computes each profile
@@ -74,14 +71,19 @@ _MODELS: dict[tuple, UpdatePhaseModel] = {}
 
 
 def _substrate_key(spec: SimJobSpec) -> tuple:
-    """Groups jobs whose update-phase profiles are shareable."""
+    """Groups jobs whose update-phase profiles are shareable.
+
+    Every exact spelling (``"incremental"``, ``"reference"``,
+    ``"columnar"``) selects the same engine, so they share one model;
+    ``"periodic"`` keeps its own (its flight recorder differs).
+    """
     return (
         spec.timing,
         spec.columns_per_stripe,
         tuple(sorted(spec.geometry.items())),
         spec.channels,
         spec.validate,
-        spec.engine,
+        resolve_engine(spec.engine),
     )
 
 
@@ -161,12 +163,12 @@ def execute_spec_resilient(
     """Run one job with graceful engine degradation.
 
     Returns ``(result, engine_report, degraded_reason)``. A failure of
-    the *periodic* engine — an optimization layered over the
-    incremental engine, byte-identical by the equivalence contract —
-    is not a reason to fail the job: the spec is re-run with
-    ``engine="incremental"`` and ``degraded_reason`` records why.
-    Incremental/reference failures (and a failed fallback) propagate;
-    there is nothing sound to degrade to.
+    the *periodic* engine — an optimization layered over the columnar
+    engine, byte-identical by the equivalence contract — is not a
+    reason to fail the job: the spec is re-run with
+    ``engine="columnar"`` and ``degraded_reason`` records why. Columnar
+    failures (and a failed fallback) propagate; there is nothing sound
+    to degrade to.
     """
     try:
         result, report = execute_spec_with_report(spec)
@@ -176,7 +178,7 @@ def execute_spec_resilient(
             raise
         reason = f"{type(exc).__name__}: {exc}"
         _logger.warning(
-            "periodic engine failed; degrading to incremental",
+            "periodic engine failed; degrading to columnar",
             extra={"network": spec.network, "error": reason},
         )
         default_registry().inc(
@@ -185,10 +187,10 @@ def execute_spec_resilient(
         instant(
             "engine.degraded",
             from_engine="periodic",
-            to_engine="incremental",
+            to_engine="columnar",
             error=type(exc).__name__,
         )
-        fallback = dataclasses.replace(spec, engine="incremental")
+        fallback = dataclasses.replace(spec, engine="columnar")
         result, report = execute_spec_with_report(fallback)
         return result, report, reason
 

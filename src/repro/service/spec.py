@@ -16,6 +16,17 @@ Canonicalization rules:
   ``("Baseline", "AOS")`` and ``("AOS", "Baseline")`` are the same job;
 * defaults are materialized at construction, so a spec that spells a
   default explicitly equals one that omitted it.
+
+Engine spellings are the one place canonicalization stops short on
+purpose. ``engine`` keeps every historical spelling
+(:data:`~repro.dram.scheduler.ENGINE_SPELLINGS`) and its default
+``"incremental"``, although ``"incremental"``, ``"reference"`` and
+``"columnar"`` all select the same columnar loop today. Folding them
+into one spelling would change :meth:`SimJobSpec.canonical_json` for
+every stored spec — and with it every on-disk cache address and every
+content hash recorded by the benchmarks. :meth:`SimJobSpec.resolve`
+maps the spelling to the engine instead, and the service pool shares
+one update model across the exact spellings.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.dram.geometry import DEFAULT_GEOMETRY, DeviceGeometry
+from repro.dram.scheduler import ENGINE_SPELLINGS, resolve_engine
 from repro.dram.timing import PRESET_CHANNELS, PRESETS, TimingParams
 from repro.errors import ConfigError
 from repro.models.zoo import DEFAULT_BATCH, NETWORK_BUILDERS
@@ -134,15 +146,14 @@ class SimJobSpec:
     #: the job's content hash, so validated and unvalidated runs cache
     #: separately.
     validate: bool = True
-    #: Scheduler engine for update-phase profiling: ``"incremental"``
-    #: (default), ``"reference"`` (the seed greedy loop, kept as the
-    #: equivalence oracle), ``"periodic"`` (steady-state
-    #: extrapolation — profiles a warm sample and closes the form for
-    #: the full window), or ``"columnar"`` (struct-of-arrays hot path
-    #: with vectorized validation and issue-cycle memoization). All
-    #: engines are byte-identical, enforced by tests. Part of the
-    #: content hash: engines are exact-equivalent, but a cache entry
-    #: must record how it was produced.
+    #: Scheduler engine spelling for update-phase profiling:
+    #: ``"periodic"`` (steady-state extrapolation — profiles a warm
+    #: sample and closes the form for the full window) or any spelling
+    #: of the exact columnar loop (``"incremental"``, the default,
+    #: ``"reference"`` or ``"columnar"``; see the module docstring for
+    #: why all three stay). All engines are byte-identical, enforced by
+    #: tests. Part of the content hash: engines are exact-equivalent,
+    #: but a cache entry must record how it was produced.
     engine: str = "incremental"
     #: Optional wall-clock budget (milliseconds) for producing this
     #: result, propagated through the server dispatcher to the pool. A
@@ -187,12 +198,10 @@ class SimJobSpec:
             raise ConfigError(
                 f"validate must be a boolean, got {self.validate!r}"
             )
-        if self.engine not in (
-            "incremental", "reference", "periodic", "columnar"
-        ):
+        if self.engine not in ENGINE_SPELLINGS:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; choose from "
-                "('incremental', 'reference', 'periodic', 'columnar')"
+                f"{tuple(ENGINE_SPELLINGS)}"
             )
         if self.deadline_ms is not None:
             if (
@@ -353,5 +362,5 @@ class SimJobSpec:
             designs=tuple(DesignPoint(v) for v in self.designs),
             columns_per_stripe=self.columns_per_stripe,
             validate=self.validate,
-            engine=self.engine,
+            engine=resolve_engine(self.engine),
         )

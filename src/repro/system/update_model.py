@@ -18,15 +18,16 @@ Performance
 -----------
 
 ``profile()`` is the hot path of every figure, sweep and service job.
-It schedules through the incremental event-driven engine by default
-(``engine="reference"`` selects the original greedy loop, kept as the
-equivalence oracle), hands the scheduler the kernel's precomputed
-dependent-command lists, validates with the linear fused checker
-(``thorough_validate=True`` for the family-by-family reference,
-``validate=False`` to skip checking entirely), and memoizes finished
-profiles by (design, full optimizer identity, precision) so one model
-instance serves arbitrarily many jobs. ``benchmarks/bench_profile.py``
-and ``benchmarks/bench_scheduler.py`` track the timings in
+It schedules the kernel artifact's cached
+:class:`~repro.dram.columnar.ColumnarStream` on the columnar engine
+(which memoizes issue cycles on it), validates with the vectorized
+columnar checker (``validate=False`` skips checking entirely), and
+memoizes finished profiles by (design, full optimizer identity,
+precision) so one model instance serves arbitrarily many jobs.
+``engine`` accepts every spelling of
+:data:`~repro.dram.scheduler.ENGINE_SPELLINGS`; all but ``"periodic"``
+select the columnar engine. ``benchmarks/bench_profile.py`` and
+``benchmarks/bench_scheduler.py`` track the timings in
 ``BENCH_profile.json`` / ``BENCH_scheduler.json``.
 
 Steady-state extrapolation (``engine="periodic"``)
@@ -51,16 +52,16 @@ two levels:
   the sample width — instead of O(window x commands).
 
 **Exactness is the contract**: the extrapolated ``UpdateProfile`` is
-byte-identical to what the incremental engine produces on the full
-stream (every count is extended by exact integers, and every derived
-float is computed from the same integers by the same expressions).
-Whenever a lock fails — irregular streams, sample windows too small to
-settle, phase patterns that never stabilise — the model transparently
-falls back to simulating the full stream, and the trace validator runs
-on whatever was actually simulated. The model's ``report`` — an
-:class:`~repro.obs.report.EngineReport` flight recorder — records
-which path served each profile and *why* fallbacks happened
-(``periodic_report`` survives as a deprecated property view over it).
+byte-identical to what the columnar engine produces on the full stream
+(every count is extended by exact integers, and every derived float is
+computed from the same integers by the same expressions). Whenever a
+lock fails — irregular streams, sample windows too small to settle,
+phase patterns that never stabilise — the model transparently falls
+back to simulating the full stream on the columnar engine, and the
+trace validator runs on whatever was actually simulated. The model's
+``report`` — an :class:`~repro.obs.report.EngineReport` flight
+recorder — records which path served each profile and *why* fallbacks
+happened.
 """
 
 from __future__ import annotations
@@ -73,11 +74,7 @@ from typing import Optional
 from repro import faults
 from repro.dram.commands import CommandType
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
-from repro.dram.parallel import schedule_channels
-from repro.dram.scheduler import (
-    CommandScheduler,
-    replicate_across_channels,
-)
+from repro.dram.scheduler import CommandScheduler, resolve_engine
 from repro.dram.stats import TraceStats
 from repro.dram.timing import TimingParams, DDR4_2133
 from repro.dram.validator import validate_trace, validate_trace_columnar
@@ -87,7 +84,6 @@ from repro.obs.report import (
     FALLBACK_DEADLOCK,
     FALLBACK_ECONOMICS,
     FALLBACK_HORIZON_EXCEEDED,
-    FALLBACK_MULTI_CHANNEL,
     FALLBACK_NO_LOCK,
     FALLBACK_NO_METADATA,
 )
@@ -179,26 +175,15 @@ class UpdatePhaseModel:
         validate: bool = True,
         fuse_quantize: bool = False,
         fused_baseline: bool = False,
-        engine: str = "incremental",
-        thorough_validate: bool = False,
-        channel_workers: int = 1,
+        engine: str = "columnar",
         periodic_warm_columns: Optional[int] = None,
     ) -> None:
         """``validate`` runs the independent trace checker on every
         profiled schedule (production sweeps may disable it — see
-        ``SimJobSpec(validate=False)``); ``thorough_validate`` selects
-        the family-by-family checker instead of the fused sweep.
-        ``engine`` selects the scheduler implementation
-        (``"incremental"`` or the ``"reference"`` oracle) — see
-        :mod:`repro.dram.scheduler`. ``channel_workers > 1`` schedules
-        a multi-channel geometry's per-channel partitions for real,
-        fanned across that many worker processes (channels are
-        embarrassingly parallel; see
-        :func:`repro.dram.parallel.schedule_channels`); the serial
-        default exploits the replicas being identical — it schedules
-        one channel and aggregates exactly, so the hot path stays
-        independent of the channel count. Both paths produce identical
-        profiles (a tested invariant).
+        ``SimJobSpec(validate=False)``). A multi-channel geometry's
+        channels run identical replicas of the sample, so the model
+        schedules one channel and aggregates exactly: the hot path
+        stays independent of the channel count.
 
         ``engine="periodic"`` turns on steady-state extrapolation (see
         the module docstring): profiles are measured on a small warm
@@ -216,15 +201,13 @@ class UpdatePhaseModel:
         self.validate = validate
         self.fuse_quantize = fuse_quantize
         self.fused_baseline = fused_baseline
-        self.engine = engine
-        self.thorough_validate = thorough_validate
-        self.channel_workers = channel_workers
+        self.engine = resolve_engine(engine)
         self.periodic_warm_columns = periodic_warm_columns
         #: Engine flight recorder: how profiles were produced (fast
         #: path vs fallback, with reasons), warm-sample escalation,
-        #: lock outcomes, replayed-vs-simulated sweeps, and channel
-        #: scheduling paths. See :class:`repro.obs.report.EngineReport`.
-        self.report = EngineReport(engine=engine)
+        #: lock outcomes, replayed-vs-simulated sweeps, and scheduling
+        #: paths. See :class:`repro.obs.report.EngineReport`.
+        self.report = EngineReport(engine=self.engine)
         self._cache: dict[tuple, UpdateProfile] = {}
         # Generated streams, shared across design points that compile
         # the same kernel (GradPIM-DR / GradPIM-BD differ only in how
@@ -234,21 +217,6 @@ class UpdatePhaseModel:
         # profiles are memoized separately — unbounded retention of
         # command lists would leak in long-lived service workers.
         self._streams: dict[tuple, object] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def periodic_report(self) -> dict:
-        """Deprecated view over :attr:`report` (the historical dict).
-
-        Kept so pre-flight-recorder callers keep working; new code
-        should read ``model.report`` (richer: fallback reasons,
-        escalation rungs, lock outcomes, scheduling paths).
-        """
-        return {
-            "fast_path": self.report.fast_path,
-            "fallback": self.report.fallback,
-            "warm_runs": self.report.warm_runs,
-        }
 
     # ------------------------------------------------------------------
     @property
@@ -286,159 +254,77 @@ class UpdatePhaseModel:
         # Fault sites: a memoization miss is where real engine work
         # begins. engine.slow models a pathologically slow schedule;
         # engine.fail (periodic only) exercises the graceful fallback
-        # to the byte-identical incremental engine.
+        # to the byte-identical columnar engine.
         faults.sleep_site(faults.ENGINE_SLOW)
         if self.engine == "periodic":
             faults.maybe_raise(faults.ENGINE_FAIL)
         config = DESIGNS[design]
         profile = None
-        steady_attempted = False
         with span(
             "model.profile", design=design.value, engine=self.engine
         ):
             if self.engine == "periodic":
-                if self.channel_workers == 1:
-                    steady_attempted = True
-                    profile, reason = self._profile_steady(
-                        design, config, optimizer, precision
-                    )
-                    if profile is None:
-                        self.report.record_fallback(reason)
-                    else:
-                        self.report.record_fast_path()
+                profile, reason = self._profile_steady(
+                    design, config, optimizer, precision
+                )
+                if profile is None:
+                    self.report.record_fallback(reason)
                 else:
-                    # Partitioned multi-channel scheduling carries no
-                    # period metadata; the periodic engine always
-                    # simulates there.
-                    self.report.record_fallback(FALLBACK_MULTI_CHANNEL)
+                    self.report.record_fast_path()
             if profile is None:
                 profile = self._profile_simulated(
-                    design,
-                    config,
-                    optimizer,
-                    precision,
-                    # A failed steady lock already told us the stream
-                    # does not reward periodic bookkeeping; simulate
-                    # the full stream on the plain incremental engine
-                    # instead.
-                    scheduler_engine=(
-                        "incremental" if steady_attempted else None
-                    ),
+                    design, config, optimizer, precision
                 )
         self._cache[key] = profile
         return profile
 
     def _profile_simulated(
-        self, design, config, optimizer, precision,
-        scheduler_engine=None,
+        self, design, config, optimizer, precision
     ) -> UpdateProfile:
-        """Schedule the full sample stream and derive the profile."""
+        """Schedule the full sample stream on the columnar engine and
+        derive the profile."""
         with span("model.build_stream", design=design.value):
             built = self._build_stream(config, optimizer, precision)
-        (commands, n_params, offchip_accesses, dependents, period,
-         artifact) = built
-        channels = config.effective_channels(self.geometry)
+        commands, n_params, offchip_accesses, _, artifact = built
         # Channels are embarrassingly parallel: every channel runs the
-        # same steady-state sample over its own parameter slice, so the
-        # compiled single-channel kernel tiles across the device and
-        # the sample represents channels-times the parameters in the
+        # same steady-state sample over its own parameter slice. The
+        # replicas are identical streams and the scheduler is
+        # deterministic, so one channel's schedule suffices; the
+        # sample represents channels-times the parameters in the
         # (per-channel) elapsed time.
-        if channels > 1 and self.channel_workers > 1:
-            # Real partitioned scheduling, channels fanned across
-            # worker processes.
-            geometry = dataclasses.replace(
-                self.geometry, channels=channels
-            )
-            commands, dependents = replicate_across_channels(
-                commands, channels, dependents
-            )
-            issue_model = config.issue_model(geometry)
-            scheduler = self._scheduler(
-                config, geometry, issue_model, engine=scheduler_engine
-            )
-            with span(
-                "engine.schedule",
-                engine=scheduler.engine,
-                commands=len(commands),
-                channels=channels,
-            ):
-                result = schedule_channels(
-                    scheduler,
-                    commands,
-                    dependents=dependents,
-                    workers=self.channel_workers,
-                )
-            stats = result.stats
-            self.report.record_scheduling_path(stats.scheduling_path)
-        else:
-            # One channel's schedule suffices: the replicas are
-            # byte-identical streams and the scheduler is
-            # deterministic, so per-channel schedules are equal (the
-            # property the equivalence tests and the channel benchmark
-            # gate assert). Scheduling once and aggregating exactly
-            # keeps the hot path independent of the channel count.
-            geometry = (
-                self.geometry
-                if self.geometry.channels == 1
-                else dataclasses.replace(self.geometry, channels=1)
-            )
-            issue_model = config.issue_model(geometry)
-            scheduler = self._scheduler(
-                config, geometry, issue_model, engine=scheduler_engine
-            )
-            with span(
-                "engine.schedule",
-                engine=scheduler.engine,
-                commands=len(commands),
-                channels=channels,
-            ):
-                result = scheduler.run(
-                    commands,
-                    dependents=dependents,
-                    period=period,
-                    columnar=(
-                        artifact.columnar
-                        if scheduler.engine == "columnar"
-                        else None
-                    ),
-                )
-            stats = (
-                TraceStats.merge_channels([result.stats] * channels)
-                if channels > 1
-                else result.stats
-            )
-            self.report.record_scheduling_path(
-                "serial-replicated" if channels > 1 else "single-channel"
-            )
+        channels = config.effective_channels(self.geometry)
+        geometry = self._one_channel()
+        issue_model = config.issue_model(geometry)
+        scheduler = self._scheduler(
+            config, geometry, issue_model, "columnar"
+        )
+        with span(
+            "engine.schedule",
+            engine=scheduler.engine,
+            commands=len(commands),
+            channels=channels,
+        ):
+            result = scheduler.run(commands, columnar=artifact.columnar)
+        stats = (
+            TraceStats.merge_channels([result.stats] * channels)
+            if channels > 1
+            else result.stats
+        )
+        self.report.record_scheduling_path(
+            "serial-replicated" if channels > 1 else "single-channel"
+        )
         if self.validate:
-            if result.columnar is not None and not self.thorough_validate:
-                # Columnar schedules validate through the fused numpy
-                # checker — same rules, no Command materialization.
-                with span(
-                    "engine.validate",
-                    commands=result.columnar.stream.n,
-                ):
-                    validate_trace_columnar(
-                        result.columnar,
-                        self.timing,
-                        geometry,
-                        issue_model.port_of_rank,
-                        per_bank_pim=config.per_bank_pim,
-                        data_bus_scope=config.data_bus_scope,
-                    )
-            else:
-                with span(
-                    "engine.validate", commands=len(result.commands)
-                ):
-                    validate_trace(
-                        result.commands,
-                        self.timing,
-                        geometry,
-                        issue_model.port_of_rank,
-                        per_bank_pim=config.per_bank_pim,
-                        data_bus_scope=config.data_bus_scope,
-                        thorough=self.thorough_validate,
-                    )
+            with span(
+                "engine.validate", commands=result.columnar.stream.n
+            ):
+                validate_trace_columnar(
+                    result.columnar,
+                    self.timing,
+                    geometry,
+                    issue_model.port_of_rank,
+                    per_bank_pim=config.per_bank_pim,
+                    data_bus_scope=config.data_bus_scope,
+                )
         if channels > 1:
             n_params *= channels
             offchip_accesses *= channels
@@ -592,18 +478,16 @@ class UpdatePhaseModel:
             built = self._build_stream(
                 config, optimizer, precision, columns_per_stripe=k_warm
             )
-        commands, n_params, offchip_accesses, dependents, period, _ = built
+        commands, n_params, offchip_accesses, period, artifact = built
         if period is None or not period.segments:
             reasons.add(FALLBACK_NO_METADATA)
             return None
         self.report.record_warm_run(k_warm)
-        geometry = (
-            self.geometry
-            if self.geometry.channels == 1
-            else dataclasses.replace(self.geometry, channels=1)
-        )
+        geometry = self._one_channel()
         issue_model = config.issue_model(geometry)
-        scheduler = self._scheduler(config, geometry, issue_model)
+        scheduler = self._scheduler(
+            config, geometry, issue_model, "periodic"
+        )
         try:
             with span(
                 "engine.schedule",
@@ -612,7 +496,9 @@ class UpdatePhaseModel:
                 warm=k_warm,
             ):
                 result = scheduler.run(
-                    commands, dependents=dependents, period=period
+                    commands,
+                    dependents=artifact.dependents,
+                    period=period,
                 )
         except SimulationError:
             # The warm sample deadlocked; let the fallback simulate
@@ -662,7 +548,6 @@ class UpdatePhaseModel:
                     issue_model.port_of_rank,
                     per_bank_pim=config.per_bank_pim,
                     data_bus_scope=config.data_bus_scope,
-                    thorough=self.thorough_validate,
                 )
         stats = result.stats
         ext = TraceStats()
@@ -729,9 +614,14 @@ class UpdatePhaseModel:
             offchip_bytes_per_param=offchip_accesses * cb / n_params,
         )
 
+    def _one_channel(self) -> DeviceGeometry:
+        """The model geometry narrowed to the one channel it schedules."""
+        if self.geometry.channels == 1:
+            return self.geometry
+        return dataclasses.replace(self.geometry, channels=1)
+
     def _scheduler(
-        self, config: DesignConfig, geometry, issue_model,
-        engine: Optional[str] = None,
+        self, config: DesignConfig, geometry, issue_model, engine: str
     ) -> CommandScheduler:
         return CommandScheduler(
             self.timing,
@@ -740,7 +630,7 @@ class UpdatePhaseModel:
             per_bank_pim=config.per_bank_pim,
             window=self.window,
             data_bus_scope=config.data_bus_scope,
-            engine=engine if engine is not None else self.engine,
+            engine=engine,
         )
 
     def profiles(
@@ -761,12 +651,13 @@ class UpdatePhaseModel:
         columns_per_stripe: Optional[int] = None,
     ):
         """Returns (commands, params represented, off-chip accesses,
-        dependent-command adjacency, stripe-period metadata, artifact).
+        stripe-period metadata, artifact).
 
         The trailing element is the generator's artifact object itself
         (:class:`~repro.kernels.artifact.CommandStreamArtifact`): it
-        owns the cached ``columnar`` struct-of-arrays view that the
-        ``"columnar"`` engine schedules (and memoizes issue cycles) on.
+        owns the cached scheduling views — ``columnar`` for the
+        columnar engine (which memoizes issue cycles on it),
+        ``dependents`` for the periodic engine's warm samples.
 
         ``columns_per_stripe`` overrides the model's sample width (the
         steady-state fast path uses it to build warm samples)."""
@@ -804,7 +695,6 @@ class UpdatePhaseModel:
                 stream.commands,
                 n_params,
                 offchip,
-                stream.dependents,
                 stream.period,
                 stream,
             )
@@ -827,7 +717,6 @@ class UpdatePhaseModel:
                 kernel.commands,
                 kernel.n_hp_columns * hp_lanes,
                 0,
-                kernel.dependents,
                 kernel.period,
                 kernel,
             )
@@ -850,7 +739,6 @@ class UpdatePhaseModel:
                 kernel.commands,
                 kernel.total_params,
                 0,
-                kernel.dependents,
                 kernel.period,
                 kernel,
             )

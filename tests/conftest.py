@@ -1,14 +1,24 @@
-"""Shared fixtures: small geometries and cached cycle-sim profiles."""
+"""Shared fixtures: small geometries and cached cycle-sim profiles.
+
+Also loads the derandomized Hypothesis ``ci`` profile: every property
+test draws the same examples on every run, so the suite is repeatable.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.dram.geometry import DeviceGeometry
 from repro.dram.timing import DDR4_2133
 from repro.optim.sgd import MomentumSGD
 from repro.system.update_model import UpdatePhaseModel
+
+settings.register_profile(
+    "ci", derandomize=True, database=None, print_blob=True
+)
+settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

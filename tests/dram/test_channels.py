@@ -8,7 +8,7 @@ full private replica of the DRAM state machines, so
 * statistics aggregate across channels with elapsed time set by the
   slowest channel;
 * ``channels=1`` bypasses the partitioning entirely and stays
-  bit-identical to the historical scheduler;
+  bit-identical to the single-channel scheduler;
 * dependencies may not cross channels.
 
 Plus the regression for ``DataBusState.earliest`` returning negative
@@ -19,6 +19,7 @@ negative value).
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import validate_trace_thorough
 from repro.dram.channel import DataBusState
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DeviceGeometry
@@ -46,10 +47,10 @@ def _stream(design=DesignPoint.GRADPIM_BUFFERED, columns=4):
         "momentum_sgd", {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
     )
     config = DESIGNS[design]
-    commands, _, _, dependents, _period, _art = model._build_stream(
+    commands, _, _, _period, _art = model._build_stream(
         config, optimizer, PRECISIONS["8/32"]
     )
-    return config, commands, dependents
+    return config, commands
 
 
 # ----------------------------------------------------------------------
@@ -100,11 +101,9 @@ class TestDataBusEarliestClamp:
 # ----------------------------------------------------------------------
 class TestSplitChannels:
     def test_partitions_preserve_stream_order_and_deps(self):
-        _, commands, dependents = _stream(columns=2)
-        replicated, rep_deps = replicate_across_channels(
-            commands, 2, dependents
-        )
-        parts = split_channels(replicated, 2, rep_deps)
+        _, commands = _stream(columns=2)
+        replicated = replicate_across_channels(commands, 2)
+        parts = split_channels(replicated, 2)
         assert [p.channel for p in parts] == [0, 1]
         for part in parts:
             assert len(part.commands) == len(commands)
@@ -112,7 +111,6 @@ class TestSplitChannels:
             assert [c.deps for c in part.commands] == [
                 c.deps for c in commands
             ]
-            assert part.dependents == dependents
 
     def test_empty_channels_get_empty_partitions(self):
         cmds = [Command(CommandType.ACT, channel=2, row=1)]
@@ -136,24 +134,22 @@ class TestSplitChannels:
 # ----------------------------------------------------------------------
 # Scheduling semantics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["reference", "incremental"])
+@pytest.mark.parametrize("engine", ["columnar", "periodic"])
 class TestMultiChannelScheduling:
     def test_per_channel_schedule_matches_single_channel(self, engine):
-        config, commands, dependents = _stream()
+        config, commands = _stream()
         channels = 4
         geom = DeviceGeometry(channels=channels)
         im = config.issue_model(GEOM1)
         single = CommandScheduler(
             T, GEOM1, im, engine=engine,
             data_bus_scope=config.data_bus_scope,
-        ).run(commands, dependents=dependents)
-        replicated, rep_deps = replicate_across_channels(
-            commands, channels, dependents
-        )
+        ).run(commands)
+        replicated = replicate_across_channels(commands, channels)
         multi = CommandScheduler(
             T, geom, im, engine=engine,
             data_bus_scope=config.data_bus_scope,
-        ).run(replicated, dependents=rep_deps)
+        ).run(replicated)
         n = len(commands)
         for c in range(channels):
             assert [
@@ -161,21 +157,19 @@ class TestMultiChannelScheduling:
             ] == single.issue_cycles()
 
     def test_stats_aggregate_across_channels(self, engine):
-        config, commands, dependents = _stream()
+        config, commands = _stream()
         channels = 4
         geom = DeviceGeometry(channels=channels)
         im = config.issue_model(GEOM1)
         single = CommandScheduler(
             T, GEOM1, im, engine=engine,
             data_bus_scope=config.data_bus_scope,
-        ).run(commands, dependents=dependents)
-        replicated, rep_deps = replicate_across_channels(
-            commands, channels, dependents
-        )
+        ).run(commands)
+        replicated = replicate_across_channels(commands, channels)
         multi = CommandScheduler(
             T, geom, im, engine=engine,
             data_bus_scope=config.data_bus_scope,
-        ).run(replicated, dependents=rep_deps)
+        ).run(replicated)
         s1, sm = single.stats, multi.stats
         assert sm.issued_commands == channels * s1.issued_commands
         assert sm.counts == {
@@ -188,21 +182,18 @@ class TestMultiChannelScheduling:
         ]
 
     def test_multi_channel_trace_validates(self, engine):
-        config, commands, dependents = _stream(columns=2)
+        config, commands = _stream(columns=2)
         geom = DeviceGeometry(channels=2)
         im = config.issue_model(GEOM1)
-        replicated, rep_deps = replicate_across_channels(
-            commands, 2, dependents
-        )
+        replicated = replicate_across_channels(commands, 2)
         result = CommandScheduler(
             T, geom, im, engine=engine,
             data_bus_scope=config.data_bus_scope,
-        ).run(replicated, dependents=rep_deps)
-        for thorough in (False, True):
-            validate_trace(
+        ).run(replicated)
+        for validate in (validate_trace, validate_trace_thorough):
+            validate(
                 result.commands, T, geom, im.port_of_rank,
                 data_bus_scope=config.data_bus_scope,
-                thorough=thorough,
             )
 
     def test_channel_out_of_range_rejected_by_run(self, engine):
@@ -253,22 +244,21 @@ class TestMultiChannelScheduling:
 
 
 class TestChannelsOneIdentity:
-    """``channels=1`` must stay byte-identical to the seed scheduler."""
+    """An explicit ``channels=1`` geometry schedules exactly like the
+    default one."""
 
     @pytest.mark.parametrize("design", list(DesignPoint))
     def test_explicit_channels_one_schedule_identical(self, design):
-        config, commands, dependents = _stream(design)
+        config, commands = _stream(design)
         im = config.issue_model(GEOM1)
         kwargs = dict(
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
-        default = CommandScheduler(T, GEOM1, im, **kwargs).run(
-            commands, dependents=dependents
-        )
+        default = CommandScheduler(T, GEOM1, im, **kwargs).run(commands)
         explicit = CommandScheduler(
             T, DeviceGeometry(channels=1), im, **kwargs
-        ).run(commands, dependents=dependents)
+        ).run(commands)
         assert default.issue_cycles() == explicit.issue_cycles()
         assert default.stats == explicit.stats
         assert explicit.stats.channel_cycles == []
@@ -351,10 +341,8 @@ class TestValidatorChannels:
         b = Command(CommandType.ACT, channel=1, row=1)
         a.issue_cycle = 0
         b.issue_cycle = 0
-        for thorough in (False, True):
-            validate_trace(
-                [a, b], T, geom, (0,) * geom.ranks, thorough=thorough
-            )
+        for validate in (validate_trace, validate_trace_thorough):
+            validate([a, b], T, geom, (0,) * geom.ranks)
 
     def test_same_cycle_same_port_within_channel_rejected(self):
         geom = DeviceGeometry(channels=2)

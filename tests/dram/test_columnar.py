@@ -12,23 +12,25 @@ both directions. These tests enforce:
   the rebuilt commands;
 * the CSR dependency transpose matches :func:`build_dependents`;
 * structural precondition errors (illegal dep, rank/channel out of
-  range) match the scalar scheduler loops' messages exactly;
+  range) match the reference loop's scalar messages exactly;
 * issue-cycle memoization: re-scheduling the same stream object is
   byte-identical and hits the memo (no second cold pass);
 * the frozen columns refuse in-place mutation;
 * ``validate_trace_columnar`` accepts exactly what ``validate_trace``
-  accepts, and rejects seeded corruptions with the *same* exception
-  text (the scalar fallback re-raise).
+  and the family-by-family oracle accept, and rejects seeded
+  corruptions with the *same* exception text as ``validate_trace``
+  (the scalar fallback re-raise) — and the oracle rejects them too.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import ReferenceScheduler, validate_trace_thorough
 from repro.dram.columnar import ColumnarStream
 from repro.dram.commands import Command, CommandType
-from repro.dram.engine import build_dependents
 from repro.dram.scheduler import CommandScheduler
+from repro.dram.steady import build_dependents
 from repro.dram.timing import DDR4_2133
 from repro.dram.validator import validate_trace, validate_trace_columnar
 from repro.errors import SimulationError, TimingViolation
@@ -93,10 +95,10 @@ def _design_stream(design):
         "momentum_sgd", {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
     )
     config = DESIGNS[design]
-    commands, _, _, dependents, _period, art = model._build_stream(
+    commands, _, _, _period, art = model._build_stream(
         config, optimizer, PRECISIONS["8/32"]
     )
-    return config, commands, dependents, art
+    return config, commands, art
 
 
 class TestRoundTrip:
@@ -121,20 +123,23 @@ class TestRoundTrip:
     @given(commands=arbitrary_commands())
     def test_dependents_transpose_matches_reference(self, commands):
         stream = ColumnarStream.from_commands(commands)
-        assert stream.dependents_lists() == build_dependents(commands)
+        indptr = stream.out_indptr.tolist()
+        indices = stream.out_indices.tolist()
+        lists = [
+            indices[indptr[i]:indptr[i + 1]] for i in range(len(commands))
+        ]
+        assert lists == build_dependents(commands)
 
     @pytest.mark.parametrize("design", list(DesignPoint))
     def test_design_streams_round_trip(self, design):
-        _, commands, dependents, art = _design_stream(design)
-        stream = ColumnarStream.from_commands(
-            commands, dependents=dependents
-        )
+        _, commands, art = _design_stream(design)
+        stream = ColumnarStream.from_commands(commands)
         assert stream.to_commands() == commands
         # The artifact's cached stream is the same content.
         assert art.columnar.to_commands() == commands
 
     def test_columns_are_frozen(self):
-        _, commands, _, art = _design_stream(DesignPoint.GRADPIM_DIRECT)
+        _, commands, art = _design_stream(DesignPoint.GRADPIM_DIRECT)
         with pytest.raises(ValueError):
             art.columnar.kind[0] = 0
         with pytest.raises(ValueError):
@@ -142,11 +147,6 @@ class TestRoundTrip:
 
 
 class TestStructureChecks:
-    def _engines(self):
-        incremental = CommandScheduler(T, GEOM, engine="incremental")
-        columnar = CommandScheduler(T, GEOM, engine="columnar")
-        return incremental, columnar
-
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -164,17 +164,17 @@ class TestStructureChecks:
             ),
         ]
         mutate(commands)
-        incremental, columnar = self._engines()
         with pytest.raises(SimulationError) as scalar:
-            incremental.run(commands)
-        with pytest.raises(SimulationError) as vectorized:
-            columnar.run(commands)
-        assert str(vectorized.value) == str(scalar.value)
+            ReferenceScheduler(T, GEOM).run(commands)
+        for engine in ("columnar", "periodic"):
+            with pytest.raises(SimulationError) as checked:
+                CommandScheduler(T, GEOM, engine=engine).run(commands)
+            assert str(checked.value) == str(scalar.value), engine
 
 
 class TestMemoization:
     def test_rescheduling_shared_stream_is_identical(self):
-        config, commands, _, art = _design_stream(
+        config, commands, art = _design_stream(
             DesignPoint.GRADPIM_BUFFERED
         )
         sched = CommandScheduler(
@@ -192,7 +192,7 @@ class TestMemoization:
             second.columnar.issue_cycle[0] = 0
 
     def test_memo_distinguishes_substrates(self):
-        config, commands, _, art = _design_stream(
+        config, commands, art = _design_stream(
             DesignPoint.GRADPIM_DIRECT
         )
         base = CommandScheduler(
@@ -205,8 +205,8 @@ class TestMemoization:
         )
         wide = base.run(commands, columnar=art.columnar)
         small = narrow.run(commands, columnar=art.columnar)
-        reference = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM), engine="reference",
+        reference = ReferenceScheduler(
+            T, GEOM, config.issue_model(GEOM),
             data_bus_scope=config.data_bus_scope, window=1,
         )
         assert small.issue_cycles() == reference.run(
@@ -214,11 +214,44 @@ class TestMemoization:
         ).issue_cycles()
         assert wide.issue_cycles() != small.issue_cycles()
 
+    def test_streams_keep_only_the_memo(self):
+        """Memory contract: a cold run's per-command Python lists die
+        with the run, and a stream only the columnar loop schedules
+        never builds the list-of-lists dependents adjacency."""
+        config, commands, art = _design_stream(DesignPoint.AOS_PB)
+        sched = CommandScheduler(
+            T, GEOM, config.issue_model(GEOM),
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope,
+        )
+        result = sched.run(commands, columnar=art.columnar)
+        (entry,) = art.columnar._memo.values()
+        issue, total_cycles, counts, port_issued = entry
+        assert issue is result.columnar.issue_cycle
+        assert total_cycles == result.stats.total_cycles
+        assert counts == result.stats.counts
+        assert port_issued == result.stats.port_issued
+        assert "dependents" not in vars(art)
+
+    @pytest.mark.parametrize("engine", ["columnar", "periodic"])
+    def test_profiles_build_one_adjacency_form_per_stream(self, engine):
+        """No stream the update model profiles carries both the CSR
+        (``columnar``) and the list (``dependents``) adjacency — the
+        periodic engine's full-stream fallbacks included."""
+        model = UpdatePhaseModel(columns_per_stripe=32, engine=engine)
+        optimizer = build_optimizer("momentum_sgd", {"eta": 0.01})
+        for design in DesignPoint:
+            model.profile(design, optimizer)
+        assert model._streams
+        for art in model._streams.values():
+            built = {"columnar", "dependents"} & set(vars(art))
+            assert len(built) == 1, built
+
 
 class TestColumnarValidator:
     @pytest.mark.parametrize("design", list(DesignPoint))
     def test_valid_traces_accepted_by_both(self, design):
-        config, commands, _, art = _design_stream(design)
+        config, commands, art = _design_stream(design)
         issue_model = config.issue_model(GEOM)
         sched = CommandScheduler(
             T, GEOM, issue_model, engine="columnar",
@@ -231,11 +264,12 @@ class TestColumnarValidator:
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
-        validate_trace(
-            result.commands, T, GEOM, issue_model.port_of_rank,
-            per_bank_pim=config.per_bank_pim,
-            data_bus_scope=config.data_bus_scope,
-        )
+        for validate in (validate_trace, validate_trace_thorough):
+            validate(
+                result.commands, T, GEOM, issue_model.port_of_rank,
+                per_bank_pim=config.per_bank_pim,
+                data_bus_scope=config.data_bus_scope,
+            )
 
     @pytest.mark.parametrize("design", list(DesignPoint))
     @pytest.mark.parametrize("shift", [-500, -3, 1 << 40])
@@ -244,8 +278,9 @@ class TestColumnarValidator:
     ):
         """Corrupting one issue cycle must raise the same
         TimingViolation from both validators (the columnar one falls
-        back to the scalar sweep to name the first offender)."""
-        config, commands, _, art = _design_stream(design)
+        back to the scalar sweep to name the first offender), and the
+        oracle must reject the trace too."""
+        config, commands, art = _design_stream(design)
         issue_model = config.issue_model(GEOM)
         sched = CommandScheduler(
             T, GEOM, issue_model, engine="columnar",
@@ -272,9 +307,14 @@ class TestColumnarValidator:
                 **kwargs
             )
         assert str(vectorized.value) == str(scalar.value)
+        with pytest.raises(TimingViolation):
+            validate_trace_thorough(
+                bad.to_commands(), T, GEOM, issue_model.port_of_rank,
+                **kwargs
+            )
 
     def test_unissued_command_rejected(self):
-        config, commands, _, art = _design_stream(DesignPoint.BASELINE)
+        config, commands, art = _design_stream(DesignPoint.BASELINE)
         issue_model = config.issue_model(GEOM)
         sched = CommandScheduler(
             T, GEOM, issue_model, engine="columnar",

@@ -1,16 +1,20 @@
-"""Incremental and columnar engines == reference scheduler.
+"""Columnar and periodic engines == the reference greedy loop.
 
-The incremental event-driven engine (:mod:`repro.dram.engine`) and the
-columnar struct-of-arrays engine (:mod:`repro.dram.columnar`) promise
-*exact* equivalence with the reference greedy loop: identical issue
-cycles and identical :class:`TraceStats` on every stream. These tests
-enforce the contract three ways:
+Both scheduler engines promise *exact* equivalence with the reference
+greedy loop kept in ``tests/oracle.py``: identical issue cycles and
+identical :class:`TraceStats` on every stream, and the identical
+``SimulationError`` on every stream that deadlocks or breaks a
+structural precondition. These tests enforce the contract four ways:
 
-* golden checks over every design point's real update stream;
+* golden checks over every design point's real update stream (with its
+  period metadata, so the periodic engine really locks);
 * Hypothesis property tests sweeping windows, issue models, data-bus
-  scopes, per-bank PIM, and all four update-kind stream generators;
+  scopes, per-bank PIM, channel counts and all four update-kind stream
+  generators;
 * Hypothesis property tests over random synthetic (but structurally
-  legal) command streams with random backward dependencies.
+  legal) command streams with random backward dependencies, single-
+  and multi-channel — window-limited deadlocks included;
+* a hand-built deadlock.
 
 They also pin the ``run()`` API contract the engines share: caller
 commands are never mutated, re-scheduling is deterministic, and a
@@ -22,14 +26,15 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import ReferenceScheduler, oracle_profile
 from repro.dram.commands import Command, CommandType
-from repro.dram.engine import build_dependents
 from repro.dram.scheduler import (
     CommandScheduler,
     IssueModel,
     _fresh_copy,
     replicate_across_channels,
 )
+from repro.dram.steady import build_dependents
 from repro.dram.timing import DDR4_2133, PRESETS
 from repro.errors import ConfigError, SimulationError
 from repro.optim.precision import PRECISIONS
@@ -39,136 +44,135 @@ from repro.system.update_model import UpdatePhaseModel
 
 T = DDR4_2133
 GEOM = UpdatePhaseModel().geometry  # the paper's default geometry
+ENGINES = ("columnar", "periodic")
 
 
-def _schedulers(issue_model=None, **kwargs):
-    reference = CommandScheduler(
-        T, GEOM, issue_model, engine="reference", **kwargs
-    )
-    incremental = CommandScheduler(
-        T, GEOM, issue_model, engine="incremental", **kwargs
-    )
-    columnar = CommandScheduler(
-        T, GEOM, issue_model, engine="columnar", **kwargs
-    )
-    return reference, incremental, columnar
-
-
-def _assert_equivalent(commands, issue_model=None, dependents=None,
-                       **kwargs):
-    """All engines produce the same schedule — or the same deadlock.
+def _assert_equivalent(commands, issue_model=None, period=None,
+                       timing=T, geometry=GEOM, **kwargs):
+    """Both engines reproduce the oracle's schedule — or its error.
 
     A window-limited scheduler can legitimately deadlock on streams
     whose cross-port dependencies point beyond every port's lookahead;
     equivalence then means every engine refuses identically.
     """
-    reference, incremental, columnar = _schedulers(issue_model, **kwargs)
+    oracle = ReferenceScheduler(timing, geometry, issue_model, **kwargs)
+    engines = {
+        engine: CommandScheduler(
+            timing, geometry, issue_model, engine=engine, **kwargs
+        )
+        for engine in ENGINES
+    }
     try:
-        ref = reference.run(commands)
+        ref = oracle.run(commands)
     except SimulationError as exc:
-        with pytest.raises(SimulationError) as caught:
-            incremental.run(commands, dependents=dependents)
-        assert str(caught.value) == str(exc)
-        with pytest.raises(SimulationError) as caught:
-            columnar.run(commands, dependents=dependents)
-        assert str(caught.value) == str(exc)
-        return None, None
-    new = incremental.run(commands, dependents=dependents)
-    assert ref.issue_cycles() == new.issue_cycles()
-    assert ref.stats == new.stats
-    col = columnar.run(commands, dependents=dependents)
-    assert ref.issue_cycles() == col.issue_cycles()
-    assert ref.stats == col.stats
-    return ref, new
+        for engine, sched in engines.items():
+            with pytest.raises(SimulationError) as caught:
+                sched.run(commands, period=period)
+            assert str(caught.value) == str(exc), engine
+        return None
+    for engine, sched in engines.items():
+        got = sched.run(commands, period=period)
+        assert got.issue_cycles() == ref.issue_cycles(), engine
+        assert got.stats == ref.stats, engine
+    return ref
+
+
+def _optimizer():
+    return build_optimizer(
+        "momentum_sgd", {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
+    )
 
 
 def _design_stream(design, model=None):
     model = model or UpdatePhaseModel(columns_per_stripe=8)
-    optimizer = build_optimizer(
-        "momentum_sgd", {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
-    )
     config = DESIGNS[design]
-    commands, _, _, dependents, _period, _art = model._build_stream(
-        config, optimizer, PRECISIONS["8/32"]
+    commands, _, _, period, _art = model._build_stream(
+        config, _optimizer(), PRECISIONS["8/32"]
     )
-    return config, commands, dependents
+    return config, commands, period
 
 
 class TestGoldenDesignPoints:
     @pytest.mark.parametrize("design", list(DesignPoint))
     def test_identical_schedule_per_design(self, design):
-        config, commands, dependents = _design_stream(design)
+        config, commands, period = _design_stream(design)
         _assert_equivalent(
             commands,
             issue_model=config.issue_model(GEOM),
-            dependents=dependents,
+            period=period,
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
 
-    def test_profile_identical_across_engines(self):
-        optimizer = build_optimizer(
-            "momentum_sgd",
-            {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4},
-        )
-        seed = UpdatePhaseModel(
-            columns_per_stripe=8, engine="reference",
-            thorough_validate=True,
-        )
-        new = UpdatePhaseModel(columns_per_stripe=8)
-        col = UpdatePhaseModel(columns_per_stripe=8, engine="columnar")
+    def test_profile_matches_oracle_schedule(self):
+        """Every engine spelling profiles exactly what the oracle's
+        schedule of the same stream implies."""
+        optimizer = _optimizer()
+        models = {
+            engine: UpdatePhaseModel(columns_per_stripe=8, engine=engine)
+            for engine in ("incremental", "reference", "columnar",
+                           "periodic")
+        }
         for design in DesignPoint:
-            expected = seed.profile(design, optimizer)
-            assert expected == new.profile(design, optimizer)
-            assert expected == col.profile(design, optimizer)
+            expected = oracle_profile(models["columnar"], design, optimizer)
+            for engine, model in models.items():
+                assert model.profile(design, optimizer) == expected, (
+                    design, engine,
+                )
 
 
 class TestRunContract:
-    def test_caller_commands_never_mutated(self):
-        _, commands, _ = _design_stream(DesignPoint.GRADPIM_BUFFERED)
-        config = DESIGNS[DesignPoint.GRADPIM_BUFFERED]
-        for engine in ("reference", "incremental", "columnar"):
-            sched = CommandScheduler(
-                T, GEOM, config.issue_model(GEOM), engine=engine,
-                data_bus_scope=config.data_bus_scope,
-            )
-            result = sched.run(commands)
-            assert all(c.issue_cycle == -1 for c in commands)
-            assert all(c.issue_cycle >= 0 for c in result.commands)
-
-    @pytest.mark.parametrize(
-        "engine", ["reference", "incremental", "columnar"]
-    )
-    def test_rescheduling_same_stream_is_identical(self, engine):
-        # Regression: the seed scheduler annotated the caller's Command
-        # objects in place, so a second run of the same stream saw
-        # stale issue cycles as "already issued" dependencies.
-        config, commands, _ = _design_stream(DesignPoint.GRADPIM_DIRECT)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_caller_commands_never_mutated(self, engine):
+        config, commands, period = _design_stream(
+            DesignPoint.GRADPIM_BUFFERED
+        )
         sched = CommandScheduler(
             T, GEOM, config.issue_model(GEOM), engine=engine,
             data_bus_scope=config.data_bus_scope,
         )
-        first = sched.run(commands)
-        second = sched.run(commands)
+        result = sched.run(commands, period=period)
+        assert all(c.issue_cycle == -1 for c in commands)
+        assert all(c.issue_cycle >= 0 for c in result.commands)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rescheduling_same_stream_is_identical(self, engine):
+        # Regression: the seed scheduler annotated the caller's Command
+        # objects in place, so a second run of the same stream saw
+        # stale issue cycles as "already issued" dependencies.
+        config, commands, period = _design_stream(
+            DesignPoint.GRADPIM_DIRECT
+        )
+        sched = CommandScheduler(
+            T, GEOM, config.issue_model(GEOM), engine=engine,
+            data_bus_scope=config.data_bus_scope,
+        )
+        first = sched.run(commands, period=period)
+        second = sched.run(commands, period=period)
         assert first.issue_cycles() == second.issue_cycles()
         assert first.stats == second.stats
 
     def test_supplied_dependents_change_nothing(self):
-        config, commands, dependents = _design_stream(
+        config, commands, period = _design_stream(
             DesignPoint.GRADPIM_DIRECT
         )
-        _, incremental, _ = _schedulers(
-            config.issue_model(GEOM),
+        periodic = CommandScheduler(
+            T, GEOM, config.issue_model(GEOM), engine="periodic",
             data_bus_scope=config.data_bus_scope,
         )
-        with_deps = incremental.run(commands, dependents=dependents)
-        without = incremental.run(commands)
+        with_deps = periodic.run(
+            commands, dependents=build_dependents(commands), period=period
+        )
+        without = periodic.run(commands, period=period)
         assert with_deps.issue_cycles() == without.issue_cycles()
 
     def test_build_dependents_matches_deps(self):
-        _, commands, dependents = _design_stream(DesignPoint.AOS)
+        model = UpdatePhaseModel(columns_per_stripe=8)
+        commands, _, _, _, art = model._build_stream(
+            DESIGNS[DesignPoint.AOS], _optimizer(), PRECISIONS["8/32"]
+        )
         rebuilt = build_dependents(commands)
-        assert rebuilt == dependents
+        assert rebuilt == art.dependents
         for i, cmd in enumerate(commands):
             for d in cmd.deps:
                 assert i in rebuilt[d]
@@ -187,9 +191,27 @@ class TestRunContract:
                 continue
             assert getattr(copy, field.name) == getattr(cmd, field.name)
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize(
+        "engine", ["warp-speed", "incremental", "reference"]
+    )
+    def test_unknown_engine_rejected(self, engine):
+        """The scheduler knows two engines; the older spellings live
+        only on the job surface."""
         with pytest.raises(ConfigError):
-            CommandScheduler(T, GEOM, engine="warp-speed")
+            CommandScheduler(T, GEOM, engine=engine)
+
+
+class TestDeadlock:
+    def test_structurally_blocked_stream_deadlocks_identically(self):
+        """A column access to a row nothing ever opens can never
+        issue: every engine names the same deadlock."""
+        commands = [
+            Command(CommandType.ACT, row=0),
+            Command(CommandType.SCALED_READ, row=1, deps=(0,)),
+        ]
+        with pytest.raises(SimulationError, match="deadlock"):
+            ReferenceScheduler(T, GEOM).run(commands)
+        assert _assert_equivalent(commands) is None
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +244,9 @@ class TestGeneratorStreamProperties:
     ):
         optimizer = build_optimizer(optimizer_name, {"eta": 0.01})
         config = DESIGNS[design]
-        model = UpdatePhaseModel(
-            timing=PRESETS[timing_name], columns_per_stripe=4
-        )
-        commands, _, _, dependents, _period, _art = model._build_stream(
+        timing = PRESETS[timing_name]
+        model = UpdatePhaseModel(timing=timing, columns_per_stripe=4)
+        commands, _, _, period, _art = model._build_stream(
             config, optimizer, PRECISIONS["8/32"]
         )
         issue_model = (
@@ -233,39 +254,20 @@ class TestGeneratorStreamProperties:
             if buffered
             else IssueModel.direct(GEOM.ranks)
         )
-        geometry = (
-            GEOM
-            if channels == 1
-            else dataclasses.replace(GEOM, channels=channels)
-        )
+        geometry = GEOM
         if channels > 1:
-            commands, dependents = replicate_across_channels(
-                commands, channels, dependents
-            )
-        timing = PRESETS[timing_name]
-        engine_kwargs = dict(
-            per_bank_pim=config.per_bank_pim, window=window,
+            geometry = dataclasses.replace(GEOM, channels=channels)
+            commands = replicate_across_channels(commands, channels)
+        _assert_equivalent(
+            commands,
+            issue_model=issue_model,
+            period=period,
+            timing=timing,
+            geometry=geometry,
+            per_bank_pim=config.per_bank_pim,
+            window=window,
             data_bus_scope=scope,
         )
-        reference = CommandScheduler(
-            timing, geometry, issue_model, engine="reference",
-            **engine_kwargs,
-        )
-        incremental = CommandScheduler(
-            timing, geometry, issue_model, engine="incremental",
-            **engine_kwargs,
-        )
-        columnar = CommandScheduler(
-            timing, geometry, issue_model, engine="columnar",
-            **engine_kwargs,
-        )
-        ref = reference.run(commands)
-        new = incremental.run(commands, dependents=dependents)
-        assert ref.issue_cycles() == new.issue_cycles()
-        assert ref.stats == new.stats
-        col = columnar.run(commands, dependents=dependents)
-        assert ref.issue_cycles() == col.issue_cycles()
-        assert ref.stats == col.stats
 
 
 # ----------------------------------------------------------------------
@@ -394,35 +396,12 @@ class TestSyntheticStreamProperties:
     def test_equivalent_on_random_multi_channel_streams(
         self, commands, window, channels, per_bank
     ):
-        """All engines agree on random streams tiled across channels —
-        the same contract as single-channel, along the channel axis."""
-        replicated, _ = replicate_across_channels(commands, channels)
-        geometry = dataclasses.replace(GEOM, channels=channels)
-        reference = CommandScheduler(
-            T, geometry, engine="reference", window=window,
+        """Both engines agree with the oracle on random streams tiled
+        across channels — the same contract as single-channel, along
+        the channel axis."""
+        _assert_equivalent(
+            replicate_across_channels(commands, channels),
+            geometry=dataclasses.replace(GEOM, channels=channels),
+            window=window,
             per_bank_pim=per_bank,
         )
-        incremental = CommandScheduler(
-            T, geometry, engine="incremental", window=window,
-            per_bank_pim=per_bank,
-        )
-        columnar = CommandScheduler(
-            T, geometry, engine="columnar", window=window,
-            per_bank_pim=per_bank,
-        )
-        try:
-            ref = reference.run(replicated)
-        except SimulationError as exc:
-            with pytest.raises(SimulationError) as caught:
-                incremental.run(replicated)
-            assert str(caught.value) == str(exc)
-            with pytest.raises(SimulationError) as caught:
-                columnar.run(replicated)
-            assert str(caught.value) == str(exc)
-            return
-        new = incremental.run(replicated)
-        assert ref.issue_cycles() == new.issue_cycles()
-        assert ref.stats == new.stats
-        col = columnar.run(replicated)
-        assert ref.issue_cycles() == col.issue_cycles()
-        assert ref.stats == col.stats

@@ -1,7 +1,8 @@
-"""Periodic steady-state engine == incremental engine, byte for byte.
+"""Periodic steady-state engine == the reference greedy loop, byte for byte.
 
 The ``"periodic"`` engine (:mod:`repro.dram.steady`) promises *exact*
-equivalence with the incremental engine: identical issue cycles and
+equivalence with the reference loop kept in ``tests/oracle.py``:
+identical issue cycles and
 identical :class:`TraceStats` on every stream — locked steady-state
 sweeps are replayed arithmetically, everything else (and everything
 that never locks) simulates for real. These tests enforce the contract:
@@ -14,7 +15,7 @@ that never locks) simulates for real. These tests enforce the contract:
   body sweeps (the property the profile-level extrapolation rests on);
 * perturbation: streams edited to *break* the advertised periodicity
   (spliced commands, stripped dependencies, stale metadata) must fall
-  back to plain simulation and still match the incremental engine;
+  back to plain simulation and still match the reference loop;
 * Hypothesis sweeps over (design, optimizer, precision, window,
   columns_per_stripe).
 """
@@ -22,13 +23,13 @@ that never locks) simulates for real. These tests enforce the contract:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import ReferenceScheduler
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import CommandScheduler, _fresh_copy
 from repro.dram.steady import (
     PeriodSegment,
     SegmentRecorder,
     StreamPeriod,
-    schedule_steady,
     stale_floor,
 )
 from repro.dram.timing import DDR4_2133, PRESETS
@@ -61,30 +62,27 @@ def _built(design, optimizer_name="momentum_sgd", precision="8/32",
         optimizer_name, OPTIMIZER_PARAMS.get(optimizer_name, {})
     )
     config = DESIGNS[design]
-    commands, _, _, dependents, period, _art = model._build_stream(
+    commands, _, _, period, art = model._build_stream(
         config, optimizer, PRECISIONS[precision]
     )
-    return config, commands, dependents, period
+    return config, commands, art.dependents, period
 
 
 def _run_both(config, commands, dependents, period, window=16):
-    results = {}
-    for engine in ("incremental", "periodic"):
-        sched = CommandScheduler(
-            T,
-            GEOM,
-            config.issue_model(GEOM),
-            per_bank_pim=config.per_bank_pim,
-            window=window,
-            data_bus_scope=config.data_bus_scope,
-            engine=engine,
-        )
-        results[engine] = sched.run(
-            commands, dependents=dependents, period=period
-        )
-    inc, per = results["incremental"], results["periodic"]
-    assert inc.issue_cycles() == per.issue_cycles()
-    assert inc.stats == per.stats
+    """Schedule on the periodic engine and on the oracle; they must
+    agree exactly. Returns the periodic result."""
+    kwargs = dict(
+        per_bank_pim=config.per_bank_pim,
+        window=window,
+        data_bus_scope=config.data_bus_scope,
+    )
+    issue_model = config.issue_model(GEOM)
+    ref = ReferenceScheduler(T, GEOM, issue_model, **kwargs).run(commands)
+    per = CommandScheduler(
+        T, GEOM, issue_model, engine="periodic", **kwargs
+    ).run(commands, dependents=dependents, period=period)
+    assert ref.issue_cycles() == per.issue_cycles()
+    assert ref.stats == per.stats
     return per
 
 
@@ -123,7 +121,7 @@ class TestGoldenEquivalence:
         assert result.periodic.skipped > len(commands) // 4
         assert any(lock is not None for lock in result.periodic.locks)
 
-    def test_without_metadata_degrades_to_incremental(self):
+    def test_without_metadata_degrades_to_columnar(self):
         config, commands, dependents, _ = _built(
             DesignPoint.GRADPIM_DIRECT
         )
@@ -131,6 +129,7 @@ class TestGoldenEquivalence:
         assert result.periodic is not None
         assert not result.periodic.engaged
         assert result.periodic.reason == "no-period-metadata"
+        assert result.columnar is not None
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +307,7 @@ def _workload(draw):
 class TestHypothesisEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(_workload())
-    def test_periodic_matches_incremental(self, workload):
+    def test_periodic_matches_reference(self, workload):
         design, optimizer, precision, window, columns = workload
         config, commands, dependents, period = _built(
             design, optimizer, precision, columns

@@ -2,11 +2,13 @@
 
 The validator is an independent re-implementation of the JEDEC rules;
 these tests hand-construct traces that break exactly one rule each and
-assert the breach is named.
+assert the breach is named — by the fused sweep and by the
+family-by-family oracle (``tests/oracle.py``) alike.
 """
 
 import pytest
 
+from oracle import validate_trace_thorough
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DeviceGeometry
 from repro.dram.timing import DDR4_2133
@@ -32,17 +34,21 @@ def _legal_pair(row=0):
     ]
 
 
+#: The production sweep and the oracle, checked side by side.
+VALIDATORS = (validate_trace, validate_trace_thorough)
+
+
 def _check(trace, rule):
-    """Both checking modes must flag the same seeded violation."""
-    for thorough in (False, True):
+    """Both checkers must flag the same seeded violation."""
+    for validate in VALIDATORS:
         with pytest.raises(TimingViolation) as exc:
-            validate_trace(trace, T, GEOM, PORTS, thorough=thorough)
-        assert exc.value.rule == rule, f"thorough={thorough}"
+            validate(trace, T, GEOM, PORTS)
+        assert exc.value.rule == rule, validate.__name__
 
 
 def test_legal_trace_passes():
-    validate_trace(_legal_pair(), T, GEOM, PORTS)
-    validate_trace(_legal_pair(), T, GEOM, PORTS, thorough=True)
+    for validate in VALIDATORS:
+        validate(_legal_pair(), T, GEOM, PORTS)
 
 
 def test_trcd_violation():
@@ -222,7 +228,7 @@ def test_unissued_command_rejected():
 
 
 class TestModeEquivalence:
-    """Fused sweep and thorough checker agree on real traces."""
+    """Fused sweep and the oracle agree on real traces."""
 
     def _scheduled(self, design):
         from repro.dram.scheduler import CommandScheduler
@@ -237,7 +243,7 @@ class TestModeEquivalence:
             {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4},
         )
         config = DESIGNS[design]
-        commands, _, _, deps, _period, _art = model._build_stream(
+        commands, _, _, _period, _art = model._build_stream(
             config, optimizer, PRECISION_8_32
         )
         issue_model = config.issue_model(model.geometry)
@@ -245,7 +251,7 @@ class TestModeEquivalence:
             model.timing, model.geometry, issue_model,
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
-        ).run(commands, dependents=deps)
+        ).run(commands)
         return config, issue_model, result
 
     def test_all_design_traces_pass_both_modes(self):
@@ -253,15 +259,14 @@ class TestModeEquivalence:
 
         for design in DesignPoint:
             config, issue_model, result = self._scheduled(design)
-            for thorough in (False, True):
-                validate_trace(
+            for validate in VALIDATORS:
+                validate(
                     result.commands,
                     T,
                     GEOM,
                     issue_model.port_of_rank,
                     per_bank_pim=config.per_bank_pim,
                     data_bus_scope=config.data_bus_scope,
-                    thorough=thorough,
                 )
 
     def test_corrupted_trace_fails_both_modes(self):
@@ -274,21 +279,20 @@ class TestModeEquivalence:
         # (which one depends on the command) must fire in both modes.
         victim = result.commands[len(result.commands) // 2]
         victim.issue_cycle = max(victim.issue_cycle - 3, 0)
-        for thorough in (False, True):
+        for validate in VALIDATORS:
             with pytest.raises(TimingViolation):
-                validate_trace(
+                validate(
                     result.commands,
                     T,
                     GEOM,
                     issue_model.port_of_rank,
                     data_bus_scope="channel",
-                    thorough=thorough,
                 )
 
     def test_bad_scope_rejected_in_both_modes(self):
-        for thorough in (False, True):
+        for validate in VALIDATORS:
             with pytest.raises(TimingViolation):
-                validate_trace(
+                validate(
                     _legal_pair(), T, GEOM, PORTS,
-                    data_bus_scope="hyperbus", thorough=thorough,
+                    data_bus_scope="hyperbus",
                 )

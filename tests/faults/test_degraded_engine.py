@@ -22,10 +22,10 @@ def _cold_models():
 
 
 class TestEngineDegradation:
-    def test_periodic_failure_degrades_to_incremental(self):
+    def test_periodic_failure_degrades_to_columnar(self):
         spec = cheap_spec(batch=32, engine="periodic")
         expected = api.submit(
-            dataclasses.replace(spec, engine="incremental"), cache=None
+            dataclasses.replace(spec, engine="columnar"), cache=None
         )
         assert expected.ok
 
@@ -38,7 +38,7 @@ class TestEngineDegradation:
         assert outcome.degraded is True
         assert "InjectedFault" in outcome.degraded_reason
         # The equivalence contract holds through the fallback: the
-        # degraded run is byte-identical to a clean incremental run.
+        # degraded run is byte-identical to a clean columnar run.
         assert outcome.result.to_dict() == expected.result.to_dict()
         rendered = default_registry().render()
         assert 'jobs_degraded_total{from_engine="periodic"}' in rendered

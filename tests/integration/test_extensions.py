@@ -72,16 +72,6 @@ def test_channel_sweep_speedup_survives_channel_scaling(channel_points):
         assert s == pytest.approx(speedups[0], rel=1e-6)
 
 
-def test_channel_sweep_parallel_workers_identical():
-    serial = run_channel_sweep(
-        channel_counts=(2,), columns_per_stripe=8
-    )
-    parallel = run_channel_sweep(
-        channel_counts=(2,), columns_per_stripe=8, channel_workers=2
-    )
-    assert serial == parallel
-
-
 def test_optimizer_sweep_adam_overhead_is_small():
     """§VIII: multi-pass Adam costs more than momentum but keeps most
     of the speedup ('only a small overhead')."""

@@ -1,11 +1,11 @@
-"""EngineReport serde, merge, diff, and the periodic_report shim."""
+"""EngineReport serde, merge and diff."""
 
 from __future__ import annotations
 
 import json
 
 from repro.obs.report import (
-    FALLBACK_MULTI_CHANNEL,
+    FALLBACK_DEADLOCK,
     FALLBACK_NO_LOCK,
     FALLBACK_REASONS,
     EngineReport,
@@ -19,8 +19,8 @@ def _sample() -> EngineReport:
     report.record_warm_run(24)
     report.record_warm_run(48)
     report.record_extension(1000)
-    report.record_scheduling_path("parallel")
-    report.record_scheduling_path("")
+    report.record_scheduling_path("steady-warm")
+    report.record_scheduling_path("single-channel")
     return report
 
 
@@ -35,8 +35,10 @@ def test_round_trip_is_lossless_and_json_safe():
     assert EngineReport.from_dict(data).to_dict() == data
 
 
-def test_empty_path_counts_as_serial():
-    assert _sample().scheduling_paths == {"parallel": 1, "serial": 1}
+def test_scheduling_paths_histogram():
+    assert _sample().scheduling_paths == {
+        "steady-warm": 1, "single-channel": 1,
+    }
 
 
 def test_merge_adds_counters_and_tables():
@@ -52,14 +54,14 @@ def test_merge_adds_counters_and_tables():
 def test_diff_dicts_returns_the_delta():
     before = _sample()
     after = EngineReport.from_dict(before.to_dict())
-    after.record_fallback(FALLBACK_MULTI_CHANNEL)
+    after.record_fallback(FALLBACK_DEADLOCK)
     after.record_warm_run(24)
     delta = EngineReport.diff_dicts(before.to_dict(), after.to_dict())
     assert delta == {
         "engine": "periodic",
         "fallback": 1,
         "warm_runs": 1,
-        "fallback_reasons": {FALLBACK_MULTI_CHANNEL: 1},
+        "fallback_reasons": {FALLBACK_DEADLOCK: 1},
         "warm_widths": {"24": 1},
     }
 
@@ -67,15 +69,3 @@ def test_diff_dicts_returns_the_delta():
 def test_diff_dicts_none_when_nothing_happened():
     snap = _sample().to_dict()
     assert EngineReport.diff_dicts(snap, snap) is None
-
-
-def test_periodic_report_shim_pins_legacy_keys(update_model):
-    """Regression: the deprecated ``periodic_report`` property must
-    keep exposing the original dict keys, backed by the new report."""
-    legacy = update_model.periodic_report
-    assert set(legacy) == {"fast_path", "fallback", "warm_runs"}
-    assert legacy["fast_path"] == update_model.report.fast_path
-    assert legacy["fallback"] == update_model.report.fallback
-    assert legacy["warm_runs"] == update_model.report.warm_runs
-    # The exact idiom bench_profile.py uses must keep working.
-    assert isinstance(dict(update_model.periodic_report), dict)

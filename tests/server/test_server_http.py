@@ -265,7 +265,7 @@ class TestMetricsEndpoint:
         assert summary["GET /healthz"]["count"] >= 1
 
     def test_counters_and_gauges_exposed(self, live_server):
-        from repro.server.metrics import parse_prometheus
+        from repro.obs.metrics import parse_prometheus
 
         _, client = live_server()
         client.submit(cheap_spec(batch=16), wait=30)

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.server.metrics import (
+from repro.obs.metrics import (
     MetricsRegistry,
     StreamingHistogram,
     parse_prometheus,

@@ -51,7 +51,7 @@ class TestMemoryLayer:
         assert cache.stats()["hits"] == 1
 
     def test_lru_evicts_oldest(self):
-        cache = ResultCache(capacity=2)
+        cache = ResultCache(max_entries=2)
         specs = [
             SimJobSpec(network="MLP1", batch=b, **CHEAP)
             for b in (16, 32, 64)
@@ -63,7 +63,7 @@ class TestMemoryLayer:
         assert cache.get(specs[2]) is not None
 
     def test_lru_touch_on_get(self):
-        cache = ResultCache(capacity=2)
+        cache = ResultCache(max_entries=2)
         specs = [
             SimJobSpec(network="MLP1", batch=b, **CHEAP)
             for b in (16, 32, 64)
@@ -76,7 +76,7 @@ class TestMemoryLayer:
         assert cache.get(specs[1]) is None
 
     def test_capacity_zero_disables_memory(self, spec):
-        cache = ResultCache(capacity=0)
+        cache = ResultCache(max_entries=0)
         cache.put(spec, _fake_result(0.0))
         assert len(cache) == 0
 

@@ -224,11 +224,12 @@ class TestBoundedDefaultCache:
             with pytest.warns(UserWarning, match="REPRO_CACHE_MAX"):
                 assert _env_cache_max_entries() == DEFAULT_MAX_ENTRIES
 
-    def test_capacity_alias(self):
-        assert ResultCache(capacity=3).max_entries == 3
-        assert ResultCache(max_entries=3).capacity == 3
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=1, capacity=2)
+    def test_capacity_alias_removed(self):
+        """``max_entries`` is the one spelling of the memory bound."""
+        assert ResultCache(max_entries=3).max_entries == 3
+        assert "capacity" not in ResultCache().stats()
+        with pytest.raises(TypeError):
+            ResultCache(capacity=3)
         with pytest.raises(ValueError):
             ResultCache(max_entries=-1)
 

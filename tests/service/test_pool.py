@@ -182,6 +182,27 @@ class TestSubstrateMemoization:
         # One schedule per design in the set, not per job.
         assert len(runs) == len(CHEAP["designs"])
 
+    def test_exact_engine_spellings_share_one_model(self):
+        """``incremental``/``reference``/``columnar`` all select the
+        columnar loop: one substrate, one model — while each spelling
+        keeps its own content hash (cache keys never move)."""
+        pool.clear_model_cache()
+        specs = [
+            SimJobSpec(network="MLP1", engine=engine, **CHEAP)
+            for engine in ("incremental", "reference", "columnar")
+        ]
+        results = [pool.execute_spec(s).to_dict() for s in specs]
+        assert len(pool._MODELS) == 1
+        (model,) = pool._MODELS.values()
+        assert model.engine == "columnar"
+        assert results[0] == results[1] == results[2]
+        assert len({s.content_hash() for s in specs}) == 3
+        # The periodic engine keeps a model of its own.
+        pool.execute_spec(
+            SimJobSpec(network="MLP1", engine="periodic", **CHEAP)
+        )
+        assert len(pool._MODELS) == 2
+
     def test_validate_flag_reaches_the_model(self):
         pool.clear_model_cache()
         spec = SimJobSpec(network="MLP1", validate=False, **CHEAP)

@@ -310,6 +310,26 @@ class TestEngineField:
             == "periodic"
         )
 
+    @pytest.mark.parametrize(
+        "spelling", ["incremental", "reference", "columnar"]
+    )
+    def test_exact_spellings_resolve_to_columnar(self, spelling):
+        spec = SimJobSpec(network="MLP1", engine=spelling)
+        assert spec.engine == spelling  # the spelling itself is kept
+        assert spec.resolve().engine == "columnar"
+
+    def test_content_hashes_pinned(self):
+        """Cache keys must not move: on-disk caches and the benchmark
+        reference results are addressed by these digests."""
+        default = SimJobSpec(network="ResNet18")
+        periodic = SimJobSpec(network="ResNet18", engine="periodic")
+        assert default.content_hash() == (
+            "9ff214a698056c6ade83283ac85337a0caaa88944f05dd5f4e47cba3511bd1ef"
+        )
+        assert periodic.content_hash() == (
+            "ba5e5262313d7d4dcfc4c351881068d7ad3f8f090919e03e5799b123035eb4c7"
+        )
+
     def test_engines_produce_identical_results(self):
         from repro.service.pool import clear_model_cache, execute_spec
 

@@ -25,7 +25,7 @@ MOMENTUM = {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
 
 def _models(columns, **kwargs):
     inc = UpdatePhaseModel(
-        columns_per_stripe=columns, engine="incremental", **kwargs
+        columns_per_stripe=columns, engine="columnar", **kwargs
     )
     per = UpdatePhaseModel(
         columns_per_stripe=columns, engine="periodic", **kwargs
@@ -62,8 +62,8 @@ class TestProfileIdentity:
         _, per = _models(128)
         optimizer = build_optimizer("momentum_sgd", MOMENTUM)
         per.profile(DesignPoint.GRADPIM_BUFFERED, optimizer)
-        assert per.periodic_report["fast_path"] == 1
-        assert per.periodic_report["fallback"] == 0
+        assert per.report.fast_path == 1
+        assert per.report.fallback == 0
 
     def test_narrow_samples_fall_back(self):
         """A sample narrower than any warm rung has nothing to
@@ -75,7 +75,7 @@ class TestProfileIdentity:
             assert inc.profile(design, optimizer) == per.profile(
                 design, optimizer
             )
-        assert per.periodic_report["fast_path"] == 0
+        assert per.report.fast_path == 0
 
     def test_pinned_warm_width(self):
         inc, per_auto = _models(96)
