@@ -39,11 +39,20 @@ replay is below 10x over a cold run, when any equivalence check fails,
 or (with ``--baseline``) when a summary speedup regresses more than
 10% against the checked-in record — the CI benchmark job gates on this.
 
+Every design point is measured in :data:`PASSES` independent passes.
+Each summary speedup is the median of its per-pass values, and each
+row of the written record holds the median of every timing and ratio
+over the passes (its equivalence flags must hold in every pass). Both
+sides of the ``--baseline`` gate are medians, so one noisy pass on a
+shared host — in the run or in the checked-in record — neither fails
+nor passes the gate on its own.
+
 JSON schema (``BENCH_scheduler.json``)::
 
     {
       "benchmark": "scheduler",
       "quick": bool,
+      "passes": int,                        # measurement passes
       "timing": "<DDR grade>",
       "optimizer": "<name>",
       "precision": "<mix>",
@@ -78,7 +87,7 @@ JSON schema (``BENCH_scheduler.json``)::
         "columnar_warm_speedup": float,
         "columnar_valid": bool              # vectorized validator
       },
-      "summary": {
+      "summary": {                          # median over passes
         "min_run_speedup": float,
         "min_columnar_warm_speedup": float,
         "min_profile_speedup": float,
@@ -93,6 +102,7 @@ import argparse
 import gc
 import json
 import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -123,6 +133,10 @@ COLUMNAR_WARM_GATE = 10.0
 
 #: A summary speedup may not drop below this fraction of the baseline.
 BASELINE_TOLERANCE = 0.9
+
+#: Independent measurement passes behind every record; summaries and
+#: rows are medians over them, not the luckiest or unluckiest pass.
+PASSES = 3
 
 #: Summary metrics compared against ``--baseline`` (ratios, so they
 #: are stable across machines in a way absolute wall-clock times are
@@ -374,26 +388,49 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
+def median_rows(passes: list[list[dict]]) -> list[dict]:
+    """One row per measured point: the median of every timing and ratio
+    over ``passes``; an equivalence flag holds only if it held in every
+    pass."""
+    merged = []
+    for rows in zip(*passes):
+        row = dict(rows[0])
+        for key, value in row.items():
+            if isinstance(value, bool):
+                row[key] = all(r[key] for r in rows)
+            elif isinstance(value, float):
+                row[key] = statistics.median(r[key] for r in rows)
+        merged.append(row)
+    return merged
+
+
+def median_summary(passes: list[list[dict]]) -> dict:
+    """Each summary metric's median over the per-pass summaries."""
+    summaries = [summarize(rows) for rows in passes]
+    return {
+        key: statistics.median(s[key] for s in summaries)
+        for key in summaries[0]
+    }
+
+
 def check_baseline(
-    results: list[dict], baseline_text: str
+    summary: dict, windows: set, baseline_text: str
 ) -> list[str]:
     """Compare summary speedups against a checked-in record.
 
-    The baseline summary is recomputed over its rows at the windows
+    The baseline summary is recomputed over its rows at the ``windows``
     this run measured (profile speedups grow with the window, so a
     ``--quick`` run gates against the record's own window-16 rows).
     Returns a list of human-readable regression descriptions (empty
     when within tolerance). Ratios are compared, not wall-clock times,
     so records from different machines stay comparable.
     """
-    windows = {r["window"] for r in results}
     base_rows = [
         r for r in json.loads(baseline_text).get("results", [])
         if r["window"] in windows
     ]
     if not base_rows:
         return []
-    summary = summarize(results)
     base_summary = summarize(base_rows)
     regressions = []
     for key in BASELINE_METRICS:
@@ -407,6 +444,28 @@ def check_baseline(
                 f"{theirs:.2f} (baseline)"
             )
     return regressions
+
+
+def measure_pass(windows, repeats: int) -> list[dict]:
+    """One row per (design, window), each printed as it lands."""
+    rows = []
+    for design in DESIGNS:
+        for window in windows:
+            row = bench_design(design, window, repeats)
+            rows.append(row)
+            print(
+                f"{row['design']:12s} w={window:<3d} "
+                f"run {row['run_reference_s'] * 1e3:7.1f} -> "
+                f"{row['run_columnar_cold_s'] * 1e3:6.1f} ms "
+                f"(x{row['run_speedup']:4.1f})  "
+                f"warm x{row['columnar_warm_speedup']:5.1f}  "
+                f"periodic x{row['periodic_speedup']:4.1f}  "
+                f"profile x{row['profile_speedup']:4.1f}  "
+                f"identical={row['columnar_identical']}/"
+                f"{row['periodic_identical']}",
+                file=sys.stderr,
+            )
+    return rows
 
 
 def main(argv=None) -> int:
@@ -437,8 +496,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline", default=None, metavar="RECORD",
         help="checked-in BENCH_scheduler.json to gate against: fail on "
-             f"any summary speedup below {BASELINE_TOLERANCE:.0%} of "
-             "the recorded value",
+             f"any summary speedup, as the median of {PASSES} "
+             f"passes, below {BASELINE_TOLERANCE:.0%} of the recorded "
+             "value",
     )
     args = parser.parse_args(argv)
     windows = (16,) if args.quick else (8, 16, 32)
@@ -448,36 +508,25 @@ def main(argv=None) -> int:
     if args.baseline:
         baseline_record = Path(args.baseline).read_text()
 
-    results = []
-    for design in DESIGNS:
-        for window in windows:
-            row = bench_design(design, window, repeats)
-            results.append(row)
-            print(
-                f"{row['design']:12s} w={window:<3d} "
-                f"run {row['run_reference_s'] * 1e3:7.1f} -> "
-                f"{row['run_columnar_cold_s'] * 1e3:6.1f} ms "
-                f"(x{row['run_speedup']:4.1f})  "
-                f"warm x{row['columnar_warm_speedup']:5.1f}  "
-                f"periodic x{row['periodic_speedup']:4.1f}  "
-                f"profile x{row['profile_speedup']:4.1f}  "
-                f"identical={row['columnar_identical']}/"
-                f"{row['periodic_identical']}",
-                file=sys.stderr,
-            )
+    passes = []
+    for k in range(PASSES):
+        print(f"pass {k + 1}/{PASSES}", file=sys.stderr)
+        passes.append(measure_pass(windows, repeats))
+    results = median_rows(passes)
     fig9_ok = check_fig9_resnet()
     print(f"fig9 ResNet-18 byte-identical: {fig9_ok}", file=sys.stderr)
 
     payload = {
         "benchmark": "scheduler",
         "quick": args.quick,
+        "passes": PASSES,
         "timing": "DDR4-2133",
         "optimizer": OPTIMIZER[0],
         "precision": PRECISION_8_32.name,
         "columns_per_stripe": 32,
         "fig9_resnet_identical": fig9_ok,
         "results": results,
-        "summary": summarize(results),
+        "summary": median_summary(passes),
     }
     if args.large:
         large = bench_large(args.large_commands, window=16)
@@ -512,7 +561,9 @@ def main(argv=None) -> int:
     if baseline_record is not None:
         # Compare against the pre-read text: the output above may have
         # overwritten the baseline path.
-        regressions = check_baseline(results, baseline_record)
+        regressions = check_baseline(
+            payload["summary"], set(windows), baseline_record
+        )
         for item in regressions:
             print(f"BASELINE REGRESSION: {item}", file=sys.stderr)
         failures.extend(regressions)

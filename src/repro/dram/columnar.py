@@ -19,7 +19,7 @@ the periodic engine):
 
 * **Per-run preparation.** Everything the issue loop needs per command
   — kind codes, completion latencies, flat bank/group/rank/bus ids,
-  data-burst offsets, read/write flags, per-port queue links, initial
+  read/write flags, floor-table slots, per-port queue links, initial
   dependency refcounts — is derived from the columns with numpy in one
   shot at the start of a cold run, and dropped when the run ends. Only
   the schedule-independent statistics (per-kind counts, per-port
@@ -39,14 +39,26 @@ the periodic engine):
   across jobs, sweeps and figure harnesses.
 
 The cold loop keeps the machine state in flat Python lists (banks,
-bank groups, ranks and buses indexed by flat ids), caches each
-candidate's earliest feasible cycle until one of the machines it read
-changes (per-machine dirty lists), keeps per-port queues as
-index-linked lists, and stops a port's scan at the first candidate
-issuable at the port's own floor cycle (later candidates tie and lose
-on stream index). Exactness against the reference greedy loop kept in
-the test suite is enforced by golden and Hypothesis tests
-(``tests/dram/test_engine_equivalence.py``).
+bank groups and ranks indexed by flat ids) and per-port queues as
+index-linked lists. It caches work at three levels:
+
+* each candidate's bank / bank-group / dependency part of its earliest
+  cycle, until its bank or group changes (per-machine dirty lists;
+  ACTs also join their rank's list for the activation window);
+* the rank / data-bus part of RD and WR, in a floor table keyed by
+  (rank, read-or-write) and rewritten for the ranks on a bus whenever
+  a burst lands on it;
+* each port's scan result (best clamped cycle and its index). A scan
+  stops at the first candidate issuable at the port's own free cycle,
+  since later candidates tie and lose on stream index.
+
+Banks, bank groups and ranks each belong to one rank and so to one
+port: only the data bus and dependencies cross ports. A port's memo
+therefore goes stale only when the port issues, when one of its
+commands loses its last dependency, or when a burst lands on a bus the
+port has RD / WR commands on. Exactness against the reference greedy
+loop kept in the test suite is enforced by golden, hand-built and
+Hypothesis tests (``tests/dram/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -78,6 +90,13 @@ _INT_COL = 2
 _EXT_COL = 3
 _ALU = 4
 _OTHER = 5  # REF / MRW: no state machine constrains them
+
+# Cached-cycle encoding in the cold loop: ``_BLOCKED`` marks a candidate
+# that cannot issue until some other command does (closed or wrong row);
+# an RD / WR caches ``_RW_BASE - e`` (always below ``_BLOCKED``), so one
+# sign test sends only those two cases off the common path.
+_BLOCKED = -1
+_RW_BASE = -2
 
 
 def _kind_class(kind: CommandType) -> int:
@@ -414,10 +433,11 @@ class _Prepared:
     """
 
     __slots__ = (
-        "kc", "kidx", "lat", "bank_id", "group_id", "rank", "bus",
-        "row", "big", "bg", "doff", "isrd", "iswr", "ndeps", "optr",
-        "oidx", "heads", "tails", "nxt", "prv", "n_ports", "n_banks",
-        "n_groups", "n_ranks", "n_buses", "counts", "port_issued",
+        "kc", "lat", "bank_id", "group_id", "rank", "bus", "row",
+        "bg", "isrd", "iswr", "fkey", "port", "ndeps",
+        "optr", "oidx", "heads", "tails", "nxt", "prv", "n_ports",
+        "n_banks", "n_groups", "n_ranks", "bus_ranks", "bus_ports",
+        "counts", "port_issued",
     )
 
     def __init__(self, stream: ColumnarStream, timing, geometry,
@@ -429,7 +449,6 @@ class _Prepared:
         kind = stream.kind.astype(np.int64)
         kc_arr = _KC_TABLE[kind]
         self.kc = kc_arr.tolist()
-        self.kidx = kind.tolist()
         self.lat = _latency_table(timing)[kind].tolist()
         rank = stream.rank.astype(np.int64)
         bg = stream.bankgroup.astype(np.int64)
@@ -438,27 +457,38 @@ class _Prepared:
         self.bank_id = (gid * bpg + bank).tolist()
         self.group_id = gid.tolist()
         self.rank = rank.tolist()
-        self.bus = np.asarray(bus_ids, dtype=np.int64)[rank].tolist()
+        bus = np.asarray(bus_ids, dtype=np.int64)[rank]
+        self.bus = bus.tolist()
         self.row = stream.row.tolist()
-        self.big = bank.tolist()
         self.bg = bg.tolist()
-        self.doff = np.where(
-            kc_arr == _EXT_COL,
-            np.where(
-                kind == KIND_INDEX[CommandType.RD],
-                timing.tCL,
-                timing.tCWL,
-            ),
-            0,
-        ).tolist()
-        self.isrd = _ISRD_TABLE[kind].tolist()
+        isrd = _ISRD_TABLE[kind]
+        self.isrd = isrd.tolist()
         self.iswr = _ISWR_TABLE[kind].tolist()
+        # Rank/bus floor-table slot of an RD (2 * rank + 1) or WR
+        # (2 * rank); only RD / WR read it.
+        self.fkey = (2 * rank + isrd).tolist()
         self.ndeps = np.diff(stream.dep_indptr).tolist()
         self.optr = stream.out_indptr.tolist()
         self.oidx = stream.out_indices.tolist()
         # Per-port pending queues as index-linked lists in stream order.
         n_ports = issue_model.n_ports
         port = np.asarray(issue_model.port_of_rank, dtype=np.int64)[rank]
+        self.port = port.tolist()
+        n_buses = len(set(bus_ids))
+        self.bus_ranks = [
+            [r for r in range(n_ranks) if bus_ids[r] == b]
+            for b in range(n_buses)
+        ]
+        # Ports holding RD/WR on each bus: the only ports whose scans a
+        # burst on that bus can change besides the issuing port's own.
+        is_ext = kc_arr == _EXT_COL
+        ext_pairs = np.bincount(
+            bus[is_ext] * n_ports + port[is_ext],
+            minlength=n_buses * n_ports,
+        )
+        self.bus_ports = [[] for _ in range(n_buses)]
+        for pair in np.flatnonzero(ext_pairs).tolist():
+            self.bus_ports[pair // n_ports].append(pair % n_ports)
         heads = [-1] * n_ports
         tails = [-1] * n_ports
         nxt = np.full(n, -1, dtype=np.int64)
@@ -478,7 +508,6 @@ class _Prepared:
         self.n_banks = n_ranks * n_bg * bpg
         self.n_groups = n_ranks * n_bg
         self.n_ranks = n_ranks
-        self.n_buses = len(set(bus_ids))
         # Schedule-independent statistics: every command issues exactly
         # once, so per-kind counts and per-port totals are stream
         # properties, not schedule properties.
@@ -546,11 +575,32 @@ def _schedule_cold(
     :mod:`~repro.dram.bankgroup`, :mod:`~repro.dram.rank`,
     :mod:`~repro.dram.channel`) are flattened into plain lists indexed
     by the prepared flat ids, and their ``earliest`` / ``apply``
-    methods are inlined below.
+    methods are inlined below. A candidate's earliest cycle is the max
+    of three parts, each cached where it changes least often:
+
+    * the bank / bank-group / dependency part, cached per candidate
+      until its bank or group issues (ACTs also wait on their rank's
+      activation window, so they join the rank's dirty list too);
+    * the rank / data-bus part of RD and WR, one floor-table entry per
+      (rank, read-or-write), rewritten for every rank on a bus
+      whenever an RD or WR puts a burst on that bus;
+    * the issuing port's own free cycle.
+
+    Each port's scan result — its best clamped cycle and the index
+    holding it — is memoized until something it read changes. Banks,
+    groups and ranks belong to exactly one rank and so to exactly one
+    port: their changes only ever come from the port itself issuing.
+    Only the data bus and dependencies cross ports, so a port's memo
+    goes stale when it issues, when one of its commands' last
+    dependency completes, or when an RD / WR issues on a data bus the
+    port has RD / WR commands on. The global pick is the
+    (cycle, index) argmin over the port results — the same argmin as
+    one scan over every port's window. A one-port stream rescans its
+    only port after every issue anyway, so it skips the cross-port
+    marking.
     """
     n = len(prep.kc)
-    n_banks, n_groups = prep.n_banks, prep.n_groups
-    n_ranks, n_buses = prep.n_ranks, prep.n_buses
+    n_banks, n_groups, n_ranks = prep.n_banks, prep.n_groups, prep.n_ranks
 
     # Flattened machine state (the four state-machine classes' fields).
     CLOSED = -(1 << 62)  # "no open row" sentinel outside any row id
@@ -568,30 +618,29 @@ def _schedule_cold(
     r_lastact = [-1] * n_ranks
     r_lastgrp = [-1] * n_ranks
     r_actwin = [deque(maxlen=4) for _ in range(n_ranks)]
-    bus_busy = [0] * n_buses
-    bus_kind = [-1] * n_buses  # kind index, -1 == untouched bus
-    bus_rank = [-1] * n_buses
+    # Rank/bus floor of RD (slot 2r + 1) and WR (slot 2r) on rank r.
+    floor = [0] * (2 * n_ranks)
 
     # Dirty lists: candidates whose cached cycle must be recomputed
     # when the corresponding state machine changes.
     dirty_bank: list[list[int]] = [[] for _ in range(n_banks)]
     dirty_group: list[list[int]] = [[] for _ in range(n_groups)]
     dirty_rank: list[list[int]] = [[] for _ in range(n_ranks)]
-    dirty_bus: list[list[int]] = [[] for _ in range(n_buses)]
 
     kind_code = prep.kc
-    kidx = prep.kidx
     latency = prep.lat
     bank_id = prep.bank_id
     group_id = prep.group_id
     rank_arr = prep.rank
     bus_arr = prep.bus
     row_arr = prep.row
-    bank_in_group = prep.big
     bg_arr = prep.bg
-    data_off = prep.doff
     is_read = prep.isrd
     is_write = prep.iswr
+    fkey = prep.fkey
+    port_of = prep.port
+    bus_ranks = prep.bus_ranks
+    bus_ports = prep.bus_ports
     optr = prep.optr
     oidx = prep.oidx
     ndeps = prep.ndeps
@@ -600,13 +649,18 @@ def _schedule_cold(
     heads = prep.heads
     tails = prep.tails
     n_ports = prep.n_ports
+    multi = n_ports > 1
 
     dep_ready = [0] * n
-    cached_e = [0] * n
-    fresh = bytearray(n)
+    cached_e: list = [None] * n  # None: recompute on the next visit
     completion = [0] * n
     issue = [-1] * n
     port_free = [0] * n_ports
+
+    INF = 1 << 62
+    memo_e = [INF] * n_ports
+    memo_i = [-1] * n_ports
+    stale = bytearray(b"\x01") * n_ports
 
     t = timing
     tRRD_L, tRRD_S, tFAW = t.tRRD_L, t.tRRD_S, t.tFAW
@@ -614,20 +668,37 @@ def _schedule_cold(
     tBURST, tCCD_L, tCCD_S = t.tBURST, t.tCCD_L, t.tCCD_S
     tWTR_L, tWTR_S, tPIM = t.tWTR_L, t.tWTR_S, t.tPIM
     tCWL = t.tCWL
-    rank_switch = t.rank_switch_penalty
+    # Floor offsets from an RD/WR's issue cycle to the next RD and WR
+    # on its bus: (RD same rank, WR same rank, RD other rank, WR other
+    # rank), indexed by whether the issuing command is an RD. A burst
+    # occupies the bus until issue + data offset + tBURST; the next one
+    # waits out a turnaround on a direction change and the rank-switch
+    # bubble on a rank change, whichever is longer.
+    data_off = (tCWL, t.tCL)  # indexed by is-RD
+    floor_off = []
+    for last_rd in (0, 1):
+        busy = data_off[last_rd] + tBURST
+        offsets = []
+        for other_rank in (False, True):
+            for next_rd in (1, 0):
+                gap = 0 if next_rd == last_rd else TURNAROUND_GAP
+                if other_rank and t.rank_switch_penalty > gap:
+                    gap = t.rank_switch_penalty
+                offsets.append(busy + gap - data_off[next_rd])
+        floor_off.append(tuple(offsets))
+
     remaining = n
     ports_range = range(n_ports)
-
-    INF = 1 << 62
+    best_port = 0
     while remaining:
-        best_e = INF
-        best_idx = -1
-        best_port = -1
         for port in ports_range:
-            node = heads[port]
-            if node < 0:
+            if not stale[port]:
                 continue
+            stale[port] = 0
             pf = port_free[port]
+            pe = INF
+            pi = -1
+            node = heads[port]
             steps = window
             while node >= 0 and steps:
                 i = node
@@ -635,16 +706,15 @@ def _schedule_cold(
                 steps -= 1
                 if ndeps[i]:
                     continue
-                if fresh[i]:
-                    e = cached_e[i]
-                else:
+                e = cached_e[i]
+                if e is None:
                     kc = kind_code[i]
                     e = dep_ready[i]
                     if kc == _INT_COL or kc == _EXT_COL:
                         bid = bank_id[i]
                         gid = group_id[i]
                         if b_open[bid] != row_arr[i]:
-                            e = -1  # closed or different row
+                            e = _BLOCKED  # closed or different row
                         else:
                             v = b_col[bid]
                             if v > e:
@@ -660,37 +730,14 @@ def _schedule_cold(
                                 if v > e:
                                     e = v
                             if kc == _EXT_COL:
-                                rid = rank_arr[i]
-                                v = r_ext[rid]
-                                if v > e:
-                                    e = v
-                                if is_read[i]:
-                                    v = r_wtr[rid]
-                                    if v > e:
-                                        e = v
-                                bi = bus_arr[i]
-                                lk = bus_kind[bi]
-                                gap = 0
-                                if lk >= 0:
-                                    if lk != kidx[i]:
-                                        gap = TURNAROUND_GAP
-                                    if (
-                                        bus_rank[bi] != rid
-                                        and rank_switch > gap
-                                    ):
-                                        gap = rank_switch
-                                v = bus_busy[bi] + gap - data_off[i]
-                                if v > e:
-                                    e = v
-                                dirty_rank[rid].append(i)
-                                dirty_bus[bi].append(i)
+                                e = _RW_BASE - e
                         dirty_bank[bid].append(i)
                         dirty_group[gid].append(i)
                     elif kc == _ACT:
                         bid = bank_id[i]
                         rid = rank_arr[i]
                         if b_open[bid] != CLOSED:
-                            e = -1
+                            e = _BLOCKED
                         else:
                             v = b_act[bid]
                             if v > e:
@@ -714,7 +761,7 @@ def _schedule_cold(
                     elif kc == _PRE:
                         bid = bank_id[i]
                         if b_open[bid] == CLOSED:
-                            e = -1
+                            e = _BLOCKED
                         elif b_pre[bid] > e:
                             e = b_pre[bid]
                         dirty_bank[bid].append(i)
@@ -730,15 +777,34 @@ def _schedule_cold(
                         dirty_group[gid].append(i)
                     # _OTHER: dep_ready alone constrains it.
                     cached_e[i] = e
-                    fresh[i] = 1
                 if e < 0:
-                    continue  # structurally blocked: deps unblock later
+                    if e == _BLOCKED:
+                        continue  # structurally blocked: deps unblock later
+                    e = _RW_BASE - e  # RD / WR: add the rank/bus floor
+                    v = floor[fkey[i]]
+                    if v > e:
+                        e = v
                 if e < pf:
                     e = pf
-                if e < best_e or (e == best_e and i < best_idx):
-                    best_e, best_idx, best_port = e, i, port
-                if e == pf:
-                    break
+                if e < pe:
+                    pe = e
+                    pi = i
+                    if e == pf:
+                        break  # later candidates tie and lose on index
+            memo_e[port] = pe
+            memo_i[port] = pi
+        if multi:
+            best_e = INF
+            best_idx = -1
+            for port in ports_range:
+                e = memo_e[port]
+                if e < best_e or (e == best_e and memo_i[port] < best_idx):
+                    best_e = e
+                    best_idx = memo_i[port]
+                    best_port = port
+        else:
+            best_e = memo_e[0]
+            best_idx = memo_i[0]
         if best_idx < 0:
             raise SimulationError(
                 "deadlock: no pending command is issuable "
@@ -786,16 +852,30 @@ def _schedule_cold(
                     v = cycle + tCWL + tBURST + tWTR_S
                     if v > r_wtr[rid]:
                         r_wtr[rid] = v
+                rd_same, wr_same, rd_other, wr_other = floor_off[
+                    is_read[i]
+                ]
                 bi = bus_arr[i]
-                bus_busy[bi] = cycle + data_off[i] + tBURST
-                bus_kind[bi] = kidx[i]
-                bus_rank[bi] = rid
-                flushes = (
-                    dirty_bank[bid],
-                    dirty_group[gid],
-                    dirty_rank[rid],
-                    dirty_bus[bi],
-                )
+                for r in bus_ranks[bi]:
+                    if r == rid:
+                        rd_f = cycle + rd_same
+                        wr_f = cycle + wr_same
+                    else:
+                        rd_f = cycle + rd_other
+                        wr_f = cycle + wr_other
+                    v = r_ext[r]
+                    if v > wr_f:
+                        wr_f = v
+                    if v > rd_f:
+                        rd_f = v
+                    v = r_wtr[r]
+                    if v > rd_f:
+                        rd_f = v
+                    floor[2 * r] = wr_f
+                    floor[2 * r + 1] = rd_f
+                if multi:
+                    for p in bus_ports[bi]:
+                        stale[p] = 1
         elif kc == _ACT:
             bid = bank_id[i]
             rid = rank_arr[i]
@@ -822,9 +902,10 @@ def _schedule_cold(
         for lst in flushes:
             if lst:
                 for j in lst:
-                    fresh[j] = 0
+                    cached_e[j] = None
                 del lst[:]
         port_free[best_port] = cycle + 1
+        stale[best_port] = 1
 
         p, q = prv[i], nxt[i]
         if p >= 0:
@@ -837,9 +918,18 @@ def _schedule_cold(
             tails[best_port] = p
 
         remaining -= 1
-        for j in oidx[optr[i]:optr[i + 1]]:
-            ndeps[j] -= 1
-            if comp > dep_ready[j]:
-                dep_ready[j] = comp
+        if multi:
+            for j in oidx[optr[i]:optr[i + 1]]:
+                left = ndeps[j] - 1
+                ndeps[j] = left
+                if comp > dep_ready[j]:
+                    dep_ready[j] = comp
+                if not left:
+                    stale[port_of[j]] = 1
+        else:
+            for j in oidx[optr[i]:optr[i + 1]]:
+                ndeps[j] -= 1
+                if comp > dep_ready[j]:
+                    dep_ready[j] = comp
 
     return issue, (max(completion) if n else 0)

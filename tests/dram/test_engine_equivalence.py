@@ -14,7 +14,9 @@ structural precondition. These tests enforce the contract four ways:
 * Hypothesis property tests over random synthetic (but structurally
   legal) command streams with random backward dependencies, single-
   and multi-channel — window-limited deadlocks included;
-* a hand-built deadlock.
+* hand-built streams: a deadlock, and the two couplings between issue
+  ports (a burst on a shared data bus, a dependency released from
+  another port) that the columnar loop's per-port scan memo must see.
 
 They also pin the ``run()`` API contract the engines share: caller
 commands are never mutated, re-scheduling is deterministic, and a
@@ -199,6 +201,101 @@ class TestRunContract:
         only on the job surface."""
         with pytest.raises(ConfigError):
             CommandScheduler(T, GEOM, engine=engine)
+
+
+class TestCrossPortInvalidation:
+    """Hand-built streams for the two couplings that cross issue ports.
+
+    The columnar loop memoizes each port's scan until something it read
+    changes. A burst on a shared data bus and a completed cross-port
+    dependency are the only changes a port can see from another port's
+    issue; each case here fails fast if that invalidation is lost.
+    """
+
+    @staticmethod
+    def _rw_on_ranks(ranks, kinds):
+        """One ACT per rank, then the column accesses round-robin."""
+        commands = [
+            Command(CommandType.ACT, rank=r, row=0) for r in ranks
+        ]
+        for k, kind in enumerate(kinds):
+            slot = k % len(ranks)
+            commands.append(
+                Command(
+                    kind, rank=ranks[slot], row=0, col=k, deps=(slot,)
+                )
+            )
+        return commands
+
+    @pytest.mark.parametrize("scope,ranks", [
+        ("channel", (0, 2)),
+        ("dimm", (0, 1)),
+    ])
+    @pytest.mark.parametrize("kinds", [
+        (CommandType.RD, CommandType.RD),
+        (CommandType.RD, CommandType.WR),
+        (CommandType.WR, CommandType.RD),
+        (CommandType.WR, CommandType.WR, CommandType.RD, CommandType.RD,
+         CommandType.WR, CommandType.RD),
+    ])
+    def test_burst_on_shared_bus_delays_the_other_port(
+        self, scope, ranks, kinds
+    ):
+        commands = self._rw_on_ranks(ranks, kinds)
+        ref = _assert_equivalent(
+            commands,
+            issue_model=IssueModel.buffered(GEOM.ranks),
+            data_bus_scope=scope,
+        )
+        cycles = ref.issue_cycles()
+        # Both rows open at the same cycle on separate ports: only the
+        # shared bus holds the second rank's first access back.
+        assert cycles[0] == cycles[1]
+        assert cycles[len(ranks) + 1] > cycles[1] + T.tRCD
+
+    @pytest.mark.parametrize("window", [1, 2, 16])
+    @pytest.mark.parametrize("late_tail", [False, True])
+    def test_dependency_released_across_ports(self, window, late_tail):
+        """Rank 1's head waits on the end of a rank-0 ALU chain. While
+        it waits, rank 1's port has nothing to offer (its window is the
+        head alone, or its other commands issue around it) or, with
+        ``late_tail``, only a PRE held until tRAS, later than the
+        release. Either way the release is the only event that can
+        bring rank 1's port back to its head."""
+        commands = [Command(CommandType.PIM_ADD, rank=0)]
+        for _ in range(5):
+            commands.append(
+                Command(
+                    CommandType.PIM_ADD, rank=0,
+                    deps=(len(commands) - 1,),
+                )
+            )
+        waiter = len(commands)
+        commands.append(
+            Command(CommandType.PIM_ADD, rank=1, deps=(waiter - 1,))
+        )
+        if late_tail:
+            commands += [
+                Command(CommandType.ACT, rank=1, bankgroup=1, row=0),
+                Command(
+                    CommandType.PRE, rank=1, bankgroup=1, row=0,
+                    deps=(waiter + 1,),
+                ),
+            ]
+        else:
+            commands += [
+                Command(CommandType.PIM_ADD, rank=1, bankgroup=bg)
+                for bg in (1, 2, 3)
+            ]
+        ref = _assert_equivalent(
+            commands,
+            issue_model=IssueModel.buffered(GEOM.ranks),
+            window=window,
+        )
+        cycles = ref.issue_cycles()
+        assert cycles[waiter] == cycles[waiter - 1] + T.tPIM
+        if late_tail:
+            assert cycles[waiter] < cycles[-1]
 
 
 class TestDeadlock:
