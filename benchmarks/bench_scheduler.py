@@ -82,7 +82,8 @@ JSON schema (``BENCH_scheduler.json``)::
       "large": {                            # only with --large
         "design": "<design point>",
         "n_commands": int, "reps": int,
-        "build_columnar_s": float, "columnar_nbytes": int,
+        "build_columnar_s": float,          # tiled columnar build
+        "columnar_nbytes": int,
         "run_columnar_cold_s": float, "run_columnar_warm_s": float,
         "columnar_warm_speedup": float,
         "columnar_valid": bool              # vectorized validator
@@ -107,9 +108,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from _record import write_record
-from repro.dram.columnar import ColumnarStream
-from repro.dram.commands import Command
+from repro.dram.columnar import ColumnarStream, tile_block
 from repro.dram.scheduler import CommandScheduler
 from repro.dram.validator import validate_trace_columnar
 from repro.errors import TimingViolation
@@ -265,33 +267,43 @@ def bench_design(design, window: int, repeats: int) -> dict:
     }
 
 
-def tile_commands(commands: list[Command], reps: int) -> list[Command]:
+#: Columns a tiled copy repeats (everything but the dependency CSR).
+_TILED_COLUMNS = (
+    "kind", "rank", "bankgroup", "bank", "row", "col", "channel",
+    "scale_id", "dst_reg", "src_reg", "position", "issue_cycle",
+)
+
+
+def tile_stream(seed: ColumnarStream, reps: int) -> ColumnarStream:
     """Tile a valid stream ``reps`` times with block-shifted deps.
 
-    Each copy is internally identical to the original, with its
-    dependency indices offset into its own block, so the tiled stream
-    is schedulable whenever the original is (later copies' ACTs are
-    structurally blocked on the open row until the earlier copy's
-    final PRE closes it, which serializes copies per bank without ever
-    deadlocking).
+    Uses the generators' columnar block tiler
+    (:func:`repro.dram.columnar.tile_block`): each copy is internally
+    identical to the original, with every dependency index offset into
+    its own block, so the tiled stream is schedulable whenever the
+    original is (later copies' ACTs are structurally blocked on the
+    open row until the earlier copy's final PRE closes it, which
+    serializes copies per bank without ever deadlocking). Tags and
+    scaler payloads are left off: scheduling never reads them.
     """
-    big = list(commands)
-    base = len(commands)
-    for k in range(1, reps):
-        off = k * base
-        for c in commands:
-            big.append(
-                Command(
-                    c.kind, rank=c.rank, bankgroup=c.bankgroup,
-                    bank=c.bank, row=c.row, col=c.col,
-                    channel=c.channel, scale_id=c.scale_id,
-                    dst_reg=c.dst_reg, src_reg=c.src_reg,
-                    position=c.position,
-                    deps=tuple(d + off for d in c.deps),
-                    tag=c.tag, scaler=c.scaler,
-                )
-            )
-    return big
+    block = np.stack(
+        [getattr(seed, name).astype(np.int64) for name in _TILED_COLUMNS],
+        axis=1,
+    )
+    counts = np.diff(seed.dep_indptr)
+    rows, t_counts, t_deps = tile_block(
+        block, np.zeros_like(block), counts, seed.dep_indices,
+        np.full(len(seed.dep_indices), seed.n), reps - 1,
+    )
+    rows = np.concatenate([block, rows])
+    counts = np.concatenate([counts, t_counts])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return ColumnarStream(
+        **{name: rows[:, i] for i, name in enumerate(_TILED_COLUMNS)},
+        dep_indptr=indptr,
+        dep_indices=np.concatenate([seed.dep_indices, t_deps]),
+    )
 
 
 def bench_large(target: int, window: int) -> dict:
@@ -306,24 +318,22 @@ def bench_large(target: int, window: int) -> dict:
     config = DESIGNS[design]
     optimizer = build_optimizer(*OPTIMIZER)
     model = UpdatePhaseModel(window=window)
-    seed_cmds, _, _, _period, _art = model._build_stream(
+    _, _, _, _period, art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
-    reps = max(1, target // len(seed_cmds))
-    commands = tile_commands(seed_cmds, reps)
+    seed = art.columnar
+    reps = max(1, target // seed.n)
 
     t0 = time.perf_counter()
-    stream = ColumnarStream.from_commands(commands)
+    stream = tile_stream(seed, reps)
     build_col_s = time.perf_counter() - t0
 
     substrate = _substrate(model, config, window)
     columnar = CommandScheduler(engine="columnar", **substrate)
     t0 = time.perf_counter()
-    result = columnar.run(commands, columnar=stream)
+    result = columnar.run(stream)
     run_cold = time.perf_counter() - t0
-    run_warm = _best_of(
-        lambda: columnar.run(commands, columnar=stream), 3
-    )
+    run_warm = _best_of(lambda: columnar.run(stream), 3)
     try:
         validate_trace_columnar(
             result.columnar, model.timing, model.geometry,
@@ -336,7 +346,7 @@ def bench_large(target: int, window: int) -> dict:
         valid = False
     return {
         "design": design.value,
-        "n_commands": len(commands),
+        "n_commands": stream.n,
         "reps": reps,
         "build_columnar_s": build_col_s,
         "columnar_nbytes": stream.nbytes,
@@ -533,6 +543,7 @@ def main(argv=None) -> int:
         payload["large"] = large
         print(
             f"large {large['n_commands']} commands: "
+            f"tiled build {large['build_columnar_s']:.2f}s, "
             f"columnar cold {large['run_columnar_cold_s']:.2f}s, "
             f"warm {large['run_columnar_warm_s'] * 1e3:.0f}ms "
             f"(x{large['columnar_warm_speedup']:.1f}), "

@@ -33,6 +33,7 @@ request path.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -271,7 +272,14 @@ class ClusterRouter(ThreadingHTTPServer):
                 dict(exc.headers),
                 exc.read().decode("utf-8", errors="replace"),
             )
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
+        except (
+            urllib.error.URLError,
+            OSError,
+            TimeoutError,
+            # A shard dying mid-response (``IncompleteRead``) is a
+            # transport failure like a reset connection.
+            http.client.HTTPException,
+        ) as exc:
             raise _ForwardError(str(exc))
 
     def _shard_failed(self, shard_id: str) -> None:

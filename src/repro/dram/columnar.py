@@ -8,9 +8,15 @@ lossless: :meth:`ColumnarStream.from_commands` /
 :meth:`ColumnarStream.to_commands` round-trip every
 :class:`~repro.dram.commands.Command` field byte-identically, including
 dependency tuples (order and duplicates preserved), tags and scaler
-payloads. Kernel generators attach the columnar form to their stream
-artifacts (see :class:`repro.kernels.artifact.CommandStreamArtifact`),
-so the hot path never re-derives it.
+payloads. Kernel generators attach the columnar form: they emit
+straight into it through a :class:`StreamBuilder` (per-command integer
+rows, a flat CSR dependency list, :class:`TagCodes` instead of tag
+strings) and tile the periodic body of a sampled stream with
+:func:`tile_block`, so their artifacts hold the stream from
+construction and ``artifact.commands`` is only a view that
+:meth:`ColumnarStream.to_commands` materializes on first read (see
+:class:`repro.kernels.artifact.CommandStreamArtifact`). The hot path
+never builds ``Command`` objects.
 
 :func:`schedule_columnar` is the simulator's one exact greedy FR-FCFS
 loop (``engine="columnar"`` in
@@ -148,16 +154,20 @@ class ColumnarStream:
 
     Columns are frozen at construction (``writeable=False``): a stream
     is a value, and freezing is what makes the issue-cycle memo sound
-    without re-hashing content. ``tags`` / ``scalers`` are kept as plain
-    lists (or ``None`` when the whole stream carries none) purely for
-    lossless round-tripping; no hot path reads them.
+    without re-hashing content. ``tags`` / ``scalers`` exist purely for
+    lossless round-tripping (no hot path reads them): ``tags`` is a
+    plain list, or ``None`` when the whole stream carries none, given
+    either as strings or as :class:`TagCodes` rendered on each read;
+    ``scalers`` is stored sparsely (index -> payload) and read back as
+    a list the same way.
     """
 
     __slots__ = (
         "n", "kind", "rank", "bankgroup", "bank", "row", "col",
         "channel", "scale_id", "dst_reg", "src_reg", "position",
         "issue_cycle", "dep_indptr", "dep_indices", "out_indptr",
-        "out_indices", "tags", "scalers", "_memo", "_structure_ok",
+        "out_indices", "_tags", "_tag_codes", "_scalers", "_memo",
+        "_structure_ok",
     )
 
     #: Bound on memoized schedules kept per stream (FIFO eviction) —
@@ -182,8 +192,8 @@ class ColumnarStream:
         issue_cycle: np.ndarray,
         dep_indptr: np.ndarray,
         dep_indices: np.ndarray,
-        tags: Optional[list] = None,
-        scalers: Optional[list] = None,
+        tags: "Optional[list | TagCodes]" = None,
+        scalers: Optional[dict[int, object]] = None,
     ) -> None:
         self.n = int(len(kind))
         self.kind = _freeze(np.asarray(kind, dtype=np.int16))
@@ -203,10 +213,32 @@ class ColumnarStream:
         out_indptr, out_indices = self._transpose_deps()
         self.out_indptr = _freeze(out_indptr)
         self.out_indices = _freeze(out_indices)
-        self.tags = tags
-        self.scalers = scalers
+        if isinstance(tags, TagCodes):
+            self._tags, self._tag_codes = None, tags
+        else:
+            self._tags, self._tag_codes = tags, None
+        self._scalers = scalers or None
         self._memo: dict = {}
         self._structure_ok: set = set()
+
+    @property
+    def tags(self) -> Optional[list]:
+        """Per-command tag strings (``None`` when the stream has none).
+        Encoded tags are rendered on every read and never kept."""
+        if self._tag_codes is not None:
+            return self._tag_codes.decode()
+        return self._tags
+
+    @property
+    def scalers(self) -> Optional[list]:
+        """Per-command scaler payloads (``None`` when the stream has
+        none)."""
+        if self._scalers is None:
+            return None
+        out = [None] * self.n
+        for i, value in self._scalers.items():
+            out[i] = value
+        return out
 
     # ------------------------------------------------------------------
     def _transpose_deps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +280,7 @@ class ColumnarStream:
         dep_indptr = [0] * (n + 1)
         dep_indices: list[int] = []
         tags: Optional[list] = None
-        scalers: Optional[list] = None
+        scalers: dict[int, object] = {}
         kind_index = KIND_INDEX
         for i, cmd in enumerate(commands):
             kind[i] = kind_index[cmd.kind]
@@ -272,8 +304,6 @@ class ColumnarStream:
                     tags = [None] * n
                 tags[i] = cmd.tag
             if cmd.scaler is not None:
-                if scalers is None:
-                    scalers = [None] * n
                 scalers[i] = cmd.scaler
         return cls(
             kind=np.array(kind, dtype=np.int16),
@@ -321,7 +351,7 @@ class ColumnarStream:
         indptr = self.dep_indptr.tolist()
         indices = self.dep_indices.tolist()
         tags = self.tags
-        scalers = self.scalers
+        scalers = self._scalers or {}
         kind_order = KIND_ORDER
         out: list[Command] = []
         append = out.append
@@ -340,7 +370,7 @@ class ColumnarStream:
             cmd.position = positions[i]
             cmd.deps = tuple(indices[indptr[i]:indptr[i + 1]])
             cmd.tag = tags[i] if tags is not None else None
-            cmd.scaler = scalers[i] if scalers is not None else None
+            cmd.scaler = scalers.get(i)
             cmd.issue_cycle = cycles[i]
             append(cmd)
         return out
@@ -402,6 +432,234 @@ class ColumnarStream:
         self._memo[key] = value
         while len(self._memo) > self.CACHE_MAX:
             self._memo.pop(next(iter(self._memo)))
+
+
+class TagCodes:
+    """Command tags encoded without per-command string formatting.
+
+    A template table of ``(prefix, nargs)`` pairs plus three integer
+    columns: template id (``-1`` = no tag) and two arguments. Template
+    ``(prefix, 0)`` renders as ``prefix``, ``(prefix, 1)`` as
+    ``prefix + str(a)`` and ``(prefix, 2)`` as ``prefix + str(a) + ":"
+    + str(b)``. Kernel generators emit tags this way, so tag strings
+    exist only once someone reads :attr:`ColumnarStream.tags`.
+    """
+
+    __slots__ = ("templates", "ids", "a", "b")
+
+    def __init__(self, templates, ids, a, b) -> None:
+        self.templates = tuple(templates)
+        self.ids = _freeze(np.asarray(ids, dtype=np.int32))
+        self.a = _freeze(np.asarray(a, dtype=np.int32))
+        self.b = _freeze(np.asarray(b, dtype=np.int32))
+
+    def decode(self) -> Optional[list]:
+        """The tag strings (``None`` when no command carries a tag)."""
+        if not len(self.ids) or int(self.ids.max()) < 0:
+            return None
+        templates = self.templates
+        out: list = []
+        append = out.append
+        for t, a, b in zip(
+            self.ids.tolist(), self.a.tolist(), self.b.tolist()
+        ):
+            if t < 0:
+                append(None)
+                continue
+            prefix, nargs = templates[t]
+            if nargs == 0:
+                append(prefix)
+            elif nargs == 1:
+                append(f"{prefix}{a}")
+            else:
+                append(f"{prefix}{a}:{b}")
+        return out
+
+
+#: Per-command integer fields of a :class:`StreamBuilder` row, in order
+#: (the last three are the :class:`TagCodes` columns).
+BUILD_FIELDS = (
+    "kind", "rank", "bankgroup", "bank", "row", "col", "scale_id",
+    "dst_reg", "src_reg", "position", "tag", "tag_a", "tag_b",
+)
+
+#: Fields a periodic block may advance from one copy to the next (the
+#: column address and the column-valued tag arguments); every other
+#: field must repeat exactly.
+_AFFINE_FIELDS = frozenset({"col", "tag_a", "tag_b"})
+_FIXED_FIELD_MASK = np.array(
+    [name not in _AFFINE_FIELDS for name in BUILD_FIELDS]
+)
+
+
+def tile_block(
+    block: np.ndarray,
+    step: np.ndarray,
+    dep_counts: np.ndarray,
+    dep_indices: np.ndarray,
+    dep_step: np.ndarray,
+    copies: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies ``1..copies`` of one block of commands, as new rows.
+
+    ``block`` holds one row of integer fields per command and ``step``
+    the per-position advance per copy (copy ``k`` is ``block + k *
+    step``). The block's dependencies are CSR-shaped (``dep_counts``
+    per command, flat ``dep_indices``); copy ``k`` of a dependency is
+    ``index + k * dep_step`` (``dep_step`` is 0 for a dependency on a
+    command before the periodic region, the block length for one that
+    moves with the block). Returns ``(rows, dep_counts, dep_indices)``
+    of all copies, in stream order.
+    """
+    k = np.arange(1, copies + 1, dtype=np.int64)
+    rows = (block[None] + k[:, None, None] * step[None]).reshape(
+        -1, block.shape[1]
+    )
+    indices = (
+        dep_indices[None] + k[:, None] * dep_step[None]
+    ).reshape(-1)
+    return rows, np.tile(dep_counts, copies), indices
+
+
+class StreamBuilder:
+    """An append-only command stream built straight into columns.
+
+    Kernel generators emit through a builder instead of building
+    :class:`~repro.dram.commands.Command` objects: :meth:`append` takes
+    one row of :data:`BUILD_FIELDS` plus the command's dependency
+    indices, and :meth:`tile` repeats the stream's last periodic block
+    with numpy. :meth:`build` returns the frozen :class:`ColumnarStream`
+    (channel 0, unscheduled).
+    """
+
+    def __init__(self) -> None:
+        self.n = 0
+        self._rows: list[tuple] = []  # pending scalar rows
+        self._counts: list[int] = []  # pending dependency counts
+        self._deps: list[int] = []  # pending dependency indices
+        self._mat = np.zeros((0, len(BUILD_FIELDS)), dtype=np.int64)
+        self._dep_counts = np.zeros(0, dtype=np.int64)
+        self._dep_indices = np.zeros(0, dtype=np.int64)
+        self._scalers: dict[int, object] = {}
+        self._templates: list[tuple[str, int]] = []
+        self._template_ids: dict[tuple[str, int], int] = {}
+
+    def template(self, prefix: str, nargs: int = 0) -> int:
+        """Id of a tag template (see :class:`TagCodes`)."""
+        key = (prefix, nargs)
+        tid = self._template_ids.get(key)
+        if tid is None:
+            tid = self._template_ids[key] = len(self._templates)
+            self._templates.append(key)
+        return tid
+
+    def append(self, row: tuple, deps) -> int:
+        """Append one command; returns its index."""
+        index = self.n
+        self._rows.append(row)
+        self._counts.append(len(deps))
+        self._deps.extend(deps)
+        self.n = index + 1
+        return index
+
+    def set_scaler(self, index: int, value) -> None:
+        """Attach a scaler payload (an MRW's program) to a command."""
+        self._scalers[index] = value
+
+    def _flush(self) -> None:
+        if self._rows:
+            self._mat = np.concatenate(
+                [self._mat, np.array(self._rows, dtype=np.int64)]
+            )
+            self._dep_counts = np.concatenate(
+                [self._dep_counts, np.array(self._counts, dtype=np.int64)]
+            )
+            self._dep_indices = np.concatenate(
+                [self._dep_indices, np.array(self._deps, dtype=np.int64)]
+            )
+            self._rows, self._counts, self._deps = [], [], []
+
+    def columns(self, start: int, end: int) -> np.ndarray:
+        """Rows ``start..end`` as an ``(n, len(BUILD_FIELDS))`` array."""
+        self._flush()
+        return self._mat[start:end]
+
+    def tile(self, start: int, span: int, copies: int) -> bool:
+        """Repeat a periodic block ``copies`` more times.
+
+        The stream must end with two consecutive blocks of ``span``
+        commands starting at ``start``. Their difference gives the
+        per-position step of every field and dependency; the tile goes
+        ahead only if that difference has the shape a periodic body
+        has: fields other than the column address repeat exactly,
+        every dependency either repeats (it points before the periodic
+        region) or moves by exactly ``span``, all repeating ones point
+        below all moving ones, and no command carries a scaler.
+        Returns whether it tiled.
+        """
+        self._flush()
+        mid, end = start + span, start + 2 * span
+        if end != self.n or start < 0:
+            return False
+        if any(start <= i for i in self._scalers):
+            return False
+        first = self._mat[start:mid]
+        second = self._mat[mid:end]
+        step = second - first
+        if step[:, _FIXED_FIELD_MASK].any():
+            return False
+        counts = self._dep_counts[start:mid]
+        if not np.array_equal(counts, self._dep_counts[mid:end]):
+            return False
+        offsets = np.concatenate([[0], np.cumsum(self._dep_counts)])
+        a_deps = self._dep_indices[offsets[start]:offsets[mid]]
+        b_deps = self._dep_indices[offsets[mid]:offsets[end]]
+        moved = b_deps - a_deps
+        fixed = moved == 0
+        if not (fixed | (moved == span)).all():
+            return False
+        if fixed.any() and not fixed.all():
+            if a_deps[fixed].max() >= a_deps[~fixed].min():
+                return False
+        rows, t_counts, t_deps = tile_block(
+            second, step, counts, b_deps,
+            np.where(fixed, 0, span), copies,
+        )
+        self._mat = np.concatenate([self._mat, rows])
+        self._dep_counts = np.concatenate([self._dep_counts, t_counts])
+        self._dep_indices = np.concatenate([self._dep_indices, t_deps])
+        self.n += copies * span
+        return True
+
+    def build(self) -> "ColumnarStream":
+        """The finished stream."""
+        self._flush()
+        mat = self._mat
+        n = self.n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._dep_counts, out=indptr[1:])
+        field = {name: mat[:, i] for i, name in enumerate(BUILD_FIELDS)}
+        return ColumnarStream(
+            kind=field["kind"],
+            rank=field["rank"],
+            bankgroup=field["bankgroup"],
+            bank=field["bank"],
+            row=field["row"],
+            col=field["col"],
+            channel=np.zeros(n, dtype=np.int32),
+            scale_id=field["scale_id"],
+            dst_reg=field["dst_reg"],
+            src_reg=field["src_reg"],
+            position=field["position"],
+            issue_cycle=np.full(n, -1, dtype=np.int64),
+            dep_indptr=indptr,
+            dep_indices=self._dep_indices,
+            tags=TagCodes(
+                self._templates, field["tag"], field["tag_a"],
+                field["tag_b"],
+            ),
+            scalers=dict(self._scalers),
+        )
 
 
 class ColumnarSchedule:

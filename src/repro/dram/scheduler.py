@@ -265,12 +265,16 @@ class CommandScheduler:
     # ------------------------------------------------------------------
     def run(
         self,
-        commands: Sequence[Command],
+        commands: "Sequence[Command] | ColumnarStream",
         dependents: Optional[Sequence[Sequence[int]]] = None,
         period: Optional[StreamPeriod] = None,
         columnar: Optional[ColumnarStream] = None,
     ) -> ScheduleResult:
         """Schedule ``commands`` and return the annotated result.
+
+        ``commands`` is a ``Command`` sequence or a
+        :class:`~repro.dram.columnar.ColumnarStream`; the columnar loop
+        schedules a stream as is, the other paths materialize it.
 
         Dependencies must point backwards (``dep < index``); forward or
         self references raise :class:`SimulationError`. The caller's
@@ -292,6 +296,8 @@ class CommandScheduler:
         The columnar loop builds it from ``commands`` when absent.
         """
         geom = self.geometry
+        if isinstance(commands, ColumnarStream) and columnar is None:
+            columnar = commands
         steady = (
             self.engine == "periodic"
             and period is not None
@@ -304,6 +310,8 @@ class CommandScheduler:
                     reason="no-period-metadata", simulated=len(commands)
                 )
             return result
+        if isinstance(commands, ColumnarStream):
+            commands = commands.to_commands()
         _check_structure(commands, geom)
         copies = [_fresh_copy(cmd) for cmd in commands]
         periodic = None

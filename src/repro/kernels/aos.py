@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dram.commands import Command, CommandType
+from repro.dram.columnar import KIND_INDEX, ColumnarStream
+from repro.dram.commands import CommandType
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
 from repro.dram.steady import SegmentRecorder, StreamPeriod
 from repro.errors import CompileError
-from repro.kernels.artifact import CommandStreamArtifact
+from repro.kernels.artifact import CommandStreamArtifact, SweepEmitter
 from repro.optim.base import Lincomb, Mul, RsqrtMul, UpdateRecipe
 from repro.optim.precision import PrecisionConfig, PRECISION_8_32
 
@@ -42,10 +43,11 @@ LANE_MARSHALLING_OPS = 2
 class AoSKernel(CommandStreamArtifact):
     """A generated AoS update stream.
 
-    ``dependents`` and ``columnar`` (the cached scheduling views) come
-    from :class:`~repro.kernels.artifact.CommandStreamArtifact`."""
+    ``commands``, ``dependents`` and ``columnar`` (the views of
+    ``stream``) come from
+    :class:`~repro.kernels.artifact.CommandStreamArtifact`."""
 
-    commands: list[Command]
+    stream: ColumnarStream
     params_per_column: int
     n_columns: int  # per unit
     n_units: int
@@ -57,10 +59,6 @@ class AoSKernel(CommandStreamArtifact):
     @property
     def total_params(self) -> int:
         return self.params_per_column * self.n_columns * self.n_units
-
-    @property
-    def total_commands(self) -> int:
-        return len(self.commands)
 
 
 def structure_bytes(optimizer, precision: PrecisionConfig) -> int:
@@ -132,80 +130,86 @@ class AoSKernelGenerator:
             for bank in banks
         ]
 
-        commands: list[Command] = []
-        acts: dict[tuple[int, int, int], int] = {}
-        # last ALU index per (unit, reg): the WAR edge for reloading.
-        reg_last: dict[tuple[tuple[int, int, int], int], int] = {}
-        accesses: dict[tuple[int, int, int], list[int]] = {
-            u: [] for u in units
-        }
-
+        emitter = _AoSEmitter(
+            geom, SegmentRecorder(columns=columns_per_unit), n_alu
+        )
         for unit in units:
-            rank, bg, bank = unit
-            commands.append(
-                Command(
-                    CommandType.ACT, rank=rank, bankgroup=bg, bank=bank,
-                    row=0, tag="act",
-                )
-            )
-            acts[unit] = len(commands) - 1
-
-        recorder = SegmentRecorder(columns=columns_per_unit)
-        recorder.begin(1, len(commands))
-        for col in range(columns_per_unit):
-            recorder.sweep(len(commands))
+            emitter.open_unit(unit)
+        emitter.begin_segment(1)
+        for (col,) in emitter.sweeps(list(range(columns_per_unit)), 1):
             for unit in units:
-                rank, bg, bank = unit
-                reg = col % 2
-                deps = [acts[unit]]
-                if (unit, reg) in reg_last:
-                    deps.append(reg_last[(unit, reg)])
-                commands.append(
-                    Command(
-                        CommandType.SCALED_READ,
-                        rank=rank, bankgroup=bg, bank=bank,
-                        row=0, col=col, dst_reg=reg,
-                        deps=tuple(deps), tag=f"sr:{col}",
-                    )
-                )
-                accesses[unit].append(len(commands) - 1)
-                prev = len(commands) - 1
-                for a in range(n_alu):
-                    commands.append(
-                        Command(
-                            CommandType.PIM_ADD,
-                            rank=rank, bankgroup=bg, bank=bank,
-                            dst_reg=reg, src_reg=reg,
-                            deps=(prev,), tag=f"alu:{col}:{a}",
-                        )
-                    )
-                    prev = len(commands) - 1
-                commands.append(
-                    Command(
-                        CommandType.WRITEBACK,
-                        rank=rank, bankgroup=bg, bank=bank,
-                        row=0, col=col, src_reg=reg,
-                        deps=(prev, acts[unit]), tag=f"wb:{col}",
-                    )
-                )
-                accesses[unit].append(len(commands) - 1)
-                reg_last[(unit, reg)] = len(commands) - 1
-
-        recorder.end(len(commands))
-        for unit in units:
-            rank, bg, bank = unit
-            commands.append(
-                Command(
-                    CommandType.PRE, rank=rank, bankgroup=bg, bank=bank,
-                    row=0, deps=tuple(accesses[unit]), tag="pre-final",
-                )
-            )
+                emitter.column(unit, col)
+        emitter.close_all_rows()
+        stream, period = emitter.finish()
 
         return AoSKernel(
-            commands=commands,
+            stream=stream,
             params_per_column=params_per_col,
             n_columns=columns_per_unit,
             n_units=len(units),
             structure_bytes=struct,
-            period=recorder.finish(len(commands)),
+            period=period,
         )
+
+
+_SCALED_READ = KIND_INDEX[CommandType.SCALED_READ]
+_PIM_ADD = KIND_INDEX[CommandType.PIM_ADD]
+_WRITEBACK = KIND_INDEX[CommandType.WRITEBACK]
+
+
+class _AoSEmitter(SweepEmitter):
+    """Per-unit structure-column kernels; one sweep is one column on
+    every unit. Consecutive columns alternate temporary registers."""
+
+    def __init__(self, geometry, recorder, n_alu: int) -> None:
+        super().__init__(geometry, recorder)
+        self.n_alu = n_alu
+        # Last writeback per (unit, reg): the WAR edge for reloading.
+        self._reg_last: dict[tuple[tuple[int, int, int], int], int] = {}
+        self._tag_sr = self.out.template("sr:", 1)
+        self._tag_alu = self.out.template("alu:", 2)
+        self._tag_wb = self.out.template("wb:", 1)
+
+    def open_unit(self, unit: tuple[int, int, int]) -> None:
+        """Activate the unit's row (every unit streams row 0)."""
+        self._open_row(*unit, 0)
+
+    def column(self, unit: tuple[int, int, int], col: int) -> None:
+        rank, bg, bank = unit
+        reg = col % 2
+        act = self._rows[unit][2]
+        deps = [act]
+        if (unit, reg) in self._reg_last:
+            deps.append(self._reg_last[(unit, reg)])
+        out = self.out
+        prev = out.append(
+            (_SCALED_READ, rank, bg, bank, 0, col, 0, reg, 0, 0,
+             self._tag_sr, col, 0),
+            tuple(deps),
+        )
+        self._record_access(unit, prev)
+        for a in range(self.n_alu):
+            prev = out.append(
+                (_PIM_ADD, rank, bg, bank, 0, 0, 0, reg, reg, 0,
+                 self._tag_alu, col, a),
+                (prev,),
+            )
+        wb = out.append(
+            (_WRITEBACK, rank, bg, bank, 0, col, 0, 0, reg, 0,
+             self._tag_wb, col, 0),
+            (prev, act),
+        )
+        self._record_access(unit, wb)
+        self._reg_last[(unit, reg)] = wb
+
+    def _fingerprint(self, column_base: int) -> tuple[tuple, list[int]]:
+        rows, indices = super()._fingerprint(column_base)
+        keys = sorted(self._reg_last)
+        indices.extend(self._reg_last[k] for k in keys)
+        # The register the next column loads is part of the state.
+        return (rows, tuple(keys), column_base % 2), indices
+
+    def _shift(self, move, columns: int) -> None:
+        super()._shift(move, columns)
+        for k in self._reg_last:
+            self._reg_last[k] = move(self._reg_last[k])

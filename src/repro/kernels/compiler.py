@@ -27,11 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dram.commands import Command, CommandType, QUANT_REG
+from repro.dram.columnar import KIND_INDEX, ColumnarStream
+from repro.dram.commands import CommandType, QUANT_REG
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
 from repro.dram.steady import SegmentRecorder, StreamPeriod
 from repro.errors import CompileError
-from repro.kernels.artifact import CommandStreamArtifact
+from repro.kernels.artifact import (
+    CommandStreamArtifact,
+    SweepEmitter,
+    round_robin,
+)
 from repro.kernels.layout import UpdateLayout, ColumnCoords
 from repro.optim.base import (
     Lincomb,
@@ -85,10 +90,11 @@ GRAD_ACCUMULATE = _GradAccumulateRecipe()
 class CompiledKernel(CommandStreamArtifact):
     """A lowered update kernel plus metadata for analytical scaling.
 
-    ``dependents`` and ``columnar`` (the cached scheduling views) come
-    from :class:`~repro.kernels.artifact.CommandStreamArtifact`."""
+    ``commands``, ``dependents`` and ``columnar`` (the views of
+    ``stream``) come from
+    :class:`~repro.kernels.artifact.CommandStreamArtifact`."""
 
-    commands: list[Command]
+    stream: ColumnarStream
     layout: UpdateLayout
     pass_slots: tuple[dict[float, int], ...]  # per-pass coef -> slot
     precision: PrecisionConfig
@@ -99,10 +105,6 @@ class CompiledKernel(CommandStreamArtifact):
     #: consumed by the ``"periodic"`` scheduler engine. ``None`` for
     #: full-array (``n_params``) compilations.
     period: Optional[StreamPeriod] = None
-
-    @property
-    def total_commands(self) -> int:
-        return len(self.commands)
 
     def commands_per_hp_column(self) -> float:
         """Average commands per high-precision column."""
@@ -231,33 +233,30 @@ class UpdateKernelCompiler:
         )
         fuse = fuse_quantize and not precision.is_full
         if not precision.is_full:
-            state.phase = "dequantize"
+            state.set_phase("dequantize")
             self._emit_dequantize(state, precision, columns)
-        state.phase = "update"
+        state.set_phase("update")
         self._emit_update(
             state, recipe, columns, pass_slots,
             precision if fuse else None,
         )
         if not precision.is_full and not fuse:
-            state.phase = "quantize"
+            state.set_phase("quantize")
             state.end_segment()
             state.set_slots({1.0: 0})
             self._emit_quantize(state, precision, columns)
         if close_rows:
             state.close_all_rows()
 
+        stream, period = state.finish()
         return CompiledKernel(
-            commands=state.commands,
+            stream=stream,
             layout=layout,
             pass_slots=pass_slots,
             precision=precision,
             n_hp_columns=sum(len(c) for c in columns),
             phase_counts=state.phase_counts,
-            period=(
-                recorder.finish(len(state.commands))
-                if recorder is not None
-                else None
-            ),
+            period=period,
         )
 
     # ------------------------------------------------------------------
@@ -362,19 +361,16 @@ class UpdateKernelCompiler:
         ratio = precision.ratio
         stride = len(columns)
         state.begin_segment(ratio)
-        for pos2, (stripe, hp_cols) in enumerate(
-            _round_robin(columns, ratio)
-        ):
-            if pos2 % stride == 0:
-                state.mark_sweep()
-            lp_col = hp_cols[0] // ratio
-            load = state.emit_qreg_load("q_grad", lp_col)
-            for pos, j in enumerate(hp_cols):
-                reg = pos % 2
-                state.emit_dequant(
-                    "grad", j, position=pos, dst_reg=reg, qreg_dep=load
-                )
-                state.emit_writeback("grad", j, reg)
+        for sweep in state.sweeps(round_robin(columns, ratio), stride):
+            for stripe, hp_cols in sweep:
+                lp_col = hp_cols[0] // ratio
+                load = state.emit_qreg_load("q_grad", lp_col)
+                for pos, j in enumerate(hp_cols):
+                    reg = pos % 2
+                    state.emit_dequant(
+                        "grad", j, position=pos, dst_reg=reg, qreg_dep=load
+                    )
+                    state.emit_writeback("grad", j, reg)
 
     def _emit_update(
         self,
@@ -399,26 +395,23 @@ class UpdateKernelCompiler:
             )
             stride = len(columns) * group
             state.begin_segment(group)
-            for pos2, (stripe, hp_cols) in enumerate(
-                _round_robin(columns, 1)
-            ):
-                if pos2 % stride == 0:
-                    state.mark_sweep()
-                j = hp_cols[0]
-                theta_reg = self._lower_pass_column(state, p, stripe, j)
-                if final and fused_precision is not None:
-                    if theta_reg is None:
-                        raise CompileError(
-                            "fuse_quantize requires the final pass to "
-                            "compute theta"
+            for sweep in state.sweeps(round_robin(columns, 1), stride):
+                for stripe, hp_cols in sweep:
+                    j = hp_cols[0]
+                    theta_reg = self._lower_pass_column(state, p, stripe, j)
+                    if final and fused_precision is not None:
+                        if theta_reg is None:
+                            raise CompileError(
+                                "fuse_quantize requires the final pass "
+                                "to compute theta"
+                            )
+                        ratio = fused_precision.ratio
+                        pos = j % ratio
+                        state.emit_quant(
+                            stripe, src_reg=theta_reg, position=pos, col=j
                         )
-                    ratio = fused_precision.ratio
-                    pos = j % ratio
-                    state.emit_quant(
-                        stripe, src_reg=theta_reg, position=pos, col=j
-                    )
-                    if pos == ratio - 1:
-                        state.emit_qreg_store("q_theta", j // ratio)
+                        if pos == ratio - 1:
+                            state.emit_qreg_store("q_theta", j // ratio)
 
     def _lower_pass_column(
         self, state: "_EmitState", p: UpdatePass, stripe: int, j: int
@@ -521,48 +514,41 @@ class UpdateKernelCompiler:
         ratio = precision.ratio
         stride = len(columns)
         state.begin_segment(ratio)
-        for pos2, (stripe, hp_cols) in enumerate(
-            _round_robin(columns, ratio)
-        ):
-            if pos2 % stride == 0:
-                state.mark_sweep()
-            lp_col = hp_cols[0] // ratio
-            for pos, j in enumerate(hp_cols):
-                reg = pos % 2
-                state.emit_scaled_read("theta", j, 1.0, reg)
-                state.emit_quant(stripe, src_reg=reg, position=pos, col=j)
-            state.emit_qreg_store("q_theta", lp_col)
+        for sweep in state.sweeps(round_robin(columns, ratio), stride):
+            for stripe, hp_cols in sweep:
+                lp_col = hp_cols[0] // ratio
+                for pos, j in enumerate(hp_cols):
+                    reg = pos % 2
+                    state.emit_scaled_read("theta", j, 1.0, reg)
+                    state.emit_quant(
+                        stripe, src_reg=reg, position=pos, col=j
+                    )
+                state.emit_qreg_store("q_theta", lp_col)
 
 
 # ----------------------------------------------------------------------
-def _round_robin(
-    columns: list[list[int]], group: int
-) -> list[tuple[int, list[int]]]:
-    """Interleave per-stripe column lists in chunks of ``group``.
-
-    Returns (stripe, [hp columns]) pairs so consecutive entries target
-    different stripes — the controller's per-bank-group queues.
-    """
-    out: list[tuple[int, list[int]]] = []
-    position = [0] * len(columns)
-    remaining = sum(len(c) for c in columns)
-    while remaining:
-        progressed = False
-        for s, cols in enumerate(columns):
-            p = position[s]
-            if p >= len(cols):
-                continue
-            chunk = cols[p : p + group]
-            position[s] = p + len(chunk)
-            remaining -= len(chunk)
-            out.append((s, chunk))
-            progressed = True
-        if not progressed:  # pragma: no cover - defensive
-            raise CompileError("round-robin failed to make progress")
-    return out
+_MRW = KIND_INDEX[CommandType.MRW]
+_SCALED_READ = KIND_INDEX[CommandType.SCALED_READ]
+_WRITEBACK = KIND_INDEX[CommandType.WRITEBACK]
+_QREG_LOAD = KIND_INDEX[CommandType.QREG_LOAD]
+_QREG_STORE = KIND_INDEX[CommandType.QREG_STORE]
+_PIM_QUANT = KIND_INDEX[CommandType.PIM_QUANT]
+_PIM_DEQUANT = KIND_INDEX[CommandType.PIM_DEQUANT]
+_ALU_LABEL = {kind: kind.value.lower() for kind in CommandType}
 
 
-class _EmitState:
+def _shift_content(content: Optional[tuple], columns: int):
+    """A register content tag with its column value moved by
+    ``columns``."""
+    if content is None:
+        return None
+    if content[0] == "tmp":
+        label, col = content[1]
+        return ("tmp", (label, col + columns))
+    return content[:2] + (content[2] + columns,) + content[3:]
+
+
+class _EmitState(SweepEmitter):
     """Mutable emission context shared by the phase emitters."""
 
     def __init__(
@@ -571,27 +557,47 @@ class _EmitState:
         layout: UpdateLayout,
         recorder: Optional[SegmentRecorder] = None,
     ) -> None:
-        self.geometry = geometry
+        super().__init__(geometry, recorder)
         self.layout = layout
-        self.recorder = recorder
         self.slots: dict[float, int] = {1.0: 0}
-        self.commands: list[Command] = []
-        self.phase = "setup"
-        self.phase_counts: dict[str, int] = {}
+        # (phase, first command index) in emission order.
+        self._phases: list[tuple[str, int]] = [("setup", 0)]
         self._regs: dict[int, _RegAllocator] = {}
         # Quantization-register hazard tracking, per stripe: the last
         # whole-register barrier (load/store) and commands touching the
         # register since.
         self._qreg_barrier: dict[int, int] = {}
         self._qreg_users: dict[int, list[int]] = {}
-        # (rank, bg, bank) -> [open_row, [access indices], act_index]
-        self._rows: dict[tuple[int, int, int], list] = {}
         # MRW tracking: programmed (rank, slot) -> coefficient, the MRW
         # barrier per rank, and the last scaled read per rank (the MRW
         # must not overtake reads using the previous program).
         self._programmed: dict[tuple[int, int], float] = {}
         self._mrw_dep: dict[int, int] = {}
         self._last_sr: dict[int, int] = {}
+        self._tags: dict[tuple[str, str], int] = {}
+
+    def set_phase(self, phase: str) -> None:
+        """Attribute the commands emitted from here on to ``phase``."""
+        self._phases.append((phase, self.out.n))
+
+    @property
+    def phase_counts(self) -> dict[str, int]:
+        """Commands per phase (phases that emitted none are absent)."""
+        counts: dict[str, int] = {}
+        marks = self._phases + [("", self.out.n)]
+        for (phase, start), (_, end) in zip(marks, marks[1:]):
+            if end > start:
+                counts[phase] = counts.get(phase, 0) + end - start
+        return counts
+
+    def _tag(self, label: str, array: str = "") -> int:
+        """Template id of the tag ``label:array:<arg>`` (``label:<arg>``
+        without an array); formatted once per stream."""
+        tag = self._tags.get((label, array))
+        if tag is None:
+            prefix = f"{label}:{array}:" if array else f"{label}:"
+            tag = self._tags[(label, array)] = self.out.template(prefix, 1)
+        return tag
 
     def set_slots(self, slot_map: dict[float, int]) -> None:
         """Install a pass's scaler program, emitting MRW commands for
@@ -607,37 +613,55 @@ class _EmitState:
                 deps = []
                 if rank in self._last_sr:
                     deps.append(self._last_sr[rank])
-                index = self._append(
-                    Command(
-                        CommandType.MRW,
-                        rank=rank,
-                        scale_id=slot,
-                        scaler=ScalerValue.approximate(coef),
-                        deps=tuple(deps),
-                        tag=f"mrw:{slot}",
-                    )
+                index = self.out.append(
+                    (_MRW, rank, 0, 0, 0, 0, slot, 0, 0, 0,
+                     self._tag("mrw"), slot, 0),
+                    tuple(deps),
                 )
+                self.out.set_scaler(index, ScalerValue.approximate(coef))
                 self._programmed[(rank, slot)] = coef
                 self._mrw_dep[rank] = index
         self.slots = slot_map
 
-    # -- period metadata ---------------------------------------------------
-    def begin_segment(self, columns_per_sweep: int) -> None:
-        """Open a periodic phase body for the sweep recorder."""
-        if self.recorder is not None:
-            self.recorder.begin(columns_per_sweep, len(self.commands))
+    # -- sweep tiling ------------------------------------------------------
+    def _fingerprint(self, column_base: int) -> tuple[tuple, list[int]]:
+        rows, indices = super()._fingerprint(column_base)
+        structure = [rows]
+        for stripe in sorted(self._regs):
+            regs = self._regs[stripe]
+            structure.append((
+                stripe,
+                tuple(_shift_content(c, -column_base) for c in regs.content),
+                tuple(len(r) for r in regs.last_readers),
+            ))
+            indices.extend(regs.last_writer)
+            for readers in regs.last_readers:
+                indices.extend(readers)
+        for table in (self._qreg_barrier, self._mrw_dep, self._last_sr):
+            keys = sorted(table)
+            structure.append(tuple(keys))
+            indices.extend(table[k] for k in keys)
+        users = sorted(self._qreg_users)
+        structure.append(tuple((k, len(self._qreg_users[k])) for k in users))
+        for k in users:
+            indices.extend(self._qreg_users[k])
+        structure.append(tuple(sorted(self.slots.items())))
+        structure.append(tuple(sorted(self._programmed.items())))
+        return tuple(structure), indices
 
-    def end_segment(self) -> None:
-        """Close the open phase body (inter-phase commands — scaler
-        MRWs — belong to the next segment's prologue, not the previous
-        segment's final sweep)."""
-        if self.recorder is not None:
-            self.recorder.end(len(self.commands))
-
-    def mark_sweep(self) -> None:
-        """Record a sweep boundary (one round-robin pass over stripes)."""
-        if self.recorder is not None:
-            self.recorder.sweep(len(self.commands))
+    def _shift(self, move, columns: int) -> None:
+        super()._shift(move, columns)
+        for regs in self._regs.values():
+            regs.content = [_shift_content(c, columns) for c in regs.content]
+            regs.last_writer = [move(v) for v in regs.last_writer]
+            regs.last_readers = [
+                [move(v) for v in readers] for readers in regs.last_readers
+            ]
+        for table in (self._qreg_barrier, self._mrw_dep, self._last_sr):
+            for k in table:
+                table[k] = move(table[k])
+        for k, users in self._qreg_users.items():
+            self._qreg_users[k] = [move(v) for v in users]
 
     # -- helpers ---------------------------------------------------------
     def regs(self, stripe: int) -> _RegAllocator:
@@ -650,52 +674,24 @@ class _EmitState:
     def _stripe_of(self, coords: ColumnCoords) -> int:
         return coords.rank * self.geometry.bankgroups + coords.bankgroup
 
-    def _append(self, cmd: Command) -> int:
-        index = len(self.commands)
-        self.commands.append(cmd)
-        self.phase_counts[self.phase] = (
-            self.phase_counts.get(self.phase, 0) + 1
+    def _access(self, kind: int, coords: ColumnCoords, deps: list[int],
+                tag: int, arg: int, scale_id: int = 0, dst_reg: int = 0,
+                src_reg: int = 0) -> int:
+        """Append a column access on ``coords``; records it on its row."""
+        index = self.out.append(
+            (kind, coords.rank, coords.bankgroup, coords.bank, coords.row,
+             coords.col, scale_id, dst_reg, src_reg, 0, tag, arg, 0),
+            tuple(dict.fromkeys(deps)),
+        )
+        self._record_access(
+            (coords.rank, coords.bankgroup, coords.bank), index
         )
         return index
 
-    def _open_row(self, coords: ColumnCoords) -> list[int]:
-        """Ensure (bank, row) open; returns deps for the column access."""
-        key = (coords.rank, coords.bankgroup, coords.bank)
-        entry = self._rows.get(key)
-        deps: list[int] = []
-        if entry is not None:
-            open_row, accesses, act_index = entry
-            if open_row == coords.row:
-                return [act_index]
-            pre = self._append(
-                Command(
-                    CommandType.PRE,
-                    rank=coords.rank,
-                    bankgroup=coords.bankgroup,
-                    bank=coords.bank,
-                    row=open_row,
-                    deps=tuple(accesses) if accesses else (act_index,),
-                    tag="pre",
-                )
-            )
-            deps.append(pre)
-        act = self._append(
-            Command(
-                CommandType.ACT,
-                rank=coords.rank,
-                bankgroup=coords.bankgroup,
-                bank=coords.bank,
-                row=coords.row,
-                deps=tuple(deps),
-                tag="act",
-            )
+    def _open(self, coords: ColumnCoords) -> list[int]:
+        return self._open_row(
+            coords.rank, coords.bankgroup, coords.bank, coords.row
         )
-        self._rows[key] = [coords.row, [], act]
-        return [act]
-
-    def _record_access(self, coords: ColumnCoords, index: int) -> None:
-        key = (coords.rank, coords.bankgroup, coords.bank)
-        self._rows[key][1].append(index)
 
     def _qreg_touch(self, stripe: int, index: int) -> list[int]:
         """Deps for a command reading/writing part of the qreg."""
@@ -719,33 +715,20 @@ class _EmitState:
         coords = self.layout.hp_coords(array, j)
         stripe = self._stripe_of(coords)
         slot = self._slot_for(coef)
-        deps = self._open_row(coords)
+        deps = self._open(coords)
         if slot != 0 and coords.rank in self._mrw_dep:
             deps.append(self._mrw_dep[coords.rank])
         regs = self.regs(stripe)
-        index = len(self.commands)
+        index = self.out.n
         content = (
             ("val", array, j) if coef == 1.0 else ("scaled", array, j, coef)
         )
         deps.extend(regs.write(dst_reg, content, index))
         self._last_sr[coords.rank] = index
-        real = self._append(
-            Command(
-                CommandType.SCALED_READ,
-                rank=coords.rank,
-                bankgroup=coords.bankgroup,
-                bank=coords.bank,
-                row=coords.row,
-                col=coords.col,
-                scale_id=slot,
-                dst_reg=dst_reg,
-                deps=tuple(dict.fromkeys(deps)),
-                tag=f"sr:{array}:{j}",
-            )
+        return self._access(
+            _SCALED_READ, coords, deps, self._tag("sr", array), j,
+            scale_id=slot, dst_reg=dst_reg,
         )
-        assert real == index
-        self._record_access(coords, real)
-        return real
 
     def _slot_for(self, coef: float) -> int:
         slot = self.slots.get(coef)
@@ -765,52 +748,32 @@ class _EmitState:
     ) -> int:
         """Emit an add/sub/mul/rsqrt over the temporary registers."""
         regs = self.regs(stripe)
-        index = len(self.commands)
+        index = self.out.n
         deps = list(regs.read(dst, index))
         if other != dst:
             deps.extend(regs.read(other, index))
         deps.extend(regs.write(dst, ("tmp", (kind.value, col)), index))
-        rank, bg = stripe // self.geometry.bankgroups, (
-            stripe % self.geometry.bankgroups
+        rank, bg = divmod(stripe, self.geometry.bankgroups)
+        return self.out.append(
+            (KIND_INDEX[kind], rank, bg, 0, 0, 0, 0, dst, other, 0,
+             self._tag(_ALU_LABEL[kind]), col, 0),
+            tuple(dict.fromkeys(deps)),
         )
-        real = self._append(
-            Command(
-                kind,
-                rank=rank,
-                bankgroup=bg,
-                dst_reg=dst,
-                src_reg=other,
-                deps=tuple(dict.fromkeys(deps)),
-                tag=f"{kind.value.lower()}:{col}",
-            )
-        )
-        assert real == index
-        return real
 
     def emit_quant(
         self, stripe: int, src_reg: int, position: int, col: int
     ) -> int:
         """PIM_QUANT: read a temp register, fill one qreg position."""
         regs = self.regs(stripe)
-        index = len(self.commands)
+        index = self.out.n
         deps = list(regs.read(src_reg, index))
         deps.extend(self._qreg_touch(stripe, index))
-        rank, bg = stripe // self.geometry.bankgroups, (
-            stripe % self.geometry.bankgroups
+        rank, bg = divmod(stripe, self.geometry.bankgroups)
+        return self.out.append(
+            (_PIM_QUANT, rank, bg, 0, 0, 0, 0, 0, src_reg, position,
+             self._tag("quant"), col, 0),
+            tuple(dict.fromkeys(deps)),
         )
-        real = self._append(
-            Command(
-                CommandType.PIM_QUANT,
-                rank=rank,
-                bankgroup=bg,
-                src_reg=src_reg,
-                position=position,
-                deps=tuple(dict.fromkeys(deps)),
-                tag=f"quant:{col}",
-            )
-        )
-        assert real == index
-        return real
 
     def emit_dequant(
         self, array: str, j: int, position: int, dst_reg: int, qreg_dep: int
@@ -819,113 +782,52 @@ class _EmitState:
         coords = self.layout.hp_coords(array, j)
         stripe = self._stripe_of(coords)
         regs = self.regs(stripe)
-        index = len(self.commands)
+        index = self.out.n
         deps = [qreg_dep]
         deps.extend(self._qreg_touch(stripe, index))
         deps.extend(regs.write(dst_reg, ("tmp", ("deq", j)), index))
-        rank, bg = coords.rank, coords.bankgroup
-        real = self._append(
-            Command(
-                CommandType.PIM_DEQUANT,
-                rank=rank,
-                bankgroup=bg,
-                dst_reg=dst_reg,
-                position=position,
-                deps=tuple(dict.fromkeys(deps)),
-                tag=f"deq:{j}",
-            )
+        return self.out.append(
+            (_PIM_DEQUANT, coords.rank, coords.bankgroup, 0, 0, 0, 0,
+             dst_reg, 0, position, self._tag("deq"), j, 0),
+            tuple(dict.fromkeys(deps)),
         )
-        assert real == index
-        return real
 
     def emit_writeback(self, array: str, j: int, src_reg: int) -> int:
         coords = self.layout.hp_coords(array, j)
         stripe = self._stripe_of(coords)
         regs = self.regs(stripe)
-        deps = self._open_row(coords)
-        index = len(self.commands)
+        deps = self._open(coords)
+        index = self.out.n
         deps.extend(regs.read(src_reg, index))
-        real = self._append(
-            Command(
-                CommandType.WRITEBACK,
-                rank=coords.rank,
-                bankgroup=coords.bankgroup,
-                bank=coords.bank,
-                row=coords.row,
-                col=coords.col,
-                src_reg=src_reg,
-                deps=tuple(dict.fromkeys(deps)),
-                tag=f"wb:{array}:{j}",
-            )
+        return self._access(
+            _WRITEBACK, coords, deps, self._tag("wb", array), j,
+            src_reg=src_reg,
         )
-        assert real == index
-        self._record_access(coords, real)
-        return real
 
     def emit_qreg_load(self, array: str, lp_col: int) -> int:
         coords = self.layout.lp_coords(array, lp_col)
         stripe = self._stripe_of(coords)
-        deps = self._open_row(coords)
-        index = len(self.commands)
+        deps = self._open(coords)
+        index = self.out.n
         deps.extend(self._qreg_barrier_deps(stripe, index))
-        real = self._append(
-            Command(
-                CommandType.QREG_LOAD,
-                rank=coords.rank,
-                bankgroup=coords.bankgroup,
-                bank=coords.bank,
-                row=coords.row,
-                col=coords.col,
-                dst_reg=QUANT_REG,
-                deps=tuple(dict.fromkeys(deps)),
-                tag=f"ql:{array}:{lp_col}",
-            )
+        return self._access(
+            _QREG_LOAD, coords, deps, self._tag("ql", array), lp_col,
+            dst_reg=QUANT_REG,
         )
-        assert real == index
-        self._record_access(coords, real)
-        return real
 
     def emit_qreg_store(self, array: str, lp_col: int) -> int:
         coords = self.layout.lp_coords(array, lp_col)
         stripe = self._stripe_of(coords)
-        deps = self._open_row(coords)
-        index = len(self.commands)
+        deps = self._open(coords)
+        index = self.out.n
         deps.extend(self._qreg_barrier_deps(stripe, index))
-        real = self._append(
-            Command(
-                CommandType.QREG_STORE,
-                rank=coords.rank,
-                bankgroup=coords.bankgroup,
-                bank=coords.bank,
-                row=coords.row,
-                col=coords.col,
-                src_reg=QUANT_REG,
-                deps=tuple(dict.fromkeys(deps)),
-                tag=f"qs:{array}:{lp_col}",
-            )
+        return self._access(
+            _QREG_STORE, coords, deps, self._tag("qs", array), lp_col,
+            src_reg=QUANT_REG,
         )
-        assert real == index
-        self._record_access(coords, real)
-        return real
 
     # -- finalization ------------------------------------------------------
     def close_all_rows(self) -> None:
         """Close every open row (pairing each ACT with a PRE)."""
-        self.phase = "row-close"
-        if self.recorder is not None:
-            self.recorder.end(len(self.commands))
-        for key in sorted(self._rows):
-            open_row, accesses, act_index = self._rows[key]
-            rank, bankgroup, bank = key
-            self._append(
-                Command(
-                    CommandType.PRE,
-                    rank=rank,
-                    bankgroup=bankgroup,
-                    bank=bank,
-                    row=open_row,
-                    deps=tuple(accesses) if accesses else (act_index,),
-                    tag="pre-final",
-                )
-            )
-        self._rows.clear()
+        self.set_phase("row-close")
+        super().close_all_rows()

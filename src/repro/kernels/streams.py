@@ -18,12 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dram.commands import Command, CommandType
+import numpy as np
+
+from repro.dram.columnar import BUILD_FIELDS, KIND_INDEX, ColumnarStream
+from repro.dram.commands import CommandType
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
 from repro.dram.steady import SegmentRecorder, StreamPeriod
 from repro.errors import CompileError
-from repro.kernels.artifact import CommandStreamArtifact
-from repro.kernels.layout import UpdateLayout, ColumnCoords
+from repro.kernels.artifact import (
+    CommandStreamArtifact,
+    SweepEmitter,
+    round_robin,
+)
+from repro.kernels.layout import UpdateLayout
 from repro.optim.precision import PrecisionConfig, PRECISION_8_32
 from repro.units import ceil_div
 
@@ -32,10 +39,11 @@ from repro.units import ceil_div
 class BaselineStream(CommandStreamArtifact):
     """A generated baseline update stream.
 
-    ``dependents`` and ``columnar`` (the cached scheduling views) come
-    from :class:`~repro.kernels.artifact.CommandStreamArtifact`."""
+    ``commands``, ``dependents`` and ``columnar`` (the views of
+    ``stream``) come from
+    :class:`~repro.kernels.artifact.CommandStreamArtifact`."""
 
-    commands: list[Command]
+    stream: ColumnarStream
     layout: UpdateLayout
     precision: PrecisionConfig
     n_hp_columns: int
@@ -45,10 +53,6 @@ class BaselineStream(CommandStreamArtifact):
     #: consumed by the ``"periodic"`` scheduler engine. ``None`` for
     #: full-array (``n_params``) streams.
     period: "StreamPeriod | None" = None
-
-    @property
-    def total_commands(self) -> int:
-        return len(self.commands)
 
     def offchip_bytes(self, geometry: DeviceGeometry) -> int:
         """Bytes this update moves over the off-chip bus."""
@@ -112,88 +116,80 @@ class BaselineStreamGenerator:
         if not precision.is_full and not fused:
             # Phase 1 — dequantize: q_grad -> grad over the bus.
             emitter.begin_segment(ratio)
-            for pos, (stripe, hp_cols) in enumerate(
-                _round_robin(columns, ratio)
-            ):
-                if pos % stride == 0:
-                    emitter.mark_sweep()
-                lp_col = hp_cols[0] // ratio
-                rd = emitter.access(
-                    CommandType.RD, "q_grad", lp_col, packed=True
-                )
-                for j in hp_cols:
-                    emitter.access(CommandType.WR, "grad", j, deps=[rd])
+            for sweep in emitter.sweeps(round_robin(columns, ratio), stride):
+                for stripe, hp_cols in sweep:
+                    lp_col = hp_cols[0] // ratio
+                    rd = emitter.access(
+                        CommandType.RD, "q_grad", lp_col, packed=True
+                    )
+                    for j in hp_cols:
+                        emitter.access(
+                            CommandType.WR, "grad", j, deps=[rd]
+                        )
 
         # Phase 2 — update: read operands, write master copies.
         grad_name = (
             "q_grad" if (fused and not precision.is_full) else "grad"
         )
         emitter.begin_segment(ratio)
-        for pos, (stripe, hp_cols) in enumerate(
-            _round_robin(columns, ratio)
-        ):
-            if pos % stride == 0:
-                emitter.mark_sweep()
-            lp_col = hp_cols[0] // ratio
-            shared: list[int] = []
-            if grad_name == "q_grad":
-                shared.append(
-                    emitter.access(
-                        CommandType.RD, "q_grad", lp_col, packed=True
-                    )
-                )
-            for j in hp_cols:
-                reads = list(shared)
-                if grad_name == "grad":
-                    reads.append(emitter.access(CommandType.RD, "grad", j))
-                reads.append(emitter.access(CommandType.RD, "theta", j))
-                for name in states:
-                    reads.append(emitter.access(CommandType.RD, name, j))
-                emitter.access(CommandType.WR, "theta", j, deps=reads)
-                for name in states:
-                    emitter.access(CommandType.WR, name, j, deps=reads)
-                if fused and not precision.is_full:
-                    # Fused quantize: q_theta produced on the fly.
-                    if j == hp_cols[-1]:
+        for sweep in emitter.sweeps(round_robin(columns, ratio), stride):
+            for stripe, hp_cols in sweep:
+                lp_col = hp_cols[0] // ratio
+                shared: list[int] = []
+                if grad_name == "q_grad":
+                    shared.append(
                         emitter.access(
-                            CommandType.WR,
-                            "q_theta",
-                            lp_col,
-                            packed=True,
-                            deps=reads,
+                            CommandType.RD, "q_grad", lp_col, packed=True
                         )
+                    )
+                for j in hp_cols:
+                    reads = list(shared)
+                    if grad_name == "grad":
+                        reads.append(
+                            emitter.access(CommandType.RD, "grad", j)
+                        )
+                    reads.append(emitter.access(CommandType.RD, "theta", j))
+                    for name in states:
+                        reads.append(emitter.access(CommandType.RD, name, j))
+                    emitter.access(CommandType.WR, "theta", j, deps=reads)
+                    for name in states:
+                        emitter.access(CommandType.WR, name, j, deps=reads)
+                    if fused and not precision.is_full:
+                        # Fused quantize: q_theta produced on the fly.
+                        if j == hp_cols[-1]:
+                            emitter.access(
+                                CommandType.WR,
+                                "q_theta",
+                                lp_col,
+                                packed=True,
+                                deps=reads,
+                            )
 
         if not precision.is_full and not fused:
             # Phase 3 — quantize: theta -> q_theta over the bus.
             emitter.begin_segment(ratio)
-            for pos, (stripe, hp_cols) in enumerate(
-                _round_robin(columns, ratio)
-            ):
-                if pos % stride == 0:
-                    emitter.mark_sweep()
-                lp_col = hp_cols[0] // ratio
-                reads = [
-                    emitter.access(CommandType.RD, "theta", j)
-                    for j in hp_cols
-                ]
-                emitter.access(
-                    CommandType.WR, "q_theta", lp_col, packed=True,
-                    deps=reads,
-                )
+            for sweep in emitter.sweeps(round_robin(columns, ratio), stride):
+                for stripe, hp_cols in sweep:
+                    lp_col = hp_cols[0] // ratio
+                    reads = [
+                        emitter.access(CommandType.RD, "theta", j)
+                        for j in hp_cols
+                    ]
+                    emitter.access(
+                        CommandType.WR, "q_theta", lp_col, packed=True,
+                        deps=reads,
+                    )
 
         emitter.close_all_rows()
+        stream, period = emitter.finish()
         return BaselineStream(
-            commands=emitter.commands,
+            stream=stream,
             layout=layout,
             precision=precision,
             n_hp_columns=sum(len(c) for c in columns),
             reads=emitter.reads,
             writes=emitter.writes,
-            period=(
-                recorder.finish(len(emitter.commands))
-                if recorder is not None
-                else None
-            ),
+            period=period,
         )
 
     # ------------------------------------------------------------------
@@ -263,26 +259,12 @@ class BaselineStreamGenerator:
 
 
 # ----------------------------------------------------------------------
-def _round_robin(
-    columns: list[list[int]], group: int
-) -> list[tuple[int, list[int]]]:
-    """Interleave per-stripe column lists in chunks of ``group``."""
-    out: list[tuple[int, list[int]]] = []
-    position = [0] * len(columns)
-    remaining = sum(len(c) for c in columns)
-    while remaining:
-        for s, cols in enumerate(columns):
-            p = position[s]
-            if p >= len(cols):
-                continue
-            chunk = cols[p : p + group]
-            position[s] = p + len(chunk)
-            remaining -= len(chunk)
-            out.append((s, chunk))
-    return out
+_KIND = BUILD_FIELDS.index("kind")
+_RD = KIND_INDEX[CommandType.RD]
+_WR = KIND_INDEX[CommandType.WR]
 
 
-class _StreamEmitter:
+class _StreamEmitter(SweepEmitter):
     """Row-aware RD/WR emitter over an :class:`UpdateLayout`."""
 
     def __init__(
@@ -291,23 +273,11 @@ class _StreamEmitter:
         layout: UpdateLayout,
         recorder: SegmentRecorder | None = None,
     ):
-        self.geometry = geometry
+        super().__init__(geometry, recorder)
         self.layout = layout
-        self.recorder = recorder
-        self.commands: list[Command] = []
         self.reads = 0
         self.writes = 0
-        self._rows: dict[tuple[int, int, int], list] = {}
-
-    def begin_segment(self, columns_per_sweep: int) -> None:
-        """Open a periodic phase body for the sweep recorder."""
-        if self.recorder is not None:
-            self.recorder.begin(columns_per_sweep, len(self.commands))
-
-    def mark_sweep(self) -> None:
-        """Record a sweep boundary (one round-robin pass over stripes)."""
-        if self.recorder is not None:
-            self.recorder.sweep(len(self.commands))
+        self._tags: dict[tuple[CommandType, str], int] = {}
 
     def access(
         self,
@@ -322,74 +292,27 @@ class _StreamEmitter:
             if packed
             else self.layout.hp_coords(array, index)
         )
+        key = (coords.rank, coords.bankgroup, coords.bank)
         all_deps = list(deps or ())
-        all_deps.extend(self._open_row(coords))
-        cmd = Command(
-            kind,
-            rank=coords.rank,
-            bankgroup=coords.bankgroup,
-            bank=coords.bank,
-            row=coords.row,
-            col=coords.col,
-            deps=tuple(dict.fromkeys(all_deps)),
-            tag=f"{kind.value.lower()}:{array}:{index}",
+        all_deps.extend(self._open_row(*key, coords.row))
+        tag = self._tags.get((kind, array))
+        if tag is None:
+            tag = self._tags[(kind, array)] = self.out.template(
+                f"{kind.value.lower()}:{array}:", 1
+            )
+        i = self.out.append(
+            (KIND_INDEX[kind], coords.rank, coords.bankgroup, coords.bank,
+             coords.row, coords.col, 0, 0, 0, 0, tag, index, 0),
+            tuple(dict.fromkeys(all_deps)),
         )
-        i = len(self.commands)
-        self.commands.append(cmd)
-        self._rows[(coords.rank, coords.bankgroup, coords.bank)][1].append(i)
+        self._record_access(key, i)
         if kind is CommandType.RD:
             self.reads += 1
         else:
             self.writes += 1
         return i
 
-    def _open_row(self, coords: ColumnCoords) -> list[int]:
-        key = (coords.rank, coords.bankgroup, coords.bank)
-        entry = self._rows.get(key)
-        deps: list[int] = []
-        if entry is not None:
-            open_row, accesses, act_index = entry
-            if open_row == coords.row:
-                return [act_index]
-            pre = Command(
-                CommandType.PRE,
-                rank=coords.rank,
-                bankgroup=coords.bankgroup,
-                bank=coords.bank,
-                row=open_row,
-                deps=tuple(accesses) if accesses else (act_index,),
-                tag="pre",
-            )
-            self.commands.append(pre)
-            deps.append(len(self.commands) - 1)
-        act = Command(
-            CommandType.ACT,
-            rank=coords.rank,
-            bankgroup=coords.bankgroup,
-            bank=coords.bank,
-            row=coords.row,
-            deps=tuple(deps),
-            tag="act",
-        )
-        self.commands.append(act)
-        self._rows[key] = [coords.row, [], len(self.commands) - 1]
-        return [len(self.commands) - 1]
-
-    def close_all_rows(self) -> None:
-        if self.recorder is not None:
-            self.recorder.end(len(self.commands))
-        for key in sorted(self._rows):
-            open_row, accesses, act_index = self._rows[key]
-            rank, bankgroup, bank = key
-            self.commands.append(
-                Command(
-                    CommandType.PRE,
-                    rank=rank,
-                    bankgroup=bankgroup,
-                    bank=bank,
-                    row=open_row,
-                    deps=tuple(accesses) if accesses else (act_index,),
-                    tag="pre-final",
-                )
-            )
-        self._rows.clear()
+    def _count_tiled(self, start: int, end: int) -> None:
+        kinds = self.out.columns(start, end)[:, _KIND]
+        self.reads += int(np.count_nonzero(kinds == _RD))
+        self.writes += int(np.count_nonzero(kinds == _WR))

@@ -285,7 +285,8 @@ class UpdatePhaseModel:
         derive the profile."""
         with span("model.build_stream", design=design.value):
             built = self._build_stream(config, optimizer, precision)
-        commands, n_params, offchip_accesses, _, artifact = built
+        _, n_params, offchip_accesses, _, artifact = built
+        stream = artifact.columnar
         # Channels are embarrassingly parallel: every channel runs the
         # same steady-state sample over its own parameter slice. The
         # replicas are identical streams and the scheduler is
@@ -301,10 +302,10 @@ class UpdatePhaseModel:
         with span(
             "engine.schedule",
             engine=scheduler.engine,
-            commands=len(commands),
+            commands=stream.n,
             channels=channels,
         ):
-            result = scheduler.run(commands, columnar=artifact.columnar)
+            result = scheduler.run(stream)
         stats = (
             TraceStats.merge_channels([result.stats] * channels)
             if channels > 1
@@ -478,7 +479,7 @@ class UpdatePhaseModel:
             built = self._build_stream(
                 config, optimizer, precision, columns_per_stripe=k_warm
             )
-        commands, n_params, offchip_accesses, period, artifact = built
+        _, n_params, offchip_accesses, period, artifact = built
         if period is None or not period.segments:
             reasons.add(FALLBACK_NO_METADATA)
             return None
@@ -492,11 +493,11 @@ class UpdatePhaseModel:
             with span(
                 "engine.schedule",
                 engine=scheduler.engine,
-                commands=len(commands),
+                commands=artifact.stream.n,
                 warm=k_warm,
             ):
                 result = scheduler.run(
-                    commands,
+                    artifact.stream,
                     dependents=artifact.dependents,
                     period=period,
                 )

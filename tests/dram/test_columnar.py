@@ -235,9 +235,11 @@ class TestMemoization:
 
     @pytest.mark.parametrize("engine", ["columnar", "periodic"])
     def test_profiles_build_one_adjacency_form_per_stream(self, engine):
-        """No stream the update model profiles carries both the CSR
-        (``columnar``) and the list (``dependents``) adjacency — the
-        periodic engine's full-stream fallbacks included."""
+        """Every stream the update model profiles is scheduled by one
+        loop: the columnar one (``columnar`` read) or the periodic one
+        (the list adjacency ``dependents`` built) — the periodic
+        engine's full-stream fallbacks included. Only streams the
+        periodic loop schedules pay for the list adjacency."""
         model = UpdatePhaseModel(columns_per_stripe=32, engine=engine)
         optimizer = build_optimizer("momentum_sgd", {"eta": 0.01})
         for design in DesignPoint:
