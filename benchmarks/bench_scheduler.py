@@ -190,14 +190,13 @@ def bench_design(design, window: int, repeats: int) -> dict:
     config = DESIGNS[design]
     optimizer = build_optimizer(*OPTIMIZER)
     model = UpdatePhaseModel(window=window)
-    commands, _, _, period, art = model._build_stream(
+    commands, _, _, period, _art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
     substrate = _substrate(model, config, window)
     reference = ReferenceScheduler(**substrate)
     columnar = CommandScheduler(engine="columnar", **substrate)
     periodic = CommandScheduler(engine="periodic", **substrate)
-    dependents = art.dependents
 
     build_col_s = _best_of(
         lambda: ColumnarStream.from_commands(commands), repeats
@@ -210,7 +209,7 @@ def bench_design(design, window: int, repeats: int) -> dict:
     )
     per_identical = _identical(
         ref_result,
-        periodic.run(commands, dependents=dependents, period=period),
+        periodic.run(commands, columnar=stream, period=period),
     )
 
     run_ref = _best_of(lambda: reference.run(commands), repeats)
@@ -228,9 +227,7 @@ def bench_design(design, window: int, repeats: int) -> dict:
         lambda: columnar.run(commands, columnar=stream), repeats
     )
     run_per = _best_of(
-        lambda: periodic.run(
-            commands, dependents=dependents, period=period
-        ),
+        lambda: periodic.run(commands, columnar=stream, period=period),
         repeats,
     )
 

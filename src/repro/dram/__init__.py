@@ -48,13 +48,12 @@ from repro.dram.scheduler import (
     split_channels,
 )
 from repro.dram.power import EnergyModel, EnergyBreakdown
-from repro.dram.steady import (
+from repro.dram.period import (
     PeriodicOutcome,
     PeriodSegment,
     SegmentLock,
     SegmentRecorder,
     StreamPeriod,
-    build_dependents,
 )
 from repro.dram.validator import validate_trace, validate_trace_columnar
 
@@ -79,7 +78,6 @@ __all__ = [
     "CommandScheduler",
     "IssueModel",
     "ScheduleResult",
-    "build_dependents",
     "replicate_across_channels",
     "schedule_columnar",
     "split_channels",

@@ -19,9 +19,10 @@ construction and ``artifact.commands`` is only a view that
 never builds ``Command`` objects.
 
 :func:`schedule_columnar` is the simulator's one exact greedy FR-FCFS
-loop (``engine="columnar"`` in
-:class:`~repro.dram.scheduler.CommandScheduler`, and every fallback of
-the periodic engine):
+loop, behind both engines of
+:class:`~repro.dram.scheduler.CommandScheduler` (the periodic engine
+runs it with a :class:`~repro.dram.steady.SteadyTracker` that replays
+locked steady-state sweeps in place):
 
 * **Per-run preparation.** Everything the issue loop needs per command
   — kind codes, completion latencies, flat bank/group/rank/bus ids,
@@ -74,7 +75,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dram.channel import TURNAROUND_GAP
 from repro.dram.commands import (
     Command,
     CommandType,
@@ -88,8 +88,13 @@ from repro.dram.commands import (
 from repro.dram.stats import TraceStats
 from repro.errors import SimulationError
 
-# Command-kind classes driving the scheduling loops' earliest-cycle
-# computation (shared with the periodic engine in repro.dram.steady).
+#: Direction-change bubble on the data bus, cycles (JEDEC's
+#: back-to-back RD-to-WR gap; the larger WR-to-RD gap is enforced by
+#: the tWTR rules at rank and bank-group level).
+TURNAROUND_GAP = 2
+
+# Command-kind classes driving the scheduling loop's earliest-cycle
+# computation.
 _ACT = 0
 _PRE = 1
 _INT_COL = 2
@@ -245,8 +250,8 @@ class ColumnarStream:
         """Dependents CSR (the transpose of the deps CSR), vectorized.
 
         Row order within each dependent list is ascending consumer
-        index (a duplicated dependency appears twice) — exactly what
-        :func:`repro.dram.steady.build_dependents` produces.
+        index (a duplicated dependency appears twice), the order a
+        ``Command`` list's dependency tuples give.
         """
         n = self.n
         counts = np.diff(self.dep_indptr)
@@ -427,6 +432,28 @@ class ColumnarStream:
                 f"out of range (geometry has {geometry.channels})"
             )
         self._structure_ok.add(key)
+
+    def repeats(self, lo: int, hi: int, shift: int, moving: int) -> bool:
+        """Whether commands ``[lo, hi)`` repeat ``[lo - shift, hi -
+        shift)``: same kind and coordinates, and each dependency moved
+        by ``shift`` if it points at or past ``moving`` (into a periodic
+        body), else unchanged (into what precedes it)."""
+        if hi > self.n:
+            return False
+        a, b = slice(lo, hi), slice(lo - shift, hi - shift)
+        ptr, deps = self.dep_indptr, self.dep_indices
+        here, back = ptr[lo:hi + 1], ptr[lo - shift:hi - shift + 1]
+        before = deps[back[0]:back[-1]]
+        return all(
+            np.array_equal(col[a], col[b])
+            for col in (self.kind, self.rank, self.bankgroup, self.bank,
+                        self.row, self.channel)
+        ) and np.array_equal(here - here[0], back - back[0]) and (
+            np.array_equal(
+                deps[here[0]:here[-1]],
+                before + shift * (before >= moving),
+            )
+        )
 
     def _memo_put(self, key, value) -> None:
         self._memo[key] = value
@@ -786,23 +813,30 @@ def schedule_columnar(
     per_bank_pim: bool,
     window: int,
     bus_ids: Sequence[int],
+    steady=None,
 ) -> tuple[np.ndarray, TraceStats]:
     """Schedule a columnar stream; return (issue cycles, stats).
 
     Byte-identical to the reference greedy loop on every stream (the
     equivalence contract). Repeat scheduling of the same stream under
     the same substrate replays the memoized issue-cycle vector.
+
+    ``steady`` optionally supplies a
+    :class:`~repro.dram.steady.SteadyTracker` for the stream: the loop
+    then reports every issue to it and lets it replay locked
+    steady-state sweeps in place. Such a run neither reads nor fills
+    the memo (the tracker's outcome is part of its result).
     """
     memo_key = (
         timing, geometry.ranks, geometry.bankgroups,
         geometry.banks_per_group, issue_model.port_of_rank,
         per_bank_pim, tuple(bus_ids), window,
     )
-    hit = stream._memo.get(memo_key)
+    hit = None if steady is not None else stream._memo.get(memo_key)
     if hit is None:
         prep = _Prepared(stream, timing, geometry, issue_model, bus_ids)
         issue, total_cycles = _schedule_cold(
-            prep, timing, per_bank_pim, window
+            prep, timing, per_bank_pim, window, steady
         )
         hit = (
             _freeze(np.array(issue, dtype=np.int64)),
@@ -810,7 +844,8 @@ def schedule_columnar(
             prep.counts,
             prep.port_issued,
         )
-        stream._memo_put(memo_key, hit)
+        if steady is None:
+            stream._memo_put(memo_key, hit)
     issue, total_cycles, counts, port_issued = hit
     stats = TraceStats(
         counts=dict(counts),
@@ -826,15 +861,15 @@ def _schedule_cold(
     timing,
     per_bank_pim: bool,
     window: int,
+    steady=None,
 ) -> tuple[list[int], int]:
     """The exact greedy selection loop over the prepared flat arrays.
 
-    The four state machines (:mod:`repro.dram.bank`,
-    :mod:`~repro.dram.bankgroup`, :mod:`~repro.dram.rank`,
-    :mod:`~repro.dram.channel`) are flattened into plain lists indexed
-    by the prepared flat ids, and their ``earliest`` / ``apply``
-    methods are inlined below. A candidate's earliest cycle is the max
-    of three parts, each cached where it changes least often:
+    The DDR4 bank, bank-group, rank and data-bus state machines are
+    flat lists indexed by the prepared flat ids, and their earliest-
+    cycle and update rules are inlined below. A candidate's earliest
+    cycle is the max of three parts, each cached where it changes least
+    often:
 
     * the bank / bank-group / dependency part, cached per candidate
       until its bank or group issues (ACTs also wait on their rank's
@@ -856,12 +891,21 @@ def _schedule_cold(
     one scan over every port's window. A one-port stream rescans its
     only port after every issue anyway, so it skips the cross-port
     marking.
+
+    With a ``steady`` tracker, every issue is reported to it
+    (:meth:`~repro.dram.steady.SteadyTracker.issued`); when it replays
+    locked sweeps it writes their issue cycles, shifts the live timers
+    and marks every cache stale itself, and the loop only discounts the
+    replayed commands.
     """
     n = len(prep.kc)
     n_banks, n_groups, n_ranks = prep.n_banks, prep.n_groups, prep.n_ranks
 
-    # Flattened machine state (the four state-machine classes' fields).
+    # Flattened machine state.
     CLOSED = -(1 << 62)  # "no open row" sentinel outside any row id
+    # A rank's last ACT cycle before its first ACT: far enough back that
+    # a steady-state fingerprint always sees it as stale.
+    NEVER = -(1 << 62)
     b_open = [CLOSED] * n_banks
     b_col = [0] * n_banks
     b_pre = [0] * n_banks
@@ -873,7 +917,7 @@ def _schedule_cold(
     g_alu = [0] * n_groups
     r_ext = [0] * n_ranks
     r_wtr = [0] * n_ranks
-    r_lastact = [-1] * n_ranks
+    r_lastact = [NEVER] * n_ranks
     r_lastgrp = [-1] * n_ranks
     r_actwin = [deque(maxlen=4) for _ in range(n_ranks)]
     # Rank/bus floor of RD (slot 2r + 1) and WR (slot 2r) on rank r.
@@ -944,6 +988,21 @@ def _schedule_cold(
                     gap = t.rank_switch_penalty
                 offsets.append(busy + gap - data_off[next_rd])
         floor_off.append(tuple(offsets))
+
+    if steady is not None:
+        steady.attach(
+            prep,
+            timers=(
+                b_col, b_pre, b_act, pb_io, pb_alu, g_io, g_wtr, g_alu,
+                r_ext, r_wtr, r_lastact, floor, port_free,
+            ),
+            shape=(b_open, r_lastgrp),
+            act_windows=r_actwin,
+            issue=issue,
+            completion=completion,
+            dep_ready=dep_ready,
+            caches=(cached_e, stale, dirty_bank, dirty_group, dirty_rank),
+        )
 
     remaining = n
     ports_range = range(n_ports)
@@ -1189,5 +1248,7 @@ def _schedule_cold(
                 ndeps[j] -= 1
                 if comp > dep_ready[j]:
                     dep_ready[j] = comp
+        if steady is not None:
+            remaining -= steady.issued(i, cycle, best_port)
 
     return issue, (max(completion) if n else 0)

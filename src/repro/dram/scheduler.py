@@ -27,27 +27,31 @@ tREFI; this is documented in DESIGN.md §3.
 Engines
 -------
 
-Two engines produce the schedule:
+Both engines run the one exact greedy loop of
+:mod:`repro.dram.columnar` over a
+:class:`~repro.dram.columnar.ColumnarStream`, with vectorized stream
+preparation and validation:
 
-* ``engine="columnar"`` (the default) — the exact greedy loop of
-  :mod:`repro.dram.columnar`: it schedules a
-  :class:`~repro.dram.columnar.ColumnarStream` directly, with
-  vectorized stream preparation and validation, and memoizes issue
-  cycles on the immutable stream.
-* ``engine="periodic"`` — the steady-state engine of
-  :mod:`repro.dram.steady`: it locks the scheduler's fixed cycle over
-  stripe-periodic stream bodies (kernel generators attach the
-  :class:`~repro.dram.steady.StreamPeriod` metadata; pass it via
-  ``run(..., period=...)``) and replays locked sweeps arithmetically.
-  Streams without metadata schedule on the columnar engine.
+* ``engine="columnar"`` (the default) memoizes issue cycles on the
+  immutable stream.
+* ``engine="periodic"`` adds steady-state replay
+  (:mod:`repro.dram.steady`): given the stream's
+  :class:`~repro.dram.period.StreamPeriod` metadata (kernel generators
+  attach it; pass it via ``run(..., period=...)``), the loop hands
+  each sweep boundary to a :class:`~repro.dram.steady.SteadyTracker`,
+  which locks the scheduler's fixed cycle over stripe-periodic stream
+  bodies and replays locked sweeps in place. Streams without metadata
+  run the loop plainly.
 
 Both produce the issue cycles and statistics of the original greedy
 loop, which the test suite keeps as its oracle
 (``tests/dram/test_engine_equivalence.py``, ``tests/dram/test_steady.py``).
 
-``run`` never mutates the caller's :class:`Command` objects: the
-columnar engine never touches them, and the periodic engine schedules
-fresh copies, returned in the :class:`ScheduleResult`.
+``run`` never mutates the caller's :class:`Command` objects: a
+single-channel result holds a
+:class:`~repro.dram.columnar.ColumnarSchedule` and materializes
+annotated copies only when ``commands`` is read; multi-channel runs
+annotate fresh copies.
 
 Channels
 --------
@@ -60,7 +64,8 @@ each partition independently on the columnar engine
 (:func:`split_channels`); dependencies may not cross channels.
 Statistics aggregate across channels (:meth:`TraceStats.merge_channels`)
 with elapsed time set by the slowest channel. A single-channel geometry
-bypasses the partitioning entirely.
+bypasses the partitioning entirely. Multi-channel runs carry no period
+metadata, so the periodic engine runs them plainly too.
 """
 
 from __future__ import annotations
@@ -76,11 +81,8 @@ from repro.dram.columnar import (
 from repro.dram.commands import Command
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
 from repro.dram.stats import TraceStats
-from repro.dram.steady import (
-    PeriodicOutcome,
-    StreamPeriod,
-    schedule_steady,
-)
+from repro.dram.period import PeriodicOutcome, StreamPeriod
+from repro.dram.steady import SteadyTracker
 from repro.dram.timing import TimingParams
 from repro.errors import ConfigError, SimulationError
 
@@ -150,7 +152,7 @@ class IssueModel:
 class ScheduleResult:
     """Outcome of scheduling one command stream.
 
-    Columnar runs return results backed by a
+    Single-channel runs return results backed by a
     :class:`~repro.dram.columnar.ColumnarSchedule` instead of a list of
     annotated :class:`Command` objects; ``commands`` materializes the
     objects lazily on first access, so consumers that only read
@@ -181,7 +183,7 @@ class ScheduleResult:
         #: per-segment locks, commands simulated vs. arithmetically
         #: replayed, and the fallback reason when it did not engage.
         self.periodic = periodic
-        #: The scheduled columnar stream (single-channel columnar runs).
+        #: The scheduled columnar stream (single-channel runs).
         self.columnar = columnar
 
     @property
@@ -266,78 +268,72 @@ class CommandScheduler:
     def run(
         self,
         commands: "Sequence[Command] | ColumnarStream",
-        dependents: Optional[Sequence[Sequence[int]]] = None,
         period: Optional[StreamPeriod] = None,
         columnar: Optional[ColumnarStream] = None,
     ) -> ScheduleResult:
         """Schedule ``commands`` and return the annotated result.
 
         ``commands`` is a ``Command`` sequence or a
-        :class:`~repro.dram.columnar.ColumnarStream`; the columnar loop
-        schedules a stream as is, the other paths materialize it.
+        :class:`~repro.dram.columnar.ColumnarStream`; single-channel
+        runs schedule the columnar form (built from ``commands`` unless
+        ``columnar`` supplies it — it must describe the same stream;
+        kernel artifacts cache it).
 
         Dependencies must point backwards (``dep < index``); forward or
         self references raise :class:`SimulationError`. The caller's
         command objects are never mutated.
 
         ``period`` optionally supplies the stream's
-        :class:`~repro.dram.steady.StreamPeriod` metadata (kernel
+        :class:`~repro.dram.period.StreamPeriod` metadata (kernel
         generators attach it to their streams); only the ``"periodic"``
-        engine consumes it, together with ``dependents``, the optional
-        precomputed dependent-command adjacency (see
-        :func:`repro.dram.steady.build_dependents`). Without metadata —
-        or on multi-channel geometries, where partitions carry no
-        metadata — the periodic engine schedules on the columnar loop,
-        so it is always safe to select.
-
-        ``columnar`` optionally supplies the stream's prebuilt
-        :class:`~repro.dram.columnar.ColumnarStream` (it must describe
-        the same stream as ``commands``; kernel artifacts cache it).
-        The columnar loop builds it from ``commands`` when absent.
+        engine consumes it. Without metadata — or on multi-channel
+        geometries, where partitions carry no metadata — the periodic
+        engine schedules exactly like the columnar one, so it is always
+        safe to select.
         """
         geom = self.geometry
-        if isinstance(commands, ColumnarStream) and columnar is None:
-            columnar = commands
-        steady = (
-            self.engine == "periodic"
-            and period is not None
-            and bool(period.segments)
-        )
-        if geom.channels == 1 and not steady:
-            result = self._run_columnar(commands, columnar)
-            if self.engine == "periodic":
-                result.periodic = PeriodicOutcome(
-                    reason="no-period-metadata", simulated=len(commands)
-                )
-            return result
-        if isinstance(commands, ColumnarStream):
-            commands = commands.to_commands()
-        _check_structure(commands, geom)
-        copies = [_fresh_copy(cmd) for cmd in commands]
-        periodic = None
+        periodic = self.engine == "periodic"
         if geom.channels > 1:
-            stats = self._run_channels(commands, copies)
-            if self.engine == "periodic":
-                periodic = PeriodicOutcome(reason="multi-channel")
-        else:
-            stats, periodic = schedule_steady(
-                self.timing,
-                geom,
-                self.issue_model,
-                self.per_bank_pim,
-                self.window,
-                self._bus_ids,
-                copies,
-                dependents,
-                period,
+            if isinstance(commands, ColumnarStream):
+                commands = commands.to_commands()
+            _check_structure(commands, geom)
+            copies = [_fresh_copy(cmd) for cmd in commands]
+            return ScheduleResult(
+                commands=copies,
+                stats=self._run_channels(commands, copies),
+                timing=self.timing,
+                geometry=geom,
+                issue_model=self.issue_model,
+                periodic=(
+                    PeriodicOutcome(reason="multi-channel")
+                    if periodic else None
+                ),
+            )
+        stream = columnar
+        if stream is None:
+            stream = (
+                commands if isinstance(commands, ColumnarStream)
+                else ColumnarStream.from_commands(commands)
+            )
+        stream.check_structure(geom)
+        steady = None
+        if periodic and period is not None and period.segments:
+            steady = SteadyTracker(period, stream, self.timing, self.window)
+        issue, stats = self._schedule_stream(stream, steady)
+        outcome = None
+        if steady is not None:
+            outcome = steady.finish()
+        elif periodic:
+            outcome = PeriodicOutcome(
+                reason="no-period-metadata", simulated=stream.n
             )
         return ScheduleResult(
-            commands=copies,
             stats=stats,
             timing=self.timing,
             geometry=geom,
             issue_model=self.issue_model,
-            periodic=periodic,
+            periodic=outcome,
+            columnar=ColumnarSchedule(stream, issue),
         )
 
     # ------------------------------------------------------------------
@@ -355,7 +351,7 @@ class CommandScheduler:
             per_channel.append(stats)
         return TraceStats.merge_channels(per_channel)
 
-    def _schedule_stream(self, stream: ColumnarStream):
+    def _schedule_stream(self, stream: ColumnarStream, steady=None):
         """Schedule a columnar stream under this scheduler's substrate."""
         return schedule_columnar(
             stream,
@@ -365,25 +361,7 @@ class CommandScheduler:
             self.per_bank_pim,
             self.window,
             self._bus_ids,
-        )
-
-    def _run_columnar(
-        self,
-        commands: Sequence[Command],
-        stream: Optional[ColumnarStream],
-    ) -> ScheduleResult:
-        """Single-channel columnar run: vectorized validation, no
-        per-command copies."""
-        if stream is None:
-            stream = ColumnarStream.from_commands(commands)
-        stream.check_structure(self.geometry)
-        issue, stats = self._schedule_stream(stream)
-        return ScheduleResult(
-            stats=stats,
-            timing=self.timing,
-            geometry=self.geometry,
-            issue_model=self.issue_model,
-            columnar=ColumnarSchedule(stream, issue),
+            steady,
         )
 
 

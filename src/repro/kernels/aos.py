@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.dram.columnar import KIND_INDEX, ColumnarStream
 from repro.dram.commands import CommandType
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
-from repro.dram.steady import SegmentRecorder, StreamPeriod
+from repro.dram.period import SegmentRecorder, StreamPeriod
 from repro.errors import CompileError
 from repro.kernels.artifact import CommandStreamArtifact, SweepEmitter
 from repro.optim.base import Lincomb, Mul, RsqrtMul, UpdateRecipe

@@ -14,16 +14,15 @@ construction. The views of it live here once:
 * ``commands`` — a read-only sequence view of
   :class:`~repro.dram.commands.Command` objects with O(1) ``len()``;
   the objects are materialized (:meth:`ColumnarStream.to_commands`)
-  only when an element is first read. Periodic warm samples, the
-  functional executor, trace dumps and tests read it; the columnar
-  profile path never does.
-* ``dependents`` — the dependent-command adjacency as Python lists,
-  fed to the periodic engine's loop (read from the stream's
-  transposed CSR).
+  only when an element is first read. The functional executor, trace
+  dumps and tests read it; no profile path does.
+* ``dependents`` — the dependent-command adjacency as Python lists
+  (read from the stream's transposed CSR), for callers that walk it
+  per command; no engine reads it.
 
 :class:`SweepEmitter` is the generators' shared emission base: row
 tracking, period metadata and **sweep tiling**. A sampled stream (one
-built with a :class:`~repro.dram.steady.SegmentRecorder`) sweeps the
+built with a :class:`~repro.dram.period.SegmentRecorder`) sweeps the
 same per-column pattern round-robin over the stripes, one sweep after
 another. At every sweep boundary the emitter fingerprints its state
 with command indices and column values made relative; once the
@@ -136,9 +135,8 @@ class CommandStreamArtifact:
 
     @cached_property
     def dependents(self) -> list[list[int]]:
-        """Dependent-command adjacency for the periodic engine,
-        computed once per stream (only streams the periodic loop
-        schedules build these lists)."""
+        """Dependent-command adjacency as Python lists, computed once
+        per stream (the engines read the stream's CSR instead)."""
         stream = self.stream
         indptr = stream.out_indptr.tolist()
         indices = stream.out_indices.tolist()

@@ -30,7 +30,7 @@ from typing import Optional
 from repro.dram.columnar import KIND_INDEX, ColumnarStream
 from repro.dram.commands import CommandType, QUANT_REG
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
-from repro.dram.steady import SegmentRecorder, StreamPeriod
+from repro.dram.period import SegmentRecorder, StreamPeriod
 from repro.errors import CompileError
 from repro.kernels.artifact import (
     CommandStreamArtifact,

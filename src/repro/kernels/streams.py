@@ -23,7 +23,7 @@ import numpy as np
 from repro.dram.columnar import BUILD_FIELDS, KIND_INDEX, ColumnarStream
 from repro.dram.commands import CommandType
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
-from repro.dram.steady import SegmentRecorder, StreamPeriod
+from repro.dram.period import SegmentRecorder, StreamPeriod
 from repro.errors import CompileError
 from repro.kernels.artifact import (
     CommandStreamArtifact,

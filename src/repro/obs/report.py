@@ -103,7 +103,7 @@ class EngineReport:
         self._bump(self.warm_widths, warm_columns)
 
     def record_outcome(self, outcome) -> None:
-        """Fold one :class:`~repro.dram.steady.PeriodicOutcome` in."""
+        """Fold one :class:`~repro.dram.period.PeriodicOutcome` in."""
         if outcome is None:
             return
         self.commands_simulated += outcome.simulated

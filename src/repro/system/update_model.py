@@ -39,10 +39,11 @@ scheduler settles into a fixed cycle (possibly spanning a few sweeps —
 see :mod:`repro.dram.steady`). ``engine="periodic"`` exploits this at
 two levels:
 
-* every schedule runs through the steady-state engine, which locks the
-  cycle by fingerprinting the full scheduler state at sweep boundaries
-  and replays the locked sweeps arithmetically — byte-identical issue
-  cycles and statistics, enforced by golden and Hypothesis tests;
+* every warm schedule runs the columnar loop in steady-state mode,
+  which locks the cycle by fingerprinting the loop's state at sweep
+  boundaries and replays the locked sweeps in place — byte-identical
+  issue cycles and statistics, enforced by golden and Hypothesis
+  tests — and is validated by the same vectorized columnar checker;
 
 * ``profile()`` additionally compiles only a small *warm sample*
   (a few sweeps per phase, enough for the lock to confirm plus the
@@ -77,7 +78,7 @@ from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
 from repro.dram.scheduler import CommandScheduler, resolve_engine
 from repro.dram.stats import TraceStats
 from repro.dram.timing import TimingParams, DDR4_2133
-from repro.dram.validator import validate_trace, validate_trace_columnar
+from repro.dram.validator import validate_trace_columnar
 from repro.errors import ConfigError, SimulationError
 from repro.obs.report import (
     EngineReport,
@@ -493,14 +494,10 @@ class UpdatePhaseModel:
             with span(
                 "engine.schedule",
                 engine=scheduler.engine,
-                commands=artifact.stream.n,
+                commands=artifact.columnar.n,
                 warm=k_warm,
             ):
-                result = scheduler.run(
-                    artifact.stream,
-                    dependents=artifact.dependents,
-                    period=period,
-                )
+                result = scheduler.run(artifact.columnar, period=period)
         except SimulationError:
             # The warm sample deadlocked; let the fallback simulate
             # the full stream (and surface the real error if it
@@ -540,10 +537,10 @@ class UpdatePhaseModel:
             return None
         if self.validate:
             with span(
-                "engine.validate", commands=len(result.commands)
+                "engine.validate", commands=result.columnar.stream.n
             ):
-                validate_trace(
-                    result.commands,
+                validate_trace_columnar(
+                    result.columnar,
                     self.timing,
                     geometry,
                     issue_model.port_of_rank,
@@ -656,9 +653,8 @@ class UpdatePhaseModel:
 
         The trailing element is the generator's artifact object itself
         (:class:`~repro.kernels.artifact.CommandStreamArtifact`): it
-        owns the cached scheduling views — ``columnar`` for the
-        columnar engine (which memoizes issue cycles on it),
-        ``dependents`` for the periodic engine's warm samples.
+        owns the ``columnar`` stream both engines schedule (the
+        columnar engine memoizes issue cycles on it).
 
         ``columns_per_stripe`` overrides the model's sample width (the
         steady-state fast path uses it to build warm samples)."""

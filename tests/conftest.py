@@ -1,7 +1,11 @@
 """Shared fixtures: small geometries and cached cycle-sim profiles.
 
-Also loads the derandomized Hypothesis ``ci`` profile: every property
-test draws the same examples on every run, so the suite is repeatable.
+Also registers the Hypothesis profiles and loads ``ci``, the
+derandomized tier-1 profile: every property test draws the same
+examples on every run, so the suite is repeatable. ``deep`` is the
+randomized fuzz profile (``pytest --hypothesis-profile=deep``): at
+least 10^4 fresh examples per property and no deadline; per-test
+example pins never cap it (see :func:`oracle.settings`).
 """
 
 from __future__ import annotations
@@ -17,6 +21,14 @@ from repro.system.update_model import UpdatePhaseModel
 
 settings.register_profile(
     "ci", derandomize=True, database=None, print_blob=True
+)
+settings.register_profile(
+    "deep",
+    derandomize=False,
+    max_examples=10_000,
+    deadline=None,
+    database=None,
+    print_blob=True,
 )
 settings.load_profile("ci")
 

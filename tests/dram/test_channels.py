@@ -19,8 +19,7 @@ negative value).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import validate_trace_thorough
-from repro.dram.channel import DataBusState
+from oracle import DataBusState, validate_trace_thorough
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DeviceGeometry
 from repro.dram.scheduler import (

@@ -26,11 +26,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import ReferenceScheduler, validate_trace_thorough
+from oracle import (
+    ReferenceScheduler,
+    build_dependents,
+    validate_trace_thorough,
+)
 from repro.dram.columnar import ColumnarStream
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import CommandScheduler
-from repro.dram.steady import build_dependents
 from repro.dram.timing import DDR4_2133
 from repro.dram.validator import validate_trace, validate_trace_columnar
 from repro.errors import SimulationError, TimingViolation
@@ -235,11 +238,9 @@ class TestMemoization:
 
     @pytest.mark.parametrize("engine", ["columnar", "periodic"])
     def test_profiles_build_one_adjacency_form_per_stream(self, engine):
-        """Every stream the update model profiles is scheduled by one
-        loop: the columnar one (``columnar`` read) or the periodic one
-        (the list adjacency ``dependents`` built) — the periodic
-        engine's full-stream fallbacks included. Only streams the
-        periodic loop schedules pay for the list adjacency."""
+        """Every stream the update model profiles — warm samples and
+        full-stream fallbacks alike — is scheduled from its ``columnar``
+        form; no profile builds the list adjacency ``dependents``."""
         model = UpdatePhaseModel(columns_per_stripe=32, engine=engine)
         optimizer = build_optimizer("momentum_sgd", {"eta": 0.01})
         for design in DesignPoint:

@@ -20,15 +20,21 @@ structural precondition. These tests enforce the contract four ways:
 
 They also pin the ``run()`` API contract the engines share: caller
 commands are never mutated, re-scheduling is deterministic, and a
-supplied dependents adjacency changes nothing.
+a ``Command`` list and its ``ColumnarStream`` schedule alike.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from oracle import ReferenceScheduler, oracle_profile
+from oracle import (
+    ReferenceScheduler,
+    build_dependents,
+    oracle_profile,
+    settings,
+)
+from repro.dram.columnar import ColumnarStream
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import (
     CommandScheduler,
@@ -36,7 +42,6 @@ from repro.dram.scheduler import (
     _fresh_copy,
     replicate_across_channels,
 )
-from repro.dram.steady import build_dependents
 from repro.dram.timing import DDR4_2133, PRESETS
 from repro.errors import ConfigError, SimulationError
 from repro.optim.precision import PRECISIONS
@@ -154,7 +159,7 @@ class TestRunContract:
         assert first.issue_cycles() == second.issue_cycles()
         assert first.stats == second.stats
 
-    def test_supplied_dependents_change_nothing(self):
+    def test_command_list_and_stream_schedule_alike(self):
         config, commands, period = _design_stream(
             DesignPoint.GRADPIM_DIRECT
         )
@@ -162,11 +167,12 @@ class TestRunContract:
             T, GEOM, config.issue_model(GEOM), engine="periodic",
             data_bus_scope=config.data_bus_scope,
         )
-        with_deps = periodic.run(
-            commands, dependents=build_dependents(commands), period=period
+        listed = periodic.run(commands, period=period)
+        stream = periodic.run(
+            ColumnarStream.from_commands(commands), period=period
         )
-        without = periodic.run(commands, period=period)
-        assert with_deps.issue_cycles() == without.issue_cycles()
+        assert listed.issue_cycles() == stream.issue_cycles()
+        assert listed.periodic == stream.periodic
 
     def test_build_dependents_matches_deps(self):
         model = UpdatePhaseModel(columns_per_stripe=8)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.dram.bank import BankState
-from repro.dram.bankgroup import BankGroupState
-from repro.dram.channel import DataBusState, TURNAROUND_GAP
+from oracle import BankGroupState, BankState, DataBusState, RankState
+from repro.dram.columnar import TURNAROUND_GAP
 from repro.dram.commands import Command, CommandType
-from repro.dram.rank import RankState
 from repro.dram.timing import DDR4_2133
 from repro.errors import SimulationError
 

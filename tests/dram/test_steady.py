@@ -21,17 +21,13 @@ that never locks) simulates for real. These tests enforce the contract:
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oracle import ReferenceScheduler
+from oracle import ReferenceScheduler, settings
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import CommandScheduler, _fresh_copy
-from repro.dram.steady import (
-    PeriodSegment,
-    SegmentRecorder,
-    StreamPeriod,
-    stale_floor,
-)
+from repro.dram.period import PeriodSegment, SegmentRecorder, StreamPeriod
+from repro.dram.steady import stale_floor
 from repro.dram.timing import DDR4_2133, PRESETS
 from repro.errors import ConfigError
 from repro.optim.precision import PRECISIONS
@@ -80,7 +76,7 @@ def _run_both(config, commands, dependents, period, window=16):
     ref = ReferenceScheduler(T, GEOM, issue_model, **kwargs).run(commands)
     per = CommandScheduler(
         T, GEOM, issue_model, engine="periodic", **kwargs
-    ).run(commands, dependents=dependents, period=period)
+    ).run(commands, period=period)
     assert ref.issue_cycles() == per.issue_cycles()
     assert ref.stats == per.stats
     return per
@@ -288,6 +284,21 @@ class TestPerturbedStreams:
         result = _run_both(config, commands, dependents, bad)
         assert not result.periodic.engaged or result.periodic.skipped
 
+    @pytest.mark.parametrize("position", [1597, 1603, 1604])
+    def test_splice_seen_by_replayed_lookahead_stays_exact(self, position):
+        """Regression: a splice in a segment's last sweeps lies past the
+        last command a replay issues, yet inside what the replayed
+        sweeps' lookahead windows see. The shape check must run through
+        the segment end and refuse that replay."""
+        config, commands, _, period = _built(
+            DesignPoint.GRADPIM_BUFFERED, "sgd", "8/32", columns=16
+        )
+        seg = period.segments[1]
+        assert (seg.start, seg.end, seg.period) == (708, 1668, 64)
+        extra = Command(CommandType.MRW, rank=0, scale_id=1,
+                        tag="perturb")
+        _run_both(config, _splice(commands, position, extra), None, period)
+
 
 # ----------------------------------------------------------------------
 # Hypothesis sweeps
@@ -319,6 +330,8 @@ class TestHypothesisEquivalence:
         _workload(),
         st.integers(min_value=0, max_value=10_000),
     )
+    @example((DesignPoint.GRADPIM_BUFFERED, "sgd", "8/32", 16, 16), 3942)
+    @example((DesignPoint.GRADPIM_BUFFERED, "rmsprop", "32/32", 32, 24), 43)
     def test_perturbed_streams_match(self, workload, seed):
         design, optimizer, precision, window, columns = workload
         config, commands, dependents, period = _built(

@@ -11,8 +11,9 @@ dependency from the compiler, fails here.
 import copy
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, strategies as st
 
+from oracle import settings
 from repro.dram.geometry import DeviceGeometry
 from repro.dram.scheduler import CommandScheduler, IssueModel
 from repro.dram.timing import DDR4_2133, DDR4_3200

@@ -1,8 +1,8 @@
 """Columnar-native stream generation: views, tiling, profile path.
 
-* A cold columnar ``UpdatePhaseModel.profile()`` never materializes
-  ``Command`` objects: every design profiles with
-  ``ColumnarStream.to_commands`` patched to raise, and
+* A cold ``UpdatePhaseModel.profile()`` never materializes ``Command``
+  objects, on the columnar and the periodic engine alike: every design
+  profiles with ``ColumnarStream.to_commands`` patched to raise, and
   ``len(artifact.commands)`` stays O(1).
 * The layer entry points the outside-in benchmark tracer wraps keep
   their shape (generators return the artifact; ``columnar`` and
@@ -20,13 +20,13 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from oracle import build_dependents
 from repro.dram.columnar import (
     BUILD_FIELDS,
     ColumnarStream,
     StreamBuilder,
     TagCodes,
 )
-from repro.dram.steady import build_dependents
 from repro.kernels.aos import AoSKernelGenerator
 from repro.kernels.artifact import CommandStreamArtifact, CommandsView
 from repro.kernels.compiler import UpdateKernelCompiler
@@ -52,6 +52,19 @@ class TestColumnarProfilePath:
         assert profile.seconds_per_param > 0
         (artifact,) = model._streams.values()
         assert len(artifact.commands) == artifact.stream.n > 0
+
+    @pytest.mark.parametrize("columns", [32, 128])
+    @pytest.mark.parametrize("design", list(DesignPoint))
+    def test_periodic_profile_never_materializes(
+        self, design, columns, monkeypatch
+    ):
+        """Warm samples, their validation and full-stream fallbacks all
+        stay columnar."""
+        monkeypatch.setattr(ColumnarStream, "to_commands", _refuse)
+        model = UpdatePhaseModel(
+            columns_per_stripe=columns, engine="periodic"
+        )
+        assert model.profile(design, MOMENTUM).seconds_per_param > 0
 
     def test_tracer_hook_points(self):
         for name in ("columnar", "dependents"):

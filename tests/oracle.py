@@ -1,21 +1,28 @@
-"""Test oracles: the original greedy scheduling loop and the
-family-by-family JEDEC checker.
+"""Test oracles: the original greedy scheduling loop, its DDR4 state
+machines and the family-by-family JEDEC checker.
 
-Both are deliberately naive formulations that the production code is
-checked against; neither runs outside the test suite and the
+All are deliberately naive formulations that the production code is
+checked against; none runs outside the test suite and the
 benchmarks' equivalence gates.
 
 * :class:`ReferenceScheduler` — the greedy FR-FCFS loop as first
   written: every iteration rescans every port's lookahead window,
   re-derives each candidate's dependency readiness and asks the four
-  state machines (:mod:`repro.dram.bank`, ``bankgroup``, ``rank``,
-  ``channel``) for its earliest cycle. The columnar and periodic
-  engines must reproduce its issue cycles and ``TraceStats`` exactly,
-  deadlocks and structural errors included.
+  state machines (:class:`BankState`, :class:`BankGroupState`,
+  :class:`RankState`, :class:`DataBusState`) for its earliest cycle.
+  The columnar and periodic engines must reproduce its issue cycles
+  and ``TraceStats`` exactly, deadlocks and structural errors
+  included.
+* :func:`build_dependents` — the dependent-command adjacency of a
+  ``Command`` list, which the columnar stream's transposed CSR must
+  reproduce.
 * :func:`validate_trace_thorough` — one checker per rule family, each
   walking the whole trace with its own state reconstruction. Both
   production validators must accept exactly the traces it accepts and
   reject the seeded violations it rejects.
+* :func:`settings` — ``hypothesis.settings`` whose ``max_examples``
+  pin holds under the derandomized tier-1 profile and never caps the
+  randomized ``deep`` fuzz profile.
 * :func:`oracle_profile` — the ``UpdateProfile`` an
   :class:`~repro.system.update_model.UpdatePhaseModel` must produce,
   computed from the model's own stream on the two oracles above.
@@ -26,14 +33,12 @@ under pytest; the benchmarks insert it themselves).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional, Sequence
 
-from repro.dram.bank import BankState
-from repro.dram.bankgroup import BankGroupState
-from repro.dram.channel import DataBusState
+from repro.dram.columnar import TURNAROUND_GAP
 from repro.dram.commands import Command, CommandType, command_latency
 from repro.dram.geometry import DEFAULT_GEOMETRY, DeviceGeometry
-from repro.dram.rank import RankState
 from repro.dram.scheduler import (
     CommandScheduler,
     IssueModel,
@@ -47,6 +52,297 @@ from repro.dram.validator import _check_dependencies, _require_issued
 from repro.errors import SimulationError, TimingViolation
 from repro.optim.precision import PRECISION_8_32
 from repro.system.design import DESIGNS
+
+
+def settings(*args, **kwargs):
+    """``hypothesis.settings`` for property tests: a ``max_examples``
+    pin holds under a derandomized profile (tier-1 keeps its exact
+    draws) and never lowers a randomized profile's budget."""
+    # Imported here: the benchmarks import this module without
+    # Hypothesis installed.
+    from hypothesis import settings as hypothesis_settings
+
+    current = hypothesis_settings.default
+    if "max_examples" in kwargs and not current.derandomize:
+        kwargs["max_examples"] = max(
+            kwargs["max_examples"], current.max_examples
+        )
+    return hypothesis_settings(*args, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# DDR4 state machines (the reference loop asks them for earliest cycles)
+# ----------------------------------------------------------------------
+# Per bank: ACT needs the bank closed and tRP since the last PRE; column
+# commands need the addressed row open and tRCD since its ACT; PRE needs
+# tRAS since ACT, tRTP since the last read-type access and tWR after the
+# last write's data. Per bank group: the I/O gating (tCCD_L, every
+# column access) and the GradPIM ALU (tPIM, arithmetic only; per bank
+# under AoS-PB). Per rank: tRRD_S / tRRD_L, tFAW, tCCD_S and tWTR_S for
+# external accesses. Per data bus: burst occupancy, rank-switch and
+# direction-turnaround bubbles.
+class BankState:
+    """Mutable timing state of one bank."""
+
+    __slots__ = ("timing", "open_row", "act_ready", "col_ready", "pre_ready")
+
+    def __init__(self, timing: TimingParams) -> None:
+        self.timing = timing
+        self.open_row: Optional[int] = None
+        self.act_ready = 0  # earliest legal ACT
+        self.col_ready = 0  # earliest legal column access to the open row
+        self.pre_ready = 0  # earliest legal PRE
+
+    # ------------------------------------------------------------------
+    def earliest(self, cmd: Command) -> int:
+        """Earliest cycle at which this bank permits ``cmd``.
+
+        Returns a cycle number; commands that are structurally illegal in
+        the current state (ACT on an open bank, column access to a closed
+        or different row) raise :class:`SimulationError` because the
+        kernel generators are supposed to produce well-formed streams.
+        """
+        if cmd.kind is CommandType.ACT:
+            if self.open_row is not None:
+                raise SimulationError(
+                    f"ACT to bank with open row {self.open_row} "
+                    f"(command row {cmd.row})"
+                )
+            return self.act_ready
+        if cmd.kind is CommandType.PRE:
+            if self.open_row is None:
+                raise SimulationError("PRE to a closed bank")
+            return self.pre_ready
+        if cmd.is_column():
+            if self.open_row is None:
+                raise SimulationError(
+                    f"column access {cmd.kind.value} to a closed bank"
+                )
+            if self.open_row != cmd.row:
+                raise SimulationError(
+                    f"column access to row {cmd.row} but row "
+                    f"{self.open_row} is open"
+                )
+            return self.col_ready
+        # ALU / register commands do not involve the bank.
+        return 0
+
+    # ------------------------------------------------------------------
+    def apply(self, cmd: Command, cycle: int) -> None:
+        """Update bank state after ``cmd`` issues at ``cycle``."""
+        t = self.timing
+        if cmd.kind is CommandType.ACT:
+            self.open_row = cmd.row
+            self.col_ready = cycle + t.tRCD
+            self.pre_ready = cycle + t.tRAS
+            # Next ACT is gated through PRE; act_ready is set on PRE.
+            return
+        if cmd.kind is CommandType.PRE:
+            self.open_row = None
+            self.act_ready = cycle + t.tRP
+            return
+        if cmd.is_read():
+            # Row must stay open for tRTP after a read-type access.
+            self.pre_ready = max(self.pre_ready, cycle + t.tRTP)
+            return
+        if cmd.kind is CommandType.WR:
+            data_end = cycle + t.tCWL + t.tBURST
+            self.pre_ready = max(self.pre_ready, data_end + t.tWR)
+            return
+        if cmd.is_write():
+            # WRITEBACK / QREG_STORE are the latter half of a write:
+            # register data enters the sense amplifiers immediately (no
+            # tCWL bus delay) but the row must stay open tWR for
+            # restoration (§IV-C).
+            data_end = cycle + t.tBURST
+            self.pre_ready = max(self.pre_ready, data_end + t.tWR)
+            return
+        # ALU / register commands: no bank effect.
+
+
+class BankGroupState:
+    """Mutable timing state of one bank group."""
+
+    __slots__ = (
+        "timing",
+        "per_bank_pim",
+        "io_ready",
+        "alu_ready",
+        "wtr_ready",
+        "bank_io_ready",
+        "bank_alu_ready",
+    )
+
+    def __init__(
+        self,
+        timing: TimingParams,
+        banks_per_group: int,
+        per_bank_pim: bool = False,
+    ) -> None:
+        self.timing = timing
+        self.per_bank_pim = per_bank_pim
+        self.io_ready = 0  # bank-group I/O gating free (tCCD_L domain)
+        self.alu_ready = 0  # GradPIM ALU free (tPIM domain)
+        self.wtr_ready = 0  # earliest read-type access after a write burst
+        # AoS-PB: per-bank local I/O and per-bank ALU readiness.
+        self.bank_io_ready = [0] * banks_per_group
+        self.bank_alu_ready = [0] * banks_per_group
+
+    # ------------------------------------------------------------------
+    def earliest(self, cmd: Command) -> int:
+        """Earliest cycle this bank group permits ``cmd``."""
+        if cmd.is_column():
+            if cmd.is_internal_column() and self.per_bank_pim:
+                ready = self.bank_io_ready[cmd.bank]
+            else:
+                ready = self.io_ready
+            if cmd.is_read():
+                ready = max(ready, self.wtr_ready)
+            return ready
+        if cmd.is_pim_alu():
+            if self.per_bank_pim:
+                return self.bank_alu_ready[cmd.bank]
+            return self.alu_ready
+        return 0
+
+    # ------------------------------------------------------------------
+    def apply(self, cmd: Command, cycle: int) -> None:
+        """Update group state after ``cmd`` issues at ``cycle``."""
+        t = self.timing
+        if cmd.is_column():
+            if cmd.is_internal_column() and self.per_bank_pim:
+                self.bank_io_ready[cmd.bank] = cycle + t.tCCD_L
+            else:
+                self.io_ready = cycle + t.tCCD_L
+            if cmd.is_write():
+                # Same-group write-to-read turnaround (tWTR_L) measured
+                # from the end of the write data.
+                if cmd.kind.value == "WR":
+                    data_end = cycle + t.tCWL + t.tBURST
+                else:  # WRITEBACK: register data, no bus latency
+                    data_end = cycle + t.tBURST
+                self.wtr_ready = max(self.wtr_ready, data_end + t.tWTR_L)
+            return
+        if cmd.is_pim_alu():
+            if self.per_bank_pim:
+                self.bank_alu_ready[cmd.bank] = cycle + t.tPIM
+            else:
+                self.alu_ready = cycle + t.tPIM
+            return
+
+
+class RankState:
+    """Mutable timing state of one rank."""
+
+    __slots__ = (
+        "timing",
+        "act_window",
+        "last_act_cycle",
+        "last_act_group",
+        "ext_col_ready",
+        "wtr_ready",
+    )
+
+    def __init__(self, timing: TimingParams) -> None:
+        self.timing = timing
+        self.act_window: deque[int] = deque(maxlen=4)  # recent ACT cycles
+        self.last_act_cycle = -(10**9)
+        self.last_act_group = -1
+        self.ext_col_ready = 0  # global I/O gating free (tCCD_S domain)
+        self.wtr_ready = 0  # earliest external read after a write burst
+
+    # ------------------------------------------------------------------
+    def earliest(self, cmd: Command) -> int:
+        """Earliest cycle this rank permits ``cmd``."""
+        t = self.timing
+        if cmd.kind is CommandType.ACT:
+            ready = 0
+            if self.last_act_cycle >= 0:
+                spacing = (
+                    t.tRRD_L
+                    if cmd.bankgroup == self.last_act_group
+                    else t.tRRD_S
+                )
+                ready = self.last_act_cycle + spacing
+            if len(self.act_window) == 4:
+                ready = max(ready, self.act_window[0] + t.tFAW)
+            return ready
+        if cmd.is_external_column():
+            ready = self.ext_col_ready
+            if cmd.is_read():
+                ready = max(ready, self.wtr_ready)
+            return ready
+        return 0
+
+    # ------------------------------------------------------------------
+    def apply(self, cmd: Command, cycle: int) -> None:
+        """Update rank state after ``cmd`` issues at ``cycle``."""
+        t = self.timing
+        if cmd.kind is CommandType.ACT:
+            self.act_window.append(cycle)
+            self.last_act_cycle = cycle
+            self.last_act_group = cmd.bankgroup
+            return
+        if cmd.is_external_column():
+            self.ext_col_ready = cycle + t.tCCD_S
+            if cmd.kind is CommandType.WR:
+                data_end = cycle + t.tCWL + t.tBURST
+                self.wtr_ready = max(self.wtr_ready, data_end + t.tWTR_S)
+            return
+
+
+class DataBusState:
+    """Mutable occupancy state of the channel data bus."""
+
+    __slots__ = ("timing", "busy_until", "last_kind", "last_rank")
+
+    def __init__(self, timing: TimingParams) -> None:
+        self.timing = timing
+        self.busy_until = 0  # first cycle the bus is free again
+        self.last_kind: CommandType | None = None
+        self.last_rank = -1
+
+    # ------------------------------------------------------------------
+    def _data_offset(self, kind: CommandType) -> int:
+        """Cycles between command issue and the start of its data burst."""
+        if kind is CommandType.RD:
+            return self.timing.tCL
+        return self.timing.tCWL
+
+    def earliest(self, cmd: Command) -> int:
+        """Earliest *issue* cycle so the data burst finds the bus free.
+
+        Clamped to 0: on a fresh bus ``busy_until + gap`` can be smaller
+        than the command's data offset.
+        """
+        if not cmd.is_external_column():
+            return 0
+        gap = 0
+        if self.last_kind is not None:
+            if self.last_kind is not cmd.kind:
+                gap = max(gap, TURNAROUND_GAP)
+            if self.last_rank != cmd.rank:
+                gap = max(gap, self.timing.rank_switch_penalty)
+        earliest_data_start = self.busy_until + gap
+        return max(0, earliest_data_start - self._data_offset(cmd.kind))
+
+    def apply(self, cmd: Command, cycle: int) -> None:
+        """Record the data burst of ``cmd`` issued at ``cycle``."""
+        if not cmd.is_external_column():
+            return
+        start = cycle + self._data_offset(cmd.kind)
+        self.busy_until = start + self.timing.tBURST
+        self.last_kind = cmd.kind
+        self.last_rank = cmd.rank
+
+
+def build_dependents(commands: Sequence[Command]) -> list[list[int]]:
+    """Adjacency from each command to the commands that depend on it."""
+    out: list[list[int]] = [[] for _ in commands]
+    for i, cmd in enumerate(commands):
+        for d in cmd.deps:
+            out[d].append(i)
+    return out
 
 
 class ReferenceScheduler:

@@ -169,9 +169,9 @@ class TestSubstrateMemoization:
         runs = []
         real = CommandScheduler.run
 
-        def counting(self, commands, dependents=None, **kwargs):
+        def counting(self, commands, **kwargs):
             runs.append(len(commands))
-            return real(self, commands, dependents, **kwargs)
+            return real(self, commands, **kwargs)
 
         monkeypatch.setattr(CommandScheduler, "run", counting)
         specs = [
