@@ -205,11 +205,11 @@ def bench_design(design, window: int, repeats: int) -> dict:
 
     ref_result = reference.run(commands)
     col_identical = _identical(
-        ref_result, columnar.run(commands, columnar=stream)
+        ref_result, columnar.run(stream)
     )
     per_identical = _identical(
         ref_result,
-        periodic.run(commands, columnar=stream, period=period),
+        periodic.run(stream, period=period),
     )
 
     run_ref = _best_of(lambda: reference.run(commands), repeats)
@@ -218,16 +218,16 @@ def bench_design(design, window: int, repeats: int) -> dict:
         ColumnarStream.from_commands(commands) for _ in range(repeats)
     ])
     run_col_cold = _best_of(
-        lambda: columnar.run(commands, columnar=next(cold_streams)),
+        lambda: columnar.run(next(cold_streams)),
         repeats,
     )
     # Warm: the shared stream has already scheduled once above, so the
     # memo is populated — this is the artifact-replay steady state.
     run_col_warm = _best_of(
-        lambda: columnar.run(commands, columnar=stream), repeats
+        lambda: columnar.run(stream), repeats
     )
     run_per = _best_of(
-        lambda: periodic.run(commands, columnar=stream, period=period),
+        lambda: periodic.run(stream, period=period),
         repeats,
     )
 

@@ -18,8 +18,9 @@ The public surface:
 * :class:`repro.dram.columnar.ColumnarStream` (struct-of-arrays view)
 * :class:`repro.dram.address.AddressMapping`
 * :class:`repro.dram.power.EnergyModel`
-* :func:`repro.dram.validator.validate_trace` /
-  :func:`repro.dram.validator.validate_trace_columnar`
+* :func:`repro.dram.validator.validate_trace_columnar` (the JEDEC
+  trace checker; :func:`~repro.dram.validator.validate_trace` runs it
+  on a ``Command`` list)
 """
 
 from repro.dram.timing import (

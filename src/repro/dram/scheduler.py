@@ -269,15 +269,13 @@ class CommandScheduler:
         self,
         commands: "Sequence[Command] | ColumnarStream",
         period: Optional[StreamPeriod] = None,
-        columnar: Optional[ColumnarStream] = None,
     ) -> ScheduleResult:
         """Schedule ``commands`` and return the annotated result.
 
         ``commands`` is a ``Command`` sequence or a
-        :class:`~repro.dram.columnar.ColumnarStream`; single-channel
-        runs schedule the columnar form (built from ``commands`` unless
-        ``columnar`` supplies it — it must describe the same stream;
-        kernel artifacts cache it).
+        :class:`~repro.dram.columnar.ColumnarStream` (kernel artifacts
+        cache theirs); single-channel runs schedule the columnar form,
+        built from a ``Command`` sequence when given one.
 
         Dependencies must point backwards (``dep < index``); forward or
         self references raise :class:`SimulationError`. The caller's
@@ -309,12 +307,10 @@ class CommandScheduler:
                     if periodic else None
                 ),
             )
-        stream = columnar
-        if stream is None:
-            stream = (
-                commands if isinstance(commands, ColumnarStream)
-                else ColumnarStream.from_commands(commands)
-            )
+        stream = (
+            commands if isinstance(commands, ColumnarStream)
+            else ColumnarStream.from_commands(commands)
+        )
         stream.check_structure(geom)
         steady = None
         if periodic and period is not None and period.segments:

@@ -16,10 +16,10 @@ both directions. These tests enforce:
 * issue-cycle memoization: re-scheduling the same stream object is
   byte-identical and hits the memo (no second cold pass);
 * the frozen columns refuse in-place mutation;
-* ``validate_trace_columnar`` accepts exactly what ``validate_trace``
-  and the family-by-family oracle accept, and rejects seeded
-  corruptions with the *same* exception text as ``validate_trace``
-  (the scalar fallback re-raise) — and the oracle rejects them too.
+* ``validate_trace_columnar`` accepts what the family-by-family
+  oracle accepts, and rejects seeded corruptions with the exception
+  text pinned in ``violation_golden.json`` — and the oracle rejects
+  them too.
 """
 
 import numpy as np
@@ -41,6 +41,7 @@ from repro.optim.precision import PRECISIONS
 from repro.optim.registry import build_optimizer
 from repro.system.design import DESIGNS, DesignPoint
 from repro.system.update_model import UpdatePhaseModel
+from violation_cases import CASES, load_golden, verdict
 
 T = DDR4_2133
 GEOM = UpdatePhaseModel().geometry
@@ -185,8 +186,8 @@ class TestMemoization:
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
-        first = sched.run(commands, columnar=art.columnar)
-        second = sched.run(commands, columnar=art.columnar)
+        first = sched.run(art.columnar)
+        second = sched.run(art.columnar)
         assert first.issue_cycles() == second.issue_cycles()
         assert first.stats == second.stats
         # The memoized cycle vector is shared between replays, so it
@@ -206,8 +207,8 @@ class TestMemoization:
             T, GEOM, config.issue_model(GEOM), engine="columnar",
             data_bus_scope=config.data_bus_scope, window=1,
         )
-        wide = base.run(commands, columnar=art.columnar)
-        small = narrow.run(commands, columnar=art.columnar)
+        wide = base.run(art.columnar)
+        small = narrow.run(art.columnar)
         reference = ReferenceScheduler(
             T, GEOM, config.issue_model(GEOM),
             data_bus_scope=config.data_bus_scope, window=1,
@@ -227,7 +228,7 @@ class TestMemoization:
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
-        result = sched.run(commands, columnar=art.columnar)
+        result = sched.run(art.columnar)
         (entry,) = art.columnar._memo.values()
         issue, total_cycles, counts, port_issued = entry
         assert issue is result.columnar.issue_cycle
@@ -261,7 +262,7 @@ class TestColumnarValidator:
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
-        result = sched.run(commands, columnar=art.columnar)
+        result = sched.run(art.columnar)
         validate_trace_columnar(
             result.columnar, T, GEOM, issue_model.port_of_rank,
             per_bank_pim=config.per_bank_pim,
@@ -279,42 +280,19 @@ class TestColumnarValidator:
     def test_seeded_corruptions_rejected_identically(
         self, design, shift
     ):
-        """Corrupting one issue cycle must raise the same
-        TimingViolation from both validators (the columnar one falls
-        back to the scalar sweep to name the first offender), and the
-        oracle must reject the trace too."""
-        config, commands, art = _design_stream(design)
-        issue_model = config.issue_model(GEOM)
-        sched = CommandScheduler(
-            T, GEOM, issue_model, engine="columnar",
-            per_bank_pim=config.per_bank_pim,
-            data_bus_scope=config.data_bus_scope,
-        )
-        result = sched.run(commands, columnar=art.columnar)
-        corrupted = result.columnar.issue_cycle.copy()
-        corrupted.setflags(write=True)
-        victim = len(corrupted) // 2
-        corrupted[victim] = max(0, corrupted[victim] + shift)
-        bad = type(result.columnar)(result.columnar.stream, corrupted)
-        kwargs = dict(
-            per_bank_pim=config.per_bank_pim,
-            data_bus_scope=config.data_bus_scope,
-        )
-        with pytest.raises(TimingViolation) as vectorized:
-            validate_trace_columnar(
-                bad, T, GEOM, issue_model.port_of_rank, **kwargs
-            )
-        with pytest.raises(TimingViolation) as scalar:
-            validate_trace(
-                bad.to_commands(), T, GEOM, issue_model.port_of_rank,
-                **kwargs
-            )
-        assert str(vectorized.value) == str(scalar.value)
-        with pytest.raises(TimingViolation):
-            validate_trace_thorough(
-                bad.to_commands(), T, GEOM, issue_model.port_of_rank,
-                **kwargs
-            )
+        """Corrupting one issue cycle of a 32-column trace raises the
+        golden TimingViolation from the columnar checker and from the
+        ``Command``-list entry point, and the oracle rejects the trace
+        too."""
+        name = f"seeded/{design.value}/0.5/{shift}"
+        case = CASES[name]()
+        expected = load_golden()[name]
+        commands = case.schedule.to_commands()
+        assert verdict(validate_trace_columnar, case) == expected
+        assert verdict(validate_trace, case, commands=commands) == expected
+        assert verdict(
+            validate_trace_thorough, case, commands=commands
+        ) is not None
 
     def test_unissued_command_rejected(self):
         config, commands, art = _design_stream(DesignPoint.BASELINE)
@@ -323,7 +301,7 @@ class TestColumnarValidator:
             T, GEOM, issue_model, engine="columnar",
             data_bus_scope=config.data_bus_scope,
         )
-        result = sched.run(commands, columnar=art.columnar)
+        result = sched.run(art.columnar)
         corrupted = result.columnar.issue_cycle.copy()
         corrupted.setflags(write=True)
         corrupted[0] = -1

@@ -1,298 +1,166 @@
-"""Validator tests: seeded violations must be caught.
+"""Validator tests: seeded violations must be caught, and named.
 
-The validator is an independent re-implementation of the JEDEC rules;
-these tests hand-construct traces that break exactly one rule each and
-assert the breach is named — by the fused sweep and by the
-family-by-family oracle (``tests/oracle.py``) alike.
+The validator is an independent re-implementation of the JEDEC rules.
+These tests hold it to
+
+* the hand-built traces of ``violation_cases.py`` that break exactly
+  one rule each: the rule is named by the validator and by the
+  family-by-family oracle (``tests/oracle.py``) alike;
+* ``violation_golden.json``: every golden case raises the pinned
+  ``(rule, cycle, message)`` — its first offender — from the columnar
+  checker and from the ``Command``-list adapter, with
+  ``ColumnarStream.to_commands`` patched to raise;
+* a Hypothesis property: small corruptions of real scheduled traces
+  are rejected exactly when the oracle rejects them;
+* valid traces spanning more issue cycles than any fixed value band,
+  and valid traces that leave several banks open.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
-from oracle import validate_trace_thorough
-from repro.dram.commands import Command, CommandType
-from repro.dram.geometry import DeviceGeometry
-from repro.dram.timing import DDR4_2133
-from repro.dram.validator import validate_trace
+from oracle import settings, validate_trace_thorough
+from repro.dram.columnar import ColumnarStream
+from repro.dram.commands import CommandType
+from repro.dram.validator import validate_trace, validate_trace_columnar
 from repro.errors import TimingViolation
+from repro.system.design import DesignPoint
+from violation_cases import (
+    CASES,
+    GEOM,
+    PORTS,
+    SINGLE_RULE_TRACES,
+    T,
+    corrupted,
+    issued,
+    legal_pair,
+    load_golden,
+    scheduled,
+    verdict,
+)
 
-T = DDR4_2133
-GEOM = DeviceGeometry()
-PORTS = (0, 0, 0, 0)
-
-
-def _issued(kind, cycle, **kwargs):
-    cmd = Command(kind, **kwargs)
-    cmd.issue_cycle = cycle
-    return cmd
-
-
-def _legal_pair(row=0):
-    """ACT then a legal read."""
-    return [
-        _issued(CommandType.ACT, 0, row=row),
-        _issued(CommandType.SCALED_READ, T.tRCD, row=row),
-    ]
-
-
-#: The production sweep and the oracle, checked side by side.
+#: The production checker and the oracle, checked side by side.
 VALIDATORS = (validate_trace, validate_trace_thorough)
 
 
-def _check(trace, rule):
-    """Both checkers must flag the same seeded violation."""
-    for validate in VALIDATORS:
-        with pytest.raises(TimingViolation) as exc:
-            validate(trace, T, GEOM, PORTS)
-        assert exc.value.rule == rule, validate.__name__
+def _refuse(*args, **kwargs):
+    raise AssertionError("ColumnarStream.to_commands was called")
 
 
 def test_legal_trace_passes():
     for validate in VALIDATORS:
-        validate(_legal_pair(), T, GEOM, PORTS)
+        validate(legal_pair(), T, GEOM, PORTS)
 
 
-def test_trcd_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0),
-        _issued(CommandType.SCALED_READ, T.tRCD - 1, row=0),
-    ]
-    _check(trace, "tRCD")
+@pytest.mark.parametrize("rule", list(SINGLE_RULE_TRACES))
+def test_single_rule_violation(rule):
+    """Both checkers flag the one rule each hand-built trace breaks."""
+    for validate in VALIDATORS:
+        with pytest.raises(TimingViolation) as exc:
+            validate(SINGLE_RULE_TRACES[rule](), T, GEOM, PORTS)
+        assert exc.value.rule == rule, validate.__name__
 
 
-def test_tras_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0),
-        _issued(CommandType.PRE, T.tRAS - 1, row=0),
-    ]
-    _check(trace, "tRAS")
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_first_offender(name, monkeypatch):
+    """Same (rule, cycle, message) as the golden from both entry
+    points, and no failure path materializes ``Command`` objects."""
+    case = CASES[name]()
+    commands = case.schedule.to_commands()
+    monkeypatch.setattr(ColumnarStream, "to_commands", _refuse)
+    expected = load_golden()[name]
+    assert verdict(validate_trace_columnar, case) == expected
+    assert verdict(validate_trace, case, commands=commands) == expected
 
 
-def test_trp_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0),
-        _issued(CommandType.PRE, T.tRAS, row=0),
-        _issued(CommandType.ACT, T.tRAS + T.tRP - 1, row=1),
-    ]
-    _check(trace, "tRP")
-
-
-def test_trtp_violation():
-    read_cycle = T.tRAS  # late enough that tRAS is already satisfied
-    trace = [
-        _issued(CommandType.ACT, 0, row=0),
-        _issued(CommandType.SCALED_READ, read_cycle, row=0),
-        _issued(CommandType.PRE, read_cycle + T.tRTP - 1, row=0),
-    ]
-    _check(trace, "tRTP")
-
-
-def test_twr_violation():
-    wb_cycle = T.tRAS  # tRAS satisfied so only tWR can fire
-    trace = [
-        _issued(CommandType.ACT, 0, row=0),
-        _issued(CommandType.WRITEBACK, wb_cycle, row=0),
-        _issued(
-            CommandType.PRE, wb_cycle + T.tBURST + T.tWR - 1, row=0
+@settings(max_examples=60, deadline=None)
+@given(
+    design=st.sampled_from(list(DesignPoint)),
+    scope=st.sampled_from(["channel", "dimm"]),
+    shifts=st.lists(
+        st.tuples(
+            st.integers(0, 1 << 20),
+            st.sampled_from([-3, -2, -1, 1, 2, 3]),
         ),
-    ]
-    _check(trace, "tWR")
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_rejects_iff_oracle_rejects(design, scope, shifts):
+    base = scheduled(design, columns=8)
+    n = base.schedule.stream.n
+    case = corrupted(
+        base, {i % n: shift for i, shift in shifts}, data_bus_scope=scope
+    )
+    oracle = verdict(
+        validate_trace_thorough, case, commands=case.schedule.to_commands()
+    )
+    columnar = verdict(validate_trace_columnar, case)
+    assert (columnar is None) == (oracle is None), (columnar, oracle)
 
 
-def test_row_match_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0),
-        _issued(CommandType.SCALED_READ, T.tRCD, row=5),
-    ]
-    _check(trace, "row-match")
-
-
-def test_act_on_open_bank():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0),
-        _issued(CommandType.ACT, T.tRRD_L, row=1),
-    ]
-    _check(trace, "ACT-open")
-
-
-def test_pre_closed_bank():
-    _check([_issued(CommandType.PRE, 0, row=0)], "PRE-closed")
-
-
-def test_tccd_l_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0, bank=0),
-        _issued(CommandType.ACT, T.tRRD_L, row=0, bank=1),
-        _issued(CommandType.SCALED_READ, 40, row=0, bank=0),
-        _issued(
-            CommandType.SCALED_READ, 40 + T.tCCD_L - 1, row=0, bank=1
-        ),
-    ]
-    _check(trace, "tCCD_L")
-
-
-def test_tpim_violation():
-    trace = [
-        _issued(CommandType.PIM_ADD, 0),
-        _issued(CommandType.PIM_SUB, T.tPIM - 1),
-    ]
-    _check(trace, "tPIM")
-
-
-def test_trrd_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0, bankgroup=0),
-        _issued(CommandType.ACT, T.tRRD_S - 1, row=0, bankgroup=1),
-    ]
-    _check(trace, "tRRD")
-
-
-def test_tfaw_violation():
-    trace = []
-    cycle = 0
-    for i in range(4):
-        trace.append(
-            _issued(CommandType.ACT, cycle, row=0, bankgroup=i)
+@pytest.mark.parametrize("design", list(DesignPoint))
+def test_trace_spanning_beyond_any_fixed_band_accepted(design):
+    """Two copies of a legal trace, the second 2^42 cycles later (deps
+    shifted into its own block), stay legal: segmented running maxima
+    must not leak across resources however far apart the cycles are."""
+    case = scheduled(design, columns=8)
+    first = case.schedule.to_commands()
+    n = len(first)
+    second = case.schedule.to_commands()
+    for cmd in second:
+        cmd.issue_cycle += 1 << 42
+        cmd.deps = tuple(d + n for d in cmd.deps)
+    for validate in VALIDATORS:
+        validate(
+            first + second, T, case.geometry, case.port_of_rank,
+            **case.kwargs,
         )
-        cycle += T.tRRD_S
-    trace.append(
-        _issued(CommandType.ACT, T.tFAW - 1, row=0, bankgroup=0, bank=1)
-    )
-    _check(trace, "tFAW")
 
 
-def test_tccd_s_violation():
+def test_banks_left_open_accepted():
+    """A bank left open must not read as open to the next bank in the
+    checker's resource order."""
     trace = [
-        _issued(CommandType.ACT, 0, row=0, bankgroup=0),
-        _issued(CommandType.ACT, T.tRRD_S, row=0, bankgroup=1),
-        _issued(CommandType.RD, 40, row=0, bankgroup=0),
-        _issued(CommandType.RD, 40 + T.tCCD_S - 1, row=0, bankgroup=1),
+        issued(CommandType.ACT, 0, row=0, bank=0),
+        issued(CommandType.ACT, T.tRRD_L, row=0, bank=1),
+        issued(CommandType.SCALED_READ, 40, row=0, bank=0),
+        issued(CommandType.SCALED_READ, 40 + T.tCCD_L, row=0, bank=1),
     ]
-    _check(trace, "tCCD_S")
-
-
-def test_twtr_l_violation():
-    wb = T.tRCD
-    trace = [
-        _issued(CommandType.ACT, 0, row=0, bank=0),
-        _issued(CommandType.ACT, T.tRRD_L, row=0, bank=1),
-        _issued(CommandType.WRITEBACK, wb, row=0, bank=0),
-        _issued(
-            CommandType.SCALED_READ,
-            wb + T.tCCD_L,  # satisfies tCCD_L but not tWTR_L
-            row=0,
-            bank=1,
-        ),
-    ]
-    _check(trace, "tWTR_L")
-
-
-def test_command_bus_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0, rank=0, bankgroup=0),
-        _issued(CommandType.ACT, 0, row=0, rank=1, bankgroup=0),
-    ]
-    _check(trace, "command-bus")
-
-
-def test_dependency_violation():
-    a = _issued(CommandType.ACT, 0, row=0)
-    b = _issued(CommandType.SCALED_READ, T.tRCD - 2, row=0)
-    b.deps = (0,)
-    # Dependency check fires on completion, independent of tRCD.
-    with pytest.raises(TimingViolation):
-        validate_trace([a, b], T, GEOM, PORTS)
-
-
-def test_data_bus_overlap_violation():
-    trace = [
-        _issued(CommandType.ACT, 0, row=0, bankgroup=0),
-        _issued(CommandType.ACT, T.tRRD_S, row=0, bankgroup=1),
-        _issued(CommandType.RD, 40, row=0, bankgroup=0),
-        # tCCD_S satisfied (4), but burst data (4 cycles) still overlaps
-        # at spacing < tBURST when tCCD_S == tBURST; force overlap with
-        # a rank switch requiring a gap.
-        _issued(
-            CommandType.RD, 40 + T.tBURST, row=0, rank=1, bankgroup=0
-        ),
-    ]
-    trace.insert(
-        2, _issued(CommandType.ACT, 2 * T.tRRD_S, row=0, rank=1)
-    )
-    _check(trace, "data-bus")
-
-
-def test_unissued_command_rejected():
-    cmd = Command(CommandType.ACT, row=0)
-    with pytest.raises(TimingViolation):
-        validate_trace([cmd], T, GEOM, PORTS)
+    for validate in VALIDATORS:
+        validate(trace, T, GEOM, PORTS)
 
 
 class TestModeEquivalence:
-    """Fused sweep and the oracle agree on real traces."""
+    """The checker and the oracle agree on real traces."""
 
-    def _scheduled(self, design):
-        from repro.dram.scheduler import CommandScheduler
-        from repro.optim.registry import build_optimizer
-        from repro.optim.precision import PRECISION_8_32
-        from repro.system.design import DESIGNS
-        from repro.system.update_model import UpdatePhaseModel
-
-        model = UpdatePhaseModel(columns_per_stripe=8)
-        optimizer = build_optimizer(
-            "momentum_sgd",
-            {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4},
+    @pytest.mark.parametrize("design", list(DesignPoint))
+    def test_all_design_traces_pass_both(self, design):
+        case = scheduled(design, columns=8)
+        validate_trace_columnar(
+            case.schedule, T, case.geometry, case.port_of_rank,
+            **case.kwargs,
         )
-        config = DESIGNS[design]
-        commands, _, _, _period, _art = model._build_stream(
-            config, optimizer, PRECISION_8_32
-        )
-        issue_model = config.issue_model(model.geometry)
-        result = CommandScheduler(
-            model.timing, model.geometry, issue_model,
-            per_bank_pim=config.per_bank_pim,
-            data_bus_scope=config.data_bus_scope,
-        ).run(commands)
-        return config, issue_model, result
+        for validate in VALIDATORS:
+            validate(
+                case.schedule.to_commands(), T, case.geometry,
+                case.port_of_rank, **case.kwargs,
+            )
 
-    def test_all_design_traces_pass_both_modes(self):
-        from repro.system.design import DesignPoint
-
-        for design in DesignPoint:
-            config, issue_model, result = self._scheduled(design)
-            for validate in VALIDATORS:
-                validate(
-                    result.commands,
-                    T,
-                    GEOM,
-                    issue_model.port_of_rank,
-                    per_bank_pim=config.per_bank_pim,
-                    data_bus_scope=config.data_bus_scope,
-                )
-
-    def test_corrupted_trace_fails_both_modes(self):
-        from repro.system.design import DesignPoint
-
-        _, issue_model, result = self._scheduled(
-            DesignPoint.GRADPIM_BUFFERED
-        )
+    def test_corrupted_trace_fails_both(self):
         # Pull one mid-trace command several cycles earlier: some rule
-        # (which one depends on the command) must fire in both modes.
-        victim = result.commands[len(result.commands) // 2]
-        victim.issue_cycle = max(victim.issue_cycle - 3, 0)
+        # (which one depends on the command) must fire in both.
+        base = scheduled(DesignPoint.GRADPIM_BUFFERED, columns=8)
+        case = corrupted(base, {base.schedule.stream.n // 2: -3})
         for validate in VALIDATORS:
-            with pytest.raises(TimingViolation):
-                validate(
-                    result.commands,
-                    T,
-                    GEOM,
-                    issue_model.port_of_rank,
-                    data_bus_scope="channel",
-                )
+            assert verdict(
+                validate, case, commands=case.schedule.to_commands()
+            ) is not None
 
-    def test_bad_scope_rejected_in_both_modes(self):
+    def test_bad_scope_rejected_by_both(self):
         for validate in VALIDATORS:
             with pytest.raises(TimingViolation):
                 validate(
-                    _legal_pair(), T, GEOM, PORTS,
+                    legal_pair(), T, GEOM, PORTS,
                     data_bus_scope="hyperbus",
                 )

@@ -66,3 +66,16 @@ def test_parse_args_no_validate():
     )
     with pytest.raises(ValueError):
         parse_args(["--engine", "warp-drive", "fig9"])
+
+
+def test_full_run_never_materializes_commands(monkeypatch, capsys):
+    """Every figure, in process with an in-memory cache, schedules and
+    validates without building a single ``Command`` object."""
+    from repro.dram.columnar import ColumnarStream
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ColumnarStream.to_commands was called")
+
+    monkeypatch.setattr(ColumnarStream, "to_commands", refuse)
+    assert main([]) == 0
+    assert "Fig. 9" in capsys.readouterr().out

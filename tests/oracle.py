@@ -17,8 +17,8 @@ benchmarks' equivalence gates.
   ``Command`` list, which the columnar stream's transposed CSR must
   reproduce.
 * :func:`validate_trace_thorough` — one checker per rule family, each
-  walking the whole trace with its own state reconstruction. Both
-  production validators must accept exactly the traces it accepts and
+  walking the whole trace with its own state reconstruction. The
+  production checker must accept exactly the traces it accepts and
   reject the seeded violations it rejects.
 * :func:`settings` — ``hypothesis.settings`` whose ``max_examples``
   pin holds under the derandomized tier-1 profile and never caps the
@@ -48,7 +48,6 @@ from repro.dram.scheduler import (
 )
 from repro.dram.stats import TraceStats
 from repro.dram.timing import TimingParams
-from repro.dram.validator import _check_dependencies, _require_issued
 from repro.errors import SimulationError, TimingViolation
 from repro.optim.precision import PRECISION_8_32
 from repro.system.design import DESIGNS
@@ -601,6 +600,31 @@ def validate_trace_thorough(
             subset, timing, geometry, port_of_rank,
             per_bank_pim, data_bus_scope,
         )
+
+
+def _require_issued(commands: Sequence[Command]) -> None:
+    for cmd in commands:
+        if cmd.issue_cycle < 0:
+            raise TimingViolation(
+                "unissued", 0, "command without an issue cycle in trace"
+            )
+
+
+def _check_dependencies(
+    commands: Sequence[Command], timing: TimingParams
+) -> None:
+    """Every consumer issues at or after each dependency completes."""
+    for i, cmd in enumerate(commands):
+        for d in cmd.deps:
+            dep = commands[d]
+            done = dep.issue_cycle + command_latency(dep.kind, timing)
+            if cmd.issue_cycle < done:
+                raise TimingViolation(
+                    "dependency",
+                    cmd.issue_cycle,
+                    f"command {i} issued before dependency {d} "
+                    f"completed at {done}",
+                )
 
 
 def _check_families(
