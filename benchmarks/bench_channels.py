@@ -9,8 +9,8 @@ machines), measuring
   exactly ``1/channels`` and achieved internal bandwidth by
   ``channels``;
 * **scheduling wall-clock** — one ``CommandScheduler.run`` over the
-  channel-replicated stream (the serial per-channel partition path,
-  recorded, not gated);
+  channel-replicated ``ColumnarStream`` (split per channel with numpy
+  and scheduled channel by channel; recorded, not gated);
 * **the channels=1 golden** — a ResNet-18 Fig. 9 ``NetworkResult``
   under the current defaults must serialize byte-identically to the
   checked-in pre-channel golden (``golden_fig9_resnet18.json``), and
@@ -113,11 +113,10 @@ def bench_channels(
     profile = model.profile(DESIGN, optimizer, PRECISION_8_32)
 
     config = DESIGNS[DESIGN]
-    commands, _, _, _period, _art = model._build_stream(
-        config, optimizer, PRECISION_8_32
-    )
+    *_, art = model._build_stream(config, optimizer, PRECISION_8_32)
+    stream = art.columnar
     if n_channels > 1:
-        commands = replicate_across_channels(commands, n_channels)
+        stream = replicate_across_channels(stream, n_channels)
     scheduler = CommandScheduler(
         HBM_LIKE,
         geometry,
@@ -125,11 +124,11 @@ def bench_channels(
         per_bank_pim=config.per_bank_pim,
         data_bus_scope=config.data_bus_scope,
     )
-    schedule_s = _best_of(lambda: scheduler.run(commands), repeats)
+    schedule_s = _best_of(lambda: scheduler.run(stream), repeats)
     rate = profile.seconds_per_param
     return {
         "channels": n_channels,
-        "n_commands": len(commands),
+        "n_commands": stream.n,
         "schedule_s": schedule_s,
         "sim_ns_per_param": rate * 1e9,
         "rate_scaling_vs_one_channel": (
@@ -178,9 +177,7 @@ def check_partition_path_identity(columns_per_stripe: int) -> bool:
         timing=HBM_LIKE, columns_per_stripe=columns_per_stripe
     )
     config = DESIGNS[DESIGN]
-    commands, _, _, _period, _art = model._build_stream(
-        config, optimizer, PRECISION_8_32
-    )
+    *_, art = model._build_stream(config, optimizer, PRECISION_8_32)
     results = []
     for geometry in (DeviceGeometry(), DeviceGeometry(channels=2)):
         scheduler = CommandScheduler(
@@ -190,7 +187,7 @@ def check_partition_path_identity(columns_per_stripe: int) -> bool:
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
-        results.append(scheduler.run(commands).issue_cycles())
+        results.append(scheduler.run(art.columnar).issue_cycles())
     return results[0] == results[1]
 
 

@@ -1,29 +1,27 @@
-"""Scheduler engine benchmark -> BENCH_scheduler.json.
+"""Scheduler benchmark -> BENCH_scheduler.json.
 
 Times the reference greedy loop (the test-suite oracle,
-``tests/oracle.py``) against the columnar engine and the periodic
-engine on every design point of the paper's evaluation, verifies exact
-equivalence with the oracle on each timed stream, and emits a JSON
-record for the repo's performance trajectory.
+``tests/oracle.py``) against ``CommandScheduler.run`` without and with
+steady-state replay on every design point of the paper's evaluation,
+verifies exact equivalence with the oracle on each timed stream, and
+emits a JSON record for the repo's performance trajectory.
 
 Measurements per (design, window):
 
 * ``run`` — one schedule of the design's compiled update stream: the
-  oracle loop vs the columnar engine vs the periodic engine (with the
-  stream's period metadata). The columnar engine is timed twice:
-  *cold* (a fresh ``ColumnarStream`` per call, so preparation and the
-  scheduling loop both run) and *warm* (one shared stream, the replay
-  the service layer sees, where the issue-cycle memo turns scheduling
-  into an O(n) copy).
+  oracle loop vs the plain columnar loop (``run(stream)``: preparation
+  plus the scheduling loop, every call) vs the loop with steady-state
+  replay (``run(stream, period=...)``, the stream's period metadata).
 * stream build — ``ColumnarStream.from_commands`` per design.
 * ``profile`` — a cold end-to-end ``UpdatePhaseModel.profile()``
   (stream compile + schedule + vectorized trace validation + rate
   extraction) vs the same pipeline on the oracles (reference loop +
   family-by-family validator).
-* equivalence — issue cycles and ``TraceStats`` of both engines must
+* equivalence — issue cycles and ``TraceStats`` of both runs must
   match the oracle exactly, and one ResNet-18 ``NetworkResult`` (the
   paper's Fig. 9 workload) must serialize byte-identically to the
-  checked-in golden under both engines.
+  checked-in golden under both model engines (``columnar``,
+  ``periodic``).
 
 Usage::
 
@@ -34,10 +32,10 @@ Usage::
         --baseline BENCH_scheduler.json         # gate vs checked-in
 
 Exit status is non-zero when any design point schedules slower on the
-columnar engine (cold) than on the oracle loop, when warm columnar
-replay is below 10x over a cold run, when any equivalence check fails,
-or (with ``--baseline``) when a summary speedup regresses more than
-10% against the checked-in record — the CI benchmark job gates on this.
+columnar loop than on the oracle loop, when any equivalence check
+fails, or (with ``--baseline``) when a summary speedup regresses more
+than 10% against the checked-in record — the CI benchmark job gates on
+this.
 
 Every design point is measured in :data:`PASSES` independent passes.
 Each summary speedup is the median of its per-pass values, and each
@@ -66,12 +64,10 @@ JSON schema (``BENCH_scheduler.json``)::
           "build_columnar_s": float,        # best-of-N, from_commands
           "columnar_nbytes": int,           # stream footprint
           "run_reference_s": float,         # best-of-N, oracle loop
-          "run_columnar_cold_s": float,     # best-of-N, fresh stream
-          "run_columnar_warm_s": float,     # best-of-N, memoized replay
-          "run_periodic_s": float,          # best-of-N, steady engine
-          "run_speedup": float,             # reference / columnar cold
-          "columnar_warm_speedup": float,   # columnar cold / warm
-          "periodic_speedup": float,        # columnar cold / periodic
+          "run_columnar_cold_s": float,     # best-of-N, run(stream)
+          "run_periodic_s": float,          # best-of-N, with period=
+          "run_speedup": float,             # reference / columnar
+          "periodic_speedup": float,        # columnar / periodic
           "profile_seed_s": float,          # oracle pipeline
           "profile_new_s": float,           # UpdatePhaseModel.profile
           "profile_speedup": float,
@@ -84,13 +80,11 @@ JSON schema (``BENCH_scheduler.json``)::
         "n_commands": int, "reps": int,
         "build_columnar_s": float,          # tiled columnar build
         "columnar_nbytes": int,
-        "run_columnar_cold_s": float, "run_columnar_warm_s": float,
-        "columnar_warm_speedup": float,
+        "run_columnar_cold_s": float,
         "columnar_valid": bool              # vectorized validator
       },
       "summary": {                          # median over passes
         "min_run_speedup": float,
-        "min_columnar_warm_speedup": float,
         "min_profile_speedup": float,
         "pim_kernel_profile_speedup": float  # geomean, pim designs
       }
@@ -129,10 +123,6 @@ OPTIMIZER = ("momentum_sgd", {
     "eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4,
 })
 
-#: Warm columnar replay must beat a cold columnar run by at least this
-#: factor (the memo's reason to exist).
-COLUMNAR_WARM_GATE = 10.0
-
 #: A summary speedup may not drop below this fraction of the baseline.
 BASELINE_TOLERANCE = 0.9
 
@@ -142,10 +132,7 @@ PASSES = 3
 
 #: Summary metrics compared against ``--baseline`` (ratios, so they
 #: are stable across machines in a way absolute wall-clock times are
-#: not). ``min_columnar_warm_speedup`` is deliberately absent: warm
-#: replays complete in microseconds, so that ratio is dominated by
-#: timer resolution and run-to-run noise — it is protected by the
-#: absolute :data:`COLUMNAR_WARM_GATE` instead.
+#: not).
 BASELINE_METRICS = (
     "min_run_speedup",
     "pim_kernel_profile_speedup",
@@ -190,13 +177,13 @@ def bench_design(design, window: int, repeats: int) -> dict:
     config = DESIGNS[design]
     optimizer = build_optimizer(*OPTIMIZER)
     model = UpdatePhaseModel(window=window)
-    commands, _, _, period, _art = model._build_stream(
+    _, _, period, art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
+    commands = art.commands
     substrate = _substrate(model, config, window)
     reference = ReferenceScheduler(**substrate)
-    columnar = CommandScheduler(engine="columnar", **substrate)
-    periodic = CommandScheduler(engine="periodic", **substrate)
+    scheduler = CommandScheduler(**substrate)
 
     build_col_s = _best_of(
         lambda: ColumnarStream.from_commands(commands), repeats
@@ -204,31 +191,15 @@ def bench_design(design, window: int, repeats: int) -> dict:
     stream = ColumnarStream.from_commands(commands)
 
     ref_result = reference.run(commands)
-    col_identical = _identical(
-        ref_result, columnar.run(stream)
-    )
+    col_identical = _identical(ref_result, scheduler.run(stream))
     per_identical = _identical(
-        ref_result,
-        periodic.run(stream, period=period),
+        ref_result, scheduler.run(stream, period=period)
     )
 
     run_ref = _best_of(lambda: reference.run(commands), repeats)
-    # Cold: a fresh stream per call defeats the issue-cycle memo.
-    cold_streams = iter([
-        ColumnarStream.from_commands(commands) for _ in range(repeats)
-    ])
-    run_col_cold = _best_of(
-        lambda: columnar.run(next(cold_streams)),
-        repeats,
-    )
-    # Warm: the shared stream has already scheduled once above, so the
-    # memo is populated — this is the artifact-replay steady state.
-    run_col_warm = _best_of(
-        lambda: columnar.run(stream), repeats
-    )
+    run_col = _best_of(lambda: scheduler.run(stream), repeats)
     run_per = _best_of(
-        lambda: periodic.run(stream, period=period),
-        repeats,
+        lambda: scheduler.run(stream, period=period), repeats
     )
 
     # Cold end-to-end profile(): a fresh model per invocation so the
@@ -250,25 +221,16 @@ def bench_design(design, window: int, repeats: int) -> dict:
         "build_columnar_s": build_col_s,
         "columnar_nbytes": stream.nbytes,
         "run_reference_s": run_ref,
-        "run_columnar_cold_s": run_col_cold,
-        "run_columnar_warm_s": run_col_warm,
+        "run_columnar_cold_s": run_col,
         "run_periodic_s": run_per,
-        "run_speedup": run_ref / run_col_cold,
-        "columnar_warm_speedup": run_col_cold / max(run_col_warm, 1e-9),
-        "periodic_speedup": run_col_cold / run_per,
+        "run_speedup": run_ref / run_col,
+        "periodic_speedup": run_col / run_per,
         "profile_seed_s": prof_seed,
         "profile_new_s": prof_new,
         "profile_speedup": prof_seed / prof_new,
         "columnar_identical": col_identical,
         "periodic_identical": per_identical,
     }
-
-
-#: Columns a tiled copy repeats (everything but the dependency CSR).
-_TILED_COLUMNS = (
-    "kind", "rank", "bankgroup", "bank", "row", "col", "channel",
-    "scale_id", "dst_reg", "src_reg", "position", "issue_cycle",
-)
 
 
 def tile_stream(seed: ColumnarStream, reps: int) -> ColumnarStream:
@@ -284,7 +246,7 @@ def tile_stream(seed: ColumnarStream, reps: int) -> ColumnarStream:
     scaler payloads are left off: scheduling never reads them.
     """
     block = np.stack(
-        [getattr(seed, name).astype(np.int64) for name in _TILED_COLUMNS],
+        [getattr(seed, name).astype(np.int64) for name in seed.COLUMNS],
         axis=1,
     )
     counts = np.diff(seed.dep_indptr)
@@ -297,25 +259,25 @@ def tile_stream(seed: ColumnarStream, reps: int) -> ColumnarStream:
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return ColumnarStream(
-        **{name: rows[:, i] for i, name in enumerate(_TILED_COLUMNS)},
+        **{name: rows[:, i] for i, name in enumerate(seed.COLUMNS)},
         dep_indptr=indptr,
         dep_indices=np.concatenate([seed.dep_indices, t_deps]),
     )
 
 
 def bench_large(target: int, window: int) -> dict:
-    """Million-command synthetic stream on the columnar engine.
+    """Million-command synthetic stream on the columnar loop.
 
     The oracle is quadratic in stream length and is left out; the
     schedule is checked by the vectorized validator instead (the
-    engine itself is equivalence-gated against the oracle on every
+    loop itself is equivalence-gated against the oracle on every
     design stream above).
     """
     design = DesignPoint.GRADPIM_BUFFERED
     config = DESIGNS[design]
     optimizer = build_optimizer(*OPTIMIZER)
     model = UpdatePhaseModel(window=window)
-    _, _, _, _period, art = model._build_stream(
+    *_, art = model._build_stream(
         config, optimizer, PRECISION_8_32
     )
     seed = art.columnar
@@ -326,11 +288,9 @@ def bench_large(target: int, window: int) -> dict:
     build_col_s = time.perf_counter() - t0
 
     substrate = _substrate(model, config, window)
-    columnar = CommandScheduler(engine="columnar", **substrate)
     t0 = time.perf_counter()
-    result = columnar.run(stream)
+    result = CommandScheduler(**substrate).run(stream)
     run_cold = time.perf_counter() - t0
-    run_warm = _best_of(lambda: columnar.run(stream), 3)
     try:
         validate_trace_columnar(
             result.columnar, model.timing, model.geometry,
@@ -348,8 +308,6 @@ def bench_large(target: int, window: int) -> dict:
         "build_columnar_s": build_col_s,
         "columnar_nbytes": stream.nbytes,
         "run_columnar_cold_s": run_cold,
-        "run_columnar_warm_s": run_warm,
-        "columnar_warm_speedup": run_cold / max(run_warm, 1e-9),
         "columnar_valid": valid,
     }
 
@@ -382,9 +340,6 @@ def summarize(results: list[dict]) -> dict:
     ]
     return {
         "min_run_speedup": min(r["run_speedup"] for r in results),
-        "min_columnar_warm_speedup": min(
-            r["columnar_warm_speedup"] for r in results
-        ),
         "min_profile_speedup": min(
             r["profile_speedup"] for r in results
         ),
@@ -465,7 +420,6 @@ def measure_pass(windows, repeats: int) -> list[dict]:
                 f"run {row['run_reference_s'] * 1e3:7.1f} -> "
                 f"{row['run_columnar_cold_s'] * 1e3:6.1f} ms "
                 f"(x{row['run_speedup']:4.1f})  "
-                f"warm x{row['columnar_warm_speedup']:5.1f}  "
                 f"periodic x{row['periodic_speedup']:4.1f}  "
                 f"profile x{row['profile_speedup']:4.1f}  "
                 f"identical={row['columnar_identical']}/"
@@ -477,7 +431,7 @@ def measure_pass(windows, repeats: int) -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the scheduler engines against the oracle."
+        description="Benchmark the scheduler against the oracle."
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -494,7 +448,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--large", action="store_true",
         help="also time a ~million-command tiled synthetic stream "
-             "on the columnar engine",
+             "on the columnar loop",
     )
     parser.add_argument(
         "--large-commands", type=int, default=1_000_000,
@@ -541,9 +495,7 @@ def main(argv=None) -> int:
         print(
             f"large {large['n_commands']} commands: "
             f"tiled build {large['build_columnar_s']:.2f}s, "
-            f"columnar cold {large['run_columnar_cold_s']:.2f}s, "
-            f"warm {large['run_columnar_warm_s'] * 1e3:.0f}ms "
-            f"(x{large['columnar_warm_speedup']:.1f}), "
+            f"columnar {large['run_columnar_cold_s']:.2f}s, "
             f"valid={large['columnar_valid']}",
             file=sys.stderr,
         )
@@ -556,12 +508,6 @@ def main(argv=None) -> int:
         or not r["columnar_identical"]
         or not r["periodic_identical"]
     ]
-    if payload["summary"]["min_columnar_warm_speedup"] < (
-        COLUMNAR_WARM_GATE
-    ):
-        failures.append(
-            f"columnar-warm<{COLUMNAR_WARM_GATE:g}x"
-        )
     if not fig9_ok:
         failures.append("fig9-resnet")
     if args.large and not payload["large"]["columnar_valid"]:

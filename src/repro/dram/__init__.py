@@ -41,12 +41,10 @@ from repro.dram.columnar import (
     schedule_columnar,
 )
 from repro.dram.scheduler import (
-    ChannelPartition,
     CommandScheduler,
     IssueModel,
     ScheduleResult,
     replicate_across_channels,
-    split_channels,
 )
 from repro.dram.power import EnergyModel, EnergyBreakdown
 from repro.dram.period import (
@@ -73,7 +71,6 @@ __all__ = [
     "CommandType",
     "AddressMapping",
     "DecodedAddress",
-    "ChannelPartition",
     "ColumnarSchedule",
     "ColumnarStream",
     "CommandScheduler",
@@ -81,7 +78,6 @@ __all__ = [
     "ScheduleResult",
     "replicate_across_channels",
     "schedule_columnar",
-    "split_channels",
     "EnergyModel",
     "EnergyBreakdown",
     "PeriodicOutcome",

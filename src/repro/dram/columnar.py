@@ -19,31 +19,22 @@ construction and ``artifact.commands`` is only a view that
 never builds ``Command`` objects.
 
 :func:`schedule_columnar` is the simulator's one exact greedy FR-FCFS
-loop, behind both engines of
-:class:`~repro.dram.scheduler.CommandScheduler` (the periodic engine
-runs it with a :class:`~repro.dram.steady.SteadyTracker` that replays
-locked steady-state sweeps in place):
+loop, behind every :meth:`~repro.dram.scheduler.CommandScheduler.run`
+(given period metadata, the run adds a
+:class:`~repro.dram.steady.SteadyTracker` that replays locked
+steady-state sweeps in place):
 
 * **Per-run preparation.** Everything the issue loop needs per command
   — kind codes, completion latencies, flat bank/group/rank/bus ids,
   read/write flags, floor-table slots, per-port queue links, initial
   dependency refcounts — is derived from the columns with numpy in one
-  shot at the start of a cold run, and dropped when the run ends. Only
-  the schedule-independent statistics (per-kind counts, per-port
-  totals) outlive it, beside the issue-cycle memo.
+  shot at the start of every run, and dropped when the run ends.
 
 * **Vectorized validation and statistics.** Backward-dependency and
   rank/channel range checks are single array comparisons (cached per
   geometry), and the :class:`~repro.dram.stats.TraceStats` counters are
   ``bincount`` results — every command issues exactly once, so they do
   not depend on the schedule at all.
-
-* **Issue-cycle memoization.** The greedy schedule of a given (stream,
-  substrate, window) is deterministic, so the resulting issue-cycle
-  vector is memoized on the stream (whose columns are frozen read-only
-  at construction, making identity caching sound) and replayed as one
-  array copy on re-scheduling — what the service layer does all day
-  across jobs, sweeps and figure harnesses.
 
 The cold loop keeps the machine state in flat Python lists (banks,
 bank groups and ranks indexed by flat ids) and per-port queues as
@@ -158,8 +149,8 @@ class ColumnarStream:
     """One command stream as parallel read-only numpy columns.
 
     Columns are frozen at construction (``writeable=False``): a stream
-    is a value, and freezing is what makes the issue-cycle memo sound
-    without re-hashing content. ``tags`` / ``scalers`` exist purely for
+    is a value, so artifacts can share it between runs and results.
+    ``tags`` / ``scalers`` exist purely for
     lossless round-tripping (no hot path reads them): ``tags`` is a
     plain list, or ``None`` when the whole stream carries none, given
     either as strings or as :class:`TagCodes` rendered on each read;
@@ -171,14 +162,15 @@ class ColumnarStream:
         "n", "kind", "rank", "bankgroup", "bank", "row", "col",
         "channel", "scale_id", "dst_reg", "src_reg", "position",
         "issue_cycle", "dep_indptr", "dep_indices", "out_indptr",
-        "out_indices", "_tags", "_tag_codes", "_scalers", "_memo",
+        "out_indices", "_tags", "_tag_codes", "_scalers",
         "_structure_ok",
     )
 
-    #: Bound on memoized schedules kept per stream (FIFO eviction) —
-    #: mirrors the update model's small stream cache; one stream is
-    #: typically scheduled under a handful of substrates at most.
-    CACHE_MAX = 8
+    #: The per-command columns (everything but the dependency CSR).
+    COLUMNS = (
+        "kind", "rank", "bankgroup", "bank", "row", "col", "channel",
+        "scale_id", "dst_reg", "src_reg", "position", "issue_cycle",
+    )
 
     def __init__(
         self,
@@ -223,7 +215,6 @@ class ColumnarStream:
         else:
             self._tags, self._tag_codes = tags, None
         self._scalers = scalers or None
-        self._memo: dict = {}
         self._structure_ok: set = set()
 
     @property
@@ -389,11 +380,8 @@ class ColumnarStream:
         """Bytes held by the numpy columns (the memory-win metric)."""
         return sum(
             getattr(self, name).nbytes
-            for name in (
-                "kind", "rank", "bankgroup", "bank", "row", "col",
-                "channel", "scale_id", "dst_reg", "src_reg", "position",
-                "issue_cycle", "dep_indptr", "dep_indices",
-                "out_indptr", "out_indices",
+            for name in self.COLUMNS + (
+                "dep_indptr", "dep_indices", "out_indptr", "out_indices",
             )
         )
 
@@ -455,10 +443,17 @@ class ColumnarStream:
             )
         )
 
-    def _memo_put(self, key, value) -> None:
-        self._memo[key] = value
-        while len(self._memo) > self.CACHE_MAX:
-            self._memo.pop(next(iter(self._memo)))
+    def select(self, indices, dep_indices, **columns) -> "ColumnarStream":
+        """The stream of commands ``indices`` (in that order) whose
+        dependencies, in CSR order, are ``dep_indices``; ``columns``
+        replace whole columns. Tags and scalers are left off."""
+        fields = {name: getattr(self, name)[indices] for name in self.COLUMNS}
+        indptr = np.zeros(len(indices) + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.dep_indptr)[indices], out=indptr[1:])
+        return ColumnarStream(
+            **{**fields, **columns}, dep_indptr=indptr,
+            dep_indices=dep_indices,
+        )
 
 
 class TagCodes:
@@ -692,9 +687,9 @@ class StreamBuilder:
 class ColumnarSchedule:
     """A scheduled columnar stream: the stream plus its issue cycles.
 
-    Carried by :class:`~repro.dram.scheduler.ScheduleResult` for the
-    columnar engine; ``Command`` objects are materialized lazily only
-    if someone actually asks for them.
+    Carried by every :class:`~repro.dram.scheduler.ScheduleResult`;
+    ``Command`` objects are materialized lazily only if someone
+    actually asks for them.
     """
 
     __slots__ = ("stream", "issue_cycle")
@@ -709,9 +704,9 @@ class ColumnarSchedule:
 
 
 class _Prepared:
-    """Flat arrays feeding one cold run of the scheduling loop.
+    """Flat arrays feeding one run of the scheduling loop.
 
-    Derived from the columns with numpy at the start of a cold run and
+    Derived from the columns with numpy at the start of a run and
     dropped when it ends: as Python lists they cost several times the
     stream's own columns, so no stream keeps them between runs. The
     loop consumes the queue links and dependency counters in place.
@@ -818,42 +813,24 @@ def schedule_columnar(
     """Schedule a columnar stream; return (issue cycles, stats).
 
     Byte-identical to the reference greedy loop on every stream (the
-    equivalence contract). Repeat scheduling of the same stream under
-    the same substrate replays the memoized issue-cycle vector.
+    equivalence contract); the issue-cycle vector is read-only.
 
     ``steady`` optionally supplies a
     :class:`~repro.dram.steady.SteadyTracker` for the stream: the loop
     then reports every issue to it and lets it replay locked
-    steady-state sweeps in place. Such a run neither reads nor fills
-    the memo (the tracker's outcome is part of its result).
+    steady-state sweeps in place.
     """
-    memo_key = (
-        timing, geometry.ranks, geometry.bankgroups,
-        geometry.banks_per_group, issue_model.port_of_rank,
-        per_bank_pim, tuple(bus_ids), window,
+    prep = _Prepared(stream, timing, geometry, issue_model, bus_ids)
+    issue, total_cycles = _schedule_cold(
+        prep, timing, per_bank_pim, window, steady
     )
-    hit = None if steady is not None else stream._memo.get(memo_key)
-    if hit is None:
-        prep = _Prepared(stream, timing, geometry, issue_model, bus_ids)
-        issue, total_cycles = _schedule_cold(
-            prep, timing, per_bank_pim, window, steady
-        )
-        hit = (
-            _freeze(np.array(issue, dtype=np.int64)),
-            total_cycles,
-            prep.counts,
-            prep.port_issued,
-        )
-        if steady is None:
-            stream._memo_put(memo_key, hit)
-    issue, total_cycles, counts, port_issued = hit
     stats = TraceStats(
-        counts=dict(counts),
+        counts=prep.counts,
         total_cycles=total_cycles,
         issued_commands=stream.n,
-        port_issued=list(port_issued),
+        port_issued=prep.port_issued,
     )
-    return issue, stats
+    return _freeze(np.array(issue, dtype=np.int64)), stats
 
 
 def _schedule_cold(

@@ -2,8 +2,8 @@
 
 Kernel generators record, while they emit a sampled stream, where its
 stripe-periodic bodies lie (:class:`SegmentRecorder` builds a
-:class:`StreamPeriod` of :class:`PeriodSegment` entries). The periodic
-engine (:mod:`repro.dram.steady`) reads that metadata and reports, per
+:class:`StreamPeriod` of :class:`PeriodSegment` entries). Steady-state
+replay (:mod:`repro.dram.steady`) reads that metadata and reports, per
 stream, what it locked and replayed (:class:`PeriodicOutcome` of
 :class:`SegmentLock` entries); the update model extends warm samples
 from those locks.
@@ -162,7 +162,7 @@ class SegmentLock:
 
 @dataclass
 class PeriodicOutcome:
-    """What the periodic engine did with one stream."""
+    """What steady-state replay did with one stream."""
 
     locks: list[Optional[SegmentLock]] = field(default_factory=list)
     simulated: int = 0  # commands scheduled by the event loop

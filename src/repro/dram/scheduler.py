@@ -24,34 +24,19 @@ Refresh is accounted analytically (a tRFC/tREFI derate applied by
 sampling windows used for steady-state measurement are much shorter than
 tREFI; this is documented in DESIGN.md §3.
 
-Engines
--------
+Steady-state replay
+-------------------
 
-Both engines run the one exact greedy loop of
-:mod:`repro.dram.columnar` over a
-:class:`~repro.dram.columnar.ColumnarStream`, with vectorized stream
-preparation and validation:
-
-* ``engine="columnar"`` (the default) memoizes issue cycles on the
-  immutable stream.
-* ``engine="periodic"`` adds steady-state replay
-  (:mod:`repro.dram.steady`): given the stream's
-  :class:`~repro.dram.period.StreamPeriod` metadata (kernel generators
-  attach it; pass it via ``run(..., period=...)``), the loop hands
-  each sweep boundary to a :class:`~repro.dram.steady.SteadyTracker`,
-  which locks the scheduler's fixed cycle over stripe-periodic stream
-  bodies and replays locked sweeps in place. Streams without metadata
-  run the loop plainly.
-
-Both produce the issue cycles and statistics of the original greedy
-loop, which the test suite keeps as its oracle
+Every run schedules a :class:`~repro.dram.columnar.ColumnarStream` on
+the one exact greedy loop of :mod:`repro.dram.columnar` and returns a
+:class:`~repro.dram.columnar.ColumnarSchedule`. Passing the stream's
+:class:`~repro.dram.period.StreamPeriod` metadata (kernel generators
+attach it) as ``run(..., period=...)`` adds steady-state replay
+(:mod:`repro.dram.steady`): a :class:`~repro.dram.steady.SteadyTracker`
+locks the scheduler's fixed cycle over stripe-periodic stream bodies
+at sweep boundaries and replays locked sweeps in place. Both match the
+original greedy loop that the test suite keeps as its oracle
 (``tests/dram/test_engine_equivalence.py``, ``tests/dram/test_steady.py``).
-
-``run`` never mutates the caller's :class:`Command` objects: a
-single-channel result holds a
-:class:`~repro.dram.columnar.ColumnarSchedule` and materializes
-annotated copies only when ``commands`` is read; multi-channel runs
-annotate fresh copies.
 
 Channels
 --------
@@ -59,19 +44,20 @@ Channels
 A multi-channel geometry (``DeviceGeometry.channels > 1``) gives every
 channel its own full replica of the state machines: banks, bank groups,
 ranks, data buses *and* issue ports. Channels share nothing, so the
-scheduler partitions the stream by ``Command.channel`` and schedules
-each partition independently on the columnar engine
-(:func:`split_channels`); dependencies may not cross channels.
+scheduler splits the stream by its ``channel`` column and schedules
+each channel on its own; dependencies may not cross channels.
 Statistics aggregate across channels (:meth:`TraceStats.merge_channels`)
-with elapsed time set by the slowest channel. A single-channel geometry
-bypasses the partitioning entirely. Multi-channel runs carry no period
-metadata, so the periodic engine runs them plainly too.
+with elapsed time set by the slowest channel. Period metadata describes
+one channel's stream, so multi-channel runs never replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.dram.columnar import (
     ColumnarSchedule,
@@ -86,14 +72,11 @@ from repro.dram.steady import SteadyTracker
 from repro.dram.timing import TimingParams
 from repro.errors import ConfigError, SimulationError
 
-#: The scheduler engines (see the module docstring).
-ENGINES = ("columnar", "periodic")
-
 #: Engine spellings accepted on the job surface (``SimJobSpec``,
-#: ``UpdatePhaseModel``, the CLIs). ``"incremental"`` and
-#: ``"reference"`` name engines that have been folded into the columnar
-#: loop; they stay accepted so stored specs and their content hashes
-#: keep working, and select the one exact loop.
+#: ``UpdatePhaseModel``, the CLIs). ``"periodic"`` profiles with
+#: steady-state replay; ``"incremental"`` and ``"reference"`` name
+#: engines that have been folded into the columnar loop and stay
+#: accepted so stored specs and their content hashes keep working.
 ENGINE_SPELLINGS = {
     "incremental": "columnar",
     "reference": "columnar",
@@ -103,7 +86,8 @@ ENGINE_SPELLINGS = {
 
 
 def resolve_engine(name: str) -> str:
-    """The scheduler engine an accepted spelling selects."""
+    """The engine (``"columnar"`` or ``"periodic"``) a spelling
+    selects."""
     try:
         return ENGINE_SPELLINGS[name]
     except KeyError:
@@ -149,49 +133,30 @@ class IssueModel:
         return cls(name="buffered", port_of_rank=tuple(range(ranks)))
 
 
+@dataclass
 class ScheduleResult:
     """Outcome of scheduling one command stream.
 
-    Single-channel runs return results backed by a
-    :class:`~repro.dram.columnar.ColumnarSchedule` instead of a list of
-    annotated :class:`Command` objects; ``commands`` materializes the
-    objects lazily on first access, so consumers that only read
-    ``stats`` or ``issue_cycles()`` never pay for per-command objects.
+    Backed by a :class:`~repro.dram.columnar.ColumnarSchedule`;
+    ``commands`` materializes annotated :class:`Command` objects on
+    first access, so consumers that only read ``stats`` or
+    ``issue_cycles()`` never pay for per-command objects.
     """
 
-    __slots__ = (
-        "_commands", "stats", "timing", "geometry", "issue_model",
-        "periodic", "columnar",
-    )
+    columnar: ColumnarSchedule
+    stats: TraceStats
+    timing: TimingParams
+    geometry: DeviceGeometry
+    issue_model: IssueModel
+    #: What steady-state replay did (runs given ``period=`` only):
+    #: per-segment locks, commands simulated vs. arithmetically
+    #: replayed, and the fallback reason when it did not engage.
+    periodic: Optional[PeriodicOutcome] = None
 
-    def __init__(
-        self,
-        commands: Optional[list[Command]] = None,
-        stats: Optional[TraceStats] = None,
-        timing: Optional[TimingParams] = None,
-        geometry: Optional[DeviceGeometry] = None,
-        issue_model: Optional[IssueModel] = None,
-        periodic: Optional[PeriodicOutcome] = None,
-        columnar: Optional["ColumnarSchedule"] = None,
-    ) -> None:
-        self._commands = commands
-        self.stats = stats
-        self.timing = timing
-        self.geometry = geometry
-        self.issue_model = issue_model
-        #: What the periodic engine did (``engine="periodic"`` only):
-        #: per-segment locks, commands simulated vs. arithmetically
-        #: replayed, and the fallback reason when it did not engage.
-        self.periodic = periodic
-        #: The scheduled columnar stream (single-channel runs).
-        self.columnar = columnar
-
-    @property
+    @cached_property
     def commands(self) -> list[Command]:
-        """Annotated commands (materialized lazily for columnar runs)."""
-        if self._commands is None and self.columnar is not None:
-            self._commands = self.columnar.to_commands()
-        return self._commands
+        """Annotated commands (materialized on first access)."""
+        return self.columnar.to_commands()
 
     @property
     def total_cycles(self) -> int:
@@ -200,9 +165,7 @@ class ScheduleResult:
 
     def issue_cycles(self) -> list[int]:
         """Issue cycle of every command, in stream order."""
-        if self._commands is None and self.columnar is not None:
-            return self.columnar.issue_cycle.tolist()
-        return [c.issue_cycle for c in self.commands]
+        return self.columnar.issue_cycle.tolist()
 
 
 class CommandScheduler:
@@ -223,13 +186,10 @@ class CommandScheduler:
         per_bank_pim: bool = False,
         window: int = 16,
         data_bus_scope: str = "channel",
-        engine: str = "columnar",
     ) -> None:
         """``data_bus_scope`` selects how external bursts share wiring:
         ``"channel"`` (one bus, direct-attach), ``"dimm"`` (one private
-        bus per DIMM buffer device — TensorDIMM), or ``"rank"``.
-        ``engine`` is ``"columnar"`` or ``"periodic"`` (see the module
-        docstring)."""
+        bus per DIMM buffer device — TensorDIMM), or ``"rank"``."""
         if issue_model is None:
             issue_model = IssueModel.direct(geometry.ranks)
         if len(issue_model.port_of_rank) != geometry.ranks:
@@ -239,13 +199,14 @@ class CommandScheduler:
             )
         if window < 1:
             raise ConfigError("window must be at least 1")
-        if data_bus_scope not in ("channel", "dimm", "rank"):
+        bus_of_rank = {
+            "channel": lambda r: 0,
+            "dimm": geometry.dimm_of_rank,
+            "rank": lambda r: r,
+        }.get(data_bus_scope)
+        if bus_of_rank is None:
             raise ConfigError(
                 f"unknown data_bus_scope {data_bus_scope!r}"
-            )
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
             )
         self.timing = timing
         self.geometry = geometry
@@ -253,16 +214,8 @@ class CommandScheduler:
         self.per_bank_pim = per_bank_pim
         self.window = window
         self.data_bus_scope = data_bus_scope
-        self.engine = engine
         # Data-bus index serving each rank.
-        if data_bus_scope == "channel":
-            self._bus_ids = (0,) * geometry.ranks
-        elif data_bus_scope == "dimm":
-            self._bus_ids = tuple(
-                geometry.dimm_of_rank(r) for r in range(geometry.ranks)
-            )
-        else:
-            self._bus_ids = tuple(range(geometry.ranks))
+        self._bus_ids = tuple(map(bus_of_rank, range(geometry.ranks)))
 
     # ------------------------------------------------------------------
     def run(
@@ -270,219 +223,107 @@ class CommandScheduler:
         commands: "Sequence[Command] | ColumnarStream",
         period: Optional[StreamPeriod] = None,
     ) -> ScheduleResult:
-        """Schedule ``commands`` and return the annotated result.
-
-        ``commands`` is a ``Command`` sequence or a
-        :class:`~repro.dram.columnar.ColumnarStream` (kernel artifacts
-        cache theirs); single-channel runs schedule the columnar form,
-        built from a ``Command`` sequence when given one.
+        """Schedule ``commands`` — a
+        :class:`~repro.dram.columnar.ColumnarStream` or a ``Command``
+        sequence, never mutated — and return the annotated result.
 
         Dependencies must point backwards (``dep < index``); forward or
-        self references raise :class:`SimulationError`. The caller's
-        command objects are never mutated.
-
-        ``period`` optionally supplies the stream's
-        :class:`~repro.dram.period.StreamPeriod` metadata (kernel
-        generators attach it to their streams); only the ``"periodic"``
-        engine consumes it. Without metadata — or on multi-channel
-        geometries, where partitions carry no metadata — the periodic
-        engine schedules exactly like the columnar one, so it is always
-        safe to select.
+        self references raise :class:`SimulationError`. ``period`` (the
+        stream's :class:`~repro.dram.period.StreamPeriod` metadata)
+        turns on steady-state replay, reported in ``result.periodic``;
+        replay is exact, so it never changes the schedule.
         """
-        geom = self.geometry
-        periodic = self.engine == "periodic"
-        if geom.channels > 1:
-            if isinstance(commands, ColumnarStream):
-                commands = commands.to_commands()
-            _check_structure(commands, geom)
-            copies = [_fresh_copy(cmd) for cmd in commands]
-            return ScheduleResult(
-                commands=copies,
-                stats=self._run_channels(commands, copies),
-                timing=self.timing,
-                geometry=geom,
-                issue_model=self.issue_model,
-                periodic=(
-                    PeriodicOutcome(reason="multi-channel")
-                    if periodic else None
-                ),
-            )
         stream = (
             commands if isinstance(commands, ColumnarStream)
             else ColumnarStream.from_commands(commands)
         )
+        geom = self.geometry
         stream.check_structure(geom)
-        steady = None
-        if periodic and period is not None and period.segments:
-            steady = SteadyTracker(period, stream, self.timing, self.window)
-        issue, stats = self._schedule_stream(stream, steady)
         outcome = None
-        if steady is not None:
-            outcome = steady.finish()
-        elif periodic:
-            outcome = PeriodicOutcome(
-                reason="no-period-metadata", simulated=stream.n
-            )
+        if geom.channels > 1:
+            if period is not None:
+                outcome = PeriodicOutcome(reason="multi-channel")
+            issue = np.empty(stream.n, dtype=np.int64)
+            per_channel = []
+            for indices, part in _channel_streams(stream, geom.channels):
+                issue[indices], stats = self._schedule_stream(part)
+                per_channel.append(stats)
+            issue.setflags(write=False)
+            stats = TraceStats.merge_channels(per_channel)
+        else:
+            steady = None
+            if period is not None and period.segments:
+                steady = SteadyTracker(
+                    period, stream, self.timing, self.window
+                )
+            issue, stats = self._schedule_stream(stream, steady)
+            if steady is not None:
+                outcome = steady.finish()
+            elif period is not None:
+                outcome = PeriodicOutcome(
+                    reason="no-period-metadata", simulated=stream.n
+                )
         return ScheduleResult(
-            stats=stats,
-            timing=self.timing,
-            geometry=geom,
-            issue_model=self.issue_model,
-            periodic=outcome,
-            columnar=ColumnarSchedule(stream, issue),
+            ColumnarSchedule(stream, issue), stats, self.timing, geom,
+            self.issue_model, outcome,
         )
-
-    # ------------------------------------------------------------------
-    def _run_channels(
-        self, commands: Sequence[Command], copies: list[Command]
-    ) -> TraceStats:
-        """Partition by channel, schedule each on the columnar loop,
-        annotate ``copies`` and merge the per-channel statistics."""
-        per_channel = []
-        for part in split_channels(commands, self.geometry.channels):
-            stream = ColumnarStream.from_commands(part.commands)
-            issue, stats = self._schedule_stream(stream)
-            for global_i, cycle in zip(part.indices, issue.tolist()):
-                copies[global_i].issue_cycle = cycle
-            per_channel.append(stats)
-        return TraceStats.merge_channels(per_channel)
 
     def _schedule_stream(self, stream: ColumnarStream, steady=None):
         """Schedule a columnar stream under this scheduler's substrate."""
         return schedule_columnar(
-            stream,
-            self.timing,
-            self.geometry,
-            self.issue_model,
-            self.per_bank_pim,
-            self.window,
-            self._bus_ids,
-            steady,
+            stream, self.timing, self.geometry, self.issue_model,
+            self.per_bank_pim, self.window, self._bus_ids, steady,
         )
 
 
-def _check_structure(
-    commands: Sequence[Command], geometry: DeviceGeometry
-) -> None:
-    """``run()`` preconditions over a ``Command`` list (the scalar twin
-    of :meth:`ColumnarStream.check_structure`, same messages)."""
-    for i, cmd in enumerate(commands):
-        for d in cmd.deps:
-            if d >= i or d < 0:
-                raise SimulationError(
-                    f"command {i} has illegal dependency {d}"
-                )
-    for i, cmd in enumerate(commands):
-        if not 0 <= cmd.rank < geometry.ranks:
-            raise SimulationError(f"command {i} rank out of range")
-        if not 0 <= cmd.channel < geometry.channels:
-            raise SimulationError(
-                f"command {i} channel {cmd.channel} out of range "
-                f"(geometry has {geometry.channels})"
-            )
+def _channel_streams(
+    stream: ColumnarStream, channels: int
+) -> Iterator[tuple[np.ndarray, ColumnarStream]]:
+    """``(stream indices, sub-stream)`` of every channel id in order,
+    empty channels included so per-channel statistics stay aligned.
 
-
-def _fresh_copy(cmd: Command) -> Command:
-    """A clean, unissued copy of ``cmd`` (deps tuples are shared).
-
-    Field-by-field into a bare slotted instance: meaningfully faster
-    than ``copy.copy``/``dataclasses.replace`` at stream scale, and
-    guarded by a test that diffs the field list against the dataclass.
+    Sub-streams keep stream order with dependencies remapped to their
+    own index space. Channels share no state machines, so a dependency
+    across channels has no well-defined completion order: it raises
+    :class:`SimulationError` naming the first such pair in CSR order.
     """
-    out = Command.__new__(Command)
-    out.kind = cmd.kind
-    out.rank = cmd.rank
-    out.bankgroup = cmd.bankgroup
-    out.bank = cmd.bank
-    out.row = cmd.row
-    out.col = cmd.col
-    out.channel = cmd.channel
-    out.scale_id = cmd.scale_id
-    out.dst_reg = cmd.dst_reg
-    out.src_reg = cmd.src_reg
-    out.position = cmd.position
-    out.deps = cmd.deps
-    out.tag = cmd.tag
-    out.scaler = cmd.scaler
-    out.issue_cycle = -1
-    return out
-
-
-@dataclass
-class ChannelPartition:
-    """One channel's share of a multi-channel stream.
-
-    ``commands`` are fresh copies with dependency indices remapped to
-    the partition's own index space; ``indices`` maps them back to the
-    global stream (``commands[i]`` came from global ``indices[i]``).
-    """
-
-    channel: int
-    indices: list[int]
-    commands: list[Command]
-
-
-def split_channels(
-    commands: Sequence[Command], n_channels: int
-) -> list[ChannelPartition]:
-    """Partition a stream into per-channel sub-streams, one partition
-    per channel id (empty channels get empty partitions so channel ids
-    and per-channel statistics stay aligned).
-
-    Dependencies must stay within a channel: channels share no state
-    machines and schedule independently, so a cross-channel edge has no
-    well-defined completion order. Such streams raise
-    :class:`SimulationError`.
-    """
-    local_index = [0] * len(commands)
-    parts = [
-        ChannelPartition(channel=c, indices=[], commands=[])
-        for c in range(n_channels)
-    ]
-    for i, cmd in enumerate(commands):
-        if not 0 <= cmd.channel < n_channels:
-            raise SimulationError(
-                f"command {i} channel {cmd.channel} out of range "
-                f"(device has {n_channels})"
-            )
-        part = parts[cmd.channel]
-        local_index[i] = len(part.indices)
-        part.indices.append(i)
-    for i, cmd in enumerate(commands):
-        part = parts[cmd.channel]
-        copy = _fresh_copy(cmd)
-        if cmd.deps:
-            for d in cmd.deps:
-                if commands[d].channel != cmd.channel:
-                    raise SimulationError(
-                        f"command {i} (channel {cmd.channel}) depends "
-                        f"on command {d} in channel "
-                        f"{commands[d].channel}; dependencies cannot "
-                        "cross channels"
-                    )
-            copy.deps = tuple(local_index[d] for d in cmd.deps)
-        part.commands.append(copy)
-    return parts
+    channel = stream.channel
+    consumer = np.repeat(np.arange(stream.n), np.diff(stream.dep_indptr))
+    deps = stream.dep_indices
+    consumer_channel = channel[consumer]
+    cross = channel[deps] != consumer_channel
+    if cross.any():
+        k = int(np.argmax(cross))
+        i, d = int(consumer[k]), int(deps[k])
+        raise SimulationError(
+            f"command {i} (channel {channel[i]}) depends on command {d} "
+            f"in channel {channel[d]}; dependencies cannot cross channels"
+        )
+    local = np.empty(stream.n, dtype=np.int64)
+    for c in range(channels):
+        indices = np.flatnonzero(channel == c)
+        local[indices] = np.arange(len(indices))
+        in_channel = deps[consumer_channel == c]
+        yield indices, stream.select(indices, local[in_channel])
 
 
 def replicate_across_channels(
-    commands: Sequence[Command], channels: int
-) -> list[Command]:
+    stream: ColumnarStream, channels: int
+) -> ColumnarStream:
     """Tile a single-channel stream across every channel of a device.
 
-    Replica ``c`` is the same stream targeted at channel ``c`` with its
-    dependency indices shifted into its own block — the embarrassingly
-    parallel update-phase partitioning: each channel runs an identical
-    steady-state sample over its own slice of the parameters.
+    Replica ``c`` is the same stream, unissued, targeted at channel
+    ``c`` with its dependency indices shifted into its own block — the
+    embarrassingly parallel update-phase partitioning: each channel
+    runs an identical steady-state sample over its own slice of the
+    parameters. Tags and scaler payloads are left off (scheduling and
+    validation never read them).
     """
-    n = len(commands)
-    out: list[Command] = []
-    for c in range(channels):
-        offset = c * n
-        for cmd in commands:
-            copy = _fresh_copy(cmd)
-            copy.channel = c
-            if cmd.deps:
-                copy.deps = tuple(d + offset for d in cmd.deps)
-            out.append(copy)
-    return out
+    n = stream.n
+    shift = np.repeat(np.arange(channels) * n, len(stream.dep_indices))
+    return stream.select(
+        np.tile(np.arange(n), channels),
+        np.tile(stream.dep_indices, channels) + shift,
+        channel=np.repeat(np.arange(channels), n),
+        issue_cycle=np.full(n * channels, -1),
+    )

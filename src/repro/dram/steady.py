@@ -1,4 +1,4 @@
-"""Periodic steady-state replay (the ``"periodic"`` engine).
+"""Periodic steady-state replay (``CommandScheduler.run(..., period=...)``).
 
 GradPIM update-phase streams are stripe-periodic by construction: after
 a short prologue, every *sweep* (one round-robin pass over the stripes)

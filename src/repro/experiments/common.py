@@ -24,6 +24,7 @@ from repro.optim.precision import PrecisionConfig, PRECISION_8_32, PRECISIONS
 from repro.optim.registry import build_optimizer
 from repro.service.api import submit_many
 from repro.service.cache import ResultCache
+from repro.service.pool import shared_update_model
 from repro.service.spec import (
     DEFAULT_OPTIMIZER,
     DEFAULT_OPTIMIZER_PARAMS,
@@ -75,7 +76,6 @@ class ExperimentContext:
     #: keys — carry it.
     engine: str = "incremental"
     cache: ResultCache = field(default_factory=ResultCache)
-    _update_models: dict = field(default_factory=dict)
 
     def optimizer(self):
         """A fresh optimizer instance for this context's algorithm."""
@@ -96,27 +96,17 @@ class ExperimentContext:
         timing: Optional[TimingParams] = None,
         channels: Optional[int] = None,
     ) -> UpdatePhaseModel:
-        """Shared (cached) update model for a timing grade.
-
-        Keyed by the full (frozen, hashable) timing object plus the
-        effective channel count: two grades sharing a name but
-        differing in parameters — or the same grade on a different
-        channel count — must not share a model.
-        """
-        timing = timing if timing is not None else self.timing
-        geometry = self._resolved_geometry(channels)
-        key = (timing, geometry.channels)
-        model = self._update_models.get(key)
-        if model is None:
-            model = UpdatePhaseModel(
-                timing=timing,
-                geometry=geometry,
-                columns_per_stripe=self.columns_per_stripe,
-                validate=self.validate,
-                engine=self.engine,
-            )
-            self._update_models[key] = model
-        return model
+        """The process-wide update model for a timing grade — the one
+        service-routed jobs on the same substrate use
+        (:func:`repro.service.pool.shared_update_model`), so a profile
+        is computed once per process however a figure asks for it."""
+        return shared_update_model(
+            timing if timing is not None else self.timing,
+            self._resolved_geometry(channels),
+            self.columns_per_stripe,
+            self.validate,
+            self.engine,
+        )
 
     def simulator(
         self,

@@ -72,11 +72,6 @@ USAGE = (
     "[--engine ENGINE] [--trace FILE] [figure ...]"
 )
 
-#: Engine spellings selectable on the CLI (all exact-equivalent; see
-#: :data:`repro.dram.scheduler.ENGINE_SPELLINGS`).
-ENGINES = tuple(ENGINE_SPELLINGS)
-
-
 class _HelpRequested(ValueError):
     """-h/--help: print usage and exit 0, not 2."""
 
@@ -110,9 +105,10 @@ def parse_args(argv: list[str]):
             cache_dir, i = _flag_value(argv, i, "--cache-dir")
         elif arg.startswith("--engine"):
             engine, i = _flag_value(argv, i, "--engine")
-            if engine not in ENGINES:
+            if engine not in ENGINE_SPELLINGS:
                 raise ValueError(
-                    f"--engine expects one of {ENGINES}, got {engine!r}"
+                    f"--engine expects one of {tuple(ENGINE_SPELLINGS)}, "
+                    f"got {engine!r}"
                 )
         elif arg.startswith("--trace"):
             trace, i = _flag_value(argv, i, "--trace")

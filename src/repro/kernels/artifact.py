@@ -7,10 +7,10 @@ each returns a dataclass holding the finished
 :class:`~repro.dram.columnar.ColumnarStream` as ``stream`` from
 construction. The views of it live here once:
 
-* ``columnar`` — the stream itself, fed to the columnar engine. The
-  stream object is what the engine memoizes schedules on, so the
-  artifact owning it (the update model's stream cache keeps artifacts
-  alive across jobs) is what makes re-profiling a cached kernel O(1).
+* ``columnar`` — the stream itself, what the scheduler runs. The
+  update model's stream cache keeps artifacts alive, so sibling
+  designs and warm-sample retries share one build; finished profiles
+  are memoized on the model, not the stream.
 * ``commands`` — a read-only sequence view of
   :class:`~repro.dram.commands.Command` objects with O(1) ``len()``;
   the objects are materialized (:meth:`ColumnarStream.to_commands`)
@@ -123,8 +123,7 @@ class CommandStreamArtifact:
 
     @cached_property
     def columnar(self):
-        """The stream's columnar form (the columnar engine memoizes
-        issue cycles on this object)."""
+        """The stream's columnar form, what the scheduler runs."""
         return self.stream
 
     @cached_property

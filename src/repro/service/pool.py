@@ -44,7 +44,9 @@ from multiprocessing import connection
 from typing import Optional, Sequence
 
 from repro import faults
+from repro.dram.geometry import DeviceGeometry
 from repro.dram.scheduler import resolve_engine
+from repro.dram.timing import TimingParams
 from repro.models.zoo import build_network
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
@@ -59,24 +61,49 @@ from repro.system.update_model import UpdatePhaseModel
 
 _logger = obs_log.get_logger("repro.service.pool")
 
-#: Process-local update-model cache (cycle-sim profiles are expensive).
-#: Keyed by hardware substrate only — timing grade, geometry, stripe
-#: width, validation mode — plus the scheduler engine the spec's engine
-#: spelling selects. The model itself memoizes profiles per
-#: (design, optimizer identity, precision) — the identity covers
-#: hyperparameters (see ``Optimizer.cache_key``), so one model safely
-#: serves every job on the substrate: a worker computes each profile
-#: once across all its jobs instead of once per job.
+#: Process-local update-model registry (cycle-sim profiles are
+#: expensive), shared by service jobs and
+#: :class:`~repro.experiments.common.ExperimentContext`. Keyed by the
+#: resolved hardware substrate — timing and geometry objects (so two
+#: grades sharing a name never share a model), stripe width, validation
+#: mode — plus the engine the spelling selects. The model itself
+#: memoizes profiles per (design, optimizer identity, precision) — the
+#: identity covers hyperparameters (see ``Optimizer.cache_key``), so one
+#: model safely serves every job on the substrate: a process computes
+#: each profile once across all its jobs and figures.
 _MODELS: dict[tuple, UpdatePhaseModel] = {}
 
 
-def _substrate_key(spec: SimJobSpec) -> tuple:
-    """Groups jobs whose update-phase profiles are shareable.
+def shared_update_model(
+    timing: TimingParams,
+    geometry: DeviceGeometry,
+    columns_per_stripe: int,
+    validate: bool,
+    engine: str,
+) -> UpdatePhaseModel:
+    """This process's update model for one substrate (created on first
+    use). Every exact engine spelling shares one model; ``"periodic"``
+    keeps its own (its flight recorder differs)."""
+    key = (
+        timing, geometry, columns_per_stripe, validate,
+        resolve_engine(engine),
+    )
+    model = _MODELS.get(key)
+    if model is None:
+        model = _MODELS[key] = UpdatePhaseModel(
+            timing=timing,
+            geometry=geometry,
+            columns_per_stripe=columns_per_stripe,
+            validate=validate,
+            engine=engine,
+        )
+    return model
 
-    Every exact spelling (``"incremental"``, ``"reference"``,
-    ``"columnar"``) selects the same engine, so they share one model;
-    ``"periodic"`` keeps its own (its flight recorder differs).
-    """
+
+def _substrate_key(spec: SimJobSpec) -> tuple:
+    """Groups specs by substrate for dispatch order and pre-fork
+    warming: the registry key of :func:`shared_update_model`, spelled
+    on the spec so grouping never resolves one."""
     return (
         spec.timing,
         spec.columns_per_stripe,
@@ -87,21 +114,11 @@ def _substrate_key(spec: SimJobSpec) -> tuple:
     )
 
 
-def _shared_update_model(
-    spec: SimJobSpec, job: ResolvedJob
-) -> UpdatePhaseModel:
-    key = _substrate_key(spec)
-    model = _MODELS.get(key)
-    if model is None:
-        model = UpdatePhaseModel(
-            timing=job.timing,
-            geometry=job.geometry,
-            columns_per_stripe=job.columns_per_stripe,
-            validate=job.validate,
-            engine=job.engine,
-        )
-        _MODELS[key] = model
-    return model
+def _job_model(job: ResolvedJob) -> UpdatePhaseModel:
+    return shared_update_model(
+        job.timing, job.geometry, job.columns_per_stripe, job.validate,
+        job.engine,
+    )
 
 
 def clear_model_cache() -> None:
@@ -118,7 +135,7 @@ def execute_spec(spec: SimJobSpec) -> NetworkResult:
         timing=job.timing,
         geometry=job.geometry,
         npu=job.npu,
-        update_model=_shared_update_model(spec, job),
+        update_model=_job_model(job),
         designs=job.designs,
     )
     with span(
@@ -144,17 +161,10 @@ def execute_spec_with_report(
     memoized on the shared model. Calls through the module attribute
     so tests monkeypatching ``execute_spec`` keep their seam.
     """
-    key = _substrate_key(spec)
-    model = _MODELS.get(key)
-    before = model.report.to_dict() if model is not None else None
+    model = _job_model(spec.resolve())
+    before = model.report.to_dict()
     result = execute_spec(spec)
-    model = _MODELS.get(key)
-    if model is None:
-        return result, None
-    after = model.report.to_dict()
-    if before is None:
-        before = EngineReport(engine=model.engine).to_dict()
-    return result, EngineReport.diff_dicts(before, after)
+    return result, EngineReport.diff_dicts(before, model.report.to_dict())
 
 
 def execute_spec_resilient(
@@ -264,7 +274,7 @@ def _warm_shared_substrates(specs: Sequence[SimJobSpec]) -> None:
     for spec in shared.values():
         try:
             job = spec.resolve()
-            model = _shared_update_model(spec, job)
+            model = _job_model(job)
             for design in job.designs:
                 model.profile(design, job.optimizer, job.precision)
         except Exception:

@@ -19,14 +19,15 @@ Performance
 
 ``profile()`` is the hot path of every figure, sweep and service job.
 It schedules the kernel artifact's cached
-:class:`~repro.dram.columnar.ColumnarStream` on the columnar engine
-(which memoizes issue cycles on it), validates with the vectorized
-columnar checker (``validate=False`` skips checking entirely), and
-memoizes finished profiles by (design, full optimizer identity,
-precision) so one model instance serves arbitrarily many jobs.
+:class:`~repro.dram.columnar.ColumnarStream` on the columnar loop,
+validates with the vectorized columnar checker (``validate=False``
+skips checking entirely), and memoizes finished profiles by (design,
+full optimizer identity, precision) so one model instance serves
+arbitrarily many jobs; the profile memo is the only schedule reuse.
 ``engine`` accepts every spelling of
-:data:`~repro.dram.scheduler.ENGINE_SPELLINGS`; all but ``"periodic"``
-select the columnar engine. ``benchmarks/bench_profile.py`` and
+:data:`~repro.dram.scheduler.ENGINE_SPELLINGS`; ``"periodic"`` adds
+steady-state replay (below), every other spelling selects the plain
+columnar loop. ``benchmarks/bench_profile.py`` and
 ``benchmarks/bench_scheduler.py`` track the timings in
 ``BENCH_profile.json`` / ``BENCH_scheduler.json``.
 
@@ -286,7 +287,7 @@ class UpdatePhaseModel:
         derive the profile."""
         with span("model.build_stream", design=design.value):
             built = self._build_stream(config, optimizer, precision)
-        _, n_params, offchip_accesses, _, artifact = built
+        n_params, offchip_accesses, _, artifact = built
         stream = artifact.columnar
         # Channels are embarrassingly parallel: every channel runs the
         # same steady-state sample over its own parameter slice. The
@@ -297,12 +298,10 @@ class UpdatePhaseModel:
         channels = config.effective_channels(self.geometry)
         geometry = self._one_channel()
         issue_model = config.issue_model(geometry)
-        scheduler = self._scheduler(
-            config, geometry, issue_model, "columnar"
-        )
+        scheduler = self._scheduler(config, geometry, issue_model)
         with span(
             "engine.schedule",
-            engine=scheduler.engine,
+            engine="columnar",
             commands=stream.n,
             channels=channels,
         ):
@@ -480,20 +479,18 @@ class UpdatePhaseModel:
             built = self._build_stream(
                 config, optimizer, precision, columns_per_stripe=k_warm
             )
-        _, n_params, offchip_accesses, period, artifact = built
+        n_params, offchip_accesses, period, artifact = built
         if period is None or not period.segments:
             reasons.add(FALLBACK_NO_METADATA)
             return None
         self.report.record_warm_run(k_warm)
         geometry = self._one_channel()
         issue_model = config.issue_model(geometry)
-        scheduler = self._scheduler(
-            config, geometry, issue_model, "periodic"
-        )
+        scheduler = self._scheduler(config, geometry, issue_model)
         try:
             with span(
                 "engine.schedule",
-                engine=scheduler.engine,
+                engine="periodic",
                 commands=artifact.columnar.n,
                 warm=k_warm,
             ):
@@ -507,9 +504,6 @@ class UpdatePhaseModel:
         outcome = result.periodic
         self.report.record_scheduling_path("steady-warm")
         self.report.record_outcome(outcome)
-        if outcome is None:
-            reasons.add(FALLBACK_NO_LOCK)
-            return None
         if not outcome.all_locked:
             for seg, lock in zip(period.segments, outcome.locks):
                 if lock is None and seg.sweeps >= 16:
@@ -619,7 +613,7 @@ class UpdatePhaseModel:
         return dataclasses.replace(self.geometry, channels=1)
 
     def _scheduler(
-        self, config: DesignConfig, geometry, issue_model, engine: str
+        self, config: DesignConfig, geometry, issue_model
     ) -> CommandScheduler:
         return CommandScheduler(
             self.timing,
@@ -628,7 +622,6 @@ class UpdatePhaseModel:
             per_bank_pim=config.per_bank_pim,
             window=self.window,
             data_bus_scope=config.data_bus_scope,
-            engine=engine,
         )
 
     def profiles(
@@ -648,13 +641,12 @@ class UpdatePhaseModel:
         precision: PrecisionConfig,
         columns_per_stripe: Optional[int] = None,
     ):
-        """Returns (commands, params represented, off-chip accesses,
-        stripe-period metadata, artifact).
+        """Returns (params represented, off-chip accesses, stripe-period
+        metadata, artifact).
 
         The trailing element is the generator's artifact object itself
         (:class:`~repro.kernels.artifact.CommandStreamArtifact`): it
-        owns the ``columnar`` stream both engines schedule (the
-        columnar engine memoizes issue cycles on it).
+        owns the ``columnar`` stream the scheduler runs.
 
         ``columns_per_stripe`` overrides the model's sample width (the
         steady-state fast path uses it to build warm samples)."""
@@ -688,13 +680,7 @@ class UpdatePhaseModel:
                 if config.update_uses_offchip_bus
                 else 0
             )
-            return (
-                stream.commands,
-                n_params,
-                offchip,
-                stream.period,
-                stream,
-            )
+            return n_params, offchip, stream.period, stream
         if config.update_kind == UPDATE_PIM_KERNEL:
             key = (
                 "pim", _optimizer_key(optimizer), precision.name, columns,
@@ -711,11 +697,7 @@ class UpdatePhaseModel:
                 )
                 self._cache_stream(key, kernel)
             return (
-                kernel.commands,
-                kernel.n_hp_columns * hp_lanes,
-                0,
-                kernel.period,
-                kernel,
+                kernel.n_hp_columns * hp_lanes, 0, kernel.period, kernel,
             )
         if config.update_kind == UPDATE_AOS_KERNEL:
             key = (
@@ -732,11 +714,5 @@ class UpdatePhaseModel:
                     columns_per_unit=columns,
                 )
                 self._cache_stream(key, kernel)
-            return (
-                kernel.commands,
-                kernel.total_params,
-                0,
-                kernel.period,
-                kernel,
-            )
+            return kernel.total_params, 0, kernel.period, kernel
         raise ConfigError(f"unknown update kind {config.update_kind!r}")

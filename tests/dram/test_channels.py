@@ -9,7 +9,10 @@ full private replica of the DRAM state machines, so
   slowest channel;
 * ``channels=1`` bypasses the partitioning entirely and stays
   bit-identical to the single-channel scheduler;
-* dependencies may not cross channels.
+* dependencies may not cross channels, and the scheduler's numpy split
+  raises the oracle's cross-channel and out-of-range messages for both
+  input forms (``Command`` list and ``ColumnarStream``);
+* a multi-channel columnar run and its validation build no ``Command``.
 
 Plus the regression for ``DataBusState.earliest`` returning negative
 issue cycles (clamped to 0 so no earliest-cycle cache ever stores a
@@ -19,17 +22,18 @@ negative value).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import DataBusState, validate_trace_thorough
+import oracle
+from oracle import DataBusState, ReferenceScheduler, validate_trace_thorough
+from repro.dram.columnar import ColumnarStream
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DeviceGeometry
 from repro.dram.scheduler import (
     CommandScheduler,
-    IssueModel,
+    _channel_streams,
     replicate_across_channels,
-    split_channels,
 )
 from repro.dram.timing import DDR4_2133, HBM_LIKE
-from repro.dram.validator import validate_trace
+from repro.dram.validator import validate_trace, validate_trace_columnar
 from repro.errors import SimulationError, TimingViolation
 from repro.optim.precision import PRECISIONS
 from repro.optim.registry import build_optimizer
@@ -39,17 +43,35 @@ from repro.system.update_model import UpdatePhaseModel
 T = DDR4_2133
 GEOM1 = DeviceGeometry()
 
+#: The scheduler's two input forms.
+FORMS = {
+    "commands": lambda commands: commands,
+    "columnar": ColumnarStream.from_commands,
+}
+
 
 def _stream(design=DesignPoint.GRADPIM_BUFFERED, columns=4):
+    """A design's single-channel update stream (columnar) and its
+    period metadata."""
     model = UpdatePhaseModel(columns_per_stripe=columns)
     optimizer = build_optimizer(
         "momentum_sgd", {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
     )
     config = DESIGNS[design]
-    commands, _, _, _period, _art = model._build_stream(
+    _, _, period, art = model._build_stream(
         config, optimizer, PRECISIONS["8/32"]
     )
-    return config, commands
+    return config, art.columnar, period
+
+
+def _scheduling_fields(commands):
+    """Every ``Command`` field but the tag and scaler payloads."""
+    return [
+        (c.kind, c.rank, c.bankgroup, c.bank, c.row, c.col, c.channel,
+         c.scale_id, c.dst_reg, c.src_reg, c.position, c.deps,
+         c.issue_cycle)
+        for c in commands
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -99,76 +121,113 @@ class TestDataBusEarliestClamp:
 # Stream partitioning
 # ----------------------------------------------------------------------
 class TestSplitChannels:
-    def test_partitions_preserve_stream_order_and_deps(self):
-        _, commands = _stream(columns=2)
-        replicated = replicate_across_channels(commands, 2)
-        parts = split_channels(replicated, 2)
-        assert [p.channel for p in parts] == [0, 1]
-        for part in parts:
-            assert len(part.commands) == len(commands)
+    def test_replicate_matches_command_list_replicate(self):
+        _, stream, _ = _stream(columns=2)
+        tiled = replicate_across_channels(stream, 3)
+        assert _scheduling_fields(tiled.to_commands()) == (
+            _scheduling_fields(
+                oracle.replicate_across_channels(stream.to_commands(), 3)
+            )
+        )
+
+    def test_split_matches_command_list_partitions(self):
+        _, stream, _ = _stream(columns=2)
+        replicated = replicate_across_channels(stream, 2)
+        expected = oracle.split_channels(replicated.to_commands(), 2)
+        parts = list(_channel_streams(replicated, 2))
+        assert len(parts) == 2
+        for (indices, part), want in zip(parts, expected):
+            assert indices.tolist() == want.indices
             # Local deps match the original single-channel stream.
-            assert [c.deps for c in part.commands] == [
-                c.deps for c in commands
+            assert _scheduling_fields(part.to_commands()) == (
+                _scheduling_fields(want.commands)
+            )
+            assert [c.deps for c in part.to_commands()] == [
+                c.deps for c in stream.to_commands()
             ]
 
     def test_empty_channels_get_empty_partitions(self):
-        cmds = [Command(CommandType.ACT, channel=2, row=1)]
-        parts = split_channels(cmds, 4)
-        assert [len(p.commands) for p in parts] == [0, 0, 1, 0]
+        stream = ColumnarStream.from_commands(
+            [Command(CommandType.ACT, channel=2, row=1)]
+        )
+        parts = list(_channel_streams(stream, 4))
+        assert [part.n for _, part in parts] == [0, 0, 1, 0]
 
-    def test_cross_channel_dependency_rejected(self):
-        cmds = [
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("cmds", [
+        [
             Command(CommandType.ACT, channel=0, row=1),
             Command(CommandType.ACT, channel=1, row=1, deps=(0,)),
-        ]
-        with pytest.raises(SimulationError, match="cross"):
-            split_channels(cmds, 2)
+        ],
+        [
+            Command(CommandType.ACT, channel=1, row=1),
+            Command(CommandType.ACT, channel=1, bank=1, row=1),
+            Command(CommandType.ACT, channel=0, row=2, deps=(0,)),
+            Command(CommandType.ACT, channel=1, row=3, deps=(1, 2)),
+        ],
+    ], ids=["adjacent", "first-in-csr-order"])
+    def test_cross_channel_dependency_rejected(self, form, cmds):
+        geom = DeviceGeometry(channels=2)
+        with pytest.raises(SimulationError, match="cross") as want:
+            ReferenceScheduler(T, geom).run(cmds)
+        with pytest.raises(SimulationError) as got:
+            CommandScheduler(T, geom).run(FORMS[form](cmds))
+        assert str(got.value) == str(want.value)
 
-    def test_out_of_range_channel_rejected(self):
-        cmds = [Command(CommandType.ACT, channel=5, row=1)]
-        with pytest.raises(SimulationError, match="channel"):
-            split_channels(cmds, 2)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_out_of_range_channel_rejected(self, form):
+        geom = DeviceGeometry(channels=2)
+        cmds = [
+            Command(CommandType.ACT, channel=1, row=1),
+            Command(CommandType.ACT, channel=5, row=1),
+        ]
+        with pytest.raises(SimulationError, match="channel") as want:
+            ReferenceScheduler(T, geom).run(cmds)
+        with pytest.raises(SimulationError) as got:
+            CommandScheduler(T, geom).run(FORMS[form](cmds))
+        assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------------------------
 # Scheduling semantics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["columnar", "periodic"])
-class TestMultiChannelScheduling:
-    def test_per_channel_schedule_matches_single_channel(self, engine):
-        config, commands = _stream()
-        channels = 4
-        geom = DeviceGeometry(channels=channels)
-        im = config.issue_model(GEOM1)
-        single = CommandScheduler(
-            T, GEOM1, im, engine=engine,
-            data_bus_scope=config.data_bus_scope,
-        ).run(commands)
-        replicated = replicate_across_channels(commands, channels)
-        multi = CommandScheduler(
-            T, geom, im, engine=engine,
-            data_bus_scope=config.data_bus_scope,
-        ).run(replicated)
-        n = len(commands)
-        for c in range(channels):
-            assert [
-                x.issue_cycle for x in multi.commands[c * n:(c + 1) * n]
-            ] == single.issue_cycles()
+def _multi(columns, channels, replay):
+    """A design's stream and its single-channel and
+    ``channels``-replicated schedules (the latter given the period
+    metadata when ``replay``, which a multi-channel run ignores)."""
+    config, stream, period = _stream(columns=columns)
+    im = config.issue_model(GEOM1)
+    kwargs = dict(
+        per_bank_pim=config.per_bank_pim,
+        data_bus_scope=config.data_bus_scope,
+    )
+    single = CommandScheduler(T, GEOM1, im, **kwargs).run(stream)
+    multi = CommandScheduler(
+        T, DeviceGeometry(channels=channels), im, **kwargs
+    ).run(
+        replicate_across_channels(stream, channels),
+        period=period if replay else None,
+    )
+    if replay:
+        assert multi.periodic.reason == "multi-channel"
+    else:
+        assert multi.periodic is None
+    return config, stream, single, multi
 
-    def test_stats_aggregate_across_channels(self, engine):
-        config, commands = _stream()
+
+@pytest.mark.parametrize("replay", [False, True], ids=["plain", "replay"])
+class TestMultiChannelScheduling:
+    def test_per_channel_schedule_matches_single_channel(self, replay):
         channels = 4
-        geom = DeviceGeometry(channels=channels)
-        im = config.issue_model(GEOM1)
-        single = CommandScheduler(
-            T, GEOM1, im, engine=engine,
-            data_bus_scope=config.data_bus_scope,
-        ).run(commands)
-        replicated = replicate_across_channels(commands, channels)
-        multi = CommandScheduler(
-            T, geom, im, engine=engine,
-            data_bus_scope=config.data_bus_scope,
-        ).run(replicated)
+        _, stream, single, multi = _multi(4, channels, replay)
+        n = stream.n
+        issue = multi.issue_cycles()
+        for c in range(channels):
+            assert issue[c * n:(c + 1) * n] == single.issue_cycles()
+
+    def test_stats_aggregate_across_channels(self, replay):
+        channels = 4
+        _, _, single, multi = _multi(4, channels, replay)
         s1, sm = single.stats, multi.stats
         assert sm.issued_commands == channels * s1.issued_commands
         assert sm.counts == {
@@ -180,28 +239,17 @@ class TestMultiChannelScheduling:
             channels * n for n in s1.port_issued
         ]
 
-    def test_multi_channel_trace_validates(self, engine):
-        config, commands = _stream(columns=2)
+    def test_multi_channel_trace_validates(self, replay):
+        config, _, _, result = _multi(2, 2, replay)
         geom = DeviceGeometry(channels=2)
-        im = config.issue_model(GEOM1)
-        replicated = replicate_across_channels(commands, 2)
-        result = CommandScheduler(
-            T, geom, im, engine=engine,
-            data_bus_scope=config.data_bus_scope,
-        ).run(replicated)
         for validate in (validate_trace, validate_trace_thorough):
             validate(
-                result.commands, T, geom, im.port_of_rank,
+                result.commands, T, geom,
+                config.issue_model(GEOM1).port_of_rank,
                 data_bus_scope=config.data_bus_scope,
             )
 
-    def test_channel_out_of_range_rejected_by_run(self, engine):
-        geom = DeviceGeometry(channels=2)
-        sched = CommandScheduler(T, geom, engine=engine)
-        with pytest.raises(SimulationError, match="channel"):
-            sched.run([Command(CommandType.ACT, channel=2, row=1)])
-
-    def test_heterogeneous_channels_time_by_slowest(self, engine):
+    def test_heterogeneous_channels_time_by_slowest(self, replay):
         """Channels with different amounts of work finish at different
         cycles; the device-level elapsed time is the slowest one."""
         def acts(channel, rows):
@@ -235,11 +283,42 @@ class TestMultiChannelScheduling:
                     )
                 )
         geom = DeviceGeometry(channels=2)
-        result = CommandScheduler(T, geom, engine=engine).run(cmds)
+        result = CommandScheduler(T, geom).run(cmds)
         stats = result.stats
         assert len(stats.channel_cycles) == 2
         assert stats.channel_cycles[1] > stats.channel_cycles[0]
         assert stats.total_cycles == stats.channel_cycles[1]
+
+
+class TestMultiChannelColumnar:
+    def test_multi_channel_run_builds_no_commands(self, monkeypatch):
+        """A 4-channel columnar run and its validation never build a
+        ``Command``, and match the oracle's schedule."""
+        config, stream, _ = _stream()
+        channels = 4
+        geom = DeviceGeometry(channels=channels)
+        im = config.issue_model(GEOM1)
+        kwargs = dict(
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope,
+        )
+        expected = ReferenceScheduler(T, geom, im, **kwargs).run(
+            oracle.replicate_across_channels(
+                stream.to_commands(), channels
+            )
+        ).issue_cycles()
+
+        def refuse(*args, **kw):
+            raise AssertionError("ColumnarStream.to_commands was called")
+
+        monkeypatch.setattr(ColumnarStream, "to_commands", refuse)
+        result = CommandScheduler(T, geom, im, **kwargs).run(
+            replicate_across_channels(stream, channels)
+        )
+        validate_trace_columnar(
+            result.columnar, T, geom, im.port_of_rank, **kwargs
+        )
+        assert result.columnar.issue_cycle.tolist() == expected
 
 
 class TestChannelsOneIdentity:
@@ -248,7 +327,7 @@ class TestChannelsOneIdentity:
 
     @pytest.mark.parametrize("design", list(DesignPoint))
     def test_explicit_channels_one_schedule_identical(self, design):
-        config, commands = _stream(design)
+        config, commands, _ = _stream(design)
         im = config.issue_model(GEOM1)
         kwargs = dict(
             per_bank_pim=config.per_bank_pim,

@@ -1,4 +1,4 @@
-"""The columnar command-stream core: round-trip, memo, validator.
+"""The columnar command-stream core: round-trip, rescheduling, validator.
 
 :class:`repro.dram.columnar.ColumnarStream` is the struct-of-arrays
 twin of a ``list[Command]``; the contract is *lossless* conversion in
@@ -13,8 +13,8 @@ both directions. These tests enforce:
 * the CSR dependency transpose matches :func:`build_dependents`;
 * structural precondition errors (illegal dep, rank/channel out of
   range) match the reference loop's scalar messages exactly;
-* issue-cycle memoization: re-scheduling the same stream object is
-  byte-identical and hits the memo (no second cold pass);
+* re-scheduling the same stream object is byte-identical, and the
+  returned issue-cycle vector is read-only;
 * the frozen columns refuse in-place mutation;
 * ``validate_trace_columnar`` accepts what the family-by-family
   oracle accepts, and rejects seeded corruptions with the exception
@@ -33,6 +33,7 @@ from oracle import (
 )
 from repro.dram.columnar import ColumnarStream
 from repro.dram.commands import Command, CommandType
+from repro.dram.period import StreamPeriod
 from repro.dram.scheduler import CommandScheduler
 from repro.dram.timing import DDR4_2133
 from repro.dram.validator import validate_trace, validate_trace_columnar
@@ -99,10 +100,10 @@ def _design_stream(design):
         "momentum_sgd", {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
     )
     config = DESIGNS[design]
-    commands, _, _, _period, art = model._build_stream(
+    _, _, _period, art = model._build_stream(
         config, optimizer, PRECISIONS["8/32"]
     )
-    return config, commands, art
+    return config, art.commands, art
 
 
 class TestRoundTrip:
@@ -170,19 +171,19 @@ class TestStructureChecks:
         mutate(commands)
         with pytest.raises(SimulationError) as scalar:
             ReferenceScheduler(T, GEOM).run(commands)
-        for engine in ("columnar", "periodic"):
+        for period in (None, StreamPeriod(segments=(), columns=1)):
             with pytest.raises(SimulationError) as checked:
-                CommandScheduler(T, GEOM, engine=engine).run(commands)
-            assert str(checked.value) == str(scalar.value), engine
+                CommandScheduler(T, GEOM).run(commands, period=period)
+            assert str(checked.value) == str(scalar.value), period
 
 
-class TestMemoization:
+class TestRescheduling:
     def test_rescheduling_shared_stream_is_identical(self):
         config, commands, art = _design_stream(
             DesignPoint.GRADPIM_BUFFERED
         )
         sched = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM), engine="columnar",
+            T, GEOM, config.issue_model(GEOM),
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
@@ -190,21 +191,21 @@ class TestMemoization:
         second = sched.run(art.columnar)
         assert first.issue_cycles() == second.issue_cycles()
         assert first.stats == second.stats
-        # The memoized cycle vector is shared between replays, so it
-        # must be frozen: corrupting one result cannot poison the next.
+        # Results share their stream with the artifact; the cycle
+        # vector is frozen like the stream's own columns.
         with pytest.raises(ValueError):
             second.columnar.issue_cycle[0] = 0
 
-    def test_memo_distinguishes_substrates(self):
+    def test_substrates_schedule_differently(self):
         config, commands, art = _design_stream(
             DesignPoint.GRADPIM_DIRECT
         )
         base = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM), engine="columnar",
+            T, GEOM, config.issue_model(GEOM),
             data_bus_scope=config.data_bus_scope,
         )
         narrow = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM), engine="columnar",
+            T, GEOM, config.issue_model(GEOM),
             data_bus_scope=config.data_bus_scope, window=1,
         )
         wide = base.run(art.columnar)
@@ -217,25 +218,6 @@ class TestMemoization:
             commands
         ).issue_cycles()
         assert wide.issue_cycles() != small.issue_cycles()
-
-    def test_streams_keep_only_the_memo(self):
-        """Memory contract: a cold run's per-command Python lists die
-        with the run, and a stream only the columnar loop schedules
-        never builds the list-of-lists dependents adjacency."""
-        config, commands, art = _design_stream(DesignPoint.AOS_PB)
-        sched = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM),
-            per_bank_pim=config.per_bank_pim,
-            data_bus_scope=config.data_bus_scope,
-        )
-        result = sched.run(art.columnar)
-        (entry,) = art.columnar._memo.values()
-        issue, total_cycles, counts, port_issued = entry
-        assert issue is result.columnar.issue_cycle
-        assert total_cycles == result.stats.total_cycles
-        assert counts == result.stats.counts
-        assert port_issued == result.stats.port_issued
-        assert "dependents" not in vars(art)
 
     @pytest.mark.parametrize("engine", ["columnar", "periodic"])
     def test_profiles_build_one_adjacency_form_per_stream(self, engine):
@@ -258,7 +240,7 @@ class TestColumnarValidator:
         config, commands, art = _design_stream(design)
         issue_model = config.issue_model(GEOM)
         sched = CommandScheduler(
-            T, GEOM, issue_model, engine="columnar",
+            T, GEOM, issue_model,
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,
         )
@@ -298,7 +280,7 @@ class TestColumnarValidator:
         config, commands, art = _design_stream(DesignPoint.BASELINE)
         issue_model = config.issue_model(GEOM)
         sched = CommandScheduler(
-            T, GEOM, issue_model, engine="columnar",
+            T, GEOM, issue_model,
             data_bus_scope=config.data_bus_scope,
         )
         result = sched.run(art.columnar)

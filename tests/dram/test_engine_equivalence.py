@@ -1,26 +1,30 @@
-"""Columnar and periodic engines == the reference greedy loop.
+"""The scheduler, with and without steady-state replay, == the
+reference greedy loop.
 
-Both scheduler engines promise *exact* equivalence with the reference
-greedy loop kept in ``tests/oracle.py``: identical issue cycles and
+``CommandScheduler.run`` promises *exact* equivalence with the
+reference greedy loop kept in ``tests/oracle.py``, whether or not it is
+given period metadata (``period=``, steady-state replay): identical
+issue cycles and
 identical :class:`TraceStats` on every stream, and the identical
 ``SimulationError`` on every stream that deadlocks or breaks a
 structural precondition. These tests enforce the contract four ways:
 
 * golden checks over every design point's real update stream (with its
-  period metadata, so the periodic engine really locks);
+  period metadata, so replay really locks);
 * Hypothesis property tests sweeping windows, issue models, data-bus
   scopes, per-bank PIM, channel counts and all four update-kind stream
   generators;
 * Hypothesis property tests over random synthetic (but structurally
   legal) command streams with random backward dependencies, single-
-  and multi-channel — window-limited deadlocks included;
+  and multi-channel (the multi-channel streams given to the scheduler
+  in columnar form) — window-limited deadlocks included;
 * hand-built streams: a deadlock, and the two couplings between issue
   ports (a burst on a shared data bus, a dependency released from
   another port) that the columnar loop's per-port scan memo must see.
 
-They also pin the ``run()`` API contract the engines share: caller
-commands are never mutated, re-scheduling is deterministic, and a
-a ``Command`` list and its ``ColumnarStream`` schedule alike.
+They also pin the ``run()`` API contract: caller commands are never
+mutated, re-scheduling is deterministic, and a ``Command`` list and
+its ``ColumnarStream`` schedule alike.
 """
 
 import dataclasses
@@ -30,6 +34,7 @@ from hypothesis import given, strategies as st
 
 from oracle import (
     ReferenceScheduler,
+    _fresh_copy,
     build_dependents,
     oracle_profile,
     settings,
@@ -39,11 +44,10 @@ from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import (
     CommandScheduler,
     IssueModel,
-    _fresh_copy,
     replicate_across_channels,
 )
 from repro.dram.timing import DDR4_2133, PRESETS
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.optim.precision import PRECISIONS
 from repro.optim.registry import build_optimizer
 from repro.system.design import DESIGNS, DesignPoint
@@ -51,36 +55,37 @@ from repro.system.update_model import UpdatePhaseModel
 
 T = DDR4_2133
 GEOM = UpdatePhaseModel().geometry  # the paper's default geometry
-ENGINES = ("columnar", "periodic")
 
 
 def _assert_equivalent(commands, issue_model=None, period=None,
                        timing=T, geometry=GEOM, **kwargs):
-    """Both engines reproduce the oracle's schedule — or its error.
+    """The scheduler reproduces the oracle's schedule — or its error —
+    both without and with ``period`` (steady-state replay).
 
-    A window-limited scheduler can legitimately deadlock on streams
-    whose cross-port dependencies point beyond every port's lookahead;
-    equivalence then means every engine refuses identically.
+    ``commands`` is a ``Command`` list or a ``ColumnarStream`` (the
+    oracle schedules its ``Command`` form). A window-limited scheduler
+    can legitimately deadlock on streams whose cross-port dependencies
+    point beyond every port's lookahead; equivalence then means every
+    run refuses identically.
     """
     oracle = ReferenceScheduler(timing, geometry, issue_model, **kwargs)
-    engines = {
-        engine: CommandScheduler(
-            timing, geometry, issue_model, engine=engine, **kwargs
-        )
-        for engine in ENGINES
-    }
+    sched = CommandScheduler(timing, geometry, issue_model, **kwargs)
+    listed = (
+        commands.to_commands()
+        if isinstance(commands, ColumnarStream) else commands
+    )
     try:
-        ref = oracle.run(commands)
+        ref = oracle.run(listed)
     except SimulationError as exc:
-        for engine, sched in engines.items():
+        for p in (None, period):
             with pytest.raises(SimulationError) as caught:
-                sched.run(commands, period=period)
-            assert str(caught.value) == str(exc), engine
+                sched.run(commands, period=p)
+            assert str(caught.value) == str(exc), p
         return None
-    for engine, sched in engines.items():
-        got = sched.run(commands, period=period)
-        assert got.issue_cycles() == ref.issue_cycles(), engine
-        assert got.stats == ref.stats, engine
+    for p in (None, period):
+        got = sched.run(commands, period=p)
+        assert got.issue_cycles() == ref.issue_cycles(), p
+        assert got.stats == ref.stats, p
     return ref
 
 
@@ -93,10 +98,10 @@ def _optimizer():
 def _design_stream(design, model=None):
     model = model or UpdatePhaseModel(columns_per_stripe=8)
     config = DESIGNS[design]
-    commands, _, _, period, _art = model._build_stream(
+    _, _, period, art = model._build_stream(
         config, _optimizer(), PRECISIONS["8/32"]
     )
-    return config, commands, period
+    return config, art.commands, period
 
 
 class TestGoldenDesignPoints:
@@ -128,22 +133,27 @@ class TestGoldenDesignPoints:
                 )
 
 
+REPLAY = pytest.mark.parametrize(
+    "replay", [False, True], ids=["plain", "replay"]
+)
+
+
 class TestRunContract:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_caller_commands_never_mutated(self, engine):
+    @REPLAY
+    def test_caller_commands_never_mutated(self, replay):
         config, commands, period = _design_stream(
             DesignPoint.GRADPIM_BUFFERED
         )
         sched = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM), engine=engine,
+            T, GEOM, config.issue_model(GEOM),
             data_bus_scope=config.data_bus_scope,
         )
-        result = sched.run(commands, period=period)
+        result = sched.run(commands, period=period if replay else None)
         assert all(c.issue_cycle == -1 for c in commands)
         assert all(c.issue_cycle >= 0 for c in result.commands)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_rescheduling_same_stream_is_identical(self, engine):
+    @REPLAY
+    def test_rescheduling_same_stream_is_identical(self, replay):
         # Regression: the seed scheduler annotated the caller's Command
         # objects in place, so a second run of the same stream saw
         # stale issue cycles as "already issued" dependencies.
@@ -151,9 +161,10 @@ class TestRunContract:
             DesignPoint.GRADPIM_DIRECT
         )
         sched = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM), engine=engine,
+            T, GEOM, config.issue_model(GEOM),
             data_bus_scope=config.data_bus_scope,
         )
+        period = period if replay else None
         first = sched.run(commands, period=period)
         second = sched.run(commands, period=period)
         assert first.issue_cycles() == second.issue_cycles()
@@ -163,12 +174,12 @@ class TestRunContract:
         config, commands, period = _design_stream(
             DesignPoint.GRADPIM_DIRECT
         )
-        periodic = CommandScheduler(
-            T, GEOM, config.issue_model(GEOM), engine="periodic",
+        sched = CommandScheduler(
+            T, GEOM, config.issue_model(GEOM),
             data_bus_scope=config.data_bus_scope,
         )
-        listed = periodic.run(commands, period=period)
-        stream = periodic.run(
+        listed = sched.run(commands, period=period)
+        stream = sched.run(
             ColumnarStream.from_commands(commands), period=period
         )
         assert listed.issue_cycles() == stream.issue_cycles()
@@ -176,9 +187,10 @@ class TestRunContract:
 
     def test_build_dependents_matches_deps(self):
         model = UpdatePhaseModel(columns_per_stripe=8)
-        commands, _, _, _, art = model._build_stream(
+        _, _, _, art = model._build_stream(
             DESIGNS[DesignPoint.AOS], _optimizer(), PRECISIONS["8/32"]
         )
+        commands = art.commands
         rebuilt = build_dependents(commands)
         assert rebuilt == art.dependents
         for i, cmd in enumerate(commands):
@@ -198,15 +210,6 @@ class TestRunContract:
             if field.name == "issue_cycle":
                 continue
             assert getattr(copy, field.name) == getattr(cmd, field.name)
-
-    @pytest.mark.parametrize(
-        "engine", ["warp-speed", "incremental", "reference"]
-    )
-    def test_unknown_engine_rejected(self, engine):
-        """The scheduler knows two engines; the older spellings live
-        only on the job surface."""
-        with pytest.raises(ConfigError):
-            CommandScheduler(T, GEOM, engine=engine)
 
 
 class TestCrossPortInvalidation:
@@ -307,7 +310,7 @@ class TestCrossPortInvalidation:
 class TestDeadlock:
     def test_structurally_blocked_stream_deadlocks_identically(self):
         """A column access to a row nothing ever opens can never
-        issue: every engine names the same deadlock."""
+        issue: every run names the same deadlock."""
         commands = [
             Command(CommandType.ACT, row=0),
             Command(CommandType.SCALED_READ, row=1, deps=(0,)),
@@ -349,9 +352,10 @@ class TestGeneratorStreamProperties:
         config = DESIGNS[design]
         timing = PRESETS[timing_name]
         model = UpdatePhaseModel(timing=timing, columns_per_stripe=4)
-        commands, _, _, period, _art = model._build_stream(
+        _, _, period, art = model._build_stream(
             config, optimizer, PRECISIONS["8/32"]
         )
+        commands = art.commands
         issue_model = (
             IssueModel.buffered(GEOM.ranks)
             if buffered
@@ -360,7 +364,7 @@ class TestGeneratorStreamProperties:
         geometry = GEOM
         if channels > 1:
             geometry = dataclasses.replace(GEOM, channels=channels)
-            commands = replicate_across_channels(commands, channels)
+            commands = replicate_across_channels(art.columnar, channels)
         _assert_equivalent(
             commands,
             issue_model=issue_model,
@@ -499,11 +503,13 @@ class TestSyntheticStreamProperties:
     def test_equivalent_on_random_multi_channel_streams(
         self, commands, window, channels, per_bank
     ):
-        """Both engines agree with the oracle on random streams tiled
+        """The scheduler agrees with the oracle on random streams tiled
         across channels — the same contract as single-channel, along
         the channel axis."""
         _assert_equivalent(
-            replicate_across_channels(commands, channels),
+            replicate_across_channels(
+                ColumnarStream.from_commands(commands), channels
+            ),
             geometry=dataclasses.replace(GEOM, channels=channels),
             window=window,
             per_bank_pim=per_bank,

@@ -1,6 +1,7 @@
-"""Periodic steady-state engine == the reference greedy loop, byte for byte.
+"""Steady-state replay == the reference greedy loop, byte for byte.
 
-The ``"periodic"`` engine (:mod:`repro.dram.steady`) promises *exact*
+A run given period metadata (``CommandScheduler.run(..., period=...)``,
+:mod:`repro.dram.steady`) promises *exact*
 equivalence with the reference loop kept in ``tests/oracle.py``:
 identical issue cycles and
 identical :class:`TraceStats` on every stream — locked steady-state
@@ -23,9 +24,9 @@ that never locks) simulates for real. These tests enforce the contract:
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracle import ReferenceScheduler, settings
+from oracle import ReferenceScheduler, _fresh_copy, settings
 from repro.dram.commands import Command, CommandType
-from repro.dram.scheduler import CommandScheduler, _fresh_copy
+from repro.dram.scheduler import CommandScheduler
 from repro.dram.period import PeriodSegment, SegmentRecorder, StreamPeriod
 from repro.dram.steady import stale_floor
 from repro.dram.timing import DDR4_2133, PRESETS
@@ -58,14 +59,14 @@ def _built(design, optimizer_name="momentum_sgd", precision="8/32",
         optimizer_name, OPTIMIZER_PARAMS.get(optimizer_name, {})
     )
     config = DESIGNS[design]
-    commands, _, _, period, art = model._build_stream(
+    _, _, period, art = model._build_stream(
         config, optimizer, PRECISIONS[precision]
     )
-    return config, commands, art.dependents, period
+    return config, art.commands, art.dependents, period
 
 
 def _run_both(config, commands, dependents, period, window=16):
-    """Schedule on the periodic engine and on the oracle; they must
+    """Schedule with replay and on the oracle; they must
     agree exactly. Returns the periodic result."""
     kwargs = dict(
         per_bank_pim=config.per_bank_pim,
@@ -74,9 +75,9 @@ def _run_both(config, commands, dependents, period, window=16):
     )
     issue_model = config.issue_model(GEOM)
     ref = ReferenceScheduler(T, GEOM, issue_model, **kwargs).run(commands)
-    per = CommandScheduler(
-        T, GEOM, issue_model, engine="periodic", **kwargs
-    ).run(commands, period=period)
+    per = CommandScheduler(T, GEOM, issue_model, **kwargs).run(
+        commands, period=period
+    )
     assert ref.issue_cycles() == per.issue_cycles()
     assert ref.stats == per.stats
     return per
@@ -118,14 +119,17 @@ class TestGoldenEquivalence:
         assert any(lock is not None for lock in result.periodic.locks)
 
     def test_without_metadata_degrades_to_columnar(self):
-        config, commands, dependents, _ = _built(
+        """No ``period`` runs the plain loop and reports nothing;
+        metadata without segments is reported as never engaging."""
+        config, commands, dependents, period = _built(
             DesignPoint.GRADPIM_DIRECT
         )
-        result = _run_both(config, commands, dependents, period=None)
-        assert result.periodic is not None
+        plain = _run_both(config, commands, dependents, period=None)
+        assert plain.periodic is None
+        empty = StreamPeriod(segments=(), columns=period.columns)
+        result = _run_both(config, commands, dependents, period=empty)
         assert not result.periodic.engaged
         assert result.periodic.reason == "no-period-metadata"
-        assert result.columnar is not None
 
 
 # ----------------------------------------------------------------------

@@ -206,15 +206,15 @@ def _listed(commands, geometry=GEOM, ports=PORTS, **kwargs) -> Case:
     )
 
 
-def _design_commands(design, columns) -> list[Command]:
+def _design_stream(design, columns) -> ColumnarStream:
     model = UpdatePhaseModel(columns_per_stripe=columns)
     optimizer = build_optimizer(
         "momentum_sgd", {"eta": 0.01, "alpha": 0.9, "weight_decay": 1e-4}
     )
-    commands, *_ = model._build_stream(
+    *_, artifact = model._build_stream(
         DESIGNS[design], optimizer, PRECISIONS["8/32"]
     )
-    return commands
+    return artifact.columnar
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,23 +222,18 @@ def scheduled(design, columns=32, channels=1) -> Case:
     """A design's legal scheduled momentum-SGD trace (``channels`` > 1
     replicates the stream across a multi-channel device)."""
     config = DESIGNS[design]
-    commands = _design_commands(design, columns)
+    stream = _design_stream(design, columns)
     geometry = DeviceGeometry(channels=channels)
     issue_model = config.issue_model(GEOM)
     if channels > 1:
-        commands = replicate_across_channels(commands, channels)
+        stream = replicate_across_channels(stream, channels)
     result = CommandScheduler(
         T, geometry, issue_model,
         per_bank_pim=config.per_bank_pim,
         data_bus_scope=config.data_bus_scope,
-    ).run(commands)
-    if channels > 1:
-        stream = ColumnarStream.from_commands(result.commands)
-        schedule = ColumnarSchedule(stream, stream.issue_cycle)
-    else:
-        schedule = result.columnar
+    ).run(stream)
     return Case(
-        schedule, geometry, tuple(issue_model.port_of_rank),
+        result.columnar, geometry, tuple(issue_model.port_of_rank),
         dict(
             per_bank_pim=config.per_bank_pim,
             data_bus_scope=config.data_bus_scope,

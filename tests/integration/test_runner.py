@@ -79,3 +79,26 @@ def test_full_run_never_materializes_commands(monkeypatch, capsys):
     monkeypatch.setattr(ColumnarStream, "to_commands", refuse)
     assert main([]) == 0
     assert "Fig. 9" in capsys.readouterr().out
+
+
+def test_full_run_schedules_each_substrate_once(monkeypatch, capsys):
+    """A cold in-process run profiles every (design, substrate) once:
+    figures that read update profiles directly (Fig. 11) share the
+    service's update models instead of re-profiling on their own. The
+    17 schedules left include two pairs of identical streams compiled
+    for different precisions."""
+    from repro.dram.scheduler import CommandScheduler
+    from repro.service.pool import clear_model_cache
+
+    runs = []
+    real = CommandScheduler.run
+
+    def counting(self, commands, *args, **kwargs):
+        runs.append(len(commands))
+        return real(self, commands, *args, **kwargs)
+
+    clear_model_cache()
+    monkeypatch.setattr(CommandScheduler, "run", counting)
+    assert main([]) == 0
+    assert "Fig. 9" in capsys.readouterr().out
+    assert len(runs) == 17

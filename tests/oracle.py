@@ -16,6 +16,9 @@ benchmarks' equivalence gates.
 * :func:`build_dependents` — the dependent-command adjacency of a
   ``Command`` list, which the columnar stream's transposed CSR must
   reproduce.
+* :func:`split_channels` / :func:`replicate_across_channels` — the
+  ``Command``-list channel partitioning and tiling the scheduler's
+  numpy split and the columnar replicate must agree with.
 * :func:`validate_trace_thorough` — one checker per rule family, each
   walking the whole trace with its own state reconstruction. The
   production checker must accept exactly the traces it accepts and
@@ -34,17 +37,22 @@ under pytest; the benchmarks insert it themselves).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.dram.columnar import TURNAROUND_GAP
+import numpy as np
+
+from repro.dram.columnar import (
+    TURNAROUND_GAP,
+    ColumnarSchedule,
+    ColumnarStream,
+)
 from repro.dram.commands import Command, CommandType, command_latency
 from repro.dram.geometry import DEFAULT_GEOMETRY, DeviceGeometry
 from repro.dram.scheduler import (
     CommandScheduler,
     IssueModel,
     ScheduleResult,
-    _fresh_copy,
-    split_channels,
 )
 from repro.dram.stats import TraceStats
 from repro.dram.timing import TimingParams
@@ -344,13 +352,115 @@ def build_dependents(commands: Sequence[Command]) -> list[list[int]]:
     return out
 
 
+# ----------------------------------------------------------------------
+# Command-list channel partitioning
+# ----------------------------------------------------------------------
+def _fresh_copy(cmd: Command) -> Command:
+    """A clean, unissued copy of ``cmd`` (deps tuples are shared).
+
+    Field-by-field into a bare slotted instance, guarded by a test that
+    diffs the field list against the dataclass.
+    """
+    out = Command.__new__(Command)
+    out.kind = cmd.kind
+    out.rank = cmd.rank
+    out.bankgroup = cmd.bankgroup
+    out.bank = cmd.bank
+    out.row = cmd.row
+    out.col = cmd.col
+    out.channel = cmd.channel
+    out.scale_id = cmd.scale_id
+    out.dst_reg = cmd.dst_reg
+    out.src_reg = cmd.src_reg
+    out.position = cmd.position
+    out.deps = cmd.deps
+    out.tag = cmd.tag
+    out.scaler = cmd.scaler
+    out.issue_cycle = -1
+    return out
+
+
+@dataclass
+class ChannelPartition:
+    """One channel's share of a multi-channel stream.
+
+    ``commands`` are fresh copies with dependency indices remapped to
+    the partition's own index space; ``indices`` maps them back to the
+    global stream (``commands[i]`` came from global ``indices[i]``).
+    """
+
+    channel: int
+    indices: list[int]
+    commands: list[Command]
+
+
+def split_channels(
+    commands: Sequence[Command], n_channels: int
+) -> list[ChannelPartition]:
+    """Partition a stream into per-channel sub-streams, one partition
+    per channel id (empty channels get empty partitions).
+
+    Dependencies must stay within a channel; a cross-channel edge, or
+    a channel id out of range, raises :class:`SimulationError`.
+    """
+    local_index = [0] * len(commands)
+    parts = [
+        ChannelPartition(channel=c, indices=[], commands=[])
+        for c in range(n_channels)
+    ]
+    for i, cmd in enumerate(commands):
+        if not 0 <= cmd.channel < n_channels:
+            raise SimulationError(
+                f"command {i} channel {cmd.channel} out of range "
+                f"(device has {n_channels})"
+            )
+        part = parts[cmd.channel]
+        local_index[i] = len(part.indices)
+        part.indices.append(i)
+    for i, cmd in enumerate(commands):
+        part = parts[cmd.channel]
+        copy = _fresh_copy(cmd)
+        if cmd.deps:
+            for d in cmd.deps:
+                if commands[d].channel != cmd.channel:
+                    raise SimulationError(
+                        f"command {i} (channel {cmd.channel}) depends "
+                        f"on command {d} in channel "
+                        f"{commands[d].channel}; dependencies cannot "
+                        "cross channels"
+                    )
+            copy.deps = tuple(local_index[d] for d in cmd.deps)
+        part.commands.append(copy)
+    return parts
+
+
+def replicate_across_channels(
+    commands: Sequence[Command], channels: int
+) -> list[Command]:
+    """Tile a single-channel ``Command`` list across ``channels``
+    channels: replica ``c`` targets channel ``c`` with its dependency
+    indices shifted into its own block."""
+    n = len(commands)
+    out: list[Command] = []
+    for c in range(channels):
+        for cmd in commands:
+            copy = _fresh_copy(cmd)
+            copy.channel = c
+            if cmd.deps:
+                copy.deps = tuple(d + c * n for d in cmd.deps)
+            out.append(copy)
+    return out
+
+
 class ReferenceScheduler:
     """The original greedy loop behind ``CommandScheduler``'s API.
 
     Takes the same substrate arguments (validated by constructing a
     :class:`CommandScheduler`) and returns a :class:`ScheduleResult`
-    over fresh command copies; multi-channel geometries partition the
-    stream and schedule each channel independently.
+    holding the stream's columnar form and the loop's issue cycles. The
+    loop runs on fresh command copies; multi-channel geometries
+    partition the stream (:func:`split_channels`) and schedule each
+    channel independently.
     """
 
     def __init__(
@@ -408,12 +518,11 @@ class ReferenceScheduler:
                         part.commands[local].issue_cycle
                     )
             stats = TraceStats.merge_channels(per_channel)
+        stream = ColumnarStream.from_commands(commands)
+        issue = np.array([c.issue_cycle for c in copies], dtype=np.int64)
         return ScheduleResult(
-            commands=copies,
-            stats=stats,
-            timing=self.timing,
-            geometry=geom,
-            issue_model=self.issue_model,
+            ColumnarSchedule(stream, issue), stats, self.timing, geom,
+            self.issue_model,
         )
 
     def _greedy(self, commands: list[Command]) -> TraceStats:
@@ -533,7 +642,7 @@ def oracle_profile(model, design, optimizer, precision=PRECISION_8_32):
     :func:`validate_trace_thorough`, aggregated across the design's
     identical channel replicas."""
     config = DESIGNS[design]
-    commands, n_params, offchip, _, _ = model._build_stream(
+    n_params, offchip, _, artifact = model._build_stream(
         config, optimizer, precision
     )
     geometry = model._one_channel()
@@ -543,7 +652,7 @@ def oracle_profile(model, design, optimizer, precision=PRECISION_8_32):
         per_bank_pim=config.per_bank_pim,
         window=model.window,
         data_bus_scope=config.data_bus_scope,
-    ).run(commands)
+    ).run(artifact.commands)
     validate_trace_thorough(
         result.commands, model.timing, geometry,
         issue_model.port_of_rank,
