@@ -73,8 +73,9 @@ from repro.dram.timing import TimingParams
 from repro.errors import ConfigError, SimulationError
 
 #: Engine spellings accepted on the job surface (``SimJobSpec``,
-#: ``UpdatePhaseModel``, the CLIs). ``"periodic"`` profiles with
-#: steady-state replay; ``"incremental"`` and ``"reference"`` name
+#: ``UpdatePhaseModel``, the CLIs). Every engine schedules with
+#: steady-state replay; ``"periodic"`` also extrapolates profiles from
+#: a warm sample. ``"incremental"`` and ``"reference"`` name
 #: engines that have been folded into the columnar loop and stay
 #: accepted so stored specs and their content hashes keep working.
 ENGINE_SPELLINGS = {

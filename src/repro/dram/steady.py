@@ -291,22 +291,130 @@ class SteadyTracker:
         self.outcome.skipped += m * P
         return m * P
 
+    #: Replayed commands per numpy chunk: bounds the index, cycle and
+    #: out-edge temporaries whatever the length of the segment.
+    REPLAY_CHUNK = 1 << 14
+
     def _replay(self, events, m: int, P: int, delta: int,
                 anchor: int) -> None:
         """Schedule ``m`` copies of ``events`` in place, then advance
-        the machine by ``m * delta`` cycles."""
+        the machine by ``m * delta`` cycles.
+
+        Image ``t`` of event ``(i, cycle, port)`` is command ``i + t *
+        P``, issued at ``cycle + t * delta``. The images are handled
+        with numpy, a chunk of whole super-periods at a time, and the
+        loop's lists are read and written only over the index span the
+        images cover, never over the whole stream:
+
+        * their issue and completion cycles are written slice by slice;
+        * their out-edges are gathered from the stream's CSR, and those
+          reaching a command still pending are folded per target (edge
+          count, latest completion) and applied in Python;
+        * the images leave their ports' pending queues: their own
+          links are cleared, and each queue is relinked through the
+          commands of the span that stay pending.
+
+        ``tests/oracle.py`` keeps the per-command loop this must match
+        (``replay_reference``).
+        """
         prep = self.prep
         issue, completion = self.issue, self.completion
-        dep_ready = self.dep_ready
-        lat, nxt, prv = prep.lat, prep.nxt, prep.prv
-        heads, tails = prep.heads, prep.tails
-        for t in range(1, m + 1):
-            for i, cycle, port in events:
-                x = i + t * P
-                c = cycle + t * delta
-                issue[x] = c
-                completion[x] = c + lat[i]
-                p, q = prv[x], nxt[x]
+        ev_i, ev_c, ev_port = (
+            np.array(column, dtype=np.int64) for column in zip(*events)
+        )
+        ev_done = ev_c + np.array(
+            [prep.lat[i] for i in ev_i.tolist()], dtype=np.int64
+        )
+        # Every image lies in [lo, hi); a mask marks which.
+        first_i, last_i = int(ev_i.min()), int(ev_i.max())
+        lo, hi = first_i + P, last_i + m * P + 1
+        step = max(1, self.REPLAY_CHUNK // P)
+        chunks = [
+            np.arange(t, min(t + step, m + 1))[:, None]
+            for t in range(1, m + 1, step)
+        ]
+        image = np.zeros(hi - lo, dtype=bool)
+        for t in chunks:
+            image[(ev_i + t * P).ravel() - lo] = True
+        # Each port's first and last image, with the pending commands
+        # linked before and after them (read before the images' own
+        # links are cleared).
+        nxt, prv = prep.nxt, prep.prv
+        bounds = {}
+        for port in set(ev_port.tolist()):
+            mine = ev_i[ev_port == port]
+            u, w = int(mine.min()) + P, int(mine.max()) + m * P
+            bounds[port] = (u, prv[u], w, nxt[w])
+        optr, oidx = self.stream.out_indptr, self.stream.out_indices
+        ndeps, dep_ready = prep.ndeps, self.dep_ready
+        survivors = []  # commands of the span left pending
+        for k, t in enumerate(chunks):
+            x = (ev_i + t * P).ravel()
+            done = (ev_done + t * delta).ravel()
+            # The chunk's images lie in [a, b). The events are P
+            # distinct commands, so last_i - first_i >= P - 1: the
+            # next chunk starts at or before b, and the ranges [a, end)
+            # tile the span.
+            a = first_i + int(t[0, 0]) * P
+            b = last_i + int(t[-1, 0]) * P + 1
+            end = b if k == len(chunks) - 1 else a + len(t) * P
+            held = np.ones(b - a, dtype=bool)  # slots the chunk keeps
+            held[x - a] = False
+            held = np.flatnonzero(held)
+            for values, image_values in (
+                (completion, done),
+                (nxt, -1),
+                (prv, -1),
+                (issue, (ev_c + t * delta).ravel()),
+            ):
+                block = np.empty(b - a, dtype=np.int64)
+                block[x - a] = image_values
+                block[held] = [values[j] for j in (held + a).tolist()]
+                values[a:b] = block.tolist()
+            # ``block`` holds issue cycles now: -1 marks pending.
+            pending = held[(block[held] < 0) & (held < end - a)]
+            survivors.append(pending + a)
+            # A command issued before the replay has no unissued
+            # dependency, so every out-edge target that is not an
+            # image is still pending.
+            begin = optr[x]
+            count = optr[x + 1] - begin
+            edge = np.arange(int(count.sum())) + np.repeat(
+                begin - (np.cumsum(count) - count), count
+            )
+            target = oidx[edge]
+            inside = target < hi
+            keep = ~inside
+            keep[inside] = ~image[target[inside] - lo]
+            target = target[keep]
+            if not target.size:
+                continue
+            # Many images feed the same few pending commands.
+            base = int(target.min())
+            slot = target - base
+            edges = np.bincount(slot)
+            latest = np.zeros(len(edges), dtype=np.int64)
+            np.maximum.at(latest, slot, np.repeat(done, count)[keep])
+            hit = np.flatnonzero(edges)
+            for j, c, comp in zip((hit + base).tolist(),
+                                  edges[hit].tolist(),
+                                  latest[hit].tolist()):
+                ndeps[j] -= c
+                if comp > dep_ready[j]:
+                    dep_ready[j] = comp
+        # Relink each port's queue: the pending command before its
+        # first command in the span, its survivors, the pending command
+        # after its last command in the span.
+        heads, tails, port_of = prep.heads, prep.tails, prep.port
+        kept = np.concatenate(survivors).tolist()
+        for port, (u, before, w, after) in bounds.items():
+            chain = [j for j in kept if port_of[j] == port]
+            if chain and chain[0] < u:
+                before = prv[chain[0]]
+            if chain and chain[-1] > w:
+                after = nxt[chain[-1]]
+            chain = [before, *chain, after]
+            for p, q in zip(chain, chain[1:]):
                 if p >= 0:
                     nxt[p] = q
                 else:
@@ -315,18 +423,6 @@ class SteadyTracker:
                     prv[q] = p
                 else:
                     tails[port] = p
-        optr, oidx, ndeps = prep.optr, prep.oidx, prep.ndeps
-        for i, cycle, _port in events:
-            done = cycle + lat[i]
-            for t in range(1, m + 1):
-                x = i + t * P
-                comp = done + t * delta
-                for j in oidx[optr[x]:optr[x + 1]]:
-                    if issue[j] >= 0:
-                        continue
-                    ndeps[j] -= 1
-                    if comp > dep_ready[j]:
-                        dep_ready[j] = comp
         # Live timers advance; stale ones (untouched throughout) stay.
         live = anchor - self.floor
         shift = m * delta
@@ -338,13 +434,17 @@ class SteadyTracker:
             shifted = [v + shift if v > live else v for v in window]
             window.clear()
             window.extend(shifted)
+        # Every cached cycle that can go stale sits on a dirty list
+        # (REF / MRW cache their final dependency-ready cycle, which
+        # no replay changes).
         cached, stale, *dirty = self.caches
-        cached[:] = [None] * len(cached)
         stale[:] = b"\x01" * len(stale)
         for lists in dirty:
             for values in lists:
+                for j in values:
+                    cached[j] = None
                 values.clear()
-        f = self.frontier
-        while f < len(issue) and issue[f] >= 0:
-            f += 1
-        self.frontier = f
+        try:
+            self.frontier = issue.index(-1, self.frontier)
+        except ValueError:
+            self.frontier = len(issue)

@@ -66,8 +66,9 @@ class EngineReport:
     count per-segment steady-cycle locks, with confirmed super-period
     lengths (sweeps per machine cycle) histogrammed in
     ``super_periods``. ``commands_simulated``/``commands_replayed``
-    split the periodic engine's commands into genuinely scheduled by
-    the event loop vs annotated arithmetically; ``sweeps_extended``
+    split the commands of every schedule (full stream or warm sample,
+    under every engine) into genuinely scheduled by the event loop vs
+    replayed from a locked steady cycle; ``sweeps_extended``
     counts the sweeps the closed-form extension added on top of the
     warm sample. ``scheduling_paths`` histograms how every schedule
     the model ran was served: ``"single-channel"``,

@@ -19,34 +19,35 @@ Performance
 
 ``profile()`` is the hot path of every figure, sweep and service job.
 It schedules the kernel artifact's cached
-:class:`~repro.dram.columnar.ColumnarStream` on the columnar loop,
-validates with the vectorized columnar checker (``validate=False``
-skips checking entirely), and memoizes finished profiles by (design,
-full optimizer identity, precision) so one model instance serves
-arbitrarily many jobs; the profile memo is the only schedule reuse.
-``engine`` accepts every spelling of
+:class:`~repro.dram.columnar.ColumnarStream` on the columnar loop with
+the stream's period metadata, so locked steady-state sweeps are
+replayed in place rather than simulated (below); validates with the
+vectorized columnar checker (``validate=False`` skips checking
+entirely); and memoizes finished profiles by (design, full optimizer
+identity, precision) so one model instance serves arbitrarily many
+jobs. ``engine`` accepts every spelling of
 :data:`~repro.dram.scheduler.ENGINE_SPELLINGS`; ``"periodic"`` adds
-steady-state replay (below), every other spelling selects the plain
-columnar loop. ``benchmarks/bench_profile.py`` and
+warm-sample extrapolation (below), every other spelling schedules the
+full stream. ``benchmarks/bench_profile.py`` and
 ``benchmarks/bench_scheduler.py`` track the timings in
 ``BENCH_profile.json`` / ``BENCH_scheduler.json``.
 
-Steady-state extrapolation (``engine="periodic"``)
---------------------------------------------------
+Steady-state replay and extrapolation
+-------------------------------------
 
 Update-phase streams are stripe-periodic: after a short prologue every
 sweep over the stripes issues the same command pattern, and the
 scheduler settles into a fixed cycle (possibly spanning a few sweeps —
-see :mod:`repro.dram.steady`). ``engine="periodic"`` exploits this at
-two levels:
+see :mod:`repro.dram.steady`). The model exploits this at two levels:
 
-* every warm schedule runs the columnar loop in steady-state mode,
-  which locks the cycle by fingerprinting the loop's state at sweep
-  boundaries and replays the locked sweeps in place — byte-identical
-  issue cycles and statistics, enforced by golden and Hypothesis
-  tests — and is validated by the same vectorized columnar checker;
+* every schedule, under every engine spelling, runs the columnar loop
+  in steady-state mode, which locks the cycle by fingerprinting the
+  loop's state at sweep boundaries and replays the locked sweeps in
+  place — byte-identical issue cycles and statistics, enforced by
+  golden and Hypothesis tests — and is validated by the same
+  vectorized columnar checker;
 
-* ``profile()`` additionally compiles only a small *warm sample*
+* ``engine="periodic"`` additionally compiles only a small *warm sample*
   (a few sweeps per phase, enough for the lock to confirm plus the
   lookahead-contaminated tail) and closes the form for the requested
   ``columns_per_stripe``: per-segment cycle deltas and command counts
@@ -59,7 +60,7 @@ byte-identical to what the columnar engine produces on the full stream
 computed from the same integers by the same expressions). Whenever a
 lock fails — irregular streams, sample windows too small to settle,
 phase patterns that never stabilise — the model transparently falls
-back to simulating the full stream on the columnar engine, and the
+back to scheduling the full stream as the other spellings do, and the
 trace validator runs on whatever was actually simulated. The model's
 ``report`` — an :class:`~repro.obs.report.EngineReport` flight
 recorder — records which path served each profile and *why* fallbacks
@@ -283,11 +284,11 @@ class UpdatePhaseModel:
     def _profile_simulated(
         self, design, config, optimizer, precision
     ) -> UpdateProfile:
-        """Schedule the full sample stream on the columnar engine and
-        derive the profile."""
+        """Schedule the full sample stream, replaying its locked
+        steady-state sweeps, and derive the profile."""
         with span("model.build_stream", design=design.value):
             built = self._build_stream(config, optimizer, precision)
-        n_params, offchip_accesses, _, artifact = built
+        n_params, offchip_accesses, period, artifact = built
         stream = artifact.columnar
         # Channels are embarrassingly parallel: every channel runs the
         # same steady-state sample over its own parameter slice. The
@@ -301,11 +302,12 @@ class UpdatePhaseModel:
         scheduler = self._scheduler(config, geometry, issue_model)
         with span(
             "engine.schedule",
-            engine="columnar",
+            engine=self.engine,
             commands=stream.n,
             channels=channels,
         ):
-            result = scheduler.run(stream)
+            result = scheduler.run(stream, period=period)
+        self.report.record_outcome(result.periodic)
         stats = (
             TraceStats.merge_channels([result.stats] * channels)
             if channels > 1

@@ -18,17 +18,29 @@ that never locks) simulates for real. These tests enforce the contract:
   (spliced commands, stripped dependencies, stale metadata) must fall
   back to plain simulation and still match the reference loop;
 * Hypothesis sweeps over (design, optimizer, precision, window,
-  columns_per_stripe).
+  columns_per_stripe);
+* the numpy replay against the per-command replay oracle: from the
+  same locked state, both leave the loop in the same state.
 """
+
+import copy
+from collections import deque
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracle import ReferenceScheduler, _fresh_copy, settings
+from oracle import (
+    ReferenceScheduler,
+    _fresh_copy,
+    replay_reference,
+    settings,
+)
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import CommandScheduler
 from repro.dram.period import PeriodSegment, SegmentRecorder, StreamPeriod
-from repro.dram.steady import stale_floor
+from repro.dram.steady import SteadyTracker, stale_floor
 from repro.dram.timing import DDR4_2133, PRESETS
 from repro.errors import ConfigError
 from repro.optim.precision import PRECISIONS
@@ -348,6 +360,135 @@ class TestHypothesisEquivalence:
         )
         perturbed = _splice(commands, position, extra)
         _run_both(config, perturbed, None, period, window=window)
+
+
+# ----------------------------------------------------------------------
+# Numpy replay == the per-command replay oracle
+# ----------------------------------------------------------------------
+def _twin(tracker):
+    """``tracker`` bound to a private copy of its loop state (the
+    read-only latency and CSR lists stay shared)."""
+    prep = tracker.prep
+    twin = copy.copy(tracker)
+    twin.prep = SimpleNamespace(
+        lat=prep.lat, optr=prep.optr, oidx=prep.oidx,
+        ndeps=list(prep.ndeps), nxt=list(prep.nxt), prv=list(prep.prv),
+        heads=list(prep.heads), tails=list(prep.tails),
+    )
+    twin.issue = list(tracker.issue)
+    twin.completion = list(tracker.completion)
+    twin.dep_ready = list(tracker.dep_ready)
+    twin.timers = [list(values) for values in tracker.timers]
+    twin.act_windows = [
+        deque(window, maxlen=window.maxlen)
+        for window in tracker.act_windows
+    ]
+    cached, stale, *dirty = tracker.caches
+    twin.caches = (
+        list(cached), bytearray(stale),
+        *([list(values) for values in lists] for lists in dirty),
+    )
+    return twin
+
+
+def _walk(start, links):
+    nodes = []
+    while start >= 0:
+        assert len(nodes) < len(links), "queue links form a cycle"
+        nodes.append(start)
+        start = links[start]
+    return nodes
+
+
+def _loop_state(tracker):
+    """Everything a replay writes, each port's pending queue walked
+    forward from its head and backward from its tail."""
+    prep = tracker.prep
+    return {
+        "issue": list(tracker.issue),
+        "completion": list(tracker.completion),
+        "ndeps": list(prep.ndeps),
+        "dep_ready": list(tracker.dep_ready),
+        "heads": list(prep.heads),
+        "tails": list(prep.tails),
+        "queues": [
+            (_walk(head, prep.nxt), _walk(tail, prep.prv)[::-1])
+            for head, tail in zip(prep.heads, prep.tails)
+        ],
+        "timers": [list(values) for values in tracker.timers],
+        "act_windows": [list(window) for window in tracker.act_windows],
+        "frontier": tracker.frontier,
+    }
+
+
+def _replays(design, optimizer="momentum_sgd", precision="8/32",
+             columns=16, window=16, chunk=SteadyTracker.REPLAY_CHUNK):
+    """Schedule with replay (``chunk`` replayed commands per numpy
+    chunk); at every replay, also run the oracle on a twin of the
+    locked state. The schedule must still match the reference loop.
+    Returns ``(numpy state, oracle state, out-edges past the replayed
+    block)`` per replay."""
+    config, commands, _, period = _built(
+        design, optimizer, precision, columns
+    )
+    replays = []
+    numpy_replay = SteadyTracker._replay
+
+    def both(tracker, events, m, P, delta, anchor):
+        images = [i + t * P for i, _, _ in events for t in range(1, m + 1)]
+        assert all(tracker.issue[x] < 0 for x in images)
+        twin = _twin(tracker)
+        replay_reference(twin, events, m, P, delta, anchor)
+        numpy_replay(tracker, events, m, P, delta, anchor)
+        optr, oidx = tracker.prep.optr, tracker.prep.oidx
+        last = max(images)
+        past = sum(
+            j > last for x in images for j in oidx[optr[x]:optr[x + 1]]
+        )
+        replays.append((_loop_state(tracker), _loop_state(twin), past))
+        # No pending command keeps a cycle cached before the shift.
+        cached = tracker.caches[0]
+        assert all(
+            cached[j] is None
+            for j, cycle in enumerate(tracker.issue) if cycle < 0
+        )
+
+    with mock.patch.object(SteadyTracker, "_replay", both), \
+            mock.patch.object(SteadyTracker, "REPLAY_CHUNK", chunk):
+        _run_both(config, commands, None, period, window=window)
+    return replays
+
+
+class TestReplayOracle:
+    @pytest.mark.parametrize(
+        "design",
+        [DesignPoint.GRADPIM_DIRECT, DesignPoint.GRADPIM_BUFFERED],
+    )
+    @pytest.mark.parametrize("chunk", [SteadyTracker.REPLAY_CHUNK, 1])
+    def test_same_state_as_oracle(self, design, chunk):
+        """One port (GradPIM-DR) and four buffered ports (GradPIM-BD),
+        one chunk per replay and one super-period per chunk."""
+        replays = _replays(design, chunk=chunk)
+        assert replays
+        for state, expected, _ in replays:
+            assert state == expected
+
+    def test_out_edges_past_the_replayed_block(self):
+        """Images whose dependents lie beyond the last image: those
+        dependents stay pending and take the replayed completions."""
+        replays = _replays(DesignPoint.GRADPIM_BUFFERED, "sgd", "32/32")
+        assert any(past for _, _, past in replays)
+        for state, expected, _ in replays:
+            assert state == expected
+
+    @settings(max_examples=10, deadline=None)
+    @given(_workload(), st.sampled_from([1, 64, 1 << 14]))
+    def test_matches_oracle(self, workload, chunk):
+        design, optimizer, precision, window, columns = workload
+        for state, expected, _ in _replays(
+            design, optimizer, precision, columns, window, chunk
+        ):
+            assert state == expected
 
 
 def test_stale_floor_positive():

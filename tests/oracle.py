@@ -26,6 +26,10 @@ benchmarks' equivalence gates.
 * :func:`settings` — ``hypothesis.settings`` whose ``max_examples``
   pin holds under the derandomized tier-1 profile and never caps the
   randomized ``deep`` fuzz profile.
+* :func:`replay_reference` — steady-state replay as first written:
+  one Python step per replayed command and per out-edge. The numpy
+  replay of :class:`~repro.dram.steady.SteadyTracker` must leave the
+  loop state it leaves.
 * :func:`oracle_profile` — the ``UpdateProfile`` an
   :class:`~repro.system.update_model.UpdatePhaseModel` must produce,
   computed from the model's own stream on the two oracles above.
@@ -633,6 +637,70 @@ class ReferenceScheduler:
 
         stats.total_cycles = max(completion, default=0)
         return stats
+
+
+# ----------------------------------------------------------------------
+# Steady-state replay
+# ----------------------------------------------------------------------
+def replay_reference(tracker, events, m: int, P: int, delta: int,
+                     anchor: int) -> None:
+    """Replay on a :class:`~repro.dram.steady.SteadyTracker`'s bound
+    loop state, one command at a time: schedule ``m`` copies of
+    ``events`` in place, then advance the machine by ``m * delta``
+    cycles (same arguments as ``SteadyTracker._replay``)."""
+    prep = tracker.prep
+    issue, completion = tracker.issue, tracker.completion
+    dep_ready = tracker.dep_ready
+    lat, nxt, prv = prep.lat, prep.nxt, prep.prv
+    heads, tails = prep.heads, prep.tails
+    for t in range(1, m + 1):
+        for i, cycle, port in events:
+            x = i + t * P
+            c = cycle + t * delta
+            issue[x] = c
+            completion[x] = c + lat[i]
+            p, q = prv[x], nxt[x]
+            if p >= 0:
+                nxt[p] = q
+            else:
+                heads[port] = q
+            if q >= 0:
+                prv[q] = p
+            else:
+                tails[port] = p
+    optr, oidx, ndeps = prep.optr, prep.oidx, prep.ndeps
+    for i, cycle, _port in events:
+        done = cycle + lat[i]
+        for t in range(1, m + 1):
+            x = i + t * P
+            comp = done + t * delta
+            for j in oidx[optr[x]:optr[x + 1]]:
+                if issue[j] >= 0:
+                    continue
+                ndeps[j] -= 1
+                if comp > dep_ready[j]:
+                    dep_ready[j] = comp
+    # Live timers advance; stale ones (untouched throughout) stay.
+    live = anchor - tracker.floor
+    shift = m * delta
+    for values in tracker.timers:
+        for k, v in enumerate(values):
+            if v > live:
+                values[k] = v + shift
+    for window in tracker.act_windows:
+        shifted = [v + shift if v > live else v for v in window]
+        window.clear()
+        window.extend(shifted)
+    cached, stale, *dirty = tracker.caches
+    cached[:] = [None] * len(cached)
+    stale[:] = b"\x01" * len(stale)
+    for lists in dirty:
+        for values in lists:
+            values.clear()
+    f = tracker.frontier
+    while f < len(issue) and issue[f] >= 0:
+        f += 1
+    tracker.frontier = f
 
 
 def oracle_profile(model, design, optimizer, precision=PRECISION_8_32):

@@ -9,10 +9,12 @@ the refresh-derate guard satellite.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dram.scheduler import CommandScheduler
 from repro.dram.timing import DDR4_2133, HBM_LIKE
 from repro.errors import ConfigError
 from repro.optim.precision import PRECISIONS
@@ -134,6 +136,34 @@ class TestProfileIdentity:
         assert inc.profile(
             design, optimizer, PRECISIONS[precision]
         ) == per.profile(design, optimizer, PRECISIONS[precision])
+
+
+class TestDefaultEngineReplay:
+    def test_full_stream_profiles_replay_exactly(self):
+        """The default engine schedules every full stream with replay:
+        the flight recorder counts what was replayed, and every
+        design's statistics equal the plain loop's."""
+        model = UpdatePhaseModel(columns_per_stripe=128)
+        runs = []
+        plain_run = CommandScheduler.run
+
+        def run(scheduler, stream, period=None):
+            result = plain_run(scheduler, stream, period=period)
+            runs.append((scheduler, stream, period, result))
+            return result
+
+        with mock.patch.object(CommandScheduler, "run", run):
+            model.profiles(build_optimizer("momentum_sgd", MOMENTUM))
+        report = model.report
+        assert len(runs) == len(DesignPoint)
+        assert report.commands_replayed > 0
+        assert report.commands_replayed + report.commands_simulated == sum(
+            stream.n for _, stream, _, _ in runs
+        )
+        assert report.locks_confirmed > 0
+        for scheduler, stream, period, result in runs:
+            assert period is not None
+            assert result.stats == plain_run(scheduler, stream).stats
 
 
 class TestRefreshDerateGuard:
