@@ -1,8 +1,15 @@
 """The cluster front door: consistent-hash routing with failover.
 
 Speaks the exact single-gateway ``/v1`` protocol (so ``ServerClient``
-and ``repro-loadgen`` work against a cluster unchanged) and proxies
-every job to the shard that owns its content hash:
+and ``repro-loadgen`` work against a cluster unchanged) because it *is*
+the gateway's front end: :class:`ClusterRouter` subclasses
+:class:`repro.server.app.V1Server`, which owns the request handler,
+route table, telemetry, parsing, the batch-prefix admission contract
+and the server lifecycle. The router overrides only its back end (the
+supervisor and shard fleet), what ``/healthz``, ``/readyz`` and
+``/metrics`` report, and how a spec, a job poll and a result lookup
+are answered — proxying every job to the shard that owns its content
+hash:
 
 - ``POST /v1/jobs[?wait=]`` routes each spec by ``cache_key(spec)``.
   A connection-level failure marks the shard down and *fails over*
@@ -28,7 +35,7 @@ every job to the shard that owns its content hash:
   loadgen per-stage attribution sum across shards unchanged.
 
 ``router.slow`` (seeded fault site) injects latency at the top of the
-request path.
+request path (:meth:`ClusterRouter.before_request`).
 """
 
 from __future__ import annotations
@@ -41,23 +48,16 @@ import urllib.error
 import urllib.request
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import parse_qs, urlsplit
 
 from repro import faults
 from repro.cluster.config import ClusterConfig
 from repro.cluster.shard import READY
 from repro.cluster.supervisor import Supervisor
-from repro.errors import ConfigError
-from repro.obs.build import build_info
-from repro.obs.log import configure_json_logging, get_logger
-from repro.obs.metrics import (
-    MetricsRegistry,
-    default_registry,
-    relabel_prometheus,
-)
-from repro.server.app import MAX_BODY_BYTES, _HTTPError
+from repro.obs.log import get_logger
+from repro.obs.metrics import relabel_prometheus
+from repro.server.app import V1Server, _HTTPError
+from repro.server.dispatcher import Backpressure
 from repro.server.jobs import TERMINAL_STATES
 from repro.service.cache import cache_key
 from repro.service.spec import SimJobSpec
@@ -175,65 +175,51 @@ class RouterJobStore:
             self._terminal.pop(job.id, None)
 
 
-class ClusterRouter(ThreadingHTTPServer):
+class ClusterRouter(V1Server):
     """Router HTTP server + supervisor + shard fleet, one process."""
 
-    daemon_threads = True
+    namespace = "repro_cluster"
+    thread_name = "repro-cluster-http"
+    rejected_message = "no shard can admit work"
 
-    def __init__(self, config: ClusterConfig) -> None:
-        self.config = config
-        if config.log_json:
-            configure_json_logging()
-        if config.faults is not None:
-            faults.install(faults.FaultPlan.parse(config.faults))
-        else:
-            faults.auto_install()
-        self.metrics = MetricsRegistry(namespace="repro_cluster")
-        self.jobs = RouterJobStore(max_tracked=config.max_tracked_jobs)
+    def _open_backend(self) -> None:
+        self.jobs = RouterJobStore(max_tracked=self.config.max_tracked_jobs)
         self.supervisor = Supervisor(
-            config, self.metrics, on_failover=self._drain_shard
+            self.config, self.metrics, on_failover=self._drain_shard
         )
-        self.started_at = time.monotonic()
-        self._serve_thread: Optional[threading.Thread] = None
-        self.metrics.gauge(
-            "uptime_seconds", lambda: time.monotonic() - self.started_at
-        )
-        self.metrics.gauge("build_info", lambda: 1.0, labels=build_info())
         self.metrics.gauge(
             "shards_ready", lambda: float(self.supervisor.ready_count())
         )
-        super().__init__((config.host, config.port), _RouterHandler)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def _start_backend(self) -> None:
         self.supervisor.start()
-        super().serve_forever(poll_interval=poll_interval)
 
-    def start_background(self) -> str:
-        self.supervisor.start()
-        self._serve_thread = threading.Thread(
-            target=super().serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-cluster-http",
-            daemon=True,
-        )
-        self._serve_thread.start()
-        return self.url
-
-    def stop(self) -> None:
-        self.shutdown()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=10.0)
-            self._serve_thread = None
+    def _stop_backend(self) -> None:
         self.supervisor.stop()
-        self.server_close()
+
+    # ------------------------------------------------------------------
+    # Liveness, readiness, request path
+    # ------------------------------------------------------------------
+    def health(self) -> dict:
+        return dict(
+            super().health(),
+            role="cluster-router",
+            shards=self.supervisor.describe(),
+            ring_nodes=sorted(self.supervisor.ring.nodes()),
+        )
+
+    def readiness(self) -> dict:
+        ready_shards = self.supervisor.ready_count()
+        body = {"ready": ready_shards > 0, "ready_shards": ready_shards}
+        if not body["ready"]:
+            body["reason"] = "no shard is ready"
+        return body
+
+    def before_request(self) -> None:
+        faults.sleep_site(faults.ROUTER_SLOW)
 
     # ------------------------------------------------------------------
     # Shard I/O
@@ -289,18 +275,16 @@ class ClusterRouter(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # Admission with spill + failover
     # ------------------------------------------------------------------
-    def submit_spec(
-        self, spec_dict: dict, key: str, wait_seconds: float
-    ) -> tuple[str, object]:
+    def submit_spec(self, spec: SimJobSpec, wait_seconds: float) -> dict:
         """Place one spec on a live shard.
 
-        Returns ``("ok", envelope)`` (router-id rewritten) or
-        ``("rejected", retry_after_seconds)`` when no live shard can
-        admit it. Walks the key's preference order: the ring owner
-        first, then graceful spill — a shard's 503 or connection
-        failure moves to the next candidate instead of rejecting the
-        client.
+        Returns its envelope (router-id rewritten), or raises
+        :class:`Backpressure` when no live shard can admit it. Walks
+        the key's preference order: the ring owner first, then
+        graceful spill — a shard's 503 or connection failure moves to
+        the next candidate instead of rejecting the client.
         """
+        spec_dict, key = spec.to_dict(), cache_key(spec)
         tried: set[str] = set()
         retry_after = self.config.retry_after_seconds
         suffix = f"?wait={wait_seconds:g}" if wait_seconds > 0 else ""
@@ -312,7 +296,7 @@ class ClusterRouter(ThreadingHTTPServer):
                 if s.id not in tried
             ]
             if not candidates:
-                return ("rejected", retry_after)
+                raise Backpressure(float(retry_after))
             shard = candidates[0]
             spilled = bool(tried)
             try:
@@ -342,9 +326,7 @@ class ClusterRouter(ThreadingHTTPServer):
                     self.metrics.inc(
                         "spills_total", {"shard": shard.id}
                     )
-                return (
-                    "ok", dict(envelope, id=job.id, shard=shard.id)
-                )
+                return dict(envelope, id=job.id, shard=shard.id)
             if status == 503:
                 tried.add(shard.id)
                 try:
@@ -364,12 +346,10 @@ class ClusterRouter(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # Polling with re-homing
     # ------------------------------------------------------------------
-    def poll_job(self, job_id: str, summary: bool) -> dict:
+    def poll_job(self, job_id: str, summary: bool) -> Optional[dict]:
         job = self.jobs.get(job_id)
         if job is None:
-            raise _HTTPError(
-                404, f"unknown (or evicted) job {job_id!r}"
-            )
+            return None
         # A failed owner poll (dead shard, or a 404 from one that
         # restarted with a fresh job store) falls through to re-homing.
         envelope = self._poll_once(job, summary)
@@ -494,14 +474,30 @@ class ClusterRouter(ThreadingHTTPServer):
             extra={"shard": shard_id, "jobs": drained},
         )
 
+    def cached_result(self, spec_hash: str) -> Optional[dict]:
+        # Any shard can answer from the shared disk cache; the ring
+        # owner (preference head) is the best bet for a memory hit.
+        for shard in self.supervisor.candidates(spec_hash):
+            try:
+                status, _, text = self._forward(
+                    shard.url,
+                    "GET",
+                    f"/v1/results/{spec_hash}",
+                    None,
+                    self.config.forward_timeout_seconds,
+                )
+            except _ForwardError:
+                self._shard_failed(shard.id)
+                continue
+            if status == 200:
+                return dict(_parse_body(text), shard=shard.id)
+        return None
+
     # ------------------------------------------------------------------
     # Aggregated exposition
     # ------------------------------------------------------------------
     def metrics_text(self) -> str:
-        parts = [self.metrics.render()]
-        shared = default_registry()
-        if not shared.is_empty():
-            parts.append(shared.render())
+        parts = [super().metrics_text()]
         for shard in self.supervisor.all_shards():
             if shard.state != READY or not shard.url:
                 continue
@@ -549,253 +545,6 @@ class running_cluster:
 
     def __exit__(self, *exc_info) -> None:
         self.cluster.stop()
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: ClusterRouter  # narrowed type
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._route("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._route("POST")
-
-    def log_message(self, format: str, *args) -> None:
-        pass  # telemetry lives in /metrics, not stderr
-
-    # ------------------------------------------------------------------
-    def _route(self, method: str) -> None:
-        started = time.perf_counter()
-        split = urlsplit(self.path)
-        query = parse_qs(split.query)
-        endpoint, status = "(unmatched)", 500
-        try:
-            endpoint, handler, arg = self._match(method, split.path)
-            faults.sleep_site(faults.ROUTER_SLOW)
-            status = handler(arg, query)
-        except _HTTPError as exc:
-            status = exc.status
-            self._send_json(
-                exc.status, {"error": str(exc)}, headers=exc.headers
-            )
-        except Exception as exc:  # never kill the connection thread
-            status = 500
-            self._send_json(
-                500, {"error": f"{type(exc).__name__}: {exc}"}
-            )
-        finally:
-            metrics = self.server.metrics
-            metrics.observe(
-                "request_seconds",
-                time.perf_counter() - started,
-                {"endpoint": endpoint},
-            )
-            metrics.inc(
-                "requests_total",
-                {"endpoint": endpoint, "status": str(status)},
-            )
-
-    def _match(self, method: str, path: str):
-        parts = [p for p in path.split("/") if p]
-        if method == "GET" and parts == ["healthz"]:
-            return "GET /healthz", self._healthz, None
-        if method == "GET" and parts == ["readyz"]:
-            return "GET /readyz", self._readyz, None
-        if method == "GET" and parts == ["metrics"]:
-            return "GET /metrics", self._metrics, None
-        if method == "POST" and parts == ["v1", "jobs"]:
-            return "POST /v1/jobs", self._post_jobs, None
-        if (
-            method == "GET"
-            and len(parts) == 3
-            and parts[:2] == ["v1", "jobs"]
-        ):
-            return "GET /v1/jobs/{id}", self._get_job, parts[2]
-        if (
-            method == "GET"
-            and len(parts) == 3
-            and parts[:2] == ["v1", "results"]
-        ):
-            return (
-                "GET /v1/results/{spec_hash}",
-                self._get_result,
-                parts[2],
-            )
-        raise _HTTPError(
-            405
-            if parts
-            in (["v1", "jobs"], ["healthz"], ["readyz"], ["metrics"])
-            else 404,
-            f"no route for {method} {path}",
-        )
-
-    # ------------------------------------------------------------------
-    # Handlers
-    # ------------------------------------------------------------------
-    def _healthz(self, _arg, _query) -> int:
-        server = self.server
-        self._send_json(
-            200,
-            {
-                "status": "ok",
-                "role": "cluster-router",
-                "uptime_seconds": time.monotonic() - server.started_at,
-                "shards": server.supervisor.describe(),
-                "ring_nodes": sorted(server.supervisor.ring.nodes()),
-                "jobs": server.jobs.counts(),
-                "faults": faults.describe_active(),
-            },
-        )
-        return 200
-
-    def _readyz(self, _arg, _query) -> int:
-        ready_shards = self.server.supervisor.ready_count()
-        ready = ready_shards > 0
-        status = 200 if ready else 503
-        body = {"ready": ready, "ready_shards": ready_shards}
-        if not ready:
-            body["reason"] = "no shard is ready"
-        self._send_json(status, body)
-        return status
-
-    def _metrics(self, _arg, _query) -> int:
-        body = self.server.metrics_text().encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        return 200
-
-    def _post_jobs(self, _arg, query) -> int:
-        payload = self._read_json()
-        if isinstance(payload, dict) and "jobs" in payload:
-            raw_specs = payload["jobs"]
-            if not isinstance(raw_specs, list):
-                raise _HTTPError(400, "'jobs' must be a list of specs")
-        elif isinstance(payload, dict):
-            raw_specs = [payload]
-        else:
-            raise _HTTPError(
-                400, "body must be a spec object or {'jobs': [...]}"
-            )
-        if not raw_specs:
-            raise _HTTPError(400, "empty job batch")
-        if len(raw_specs) > self.server.config.max_batch:
-            raise _HTTPError(
-                400,
-                f"batch of {len(raw_specs)} exceeds max_batch="
-                f"{self.server.config.max_batch}",
-            )
-        try:
-            specs = [SimJobSpec.from_dict(d) for d in raw_specs]
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise _HTTPError(400, f"bad spec: {exc}")
-        wait_seconds = self._wait_seconds(query)
-
-        envelopes: list[dict] = []
-        rejected_after: Optional[tuple[int, float]] = None
-        for i, spec in enumerate(specs):
-            outcome, value = self.server.submit_spec(
-                spec.to_dict(), cache_key(spec), wait_seconds
-            )
-            if outcome == "ok":
-                envelopes.append(value)
-                continue
-            # First unplaceable spec ends the batch: accepted jobs
-            # stay accepted and form a strict prefix (the client
-            # retries the remainder after Retry-After).
-            rejected_after = (i, float(value))
-            break
-
-        if rejected_after is not None and not envelopes:
-            raise _HTTPError(
-                503,
-                "no shard can admit work",
-                headers={"Retry-After": f"{rejected_after[1]:g}"},
-            )
-        body = {"jobs": envelopes, "accepted": len(envelopes)}
-        if rejected_after is not None:
-            body["rejected"] = len(specs) - rejected_after[0]
-            body["retry_after_seconds"] = rejected_after[1]
-            status = 503
-            headers = {"Retry-After": f"{rejected_after[1]:g}"}
-        else:
-            status = 200 if wait_seconds > 0 else 202
-            headers = {}
-        self._send_json(status, body, headers=headers)
-        return status
-
-    def _get_job(self, job_id: str, query) -> int:
-        raw = query.get("summary", ["0"])[-1].lower()
-        summary = raw not in ("0", "false", "no", "")
-        envelope = self.server.poll_job(job_id, summary)
-        self._send_json(200, envelope)
-        return 200
-
-    def _get_result(self, spec_hash: str, _query) -> int:
-        # Any shard can answer from the shared disk cache; the ring
-        # owner (preference head) is the best bet for a memory hit.
-        for shard in self.server.supervisor.candidates(spec_hash):
-            try:
-                status, _, text = self.server._forward(
-                    shard.url,
-                    "GET",
-                    f"/v1/results/{spec_hash}",
-                    None,
-                    self.server.config.forward_timeout_seconds,
-                )
-            except _ForwardError:
-                self.server._shard_failed(shard.id)
-                continue
-            if status == 200:
-                payload = _parse_body(text)
-                self._send_json(200, dict(payload, shard=shard.id))
-                return 200
-        raise _HTTPError(
-            404, f"no cached result for spec hash {spec_hash!r}"
-        )
-
-    # ------------------------------------------------------------------
-    # Plumbing (same contract as the gateway handler)
-    # ------------------------------------------------------------------
-    def _wait_seconds(self, query) -> float:
-        raw = query.get("wait", ["0"])[-1] or "0"
-        try:
-            seconds = float(raw)
-        except ValueError:
-            raise _HTTPError(400, f"bad wait value {raw!r}")
-        return max(
-            0.0, min(seconds, self.server.config.max_wait_seconds)
-        )
-
-    def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _HTTPError(400, "missing request body")
-        if length > MAX_BODY_BYTES:
-            raise _HTTPError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-        try:
-            return json.loads(self.rfile.read(length))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise _HTTPError(400, f"bad JSON body: {exc}")
-
-    def _send_json(
-        self, status: int, obj, headers: Optional[dict] = None
-    ) -> None:
-        body = json.dumps(obj, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if status >= 400:
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
 
 
 def _parse_body(text: str) -> dict:

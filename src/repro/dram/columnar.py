@@ -870,7 +870,8 @@ def _schedule_cold(
     marking.
 
     With a ``steady`` tracker, every issue is reported to it
-    (:meth:`~repro.dram.steady.SteadyTracker.issued`); when it replays
+    (:meth:`~repro.dram.steady.SteadyTracker.issued`) until it is
+    :attr:`~repro.dram.steady.SteadyTracker.idle`; when it replays
     locked sweeps it writes their issue cycles, shifts the live timers
     and marks every cache stale itself, and the loop only discounts the
     replayed commands.
@@ -1227,5 +1228,7 @@ def _schedule_cold(
                     dep_ready[j] = comp
         if steady is not None:
             remaining -= steady.issued(i, cycle, best_port)
+            if steady.idle:
+                steady = None
 
     return issue, (max(completion) if n else 0)

@@ -66,7 +66,8 @@ class SteadyTracker:
     Built from a stream and its :class:`StreamPeriod`; the loop hands
     it its flat state (:meth:`attach`) and reports every issue
     (:meth:`issued`), which returns how many commands a replay just
-    scheduled. :meth:`finish` returns the :class:`PeriodicOutcome`.
+    scheduled, until the tracker is :attr:`idle`. :meth:`finish`
+    returns the :class:`PeriodicOutcome`.
     """
 
     #: Failed shape checks tolerated per segment: dependency patterns
@@ -100,6 +101,12 @@ class SteadyTracker:
         self.events: list[tuple[int, int, int]] = []  # (index, cycle, port)
         self.done = self.seg is None  # replayed, abandoned or past the end
         self.shape_failures = 0
+
+    @property
+    def idle(self) -> bool:
+        """Nothing left to do: past the last segment, or the last
+        segment replayed or abandoned. The loop stops reporting."""
+        return self.done and self.seg_i >= len(self.segments) - 1
 
     def attach(self, prep, *, timers, shape, act_windows, issue,
                completion, dep_ready, caches) -> None:

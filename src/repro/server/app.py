@@ -4,6 +4,12 @@ Stdlib-only (``http.server.ThreadingHTTPServer``): one thread per
 connection for request handling, one shared dispatcher thread for
 execution, everything JSON.
 
+The protocol is coded once, in :class:`V1Server` and its request
+handler; :class:`ReproServer` (the gateway) and the cluster router
+(:class:`repro.cluster.router.ClusterRouter`) are subclasses that
+supply only their back end: what health, readiness and metrics report,
+how a spec is admitted, and how jobs and cached results are looked up.
+
 Endpoints::
 
     POST /v1/jobs[?wait=SECONDS]    submit one spec or {"jobs": [...]}
@@ -30,11 +36,10 @@ from repro import faults
 from repro.errors import ConfigError
 from repro.obs.build import build_info
 from repro.obs.log import configure_json_logging
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.server.config import ServerConfig
 from repro.server.dispatcher import Backpressure, Dispatcher
 from repro.server.jobs import JobStore
-from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.spec import SimJobSpec
 
@@ -53,12 +58,36 @@ class _HTTPError(Exception):
         self.headers = headers or {}
 
 
-class ReproServer(ThreadingHTTPServer):
-    """The gateway server: HTTP front end + dispatcher + cache."""
+class V1Server(ThreadingHTTPServer):
+    """The ``/v1`` HTTP front end both servers share: one handler (route
+    table, telemetry, body and batch parsing, the batch-prefix
+    admission contract) and one lifecycle, configured by the
+    ``host``, ``port``, ``log_json``, ``faults``, ``max_batch`` and
+    ``max_wait_seconds`` of its ``config``. A subclass supplies its
+    back end through these hooks:
+
+    - :meth:`_open_backend`, :meth:`_start_backend` and
+      :meth:`_stop_backend` build, start and stop it (building sets
+      ``jobs``, the job store whose ``counts()`` ``/healthz`` shows);
+    - :meth:`health`, :meth:`readiness` and :meth:`metrics_text` are
+      what ``/healthz``, ``/readyz`` and ``/metrics`` report;
+    - :meth:`submit_spec` admits one spec of a batch, raising
+      :class:`Backpressure` when it cannot; :meth:`envelopes` turns
+      the admitted prefix into the response's job envelopes;
+    - :meth:`poll_job` and :meth:`cached_result` answer
+      ``/v1/jobs/{id}`` and ``/v1/results/{spec_hash}`` (``None``: 404);
+    - :meth:`before_request` runs once a request has matched a route.
+    """
 
     daemon_threads = True
+    #: Prefix of the server's own metric families.
+    namespace: str
+    #: Name of the background serving thread.
+    thread_name: str
+    #: Error text of the 503 answered when no spec of a batch is admitted.
+    rejected_message: str
 
-    def __init__(self, config: ServerConfig) -> None:
+    def __init__(self, config) -> None:
         self.config = config
         if config.log_json:
             configure_json_logging()
@@ -66,15 +95,7 @@ class ReproServer(ThreadingHTTPServer):
             faults.install(faults.FaultPlan.parse(config.faults))
         else:
             faults.auto_install()
-        self.metrics = MetricsRegistry()
-        self.cache = ResultCache(
-            max_entries=config.cache_max_entries,
-            directory=config.cache_dir,
-        )
-        self.jobs = JobStore(max_finished=config.max_finished_jobs)
-        self.dispatcher = Dispatcher(
-            config, self.cache, self.jobs, self.metrics
-        )
+        self.metrics = MetricsRegistry(namespace=self.namespace)
         self.started_at = time.monotonic()
         self._serve_thread: Optional[threading.Thread] = None
         self.metrics.gauge(
@@ -83,13 +104,7 @@ class ReproServer(ThreadingHTTPServer):
         # Info-style gauge: constant 1.0, provenance in the labels —
         # the standard way to ship build metadata through Prometheus.
         self.metrics.gauge("build_info", lambda: 1.0, labels=build_info())
-        for name in (
-            "hits", "misses", "disk_hits", "entries", "checksum_failures"
-        ):
-            self.metrics.gauge(
-                f"cache_{name}",
-                lambda n=name: self.cache.stats()[n],
-            )
+        self._open_backend()
         super().__init__((config.host, config.port), _Handler)
 
     @property
@@ -102,20 +117,93 @@ class ReproServer(ThreadingHTTPServer):
     # Lifecycle
     # ------------------------------------------------------------------
     def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self.dispatcher.start()
+        self._start_backend()
         super().serve_forever(poll_interval=poll_interval)
 
     def start_background(self) -> str:
         """Serve from a daemon thread; returns the base URL."""
-        self.dispatcher.start()
+        self._start_backend()
         self._serve_thread = threading.Thread(
             target=super().serve_forever,
             kwargs={"poll_interval": 0.05},
-            name="repro-server-http",
+            name=self.thread_name,
             daemon=True,
         )
         self._serve_thread.start()
         return self.url
+
+    def stop(self):
+        """Shut down the HTTP loop, then the back end; returns what
+        :meth:`_stop_backend` does."""
+        self.shutdown()
+        if self._serve_thread is not None:
+            self._serve_thread.join(timeout=10.0)
+            self._serve_thread = None
+        stopped = self._stop_backend()
+        self.server_close()
+        return stopped
+
+    # ------------------------------------------------------------------
+    # Shared parts of the back-end hooks
+    # ------------------------------------------------------------------
+    def health(self) -> dict:
+        return {
+            "status": "ok",
+            "uptime_seconds": time.monotonic() - self.started_at,
+            "jobs": self.jobs.counts(),
+            "faults": faults.describe_active(),
+        }
+
+    def metrics_text(self) -> str:
+        text = self.metrics.render()
+        # The process-global registry carries engine/pool telemetry
+        # (namespace "repro" vs the server's own, so the families
+        # never collide).
+        shared = default_registry()
+        if not shared.is_empty():
+            text += shared.render()
+        return text
+
+    def envelopes(self, admitted: list, wait_seconds: float) -> list:
+        return admitted
+
+    def before_request(self) -> None:
+        pass
+
+
+class ReproServer(V1Server):
+    """The gateway server: HTTP front end + dispatcher + cache."""
+
+    namespace = "repro_server"
+    thread_name = "repro-server-http"
+    rejected_message = "dispatcher queue full"
+
+    def _open_backend(self) -> None:
+        config = self.config
+        self.cache = ResultCache(
+            max_entries=config.cache_max_entries,
+            directory=config.cache_dir,
+        )
+        self.jobs = JobStore(max_finished=config.max_finished_jobs)
+        self.dispatcher = Dispatcher(
+            config, self.cache, self.jobs, self.metrics
+        )
+        for name in (
+            "hits", "misses", "disk_hits", "entries", "checksum_failures"
+        ):
+            self.metrics.gauge(
+                f"cache_{name}",
+                lambda n=name: self.cache.stats()[n],
+            )
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def _start_backend(self) -> None:
+        self.dispatcher.start()
+
+    def _stop_backend(self) -> bool:
+        return self.dispatcher.stop()
 
     def stop(self) -> bool:
         """Shut down the HTTP loop and drain the dispatcher.
@@ -127,13 +215,65 @@ class ReproServer(ThreadingHTTPServer):
         # Flip readiness first: probes racing the shutdown see
         # not-ready (and stop routing) before connections start failing.
         self.dispatcher.draining = True
-        self.shutdown()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=10.0)
-            self._serve_thread = None
-        stopped_clean = self.dispatcher.stop()
-        self.server_close()
-        return stopped_clean
+        return super().stop()
+
+    # ------------------------------------------------------------------
+    # Endpoints
+    # ------------------------------------------------------------------
+    def health(self) -> dict:
+        return dict(
+            super().health(), queue_depth=self.dispatcher.queue_depth()
+        )
+
+    def readiness(self) -> dict:
+        """Readiness, distinct from liveness: can this gateway take
+        traffic *now*? Not ready before the dispatcher starts and from
+        the first moment of a drain — the supervisor's probe target."""
+        dispatcher = self.dispatcher
+        ready = dispatcher.is_ready()
+        body = {
+            "ready": ready,
+            "draining": dispatcher.draining,
+            "queue_depth": dispatcher.queue_depth(),
+        }
+        if not ready:
+            body["reason"] = (
+                "draining" if dispatcher.draining
+                else "dispatcher not started"
+            )
+        return body
+
+    def submit_spec(self, spec: SimJobSpec, wait_seconds: float):
+        return self.dispatcher.submit(spec)
+
+    def envelopes(self, admitted: list, wait_seconds: float) -> list:
+        if wait_seconds > 0:
+            deadline = time.monotonic() + wait_seconds
+            for job, _ in admitted:
+                job.done_event.wait(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
+        return [
+            dict(
+                job.to_dict(include_result=wait_seconds > 0),
+                disposition=disposition,
+            )
+            for job, disposition in admitted
+        ]
+
+    def poll_job(self, job_id: str, summary: bool) -> Optional[dict]:
+        job = self.jobs.get(job_id)
+        return (
+            None if job is None
+            else job.to_dict(include_result=not summary)
+        )
+
+    def cached_result(self, spec_hash: str) -> Optional[dict]:
+        result = self.cache.lookup(spec_hash)
+        return (
+            None if result is None
+            else {"spec_hash": spec_hash, "result": result.to_dict()}
+        )
 
 
 def create_server(config: Optional[ServerConfig] = None) -> ReproServer:
@@ -163,7 +303,7 @@ class running_server:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    server: ReproServer  # narrowed type
+    server: V1Server  # narrowed type
 
     # ------------------------------------------------------------------
     # Entry points
@@ -187,6 +327,7 @@ class _Handler(BaseHTTPRequestHandler):
         endpoint, status = "(unmatched)", 500
         try:
             endpoint, handler, arg = self._match(method, split.path)
+            self.server.before_request()
             status = handler(arg, query)
         except _HTTPError as exc:
             status = exc.status
@@ -248,48 +389,17 @@ class _Handler(BaseHTTPRequestHandler):
     # Handlers (return the status they sent)
     # ------------------------------------------------------------------
     def _healthz(self, _arg, _query) -> int:
-        server = self.server
-        self._send_json(
-            200,
-            {
-                "status": "ok",
-                "uptime_seconds": time.monotonic() - server.started_at,
-                "queue_depth": server.dispatcher.queue_depth(),
-                "jobs": server.jobs.counts(),
-                "faults": faults.describe_active(),
-            },
-        )
+        self._send_json(200, self.server.health())
         return 200
 
     def _readyz(self, _arg, _query) -> int:
-        """Readiness, distinct from liveness: can this gateway take
-        traffic *now*? 503 before the dispatcher starts and from the
-        first moment of a drain — the supervisor's probe target."""
-        dispatcher = self.server.dispatcher
-        ready = dispatcher.is_ready()
-        status = 200 if ready else 503
-        body = {
-            "ready": ready,
-            "draining": dispatcher.draining,
-            "queue_depth": dispatcher.queue_depth(),
-        }
-        if not ready:
-            body["reason"] = (
-                "draining" if dispatcher.draining
-                else "dispatcher not started"
-            )
+        body = self.server.readiness()
+        status = 200 if body["ready"] else 503
         self._send_json(status, body)
         return status
 
     def _metrics(self, _arg, _query) -> int:
-        text = self.server.metrics.render()
-        # The process-global registry carries engine/pool telemetry
-        # (namespace "repro" vs the server's "repro_server", so the
-        # families never collide).
-        shared = default_registry()
-        if not shared.is_empty():
-            text += shared.render()
-        body = text.encode("utf-8")
+        body = self.server.metrics_text().encode("utf-8")
         self.send_response(200)
         self.send_header(
             "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
@@ -300,6 +410,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _post_jobs(self, _arg, query) -> int:
+        server = self.server
         payload = self._read_json()
         if isinstance(payload, dict) and "jobs" in payload:
             raw_specs = payload["jobs"]
@@ -313,53 +424,39 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if not raw_specs:
             raise _HTTPError(400, "empty job batch")
-        if len(raw_specs) > self.server.config.max_batch:
+        if len(raw_specs) > server.config.max_batch:
             raise _HTTPError(
                 400,
                 f"batch of {len(raw_specs)} exceeds max_batch="
-                f"{self.server.config.max_batch}",
+                f"{server.config.max_batch}",
             )
         try:
             specs = [SimJobSpec.from_dict(d) for d in raw_specs]
         except (ConfigError, TypeError, ValueError) as exc:
             raise _HTTPError(400, f"bad spec: {exc}")
 
-        jobs, rejected_after = [], None
+        # Parsed before anything is admitted: a bad value admits nothing.
+        wait_seconds = self._wait_seconds(query)
+
+        admitted, rejected_after = [], None
         for i, spec in enumerate(specs):
             try:
-                job, disposition = self.server.dispatcher.submit(spec)
+                admitted.append(server.submit_spec(spec, wait_seconds))
             except Backpressure as exc:
-                # Jobs admitted before the queue filled stay admitted;
-                # the client retries the remainder after Retry-After.
+                # The first rejected spec ends the batch: accepted jobs
+                # stay accepted and form a strict prefix (the client
+                # retries the remainder after Retry-After).
                 rejected_after = (i, exc.retry_after)
                 break
-            jobs.append((job, disposition))
 
-        if rejected_after is not None and not jobs:
+        if rejected_after is not None and not admitted:
             raise _HTTPError(
                 503,
-                "dispatcher queue full",
+                server.rejected_message,
                 headers={"Retry-After": f"{rejected_after[1]:g}"},
             )
-
-        wait_seconds = self._wait_seconds(query)
-        if wait_seconds > 0:
-            deadline = time.monotonic() + wait_seconds
-            for job, _ in jobs:
-                job.done_event.wait(
-                    timeout=max(0.0, deadline - time.monotonic())
-                )
-
-        body = {
-            "jobs": [
-                dict(
-                    job.to_dict(include_result=wait_seconds > 0),
-                    disposition=disposition,
-                )
-                for job, disposition in jobs
-            ],
-            "accepted": len(jobs),
-        }
+        jobs = server.envelopes(admitted, wait_seconds)
+        body = {"jobs": jobs, "accepted": len(jobs)}
         if rejected_after is not None:
             body["rejected"] = len(specs) - rejected_after[0]
             body["retry_after_seconds"] = rejected_after[1]
@@ -372,24 +469,22 @@ class _Handler(BaseHTTPRequestHandler):
         return status
 
     def _get_job(self, job_id: str, query) -> int:
-        job = self.server.jobs.get(job_id)
-        if job is None:
-            raise _HTTPError(404, f"unknown (or evicted) job {job_id!r}")
         # ?summary=1 truthy; ?summary=0 (or false/no) keeps the result.
         raw = query.get("summary", ["0"])[-1].lower()
         summary = raw not in ("0", "false", "no", "")
-        self._send_json(200, job.to_dict(include_result=not summary))
+        envelope = self.server.poll_job(job_id, summary)
+        if envelope is None:
+            raise _HTTPError(404, f"unknown (or evicted) job {job_id!r}")
+        self._send_json(200, envelope)
         return 200
 
     def _get_result(self, spec_hash: str, _query) -> int:
-        result = self.server.cache.lookup(spec_hash)
-        if result is None:
+        payload = self.server.cached_result(spec_hash)
+        if payload is None:
             raise _HTTPError(
                 404, f"no cached result for spec hash {spec_hash!r}"
             )
-        self._send_json(
-            200, {"spec_hash": spec_hash, "result": result.to_dict()}
-        )
+        self._send_json(200, payload)
         return 200
 
     # ------------------------------------------------------------------

@@ -179,7 +179,6 @@ class UpdatePhaseModel:
         fuse_quantize: bool = False,
         fused_baseline: bool = False,
         engine: str = "columnar",
-        periodic_warm_columns: Optional[int] = None,
     ) -> None:
         """``validate`` runs the independent trace checker on every
         profiled schedule (production sweeps may disable it — see
@@ -192,10 +191,9 @@ class UpdatePhaseModel:
         the module docstring): profiles are measured on a small warm
         sample and closed arithmetically for the requested
         ``columns_per_stripe``, falling back to full simulation when
-        no steady cycle locks. ``periodic_warm_columns`` pins the warm
-        sample width (columns per stripe); the default sizes it
-        automatically from the precision's packing ratio and escalates
-        if the sample proves too short to lock."""
+        no steady cycle locks. The warm sample width (columns per
+        stripe) is sized from the precision's packing ratio and
+        escalates if the sample proves too short to lock."""
         self.timing = timing
         self.geometry = geometry
         self.columns_per_stripe = columns_per_stripe
@@ -205,7 +203,6 @@ class UpdatePhaseModel:
         self.fuse_quantize = fuse_quantize
         self.fused_baseline = fused_baseline
         self.engine = resolve_engine(engine)
-        self.periodic_warm_columns = periodic_warm_columns
         #: Engine flight recorder: how profiles were produced (fast
         #: path vs fallback, with reasons), warm-sample escalation,
         #: lock outcomes, replayed-vs-simulated sweeps, and scheduling
@@ -380,12 +377,17 @@ class UpdatePhaseModel:
             # kernel than full simulation runs.
             ratio = 1
         k_full = ceil_div(self.columns_per_stripe, ratio) * ratio
-        candidates: list[int] = []
-        if self.periodic_warm_columns is not None:
-            candidates.append(
-                ceil_div(self.periodic_warm_columns, ratio) * ratio
-            )
+        if config.update_kind == UPDATE_AOS_KERNEL:
+            # AoS sweeps one column per stripe regardless of the
+            # packing ratio, and its per-bank variant settles into
+            # machine cycles as long as nine sweeps — absolute
+            # sweep counts, realign retries for the long cycles.
+            candidates = list(self.WARM_SWEEPS_AOS)
         else:
+            # Pre-align to the common machine cycles (q <= 3, and
+            # the packed phases' ratio-column sweeps), so a
+            # momentum/RMSProp kernel extrapolates from the first
+            # warm run instead of paying a realignment retry.
             ladder = (
                 self.WARM_SWEEP_LADDER_BUFFERED
                 if config.buffered_commands
@@ -393,31 +395,15 @@ class UpdatePhaseModel:
                 or config.update_kind == UPDATE_NMP_STREAM
                 else self.WARM_SWEEP_LADDER
             )
-            if config.update_kind == UPDATE_AOS_KERNEL:
-                # AoS sweeps one column per stripe regardless of the
-                # packing ratio, and its per-bank variant settles into
-                # machine cycles as long as nine sweeps — absolute
-                # sweep counts, realign retries for the long cycles.
-                candidates.extend(self.WARM_SWEEPS_AOS)
-            else:
-                # Pre-align to the common machine cycles (q <= 3, and
-                # the packed phases' ratio-column sweeps), so a
-                # momentum/RMSProp kernel extrapolates from the first
-                # warm run instead of paying a realignment retry.
-                align_span = 3 * ratio
-                for s in ladder:
-                    base = s * ratio
-                    candidates.append(
-                        base + (k_full - base) % align_span
-                    )
+            align_span = 3 * ratio
+            candidates = [
+                s * ratio + (k_full - s * ratio) % align_span
+                for s in ladder
+            ]
         # Economics: the warm run costs O(k_warm) — extrapolation only
         # pays when the sample is meaningfully narrower than the
-        # request (pinning periodic_warm_columns overrides the guard).
-        ceiling = (
-            k_full - 1
-            if self.periodic_warm_columns is not None
-            else k_full * 2 // 3
-        )
+        # request.
+        ceiling = k_full * 2 // 3
         tried: set[int] = set()
         reasons: set[str] = set()
         hopeless = False

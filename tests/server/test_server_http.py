@@ -1,14 +1,39 @@
-"""Live-server endpoint semantics: envelopes, errors, backpressure."""
+"""Live-server endpoint semantics: envelopes, errors, backpressure.
 
+The protocol-error tests run against both ``/v1`` front ends: the
+gateway and a one-shard cluster router.
+"""
+
+import http.client
 import json
 import time
 import urllib.request
 
 import pytest
 
+from repro.server import ServerClient
+from repro.server.app import MAX_BODY_BYTES
+from tests.cluster.conftest import live_cluster, needs_fork  # noqa: F401
 from tests.server.conftest import cheap_spec, wait_until
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
+
+
+@pytest.fixture(
+    params=["live_server", pytest.param("live_cluster", marks=needs_fork)]
+)
+def front_end(request):
+    """Factory over both front ends: ``start(**overrides)`` returns
+    ``(server, client)`` for a gateway or a one-shard cluster."""
+    start = request.getfixturevalue(request.param)
+    if request.param == "live_server":
+        return start
+
+    def start_cluster(**overrides):
+        cluster = start(**{"shards": 1, **overrides})
+        return cluster, ServerClient(cluster.url, max_retries=0)
+
+    return start_cluster
 
 
 class TestBasicEndpoints:
@@ -23,13 +48,13 @@ class TestBasicEndpoints:
         }
         assert "faults" in health
 
-    def test_unknown_route_404(self, live_server):
-        _, client = live_server()
+    def test_unknown_route_404(self, front_end):
+        _, client = front_end()
         status, _, _ = client._request("GET", "/v1/nope")
         assert status == 404
 
-    def test_wrong_method_405(self, live_server):
-        _, client = live_server()
+    def test_wrong_method_405(self, front_end):
+        _, client = front_end()
         status, _, _ = client._request("GET", "/v1/jobs")
         assert status == 405
 
@@ -97,16 +122,16 @@ class TestPostJobs:
         )
         assert status == 200 and "result" in json.loads(body)
 
-    def test_bad_spec_400(self, live_server):
-        _, client = live_server()
+    def test_bad_spec_400(self, front_end):
+        _, client = front_end()
         status, _, body = client._request(
             "POST", "/v1/jobs", {"network": "NoSuchNet"}
         )
         assert status == 400
         assert "NoSuchNet" in json.loads(body)["error"]
 
-    def test_bad_json_400(self, live_server):
-        server, _ = live_server()
+    def test_bad_json_400(self, front_end):
+        server, _ = front_end()
         request = urllib.request.Request(
             f"{server.url}/v1/jobs",
             data=b"{not json",
@@ -117,13 +142,11 @@ class TestPostJobs:
         assert exc.value.code == 400
 
     def test_error_responses_close_keepalive_connections(
-        self, live_server
+        self, front_end
     ):
         """An error path that never drained the body must not leave it
         on the socket to be parsed as the next keep-alive request."""
-        import http.client
-
-        server, _ = live_server()
+        server, _ = front_end()
         host, port = server.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
@@ -151,8 +174,6 @@ class TestPostJobs:
 
     def test_keepalive_survives_successful_requests(self, live_server):
         """Happy-path requests keep the connection reusable."""
-        import http.client
-
         server, _ = live_server()
         host, port = server.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=10)
@@ -165,13 +186,13 @@ class TestPostJobs:
         finally:
             connection.close()
 
-    def test_empty_batch_400(self, live_server):
-        _, client = live_server()
+    def test_empty_batch_400(self, front_end):
+        _, client = front_end()
         status, _, _ = client._request("POST", "/v1/jobs", {"jobs": []})
         assert status == 400
 
-    def test_oversize_batch_400(self, live_server):
-        _, client = live_server(max_batch=2)
+    def test_oversize_batch_400(self, front_end):
+        _, client = front_end(max_batch=2)
         status, _, body = client._request(
             "POST",
             "/v1/jobs",
@@ -179,6 +200,35 @@ class TestPostJobs:
         )
         assert status == 400
         assert "max_batch" in json.loads(body)["error"]
+
+    def test_oversize_body_413(self, front_end):
+        """The body bound is checked on the declared length, before
+        a byte of the body is read."""
+        server, _ = front_end()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert str(MAX_BODY_BYTES) in json.loads(response.read())[
+                "error"
+            ]
+        finally:
+            connection.close()
+
+    def test_bad_wait_admits_nothing(self, front_end):
+        _, client = front_end()
+        status, _, body = client._request(
+            "POST", "/v1/jobs?wait=abc", cheap_spec(batch=40)
+        )
+        assert status == 400
+        assert json.loads(body) == {"error": "bad wait value 'abc'"}
+        assert sum(client.healthz()["jobs"].values()) == 0
 
     def test_error_job_lifecycle(self, live_server, monkeypatch):
         from repro.service import pool
@@ -314,8 +364,8 @@ class TestReadiness:
         # accepting new work.
         assert client.healthz()["status"] == "ok"
 
-    def test_readyz_405_on_post(self, live_server):
-        _, client = live_server()
+    def test_readyz_405_on_post(self, front_end):
+        _, client = front_end()
         status, _, _ = client._request("POST", "/readyz", body={})
         assert status == 405
 

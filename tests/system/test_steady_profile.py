@@ -79,21 +79,12 @@ class TestProfileIdentity:
             )
         assert per.report.fast_path == 0
 
-    def test_pinned_warm_width(self):
-        inc, per_auto = _models(96)
-        per_pinned = UpdatePhaseModel(
-            columns_per_stripe=96,
-            engine="periodic",
-            periodic_warm_columns=36,
-        )
+    def test_auto_warm_width(self):
+        inc, per = _models(96)
         optimizer = build_optimizer("momentum_sgd", MOMENTUM)
-        expected = inc.profile(DesignPoint.GRADPIM_BUFFERED, optimizer)
-        assert expected == per_auto.profile(
+        assert inc.profile(
             DesignPoint.GRADPIM_BUFFERED, optimizer
-        )
-        assert expected == per_pinned.profile(
-            DesignPoint.GRADPIM_BUFFERED, optimizer
-        )
+        ) == per.profile(DesignPoint.GRADPIM_BUFFERED, optimizer)
 
     def test_multi_channel_serial_path_identity(self):
         geometry = dataclasses.replace(
