@@ -196,10 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     finally:
-        try:
-            cluster.supervisor.stop()
-        finally:
-            cluster.server_close()
+        cluster.stop()
     return 0
 
 

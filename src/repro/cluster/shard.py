@@ -69,8 +69,7 @@ def _shard_main(shard_id: str, config_kwargs: dict, conn) -> None:
     except KeyboardInterrupt:
         pass
     finally:
-        server.dispatcher.stop()
-        server.server_close()
+        server.stop()
 
 
 class ShardProcess:

@@ -165,8 +165,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     finally:
-        server.dispatcher.stop()
-        server.server_close()
+        server.stop()
     return 0
 
 

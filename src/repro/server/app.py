@@ -134,11 +134,18 @@ class V1Server(ThreadingHTTPServer):
 
     def stop(self):
         """Shut down the HTTP loop, then the back end; returns what
-        :meth:`_stop_backend` does."""
-        self.shutdown()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=10.0)
-            self._serve_thread = None
+        :meth:`_stop_backend` does.
+
+        The loop is shut down and joined only when
+        :meth:`start_background` serves it. After a foreground
+        :meth:`serve_forever` has returned or raised (Ctrl-C, or a back
+        end that failed to start), the loop is already over and this
+        returns at once.
+        """
+        thread, self._serve_thread = self._serve_thread, None
+        if thread is not None:
+            self.shutdown()
+            thread.join(timeout=10.0)
         stopped = self._stop_backend()
         self.server_close()
         return stopped

@@ -17,13 +17,14 @@ one lock:
     full queue raises :class:`Backpressure` (the HTTP layer answers
     503 + ``Retry-After``) instead of hiding unbounded latency.
 
-A single daemon thread drains the queue and feeds the existing
-``repro.service`` execution path: serially via
-:func:`repro.service.api.submit` when ``workers == 1``, or in drained
-batches via :func:`repro.service.api.submit_many` across the
-``repro.service.pool`` worker processes when ``workers > 1``. Either
-way results land in the server's :class:`ResultCache` and every job
-attached to the execution is finished with the same outcome.
+A single daemon thread drains the queue and feeds every execution to
+:func:`repro.service.api.submit_many`, the one service execution path:
+one at a time in this thread when ``workers == 1``, or in drained
+batches across the ``repro.service.pool`` worker processes when
+``workers > 1``; a deadline or job timeout runs even a batch of one in
+a hardened per-job process, where it can be killed. Either way results
+land in the server's :class:`ResultCache` and every job attached to
+the execution is finished with the same outcome.
 """
 
 from __future__ import annotations
@@ -308,23 +309,26 @@ class Dispatcher:
                 return
             if execution is _SENTINEL:
                 continue
-            outcome = api.SimJobResult(
-                spec=execution.spec,
-                status="error",
-                error="RuntimeError: server shutting down",
+            self._finish_execution(
+                execution,
+                api.SimJobResult(
+                    spec=execution.spec,
+                    status="error",
+                    error="RuntimeError: server shutting down",
+                ),
             )
-            with self._lock:
-                self._inflight.pop(execution.key, None)
-                attached = list(execution.job_ids)
-            for job_id in attached:
-                self.jobs.finish(job_id, outcome)
 
     def _finish_execution(
         self, execution: Execution, outcome: api.SimJobResult
     ) -> None:
-        """Finish every job attached to one completed execution."""
-        # Pop the in-flight entry *after* any cache write (see
-        # _execute): once the entry is gone, nothing can attach.
+        """Finish every job attached to one completed execution.
+
+        Called *after* any cache write of its result: a submitter who
+        misses the in-flight registry is then guaranteed to hit the
+        cache, so no duplicate execution can slip through the gap. The
+        attached jobs are snapshotted under the same lock that pops the
+        entry — once it is gone, nothing can attach.
+        """
         with self._lock:
             self._inflight.pop(execution.key, None)
             attached = list(execution.job_ids)
@@ -381,8 +385,6 @@ class Dispatcher:
             self.metrics.observe(
                 "queue_wait_seconds", now - execution.created
             )
-        any_deadline = any(e.deadline_at is not None for e in batch)
-        hardened = self.service_config.wants_hardened(any_deadline)
         started = time.perf_counter()
         try:
             # cache=None: admission already resolved these as misses
@@ -390,20 +392,13 @@ class Dispatcher:
             # its ordering against the registry pop stays under our
             # control.
             with span("server.dispatch", batch=len(batch)):
-                if len(batch) > 1 or hardened:
-                    # The hardened policy needs real worker processes
-                    # even for a batch of one: a deadline or timeout is
-                    # only enforceable on something the dispatcher can
-                    # kill.
-                    outcomes = api.submit_many(
-                        [e.spec for e in batch],
-                        jobs=self.config.workers,
-                        cache=None,
-                        config=self.service_config,
-                        deadlines=[e.deadline_at for e in batch],
-                    )
-                else:
-                    outcomes = [api.submit(batch[0].spec, cache=None)]
+                outcomes = api.submit_many(
+                    [e.spec for e in batch],
+                    jobs=self.config.workers,
+                    cache=None,
+                    config=self.service_config,
+                    deadlines=[e.deadline_at for e in batch],
+                )
         except Exception as exc:  # the service API isolates per-job
             # errors; this guards the dispatcher thread itself.
             outcomes = [
@@ -435,23 +430,14 @@ class Dispatcher:
                     "server.cache_write", spec=execution.key[:12]
                 ):
                     self.cache.put(execution.spec, outcome.result)
-            # Pop the in-flight entry *after* the cache write above: a
-            # submitter who misses the registry is then guaranteed to
-            # hit the cache, so no duplicate execution can slip through
-            # the gap. Snapshot the attached jobs under the same lock —
-            # once the entry is gone, nothing can attach.
-            with self._lock:
-                self._inflight.pop(execution.key, None)
-                attached = list(execution.job_ids)
-            for job_id in attached:
-                self.jobs.finish(job_id, outcome)
+            self._finish_execution(execution, outcome)
 
     def _record_resilience(self, outcome: api.SimJobResult) -> None:
         """Count one outcome's resilience events into ``/metrics``.
 
         Renders as the ``repro_server_*`` families: timeouts,
         quarantines, retries that recovered a job, and engine
-        degradations that fell back to the incremental scheduler.
+        degradations that fell back to the columnar scheduler.
         """
         reason = outcome.failure_reason
         if reason == "timeout":

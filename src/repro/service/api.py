@@ -1,22 +1,23 @@
 """The simulation service's Python API.
 
-Every simulation request in the repo funnels through :func:`submit` /
-:func:`submit_many`: specs are checked against the content-addressed
-cache first, only the misses are executed (serially or across a worker
-pool), and fresh results are written back. Callers get
-:class:`SimJobResult` envelopes carrying the result or an isolated
-per-job error — a bad spec in a 100-job campaign costs one row, not the
-campaign.
+Every simulation request in the repo funnels through
+:func:`submit_many` (:func:`submit` is its one-spec form): specs are
+checked against the content-addressed cache first, only the misses are
+executed by :func:`repro.service.pool.run_specs` (in this process,
+across a worker pool, or hardened), and fresh results are written
+back. Callers get :class:`SimJobResult` envelopes carrying the result
+or an isolated per-job error — a bad spec in a 100-job campaign costs
+one row, not the campaign. A job run in this process records its
+telemetry in place; only forked workers ship theirs back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.obs.log import correlation_scope
 from repro.obs.trace import span
 from repro.service import pool
 from repro.service.cache import DEFAULT_MAX_ENTRIES, ResultCache, cache_key
@@ -64,7 +65,7 @@ DEFAULT_CACHE_MAX_ENTRIES = _env_cache_max_entries()
 DEFAULT_CACHE = ResultCache(max_entries=DEFAULT_CACHE_MAX_ENTRIES)
 
 
-@dataclass
+@dataclasses.dataclass
 class SimJobResult:
     """Outcome envelope of one submitted job.
 
@@ -94,15 +95,63 @@ class SimJobResult:
     #: the requested one failed; ``degraded_reason`` records why.
     degraded: bool = False
     degraded_reason: Optional[str] = None
-    #: How the job actually ran: ``"parallel"`` (shared fork pool),
-    #: ``"serial"`` (in-process, including the no-fork fallback),
-    #: ``"isolated"`` (hardened per-job process), or ``None`` for
-    #: cache hits, which never ran at all.
+    #: How ``run_specs`` ran the job: ``"parallel"`` (shared fork
+    #: pool), ``"serial"`` (in this process: a batch of one unless
+    #: hardened, and the no-fork fallback), ``"isolated"`` (hardened
+    #: per-job process), or ``None`` for cache hits, which never ran.
     execution_mode: Optional[str] = None
     #: True when at least one earlier attempt of this job was lost to
     #: a worker death or timeout and the returned outcome came from a
     #: retry.
     retried: bool = False
+
+    @classmethod
+    def from_payload(
+        cls, spec: SimJobSpec, payload: Optional[dict], elapsed: float
+    ) -> "SimJobResult":
+        """The envelope of one :func:`~repro.service.pool.run_specs`
+        payload (``None``: the worker returned none). ``elapsed`` stands
+        in when the payload carries no ``elapsed_seconds``."""
+        if payload is None:
+            return cls(
+                spec=spec,
+                status="error",
+                error="worker returned no payload",
+                elapsed_seconds=elapsed,
+            )
+        run = dict(
+            spec=spec,
+            elapsed_seconds=payload.get("elapsed_seconds", elapsed),
+            execution_mode=payload.get("execution_mode"),
+        )
+        status = payload.get("status")
+        if status == "ok":
+            return cls(
+                status="ok",
+                result=NetworkResult.from_dict(payload["result"]),
+                engine_report=payload.get("engine_report"),
+                degraded=bool(payload.get("degraded")),
+                degraded_reason=payload.get("degraded_reason"),
+                retried=bool(payload.get("retried")),
+                **run,
+            )
+        if status == "failed":
+            failure = payload.get("failure") or {}
+            return cls(
+                status="failed",
+                error=failure.get("detail")
+                or failure.get("reason", "job failed"),
+                failure=failure,
+                retried=bool(failure.get("retried")),
+                **run,
+            )
+        return cls(
+            status="error",
+            error=payload.get("error", "unknown worker failure"),
+            traceback=payload.get("traceback"),
+            retried=bool(payload.get("retried")),
+            **run,
+        )
 
     @property
     def ok(self) -> bool:
@@ -166,53 +215,7 @@ def submit(
     spec: SimJobSpec, cache: Optional[ResultCache] = DEFAULT_CACHE
 ) -> SimJobResult:
     """Run (or fetch) one job. ``cache=None`` disables caching."""
-    start = time.perf_counter()
-    spec_hash = spec.content_hash()
-    with correlation_scope(spec_hash), span(
-        "service.submit", network=spec.network, spec=spec_hash[:12]
-    ) as submit_span:
-        if cache is not None:
-            with span("service.cache_lookup", spec=spec_hash[:12]):
-                cached = cache.get(spec)
-            if cached is not None:
-                submit_span.set(disposition="cache-hit")
-                return SimJobResult(
-                    spec=spec,
-                    status="ok",
-                    result=cached,
-                    from_cache=True,
-                    elapsed_seconds=time.perf_counter() - start,
-                )
-        try:
-            with span("service.execute", spec=spec_hash[:12]):
-                result, report, degraded_reason = (
-                    pool.execute_spec_resilient(spec)
-                )
-        except Exception as exc:  # per-job isolation
-            import traceback as tb
-
-            submit_span.set(disposition="error")
-            return SimJobResult(
-                spec=spec,
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=tb.format_exc(),
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        if cache is not None:
-            with span("service.cache_write", spec=spec_hash[:12]):
-                cache.put(spec, result)
-        submit_span.set(disposition="executed")
-        return SimJobResult(
-            spec=spec,
-            status="ok",
-            result=result,
-            elapsed_seconds=time.perf_counter() - start,
-            engine_report=report,
-            degraded=degraded_reason is not None,
-            degraded_reason=degraded_reason,
-            execution_mode="serial",
-        )
+    return submit_many([spec], cache=cache)[0]
 
 
 def submit_many(
@@ -238,134 +241,51 @@ def submit_many(
             f"{len(specs)} specs"
         )
     start = time.perf_counter()
-    batch_submit = span("service.submit", batch=len(specs))
-    batch_submit.__enter__()
     outcomes: dict[int, SimJobResult] = {}
     pending: list[tuple[int, SimJobSpec]] = []
     seen_keys: dict[str, int] = {}
     duplicates: list[tuple[int, int]] = []  # (position, first position)
-    batch_lookup = (
-        span("service.cache_lookup", batch=len(specs))
-        if cache is not None
-        else None
-    )
-    if batch_lookup is not None:
-        batch_lookup.__enter__()
-    for i, spec in enumerate(specs):
+    with span("service.submit", batch=len(specs)) as batch_submit:
         if cache is not None:
-            cached = cache.get(spec)
+            with span("service.cache_lookup", batch=len(specs)):
+                hits = [cache.get(spec) for spec in specs]
+        else:
+            hits = [None] * len(specs)
+        for i, (spec, cached) in enumerate(zip(specs, hits)):
             if cached is not None:
                 outcomes[i] = SimJobResult(
-                    spec=spec,
-                    status="ok",
-                    result=cached,
-                    from_cache=True,
+                    spec=spec, status="ok", result=cached, from_cache=True
                 )
                 continue
-        key = cache_key(spec)
-        if key in seen_keys:
-            duplicates.append((i, seen_keys[key]))
-            continue
-        seen_keys[key] = i
-        pending.append((i, spec))
-    if batch_lookup is not None:
-        batch_lookup.__exit__(None, None, None)
+            key = cache_key(spec)
+            if key in seen_keys:
+                duplicates.append((i, seen_keys[key]))
+                continue
+            seen_keys[key] = i
+            pending.append((i, spec))
 
-    if pending:
-        payloads = pool.run_specs(
-            [s for _, s in pending],
-            jobs=jobs,
-            config=config,
-            deadlines=(
-                [deadlines[i] for i, _ in pending]
-                if deadlines is not None
-                else None
-            ),
-        )
-        batch_elapsed = time.perf_counter() - start
-        for (i, spec), payload in zip(pending, payloads):
-            elapsed = (
-                payload.get("elapsed_seconds", batch_elapsed)
-                if payload is not None
-                else batch_elapsed
+        if pending:
+            payloads = pool.run_specs(
+                [s for _, s in pending],
+                jobs=jobs,
+                config=config,
+                deadlines=(
+                    [deadlines[i] for i, _ in pending]
+                    if deadlines is not None
+                    else None
+                ),
             )
-            if payload is not None and payload.get("status") == "ok":
-                result = NetworkResult.from_dict(payload["result"])
-                if cache is not None:
+            batch_elapsed = time.perf_counter() - start
+            for (i, spec), payload in zip(pending, payloads):
+                outcome = outcomes[i] = SimJobResult.from_payload(
+                    spec, payload, batch_elapsed
+                )
+                if cache is not None and outcome.ok:
                     with span("service.cache_write"):
-                        cache.put(spec, result)
-                outcomes[i] = SimJobResult(
-                    spec=spec,
-                    status="ok",
-                    result=result,
-                    elapsed_seconds=elapsed,
-                    engine_report=payload.get("engine_report"),
-                    degraded=bool(payload.get("degraded")),
-                    degraded_reason=payload.get("degraded_reason"),
-                    execution_mode=payload.get("execution_mode"),
-                    retried=bool(payload.get("retried")),
-                )
-            elif (
-                payload is not None
-                and payload.get("status") == "failed"
-            ):
-                failure = payload.get("failure") or {}
-                outcomes[i] = SimJobResult(
-                    spec=spec,
-                    status="failed",
-                    error=failure.get("detail")
-                    or failure.get("reason", "job failed"),
-                    failure=failure,
-                    elapsed_seconds=elapsed,
-                    execution_mode=payload.get("execution_mode"),
-                    retried=bool(failure.get("retried")),
-                )
-            else:
-                error = (
-                    payload.get("error", "unknown worker failure")
-                    if payload is not None
-                    else "worker returned no payload"
-                )
-                outcomes[i] = SimJobResult(
-                    spec=spec,
-                    status="error",
-                    error=error,
-                    traceback=(
-                        payload.get("traceback")
-                        if payload is not None
-                        else None
-                    ),
-                    elapsed_seconds=elapsed,
-                    execution_mode=(
-                        payload.get("execution_mode")
-                        if payload is not None
-                        else None
-                    ),
-                    retried=bool(
-                        payload.get("retried")
-                        if payload is not None
-                        else False
-                    ),
-                )
-    for i, first in duplicates:
-        original = outcomes[first]
-        outcomes[i] = SimJobResult(
-            spec=specs[i],
-            status=original.status,
-            result=original.result,
-            error=original.error,
-            traceback=original.traceback,
-            from_cache=original.from_cache,
-            elapsed_seconds=original.elapsed_seconds,
-            engine_report=original.engine_report,
-            failure=original.failure,
-            degraded=original.degraded,
-            degraded_reason=original.degraded_reason,
-            execution_mode=original.execution_mode,
-            retried=original.retried,
+                        cache.put(spec, outcome.result)
+        for i, first in duplicates:
+            outcomes[i] = dataclasses.replace(outcomes[first], spec=specs[i])
+        batch_submit.set(
+            executed=len(pending), cached=len(outcomes) - len(pending)
         )
-    batch_submit.set(
-        executed=len(pending), cached=len(outcomes) - len(pending)
-    )
-    batch_submit.__exit__(None, None, None)
     return [outcomes[i] for i in range(len(specs))]

@@ -7,12 +7,18 @@ their configuration) so a batch of jobs on the same substrate reuses
 the expensive command-stream profiles exactly like
 ``ExperimentContext`` always did.
 
-``run_specs`` fans a batch across a ``multiprocessing`` pool (fork
-start method, with a serial fallback when the platform refuses) with
-per-job error isolation: one failing spec yields an error payload, the
-rest of the batch completes. Results cross the process boundary as
-plain dicts — the same lossless form the disk cache uses — so parallel
-runs are bit-identical to serial ones.
+``run_specs`` is the one way a spec runs: in this process, across a
+``multiprocessing`` pool (fork start method, with a serial fallback
+when the platform refuses), or hardened (below), always with per-job
+error isolation: one failing spec yields an error payload, the rest of
+the batch completes. Results come back as plain dicts — the same
+lossless form the disk cache uses — whichever way the job ran, so
+parallel runs are bit-identical to serial ones.
+
+Telemetry: a job run in this process records straight into the live
+metrics registry and tracer. Only the forked entry points swap in fresh
+ones and ship what the job recorded back under ``payload["obs"]``,
+which the parent folds in (:func:`_ingest_obs`) and drops.
 
 Hardened execution (opt-in via
 :class:`~repro.service.config.ServiceConfig` — a per-job timeout, a
@@ -149,39 +155,31 @@ def execute_spec(spec: SimJobSpec) -> NetworkResult:
         )
 
 
-def execute_spec_with_report(
-    spec: SimJobSpec,
-) -> tuple[NetworkResult, Optional[dict]]:
-    """Run one job; returns ``(result, engine_report)``.
-
-    The engine report is the per-job delta of the shared update
-    model's flight recorder (:class:`repro.obs.report.EngineReport`)
-    across the :func:`execute_spec` call, or ``None`` when the job
-    never touched the engines — every profile it needed was already
-    memoized on the shared model. Calls through the module attribute
-    so tests monkeypatching ``execute_spec`` keep their seam.
-    """
-    model = _job_model(spec.resolve())
-    before = model.report.to_dict()
-    result = execute_spec(spec)
-    return result, EngineReport.diff_dicts(before, model.report.to_dict())
-
-
 def execute_spec_resilient(
     spec: SimJobSpec,
 ) -> tuple[NetworkResult, Optional[dict], Optional[str]]:
     """Run one job with graceful engine degradation.
 
-    Returns ``(result, engine_report, degraded_reason)``. A failure of
-    the *periodic* engine — an optimization layered over the columnar
-    engine, byte-identical by the equivalence contract — is not a
-    reason to fail the job: the spec is re-run with
-    ``engine="columnar"`` and ``degraded_reason`` records why. Columnar
-    failures (and a failed fallback) propagate; there is nothing sound
-    to degrade to.
+    Returns ``(result, engine_report, degraded_reason)``. The engine
+    report is the per-job delta of the shared update model's flight
+    recorder (:class:`repro.obs.report.EngineReport`), or ``None`` when
+    the job never touched the engines — every profile it needed was
+    already memoized. A failure of the *periodic* engine — an
+    optimization layered over the columnar engine, byte-identical by
+    the equivalence contract — is not a reason to fail the job: the
+    spec is re-run with ``engine="columnar"`` and ``degraded_reason``
+    records why. Columnar failures (and a failed fallback) propagate;
+    there is nothing sound to degrade to. Jobs run through the module
+    attribute :func:`execute_spec`, the seam tests monkeypatch.
     """
+    def run(job: SimJobSpec) -> tuple[NetworkResult, Optional[dict]]:
+        model = _job_model(job.resolve())
+        before = model.report.to_dict()
+        result = execute_spec(job)
+        return result, EngineReport.diff_dicts(before, model.report.to_dict())
+
     try:
-        result, report = execute_spec_with_report(spec)
+        result, report = run(spec)
         return result, report, None
     except Exception as exc:
         if spec.engine != "periodic":
@@ -200,8 +198,7 @@ def execute_spec_resilient(
             to_engine="columnar",
             error=type(exc).__name__,
         )
-        fallback = dataclasses.replace(spec, engine="columnar")
-        result, report = execute_spec_with_report(fallback)
+        result, report = run(dataclasses.replace(spec, engine="columnar"))
         return result, report, reason
 
 
@@ -281,26 +278,16 @@ def _warm_shared_substrates(specs: Sequence[SimJobSpec]) -> None:
             pass  # the owning worker will surface the real error
 
 
-def _run_payload(spec_dict: dict) -> dict:
-    """Worker body: never raises — errors become payloads.
+def _run_payload(spec: SimJobSpec) -> dict:
+    """Job body: never raises — errors become payloads.
 
-    Observability crosses the process boundary with the result: the
-    payload's job runs against a *fresh* tracer and metrics registry
-    (the previous ones — possibly fork-inherited from the parent, with
-    the parent's history — are restored afterwards), and whatever the
-    job recorded ships under ``payload["obs"]`` for the parent to
-    ingest. Tracing is only swapped when the parent had it enabled.
+    Telemetry goes to this process's live metrics registry and tracer;
+    the forked entry points (:func:`_forked_payload`,
+    :func:`_child_main`) swap in fresh ones first and ship what the job
+    recorded back to the parent.
     """
     start = time.perf_counter()
-    parent_tracer = obs_trace.active_tracer()
-    tracer = (
-        obs_trace.enable_tracing(obs_trace.Tracer())
-        if parent_tracer is not None
-        else None
-    )
-    previous_registry = set_default_registry(MetricsRegistry("repro"))
     try:
-        spec = SimJobSpec.from_dict(spec_dict)
         # Worker-side injection sites. The destructive pair (kill,
         # hang) only fires inside a disposable hardened worker — the
         # injector's context guard suppresses them here otherwise.
@@ -345,7 +332,7 @@ def _run_payload(spec_dict: dict) -> dict:
         _logger.warning(
             "job failed",
             extra={
-                "network": spec_dict.get("network"),
+                "network": spec.network,
                 "error": f"{type(exc).__name__}: {exc}",
             },
         )
@@ -355,13 +342,31 @@ def _run_payload(spec_dict: dict) -> dict:
             "traceback": traceback.format_exc(),
             "elapsed_seconds": elapsed,
         }
+    return payload
+
+
+def _forked_payload(spec: SimJobSpec) -> dict:
+    """:func:`_run_payload` in a forked worker, telemetry attached.
+
+    The job runs against a *fresh* metrics registry and — when the
+    parent was tracing — a fresh tracer, so the fork-inherited copies
+    of the parent's history are never shipped back. Whatever the job
+    recorded travels under ``payload["obs"]`` for :func:`_ingest_obs`.
+    A pool worker runs several jobs, and each starts fresh.
+    """
+    tracer = (
+        obs_trace.enable_tracing(obs_trace.Tracer())
+        if obs_trace.active_tracer() is not None
+        else None
+    )
+    registry = MetricsRegistry("repro")
+    set_default_registry(registry)
+    payload = _run_payload(spec)
     obs = {}
-    job_registry = set_default_registry(previous_registry)
-    if job_registry is not None and not job_registry.is_empty():
-        obs["metrics"] = job_registry.snapshot()
+    if not registry.is_empty():
+        obs["metrics"] = registry.snapshot()
     if tracer is not None:
         obs["spans"] = tracer.drain()
-        obs_trace.enable_tracing(parent_tracer)
     if obs:
         payload["obs"] = obs
     return payload
@@ -437,12 +442,11 @@ def run_specs(
     faults.auto_install()
     if config is None:
         config = DEFAULT_SERVICE_CONFIG
-    payloads = [s.to_dict() for s in specs]
     deadlines = _effective_deadlines(specs, config, deadlines)
     any_deadline = any(d is not None for d in deadlines)
     if config.wants_hardened(any_deadline):
         try:
-            out = _run_hardened(specs, payloads, jobs, config, deadlines)
+            out = _run_hardened(specs, jobs, config, deadlines)
             _ingest_obs(out)
             return out
         except (OSError, ValueError):
@@ -461,48 +465,42 @@ def run_specs(
             ):
                 with ctx.Pool(processes=n_workers) as pool:
                     sorted_out = pool.map(
-                        _run_payload,
-                        [payloads[i] for i in order],
+                        _forked_payload,
+                        [specs[i] for i in order],
                         chunksize=chunksize,
                     )
             out: list[Optional[dict]] = [None] * len(specs)
             for i, payload in zip(order, sorted_out):
+                payload["execution_mode"] = "parallel"
                 out[i] = payload
-                if payload is not None:
-                    payload.setdefault("execution_mode", "parallel")
             _ingest_obs(out)
             return out
         except (OSError, ValueError):
             _serial_fallback("parallel")
     with span("pool.dispatch", jobs=1, pending=len(specs)):
         out = []
-        for i, payload_in in enumerate(payloads):
-            deadline = deadlines[i]
+        for spec, deadline in zip(specs, deadlines):
             if deadline is not None and time.monotonic() >= deadline:
-                out.append(
-                    _failure_payload(
-                        "timeout",
-                        attempts=0,
-                        timed_out=True,
-                        detail="deadline expired before execution",
-                    )
+                payload = _failure_payload(
+                    "timeout",
+                    attempts=0,
+                    timed_out=True,
+                    detail="deadline expired before execution",
                 )
-                out[-1]["execution_mode"] = "serial"
-                continue
-            payload = _run_payload(payload_in)
-            payload.setdefault("execution_mode", "serial")
+            else:
+                payload = _run_payload(spec)
+            payload["execution_mode"] = "serial"
             out.append(payload)
-    _ingest_obs(out)
     return out
 
 
 # ----------------------------------------------------------------------
 # Hardened execution: one disposable process per job attempt.
 # ----------------------------------------------------------------------
-def _child_main(spec_dict: dict, attempt: int, conn) -> None:
+def _child_main(spec: SimJobSpec, attempt: int, conn) -> None:
     """Entry point of one disposable per-job worker process."""
     faults.enter_worker_context(attempt)
-    payload = _run_payload(spec_dict)  # never raises
+    payload = _forked_payload(spec)  # never raises
     try:
         conn.send(payload)
     finally:
@@ -511,7 +509,6 @@ def _child_main(spec_dict: dict, attempt: int, conn) -> None:
 
 def _run_hardened(
     specs: Sequence[SimJobSpec],
-    payloads: Sequence[dict],
     jobs: int,
     config: ServiceConfig,
     deadlines: Sequence[Optional[float]],
@@ -656,7 +653,7 @@ def _run_hardened(
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_child_main,
-                    args=(payloads[i], attempt, child_conn),
+                    args=(specs[i], attempt, child_conn),
                     daemon=True,
                 )
                 proc.start()
@@ -723,7 +720,7 @@ def _run_hardened(
 def _ingest_obs(payloads: Sequence[Optional[dict]]) -> None:
     """Fold workers' shipped spans and metrics into this process.
 
-    Each payload's ``obs`` block (attached by :func:`_run_payload`) is
+    Each payload's ``obs`` block (attached by :func:`_forked_payload`) is
     consumed here: spans join the active tracer (worker pids keep them
     on their own Perfetto tracks) and metrics snapshots merge into the
     process-global registry. The block is popped so cached/serialized

@@ -104,3 +104,39 @@ def test_traced_server_run_covers_the_dispatch_path(live_server):
     ):
         assert expected in names, f"missing span {expected}"
     assert validate_chrome_trace(tracer.to_chrome_trace()) == []
+
+
+def test_metrics_stay_listed_while_an_in_thread_job_runs(
+    live_server, monkeypatch
+):
+    """A ``workers=1`` gateway runs its jobs in the dispatcher thread.
+    A scrape taken mid-job still lists what was recorded before it,
+    and the job's own counters land on the same registry."""
+    import threading
+
+    from repro.obs.metrics import default_registry
+    from repro.service import pool
+
+    entered, release = threading.Event(), threading.Event()
+    real = pool.execute_spec
+
+    def held(spec):
+        entered.set()
+        assert release.wait(timeout=30), "job never released"
+        return real(spec)
+
+    monkeypatch.setattr(pool, "execute_spec", held)
+    default_registry().inc("probe_total", value=5)
+    _, client = live_server(workers=1)
+    [envelope] = client.submit(cheap_spec(batch=40))
+    try:
+        assert entered.wait(timeout=30), "job never started"
+        during = parse_prometheus(client.metrics_text())
+    finally:
+        release.set()
+    assert during["repro_probe_total"][""] == 5
+    [final] = client.wait_for([envelope["id"]], timeout=30.0)
+    assert final["status"] == "done"
+    after = parse_prometheus(client.metrics_text())
+    assert after["repro_jobs_executed_total"]['{status="ok"}'] == 1
+    assert "repro_job_execute_seconds" in after
