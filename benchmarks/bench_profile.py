@@ -22,10 +22,13 @@ Two hard gates make this benchmark CI-worthy; both are about
   (``golden_fig9_resnet18.json``).
 
 Speedups are recorded honestly per cell, with the fast-path /
-fallback / warm-run accounting that explains them: workloads whose
-machine cycle exceeds the detector's horizon (single-port GradPIM-DR
-under some optimizers) fall back to the columnar engine's full-stream
-schedule and record ~1x.
+fallback / warm-run accounting that explains them and the exact
+commands each engine simulated and replayed (the model's
+``EngineReport``). A workload whose machine cycle is longer than every
+warm sample the periodic engine tries (single-port GradPIM-DR ``sgd``
+repeats only every 21 sweeps) cannot lock in a warm sample: it falls
+back to the full-stream schedule, which locks and replays as the
+columnar cell does, and records ~1x or below.
 The headline target (>=10x on the PIM-kernel designs) is stored in the
 record as aspiration alongside the measured geomeans.
 
@@ -125,6 +128,7 @@ def bench_cell(design, optimizer_name, optimizer_params, precision,
         PRECISIONS[precision],
     )
     identical = results["columnar"] == results["periodic"] == expected
+    columnar, periodic = reports["columnar"], reports["periodic"]
     return {
         "design": design.value,
         "optimizer": optimizer_name,
@@ -134,8 +138,12 @@ def bench_cell(design, optimizer_name, optimizer_params, precision,
         "profile_periodic_s": times["periodic"],
         "speedup": times["columnar"] / times["periodic"],
         "identical": identical,
-        "fast_path": bool(reports["periodic"].fast_path),
-        "warm_runs": reports["periodic"].warm_runs,
+        "fast_path": bool(periodic.fast_path),
+        "warm_runs": periodic.warm_runs,
+        "columnar_commands_simulated": columnar.commands_simulated,
+        "columnar_commands_replayed": columnar.commands_replayed,
+        "periodic_commands_simulated": periodic.commands_simulated,
+        "periodic_commands_replayed": periodic.commands_replayed,
     }
 
 
@@ -270,8 +278,11 @@ def main(argv=None) -> int:
             "The columnar cell schedules the full stream and replays "
             "its locked steady-state sweeps in place; the periodic "
             "cell extrapolates from a warm sample. Cells without "
-            "fast_path fell back to the full-stream schedule (machine "
-            "cycle beyond the lock horizon) and record ~1x honestly."
+            "fast_path fell back to the full-stream schedule (no warm "
+            "sample locked, e.g. a machine cycle longer than the warm "
+            "sample), which replays like the columnar cell, and record "
+            "~1x or below honestly. *_commands_simulated/_replayed are "
+            "the exact EngineReport counts of each engine's profile."
         ),
         "results": rows,
         "summary": summary,

@@ -15,13 +15,18 @@ lookahead windows can see with its dependency state. Timers compare
 *relative to the boundary's cycle* when recent and absolutely when
 stale (older than :func:`stale_floor`: too old to bind a decision).
 
-When fingerprints ``q`` boundaries apart match and one numpy compare
-shows the rest of the segment body repeats the matched sweeps shifted,
-the tracker *replays* all but the last few sweeps in place — issue
-cycles, dependents, live timers shifted, the loop's caches marked stale
-— and the loop simulates the tail for real. The schedule is
-byte-identical to the plain loop's (``tests/dram/test_steady.py``);
-streams that never lock simulate every command.
+Every boundary's snapshot is kept, keyed by its structure and its
+relative timers with each stale one folded to the floor: snapshots
+that can match share a key, so one lookup finds every candidate
+whatever the cycle length. When one ``q`` boundaries back matches
+(newest first: the smallest ``q``) and one numpy compare shows the
+rest of the segment body repeats the matched sweeps shifted, the
+tracker *replays* all but the last few sweeps in place — issue cycles,
+dependents, live timers shifted, the loop's caches marked stale — and
+the loop simulates the tail for real. Snapshots stop only when fewer
+than two sweeps of the segment are left. The schedule is byte-identical
+to the plain loop's (``tests/dram/test_steady.py``); streams that
+never lock simulate every command.
 
 Soundness: the next decision depends only on the visible candidates and
 their dependency state, the timers (both fingerprinted) and the static
@@ -67,16 +72,14 @@ class SteadyTracker:
     it its flat state (:meth:`attach`) and reports every issue
     (:meth:`issued`), which returns how many commands a replay just
     scheduled, until the tracker is :attr:`idle`. :meth:`finish`
-    returns the :class:`PeriodicOutcome`.
+    returns the :class:`PeriodicOutcome`. Snapshots are kept keyed
+    (:meth:`_restart`) until fewer than two sweeps of a segment are left.
     """
 
     #: Failed shape checks tolerated per segment: dependency patterns
     #: can take a couple of sweeps to settle (register alternation
     #: creates edges two sweeps back).
     MAX_SHAPE_FAILURES = 4
-    #: Longest machine cycle (in sweeps) looked for (AoS-PB's per-bank
-    #: ALU pipelines settle into cycles as long as nine sweeps).
-    MAX_SUPER = 12
 
     def __init__(self, period: StreamPeriod, stream, timing,
                  window: int) -> None:
@@ -97,10 +100,17 @@ class SteadyTracker:
             if self.seg_i < len(self.segments) else None
         )
         self.boundary_j = -1  # boundary index of the last snapshot
-        self.history: list[tuple] = []  # (j, anchor, snapshot, events)
-        self.events: list[tuple[int, int, int]] = []  # (index, cycle, port)
+        self._restart()
         self.done = self.seg is None  # replayed, abandoned or past the end
         self.shape_failures = 0
+
+    def _restart(self) -> None:
+        """Start a run of contiguous boundaries: ``history`` maps a
+        fingerprint key to its ``(j, anchor, timers)``, oldest first;
+        ``marks[j]`` is ``len(events)`` when boundary ``j`` was reached."""
+        self.history: dict[tuple, list] = {}
+        self.events: list[tuple[int, int, int]] = []
+        self.marks: dict[int, int] = {}
 
     @property
     def idle(self) -> bool:
@@ -147,41 +157,33 @@ class SteadyTracker:
         if seg is None or f < seg.start:
             return 0
         j = (f - seg.start) // seg.period
-        if j == self.boundary_j:
+        if j == self.boundary_j or self.done:
             return 0
-        skipped_boundary = j != self.boundary_j + 1
+        if j != self.boundary_j + 1:
+            self._restart()  # a skipped boundary ends the run
         self.boundary_j = j
-        period_events, self.events = self.events, []
-        if self.done:
-            return 0
-        if skipped_boundary:
-            self.history = []
+        self.marks[j] = end = len(self.events)
         b = seg.start + j * seg.period
-        snap = self._snapshot(b, cycle)
-        history = self.history
-        history.append((j, cycle, snap, period_events))
-        if len(history) > self.MAX_SUPER + 1:
-            history.pop(0)
-        # The smallest super-period q whose fingerprint q boundaries
-        # ago matches this one.
-        for q in range(1, len(history)):
-            prev = history[-1 - q]
-            if prev[0] != j - q:
-                break
-            delta = cycle - prev[1]
-            if delta <= 0 or not self._matches(prev[2], snap, delta):
+        struct, timers = self._snapshot(b, cycle)
+        key = (struct, np.maximum(timers, -self.floor).tobytes())
+        entries = self.history.setdefault(key, [])
+        entries.append((j, cycle, timers))
+        # Newest first: the smallest super-period q whose fingerprint
+        # q boundaries ago matches this one.
+        for prev_j, prev_anchor, prev_timers in entries[-2::-1]:
+            delta = cycle - prev_anchor
+            if delta <= 0 or not self._matches(prev_timers, timers, delta):
                 continue
-            events = [e for rec in history[-q:] for e in rec[3]]
+            q = j - prev_j
+            events = self.events[self.marks[prev_j]:end]
             if len(events) != q * seg.period:
                 continue
-            if min(e[1] for e in events) <= prev[1] - self.floor // 2:
+            if min(e[1] for e in events) <= prev_anchor - self.floor // 2:
                 continue  # an issue dipped towards the stale zone
             return self._locked(seg, j, b, cycle, q, delta, events)
-        if j >= max(4 * self.MAX_SUPER, min(seg.sweeps // 2, 64)) or (
-            seg.sweeps - j < 2
-        ):
-            self.done = True  # not settling: stop taking snapshots
-            self.history = []
+        if seg.sweeps - j < 2:
+            self.done = True  # too few sweeps left to replay
+            self._restart()
         return 0
 
     def _snapshot(self, b: int, anchor: int):
@@ -216,13 +218,11 @@ class SteadyTracker:
             struct.append(tuple(seen))
         return tuple(struct), np.array(timers, dtype=np.int64) - anchor
 
-    def _matches(self, earlier, later, gap: int) -> bool:
+    def _matches(self, x, y, gap: int) -> bool:
         """Every timer either shifted identically (same relative value)
         or stale-identical (both below the floor, same absolute cycle:
-        untouched since before the periodic window)."""
-        if earlier[0] != later[0]:
-            return False
-        x, y = earlier[1], later[1]
+        untouched since before the periodic window). The structures are
+        equal: they are part of the history key."""
         x, y = x[x != y], y[x != y]
         # x == y + gap > y, so x stale implies y stale.
         return bool(((x <= -self.floor) & (x == y + gap)).all())
@@ -293,7 +293,7 @@ class SteadyTracker:
         }
         self.boundary_j = j + m * q
         self.done = True
-        self.history = []
+        self._restart()
         lock.shape_ok = True
         self.outcome.skipped += m * P
         return m * P
@@ -317,9 +317,10 @@ class SteadyTracker:
         * their out-edges are gathered from the stream's CSR, and those
           reaching a command still pending are folded per target (edge
           count, latest completion) and applied in Python;
-        * the images leave their ports' pending queues: their own
-          links are cleared, and each queue is relinked through the
-          commands of the span that stay pending.
+        * the images leave their ports' pending queues: each queue is
+          relinked through the commands of the span that stay pending,
+          so no queue reaches an image and the images' own links are
+          left as they were.
 
         ``tests/oracle.py`` keeps the per-command loop this must match
         (``replay_reference``).
@@ -370,8 +371,6 @@ class SteadyTracker:
             held = np.flatnonzero(held)
             for values, image_values in (
                 (completion, done),
-                (nxt, -1),
-                (prv, -1),
                 (issue, (ev_c + t * delta).ravel()),
             ):
                 block = np.empty(b - a, dtype=np.int64)

@@ -354,8 +354,8 @@ class UpdatePhaseModel:
     WARM_SWEEP_LADDER = (6, 8, 12)
     WARM_SWEEP_LADDER_BUFFERED = (7, 9, 12)
     #: AoS kernels sweep one column per stripe whatever the precision,
-    #: and AoS-PB's machine cycle spans up to nine sweeps: absolute
-    #: column counts.
+    #: and AoS-PB's machine cycle spans up to thirteen sweeps (momentum
+    #: at DDR4-3200): absolute column counts.
     WARM_SWEEPS_AOS = (12, 24, 32)
 
     def _profile_steady(
@@ -380,7 +380,7 @@ class UpdatePhaseModel:
         if config.update_kind == UPDATE_AOS_KERNEL:
             # AoS sweeps one column per stripe regardless of the
             # packing ratio, and its per-bank variant settles into
-            # machine cycles as long as nine sweeps — absolute
+            # machine cycles as long as thirteen sweeps — absolute
             # sweep counts, realign retries for the long cycles.
             candidates = list(self.WARM_SWEEPS_AOS)
         else:

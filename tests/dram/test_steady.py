@@ -20,7 +20,9 @@ that never locks) simulates for real. These tests enforce the contract:
 * Hypothesis sweeps over (design, optimizer, precision, window,
   columns_per_stripe);
 * the numpy replay against the per-command replay oracle: from the
-  same locked state, both leave the loop in the same state.
+  same locked state, both leave the loop in the same state;
+* the keyed lock lookup against a linear scan over every earlier
+  boundary, on streams whose machine cycle spans up to 21 sweeps.
 """
 
 import copy
@@ -34,6 +36,7 @@ from hypothesis import example, given, strategies as st
 from oracle import (
     ReferenceScheduler,
     _fresh_copy,
+    lock_scan_reference,
     replay_reference,
     settings,
 )
@@ -335,11 +338,17 @@ class TestHypothesisEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(_workload())
     def test_periodic_matches_reference(self, workload):
+        """Also checks every boundary's keyed lock lookup against the
+        linear scan."""
         design, optimizer, precision, window, columns = workload
         config, commands, dependents, period = _built(
             design, optimizer, precision, columns
         )
-        _run_both(config, commands, dependents, period, window=window)
+        _scan_checked(
+            lambda: _run_both(
+                config, commands, dependents, period, window=window
+            )
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -494,3 +503,87 @@ class TestReplayOracle:
 def test_stale_floor_positive():
     for timing in PRESETS.values():
         assert stale_floor(timing) > 0
+
+
+# ----------------------------------------------------------------------
+# Keyed lock lookup == a linear scan; long machine cycles lock
+# ----------------------------------------------------------------------
+def _scan_checked(run):
+    """Call ``run()`` while every boundary's keyed lookup is checked
+    against :func:`lock_scan_reference`; returns ``(run's result,
+    boundaries seen)``."""
+    snapshot, locked = SteadyTracker._snapshot, SteadyTracker._locked
+    expected, picked = [], []
+
+    def scanned(tracker, b, anchor):
+        snap = snapshot(tracker, b, anchor)
+        log = tracker.__dict__.setdefault("boundaries", [])
+        j = tracker.boundary_j
+        # The run: this segment's boundaries since the last restart.
+        earlier = [
+            (pj, pa, ps) for si, pj, pa, ps in log
+            if si == tracker.seg_i and pj in tracker.marks
+        ]
+        expected.append(
+            lock_scan_reference(tracker, earlier, j, anchor, snap)
+        )
+        picked.append(None)
+        log.append((tracker.seg_i, j, anchor, snap))
+        return snap
+
+    def picking(tracker, seg, j, b, anchor, q, delta, events):
+        picked[-1] = (j, q, delta)
+        return locked(tracker, seg, j, b, anchor, q, delta, events)
+
+    with mock.patch.object(SteadyTracker, "_snapshot", scanned), \
+            mock.patch.object(SteadyTracker, "_locked", picking):
+        result = run()
+    assert picked == expected
+    return result, len(picked)
+
+
+#: Full-row streams whose greedy schedule repeats only every 13-21
+#: sweeps: (design, optimizer, precision, timing grade) and the
+#: ``sweeps_per_period`` every segment locks with.
+LONG_CYCLES = [
+    ((DesignPoint.AOS_PB, "momentum_sgd", "8/32", "DDR4-3200"), (13,)),
+    ((DesignPoint.GRADPIM_DIRECT, "sgd", "16/32", "DDR4-2133"),
+     (15, 3, 3)),
+    ((DesignPoint.GRADPIM_BUFFERED, "sgd", "16/32", "DDR4-3200"),
+     (1, 1, 17)),
+    ((DesignPoint.GRADPIM_DIRECT, "sgd", "32/32", "DDR4-2133"), (21,)),
+    ((DesignPoint.GRADPIM_DIRECT, "sgd", "8/32", "DDR4-2133"),
+     (1, 21, 1)),
+]
+
+
+class TestLockLookup:
+    @pytest.mark.parametrize(
+        "workload, cycles", LONG_CYCLES,
+        ids=lambda v: "-".join(str(getattr(x, "value", x)) for x in v),
+    )
+    def test_long_cycles_lock_exactly(self, workload, cycles):
+        design, optimizer, precision, timing = workload
+        model = UpdatePhaseModel(
+            timing=PRESETS[timing], columns_per_stripe=128
+        )
+        config = DESIGNS[design]
+        _, _, period, art = model._build_stream(
+            config, build_optimizer(optimizer), PRECISIONS[precision]
+        )
+        geometry = model._one_channel()
+        scheduler = model._scheduler(
+            config, geometry, config.issue_model(geometry)
+        )
+        plain = scheduler.run(art.columnar)
+        replayed, boundaries = _scan_checked(
+            lambda: scheduler.run(art.columnar, period=period)
+        )
+        outcome = replayed.periodic
+        assert boundaries
+        assert tuple(
+            lock.sweeps_per_period for lock in outcome.locks
+        ) == cycles
+        assert outcome.engaged
+        assert replayed.issue_cycles() == plain.issue_cycles()
+        assert replayed.stats == plain.stats

@@ -30,6 +30,9 @@ benchmarks' equivalence gates.
   one Python step per replayed command and per out-edge. The numpy
   replay of :class:`~repro.dram.steady.SteadyTracker` must leave the
   loop state it leaves.
+* :func:`lock_scan_reference` — the steady-state lock search as a
+  linear scan over every earlier boundary of the run, comparing whole
+  snapshots. The tracker's keyed lookup must pick what it picks.
 * :func:`oracle_profile` — the ``UpdateProfile`` an
   :class:`~repro.system.update_model.UpdatePhaseModel` must produce,
   computed from the model's own stream on the two oracles above.
@@ -701,6 +704,35 @@ def replay_reference(tracker, events, m: int, P: int, delta: int,
     while f < len(issue) and issue[f] >= 0:
         f += 1
     tracker.frontier = f
+
+
+def lock_scan_reference(tracker, run, j: int, anchor: int, snapshot):
+    """The lock a :class:`~repro.dram.steady.SteadyTracker` must pick
+    at boundary ``j``: ``(j, q, delta)`` for the newest earlier
+    boundary of ``run`` (``(j, anchor, snapshot)`` of every boundary
+    since the run began) that passes the fingerprint match, the
+    event-count check and the stale-floor guard, or ``None``."""
+    floor, period = tracker.floor, tracker.seg.period
+    struct, timers = snapshot
+    marks, events = tracker.marks, tracker.events
+    for prev_j, prev_anchor, (prev_struct, prev_timers) in reversed(run):
+        delta = anchor - prev_anchor
+        if delta <= 0 or prev_struct != struct:
+            continue
+        # Each timer shifted with the anchor, or stale and untouched.
+        if any(
+            x != y and not (x <= -floor and x == y + delta)
+            for x, y in zip(prev_timers.tolist(), timers.tolist())
+        ):
+            continue
+        q = j - prev_j
+        matched = events[marks[prev_j]:marks[j]]
+        if len(matched) != q * period:
+            continue
+        if min(cycle for _, cycle, _ in matched) <= prev_anchor - floor // 2:
+            continue
+        return j, q, delta
+    return None
 
 
 def oracle_profile(model, design, optimizer, precision=PRECISION_8_32):
