@@ -23,8 +23,9 @@ Two hard gates make this benchmark CI-worthy; both are about
 
 Speedups are recorded honestly per cell, with the fast-path /
 fallback / warm-run accounting that explains them and the exact
-commands each engine simulated and replayed (the model's
-``EngineReport``). A workload whose machine cycle is longer than every
+work each engine did (the model's ``EngineReport``): commands
+simulated and replayed, commands whose per-command loop lists were
+built, and rows the validator's rule families ran over. A workload whose machine cycle is longer than every
 warm sample the periodic engine tries (single-port GradPIM-DR ``sgd``
 repeats only every 21 sweeps) cannot lock in a warm sample: it falls
 back to the full-stream schedule, which locks and replays as the
@@ -142,8 +143,12 @@ def bench_cell(design, optimizer_name, optimizer_params, precision,
         "warm_runs": periodic.warm_runs,
         "columnar_commands_simulated": columnar.commands_simulated,
         "columnar_commands_replayed": columnar.commands_replayed,
+        "columnar_commands_prepared": columnar.commands_prepared,
+        "columnar_commands_validated": columnar.commands_validated,
         "periodic_commands_simulated": periodic.commands_simulated,
         "periodic_commands_replayed": periodic.commands_replayed,
+        "periodic_commands_prepared": periodic.commands_prepared,
+        "periodic_commands_validated": periodic.commands_validated,
     }
 
 
@@ -281,8 +286,9 @@ def main(argv=None) -> int:
             "fast_path fell back to the full-stream schedule (no warm "
             "sample locked, e.g. a machine cycle longer than the warm "
             "sample), which replays like the columnar cell, and record "
-            "~1x or below honestly. *_commands_simulated/_replayed are "
-            "the exact EngineReport counts of each engine's profile."
+            "~1x or below honestly. *_commands_simulated/_replayed/"
+            "_prepared/_validated are the exact EngineReport counts of "
+            "each engine's profile."
         ),
         "results": rows,
         "summary": summary,

@@ -33,7 +33,7 @@ def main(argv=None) -> int:
         help="one line per design x config: counts and the lock cycles",
     )
     args = parser.parse_args(argv)
-    simulated = replayed = unlocked = 0
+    simulated = replayed = prepared = validated = unlocked = 0
     unlocked_configs = set()
     for timing in TIMINGS:
         for optimizer in OPTIMIZERS:
@@ -48,9 +48,10 @@ def main(argv=None) -> int:
                         PRECISIONS[mix],
                     )
                     after = model.report.to_dict()
-                    sim, rep, misses = (
+                    sim, rep, built, checked, misses = (
                         after[k] - before[k] for k in (
                             "commands_simulated", "commands_replayed",
+                            "commands_prepared", "commands_validated",
                             "lock_attempts",
                         )
                     )
@@ -59,6 +60,8 @@ def main(argv=None) -> int:
                     )
                     simulated += sim
                     replayed += rep
+                    prepared += built
+                    validated += checked
                     unlocked += misses
                     if misses:
                         unlocked_configs.add((timing, optimizer, mix))
@@ -70,11 +73,14 @@ def main(argv=None) -> int:
                         print(
                             f"{design.value:11s} {optimizer:12s} {mix:6s} "
                             f"{timing}  simulated {sim:6d}  replayed "
-                            f"{rep:6d}  unlocked segments {misses}  "
+                            f"{rep:6d}  prepared {built:6d}  validated "
+                            f"{checked:6d}  unlocked segments {misses}  "
                             f"sweeps per cycle {cycles}"
                         )
     print(f"commands simulated: {simulated}")
     print(f"commands replayed:  {replayed}")
+    print(f"commands prepared:  {prepared}")
+    print(f"commands validated: {validated}")
     print(
         f"unlocked segments:  {unlocked} "
         f"in {len(unlocked_configs)} configs"

@@ -26,9 +26,13 @@ steady-state sweeps in place):
 
 * **Per-run preparation.** Everything the issue loop needs per command
   — kind codes, completion latencies, flat bank/group/rank/bus ids,
-  read/write flags, floor-table slots, per-port queue links, initial
-  dependency refcounts — is derived from the columns with numpy in one
-  shot at the start of every run, and dropped when the run ends.
+  read/write flags, floor-table slots, out-edges, per-port queue links,
+  initial dependency refcounts — is derived from the columns with numpy
+  at the start of every run, and dropped when the run ends. Only the
+  refcounts, queue links and ports become Python lists up front; the
+  rest are filled chunk by chunk when the scan first reaches them
+  (:class:`_Prepared`), so commands a steady-state replay issues mostly
+  never get them.
 
 * **Vectorized validation and statistics.** Backward-dependency and
   rank/channel range checks are single array comparisons (cached per
@@ -92,6 +96,10 @@ _INT_COL = 2
 _EXT_COL = 3
 _ALU = 4
 _OTHER = 5  # REF / MRW: no state machine constrains them
+#: Kind code of a static list slot :class:`_Prepared` has not built yet.
+#: It matches no class, so the scan's recompute falls through to the
+#: ``_OTHER`` branch, which builds the slot's chunk and revisits it.
+_UNBUILT = 6
 
 # Cached-cycle encoding in the cold loop: ``_BLOCKED`` marks a candidate
 # that cannot issue until some other command does (closed or wrong row);
@@ -704,12 +712,25 @@ class ColumnarSchedule:
 
 
 class _Prepared:
-    """Flat arrays feeding one run of the scheduling loop.
+    """Flat lists feeding one run of the scheduling loop.
 
-    Derived from the columns with numpy at the start of a run and
-    dropped when it ends: as Python lists they cost several times the
-    stream's own columns, so no stream keeps them between runs. The
-    loop consumes the queue links and dependency counters in place.
+    Derived from the columns at the start of a run and dropped when it
+    ends: as Python lists they cost several times the stream's own
+    columns, so no stream keeps them between runs. The loop consumes
+    the queue links and dependency counters in place.
+
+    Only the lists the loop reads at any index are built up front: the
+    dependency counters, the per-port queue links and the port of each
+    command (queue scans, out-edge updates, steady-state snapshots and
+    replay relinks). The static per-command lists (kind code, latency,
+    flat bank / group / rank / bus ids, row, bank group, read / write
+    flags, floor-table slot, out-edges) start as placeholders and are
+    filled from precomputed numpy columns :attr:`CHUNK` commands at a
+    time by :meth:`build`, on the scan's first visit to an unbuilt slot
+    (its kind code reads :data:`_UNBUILT`). Commands a steady-state
+    replay issues are never scanned past the lookahead window, so a
+    replayed stream builds little more than its simulated spans;
+    :attr:`prepared` counts the commands built.
     """
 
     __slots__ = (
@@ -717,8 +738,12 @@ class _Prepared:
         "bg", "isrd", "iswr", "fkey", "port", "ndeps",
         "optr", "oidx", "heads", "tails", "nxt", "prv", "n_ports",
         "n_banks", "n_groups", "n_ranks", "bus_ranks", "bus_ports",
-        "counts", "port_issued",
+        "counts", "port_issued", "n", "prepared", "_static",
+        "_out_indptr", "_out_indices",
     )
+
+    #: Commands per on-demand build of the static lists.
+    CHUNK = 256
 
     def __init__(self, stream: ColumnarStream, timing, geometry,
                  issue_model, bus_ids) -> None:
@@ -728,28 +753,39 @@ class _Prepared:
         bpg = geometry.banks_per_group
         kind = stream.kind.astype(np.int64)
         kc_arr = _KC_TABLE[kind]
-        self.kc = kc_arr.tolist()
-        self.lat = _latency_table(timing)[kind].tolist()
         rank = stream.rank.astype(np.int64)
         bg = stream.bankgroup.astype(np.int64)
-        bank = stream.bank.astype(np.int64)
         gid = rank * n_bg + bg
-        self.bank_id = (gid * bpg + bank).tolist()
-        self.group_id = gid.tolist()
-        self.rank = rank.tolist()
         bus = np.asarray(bus_ids, dtype=np.int64)[rank]
-        self.bus = bus.tolist()
-        self.row = stream.row.tolist()
-        self.bg = bg.tolist()
         isrd = _ISRD_TABLE[kind]
-        self.isrd = isrd.tolist()
-        self.iswr = _ISWR_TABLE[kind].tolist()
-        # Rank/bus floor-table slot of an RD (2 * rank + 1) or WR
-        # (2 * rank); only RD / WR read it.
-        self.fkey = (2 * rank + isrd).tolist()
+        self.n = n
+        self.prepared = 0
+        self.kc = [_UNBUILT] * n
+        (self.lat, self.bank_id, self.group_id, self.rank, self.bus,
+         self.row, self.bg, self.isrd, self.iswr, self.fkey) = (
+            [0] * n for _ in range(10)
+        )
+        # (list, numpy column) pairs :meth:`build` copies a chunk of.
+        # The rank/bus floor-table slot of an RD is 2 * rank + 1, of a
+        # WR 2 * rank; only RD / WR read it.
+        self._static = (
+            (self.kc, kc_arr),
+            (self.lat, _latency_table(timing)[kind]),
+            (self.bank_id, gid * bpg + stream.bank),
+            (self.group_id, gid),
+            (self.rank, rank),
+            (self.bus, bus),
+            (self.row, stream.row),
+            (self.bg, bg),
+            (self.isrd, isrd),
+            (self.iswr, _ISWR_TABLE[kind]),
+            (self.fkey, 2 * rank + isrd),
+        )
+        self._out_indptr = stream.out_indptr
+        self._out_indices = stream.out_indices
+        self.optr = [0] * (n + 1)
+        self.oidx = [0] * len(stream.out_indices)
         self.ndeps = np.diff(stream.dep_indptr).tolist()
-        self.optr = stream.out_indptr.tolist()
-        self.oidx = stream.out_indices.tolist()
         # Per-port pending queues as index-linked lists in stream order.
         n_ports = issue_model.n_ports
         port = np.asarray(issue_model.port_of_rank, dtype=np.int64)[rank]
@@ -799,6 +835,18 @@ class _Prepared:
         }
         self.port_issued = np.bincount(port).tolist() if n else []
 
+    def build(self, i: int) -> None:
+        """Fill the static slots of the chunk holding command ``i``."""
+        a = i - i % self.CHUNK
+        b = min(a + self.CHUNK, self.n)
+        for values, column in self._static:
+            values[a:b] = column[a:b].tolist()
+        ptr = self._out_indptr
+        self.optr[a:b + 1] = ptr[a:b + 1].tolist()
+        lo, hi = int(ptr[a]), int(ptr[b])
+        self.oidx[lo:hi] = self._out_indices[lo:hi].tolist()
+        self.prepared += b - a
+
 
 def schedule_columnar(
     stream: ColumnarStream,
@@ -809,8 +857,9 @@ def schedule_columnar(
     window: int,
     bus_ids: Sequence[int],
     steady=None,
-) -> tuple[np.ndarray, TraceStats]:
-    """Schedule a columnar stream; return (issue cycles, stats).
+) -> tuple[np.ndarray, TraceStats, int]:
+    """Schedule a columnar stream; return (issue cycles, stats, commands
+    whose per-command lists were built).
 
     Byte-identical to the reference greedy loop on every stream (the
     equivalence contract); the issue-cycle vector is read-only.
@@ -830,7 +879,7 @@ def schedule_columnar(
         issued_commands=stream.n,
         port_issued=prep.port_issued,
     )
-    return _freeze(np.array(issue, dtype=np.int64)), stats
+    return _freeze(np.array(issue, dtype=np.int64)), stats, prep.prepared
 
 
 def _schedule_cold(
@@ -869,6 +918,10 @@ def _schedule_cold(
     only port after every issue anyway, so it skips the cross-port
     marking.
 
+    A candidate whose static slots are not built yet reads the kind
+    code :data:`_UNBUILT`; its recompute builds the chunk and revisits
+    it.
+
     With a ``steady`` tracker, every issue is reported to it
     (:meth:`~repro.dram.steady.SteadyTracker.issued`) until it is
     :attr:`~repro.dram.steady.SteadyTracker.idle`; when it replays
@@ -876,7 +929,8 @@ def _schedule_cold(
     and marks every cache stale itself, and the loop only discounts the
     replayed commands.
     """
-    n = len(prep.kc)
+    n = prep.n
+    build = prep.build
     n_banks, n_groups, n_ranks = prep.n_banks, prep.n_groups, prep.n_ranks
 
     # Flattened machine state.
@@ -1070,6 +1124,11 @@ def _schedule_cold(
                         if v > e:
                             e = v
                         dirty_group[gid].append(i)
+                    elif kc == _UNBUILT:
+                        build(i)
+                        node = i  # revisit it with its slots built
+                        steps += 1
+                        continue
                     # _OTHER: dep_ready alone constrains it.
                     cached_e[i] = e
                 if e < 0:

@@ -5,8 +5,9 @@ stripe-periodic bodies lie (:class:`SegmentRecorder` builds a
 :class:`StreamPeriod` of :class:`PeriodSegment` entries). Steady-state
 replay (:mod:`repro.dram.steady`) reads that metadata and reports, per
 stream, what it locked and replayed (:class:`PeriodicOutcome` of
-:class:`SegmentLock` entries); the update model extends warm samples
-from those locks.
+:class:`SegmentLock` and :class:`Replay` entries); the update model
+extends warm samples from those locks, and the trace validator cuts
+the replayed images it can prove are shifted copies.
 """
 
 from __future__ import annotations
@@ -160,6 +161,20 @@ class SegmentLock:
     shape_ok: bool = False
 
 
+@dataclass(frozen=True)
+class Replay:
+    """One in-place replay: image ``u`` (``1 <= u <= copies``) of event
+    ``e`` is command ``e + u * period``, issued ``u * delta`` cycles
+    after it. ``events`` are the matched super-period's stream indices,
+    ascending. The validator trusts none of this: it checks the
+    translation on the trace before it relies on it."""
+
+    events: tuple[int, ...]
+    period: int  # P: commands per super-period
+    delta: int  # cycles per super-period
+    copies: int  # m: super-periods replayed
+
+
 @dataclass
 class PeriodicOutcome:
     """What steady-state replay did with one stream."""
@@ -168,6 +183,8 @@ class PeriodicOutcome:
     simulated: int = 0  # commands scheduled by the event loop
     skipped: int = 0  # commands annotated arithmetically
     reason: str = ""  # why the fast path did not engage (if it didn't)
+    #: Every replay, in the order the loop made them.
+    replays: list[Replay] = field(default_factory=list)
 
     @property
     def engaged(self) -> bool:

@@ -153,6 +153,9 @@ class ScheduleResult:
     #: per-segment locks, commands simulated vs. arithmetically
     #: replayed, and the fallback reason when it did not engage.
     periodic: Optional[PeriodicOutcome] = None
+    #: Commands whose per-command scheduling lists the run built (the
+    #: loop builds them on demand; replayed commands mostly need none).
+    commands_prepared: int = 0
 
     @cached_property
     def commands(self) -> list[Command]:
@@ -246,9 +249,11 @@ class CommandScheduler:
                 outcome = PeriodicOutcome(reason="multi-channel")
             issue = np.empty(stream.n, dtype=np.int64)
             per_channel = []
+            prepared = 0
             for indices, part in _channel_streams(stream, geom.channels):
-                issue[indices], stats = self._schedule_stream(part)
+                issue[indices], stats, built = self._schedule_stream(part)
                 per_channel.append(stats)
+                prepared += built
             issue.setflags(write=False)
             stats = TraceStats.merge_channels(per_channel)
         else:
@@ -257,7 +262,7 @@ class CommandScheduler:
                 steady = SteadyTracker(
                     period, stream, self.timing, self.window
                 )
-            issue, stats = self._schedule_stream(stream, steady)
+            issue, stats, prepared = self._schedule_stream(stream, steady)
             if steady is not None:
                 outcome = steady.finish()
             elif period is not None:
@@ -266,7 +271,7 @@ class CommandScheduler:
                 )
         return ScheduleResult(
             ColumnarSchedule(stream, issue), stats, self.timing, geom,
-            self.issue_model, outcome,
+            self.issue_model, outcome, prepared,
         )
 
     def _schedule_stream(self, stream: ColumnarStream, steady=None):

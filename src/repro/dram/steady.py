@@ -23,10 +23,12 @@ whatever the cycle length. When one ``q`` boundaries back matches
 rest of the segment body repeats the matched sweeps shifted, the
 tracker *replays* all but the last few sweeps in place — issue cycles,
 dependents, live timers shifted, the loop's caches marked stale — and
-the loop simulates the tail for real. Snapshots stop only when fewer
-than two sweeps of the segment are left. The schedule is byte-identical
-to the plain loop's (``tests/dram/test_steady.py``); streams that
-never lock simulate every command.
+the loop simulates the tail for real; the outcome records each replay
+(:class:`~repro.dram.period.Replay`) for the trace validator.
+Snapshots stop only when fewer than two sweeps of the segment are
+left. The schedule is byte-identical to the plain loop's
+(``tests/dram/test_steady.py``); streams that never lock simulate
+every command.
 
 Soundness: the next decision depends only on the visible candidates and
 their dependency state, the timers (both fingerprinted) and the static
@@ -40,7 +42,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dram.columnar import KIND_ORDER, TURNAROUND_GAP
-from repro.dram.period import PeriodicOutcome, SegmentLock, StreamPeriod
+from repro.dram.period import (
+    PeriodicOutcome,
+    Replay,
+    SegmentLock,
+    StreamPeriod,
+)
 
 
 def stale_floor(timing) -> int:
@@ -288,6 +295,9 @@ class SteadyTracker:
                 self.done = True
             return 0
         self._replay(events, m, P, delta, anchor)
+        self.outcome.replays.append(
+            Replay(tuple(sorted(e[0] for e in events)), P, delta, m)
+        )
         self.ahead = {
             e[0] + m * P for e in events if e[0] + m * P > self.frontier
         }

@@ -6,13 +6,14 @@ through it; a disagreement between the two implementations surfaces as
 a :class:`~repro.errors.TimingViolation`.
 
 There is one checker, :func:`validate_trace_columnar`, over a scheduled
-:class:`~repro.dram.columnar.ColumnarSchedule`. Every rule family
-(command-bus slots, bank row-state, bank-group tCCD_L/tWTR_L/tPIM, rank
-tRRD/tFAW/tCCD_S/tWTR_S, data-bus occupancy, dependencies) is a handful
-of whole-array numpy operations — segmented sorts, adjacent
-differences, exclusive running maxima — fused across channels through
-global resource ids. The accept path, the only path valid traces take,
-is O(sort) with no per-command Python work and never builds a
+:class:`~repro.dram.columnar.ColumnarSchedule`. The whole-trace checks
+(channel range, unissued commands, dependencies) are single array
+compares over every command. Every rule family (command-bus slots,
+bank row-state, bank-group tCCD_L/tWTR_L/tPIM, rank
+tRRD/tFAW/tCCD_S/tWTR_S, data-bus occupancy) is a handful of
+whole-array numpy operations — segmented sorts, adjacent differences,
+exclusive running maxima — fused across channels through global
+resource ids. No path does per-command Python work or builds a
 ``Command``.
 
 When a family flags a problem, the checker names the *first offender*
@@ -26,9 +27,84 @@ burst appears, overlaps in burst-start order).
 
 :func:`validate_trace` is the same check over a ``Command`` list.
 
+Replayed traces
+---------------
+
+Given the run's :class:`~repro.dram.period.PeriodicOutcome`
+(``periodic=``), the family checks — the part that sorts — run on a
+*compressed* trace that leaves most replayed images out, so their cost
+follows the simulated commands rather than the stream. The outcome is
+not trusted. For each :class:`~repro.dram.period.Replay` (events ``E``;
+``P`` commands and ``delta`` cycles per super-period; ``m`` copies) the
+checker establishes on the trace itself, with ``R`` the rule reach
+(:func:`_reach`, at least :func:`~repro.dram.steady.stale_floor`):
+
+1. *Translation.* ``E`` holds one command per residue modulo ``P``, and
+   every image ``y = e + u * P`` (``1 <= u <= m``) has the kind, rank,
+   bank group, bank, row and channel of ``y - P`` and issues ``delta``
+   cycles after it (slice compares over the span where every index is
+   an image, a gather for the few images at its ends). So the images
+   are distinct commands and image ``(e, u)`` issues at
+   ``c_e + u * delta``.
+2. *Neighbourhood.* The cut is ``[S, S + k * delta)`` with ``S = max
+   c_e + delta + R``. In ``Q = [max c_e, S + (k + 1) * delta + R)``
+   only images of this replay issue: as many commands issue there as
+   images ``u = 0..m`` fall there. ``k`` is the largest that keeps
+   ``Q`` below the earliest event's last image.
+
+The compressed trace drops every command issued in a cut and moves
+every command issued above it down by ``k * delta`` cycles; cuts of
+different replays may not overlap. If any check fails, or the families
+flag anything on the compressed trace, the families run on the full
+trace, so every message and first offender is the full check's; the
+compressed trace only ever *accepts*.
+
+Why that is sound. Whether a family flags a command depends on the
+kinds, coordinates and cycles of the commands sharing one of its
+resources, never on stream indices (commands sharing a bank, bank group
+or rank share a port, so two at one cycle are themselves a command-bus
+breach, and bursts that start together overlap). Every rule but one
+reaches less than ``R`` cycles: the adjacent gaps (command-bus slots,
+tCCD, tRRD, tPIM, data-bus gaps, whose burst-start order may look a few
+cycles past a command), tFAW's four-ACT window, tRCD/tRAS/tRP from the
+last ACT or PRE, and tRTP/tWR/tWTR from the running maxima of read
+cycles and write-data ends — an older ACT, PRE, RD or WR cannot bind.
+The exception is the open-row state (is the bank open, and on which
+row), read from the bank's last ACT or PRE however old. Inside ``Q``,
+the commands at ``c`` and at ``c + delta`` correspond one to one
+(image ``(e, u)`` to ``(e, u + 1)``) with equal kinds and coordinates.
+
+* A command kept below ``S`` sees, within ``R``, the same commands in
+  both traces, except that the compressed trace shows in ``[S, S +
+  R)`` the moved commands of ``[S + k * delta, S + k * delta + R)``,
+  images of ``Q`` that translate onto the cut ones. Its open-row state
+  reads only commands below it, which nothing changed.
+* A moved command sees the same commands above ``S + k * delta``
+  (they moved with it), and ``[S - R, S)`` in place of ``[S + k *
+  delta - R, S + k * delta)``: images of ``Q``, one translate of the
+  other. Its bank's open-row state is the same at ``S`` and at ``S + k
+  * delta``: if the bank's last ACT or PRE before ``S + k * delta``
+  lies in the cut, its twin a super-period later would lie beyond
+  it, so it lies in the cut's last ``delta`` and its translate by ``-k
+  * delta`` is the bank's last ACT or PRE before ``S`` (a later one in
+  ``[S - delta, S)`` would have a twin past it); if none lies in the
+  cut, the state does not change across it.
+* A cut command at ``c`` is the translate of a moved command ``j``
+  super-periods later, at ``c + j * delta`` in ``[S + k * delta, S +
+  (k + 1) * delta)``. Within ``R`` of either, only images of ``Q``
+  issue, and they correspond one to one. Their banks' open-row states
+  agree too: from ``S`` on, a bank's last ACT or PRE before ``y +
+  delta`` is the twin of its last one before ``y`` (or none falls in
+  ``[y, y + delta)`` and the state holds). A breach at the cut command
+  is a breach at the moved one, which the compressed trace checks.
+
+So a compressed trace with no breach is a full trace with none.
+Dependencies are checked on every edge of the full trace either way.
+
 The test suite keeps a family-by-family formulation of the same rules
-as the oracle this checker is held to, and pins its exception text
-with a golden.
+as the oracle this checker is held to, pins its exception text with a
+golden, and holds compressed and full validation to raise-iff on
+perturbed replayed traces (``tests/dram/test_validator.py``).
 
 Production sweeps that trust the (property-tested) scheduler can skip
 validation entirely via ``SimJobSpec(validate=False)`` /
@@ -37,13 +113,14 @@ validation entirely via ``SimJobSpec(validate=False)`` /
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.dram.columnar import (
     KIND_INDEX,
     KIND_ORDER,
+    TURNAROUND_GAP,
     ColumnarSchedule,
     ColumnarStream,
     _latency_table,
@@ -59,6 +136,8 @@ from repro.dram.commands import (
     WRITE_COMMANDS,
 )
 from repro.dram.geometry import DeviceGeometry
+from repro.dram.period import PeriodicOutcome
+from repro.dram.steady import stale_floor
 from repro.dram.timing import TimingParams
 from repro.errors import TimingViolation
 
@@ -206,10 +285,18 @@ def validate_trace_columnar(
     port_of_rank: Sequence[int],
     per_bank_pim: bool = False,
     data_bus_scope: str = "channel",
-) -> None:
+    periodic: Optional[PeriodicOutcome] = None,
+) -> int:
     """Raise :class:`TimingViolation` on the first rule breach of a
     :class:`~repro.dram.columnar.ColumnarSchedule` (see the module
-    docstring for which breach is first)."""
+    docstring for which breach is first).
+
+    ``periodic`` is the :class:`~repro.dram.period.PeriodicOutcome` of
+    the run that produced the schedule, if any: the family checks then
+    run on the trace with most replayed images cut out when the trace
+    proves that sound (module docstring). Returns the rows the family
+    checks ran over.
+    """
     if data_bus_scope not in ("channel", "dimm", "rank"):
         raise TimingViolation(
             "config", 0, f"unknown data_bus_scope {data_bus_scope!r}"
@@ -217,13 +304,8 @@ def validate_trace_columnar(
     stream = schedule.stream
     n = stream.n
     if n == 0:
-        return
+        return 0
     t = schedule.issue_cycle.astype(np.int64)
-    kind = stream.kind.astype(np.int64)
-    rank = stream.rank.astype(np.int64)
-    bg = stream.bankgroup.astype(np.int64)
-    bank = stream.bank.astype(np.int64)
-
     channels = geometry.channels
     if channels > 1:
         ch = stream.channel.astype(np.int64)
@@ -244,6 +326,7 @@ def validate_trace_columnar(
     # Dependencies: every consumer must issue at or after each
     # dependency's completion.
     if len(stream.dep_indices):
+        kind = stream.kind.astype(np.int64)
         done = t + _latency_table(timing)[kind]
         rows = np.repeat(
             np.arange(n, dtype=np.int64), np.diff(stream.dep_indptr)
@@ -258,6 +341,40 @@ def validate_trace_columnar(
                 f"completed at {int(done[d])}",
             )
 
+    args = (timing, geometry, port_of_rank, per_bank_pim, data_bus_scope)
+    validated = 0
+    if periodic is not None and periodic.replays:
+        keep = _compressed(stream, t, periodic.replays, timing)
+        if keep is not None:
+            rows, cycles = keep
+            validated = len(rows)
+            if _families(
+                cycles, *_columns(stream, ch, rows), *args
+            ) is None:
+                return validated
+    first = _families(t, *_columns(stream, ch), *args)
+    if first is not None:
+        raise first
+    return validated + n
+
+
+def _columns(stream, ch, rows=None):
+    """(kind, rank, bankgroup, bank, row, channel) of ``rows`` (every
+    command when ``None``), as int64 arrays."""
+    columns = (stream.kind, stream.rank, stream.bankgroup, stream.bank,
+               stream.row, ch)
+    if rows is None:
+        return tuple(c.astype(np.int64) for c in columns)
+    return tuple(c[rows].astype(np.int64) for c in columns)
+
+
+def _families(t, kind, rank, bg, bank, row, ch, timing, geometry,
+              port_of_rank, per_bank_pim, data_bus_scope):
+    """The first breach of a per-command rule family (command bus, bank
+    row state, bank group, rank, data bus), or ``None``. Indices into
+    the arrays are the stream indices the messages name."""
+    n = len(t)
+    channels = geometry.channels
     t_ = timing
     is_col = _IS_COL[kind]
     is_int = _IS_INT[kind]
@@ -318,7 +435,7 @@ def validate_trace_columnar(
         # cycle-sorted order "last read" is the max).
         lr = _seg_excl_cummax(c, k_col & is_rd[o], seg)
         we = _seg_excl_cummax(wr_end[o], k_col & is_wr[o], seg)
-        rows_s = stream.row.astype(np.int64)[o]
+        rows_s = row[o]
 
         def bank_message(rule, q, o=o):
             key = bank_key(o[q])
@@ -423,9 +540,122 @@ def validate_trace_columnar(
 
     first = offenders.first(t, ch)
     if first is not None and (bus is None or first[0] <= bus[0]):
-        raise first[1]
-    if bus is not None:
-        raise bus[1]
+        return first[1]
+    return None if bus is None else bus[1]
+
+
+
+
+def _reach(timing: TimingParams) -> int:
+    """Cycles past a command within which any bounded rule can tie it
+    to another command (every rule but the open-row state): the cut
+    margins below are at least this wide."""
+    t = timing
+    data = t.tCL + t.tCWL + t.tBURST + max(TURNAROUND_GAP,
+                                           t.rank_switch_penalty)
+    return max(
+        stale_floor(t), data, t.tRP, t.tRAS, t.tRCD, t.tRTP,
+        t.tCWL + t.tBURST + max(t.tWR, t.tWTR_L, t.tWTR_S),
+        t.tCCD_L, t.tCCD_S, t.tPIM, t.tRRD_L, t.tRRD_S, t.tFAW,
+    )
+
+
+def _compressed(stream, t, replays, timing):
+    """``(rows, cycles)`` of the trace with every replay's cut taken
+    out and the commands above each cut moved down by it, or ``None``
+    when a replay's translation or neighbourhood check fails (or its
+    cut would touch another's). Replays too short to cut are left
+    whole."""
+    reach = _reach(timing)
+    cuts = []
+    for replay in replays:
+        cut = _cut(stream, t, replay, reach)
+        if cut is False:
+            return None
+        if cut is not None:
+            cuts.append(cut)
+    if not cuts:
+        return None
+    cuts.sort()
+    # Each cut's checked neighbourhood must lie clear of the next's.
+    for (_, _, _, hi), (lo, _, _, _) in zip(cuts, cuts[1:]):
+        if hi > lo:
+            return None
+    starts = np.array([c[1] for c in cuts], dtype=np.int64)
+    ends = np.array([c[2] for c in cuts], dtype=np.int64)
+    # Shift of a command: the lengths of the cuts that end at or below
+    # its cycle.
+    shift = np.concatenate([[0], np.cumsum(ends - starts)])
+    below = np.searchsorted(ends, t, side="right")
+    inside = np.searchsorted(starts, t, side="right") > below
+    rows = np.flatnonzero(~inside)
+    return rows, t[rows] - shift[below[rows]]
+
+
+def _cut(stream, t, replay, reach):
+    """``(lo, start, end, hi)`` for one replay: the images issued in
+    cycles ``[start, end)`` are cut, and only images of this replay
+    issue in ``[lo, hi)`` (the module docstring's ``Q``). ``None``
+    when the replay is too short to cut anything, ``False`` when a
+    check fails."""
+    P, delta, m = replay.period, replay.delta, replay.copies
+    events = np.asarray(replay.events, dtype=np.int64)
+    if (P < 1 or delta < 1 or m < 1 or len(events) != P
+            or int(events[0]) < 0 or int(events[-1]) + m * P >= stream.n
+            or bool((np.diff(events) <= 0).any())
+            # One event per residue: the images are distinct commands.
+            or int(np.bincount(events % P, minlength=P).max()) != 1):
+        return False
+    c = t[events]
+    c_min, c_max = int(c.min()), int(c.max())
+    # The cut starts a super-period plus the reach above every event
+    # and ends at least as far below the earliest event's last image.
+    start = c_max + delta + reach
+    k = (c_min + (m - 1) * delta + 1 - reach - start) // delta
+    if k < 1:
+        return None
+    end = start + k * delta
+    lo, hi = c_max, end + delta + reach
+    if not _translates(stream, t, events, P, delta, m):
+        return False
+    # Only this replay's images issue in [lo, hi): as many commands
+    # issue there as images u = 0..m of the events fall there.
+    first = np.clip(-((c - lo) // delta), 0, m + 1)
+    stop = np.clip(-((c - hi) // delta), 0, m + 1)
+    issued = np.count_nonzero((t >= lo) & (t < hi))
+    if issued != int((stop - first).sum()):
+        return False
+    return lo, start, end, hi
+
+
+def _translates(stream, t, events, P, delta, m) -> bool:
+    """Whether every image ``y = e + u * P`` (``1 <= u <= m``) repeats
+    command ``y - P``'s kind and coordinates ``delta`` cycles later.
+
+    Every index in ``(events[-1], events[0] + m * P]`` is an image, so
+    that span is compared slice against slice; the few images outside
+    it are gathered."""
+    columns = (stream.kind, stream.rank, stream.bankgroup, stream.bank,
+               stream.row, stream.channel)
+    a, b = int(events[-1]) + 1, int(events[0]) + m * P + 1
+    u = np.arange(1, m + 1, dtype=np.int64)
+    if a < b:
+        # Images below ``a`` have u <= w, images from ``b`` on u >= m - w.
+        w = (a - 1 - int(events[0])) // P
+        u = u[(u <= w) | (u >= m - w)]
+    images = (events[None, :] + P * u[:, None]).ravel()
+    if a < b:
+        images = images[(images < a) | (images >= b)]
+        if not (
+            all((col[a:b] == col[a - P:b - P]).all() for col in columns)
+            and (t[a:b] - t[a - P:b - P] == delta).all()
+        ):
+            return False
+    back = images - P
+    return bool(
+        all((col[images] == col[back]).all() for col in columns)
+        and (t[images] - t[back] == delta).all()
+    )
 
 
 def _data_bus(

@@ -44,6 +44,8 @@ _COUNTER_FIELDS = (
     "locks_confirmed",
     "commands_simulated",
     "commands_replayed",
+    "commands_prepared",
+    "commands_validated",
     "sweeps_extended",
 )
 _DICT_FIELDS = (
@@ -68,7 +70,10 @@ class EngineReport:
     ``super_periods``. ``commands_simulated``/``commands_replayed``
     split the commands of every schedule (full stream or warm sample,
     under every engine) into genuinely scheduled by the event loop vs
-    replayed from a locked steady cycle; ``sweeps_extended``
+    replayed from a locked steady cycle; ``commands_prepared`` counts
+    the commands whose per-command scheduling lists the loop built and
+    ``commands_validated`` the rows the trace checker's rule families
+    ran over (deterministic work counters); ``sweeps_extended``
     counts the sweeps the closed-form extension added on top of the
     warm sample. ``scheduling_paths`` histograms how every schedule
     the model ran was served: ``"single-channel"``,
@@ -85,6 +90,8 @@ class EngineReport:
     locks_confirmed: int = 0
     commands_simulated: int = 0
     commands_replayed: int = 0
+    commands_prepared: int = 0
+    commands_validated: int = 0
     sweeps_extended: int = 0
     fallback_reasons: dict = field(default_factory=dict)
     warm_widths: dict = field(default_factory=dict)
@@ -115,6 +122,10 @@ class EngineReport:
                 continue
             self.locks_confirmed += 1
             self._bump(self.super_periods, lock.sweeps_per_period)
+
+    def record_work(self, *, prepared: int = 0, validated: int = 0) -> None:
+        self.commands_prepared += prepared
+        self.commands_validated += validated
 
     def record_extension(self, sweeps: int) -> None:
         self.sweeps_extended += sweeps

@@ -500,7 +500,8 @@ class Dispatcher:
                 "engine_scheduling_path_total", {"path": path}, value=n
             )
         for name in (
-            "commands_simulated", "commands_replayed", "sweeps_extended"
+            "commands_simulated", "commands_replayed", "commands_prepared",
+            "commands_validated", "sweeps_extended",
         ):
             if report.get(name):
                 self.metrics.inc(

@@ -22,10 +22,11 @@ It schedules the kernel artifact's cached
 :class:`~repro.dram.columnar.ColumnarStream` on the columnar loop with
 the stream's period metadata, so locked steady-state sweeps are
 replayed in place rather than simulated (below); validates with the
-vectorized columnar checker (``validate=False`` skips checking
-entirely); and memoizes finished profiles by (design, full optimizer
-identity, precision) so one model instance serves arbitrarily many
-jobs. ``engine`` accepts every spelling of
+vectorized columnar checker, whose sorting rule families run over the
+simulated spans and the seams of each replay rather than the whole
+stream (``validate=False`` skips checking entirely); and memoizes
+finished profiles by (design, full optimizer identity, precision) so
+one model instance serves arbitrarily many jobs. ``engine`` accepts every spelling of
 :data:`~repro.dram.scheduler.ENGINE_SPELLINGS`; ``"periodic"`` adds
 warm-sample extrapolation (below), every other spelling schedules the
 full stream. ``benchmarks/bench_profile.py`` and
@@ -44,8 +45,10 @@ see :mod:`repro.dram.steady`). The model exploits this at two levels:
   in steady-state mode, which locks the cycle by fingerprinting the
   loop's state at sweep boundaries and replays the locked sweeps in
   place — byte-identical issue cycles and statistics, enforced by
-  golden and Hypothesis tests — and is validated by the same
-  vectorized columnar checker;
+  golden and Hypothesis tests — and is validated by the columnar
+  checker, which is given the run's replays: it proves each replayed
+  image a shifted copy on the trace and runs the rule families on the
+  trace with most images cut out (:mod:`repro.dram.validator`);
 
 * ``engine="periodic"`` additionally compiles only a small *warm sample*
   (a few sweeps per phase, enough for the lock to confirm plus the
@@ -305,6 +308,7 @@ class UpdatePhaseModel:
         ):
             result = scheduler.run(stream, period=period)
         self.report.record_outcome(result.periodic)
+        self.report.record_work(prepared=result.commands_prepared)
         stats = (
             TraceStats.merge_channels([result.stats] * channels)
             if channels > 1
@@ -317,14 +321,16 @@ class UpdatePhaseModel:
             with span(
                 "engine.validate", commands=result.columnar.stream.n
             ):
-                validate_trace_columnar(
+                validated = validate_trace_columnar(
                     result.columnar,
                     self.timing,
                     geometry,
                     issue_model.port_of_rank,
                     per_bank_pim=config.per_bank_pim,
                     data_bus_scope=config.data_bus_scope,
+                    periodic=result.periodic,
                 )
+            self.report.record_work(validated=validated)
         if channels > 1:
             n_params *= channels
             offchip_accesses *= channels
@@ -490,6 +496,7 @@ class UpdatePhaseModel:
             reasons.add(FALLBACK_DEADLOCK)
             return None
         outcome = result.periodic
+        self.report.record_work(prepared=result.commands_prepared)
         self.report.record_scheduling_path("steady-warm")
         self.report.record_outcome(outcome)
         if not outcome.all_locked:
@@ -521,14 +528,16 @@ class UpdatePhaseModel:
             with span(
                 "engine.validate", commands=result.columnar.stream.n
             ):
-                validate_trace_columnar(
+                validated = validate_trace_columnar(
                     result.columnar,
                     self.timing,
                     geometry,
                     issue_model.port_of_rank,
                     per_bank_pim=config.per_bank_pim,
                     data_bus_scope=config.data_bus_scope,
+                    periodic=result.periodic,
                 )
+            self.report.record_work(validated=validated)
         stats = result.stats
         ext = TraceStats()
         ext.counts = dict(stats.counts)

@@ -15,6 +15,11 @@ both directions. These tests enforce:
   range) match the reference loop's scalar messages exactly;
 * re-scheduling the same stream object is byte-identical, and the
   returned issue-cycle vector is read-only;
+* the loop's static per-command lists, built on demand, change no
+  schedule: a replayed full-row stream builds under a quarter of them
+  and still matches a plain run and the reference loop, and streams
+  whose unbuilt chunks are first visited at a REF or MRW schedule
+  exactly;
 * the frozen columns refuse in-place mutation;
 * ``validate_trace_columnar`` accepts what the family-by-family
   oracle accepts, and rejects seeded corruptions with the exception
@@ -31,10 +36,10 @@ from oracle import (
     build_dependents,
     validate_trace_thorough,
 )
-from repro.dram.columnar import ColumnarStream
+from repro.dram.columnar import ColumnarStream, _Prepared
 from repro.dram.commands import Command, CommandType
 from repro.dram.period import StreamPeriod
-from repro.dram.scheduler import CommandScheduler
+from repro.dram.scheduler import CommandScheduler, IssueModel
 from repro.dram.timing import DDR4_2133
 from repro.dram.validator import validate_trace, validate_trace_columnar
 from repro.errors import SimulationError, TimingViolation
@@ -232,6 +237,90 @@ class TestRescheduling:
         for art in model._streams.values():
             built = {"columnar", "dependents"} & set(vars(art))
             assert len(built) == 1, built
+
+
+class TestLazyLists:
+    """The cold loop builds its static per-command lists on demand
+    (``_Prepared.build``): a replayed stream builds few of them, and
+    the schedule never changes."""
+
+    def test_locked_full_row_stream_matches_plain_and_reference(self):
+        model = UpdatePhaseModel(columns_per_stripe=128)
+        config = DESIGNS[DesignPoint.GRADPIM_BUFFERED]
+        _, _, period, art = model._build_stream(
+            config, build_optimizer("sgd"), PRECISIONS["32/32"]
+        )
+        kwargs = dict(
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope,
+        )
+        issue_model = config.issue_model(GEOM)
+        scheduler = CommandScheduler(T, GEOM, issue_model, **kwargs)
+        replayed = scheduler.run(art.columnar, period=period)
+        plain = scheduler.run(art.columnar)
+        reference = ReferenceScheduler(T, GEOM, issue_model, **kwargs).run(
+            art.commands
+        )
+        assert replayed.periodic.engaged
+        assert replayed.issue_cycles() == plain.issue_cycles()
+        assert replayed.issue_cycles() == reference.issue_cycles()
+        assert replayed.stats == plain.stats == reference.stats
+        n = art.columnar.n
+        assert plain.commands_prepared == n
+        assert replayed.commands_prepared < n // 4
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4])
+    def test_first_visit_to_a_chunk_at_an_other_kind_command(
+        self, chunk, monkeypatch
+    ):
+        """REF and MRW (the loop's ``_OTHER`` kinds) open every chunk:
+        the scan's first visit to each unbuilt chunk lands on one."""
+        monkeypatch.setattr(_Prepared, "CHUNK", chunk)
+        commands = []
+        for k in range(12):
+            bank = k % 4
+            commands += [
+                Command(CommandType.REF if k % 3 else CommandType.MRW,
+                        rank=k % 2),
+                Command(CommandType.ACT, rank=k % 2, bank=bank, row=k),
+                Command(CommandType.SCALED_READ, rank=k % 2, bank=bank,
+                        row=k, deps=(len(commands) + 1,)),
+                Command(CommandType.PRE, rank=k % 2, bank=bank,
+                        deps=(len(commands) + 2,)),
+            ]
+        stream = ColumnarStream.from_commands(commands)
+        for ports in ((0, 0, 0, 0), (0, 1, 2, 3)):
+            issue_model = IssueModel("test", ports)
+            result = CommandScheduler(T, GEOM, issue_model).run(stream)
+            reference = ReferenceScheduler(T, GEOM, issue_model).run(
+                commands
+            )
+            assert result.issue_cycles() == reference.issue_cycles()
+            assert result.stats == reference.stats
+            assert result.commands_prepared == len(commands)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_replayed_kernel_with_mrw_at_any_chunk_size(
+        self, chunk, monkeypatch
+    ):
+        monkeypatch.setattr(_Prepared, "CHUNK", chunk)
+        model = UpdatePhaseModel(columns_per_stripe=32)
+        config = DESIGNS[DesignPoint.GRADPIM_DIRECT]
+        _, _, period, art = model._build_stream(
+            config, build_optimizer("momentum_sgd"), PRECISIONS["8/32"]
+        )
+        assert CommandType.MRW in {cmd.kind for cmd in art.commands}
+        kwargs = dict(data_bus_scope=config.data_bus_scope)
+        issue_model = config.issue_model(GEOM)
+        result = CommandScheduler(T, GEOM, issue_model, **kwargs).run(
+            art.columnar, period=period
+        )
+        reference = ReferenceScheduler(T, GEOM, issue_model, **kwargs).run(
+            art.commands
+        )
+        assert result.periodic.engaged
+        assert result.issue_cycles() == reference.issue_cycles()
+        assert result.stats == reference.stats
 
 
 class TestColumnarValidator:

@@ -21,6 +21,8 @@ that never locks) simulates for real. These tests enforce the contract:
   columns_per_stripe);
 * the numpy replay against the per-command replay oracle: from the
   same locked state, both leave the loop in the same state;
+* the stale-floor guard: matching fingerprints do not lock when an
+  issue between them dipped to the stale zone;
 * the keyed lock lookup against a linear scan over every earlier
   boundary, on streams whose machine cycle spans up to 21 sweeps.
 """
@@ -40,6 +42,7 @@ from oracle import (
     replay_reference,
     settings,
 )
+from repro.dram.columnar import ColumnarStream
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import CommandScheduler
 from repro.dram.period import PeriodSegment, SegmentRecorder, StreamPeriod
@@ -376,11 +379,12 @@ class TestHypothesisEquivalence:
 # ----------------------------------------------------------------------
 def _twin(tracker):
     """``tracker`` bound to a private copy of its loop state (the
-    read-only latency and CSR lists stay shared)."""
+    read-only latency list stays shared; out-edges are read from the
+    stream)."""
     prep = tracker.prep
     twin = copy.copy(tracker)
     twin.prep = SimpleNamespace(
-        lat=prep.lat, optr=prep.optr, oidx=prep.oidx,
+        lat=prep.lat,
         ndeps=list(prep.ndeps), nxt=list(prep.nxt), prv=list(prep.prv),
         heads=list(prep.heads), tails=list(prep.tails),
     )
@@ -449,7 +453,8 @@ def _replays(design, optimizer="momentum_sgd", precision="8/32",
         twin = _twin(tracker)
         replay_reference(twin, events, m, P, delta, anchor)
         numpy_replay(tracker, events, m, P, delta, anchor)
-        optr, oidx = tracker.prep.optr, tracker.prep.oidx
+        optr = tracker.stream.out_indptr.tolist()
+        oidx = tracker.stream.out_indices.tolist()
         last = max(images)
         past = sum(
             j > last for x in images for j in oidx[optr[x]:optr[x + 1]]
@@ -503,6 +508,41 @@ class TestReplayOracle:
 def test_stale_floor_positive():
     for timing in PRESETS.values():
         assert stale_floor(timing) > 0
+
+
+def _guard_tracker(dip):
+    """A tracker over a 2-command-per-sweep segment, driven by hand
+    through two boundaries whose fingerprints match: commands 0 and 1
+    cross boundaries 0 and 1 at cycles 100 and 110, and command 2 is
+    issued ahead of the frontier, between them, at cycle ``dip``."""
+    stream = ColumnarStream.from_commands(
+        [Command(CommandType.PIM_ADD) for _ in range(16)]
+    )
+    period = StreamPeriod(
+        segments=(PeriodSegment(start=0, end=16, period=2),), columns=8
+    )
+    tracker = SteadyTracker(period, stream, T, window=4)
+    issue = [-1] * stream.n
+    tracker.attach(
+        SimpleNamespace(heads=[], nxt=[], ndeps=[], n_ports=1),
+        timers=(), shape=(), act_windows=[], issue=issue,
+        completion=[0] * stream.n, dep_ready=[0] * stream.n,
+        caches=(),
+    )
+    for i, cycle in ((0, 100), (2, dip), (1, 110)):
+        issue[i] = cycle
+        assert tracker.issued(i, cycle, 0) == 0
+    return tracker
+
+
+def test_stale_floor_guard_refuses_a_dipping_match():
+    """Two boundaries with equal fingerprints lock only if no matched
+    issue dipped to ``anchor - floor // 2`` or below: such an issue
+    could be bound by a timer the fingerprint compared as stale, so
+    the match proves nothing (``SteadyTracker.issued``'s guard)."""
+    floor = stale_floor(T)
+    assert _guard_tracker(100 - floor // 2 + 1).outcome.locks[0] is not None
+    assert _guard_tracker(100 - floor // 2).outcome.locks == [None]
 
 
 # ----------------------------------------------------------------------

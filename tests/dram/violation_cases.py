@@ -241,6 +241,37 @@ def scheduled(design, columns=32, channels=1) -> Case:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def replayed(design, optimizer="momentum_sgd", columns=64, plain=False):
+    """``(case, outcome)``: a design's 8/32 trace scheduled with
+    steady-state replay, and the run's
+    :class:`~repro.dram.period.PeriodicOutcome`. ``plain`` schedules
+    the same stream without period metadata (the trace is the same;
+    the outcome still comes from the replayed run)."""
+    config = DESIGNS[design]
+    model = UpdatePhaseModel(columns_per_stripe=columns)
+    *_, period, artifact = model._build_stream(
+        config, build_optimizer(optimizer), PRECISIONS["8/32"]
+    )
+    issue_model = config.issue_model(GEOM)
+    scheduler = CommandScheduler(
+        T, GEOM, issue_model,
+        per_bank_pim=config.per_bank_pim,
+        data_bus_scope=config.data_bus_scope,
+    )
+    result = scheduler.run(artifact.columnar, period=period)
+    outcome = result.periodic
+    if plain:
+        result = scheduler.run(artifact.columnar)
+    return Case(
+        result.columnar, GEOM, tuple(issue_model.port_of_rank),
+        dict(
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope,
+        ),
+    ), outcome
+
+
 def corrupted(case: Case, shifts: dict, unissued=(), **kwargs) -> Case:
     """``case`` with ``issue[i] = max(0, issue[i] + shift)`` for every
     ``i: shift`` in ``shifts`` and ``issue[i] = -1`` for every ``i`` in

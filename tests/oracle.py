@@ -671,7 +671,11 @@ def replay_reference(tracker, events, m: int, P: int, delta: int,
                 prv[q] = p
             else:
                 tails[port] = p
-    optr, oidx, ndeps = prep.optr, prep.oidx, prep.ndeps
+    # The loop builds its static lists on demand and images' may be
+    # unbuilt: read their out-edges from the stream's columns.
+    optr = tracker.stream.out_indptr.tolist()
+    oidx = tracker.stream.out_indices.tolist()
+    ndeps = prep.ndeps
     for i, cycle, _port in events:
         done = cycle + lat[i]
         for t in range(1, m + 1):

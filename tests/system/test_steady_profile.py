@@ -5,7 +5,8 @@
 every derived float computed from the same integers by the same
 expressions. These tests pin that contract across the design x
 optimizer x precision x sample-width grid, the fallback behaviour, and
-the refresh-derate guard satellite.
+the refresh-derate guard satellite; and they pin the default engine's
+deterministic work counters on two full-row configs.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.scheduler import CommandScheduler
-from repro.dram.timing import DDR4_2133, HBM_LIKE
+from repro.dram.timing import DDR4_2133, HBM_LIKE, PRESETS
 from repro.errors import ConfigError
 from repro.optim.precision import PRECISIONS
 from repro.optim.registry import build_optimizer
@@ -155,6 +156,34 @@ class TestDefaultEngineReplay:
         for scheduler, stream, period, result in runs:
             assert period is not None
             assert result.stats == plain_run(scheduler, stream).stats
+
+
+    @pytest.mark.parametrize(
+        "workload, counts",
+        [
+            (("momentum_sgd", "8/32", "DDR4-2133"),
+             (20224, 119856, 24880, 46832)),
+            (("sgd", "32/32", "DDR4-3200"),
+             (8712, 71584, 10664, 23400)),
+        ],
+        ids=lambda v: "-".join(map(str, v)),
+    )
+    def test_full_row_work_counters(self, workload, counts):
+        """Deterministic work of a full-row config over the six
+        designs: commands simulated and replayed, commands whose
+        per-command loop lists were built, and rows the validator's
+        rule families ran over. More work fails this whatever the host
+        noise; a change that does less updates the pins."""
+        optimizer, precision, timing = workload
+        model = UpdatePhaseModel(
+            timing=PRESETS[timing], columns_per_stripe=128
+        )
+        model.profiles(build_optimizer(optimizer), PRECISIONS[precision])
+        report = model.report
+        assert (
+            report.commands_simulated, report.commands_replayed,
+            report.commands_prepared, report.commands_validated,
+        ) == counts
 
 
 class TestRefreshDerateGuard:
