@@ -13,7 +13,7 @@ service pool, the HTTP gateway — reports through this package:
   processes. Disabled by default; the off path is a single module
   attribute check.
 * :mod:`repro.obs.report` — :class:`EngineReport`, the scheduler-engine
-  flight recorder: lock attempts, escalation rungs, super-periods,
+  flight recorder: lock attempts, warm samples, super-periods,
   replayed-vs-simulated work, fallback *reasons*, and channel
   scheduling paths, serialized through the service envelope and
   aggregated into ``/metrics``.

@@ -2,7 +2,7 @@
 
 :class:`EngineReport` is the structured, mergeable record of what
 :class:`~repro.system.update_model.UpdatePhaseModel`'s engines
-actually did — warm-sample escalation rungs, lock attempts and
+actually did — warm samples and their widths, lock attempts and
 confirmations, super-period lengths, replayed-vs-simulated sweeps,
 *why* each fallback to full simulation happened, and which scheduling
 path served each schedule.
@@ -23,14 +23,12 @@ from typing import Mapping, Optional
 #: constants so the dispatcher's metric labels and the tests agree on
 #: spelling.
 FALLBACK_NO_METADATA = "no-metadata"
-FALLBACK_HORIZON_EXCEEDED = "horizon-exceeded"
 FALLBACK_DEADLOCK = "deadlock"
 FALLBACK_NO_LOCK = "no-lock"
 FALLBACK_ECONOMICS = "economics"
 
 FALLBACK_REASONS = (
     FALLBACK_NO_METADATA,
-    FALLBACK_HORIZON_EXCEEDED,
     FALLBACK_DEADLOCK,
     FALLBACK_NO_LOCK,
     FALLBACK_ECONOMICS,
@@ -63,12 +61,13 @@ class EngineReport:
     ``fast_path`` counts steady-state extrapolations, ``fallback`` full
     simulations under ``engine="periodic"`` (with the *reason* tallied
     in ``fallback_reasons``), ``warm_runs`` warm samples scheduled —
-    broken down by warm width in ``warm_widths`` (the escalation-ladder
-    rungs actually climbed). ``lock_attempts``/``locks_confirmed``
-    count per-segment steady-cycle locks, with confirmed super-period
-    lengths (sweeps per machine cycle) histogrammed in
-    ``super_periods``. ``commands_simulated``/``commands_replayed``
-    split the commands of every schedule (full stream or warm sample,
+    broken down by warm width in ``warm_widths`` (at most two per
+    profile: the warm sample and one realigned retry).
+    ``lock_attempts``/``locks_confirmed`` count per-segment
+    steady-cycle locks, with confirmed super-period lengths (sweeps
+    per machine cycle) histogrammed in ``super_periods``.
+    ``commands_simulated``/``commands_replayed`` split the commands
+    of every schedule (full stream or warm sample,
     under every engine) into genuinely scheduled by the event loop vs
     replayed from a locked steady cycle; ``commands_prepared`` counts
     the commands whose per-command scheduling lists the loop built and

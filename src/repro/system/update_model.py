@@ -50,21 +50,25 @@ see :mod:`repro.dram.steady`). The model exploits this at two levels:
   image a shifted copy on the trace and runs the rule families on the
   trace with most images cut out (:mod:`repro.dram.validator`);
 
-* ``engine="periodic"`` additionally compiles only a small *warm sample*
-  (a few sweeps per phase, enough for the lock to confirm plus the
-  lookahead-contaminated tail) and closes the form for the requested
-  ``columns_per_stripe``: per-segment cycle deltas and command counts
-  scale arithmetically, so the profiling cost is O(period) — flat in
-  the sample width — instead of O(window x commands).
+* ``engine="periodic"`` additionally profiles a small *warm sample*
+  first (a few sweeps per phase, enough for the lock to confirm plus
+  the lookahead-contaminated tail), scheduled and validated by the
+  same code path as a full stream, and closes the form for the
+  requested ``columns_per_stripe``: per-segment cycle deltas and
+  command counts scale arithmetically, so the profiling cost is
+  O(period) — flat in the sample width — instead of O(window x
+  commands). Each profile spends one warm run, plus one retry at a
+  realigned width when a lock's machine cycle does not divide the
+  extension.
 
 **Exactness is the contract**: the extrapolated ``UpdateProfile`` is
 byte-identical to what the columnar engine produces on the full stream
 (every count is extended by exact integers, and every derived float is
-computed from the same integers by the same expressions). Whenever a
-lock fails — irregular streams, sample windows too small to settle,
-phase patterns that never stabilise — the model transparently falls
-back to scheduling the full stream as the other spellings do, and the
-trace validator runs on whatever was actually simulated. The model's
+computed from the same integers by the same expressions). Whenever the
+warm sample does not lock — irregular streams, machine cycles longer
+than the sample — the model transparently falls back to scheduling the
+full stream as the other spellings do, and the trace validator runs on
+whatever was actually simulated. The model's
 ``report`` — an :class:`~repro.obs.report.EngineReport` flight
 recorder — records which path served each profile and *why* fallbacks
 happened.
@@ -89,7 +93,6 @@ from repro.obs.report import (
     EngineReport,
     FALLBACK_DEADLOCK,
     FALLBACK_ECONOMICS,
-    FALLBACK_HORIZON_EXCEEDED,
     FALLBACK_NO_LOCK,
     FALLBACK_NO_METADATA,
 )
@@ -168,6 +171,22 @@ def _optimizer_key(optimizer) -> tuple:
     )
 
 
+def _realign(period, outcome, extra: int) -> Optional[int]:
+    """Columns per stripe a locked warm sample must widen by before it
+    extends by ``extra``, or ``None`` when a segment did not lock.
+
+    The extension inserts whole machine cycles into every segment, so
+    ``extra`` must divide by each segment's cycle span (columns per
+    sweep x sweeps per cycle): 0 when it does.
+    """
+    if not outcome.all_locked:
+        return None
+    return extra % math.lcm(*(
+        seg.columns_per_sweep * lock.sweeps_per_period
+        for seg, lock in zip(period.segments, outcome.locks)
+    ))
+
+
 class UpdatePhaseModel:
     """Profiles and caches update-phase behaviour per design point."""
 
@@ -195,8 +214,8 @@ class UpdatePhaseModel:
         sample and closed arithmetically for the requested
         ``columns_per_stripe``, falling back to full simulation when
         no steady cycle locks. The warm sample width (columns per
-        stripe) is sized from the precision's packing ratio and
-        escalates if the sample proves too short to lock."""
+        stripe) is sized from the precision's packing ratio; a sample
+        too short to lock falls back rather than growing."""
         self.timing = timing
         self.geometry = geometry
         self.columns_per_stripe = columns_per_stripe
@@ -207,8 +226,8 @@ class UpdatePhaseModel:
         self.fused_baseline = fused_baseline
         self.engine = resolve_engine(engine)
         #: Engine flight recorder: how profiles were produced (fast
-        #: path vs fallback, with reasons), warm-sample escalation,
-        #: lock outcomes, replayed-vs-simulated sweeps, and scheduling
+        #: path vs fallback, with reasons), warm samples, lock
+        #: outcomes, replayed-vs-simulated sweeps, and scheduling
         #: paths. See :class:`repro.obs.report.EngineReport`.
         self.report = EngineReport(engine=self.engine)
         self._cache: dict[tuple, UpdateProfile] = {}
@@ -216,9 +235,9 @@ class UpdatePhaseModel:
         # the same kernel (GradPIM-DR / GradPIM-BD differ only in how
         # commands are issued; Baseline / TensorDIMM likewise).
         # Bounded FIFO: reuse happens within one profiling burst (the
-        # sibling design, the warm-escalation rungs), while finished
-        # profiles are memoized separately — unbounded retention of
-        # command lists would leak in long-lived service workers.
+        # sibling design), while finished profiles are memoized
+        # separately — unbounded retention of command lists would leak
+        # in long-lived service workers.
         self._streams: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
@@ -286,10 +305,38 @@ class UpdatePhaseModel:
     ) -> UpdateProfile:
         """Schedule the full sample stream, replaying its locked
         steady-state sweeps, and derive the profile."""
-        with span("model.build_stream", design=design.value):
-            built = self._build_stream(config, optimizer, precision)
+        stats, n_params, offchip_accesses, _, _, _ = self._schedule(
+            design, config, optimizer, precision
+        )
+        return self._finish_profile(
+            design, optimizer, precision, stats, n_params,
+            offchip_accesses, config.effective_channels(self.geometry),
+        )
+
+    def _schedule(
+        self, design, config, optimizer, precision, warm=None, extra=0
+    ):
+        """Build one sample stream, schedule it with steady-state
+        replay, record the work and validate the trace.
+
+        The sample is the model's width, or a ``warm`` sample that many
+        columns per stripe wide, which the caller extends by ``extra``
+        columns. Returns one channel's ``(stats, n_params, offchip,
+        outcome, period, shift)``, where ``shift`` is a warm sample's
+        :func:`_realign` (``None`` for the model's width). A warm sample
+        returns ``None`` when its stream has no periodic segment to
+        lock onto, and is validated only when its locks extend it
+        (``shift`` is 0): the caller falls back or realigns otherwise.
+        """
+        with span("model.build_stream", design=design.value, warm=warm):
+            built = self._build_stream(
+                config, optimizer, precision, columns_per_stripe=warm
+            )
         n_params, offchip_accesses, period, artifact = built
-        stream = artifact.columnar
+        if warm is not None:
+            if period is None or not period.segments:
+                return None
+            self.report.record_warm_run(warm)
         # Channels are embarrassingly parallel: every channel runs the
         # same steady-state sample over its own parameter slice. The
         # replicas are identical streams and the scheduler is
@@ -303,21 +350,21 @@ class UpdatePhaseModel:
         with span(
             "engine.schedule",
             engine=self.engine,
-            commands=stream.n,
+            commands=artifact.columnar.n,
             channels=channels,
+            warm=warm,
         ):
-            result = scheduler.run(stream, period=period)
-        self.report.record_outcome(result.periodic)
+            result = scheduler.run(artifact.columnar, period=period)
+        outcome = result.periodic
+        self.report.record_outcome(outcome)
         self.report.record_work(prepared=result.commands_prepared)
-        stats = (
-            TraceStats.merge_channels([result.stats] * channels)
-            if channels > 1
-            else result.stats
-        )
         self.report.record_scheduling_path(
-            "serial-replicated" if channels > 1 else "single-channel"
+            "steady-warm" if warm is not None
+            else "serial-replicated" if channels > 1
+            else "single-channel"
         )
-        if self.validate:
+        shift = None if warm is None else _realign(period, outcome, extra)
+        if self.validate and (warm is None or shift == 0):
             with span(
                 "engine.validate", commands=result.columnar.stream.n
             ):
@@ -328,41 +375,26 @@ class UpdatePhaseModel:
                     issue_model.port_of_rank,
                     per_bank_pim=config.per_bank_pim,
                     data_bus_scope=config.data_bus_scope,
-                    periodic=result.periodic,
+                    periodic=outcome,
                 )
             self.report.record_work(validated=validated)
-        if channels > 1:
-            n_params *= channels
-            offchip_accesses *= channels
-        return self._finish_profile(
-            design, optimizer, precision, stats, n_params,
-            offchip_accesses,
-        )
+        return result.stats, n_params, offchip_accesses, outcome, period, shift
 
     #: Generated streams kept for reuse (see ``_streams``).
     STREAM_CACHE_MAX = 8
 
-    def _cache_stream(self, key: tuple, stream) -> None:
-        self._streams[key] = stream
-        while len(self._streams) > self.STREAM_CACHE_MAX:
-            self._streams.pop(next(iter(self._streams)))
-
     # ------------------------------------------------------------------
-    #: Warm-sample escalation ladder: sweeps per packed (ratio-grouped)
-    #: phase. Each attempt compiles and schedules a warm stream of
-    #: ``sweeps * ratio`` columns per stripe; escalation stops at the
-    #: first whose steady cycle locks in every segment with a clean
-    #: tail margin (locks confirm around sweep 3-6 and the
-    #: contamination tail spans ~2 sweeps, which sets the bottom
-    #: rung). Buffered command generation settles a couple of sweeps
+    #: Warm-sample width in sweeps per packed (ratio-grouped) phase: a
+    #: warm stream of ``sweeps * ratio`` columns per stripe, enough for
+    #: most locks to confirm (around sweep 3-6) plus the ~2-sweep
+    #: contamination tail. Buffered command generation settles a sweep
     #: later than a single direct port (four interleaved issue
-    #: streams), so those designs start one rung up.
-    WARM_SWEEP_LADDER = (6, 8, 12)
-    WARM_SWEEP_LADDER_BUFFERED = (7, 9, 12)
-    #: AoS kernels sweep one column per stripe whatever the precision,
-    #: and AoS-PB's machine cycle spans up to thirteen sweeps (momentum
-    #: at DDR4-3200): absolute column counts.
-    WARM_SWEEPS_AOS = (12, 24, 32)
+    #: streams).
+    WARM_SWEEPS = 6
+    WARM_SWEEPS_BUFFERED = 7
+    #: AoS kernels sweep one column per stripe whatever the precision:
+    #: an absolute column count.
+    WARM_COLUMNS_AOS = 12
 
     def _profile_steady(
         self, design, config, optimizer, precision
@@ -370,175 +402,66 @@ class UpdatePhaseModel:
         """Extrapolate the profile from a warm sample (module docstring).
 
         Returns ``(profile, None)`` on success, or ``(None, reason)``
-        when extrapolation does not apply — the sample is not wider
-        than the warm floor, or no steady cycle locks — letting the
-        caller fall back to full simulation with the reason recorded
-        on the flight recorder.
+        when extrapolation does not apply — the warm sample is not
+        narrow enough to pay, or no steady cycle locks in it — letting
+        the caller fall back to full simulation with the reason
+        recorded on the flight recorder. A sample whose locks demand
+        another width is retried once at that width.
         """
-        ratio = 1 if precision.is_full else precision.ratio
         if config.update_kind == UPDATE_AOS_KERNEL:
             # AoS kernels build exactly the requested width (structure
             # columns are precision-agnostic) — extrapolating to a
             # packing-rounded width would silently profile a wider
             # kernel than full simulation runs.
-            ratio = 1
-        k_full = ceil_div(self.columns_per_stripe, ratio) * ratio
-        if config.update_kind == UPDATE_AOS_KERNEL:
-            # AoS sweeps one column per stripe regardless of the
-            # packing ratio, and its per-bank variant settles into
-            # machine cycles as long as thirteen sweeps — absolute
-            # sweep counts, realign retries for the long cycles.
-            candidates = list(self.WARM_SWEEPS_AOS)
+            k_full = self.columns_per_stripe
+            k_warm = self.WARM_COLUMNS_AOS
         else:
-            # Pre-align to the common machine cycles (q <= 3, and
-            # the packed phases' ratio-column sweeps), so a
-            # momentum/RMSProp kernel extrapolates from the first
-            # warm run instead of paying a realignment retry.
-            ladder = (
-                self.WARM_SWEEP_LADDER_BUFFERED
+            ratio = 1 if precision.is_full else precision.ratio
+            k_full = ceil_div(self.columns_per_stripe, ratio) * ratio
+            sweeps = ratio * (
+                self.WARM_SWEEPS_BUFFERED
                 if config.buffered_commands
                 and config.update_kind == UPDATE_PIM_KERNEL
                 or config.update_kind == UPDATE_NMP_STREAM
-                else self.WARM_SWEEP_LADDER
+                else self.WARM_SWEEPS
             )
-            align_span = 3 * ratio
-            candidates = [
-                s * ratio + (k_full - s * ratio) % align_span
-                for s in ladder
-            ]
+            # Pre-align to the common machine cycles (q <= 3, and the
+            # packed phases' ratio-column sweeps), so a momentum/RMSProp
+            # kernel extrapolates from the first warm run instead of
+            # paying a realigned retry.
+            k_warm = sweeps + (k_full - sweeps) % (3 * ratio)
         # Economics: the warm run costs O(k_warm) — extrapolation only
         # pays when the sample is meaningfully narrower than the
         # request.
         ceiling = k_full * 2 // 3
-        tried: set[int] = set()
-        reasons: set[str] = set()
-        hopeless = False
-        while candidates:
-            k_warm = candidates.pop(0)
-            if k_warm in tried or k_warm > ceiling or k_warm < ratio:
-                continue
-            tried.add(k_warm)
-            extended = self._extrapolate_from_warm(
-                design, config, optimizer, precision, k_warm, k_full,
-                reasons,
-            )
-            if extended is None:
-                continue
-            if extended == "hopeless":
-                # A segment with plenty of sweeps never settled into a
-                # machine cycle; a wider sample will not change that.
-                hopeless = True
-                break
-            if isinstance(extended, int):
-                # Super-period alignment: retry at the width the locks
-                # demand (front of the queue, before escalating).
-                if extended not in tried:
-                    candidates.insert(0, extended)
-                continue
-            stats, n_params, offchip_accesses = extended
-            channels = config.effective_channels(self.geometry)
-            if channels > 1:
-                stats = TraceStats.merge_channels([stats] * channels)
-                n_params *= channels
-                offchip_accesses *= channels
-            return self._finish_profile(
-                design, optimizer, precision, stats, n_params,
-                offchip_accesses,
-            ), None
-        # Fallback classification, most diagnostic reason first.
-        if hopeless:
-            reason = FALLBACK_HORIZON_EXCEEDED
-        elif not tried:
-            # No candidate was narrow enough to beat full simulation.
-            reason = FALLBACK_ECONOMICS
-        elif FALLBACK_DEADLOCK in reasons:
-            reason = FALLBACK_DEADLOCK
-        elif len(reasons) == 1:
-            reason = next(iter(reasons))
-        else:
-            reason = FALLBACK_NO_LOCK
-        return None, reason
-
-    def _extrapolate_from_warm(
-        self, design, config, optimizer, precision, k_warm, k_full,
-        reasons: set,
-    ):
-        """One warm run: returns ``(stats, n_params, offchip)`` on a
-        clean lock, a realigned warm width (int) when a super-period
-        misaligns the extension, or ``None`` — adding the failure's
-        fallback reason to ``reasons``."""
-        with span(
-            "model.build_stream", design=design.value, warm=k_warm
-        ):
-            built = self._build_stream(
-                config, optimizer, precision, columns_per_stripe=k_warm
-            )
-        n_params, offchip_accesses, period, artifact = built
-        if period is None or not period.segments:
-            reasons.add(FALLBACK_NO_METADATA)
-            return None
-        self.report.record_warm_run(k_warm)
-        geometry = self._one_channel()
-        issue_model = config.issue_model(geometry)
-        scheduler = self._scheduler(config, geometry, issue_model)
-        try:
-            with span(
-                "engine.schedule",
-                engine="periodic",
-                commands=artifact.columnar.n,
-                warm=k_warm,
-            ):
-                result = scheduler.run(artifact.columnar, period=period)
-        except SimulationError:
-            # The warm sample deadlocked; let the fallback simulate
-            # the full stream (and surface the real error if it
-            # deadlocks too) rather than dying on the sample.
-            reasons.add(FALLBACK_DEADLOCK)
-            return None
-        outcome = result.periodic
-        self.report.record_work(prepared=result.commands_prepared)
-        self.report.record_scheduling_path("steady-warm")
-        self.report.record_outcome(outcome)
-        if not outcome.all_locked:
-            for seg, lock in zip(period.segments, outcome.locks):
-                if lock is None and seg.sweeps >= 16:
-                    return "hopeless"
-            reasons.add(FALLBACK_NO_LOCK)
-            return None
-        # The extension inserts whole super-periods into every segment:
-        # the added sweeps must divide by each segment's machine cycle.
-        extra = k_full - k_warm
-        realign = 0
-        for seg, lock in zip(period.segments, outcome.locks):
-            cycle_span = seg.columns_per_sweep * lock.sweeps_per_period
-            if extra % cycle_span:
-                realign = max(realign, cycle_span)
-        if realign:
-            shift = extra % math.lcm(*(
-                seg.columns_per_sweep * lock.sweeps_per_period
-                for seg, lock in zip(period.segments, outcome.locks)
-            ))
-            if k_warm + shift < k_full:
-                return k_warm + shift
-            # The locks demand a realigned sample at least as wide as
-            # the full request — extrapolating buys nothing.
-            reasons.add(FALLBACK_ECONOMICS)
-            return None
-        if self.validate:
-            with span(
-                "engine.validate", commands=result.columnar.stream.n
-            ):
-                validated = validate_trace_columnar(
-                    result.columnar,
-                    self.timing,
-                    geometry,
-                    issue_model.port_of_rank,
-                    per_bank_pim=config.per_bank_pim,
-                    data_bus_scope=config.data_bus_scope,
-                    periodic=result.periodic,
+        for _ in range(2):
+            if k_warm > ceiling:
+                return None, FALLBACK_ECONOMICS
+            extra = k_full - k_warm
+            try:
+                sample = self._schedule(
+                    design, config, optimizer, precision, k_warm, extra
                 )
-            self.report.record_work(validated=validated)
-        stats = result.stats
+            except SimulationError:
+                # The warm sample deadlocked; let the fallback simulate
+                # the full stream (and surface the real error if it
+                # deadlocks too) rather than dying on the sample.
+                return None, FALLBACK_DEADLOCK
+            if sample is None:
+                return None, FALLBACK_NO_METADATA
+            stats, n_params, _, outcome, period, shift = sample
+            if shift is None:
+                return None, FALLBACK_NO_LOCK
+            if not shift:
+                break
+            # A super-period misaligns the extension: retry once at
+            # the width the locks demand.
+            k_warm += shift
+        else:
+            # The retry's own locks misalign it too: no usable lock.
+            return None, FALLBACK_NO_LOCK
+        # The closed form: insert ``extra`` columns per stripe of
+        # locked machine cycles into every segment (exact integers).
         ext = TraceStats()
         ext.counts = dict(stats.counts)
         ext.total_cycles = stats.total_cycles
@@ -561,20 +484,29 @@ class UpdatePhaseModel:
                     while len(ext.port_issued) <= p:
                         ext.port_issued.append(0)
                     ext.port_issued[p] += periods * c
-        n_params_full = n_params * k_full // k_warm
-        if config.update_uses_offchip_bus:
-            offchip_full = ext.count(CommandType.RD) + ext.count(
-                CommandType.WR
-            )
-        else:
-            offchip_full = 0
-        return ext, n_params_full, offchip_full
+        offchip = (
+            ext.count(CommandType.RD) + ext.count(CommandType.WR)
+            if config.update_uses_offchip_bus
+            else 0
+        )
+        return self._finish_profile(
+            design, optimizer, precision, ext,
+            n_params * k_full // k_warm, offchip,
+            config.effective_channels(self.geometry),
+        ), None
 
     def _finish_profile(
         self, design, optimizer, precision, stats, n_params,
-        offchip_accesses,
+        offchip_accesses, channels=1,
     ) -> UpdateProfile:
-        """Shared tail: device-level stats -> per-parameter rates."""
+        """Shared tail: device-level stats -> per-parameter rates.
+
+        ``channels`` > 1 aggregates one channel's sample over the
+        design's identical channel replicas."""
+        if channels > 1:
+            stats = TraceStats.merge_channels([stats] * channels)
+            n_params *= channels
+            offchip_accesses *= channels
         seconds = stats.elapsed_seconds(self.timing) * self.refresh_derate
         cb = self.geometry.column_bytes
         quant_ops = stats.count(CommandType.PIM_QUANT) + stats.count(
@@ -652,39 +584,30 @@ class UpdatePhaseModel:
             if columns_per_stripe is None
             else columns_per_stripe
         )
-        hp_lanes = self.geometry.column_bytes // precision.hp_bytes
-        if config.update_kind in (
-            UPDATE_BASELINE_STREAM, UPDATE_NMP_STREAM
-        ):
-            key = (
-                "stream", _optimizer_key(optimizer), precision.name,
-                columns,
-            )
-            stream = self._streams.get(key)
-            if stream is None:
-                stream = BaselineStreamGenerator(self.geometry).generate(
+        kind = config.update_kind
+        streamed = kind in (UPDATE_BASELINE_STREAM, UPDATE_NMP_STREAM)
+        aos = kind == UPDATE_AOS_KERNEL
+        if not (streamed or aos or kind == UPDATE_PIM_KERNEL):
+            raise ConfigError(f"unknown update kind {kind!r}")
+        key = (
+            "stream" if streamed else kind, aos and config.per_bank_pim,
+            _optimizer_key(optimizer), precision.name, columns,
+        )
+        artifact = self._streams.get(key)
+        if artifact is None:
+            if streamed:
+                artifact = BaselineStreamGenerator(self.geometry).generate(
                     optimizer,
                     precision,
                     columns_per_stripe=columns,
                     fused=self.fused_baseline,
                 )
-                self._cache_stream(key, stream)
-            n_params = stream.n_hp_columns * hp_lanes
-            # Only the direct-attached baseline's accesses cross the
-            # channel; TensorDIMM's stay behind the buffer devices.
-            offchip = (
-                stream.reads + stream.writes
-                if config.update_uses_offchip_bus
-                else 0
-            )
-            return n_params, offchip, stream.period, stream
-        if config.update_kind == UPDATE_PIM_KERNEL:
-            key = (
-                "pim", _optimizer_key(optimizer), precision.name, columns,
-            )
-            kernel = self._streams.get(key)
-            if kernel is None:
-                kernel = UpdateKernelCompiler(
+            elif aos:
+                artifact = AoSKernelGenerator(
+                    self.geometry, per_bank=config.per_bank_pim
+                ).generate(optimizer, precision, columns_per_unit=columns)
+            else:
+                artifact = UpdateKernelCompiler(
                     self.geometry, extended_alu=self.extended_alu
                 ).compile(
                     optimizer,
@@ -692,24 +615,20 @@ class UpdatePhaseModel:
                     columns_per_stripe=columns,
                     fuse_quantize=self.fuse_quantize,
                 )
-                self._cache_stream(key, kernel)
-            return (
-                kernel.n_hp_columns * hp_lanes, 0, kernel.period, kernel,
-            )
-        if config.update_kind == UPDATE_AOS_KERNEL:
-            key = (
-                "aos", config.per_bank_pim, _optimizer_key(optimizer),
-                precision.name, columns,
-            )
-            kernel = self._streams.get(key)
-            if kernel is None:
-                kernel = AoSKernelGenerator(
-                    self.geometry, per_bank=config.per_bank_pim
-                ).generate(
-                    optimizer,
-                    precision,
-                    columns_per_unit=columns,
-                )
-                self._cache_stream(key, kernel)
-            return kernel.total_params, 0, kernel.period, kernel
-        raise ConfigError(f"unknown update kind {config.update_kind!r}")
+            self._streams[key] = artifact
+            while len(self._streams) > self.STREAM_CACHE_MAX:
+                self._streams.pop(next(iter(self._streams)))
+        if aos:
+            return artifact.total_params, 0, artifact.period, artifact
+        hp_lanes = self.geometry.column_bytes // precision.hp_bytes
+        # Only the direct-attached baseline's accesses cross the
+        # channel; TensorDIMM's stay behind the buffer devices.
+        offchip = (
+            artifact.reads + artifact.writes
+            if config.update_uses_offchip_bus
+            else 0
+        )
+        return (
+            artifact.n_hp_columns * hp_lanes, offchip, artifact.period,
+            artifact,
+        )

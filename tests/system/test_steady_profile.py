@@ -13,8 +13,9 @@ import dataclasses
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from oracle import settings
 from repro.dram.scheduler import CommandScheduler
 from repro.dram.timing import DDR4_2133, HBM_LIKE, PRESETS
 from repro.errors import ConfigError
@@ -69,7 +70,7 @@ class TestProfileIdentity:
         assert per.report.fallback == 0
 
     def test_narrow_samples_fall_back(self):
-        """A sample narrower than any warm rung has nothing to
+        """A sample no wider than the warm sample has nothing to
         extrapolate; the model must simulate it fully — and still
         match."""
         inc, per = _models(8)
@@ -120,14 +121,60 @@ class TestProfileIdentity:
         columns=st.sampled_from([16, 28, 30, 44, 60, 96, 126, 128]),
         window=st.sampled_from([8, 16]),
         precision=st.sampled_from(["8/32", "32/32"]),
+        optimizer_name=st.sampled_from(["sgd", "momentum_sgd", "nag"]),
+        timing=st.sampled_from(["DDR4-2133", "DDR4-3200"]),
     )
     def test_identity_hypothesis(self, design, columns, window,
-                                 precision):
-        inc, per = _models(columns, window=window)
-        optimizer = build_optimizer("momentum_sgd", MOMENTUM)
+                                 precision, optimizer_name, timing):
+        inc, per = _models(columns, window=window, timing=PRESETS[timing])
+        optimizer = build_optimizer(
+            optimizer_name, {"momentum_sgd": MOMENTUM}.get(optimizer_name)
+        )
         assert inc.profile(
             design, optimizer, PRECISIONS[precision]
         ) == per.profile(design, optimizer, PRECISIONS[precision])
+
+
+class TestOneWarmRun:
+    @pytest.mark.parametrize(
+        "design, columns",
+        [
+            (DesignPoint.GRADPIM_DIRECT, 32),
+            (DesignPoint.GRADPIM_DIRECT, 128),
+            (DesignPoint.GRADPIM_BUFFERED, 32),
+            (DesignPoint.GRADPIM_BUFFERED, 128),
+            (DesignPoint.AOS, 128),
+        ],
+        ids=lambda v: str(getattr(v, "value", v)),
+    )
+    def test_long_cycles_spend_one_warm_run(self, design, columns):
+        """``sgd`` 32/32 streams that do not lock in their first warm
+        sample (GradPIM-DR's machine cycle alone spans 21 sweeps): the
+        periodic engine schedules that one warm run, then falls back
+        to the full stream."""
+        inc, per = _models(columns)
+        optimizer = build_optimizer("sgd")
+        precision = PRECISIONS["32/32"]
+        assert inc.profile(design, optimizer, precision) == per.profile(
+            design, optimizer, precision
+        )
+        assert per.report.warm_runs == 1
+
+    def test_serve_cold_spec_work(self):
+        """The profiles behind perfbench ``serve``'s cold spec
+        (ResNet-18 under the periodic engine, ``momentum_sgd`` 8/32,
+        DDR4-2133, 128 columns), over the six designs. Their
+        deterministic work is pinned: warm runs (one of them a
+        realigned retry) and the commands simulated and replayed."""
+        _, per = _models(128, timing=PRESETS["DDR4-2133"])
+        per.profiles(
+            build_optimizer("momentum_sgd", MOMENTUM), PRECISIONS["8/32"]
+        )
+        report = per.report
+        assert (
+            report.warm_runs, report.fast_path, report.fallback,
+            report.commands_simulated, report.commands_replayed,
+        ) == (7, 6, 0, 16616, 13920)
 
 
 class TestDefaultEngineReplay:
