@@ -2,22 +2,28 @@
 
 Profiles every optimizer x precision x timing grade of the ``fullrow``
 workload (3 x 4 x 2 = 24 configs) on all six design points at 128
-columns per stripe, with the default engine (the full stream scheduled
-with steady-state replay), and prints what the model's
-:class:`~repro.obs.report.EngineReport` says: commands simulated and
-replayed, and the stripe-periodic segments that never locked. It then
-profiles the same configs with ``engine="periodic"`` (a warm sample
-extended in closed form, or the full stream when the sample does not
-lock) and prints its fast paths, fallbacks by reason, warm runs, and
-commands simulated, replayed and prepared.
+columns per stripe, once with the default engine (the full stream
+scheduled with steady-state replay) and once with ``engine="periodic"``
+(a warm sample extended in closed form, or the full stream when the
+sample does not lock), and prints what each model's
+:class:`~repro.obs.report.EngineReport` says: commands simulated,
+replayed, prepared and validated, segment locks, warm runs, fast paths
+and fallbacks by reason. Every one of these counts is deterministic:
+it depends on the code, never on the host.
 
 Run:  PYTHONPATH=src python scripts/lock_census.py [--verbose]
+      [--check benchmarks/lock_census.json | --write PATH]
+
+``--check`` exits 1 on any difference from the checked-in totals (so
+a change that makes either engine do more work, or less, must update
+the record); ``--write`` records the current totals.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 
 from repro.dram.timing import PRESETS
 from repro.obs.report import EngineReport
@@ -31,81 +37,107 @@ MIXES = ("8/32", "16/32", "8/16", "32/32")
 TIMINGS = ("DDR4-2133", "DDR4-3200")
 COLUMNS = 128
 CONFIGS = tuple(itertools.product(TIMINGS, OPTIMIZERS, MIXES))
+ENGINES = ("columnar", "periodic")
+
+#: The ``EngineReport`` counters the census records per engine.
+COUNTERS = (
+    "commands_simulated", "commands_replayed", "commands_prepared",
+    "commands_validated", "lock_attempts", "locks_confirmed",
+    "warm_runs", "fast_path", "fallback", "fallback_reasons",
+)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="one line per design x config: counts and the lock cycles",
-    )
-    args = parser.parse_args(argv)
-    simulated = replayed = prepared = validated = unlocked = 0
-    unlocked_configs = set()
+def census(engine: str, verbose: bool = False) -> dict:
+    """The grid's totals of :data:`COUNTERS` under ``engine``."""
+    total = EngineReport(engine=engine)
     for timing, optimizer, mix in CONFIGS:
         model = UpdatePhaseModel(
-            timing=PRESETS[timing], columns_per_stripe=COLUMNS
+            timing=PRESETS[timing], columns_per_stripe=COLUMNS,
+            engine=engine,
         )
         for design in DESIGN_ORDER:
             before = model.report.to_dict()
             model.profile(
                 design, build_optimizer(optimizer), PRECISIONS[mix]
             )
-            after = model.report.to_dict()
-            sim, rep, built, checked, misses = (
-                after[k] - before[k] for k in (
-                    "commands_simulated", "commands_replayed",
-                    "commands_prepared", "commands_validated",
-                    "lock_attempts",
+            if verbose:
+                _print_profile(
+                    engine, design, optimizer, mix, timing, before,
+                    model.report.to_dict(),
                 )
-            )
-            misses -= after["locks_confirmed"] - before["locks_confirmed"]
-            simulated += sim
-            replayed += rep
-            prepared += built
-            validated += checked
-            unlocked += misses
-            if misses:
-                unlocked_configs.add((timing, optimizer, mix))
-            if args.verbose:
-                cycles = sorted(
-                    int(q) for q, n in after["super_periods"].items()
-                    if n > before["super_periods"].get(q, 0)
-                )
-                print(
-                    f"{design.value:11s} {optimizer:12s} {mix:6s} "
-                    f"{timing}  simulated {sim:6d}  replayed "
-                    f"{rep:6d}  prepared {built:6d}  validated "
-                    f"{checked:6d}  unlocked segments {misses}  "
-                    f"sweeps per cycle {cycles}"
-                )
-    print(f"commands simulated: {simulated}")
-    print(f"commands replayed:  {replayed}")
-    print(f"commands prepared:  {prepared}")
-    print(f"commands validated: {validated}")
-    print(
-        f"unlocked segments:  {unlocked} "
-        f"in {len(unlocked_configs)} configs"
-    )
-    periodic = EngineReport(engine="periodic")
-    for timing, optimizer, mix in CONFIGS:
-        model = UpdatePhaseModel(
-            timing=PRESETS[timing], columns_per_stripe=COLUMNS,
-            engine="periodic",
+        total.merge(model.report)
+    counts = total.to_dict()
+    return {name: counts[name] for name in COUNTERS}
+
+
+def _print_profile(engine, design, optimizer, mix, timing, before, after):
+    sim, rep, built, checked, attempts, locks = (
+        after[k] - before[k] for k in (
+            "commands_simulated", "commands_replayed",
+            "commands_prepared", "commands_validated",
+            "lock_attempts", "locks_confirmed",
         )
-        model.profiles(build_optimizer(optimizer), PRECISIONS[mix])
-        periodic.merge(model.report)
-    reasons = ", ".join(
-        f"{reason} {n}"
-        for reason, n in sorted(periodic.fallback_reasons.items())
     )
-    print('engine="periodic":')
-    print(f"  fast paths:         {periodic.fast_path}")
-    print(f"  fallbacks:          {periodic.fallback} ({reasons or 'none'})")
-    print(f"  warm runs:          {periodic.warm_runs}")
-    print(f"  commands simulated: {periodic.commands_simulated}")
-    print(f"  commands replayed:  {periodic.commands_replayed}")
-    print(f"  commands prepared:  {periodic.commands_prepared}")
+    cycles = sorted(
+        int(q) for q, n in after["super_periods"].items()
+        if n > before["super_periods"].get(q, 0)
+    )
+    print(
+        f"{engine:8s} {design.value:11s} {optimizer:12s} {mix:6s} "
+        f"{timing}  simulated {sim:6d}  replayed {rep:6d}  prepared "
+        f"{built:6d}  validated {checked:6d}  unlocked segments "
+        f"{attempts - locks}  sweeps per cycle {cycles}"
+    )
+
+
+def _differences(expected: dict, actual: dict) -> list[str]:
+    out = []
+    for engine in ENGINES:
+        for name in COUNTERS:
+            want = expected.get(engine, {}).get(name)
+            got = actual[engine][name]
+            if want != got:
+                out.append(f"{engine} {name}: recorded {want}, now {got}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--verbose", action="store_true",
+        help="one line per engine x design x config: counts and the "
+             "lock cycles",
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--check", metavar="PATH",
+        help="exit 1 unless the totals equal this record's",
+    )
+    mode.add_argument("--write", metavar="PATH", help="record the totals")
+    args = parser.parse_args(argv)
+    totals = {engine: census(engine, args.verbose) for engine in ENGINES}
+    for engine in ENGINES:
+        counts = totals[engine]
+        reasons = ", ".join(
+            f"{reason} {n}"
+            for reason, n in sorted(counts["fallback_reasons"].items())
+        )
+        print(f'engine="{engine}":')
+        for name in COUNTERS[:-1]:
+            print(f"  {name + ':':20s} {counts[name]}")
+        print(f"  {'fallback_reasons:':20s} {reasons or 'none'}")
+    if args.write:
+        with open(args.write, "w") as handle:
+            json.dump(totals, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    if args.check:
+        with open(args.check) as handle:
+            differences = _differences(json.load(handle), totals)
+        for line in differences:
+            print(f"MISMATCH {line}")
+        if differences:
+            return 1
+        print(f"work counters equal {args.check}")
     return 0
 
 

@@ -28,11 +28,12 @@ steady-state sweeps in place):
   — kind codes, completion latencies, flat bank/group/rank/bus ids,
   read/write flags, floor-table slots, out-edges, per-port queue links,
   initial dependency refcounts — is derived from the columns with numpy
-  at the start of every run, and dropped when the run ends. Only the
-  refcounts, queue links and ports become Python lists up front; the
-  rest are filled chunk by chunk when the scan first reaches them
-  (:class:`_Prepared`), so commands a steady-state replay issues mostly
-  never get them.
+  during a run, and dropped when the run ends. Only the refcounts and
+  ports become Python lists up front; the rest are filled chunk by
+  chunk when first needed (:class:`_Prepared`), so commands a
+  steady-state replay issues mostly never get them, and no replayed
+  command is written to a Python list: the issue vector is assembled
+  with numpy from the replay records.
 
 * **Vectorized validation and statistics.** Backward-dependency and
   rank/channel range checks are single array comparisons (cached per
@@ -40,32 +41,18 @@ steady-state sweeps in place):
   ``bincount`` results — every command issues exactly once, so they do
   not depend on the schedule at all.
 
-The cold loop keeps the machine state in flat Python lists (banks,
-bank groups and ranks indexed by flat ids) and per-port queues as
-index-linked lists. It caches work at three levels:
-
-* each candidate's bank / bank-group / dependency part of its earliest
-  cycle, until its bank or group changes (per-machine dirty lists;
-  ACTs also join their rank's list for the activation window);
-* the rank / data-bus part of RD and WR, in a floor table keyed by
-  (rank, read-or-write) and rewritten for the ranks on a bus whenever
-  a burst lands on it;
-* each port's scan result (best clamped cycle and its index). A scan
-  stops at the first candidate issuable at the port's own free cycle,
-  since later candidates tie and lose on stream index.
-
-Banks, bank groups and ranks each belong to one rank and so to one
-port: only the data bus and dependencies cross ports. A port's memo
-therefore goes stale only when the port issues, when one of its
-commands loses its last dependency, or when a burst lands on a bus the
-port has RD / WR commands on. Exactness against the reference greedy
-loop kept in the test suite is enforced by golden, hand-built and
-Hypothesis tests (``tests/dram/test_engine_equivalence.py``).
+The cold loop (:func:`_schedule_cold`) keeps the machine state in flat
+Python lists and per-port queues as index-linked lists, and caches each
+candidate's earliest cycle, the rank / data-bus floors and each port's
+scan result. Exactness against the reference greedy loop kept in the
+test suite is enforced by golden, hand-built and Hypothesis tests
+(``tests/dram/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,6 +87,9 @@ _OTHER = 5  # REF / MRW: no state machine constrains them
 #: It matches no class, so the scan's recompute falls through to the
 #: ``_OTHER`` branch, which builds the slot's chunk and revisits it.
 _UNBUILT = 6
+#: Queue-link slot :class:`_Prepared` has not linked yet: neither a
+#: command index nor the ``-1`` that ends a queue.
+_UNLINKED = -2
 
 # Cached-cycle encoding in the cold loop: ``_BLOCKED`` marks a candidate
 # that cannot issue until some other command does (closed or wrong row);
@@ -269,63 +259,28 @@ class ColumnarStream:
     def from_commands(cls, commands: Sequence[Command]) -> "ColumnarStream":
         """Build the columnar form of a ``Command`` list (lossless)."""
         n = len(commands)
-        kind = [0] * n
-        rank = [0] * n
-        bankgroup = [0] * n
-        bank = [0] * n
-        row = [0] * n
-        col = [0] * n
-        channel = [0] * n
-        scale_id = [0] * n
-        dst_reg = [0] * n
-        src_reg = [0] * n
-        position = [0] * n
-        issue_cycle = [0] * n
-        dep_indptr = [0] * (n + 1)
-        dep_indices: list[int] = []
-        tags: Optional[list] = None
-        scalers: dict[int, object] = {}
-        kind_index = KIND_INDEX
-        for i, cmd in enumerate(commands):
-            kind[i] = kind_index[cmd.kind]
-            rank[i] = cmd.rank
-            bankgroup[i] = cmd.bankgroup
-            bank[i] = cmd.bank
-            row[i] = cmd.row
-            col[i] = cmd.col
-            channel[i] = cmd.channel
-            scale_id[i] = cmd.scale_id
-            dst_reg[i] = cmd.dst_reg
-            src_reg[i] = cmd.src_reg
-            position[i] = cmd.position
-            issue_cycle[i] = cmd.issue_cycle
-            deps = cmd.deps
-            if deps:
-                dep_indices.extend(deps)
-            dep_indptr[i + 1] = len(dep_indices)
-            if cmd.tag is not None:
-                if tags is None:
-                    tags = [None] * n
-                tags[i] = cmd.tag
-            if cmd.scaler is not None:
-                scalers[i] = cmd.scaler
+        dep_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(cmd.deps) for cmd in commands], out=dep_indptr[1:])
+        tags = [cmd.tag for cmd in commands]
         return cls(
-            kind=np.array(kind, dtype=np.int16),
-            rank=np.array(rank, dtype=np.int32),
-            bankgroup=np.array(bankgroup, dtype=np.int32),
-            bank=np.array(bank, dtype=np.int32),
-            row=np.array(row, dtype=np.int64),
-            col=np.array(col, dtype=np.int64),
-            channel=np.array(channel, dtype=np.int32),
-            scale_id=np.array(scale_id, dtype=np.int32),
-            dst_reg=np.array(dst_reg, dtype=np.int32),
-            src_reg=np.array(src_reg, dtype=np.int32),
-            position=np.array(position, dtype=np.int32),
-            issue_cycle=np.array(issue_cycle, dtype=np.int64),
-            dep_indptr=np.array(dep_indptr, dtype=np.int64),
-            dep_indices=np.array(dep_indices, dtype=np.int64),
-            tags=tags,
-            scalers=scalers,
+            kind=np.array(
+                [KIND_INDEX[cmd.kind] for cmd in commands], dtype=np.int16
+            ),
+            **{
+                name: np.fromiter(
+                    map(attrgetter(name), commands), np.int64, count=n
+                )
+                for name in cls.COLUMNS[1:]  # every integer field
+            },
+            dep_indptr=dep_indptr,
+            dep_indices=np.array(
+                [d for cmd in commands for d in cmd.deps], dtype=np.int64
+            ),
+            tags=None if tags.count(None) == n else tags,
+            scalers={
+                i: cmd.scaler for i, cmd in enumerate(commands)
+                if cmd.scaler is not None
+            },
         )
 
     # ------------------------------------------------------------------
@@ -719,76 +674,60 @@ class _Prepared:
     columns, so no stream keeps them between runs. The loop consumes
     the queue links and dependency counters in place.
 
-    Only the lists the loop reads at any index are built up front: the
-    dependency counters, the per-port queue links and the port of each
-    command (queue scans, out-edge updates, steady-state snapshots and
-    replay relinks). The static per-command lists (kind code, latency,
-    flat bank / group / rank / bus ids, row, bank group, read / write
-    flags, floor-table slot, out-edges) start as placeholders and are
-    filled from precomputed numpy columns :attr:`CHUNK` commands at a
-    time by :meth:`build`, on the scan's first visit to an unbuilt slot
-    (its kind code reads :data:`_UNBUILT`). Commands a steady-state
-    replay issues are never scanned past the lookahead window, so a
-    replayed stream builds little more than its simulated spans;
-    :attr:`prepared` counts the commands built.
+    Only the dependency counters and ports are built up front (out-edges
+    and replay relinks reach any index). The rest is built from the
+    stream's columns :attr:`CHUNK` commands at a time, on first use:
+    the static lists (kind code, latency, flat bank / group / rank / bus
+    ids, row, bank group, read / write flags, floor-table slot,
+    out-edges; :attr:`prepared` counts them) by :meth:`build`, when the
+    scan first evaluates a slot whose kind code reads :data:`_UNBUILT`;
+    the per-port queue links ``nxt`` / ``prv`` by :meth:`link`, when a
+    slot reading :data:`_UNLINKED` is first needed. A link the loop or
+    a replay writes into a chunk not linked yet (an unlink's successor,
+    a relink's ends) survives: :meth:`link` fills only sentinel slots.
+    Commands a steady-state replay issues are never scanned past the
+    lookahead window, so a replayed stream builds little more than its
+    simulated spans.
     """
 
     __slots__ = (
         "kc", "lat", "bank_id", "group_id", "rank", "bus", "row",
         "bg", "isrd", "iswr", "fkey", "port", "ndeps",
-        "optr", "oidx", "heads", "tails", "nxt", "prv", "n_ports",
+        "optr", "oidx", "heads", "nxt", "prv", "n_ports",
         "n_banks", "n_groups", "n_ranks", "bus_ranks", "bus_ports",
-        "counts", "port_issued", "n", "prepared", "_static",
-        "_out_indptr", "_out_indices",
+        "counts", "port_issued", "n", "prepared", "_stream", "_n_bg",
+        "_bpg", "_kinds", "_bus_of_rank", "_links",
     )
 
-    #: Commands per on-demand build of the static lists.
+    #: Commands per on-demand build of the static lists and the links.
     CHUNK = 256
 
     def __init__(self, stream: ColumnarStream, timing, geometry,
                  issue_model, bus_ids) -> None:
         n = stream.n
         n_ranks = geometry.ranks
-        n_bg = geometry.bankgroups
-        bpg = geometry.banks_per_group
-        kind = stream.kind.astype(np.int64)
-        kc_arr = _KC_TABLE[kind]
-        rank = stream.rank.astype(np.int64)
-        bg = stream.bankgroup.astype(np.int64)
-        gid = rank * n_bg + bg
-        bus = np.asarray(bus_ids, dtype=np.int64)[rank]
-        isrd = _ISRD_TABLE[kind]
         self.n = n
         self.prepared = 0
+        self._stream = stream
+        self._n_bg = geometry.bankgroups
+        self._bpg = geometry.banks_per_group
+        # Per kind code: kind class, latency, RD and WR flags.
+        self._kinds = np.stack((
+            _KC_TABLE, _latency_table(timing), _ISRD_TABLE, _ISWR_TABLE,
+        ), axis=1)
+        self._bus_of_rank = np.asarray(bus_ids, dtype=np.int64)
         self.kc = [_UNBUILT] * n
         (self.lat, self.bank_id, self.group_id, self.rank, self.bus,
          self.row, self.bg, self.isrd, self.iswr, self.fkey) = (
             [0] * n for _ in range(10)
         )
-        # (list, numpy column) pairs :meth:`build` copies a chunk of.
-        # The rank/bus floor-table slot of an RD is 2 * rank + 1, of a
-        # WR 2 * rank; only RD / WR read it.
-        self._static = (
-            (self.kc, kc_arr),
-            (self.lat, _latency_table(timing)[kind]),
-            (self.bank_id, gid * bpg + stream.bank),
-            (self.group_id, gid),
-            (self.rank, rank),
-            (self.bus, bus),
-            (self.row, stream.row),
-            (self.bg, bg),
-            (self.isrd, isrd),
-            (self.iswr, _ISWR_TABLE[kind]),
-            (self.fkey, 2 * rank + isrd),
-        )
-        self._out_indptr = stream.out_indptr
-        self._out_indices = stream.out_indices
         self.optr = [0] * (n + 1)
         self.oidx = [0] * len(stream.out_indices)
         self.ndeps = np.diff(stream.dep_indptr).tolist()
-        # Per-port pending queues as index-linked lists in stream order.
+        # Per-port pending queues as index-linked lists in stream order
+        # (:meth:`link` copies a chunk of these columns).
         n_ports = issue_model.n_ports
-        port = np.asarray(issue_model.port_of_rank, dtype=np.int64)[rank]
+        port = np.asarray(issue_model.port_of_rank)[stream.rank]
         self.port = port.tolist()
         n_buses = len(set(bus_ids))
         self.bus_ranks = [
@@ -797,41 +736,36 @@ class _Prepared:
         ]
         # Ports holding RD/WR on each bus: the only ports whose scans a
         # burst on that bus can change besides the issuing port's own.
-        is_ext = kc_arr == _EXT_COL
+        is_ext = _KC_TABLE[stream.kind] == _EXT_COL
         ext_pairs = np.bincount(
-            bus[is_ext] * n_ports + port[is_ext],
+            self._bus_of_rank[stream.rank[is_ext]] * n_ports
+            + port[is_ext],
             minlength=n_buses * n_ports,
         )
         self.bus_ports = [[] for _ in range(n_buses)]
         for pair in np.flatnonzero(ext_pairs).tolist():
             self.bus_ports[pair // n_ports].append(pair % n_ports)
-        heads = [-1] * n_ports
-        tails = [-1] * n_ports
+        self.heads = [-1] * n_ports
         nxt = np.full(n, -1, dtype=np.int64)
         prv = np.full(n, -1, dtype=np.int64)
         for p in range(n_ports):
             idxs = np.flatnonzero(port == p)
             if len(idxs):
-                heads[p] = int(idxs[0])
-                tails[p] = int(idxs[-1])
+                self.heads[p] = int(idxs[0])
                 nxt[idxs[:-1]] = idxs[1:]
                 prv[idxs[1:]] = idxs[:-1]
-        self.heads = heads
-        self.tails = tails
-        self.nxt = nxt.tolist()
-        self.prv = prv.tolist()
+        self.nxt, self.prv = [_UNLINKED] * n, [_UNLINKED] * n
+        self._links = ((self.nxt, nxt), (self.prv, prv))
         self.n_ports = n_ports
-        self.n_banks = n_ranks * n_bg * bpg
-        self.n_groups = n_ranks * n_bg
+        self.n_banks = n_ranks * self._n_bg * self._bpg
+        self.n_groups = n_ranks * self._n_bg
         self.n_ranks = n_ranks
         # Schedule-independent statistics: every command issues exactly
         # once, so per-kind counts and per-port totals are stream
         # properties, not schedule properties.
-        kcounts = np.bincount(kind, minlength=len(KIND_ORDER))
+        kcounts = np.bincount(stream.kind, minlength=len(KIND_ORDER))
         self.counts = {
-            KIND_ORDER[k]: int(c)
-            for k, c in enumerate(kcounts.tolist())
-            if c
+            KIND_ORDER[k]: c for k, c in enumerate(kcounts.tolist()) if c
         }
         self.port_issued = np.bincount(port).tolist() if n else []
 
@@ -839,13 +773,55 @@ class _Prepared:
         """Fill the static slots of the chunk holding command ``i``."""
         a = i - i % self.CHUNK
         b = min(a + self.CHUNK, self.n)
-        for values, column in self._static:
-            values[a:b] = column[a:b].tolist()
-        ptr = self._out_indptr
+        s = self._stream
+        rank = s.rank[a:b]
+        bg = s.bankgroup[a:b]
+        gid = rank * self._n_bg + bg
+        kc, lat, isrd, iswr = self._kinds[s.kind[a:b]].T
+        # The rank/bus floor-table slot of an RD is 2 * rank + 1, of a
+        # WR 2 * rank; only RD / WR read it.
+        for values, column in (
+            (self.kc, kc),
+            (self.lat, lat),
+            (self.bank_id, gid * self._bpg + s.bank[a:b]),
+            (self.group_id, gid),
+            (self.rank, rank),
+            (self.bus, self._bus_of_rank[rank]),
+            (self.row, s.row[a:b]),
+            (self.bg, bg),
+            (self.isrd, isrd),
+            (self.iswr, iswr),
+            (self.fkey, 2 * rank + isrd),
+        ):
+            values[a:b] = column.tolist()
+        ptr = s.out_indptr
         self.optr[a:b + 1] = ptr[a:b + 1].tolist()
         lo, hi = int(ptr[a]), int(ptr[b])
-        self.oidx[lo:hi] = self._out_indices[lo:hi].tolist()
+        self.oidx[lo:hi] = s.out_indices[lo:hi].tolist()
         self.prepared += b - a
+
+    def link(self, i: int) -> None:
+        """Fill the unlinked queue-link slots of the chunk holding
+        command ``i`` with their initial links (a slot the loop or a
+        replay wrote keeps its link)."""
+        a = i - i % self.CHUNK
+        b = min(a + self.CHUNK, self.n)
+        for values, column in self._links:
+            links = column[a:b].tolist()
+            held = values[a:b]
+            if held.count(_UNLINKED) < b - a:
+                links = [
+                    new if old == _UNLINKED else old
+                    for old, new in zip(held, links)
+                ]
+            values[a:b] = links
+
+    def linked(self, links: list, i: int) -> int:
+        """``links[i]`` (``links`` is :attr:`nxt` or :attr:`prv`),
+        linking its chunk first if the slot is not linked yet."""
+        if links[i] == _UNLINKED:
+            self.link(i)
+        return links[i]
 
 
 def schedule_columnar(
@@ -867,19 +843,30 @@ def schedule_columnar(
     ``steady`` optionally supplies a
     :class:`~repro.dram.steady.SteadyTracker` for the stream: the loop
     then reports every issue to it and lets it replay locked
-    steady-state sweeps in place.
+    steady-state sweeps in place. The vector is assembled with numpy:
+    the loop's issue list holds what it simulated, and image ``t`` of a
+    :class:`~repro.dram.period.Replay` issues ``t * delta`` after its
+    event. ``total_cycles`` is the latest issue cycle plus latency.
     """
     prep = _Prepared(stream, timing, geometry, issue_model, bus_ids)
-    issue, total_cycles = _schedule_cold(
-        prep, timing, per_bank_pim, window, steady
+    issue = np.array(
+        _schedule_cold(prep, timing, per_bank_pim, window, steady),
+        dtype=np.int64,
     )
+    for replay in steady.outcome.replays if steady is not None else ():
+        events = np.array(replay.events, dtype=np.int64)
+        t = np.arange(1, replay.copies + 1)[:, None]
+        issue[events + t * replay.period] = issue[events] + t * replay.delta
     stats = TraceStats(
         counts=prep.counts,
-        total_cycles=total_cycles,
+        total_cycles=(
+            int((issue + prep._kinds[stream.kind, 1]).max())
+            if stream.n else 0
+        ),
         issued_commands=stream.n,
         port_issued=prep.port_issued,
     )
-    return _freeze(np.array(issue, dtype=np.int64)), stats, prep.prepared
+    return _freeze(issue), stats, prep.prepared
 
 
 def _schedule_cold(
@@ -888,8 +875,10 @@ def _schedule_cold(
     per_bank_pim: bool,
     window: int,
     steady=None,
-) -> tuple[list[int], int]:
-    """The exact greedy selection loop over the prepared flat arrays.
+) -> list[int]:
+    """The exact greedy selection loop over the prepared flat arrays;
+    returns the issue cycle of every command it simulated (``-1`` for
+    most replayed ones).
 
     The DDR4 bank, bank-group, rank and data-bus state machines are
     flat lists indexed by the prepared flat ids, and their earliest-
@@ -906,7 +895,9 @@ def _schedule_cold(
     * the issuing port's own free cycle.
 
     Each port's scan result — its best clamped cycle and the index
-    holding it — is memoized until something it read changes. Banks,
+    holding it — is memoized until something it read changes; a scan
+    stops at the first candidate issuable at the port's own free cycle,
+    since later candidates tie and lose on stream index. Banks,
     groups and ranks belong to exactly one rank and so to exactly one
     port: their changes only ever come from the port itself issuing.
     Only the data bus and dependencies cross ports, so a port's memo
@@ -920,17 +911,21 @@ def _schedule_cold(
 
     A candidate whose static slots are not built yet reads the kind
     code :data:`_UNBUILT`; its recompute builds the chunk and revisits
-    it.
+    it. A queue link not built yet reads :data:`_UNLINKED`: the walk
+    links that chunk and goes on, and an issue links its command's
+    chunk before unlinking it.
 
     With a ``steady`` tracker, every issue is reported to it
     (:meth:`~repro.dram.steady.SteadyTracker.issued`) until it is
     :attr:`~repro.dram.steady.SteadyTracker.idle`; when it replays
-    locked sweeps it writes their issue cycles, shifts the live timers
-    and marks every cache stale itself, and the loop only discounts the
-    replayed commands.
+    locked sweeps it updates their dependents and queues, shifts the
+    live timers and marks every cache stale itself, and the loop only
+    discounts the replayed commands (whose issue cycles
+    :func:`schedule_columnar` fills in from the replay records).
     """
     n = prep.n
     build = prep.build
+    link = prep.link
     n_banks, n_groups, n_ranks = prep.n_banks, prep.n_groups, prep.n_ranks
 
     # Flattened machine state.
@@ -981,7 +976,6 @@ def _schedule_cold(
     nxt = prep.nxt
     prv = prep.prv
     heads = prep.heads
-    tails = prep.tails
     n_ports = prep.n_ports
     multi = n_ports > 1
 
@@ -1049,7 +1043,13 @@ def _schedule_cold(
             pi = -1
             node = heads[port]
             steps = window
-            while node >= 0 and steps:
+            while steps:
+                if node < 0:
+                    if node == -1:
+                        break  # the port's queue ends
+                    link(i)  # ``i``'s successor is not linked yet
+                    node = nxt[i]
+                    continue
                 i = node
                 node = nxt[i]
                 steps -= 1
@@ -1262,14 +1262,15 @@ def _schedule_cold(
         stale[best_port] = 1
 
         p, q = prv[i], nxt[i]
+        if p == _UNLINKED or q == _UNLINKED:
+            link(i)
+            p, q = prv[i], nxt[i]
         if p >= 0:
             nxt[p] = q
         else:
             heads[best_port] = q
         if q >= 0:
             prv[q] = p
-        else:
-            tails[best_port] = p
 
         remaining -= 1
         if multi:
@@ -1290,4 +1291,4 @@ def _schedule_cold(
             if steady.idle:
                 steady = None
 
-    return issue, (max(completion) if n else 0)
+    return issue

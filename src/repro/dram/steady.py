@@ -8,7 +8,8 @@ so the greedy schedule settles into a cycle of equal-length sweeps.
 Given a stream's :class:`~repro.dram.period.StreamPeriod`, the one exact
 loop (:func:`repro.dram.columnar.schedule_columnar`) reports every issue
 to a :class:`SteadyTracker`. It follows the *frontier* (lowest unissued
-index) and, at each sweep boundary, fingerprints the loop's flat state:
+index: the lowest head of the loop's per-port queues) and, at each
+sweep boundary, fingerprints the loop's flat state:
 bank / bank-group / rank timers, the rank/bus floor table, port free
 cycles, the commands issued ahead of the frontier, and everything the
 lookahead windows can see with its dependency state. Timers compare
@@ -21,10 +22,12 @@ that can match share a key, so one lookup finds every candidate
 whatever the cycle length. When one ``q`` boundaries back matches
 (newest first: the smallest ``q``) and one numpy compare shows the
 rest of the segment body repeats the matched sweeps shifted, the
-tracker *replays* all but the last few sweeps in place — issue cycles,
-dependents, live timers shifted, the loop's caches marked stale — and
-the loop simulates the tail for real; the outcome records each replay
-(:class:`~repro.dram.period.Replay`) for the trace validator.
+tracker *replays* all but the last few sweeps in place — dependents,
+queues, live timers shifted, the loop's caches marked stale — and the
+loop simulates the tail for real. No replayed command is written to a
+Python list: ``schedule_columnar`` assembles their issue cycles with
+numpy from the outcome's :class:`~repro.dram.period.Replay` records,
+which the trace validator also proves.
 Snapshots stop only when fewer than two sweeps of the segment are
 left. The schedule is byte-identical to the plain loop's
 (``tests/dram/test_steady.py``); streams that never lock simulate
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dram.columnar import KIND_ORDER, TURNAROUND_GAP
+from repro.dram.columnar import KIND_ORDER, TURNAROUND_GAP, _UNLINKED
 from repro.dram.period import (
     PeriodicOutcome,
     Replay,
@@ -114,9 +117,10 @@ class SteadyTracker:
     def _restart(self) -> None:
         """Start a run of contiguous boundaries: ``history`` maps a
         fingerprint key to its ``(j, anchor, timers)``, oldest first;
-        ``marks[j]`` is ``len(events)`` when boundary ``j`` was reached."""
+        the run's issues are the flat ``ev_i`` / ``ev_c`` / ``ev_p``
+        (index, cycle, port), ``marks[j]`` their length at boundary j."""
         self.history: dict[tuple, list] = {}
-        self.events: list[tuple[int, int, int]] = []
+        self.ev_i, self.ev_c, self.ev_p = [], [], []
         self.marks: dict[int, int] = {}
 
     @property
@@ -144,19 +148,20 @@ class SteadyTracker:
         return outcome
 
     def issued(self, i: int, cycle: int, port: int) -> int:
-        """Record one issue; when it moves the frontier into a new
-        sweep, fingerprint the state, look for a steady cycle and replay
-        it if the stream allows. Returns the commands replayed (or 0)."""
+        """Record one issue, already unlinked; when it moves the frontier
+        into a new sweep, fingerprint the state, look for a steady cycle
+        and replay it if the stream allows. Returns the commands
+        replayed (or 0)."""
         if not self.done:
-            self.events.append((i, cycle, port))
+            self.ev_i.append(i)
+            self.ev_c.append(cycle)
+            self.ev_p.append(port)
         if i != self.frontier:
             self.ahead.add(i)
             return 0
-        issue = self.issue
-        f = i + 1
-        while f < len(issue) and issue[f] >= 0:
-            self.ahead.discard(f)
-            f += 1
+        f = self._lowest_pending()
+        if self.ahead:
+            self.ahead.difference_update(range(i + 1, f))
         self.frontier = f
         while self.seg is not None and f >= self.seg.end:
             self._next_segment()
@@ -169,7 +174,7 @@ class SteadyTracker:
         if j != self.boundary_j + 1:
             self._restart()  # a skipped boundary ends the run
         self.boundary_j = j
-        self.marks[j] = end = len(self.events)
+        self.marks[j] = end = len(self.ev_i)
         b = seg.start + j * seg.period
         struct, timers = self._snapshot(b, cycle)
         key = (struct, np.maximum(timers, -self.floor).tobytes())
@@ -182,16 +187,26 @@ class SteadyTracker:
             if delta <= 0 or not self._matches(prev_timers, timers, delta):
                 continue
             q = j - prev_j
-            events = self.events[self.marks[prev_j]:end]
-            if len(events) != q * seg.period:
+            start = self.marks[prev_j]
+            if end - start != q * seg.period:
                 continue
-            if min(e[1] for e in events) <= prev_anchor - self.floor // 2:
+            if min(self.ev_c[start:end]) <= prev_anchor - self.floor // 2:
                 continue  # an issue dipped towards the stale zone
+            events = tuple(np.array(values[start:end], dtype=np.int64)
+                           for values in (self.ev_i, self.ev_c, self.ev_p))
             return self._locked(seg, j, b, cycle, q, delta, events)
         if seg.sweeps - j < 2:
             self.done = True  # too few sweeps left to replay
             self._restart()
         return 0
+
+    def _lowest_pending(self) -> int:
+        """The lowest head: every pending command is on its queue."""
+        heads = self.prep.heads
+        f = min(heads)
+        if f < 0:  # an empty queue
+            f = min((h for h in heads if h >= 0), default=self.stream.n)
+        return f
 
     def _snapshot(self, b: int, anchor: int):
         """``(structure, timers - anchor)`` of the loop state at
@@ -210,16 +225,20 @@ class SteadyTracker:
             (i - b, issue[i] - anchor, completion[i] - anchor)
             for i in self.ahead
         )))
-        nxt, ndeps, dep_ready = self.prep.nxt, self.prep.ndeps, self.dep_ready
+        prep, dep_ready = self.prep, self.dep_ready
+        nxt, ndeps = prep.nxt, prep.ndeps
         self.reach = 0  # deepest visible index, relative to ``b``
-        for node in self.prep.heads:
+        for node in prep.heads:
             seen = []
             steps = self.window
             while node >= 0 and steps:
                 seen.append((node - b, ndeps[node]))
                 timers.append(dep_ready[node])
-                node = nxt[node]
                 steps -= 1
+                after = nxt[node]
+                if after == _UNLINKED and steps:
+                    after = prep.linked(nxt, node)
+                node = after
             if seen:
                 self.reach = max(self.reach, seen[-1][0])
             struct.append(tuple(seen))
@@ -237,13 +256,9 @@ class SteadyTracker:
     def _locked(self, seg, j, b, anchor, q, delta, events) -> int:
         """Record the lock and, if there is room, replay the matched
         super-period across the segment middle."""
-        per_port = [0] * self.prep.n_ports
-        for _i, _c, port in events:
-            per_port[port] += 1
-        kinds = np.bincount(
-            self.stream.kind[[e[0] for e in events]],
-            minlength=len(KIND_ORDER),
-        )
+        ev_i, _, ev_port = events
+        per_port = np.bincount(ev_port, minlength=self.prep.n_ports).tolist()
+        kinds = np.bincount(self.stream.kind[ev_i], minlength=len(KIND_ORDER))
         # Contamination horizon: a port's head advances by its
         # per-period count c_p while its scan looks ``window`` entries
         # ahead, so the last ``1 + ceil(window * q / c_p)`` sweeps may
@@ -286,7 +301,7 @@ class SteadyTracker:
             return 0
         # The replayed sweeps' windows see into the tail, so the shape
         # must hold through the segment end, not just the last image.
-        last = max(e[0] for e in events) + 1
+        last = int(ev_i.max()) + 1
         if not self.stream.repeats(
             b, max(seg.end, last + m * P), P, seg.start
         ):
@@ -296,11 +311,8 @@ class SteadyTracker:
             return 0
         self._replay(events, m, P, delta, anchor)
         self.outcome.replays.append(
-            Replay(tuple(sorted(e[0] for e in events)), P, delta, m)
+            Replay(tuple(np.sort(ev_i).tolist()), P, delta, m)
         )
-        self.ahead = {
-            e[0] + m * P for e in events if e[0] + m * P > self.frontier
-        }
         self.boundary_j = j + m * q
         self.done = True
         self._restart()
@@ -308,8 +320,8 @@ class SteadyTracker:
         self.outcome.skipped += m * P
         return m * P
 
-    #: Replayed commands per numpy chunk: bounds the index, cycle and
-    #: out-edge temporaries whatever the length of the segment.
+    #: Commands per numpy chunk of a replay's out-edge pass: bounds the
+    #: edge temporaries whatever the length of the segment.
     REPLAY_CHUNK = 1 << 14
 
     def _replay(self, events, m: int, P: int, delta: int,
@@ -317,100 +329,82 @@ class SteadyTracker:
         """Schedule ``m`` copies of ``events`` in place, then advance
         the machine by ``m * delta`` cycles.
 
-        Image ``t`` of event ``(i, cycle, port)`` is command ``i + t *
-        P``, issued at ``cycle + t * delta``. The images are handled
-        with numpy, a chunk of whole super-periods at a time, and the
-        loop's lists are read and written only over the index span the
-        images cover, never over the whole stream:
+        ``events`` holds the index, cycle and port arrays of the matched
+        super-period. Image ``t`` of event ``(i, cycle, port)`` is
+        command ``i + t * P``, issued at ``cycle + t * delta``. The
+        images are handled with numpy; the loop's lists are read and
+        written only at the few commands of their span that are not
+        images:
 
-        * their issue and completion cycles are written slice by slice;
-        * their out-edges are gathered from the stream's CSR, and those
-          reaching a command still pending are folded per target (edge
-          count, latest completion) and applied in Python;
-        * the images leave their ports' pending queues: each queue is
-          relinked through the commands of the span that stay pending,
-          so no queue reaches an image and the images' own links are
-          left as they were.
+        * no image's issue or completion slot is written (the
+          :class:`~repro.dram.period.Replay` record stands for them),
+          but for the last copy's images issued ahead of the new
+          frontier, whose cycles the next snapshots read;
+        * the span's out-edges are one slice of the stream's CSR; those
+          from an image to a command still pending are folded per
+          target (edge count, latest completion) and applied in Python;
+        * each port's queue is relinked through the commands of the
+          span that stay pending, so no queue reaches an image (whose
+          own links are left as they were).
 
         ``tests/oracle.py`` keeps the per-command loop this must match
         (``replay_reference``).
         """
         prep = self.prep
-        issue, completion = self.issue, self.completion
-        ev_i, ev_c, ev_port = (
-            np.array(column, dtype=np.int64) for column in zip(*events)
-        )
-        ev_done = ev_c + np.array(
-            [prep.lat[i] for i in ev_i.tolist()], dtype=np.int64
-        )
-        # Every image lies in [lo, hi); a mask marks which.
+        issue = self.issue
+        ev_i, ev_c, ev_port = events
+        ev_done = ev_c + np.array([prep.lat[i] for i in ev_i.tolist()])
+        # Every image lies in [lo, hi): a mask marks which, with its
+        # completion cycle. The mask's extra last slot stands for every
+        # command past the span.
         first_i, last_i = int(ev_i.min()), int(ev_i.max())
         lo, hi = first_i + P, last_i + m * P + 1
-        step = max(1, self.REPLAY_CHUNK // P)
-        chunks = [
-            np.arange(t, min(t + step, m + 1))[:, None]
-            for t in range(1, m + 1, step)
+        image = np.zeros(hi - lo + 1, dtype=bool)
+        done_at = np.zeros(hi - lo, dtype=np.int64)
+        t = np.arange(1, m + 1)[:, None]
+        x = (ev_i + t * P).ravel() - lo
+        image[x] = True
+        done_at[x] = (ev_done + t * delta).ravel()
+        # The span's other commands (the events are P distinct commands,
+        # so at most last_i - first_i + 1 - P): those still pending.
+        free = ~image
+        kept = [
+            j for j in (np.flatnonzero(free[:-1]) + lo).tolist()
+            if issue[j] < 0
         ]
-        image = np.zeros(hi - lo, dtype=bool)
-        for t in chunks:
-            image[(ev_i + t * P).ravel() - lo] = True
         # Each port's first and last image, with the pending commands
-        # linked before and after them (read before the images' own
-        # links are cleared).
-        nxt, prv = prep.nxt, prep.prv
+        # linked before and after them.
+        nxt, prv, linked = prep.nxt, prep.prv, prep.linked
         bounds = {}
         for port in set(ev_port.tolist()):
             mine = ev_i[ev_port == port]
             u, w = int(mine.min()) + P, int(mine.max()) + m * P
-            bounds[port] = (u, prv[u], w, nxt[w])
+            bounds[port] = (u, linked(prv, u), w, linked(nxt, w))
+        # A command issued before the replay has no unissued
+        # dependency, so every out-edge target that is not an image is
+        # still pending. Most edges join two images.
         optr, oidx = self.stream.out_indptr, self.stream.out_indices
         ndeps, dep_ready = prep.ndeps, self.dep_ready
-        survivors = []  # commands of the span left pending
-        for k, t in enumerate(chunks):
-            x = (ev_i + t * P).ravel()
-            done = (ev_done + t * delta).ravel()
-            # The chunk's images lie in [a, b). The events are P
-            # distinct commands, so last_i - first_i >= P - 1: the
-            # next chunk starts at or before b, and the ranges [a, end)
-            # tile the span.
-            a = first_i + int(t[0, 0]) * P
-            b = last_i + int(t[-1, 0]) * P + 1
-            end = b if k == len(chunks) - 1 else a + len(t) * P
-            held = np.ones(b - a, dtype=bool)  # slots the chunk keeps
-            held[x - a] = False
-            held = np.flatnonzero(held)
-            for values, image_values in (
-                (completion, done),
-                (issue, (ev_c + t * delta).ravel()),
-            ):
-                block = np.empty(b - a, dtype=np.int64)
-                block[x - a] = image_values
-                block[held] = [values[j] for j in (held + a).tolist()]
-                values[a:b] = block.tolist()
-            # ``block`` holds issue cycles now: -1 marks pending.
-            pending = held[(block[held] < 0) & (held < end - a)]
-            survivors.append(pending + a)
-            # A command issued before the replay has no unissued
-            # dependency, so every out-edge target that is not an
-            # image is still pending.
-            begin = optr[x]
-            count = optr[x + 1] - begin
-            edge = np.arange(int(count.sum())) + np.repeat(
-                begin - (np.cumsum(count) - count), count
+        for a in range(lo, hi, self.REPLAY_CHUNK):
+            b = min(a + self.REPLAY_CHUNK, hi)
+            ptr = optr[a:b + 1]
+            target = oidx[ptr[0]:ptr[-1]]
+            edge = np.flatnonzero(np.take(free, target - lo, mode="clip"))
+            # Each edge's source, relative to ``lo``.
+            source = np.searchsorted(ptr, edge + ptr[0], side="right") + (
+                a - 1 - lo
             )
-            target = oidx[edge]
-            inside = target < hi
-            keep = ~inside
-            keep[inside] = ~image[target[inside] - lo]
-            target = target[keep]
-            if not target.size:
+            from_image = image[source]
+            if not from_image.any():
                 continue
+            target = target[edge[from_image]]
+            done = done_at[source[from_image]]
             # Many images feed the same few pending commands.
             base = int(target.min())
             slot = target - base
             edges = np.bincount(slot)
             latest = np.zeros(len(edges), dtype=np.int64)
-            np.maximum.at(latest, slot, np.repeat(done, count)[keep])
+            np.maximum.at(latest, slot, done)
             hit = np.flatnonzero(edges)
             for j, c, comp in zip((hit + base).tolist(),
                                   edges[hit].tolist(),
@@ -421,14 +415,13 @@ class SteadyTracker:
         # Relink each port's queue: the pending command before its
         # first command in the span, its survivors, the pending command
         # after its last command in the span.
-        heads, tails, port_of = prep.heads, prep.tails, prep.port
-        kept = np.concatenate(survivors).tolist()
+        heads, port_of = prep.heads, prep.port
         for port, (u, before, w, after) in bounds.items():
             chain = [j for j in kept if port_of[j] == port]
             if chain and chain[0] < u:
-                before = prv[chain[0]]
+                before = linked(prv, chain[0])
             if chain and chain[-1] > w:
-                after = nxt[chain[-1]]
+                after = linked(nxt, chain[-1])
             chain = [before, *chain, after]
             for p, q in zip(chain, chain[1:]):
                 if p >= 0:
@@ -437,8 +430,6 @@ class SteadyTracker:
                     heads[port] = q
                 if q >= 0:
                     prv[q] = p
-                else:
-                    tails[port] = p
         # Live timers advance; stale ones (untouched throughout) stay.
         live = anchor - self.floor
         shift = m * delta
@@ -460,7 +451,15 @@ class SteadyTracker:
                 for j in values:
                     cached[j] = None
                 values.clear()
-        try:
-            self.frontier = issue.index(-1, self.frontier)
-        except ValueError:
-            self.frontier = len(issue)
+        # The last copy's images past the new frontier are issued
+        # ahead of it.
+        self.frontier = self._lowest_pending()
+        x = ev_i + m * P
+        ahead = x > self.frontier
+        self.ahead = set(x[ahead].tolist())
+        completion = self.completion
+        for j, c, d in zip(x[ahead].tolist(),
+                           (ev_c[ahead] + shift).tolist(),
+                           (ev_done[ahead] + shift).tolist()):
+            issue[j] = c
+            completion[j] = d

@@ -20,6 +20,10 @@ both directions. These tests enforce:
   and still matches a plain run and the reference loop, and streams
   whose unbuilt chunks are first visited at a REF or MRW schedule
   exactly;
+* the queue links, also linked chunk by chunk, keep every link the
+  loop or a replay wrote into a chunk not linked yet: an unlink's
+  successor, a replay's relinked survivors and end nodes, on one- and
+  multi-port streams at several chunk sizes;
 * the frozen columns refuse in-place mutation;
 * ``validate_trace_columnar`` accepts what the family-by-family
   oracle accepts, and rejects seeded corruptions with the exception
@@ -36,10 +40,11 @@ from oracle import (
     build_dependents,
     validate_trace_thorough,
 )
-from repro.dram.columnar import ColumnarStream, _Prepared
+from repro.dram.columnar import ColumnarStream, _Prepared, _UNLINKED
 from repro.dram.commands import Command, CommandType
 from repro.dram.period import StreamPeriod
 from repro.dram.scheduler import CommandScheduler, IssueModel
+from repro.dram.steady import SteadyTracker
 from repro.dram.timing import DDR4_2133
 from repro.dram.validator import validate_trace, validate_trace_columnar
 from repro.errors import SimulationError, TimingViolation
@@ -321,6 +326,133 @@ class TestLazyLists:
         assert result.periodic.engaged
         assert result.issue_cycles() == reference.issue_cycles()
         assert result.stats == reference.stats
+
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4])
+    @pytest.mark.parametrize("ports", [(0, 0, 0, 0), (0, 1, 0, 1)])
+    def test_unlink_into_an_unlinked_chunk(self, chunk, ports, monkeypatch):
+        """REF commands issue at their port's free cycle, so each scan
+        stops at its port's head and never reads its successor's link.
+        Issuing a chunk's last command then writes the successor's
+        ``prv`` into a chunk not linked yet, which the chunk's link must
+        keep (the merge is observed)."""
+        monkeypatch.setattr(_Prepared, "CHUNK", chunk)
+        merged = _spy_merges(monkeypatch)
+        commands = [
+            Command(CommandType.REF, rank=k % 4) for k in range(24)
+        ]
+        issue_model = IssueModel("test", ports)
+        result = CommandScheduler(T, GEOM, issue_model).run(commands)
+        reference = ReferenceScheduler(T, GEOM, issue_model).run(commands)
+        assert result.issue_cycles() == reference.issue_cycles()
+        assert result.stats == reference.stats
+        assert merged
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_replay_relinks_into_unlinked_chunks(self, chunk, monkeypatch):
+        """A buffered design's four ports, replayed: each relink writes
+        links of survivors and of the command after the last image into
+        chunks no scan has reached; the schedule matches the reference
+        loop and a plain run."""
+        monkeypatch.setattr(_Prepared, "CHUNK", chunk)
+        merged = _spy_merges(monkeypatch)
+        relinked = []
+        replay = SteadyTracker._replay
+
+        def spied(tracker, *args):
+            prep = tracker.prep
+            before = [
+                (prep.nxt[j], prep.prv[j]) for j in range(prep.n)
+            ]
+            replay(tracker, *args)
+            # Slots written by the replay in chunks it left unlinked.
+            relinked.extend(
+                j for j in range(prep.n)
+                if (prep.nxt[j], prep.prv[j]) != before[j]
+                and _UNLINKED in _chunk_links(prep, j)
+            )
+
+        monkeypatch.setattr(SteadyTracker, "_replay", spied)
+        model = UpdatePhaseModel(columns_per_stripe=32)
+        config = DESIGNS[DesignPoint.GRADPIM_BUFFERED]
+        _, _, period, art = model._build_stream(
+            config, build_optimizer("momentum_sgd"), PRECISIONS["8/32"]
+        )
+        issue_model = config.issue_model(GEOM)
+        assert issue_model.n_ports > 1
+        kwargs = dict(
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope,
+        )
+        scheduler = CommandScheduler(T, GEOM, issue_model, **kwargs)
+        result = scheduler.run(art.columnar, period=period)
+        reference = ReferenceScheduler(T, GEOM, issue_model, **kwargs).run(
+            art.commands
+        )
+        assert result.periodic.replays
+        assert relinked and merged
+        assert result.issue_cycles() == reference.issue_cycles()
+        assert result.stats == reference.stats
+        assert scheduler.run(art.columnar).issue_cycles() == (
+            reference.issue_cycles()
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("ports", [(0, 1, 2, 3), (0, 0, 1, 1)])
+    def test_multi_port_streams_at_any_chunk_size(
+        self, chunk, ports, monkeypatch
+    ):
+        """Row cycles on four ranks, each rank's commands interleaved
+        with the others' and depending across ranks, so every port's
+        queue runs through chunks the other ports link."""
+        monkeypatch.setattr(_Prepared, "CHUNK", chunk)
+        commands = []
+        for k in range(10):
+            for rank in range(4):
+                bank = k % 4
+                base = len(commands)
+                deps = (base - 3,) if base >= 3 else ()
+                commands += [
+                    Command(CommandType.ACT, rank=rank, bank=bank, row=k,
+                            deps=deps),
+                    Command(CommandType.SCALED_READ, rank=rank, bank=bank,
+                            row=k, deps=(base,)),
+                    Command(CommandType.PRE, rank=rank, bank=bank,
+                            deps=(base + 1,)),
+                ]
+        issue_model = IssueModel("test", ports)
+        for window in (2, 16):
+            result = CommandScheduler(
+                T, GEOM, issue_model, window=window
+            ).run(commands)
+            reference = ReferenceScheduler(
+                T, GEOM, issue_model, window=window
+            ).run(commands)
+            assert result.issue_cycles() == reference.issue_cycles()
+            assert result.stats == reference.stats
+
+
+def _chunk_links(prep, i):
+    """The ``nxt`` and ``prv`` slots of the chunk holding ``i``."""
+    a = i - i % prep.CHUNK
+    b = min(a + prep.CHUNK, prep.n)
+    return prep.nxt[a:b] + prep.prv[a:b]
+
+
+def _spy_merges(monkeypatch):
+    """Record every chunk linked over a slot already written; returns
+    the list it fills."""
+    merged = []
+    link = _Prepared.link
+
+    def spied(prep, i):
+        slots = _chunk_links(prep, i)
+        if any(v != _UNLINKED for v in slots):
+            merged.append(i)
+        link(prep, i)
+
+    monkeypatch.setattr(_Prepared, "link", spied)
+    return merged
 
 
 class TestColumnarValidator:

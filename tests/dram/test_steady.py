@@ -20,7 +20,10 @@ that never locks) simulates for real. These tests enforce the contract:
 * Hypothesis sweeps over (design, optimizer, precision, window,
   columns_per_stripe);
 * the numpy replay against the per-command replay oracle: from the
-  same locked state, both leave the loop in the same state;
+  same locked state, both leave the loop in the same state, every
+  image's cycles reach the scheduled vector through the replay
+  records, and the tracker's frontier is the first unissued command
+  after every report and every replay;
 * the stale-floor guard: matching fingerprints do not lock when an
   issue between them dipped to the stale zone;
 * the keyed lock lookup against a linear scan over every earlier
@@ -42,7 +45,7 @@ from oracle import (
     replay_reference,
     settings,
 )
-from repro.dram.columnar import ColumnarStream
+from repro.dram.columnar import ColumnarStream, _UNLINKED, _latency_table
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import CommandScheduler
 from repro.dram.period import PeriodSegment, SegmentRecorder, StreamPeriod
@@ -377,19 +380,44 @@ class TestHypothesisEquivalence:
 # ----------------------------------------------------------------------
 # Numpy replay == the per-command replay oracle
 # ----------------------------------------------------------------------
-def _twin(tracker):
-    """``tracker`` bound to a private copy of its loop state (the
-    read-only latency list stays shared; out-edges are read from the
-    stream)."""
+def _initial_links(ports):
+    """Every command's first queue links: the previous and next command
+    of its port, in stream order (``-1`` at either end)."""
+    nxt, prv = [-1] * len(ports), [-1] * len(ports)
+    last = {}
+    for i, port in enumerate(ports):
+        j = last.get(port, -1)
+        prv[i] = j
+        if j >= 0:
+            nxt[j] = i
+        last[port] = i
+    return nxt, prv
+
+
+def _links(prep):
+    """The loop's queue links with every slot not linked yet read as
+    its initial link (``_Prepared.link`` would fill it so)."""
+    return tuple(
+        [v if v != _UNLINKED else first for v, first in zip(values, initial)]
+        for values, initial in zip(
+            (prep.nxt, prep.prv), _initial_links(prep.port)
+        )
+    )
+
+
+def _twin(tracker, record):
+    """``tracker`` bound to a private copy of its loop state, made
+    whole: ``record``'s issue and completion cycles of every command
+    issued so far, and every queue link resolved (the read-only
+    latency list stays shared; out-edges are read from the stream)."""
     prep = tracker.prep
     twin = copy.copy(tracker)
+    nxt, prv = _links(prep)
     twin.prep = SimpleNamespace(
-        lat=prep.lat,
-        ndeps=list(prep.ndeps), nxt=list(prep.nxt), prv=list(prep.prv),
-        heads=list(prep.heads), tails=list(prep.tails),
+        lat=prep.lat, ndeps=list(prep.ndeps), nxt=nxt, prv=prv,
+        heads=list(prep.heads),
     )
-    twin.issue = list(tracker.issue)
-    twin.completion = list(tracker.completion)
+    twin.issue, twin.completion = (list(values) for values in record)
     twin.dep_ready = list(tracker.dep_ready)
     twin.timers = [list(values) for values in tracker.timers]
     twin.act_windows = [
@@ -413,63 +441,129 @@ def _walk(start, links):
     return nodes
 
 
-def _loop_state(tracker):
+def _loop_state(tracker, links, issue, completion):
     """Everything a replay writes, each port's pending queue walked
-    forward from its head and backward from its tail."""
+    forward from its head over ``links`` and back from its last node:
+    both walks must agree."""
     prep = tracker.prep
+    nxt, prv = links
+    queues = [_walk(head, nxt) for head in prep.heads]
+    for queue in queues:
+        assert _walk(queue[-1] if queue else -1, prv)[::-1] == queue
     return {
-        "issue": list(tracker.issue),
-        "completion": list(tracker.completion),
+        "issue": issue,
+        "completion": completion,
         "ndeps": list(prep.ndeps),
         "dep_ready": list(tracker.dep_ready),
         "heads": list(prep.heads),
-        "tails": list(prep.tails),
-        "queues": [
-            (_walk(head, prep.nxt), _walk(tail, prep.prv)[::-1])
-            for head, tail in zip(prep.heads, prep.tails)
-        ],
+        "queues": queues,
         "timers": [list(values) for values in tracker.timers],
         "act_windows": [list(window) for window in tracker.act_windows],
         "frontier": tracker.frontier,
     }
 
 
+def _first_unissued(issue, start=0):
+    f = start
+    while f < len(issue) and issue[f] >= 0:
+        f += 1
+    return f
+
+
 def _replays(design, optimizer="momentum_sgd", precision="8/32",
              columns=16, window=16, chunk=SteadyTracker.REPLAY_CHUNK):
-    """Schedule with replay (``chunk`` replayed commands per numpy
-    chunk); at every replay, also run the oracle on a twin of the
-    locked state. The schedule must still match the reference loop.
+    """Schedule with replay (``chunk`` commands per numpy chunk); at
+    every replay, also run the oracle on a whole twin of the locked
+    state. The schedule must still match the reference loop.
+
+    A record of every command's issue and completion cycle is kept
+    beside the loop: each reported issue, then each replay's images as
+    the oracle writes them. After every report and every replay the
+    tracker's frontier must be the record's first unissued command.
+    Only the last copy's images past the new frontier may be written
+    into the loop's lists; every image's cycle must reach the
+    scheduled vector through the run's ``Replay`` records, and its
+    completion through the latency.
+
     Returns ``(numpy state, oracle state, out-edges past the replayed
     block)`` per replay."""
     config, commands, _, period = _built(
         design, optimizer, precision, columns
     )
+    n = len(commands)
+    record = ([-1] * n, [0] * n)
+    unwritten = set()  # images the loop's lists must not hold
     replays = []
-    numpy_replay = SteadyTracker._replay
+    frontier = [0]
+    numpy_replay, report = SteadyTracker._replay, SteadyTracker.issued
+
+    def issued(tracker, i, cycle, port):
+        record[0][i], record[1][i] = cycle, tracker.completion[i]
+        replayed = report(tracker, i, cycle, port)
+        frontier[0] = _first_unissued(record[0], frontier[0])
+        assert tracker.frontier == frontier[0]
+        return replayed
 
     def both(tracker, events, m, P, delta, anchor):
-        images = [i + t * P for i, _, _ in events for t in range(1, m + 1)]
-        assert all(tracker.issue[x] < 0 for x in images)
-        twin = _twin(tracker)
+        ev_i = events[0].tolist()
+        images = [i + t * P for i in ev_i for t in range(1, m + 1)]
+        assert all(record[0][x] < 0 for x in images)
+        twin = _twin(tracker, record)
         replay_reference(twin, events, m, P, delta, anchor)
         numpy_replay(tracker, events, m, P, delta, anchor)
+        record[0][:], record[1][:] = twin.issue, twin.completion
+        # The last copy's images past the frontier are written; no
+        # other image is.
+        last = {i + m * P for i in ev_i}
+        unwritten.update(
+            x for x in images if x not in last or x <= twin.frontier
+        )
+        for x in unwritten:
+            assert tracker.issue[x] == -1 and tracker.completion[x] == 0
+
+        def masked(values):
+            return [
+                None if k in unwritten else v for k, v in enumerate(values)
+            ]
+
         optr = tracker.stream.out_indptr.tolist()
         oidx = tracker.stream.out_indices.tolist()
-        last = max(images)
         past = sum(
-            j > last for x in images for j in oidx[optr[x]:optr[x + 1]]
+            j > max(images) for x in images
+            for j in oidx[optr[x]:optr[x + 1]]
         )
-        replays.append((_loop_state(tracker), _loop_state(twin), past))
+        replays.append((
+            _loop_state(
+                tracker, _links(tracker.prep), masked(tracker.issue),
+                masked(tracker.completion),
+            ),
+            _loop_state(
+                twin, (twin.prep.nxt, twin.prep.prv), masked(twin.issue),
+                masked(twin.completion),
+            ),
+            past,
+        ))
         # No pending command keeps a cycle cached before the shift.
         cached = tracker.caches[0]
         assert all(
             cached[j] is None
-            for j, cycle in enumerate(tracker.issue) if cycle < 0
+            for j, cycle in enumerate(record[0]) if cycle < 0
         )
 
     with mock.patch.object(SteadyTracker, "_replay", both), \
+            mock.patch.object(SteadyTracker, "issued", issued), \
             mock.patch.object(SteadyTracker, "REPLAY_CHUNK", chunk):
-        _run_both(config, commands, None, period, window=window)
+        result = _run_both(config, commands, None, period, window=window)
+    # Every image, from the assembled vector and the replay records.
+    issue = result.columnar.issue_cycle
+    latency = _latency_table(T)[result.columnar.stream.kind]
+    assert len(result.periodic.replays) == len(replays)
+    for replay in result.periodic.replays:
+        for t in range(1, replay.copies + 1):
+            for i in replay.events:
+                x = i + t * replay.period
+                assert issue[x] == record[0][x]
+                assert issue[x] + latency[x] == record[1][x]
     return replays
 
 
@@ -481,7 +575,7 @@ class TestReplayOracle:
     @pytest.mark.parametrize("chunk", [SteadyTracker.REPLAY_CHUNK, 1])
     def test_same_state_as_oracle(self, design, chunk):
         """One port (GradPIM-DR) and four buffered ports (GradPIM-BD),
-        one chunk per replay and one super-period per chunk."""
+        one out-edge chunk per replay and one command per chunk."""
         replays = _replays(design, chunk=chunk)
         assert replays
         for state, expected, _ in replays:
@@ -514,23 +608,38 @@ def _guard_tracker(dip):
     """A tracker over a 2-command-per-sweep segment, driven by hand
     through two boundaries whose fingerprints match: commands 0 and 1
     cross boundaries 0 and 1 at cycles 100 and 110, and command 2 is
-    issued ahead of the frontier, between them, at cycle ``dip``."""
+    issued ahead of the frontier, between them, at cycle ``dip``.
+
+    The one port's queue is kept as the loop keeps it (the frontier is
+    its head); dependency-ready cycles rise 5 per command, so the
+    windows the two snapshots see shift with their anchors."""
+    n = 16
     stream = ColumnarStream.from_commands(
-        [Command(CommandType.PIM_ADD) for _ in range(16)]
+        [Command(CommandType.PIM_ADD) for _ in range(n)]
     )
     period = StreamPeriod(
-        segments=(PeriodSegment(start=0, end=16, period=2),), columns=8
+        segments=(PeriodSegment(start=0, end=n, period=2),), columns=8
     )
     tracker = SteadyTracker(period, stream, T, window=4)
-    issue = [-1] * stream.n
+    issue = [-1] * n
+    prep = SimpleNamespace(
+        heads=[0], nxt=[*range(1, n), -1], prv=list(range(-1, n - 1)),
+        ndeps=[0] * n, n_ports=1,
+    )
     tracker.attach(
-        SimpleNamespace(heads=[], nxt=[], ndeps=[], n_ports=1),
-        timers=(), shape=(), act_windows=[], issue=issue,
-        completion=[0] * stream.n, dep_ready=[0] * stream.n,
+        prep, timers=(), shape=(), act_windows=[], issue=issue,
+        completion=[0] * n, dep_ready=[95 + 5 * i for i in range(n)],
         caches=(),
     )
     for i, cycle in ((0, 100), (2, dip), (1, 110)):
         issue[i] = cycle
+        p, q = prep.prv[i], prep.nxt[i]
+        if p >= 0:
+            prep.nxt[p] = q
+        else:
+            prep.heads[0] = q
+        if q >= 0:
+            prep.prv[q] = p
         assert tracker.issued(i, cycle, 0) == 0
     return tracker
 

@@ -27,9 +27,10 @@ benchmarks' equivalence gates.
   pin holds under the derandomized tier-1 profile and never caps the
   randomized ``deep`` fuzz profile.
 * :func:`replay_reference` — steady-state replay as first written:
-  one Python step per replayed command and per out-edge. The numpy
-  replay of :class:`~repro.dram.steady.SteadyTracker` must leave the
-  loop state it leaves.
+  one Python step per replayed command and per out-edge, writing
+  every image's issue and completion cycle. The numpy replay of
+  :class:`~repro.dram.steady.SteadyTracker` must leave the loop state
+  it leaves, and the scheduled vector must hold the cycles it writes.
 * :func:`lock_scan_reference` — the steady-state lock search as a
   linear scan over every earlier boundary of the run, comparing whole
   snapshots. The tracker's keyed lookup must pick what it picks.
@@ -650,12 +651,18 @@ def replay_reference(tracker, events, m: int, P: int, delta: int,
     """Replay on a :class:`~repro.dram.steady.SteadyTracker`'s bound
     loop state, one command at a time: schedule ``m`` copies of
     ``events`` in place, then advance the machine by ``m * delta``
-    cycles (same arguments as ``SteadyTracker._replay``)."""
+    cycles (same arguments as ``SteadyTracker._replay``).
+
+    The state must be whole, not the loop's own: ``tracker.issue`` /
+    ``completion`` hold every command issued so far, replayed images
+    included, and ``prep.nxt`` / ``prv`` every queue link (the loop
+    writes no image's cycles and builds its links lazily)."""
     prep = tracker.prep
     issue, completion = tracker.issue, tracker.completion
     dep_ready = tracker.dep_ready
     lat, nxt, prv = prep.lat, prep.nxt, prep.prv
-    heads, tails = prep.heads, prep.tails
+    heads = prep.heads
+    events = list(zip(*(column.tolist() for column in events)))
     for t in range(1, m + 1):
         for i, cycle, port in events:
             x = i + t * P
@@ -669,8 +676,6 @@ def replay_reference(tracker, events, m: int, P: int, delta: int,
                 heads[port] = q
             if q >= 0:
                 prv[q] = p
-            else:
-                tails[port] = p
     # The loop builds its static lists on demand and images' may be
     # unbuilt: read their out-edges from the stream's columns.
     optr = tracker.stream.out_indptr.tolist()
@@ -718,7 +723,7 @@ def lock_scan_reference(tracker, run, j: int, anchor: int, snapshot):
     event-count check and the stale-floor guard, or ``None``."""
     floor, period = tracker.floor, tracker.seg.period
     struct, timers = snapshot
-    marks, events = tracker.marks, tracker.events
+    marks = tracker.marks
     for prev_j, prev_anchor, (prev_struct, prev_timers) in reversed(run):
         delta = anchor - prev_anchor
         if delta <= 0 or prev_struct != struct:
@@ -730,10 +735,10 @@ def lock_scan_reference(tracker, run, j: int, anchor: int, snapshot):
         ):
             continue
         q = j - prev_j
-        matched = events[marks[prev_j]:marks[j]]
-        if len(matched) != q * period:
+        cycles = tracker.ev_c[marks[prev_j]:marks[j]]
+        if len(cycles) != q * period:
             continue
-        if min(cycle for _, cycle, _ in matched) <= prev_anchor - floor // 2:
+        if min(cycles) <= prev_anchor - floor // 2:
             continue
         return j, q, delta
     return None
