@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md §5 calls out.
+"""Ablation benches: four design choices, each switched off in turn.
 
 1. **Command ports** — the single knob separating GradPIM-Direct from
    GradPIM-Buffered; sweeping port counts shows the command-bus wall.

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from repro.cluster.config import ClusterConfig
 from repro.cluster.router import create_cluster
 from repro.errors import ConfigError
+from repro.service.config import add_execution_flags, execution_from_args
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -109,33 +110,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="N",
         help="per-shard dispatcher queue bound (503 past it)",
     )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=defaults.job_timeout_seconds,
-        metavar="SECONDS",
-        help=(
-            "per-job wall-clock budget inside each shard (routes "
-            "execution through the hardened per-job worker pool)"
-        ),
-    )
-    parser.add_argument(
-        "--job-max-retries",
-        type=int,
-        default=defaults.job_max_retries,
-        metavar="N",
-        help="retries for jobs lost to worker death or timeout",
-    )
-    parser.add_argument(
-        "--quarantine-ttl",
-        type=float,
-        default=defaults.quarantine_ttl_seconds,
-        metavar="SECONDS",
-        help=(
-            "let a poison-job quarantine expire after SECONDS "
-            "(default: holds for the shard process lifetime)"
-        ),
-    )
+    add_execution_flags(parser)
     parser.add_argument(
         "--faults",
         metavar="SPEC",
@@ -174,9 +149,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache_dir=args.cache_dir,
             shard_workers=args.shard_workers,
             shard_queue_depth=args.shard_queue_depth,
-            job_timeout_seconds=args.job_timeout,
-            job_max_retries=args.job_max_retries,
-            quarantine_ttl_seconds=args.quarantine_ttl,
+            execution=execution_from_args(args),
             faults=args.faults,
             log_json=args.log_json,
         )

@@ -3,17 +3,19 @@
 One frozen dataclass carries the router bind address, the shard fleet
 shape, the supervisor's probe/restart policy, and the knobs forwarded
 verbatim into each shard's :class:`~repro.server.config.ServerConfig` —
-so the CLI, tests, and benchmarks construct a cluster the same way.
+among them the one :class:`~repro.service.config.ServiceConfig`
+execution policy — so the CLI, tests, and benchmarks construct a
+cluster the same way.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.server.config import ServerConfig
 from repro.service.cache import DEFAULT_MAX_ENTRIES
+from repro.service.config import ServiceConfig
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,11 @@ class ClusterConfig:
     shard_workers: int = 1
     shard_queue_depth: int = 64
     shard_cache_max_entries: int = DEFAULT_MAX_ENTRIES
-    job_timeout_seconds: float | None = None
-    job_max_retries: int = 2
-    quarantine_ttl_seconds: float | None = None
-    default_deadline_ms: int | None = None
+
+    #: Execution policy every shard applies (timeout, retries,
+    #: quarantine TTL, default deadline), validated here at
+    #: construction and forwarded to each shard unchanged.
+    execution: ServiceConfig = ServiceConfig()
 
     #: Fault-injection plan spec armed in the router/supervisor process
     #: (``None`` falls back to ``REPRO_FAULTS``). The plan text is also
@@ -141,7 +144,8 @@ class ClusterConfig:
         """The :class:`ServerConfig` every shard child runs with.
 
         Always ``port=0``: shards bind ephemeral ports and report the
-        bound URL back to the supervisor over a pipe.
+        bound URL back to the supervisor over a pipe. The frozen config
+        itself is what the supervisor hands each shard child.
         """
         return ServerConfig(
             host=self.host,
@@ -154,13 +158,7 @@ class ClusterConfig:
             max_batch=self.max_batch,
             max_wait_seconds=self.max_wait_seconds,
             log_json=self.log_json,
-            job_timeout_seconds=self.job_timeout_seconds,
-            job_max_retries=self.job_max_retries,
-            quarantine_ttl_seconds=self.quarantine_ttl_seconds,
-            default_deadline_ms=self.default_deadline_ms,
+            execution=self.execution,
             faults=self.faults,
         )
 
-    def shard_config_kwargs(self) -> dict:
-        """:meth:`shard_config` as plain kwargs (pipe/pickle-friendly)."""
-        return dataclasses.asdict(self.shard_config())

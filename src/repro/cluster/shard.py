@@ -19,6 +19,7 @@ import time
 from typing import Optional
 
 from repro.obs.metrics import set_default_registry
+from repro.server.config import ServerConfig
 
 # Lifecycle states (spelled out in /healthz and metric labels).
 STARTING = "starting"    #: spawned, not yet passed a readiness probe
@@ -38,7 +39,7 @@ def _watch_parent(parent_pid: int) -> None:
             os._exit(0)
 
 
-def _shard_main(shard_id: str, config_kwargs: dict, conn) -> None:
+def _shard_main(shard_id: str, config: ServerConfig, conn) -> None:
     """Child entry point: boot a gateway, report the URL, serve."""
     # Fresh telemetry: the child inherited the parent's process-global
     # registry state over fork; a shard's /metrics must only report
@@ -54,10 +55,9 @@ def _shard_main(shard_id: str, config_kwargs: dict, conn) -> None:
     # the child pays nothing extra; keeping the import local avoids a
     # cycle (server -> ... -> cluster is never created).
     from repro.server.app import create_server
-    from repro.server.config import ServerConfig
 
     try:
-        server = create_server(ServerConfig(**config_kwargs))
+        server = create_server(config)
     except Exception as exc:
         conn.send(f"error: {type(exc).__name__}: {exc}")
         conn.close()
@@ -80,9 +80,9 @@ class ShardProcess:
     under its lock.
     """
 
-    def __init__(self, shard_id: str, config_kwargs: dict) -> None:
+    def __init__(self, shard_id: str, config: ServerConfig) -> None:
         self.id = shard_id
-        self._config_kwargs = config_kwargs
+        self._config = config
         self._proc: Optional[multiprocessing.process.BaseProcess] = None
         self.url: Optional[str] = None
         self.state = DEAD  # becomes STARTING on the first spawn()
@@ -106,7 +106,7 @@ class ShardProcess:
         parent_conn, child_conn = _CTX.Pipe(duplex=False)
         proc = _CTX.Process(
             target=_shard_main,
-            args=(self.id, self._config_kwargs, child_conn),
+            args=(self.id, self._config, child_conn),
             name=f"repro-shard-{self.id}",
         )
         proc.start()

@@ -73,10 +73,10 @@ class Supervisor:
         self._reported_down: set[str] = set()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        kwargs = config.shard_config_kwargs()
+        shard_config = config.shard_config()
         for i in range(config.shards):
             shard_id = f"s{i}"
-            self._shards[shard_id] = ShardProcess(shard_id, kwargs)
+            self._shards[shard_id] = ShardProcess(shard_id, shard_config)
             self.metrics.gauge(
                 "shard_up",
                 lambda s=shard_id: 1.0 if self._is_ready(s) else 0.0,

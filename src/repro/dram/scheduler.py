@@ -22,7 +22,7 @@ explicitly:
 Refresh is accounted analytically (a tRFC/tREFI derate applied by
 :mod:`repro.system.update_model`) rather than simulated, because the
 sampling windows used for steady-state measurement are much shorter than
-tREFI; this is documented in DESIGN.md §3.
+tREFI (the derate is derived in :mod:`repro.system.update_model`).
 
 Steady-state replay
 -------------------

@@ -37,7 +37,7 @@ from repro.kernels.artifact import (
     SweepEmitter,
     round_robin,
 )
-from repro.kernels.layout import UpdateLayout, ColumnCoords
+from repro.kernels.layout import ColumnCoords, UpdateLayout, column_plan
 from repro.optim.base import (
     Lincomb,
     Mul,
@@ -48,7 +48,6 @@ from repro.optim.base import (
 )
 from repro.optim.precision import PrecisionConfig, PRECISION_8_32
 from repro.pim.scaler import ScalerValue
-from repro.units import ceil_div
 
 #: Programmable scaler slots available to coefficients (slot 0 = identity).
 _COEF_SLOTS = 3
@@ -218,7 +217,9 @@ class UpdateKernelCompiler:
             )
         recipe.validate_bank_budget(self.geometry.banks_per_group)
 
-        columns = self._column_plan(n_params, columns_per_stripe, precision)
+        columns = column_plan(
+            self.geometry, precision, n_params, columns_per_stripe
+        )
         layout = self._build_layout(recipe, precision, columns)
         pass_slots = self._assign_pass_slots(recipe)
 
@@ -260,42 +261,6 @@ class UpdateKernelCompiler:
         )
 
     # ------------------------------------------------------------------
-    def _column_plan(
-        self,
-        n_params: Optional[int],
-        columns_per_stripe: Optional[int],
-        precision: PrecisionConfig,
-    ) -> list[list[int]]:
-        """Per-stripe lists of hp column indices, round-robin ready."""
-        geom = self.geometry
-        stripes = geom.bankgroups * geom.ranks
-        cpr = geom.columns_per_row
-        if (n_params is None) == (columns_per_stripe is None):
-            raise CompileError(
-                "give exactly one of n_params / columns_per_stripe"
-            )
-        if columns_per_stripe is not None:
-            if not 1 <= columns_per_stripe <= cpr:
-                raise CompileError(
-                    f"columns_per_stripe must be in [1, {cpr}]"
-                )
-            k = columns_per_stripe
-            if not precision.is_full:
-                k = ceil_div(k, precision.ratio) * precision.ratio
-            return [
-                list(range(s * cpr, s * cpr + k)) for s in range(stripes)
-            ]
-        if n_params < 1:
-            raise CompileError(f"n_params must be positive, got {n_params}")
-        lanes = geom.column_bytes // precision.hp_bytes
-        n_cols = ceil_div(n_params, lanes)
-        if not precision.is_full:
-            n_cols = ceil_div(n_cols, precision.ratio) * precision.ratio
-        plan: list[list[int]] = [[] for _ in range(stripes)]
-        for j in range(n_cols):
-            plan[(j // cpr) % stripes].append(j)
-        return plan
-
     def _build_layout(
         self,
         recipe: UpdateRecipe,

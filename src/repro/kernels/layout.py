@@ -19,7 +19,9 @@ Placement mechanics implemented here:
 * **quarter-row packing** — quantized arrays use only the first
   ``1/ratio`` of each row (paper: "utilize only the first quarter of the
   row for the quantized weights"), keeping low-precision column
-  ``j // ratio`` in the same stripe as high-precision column ``j``.
+  ``j // ratio`` in the same stripe as high-precision column ``j``;
+* **column plan** — :func:`column_plan` picks which high-precision
+  columns a kernel touches, per stripe, for every stream generator.
 """
 
 from __future__ import annotations
@@ -31,7 +33,47 @@ import numpy as np
 
 from repro.dram.geometry import DeviceGeometry, DEFAULT_GEOMETRY
 from repro.errors import CompileError
+from repro.optim.precision import PrecisionConfig
 from repro.units import ceil_div
+
+
+def column_plan(
+    geometry: DeviceGeometry,
+    precision: PrecisionConfig,
+    n_params: int | None = None,
+    columns_per_stripe: int | None = None,
+) -> list[list[int]]:
+    """Per-stripe lists of hp column indices, round-robin ready.
+
+    Exactly one of ``n_params`` (functional use: every column of a real
+    array, striped across stripes in row-sized chunks) or
+    ``columns_per_stripe`` (timing use: a steady-state sample engaging
+    every stripe) must be given. Column counts round up to whole
+    quantization groups of ``precision.ratio`` columns.
+    """
+    stripes = geometry.bankgroups * geometry.ranks
+    cpr = geometry.columns_per_row
+    if (n_params is None) == (columns_per_stripe is None):
+        raise CompileError(
+            "give exactly one of n_params / columns_per_stripe"
+        )
+    if columns_per_stripe is not None:
+        if not 1 <= columns_per_stripe <= cpr:
+            raise CompileError(f"columns_per_stripe must be in [1, {cpr}]")
+        k = columns_per_stripe
+        if not precision.is_full:
+            k = ceil_div(k, precision.ratio) * precision.ratio
+        return [list(range(s * cpr, s * cpr + k)) for s in range(stripes)]
+    if n_params < 1:
+        raise CompileError(f"n_params must be positive, got {n_params}")
+    lanes = geometry.column_bytes // precision.hp_bytes
+    n_cols = ceil_div(n_params, lanes)
+    if not precision.is_full:
+        n_cols = ceil_div(n_cols, precision.ratio) * precision.ratio
+    plan: list[list[int]] = [[] for _ in range(stripes)]
+    for j in range(n_cols):
+        plan[(j // cpr) % stripes].append(j)
+    return plan
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,8 @@ from repro.kernels.artifact import (
     SweepEmitter,
     round_robin,
 )
-from repro.kernels.layout import UpdateLayout
+from repro.kernels.layout import UpdateLayout, column_plan
 from repro.optim.precision import PrecisionConfig, PRECISION_8_32
-from repro.units import ceil_div
 
 
 @dataclass
@@ -101,9 +100,12 @@ class BaselineStreamGenerator:
         all_arrays = self.arrays(optimizer, precision, fused)
         hp_arrays = [a for a in all_arrays if not a.startswith("q_")]
         q_arrays = [a for a in all_arrays if a.startswith("q_")]
-        layout = self._build_layout(hp_arrays, q_arrays, precision,
-                                    n_params, columns_per_stripe, fused)
-        columns = self._column_plan(precision, n_params, columns_per_stripe)
+        columns = column_plan(
+            self.geometry, precision, n_params, columns_per_stripe
+        )
+        layout = self._build_layout(
+            hp_arrays, q_arrays, precision, columns, fused
+        )
 
         ratio = precision.ratio if not precision.is_full else 1
         states = tuple(optimizer.state_arrays())
@@ -198,11 +200,9 @@ class BaselineStreamGenerator:
         hp_arrays: list[str],
         q_arrays: list[str],
         precision: PrecisionConfig,
-        n_params: int | None,
-        columns_per_stripe: int | None,
+        columns: list[list[int]],
         fused: bool,
     ) -> UpdateLayout:
-        columns = self._column_plan(precision, n_params, columns_per_stripe)
         n_hp_columns = max((max(c) + 1 for c in columns if c), default=1)
         ratios = {name: precision.ratio for name in q_arrays}
         all_arrays = frozenset(hp_arrays + q_arrays)
@@ -227,35 +227,6 @@ class BaselineStreamGenerator:
                     frozenset({"theta", "q_theta"}),
                 ]
             return UpdateLayout(groups, ratios, n_hp_columns, self.geometry)
-
-    def _column_plan(
-        self,
-        precision: PrecisionConfig,
-        n_params: int | None,
-        columns_per_stripe: int | None,
-    ) -> list[list[int]]:
-        geom = self.geometry
-        stripes = geom.bankgroups * geom.ranks
-        cpr = geom.columns_per_row
-        ratio = precision.ratio if not precision.is_full else 1
-        if (n_params is None) == (columns_per_stripe is None):
-            raise CompileError(
-                "give exactly one of n_params / columns_per_stripe"
-            )
-        if columns_per_stripe is not None:
-            k = ceil_div(columns_per_stripe, ratio) * ratio
-            if k > cpr:
-                raise CompileError(f"columns_per_stripe must be <= {cpr}")
-            return [
-                list(range(s * cpr, s * cpr + k)) for s in range(stripes)
-            ]
-        lanes = geom.column_bytes // precision.hp_bytes
-        n_cols = ceil_div(n_params, lanes)
-        n_cols = ceil_div(n_cols, ratio) * ratio
-        plan: list[list[int]] = [[] for _ in range(stripes)]
-        for j in range(n_cols):
-            plan[(j // cpr) % stripes].append(j)
-        return plan
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from repro.errors import ConfigError
 from repro.server.app import create_server
 from repro.server.config import ServerConfig
+from repro.service.config import add_execution_flags, execution_from_args
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -67,49 +68,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="N",
         help="bound on in-memory cached results (0 disables memory)",
     )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=defaults.job_timeout_seconds,
-        metavar="SECONDS",
-        help=(
-            "per-job wall-clock budget; routes execution through "
-            "hardened per-job worker processes with kill-on-timeout, "
-            "bounded retry, and poison-job quarantine"
-        ),
-    )
-    parser.add_argument(
-        "--job-max-retries",
-        type=int,
-        default=defaults.job_max_retries,
-        metavar="N",
-        help=(
-            "retries granted to jobs lost to worker death or timeout "
-            f"(default: {defaults.job_max_retries})"
-        ),
-    )
-    parser.add_argument(
-        "--quarantine-ttl",
-        type=float,
-        default=defaults.quarantine_ttl_seconds,
-        metavar="SECONDS",
-        help=(
-            "let a poison-job quarantine expire after SECONDS so the "
-            "hash can re-earn trust (default: quarantine holds for "
-            "the process lifetime)"
-        ),
-    )
-    parser.add_argument(
-        "--deadline-ms",
-        type=int,
-        default=defaults.default_deadline_ms,
-        metavar="MS",
-        help=(
-            "deadline for every accepted spec without its own "
-            "deadline_ms (clock starts at enqueue); expired jobs "
-            "finish in the terminal timed_out state"
-        ),
-    )
+    add_execution_flags(parser)
     parser.add_argument(
         "--faults",
         metavar="SPEC",
@@ -147,10 +106,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache_dir=args.cache_dir,
             cache_max_entries=args.cache_max_entries,
             log_json=args.log_json,
-            job_timeout_seconds=args.job_timeout,
-            job_max_retries=args.job_max_retries,
-            quarantine_ttl_seconds=args.quarantine_ttl,
-            default_deadline_ms=args.deadline_ms,
+            execution=execution_from_args(args),
             faults=args.faults,
         )
         server = create_server(config)

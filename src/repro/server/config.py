@@ -3,7 +3,8 @@
 One frozen dataclass carries every tunable the server exposes — bind
 address, dispatcher sizing, cache placement and bounds, backpressure
 behaviour — so the CLI, tests, benchmarks, and examples all construct a
-server the same way.
+server the same way. The execution policy is not re-declared here: it
+is one nested :class:`~repro.service.config.ServiceConfig`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.service.cache import DEFAULT_MAX_ENTRIES
+from repro.service.config import ServiceConfig
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,12 @@ class ServerConfig:
     #: asked (``repro-server --log-json``).
     log_json: bool = False
 
-    #: Per-job wall-clock budget (seconds). Setting it routes execution
-    #: through the hardened per-job-process pool: kill-on-timeout,
-    #: dead-worker retry, poison-job quarantine.
-    job_timeout_seconds: float | None = None
-
-    #: Retries granted to jobs lost to worker death or timeout under
-    #: the hardened pool.
-    job_max_retries: int = 2
-
-    #: How long a poison-job quarantine holds (seconds). ``None``
-    #: keeps quarantine process-lifetime; with a TTL a quarantined
-    #: content hash re-earns trust and runs again after it elapses.
-    quarantine_ttl_seconds: float | None = None
-
-    #: Deadline applied to every accepted spec that doesn't carry its
-    #: own ``deadline_ms``. The clock starts at enqueue, so time spent
-    #: queued counts; an expired job finishes in the terminal
-    #: ``timed_out`` state instead of running (or waiting) forever.
-    default_deadline_ms: int | None = None
+    #: Execution policy for every job this gateway runs: timeout,
+    #: retries, quarantine TTL and default deadline. A spec's deadline
+    #: clock starts at enqueue, so time spent queued counts; an expired
+    #: job finishes in the terminal ``timed_out`` state instead of
+    #: running (or waiting) forever.
+    execution: ServiceConfig = ServiceConfig()
 
     #: Fault-injection plan spec (``FaultPlan.parse`` grammar), armed
     #: at server construction. ``None`` falls back to the
@@ -130,33 +119,4 @@ class ServerConfig:
             raise ConfigError(
                 "max_wait_seconds must be positive, got "
                 f"{self.max_wait_seconds}"
-            )
-        if (
-            self.job_timeout_seconds is not None
-            and self.job_timeout_seconds <= 0
-        ):
-            raise ConfigError(
-                "job_timeout_seconds must be positive, got "
-                f"{self.job_timeout_seconds}"
-            )
-        if self.job_max_retries < 0:
-            raise ConfigError(
-                "job_max_retries must be >= 0, got "
-                f"{self.job_max_retries}"
-            )
-        if (
-            self.quarantine_ttl_seconds is not None
-            and self.quarantine_ttl_seconds <= 0
-        ):
-            raise ConfigError(
-                "quarantine_ttl_seconds must be positive, got "
-                f"{self.quarantine_ttl_seconds}"
-            )
-        if (
-            self.default_deadline_ms is not None
-            and self.default_deadline_ms <= 0
-        ):
-            raise ConfigError(
-                "default_deadline_ms must be positive, got "
-                f"{self.default_deadline_ms}"
             )

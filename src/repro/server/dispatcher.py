@@ -43,7 +43,6 @@ from repro.server.jobs import Job, JobStore
 from repro.obs.metrics import MetricsRegistry
 from repro.service import api
 from repro.service.cache import ResultCache, cache_key
-from repro.service.config import ServiceConfig
 from repro.service.spec import SimJobSpec
 
 _logger = get_logger("repro.server.dispatcher")
@@ -106,14 +105,6 @@ class Dispatcher:
         #: ``False`` (thread leaked past the join timeout), or ``None``
         #: (never stopped).
         self.stopped_clean: Optional[bool] = None
-        #: Hardened execution policy for the service pool. Deadlines
-        #: are passed per-execution (their clocks start at enqueue, not
-        #: at pool entry), so only the timeout/retry knobs live here.
-        self.service_config = ServiceConfig(
-            job_timeout_seconds=config.job_timeout_seconds,
-            max_retries=config.job_max_retries,
-            quarantine_ttl_seconds=config.quarantine_ttl_seconds,
-        )
         metrics.gauge("queue_depth", self.queue_depth)
         metrics.gauge("inflight_executions", lambda: len(self._inflight))
 
@@ -209,7 +200,7 @@ class Dispatcher:
         ms = (
             spec.deadline_ms
             if spec.deadline_ms is not None
-            else self.config.default_deadline_ms
+            else self.config.execution.default_deadline_ms
         )
         if ms is None:
             return None
@@ -396,7 +387,7 @@ class Dispatcher:
                     [e.spec for e in batch],
                     jobs=self.config.workers,
                     cache=None,
-                    config=self.service_config,
+                    config=self.config.execution,
                     deadlines=[e.deadline_at for e in batch],
                 )
         except Exception as exc:  # the service API isolates per-job

@@ -46,7 +46,7 @@ from repro.obs.log import configure_json_logging
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.service.api import submit_many
 from repro.service.cache import ResultCache
-from repro.service.config import ServiceConfig
+from repro.service.config import add_execution_flags, execution_from_args
 from repro.service.spec import SimJobSpec
 from repro.service.sweep import expand_grid, SweepResult
 
@@ -116,37 +116,7 @@ def _parser() -> argparse.ArgumentParser:
             "preset's physical channel count — 8 for HBM2)"
         ),
     )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-job wall-clock budget; switches to hardened per-job "
-            "worker processes with kill-on-timeout, bounded retry of "
-            "interrupted jobs, and poison-job quarantine"
-        ),
-    )
-    parser.add_argument(
-        "--deadline-ms",
-        type=int,
-        default=None,
-        metavar="MS",
-        help=(
-            "deadline for every job without its own deadline_ms; "
-            "expired jobs terminate with a classified timeout failure"
-        ),
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "retries granted to jobs lost to worker death or timeout "
-            "under --job-timeout/--deadline-ms (default: 2)"
-        ),
-    )
+    add_execution_flags(parser)
     parser.add_argument(
         "--faults",
         metavar="SPEC",
@@ -258,11 +228,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         faults.auto_install()
     try:
-        service_config = ServiceConfig(
-            job_timeout_seconds=args.job_timeout,
-            max_retries=args.max_retries,
-            default_deadline_ms=args.deadline_ms,
-        )
+        service_config = execution_from_args(args)
     except ConfigError as exc:
         print(f"bad execution policy: {exc}", file=sys.stderr)
         return 2

@@ -4,10 +4,10 @@ Every simulation request in the repo funnels through
 :func:`submit_many` (:func:`submit` is its one-spec form): specs are
 checked against the content-addressed cache first, only the misses are
 executed by :func:`repro.service.pool.run_specs` (in this process,
-across a worker pool, or hardened), and fresh results are written
-back. Callers get :class:`SimJobResult` envelopes carrying the result
-or an isolated per-job error — a bad spec in a 100-job campaign costs
-one row, not the campaign. A job run in this process records its
+across a worker pool, or in per-job processes), and fresh results are
+written back. Callers get :class:`SimJobResult` envelopes carrying the
+result or an isolated per-job error — a bad spec in a 100-job campaign
+costs one row, not the campaign. A job run in this process records its
 telemetry in place; only forked workers ship theirs back.
 """
 
@@ -96,9 +96,10 @@ class SimJobResult:
     degraded: bool = False
     degraded_reason: Optional[str] = None
     #: How ``run_specs`` ran the job: ``"parallel"`` (shared fork
-    #: pool), ``"serial"`` (in this process: a batch of one unless
-    #: hardened, and the no-fork fallback), ``"isolated"`` (hardened
-    #: per-job process), or ``None`` for cache hits, which never ran.
+    #: pool), ``"serial"`` (in this process: a batch of one with no
+    #: timeout or deadline, and the no-fork fallback), ``"isolated"``
+    #: (a per-job process: under a timeout or deadline, or re-run after
+    #: a shared-pool worker died), or ``None`` for cache hits.
     execution_mode: Optional[str] = None
     #: True when at least one earlier attempt of this job was lost to
     #: a worker death or timeout and the returned outcome came from a
@@ -229,8 +230,8 @@ def submit_many(
 
     Results come back in spec order. Duplicate specs in one batch are
     executed once. ``config``
-    (:class:`~repro.service.config.ServiceConfig`) selects the
-    hardened execution policy — per-job timeouts, retries, quarantine;
+    (:class:`~repro.service.config.ServiceConfig`) is the execution
+    policy — per-job timeouts, retries, quarantine, default deadline;
     ``deadlines`` optionally pins per-spec absolute ``time.monotonic``
     deadlines (position-matched to ``specs``; the server dispatcher
     starts those clocks at enqueue time).

@@ -1,67 +1,58 @@
-"""Execution policy for the simulation service.
+"""The execution policy of the simulation service, declared once.
 
-:class:`ServiceConfig` is how a caller asks the pool for the *hardened*
-execution path: per-job wall-clock timeouts, dead-worker detection with
-respawn, bounded retry of interrupted jobs, and poison-job quarantine.
-The default config leaves all of it off — the pool keeps its fast
-shared ``fork``-pool topology, which is what the in-process test
-fixtures (monkeypatched executors, call-counting) rely on. Hardening
-is opt-in and triggered only by configuration, never by the mere
-presence of a fault injector.
+:class:`ServiceConfig` (per-job timeout, retry budget, quarantine TTL,
+default deadline) is carried as-is by every front end: ``repro-service``
+passes it to :func:`~repro.service.api.submit_many`, and
+``ServerConfig.execution`` / ``ClusterConfig.execution`` hold it for the
+gateway and every cluster shard. All three CLIs parse it with
+:func:`add_execution_flags` and :func:`execution_from_args`. The pool
+derives its topology from it (:func:`~repro.service.pool.run_specs`);
+no setting selects one directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    import argparse
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Pool execution policy (defaults = legacy fast path).
+    """Pool execution policy (defaults: no timeout, no deadline).
 
     ``job_timeout_seconds``
         Wall-clock budget per job attempt. A job still running when the
         budget expires has its worker killed and is classified
-        ``timeout`` (retried if attempts remain). Setting this implies
-        the hardened per-job-process topology.
+        ``timeout`` (retried if attempts remain). Setting this runs
+        every job in its own killable process.
     ``max_retries``
         Extra attempts granted to a job whose worker died or timed out
         (2 → up to 3 attempts total). Jobs that *raise* are never
         retried — an exception is deterministic; death and timeout are
         environmental.
-    ``quarantine_after``
-        Consecutive failed attempts after which a job's content hash is
-        quarantined for the process lifetime: later submissions of the
-        same job short-circuit to a ``quarantined`` failure without
-        burning another worker. Defaults to ``max(2, max_retries + 1)``
-        — quarantine when the retry budget is exhausted, but never on a
-        single failure (one timeout is not evidence of a poison job).
     ``quarantine_ttl_seconds``
-        How long a tripped quarantine holds. ``None`` (default) keeps
-        the PR-7 behavior: quarantine is process-lifetime. With a TTL,
-        a submission arriving after the hash has been quarantined that
-        long runs again — the hash re-earns trust (and re-quarantines
-        on the same threshold if it is still poison). Transient
-        environmental failures (a full disk, a bad deploy since rolled
-        back) stop condemning a spec forever.
+        How long a tripped quarantine (:attr:`quarantine_threshold`)
+        holds. ``None`` (default) keeps it for the process lifetime.
+        With a TTL, a submission arriving after the hash has been
+        quarantined that long runs again — the hash re-earns trust (and
+        re-quarantines on the same threshold if it is still poison), so
+        a transient environmental failure stops condemning a spec
+        forever.
     ``default_deadline_ms``
         Deadline applied to specs that don't carry their own
-        ``deadline_ms``.
-    ``hardened``
-        Force the per-job isolated-process topology on (``True``) or
-        off (``False``) regardless of timeouts. ``None`` (default)
-        derives it: hardened iff a timeout or deadline is configured.
+        ``deadline_ms``. The clock starts when the job is accepted (at
+        enqueue in the gateway), so time spent queued counts.
     """
 
     job_timeout_seconds: Optional[float] = None
     max_retries: int = 2
-    quarantine_after: Optional[int] = None
     quarantine_ttl_seconds: Optional[float] = None
     default_deadline_ms: Optional[int] = None
-    hardened: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if (
@@ -75,11 +66,6 @@ class ServiceConfig:
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.quarantine_after is not None and self.quarantine_after < 1:
-            raise ConfigError(
-                "quarantine_after must be >= 1, got "
-                f"{self.quarantine_after}"
             )
         if (
             self.quarantine_ttl_seconds is not None
@@ -100,22 +86,81 @@ class ServiceConfig:
 
     @property
     def quarantine_threshold(self) -> int:
-        """Failed attempts that trip quarantine (default: retry budget,
-        floored at 2 so a lone failure never quarantines)."""
-        if self.quarantine_after is not None:
-            return self.quarantine_after
+        """Failed attempts after which a job's content hash is
+        quarantined, so later submissions of it short-circuit to a
+        ``quarantined`` failure without burning another worker: the
+        retry budget, floored at 2 (one timeout is not evidence of a
+        poison job)."""
         return max(2, self.max_retries + 1)
 
-    def wants_hardened(self, any_deadline: bool = False) -> bool:
-        """Whether this config asks for per-job process isolation."""
-        if self.hardened is not None:
-            return self.hardened
-        return (
-            self.job_timeout_seconds is not None
-            or self.default_deadline_ms is not None
-            or any_deadline
-        )
 
-
-#: The legacy fast path: shared fork pool, no timeouts, no retries.
+#: No timeout, no deadline: the serial path or the shared fork pool.
 DEFAULT_SERVICE_CONFIG = ServiceConfig()
+
+
+def add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """Add the execution-policy flags to a front end's parser.
+
+    ``--job-timeout``, ``--job-max-retries`` (also spelled
+    ``--max-retries``), ``--quarantine-ttl`` and ``--deadline-ms``,
+    defaulting to :class:`ServiceConfig`'s defaults. Read them back
+    with :func:`execution_from_args`.
+    """
+    defaults = DEFAULT_SERVICE_CONFIG
+    group = parser.add_argument_group("execution policy")
+    group.add_argument(
+        "--job-timeout",
+        type=float,
+        default=defaults.job_timeout_seconds,
+        metavar="SECONDS",
+        help=(
+            "per-job wall-clock budget; runs every job in its own "
+            "worker process with kill-on-timeout, bounded retry of "
+            "interrupted jobs, and poison-job quarantine"
+        ),
+    )
+    group.add_argument(
+        "--job-max-retries",
+        "--max-retries",
+        type=int,
+        default=defaults.max_retries,
+        metavar="N",
+        help=(
+            "retries granted to jobs lost to worker death or timeout "
+            f"(default: {defaults.max_retries})"
+        ),
+    )
+    group.add_argument(
+        "--quarantine-ttl",
+        type=float,
+        default=defaults.quarantine_ttl_seconds,
+        metavar="SECONDS",
+        help=(
+            "let a poison-job quarantine expire after SECONDS so the "
+            "hash can re-earn trust (default: quarantine holds for "
+            "the process lifetime)"
+        ),
+    )
+    group.add_argument(
+        "--deadline-ms",
+        type=int,
+        default=defaults.default_deadline_ms,
+        metavar="MS",
+        help=(
+            "deadline for every job without its own deadline_ms (the "
+            "clock starts when the job is accepted); expired jobs end "
+            "in a classified timeout"
+        ),
+    )
+
+
+def execution_from_args(args: argparse.Namespace) -> ServiceConfig:
+    """The :class:`ServiceConfig` that :func:`add_execution_flags`'
+    flags ask for. Raises :class:`~repro.errors.ConfigError` on a bad
+    value."""
+    return ServiceConfig(
+        job_timeout_seconds=args.job_timeout,
+        max_retries=args.job_max_retries,
+        quarantine_ttl_seconds=args.quarantine_ttl,
+        default_deadline_ms=args.deadline_ms,
+    )

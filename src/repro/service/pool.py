@@ -8,30 +8,31 @@ the expensive command-stream profiles exactly like
 ``ExperimentContext`` always did.
 
 ``run_specs`` is the one way a spec runs: in this process, across a
-``multiprocessing`` pool (fork start method, with a serial fallback
-when the platform refuses), or hardened (below), always with per-job
-error isolation: one failing spec yields an error payload, the rest of
-the batch completes. Results come back as plain dicts — the same
-lossless form the disk cache uses — whichever way the job ran, so
-parallel runs are bit-identical to serial ones.
+shared ``fork`` process pool (with a serial fallback when the platform
+refuses), or isolated (below), always with per-job error isolation: one
+failing spec yields an error payload, the rest of the batch completes.
+Results come back as plain dicts — the same lossless form the disk
+cache uses — whichever way the job ran, so parallel runs are
+bit-identical to serial ones.
 
 Telemetry: a job run in this process records straight into the live
 metrics registry and tracer. Only the forked entry points swap in fresh
 ones and ship what the job recorded back under ``payload["obs"]``,
 which the parent folds in (:func:`_ingest_obs`) and drops.
 
-Hardened execution (opt-in via
-:class:`~repro.service.config.ServiceConfig` — a per-job timeout, a
-deadline, or ``hardened=True``) switches the topology from one shared
-pool to one disposable ``fork`` process per job attempt: the parent
-polls each worker against its wall-clock budget, SIGKILLs the ones
-that blow it, detects workers that died underneath their job, retries
-interrupted jobs a bounded number of times (worker death and timeout
-are environmental; an *exception* is deterministic and never retried),
-and quarantines jobs that keep failing so a poison spec cannot eat the
-pool. A job that exhausts its budget terminates with a classified
-``{"status": "failed", "failure": {...}}`` payload instead of an
-exception killing the sweep — or a hang that never ends it.
+Isolated execution — selected whenever the
+:class:`~repro.service.config.ServiceConfig` policy or a spec sets a
+timeout or deadline — runs one disposable ``fork`` process per job
+attempt: the parent polls each worker against its wall-clock budget,
+SIGKILLs the ones that blow it, detects workers that died underneath
+their job, retries interrupted jobs a bounded number of times (worker
+death and timeout are environmental; an *exception* is deterministic
+and never retried), and quarantines jobs that keep failing so a poison
+spec cannot eat the pool. A job that exhausts its budget terminates
+with a classified ``{"status": "failed", "failure": {...}}`` payload
+instead of an exception killing the sweep — or a hang that never ends
+it. The shared pool hands the jobs a dead worker left unfinished to
+the same executor, so a worker death never hangs a batch either.
 
 Every payload records its ``execution_mode`` (``"parallel"``,
 ``"serial"``, or ``"isolated"``) so degraded parallelism — e.g. the
@@ -421,30 +422,34 @@ def run_specs(
     Returns one payload per spec, in order: ``{"status": "ok",
     "result": <NetworkResult dict>}``, ``{"status": "error", ...}``
     (the job raised), or ``{"status": "failed", "failure": {...}}``
-    (the hardened executor classified a timeout, worker death, or
-    quarantine). ``jobs <= 1`` (or a pool that fails to start) runs
-    serially in this process, which also warms this process's model
-    cache.
+    (the isolated executor classified a timeout, worker death, or
+    quarantine).
 
-    ``config`` selects the execution policy
-    (:class:`~repro.service.config.ServiceConfig`): a job timeout,
-    deadline, or ``hardened=True`` switches from the shared fork pool
-    to one disposable process per job attempt, with kill-on-timeout,
-    dead-worker retry, and poison-job quarantine. ``deadlines``
+    The topology follows from the inputs. A timeout or deadline —
+    ``config``'s (:class:`~repro.service.config.ServiceConfig`) or any
+    spec's — runs one disposable process per job attempt, with
+    kill-on-timeout, dead-worker retry, and poison-job quarantine.
+    Otherwise ``jobs > 1`` fans out over a shared fork pool, and
+    anything else (or a pool that fails to start) runs serially in this
+    process, which also warms this process's model cache. ``deadlines``
     optionally pins each spec's absolute ``time.monotonic`` deadline
     (the server dispatcher starts the clock at enqueue).
 
-    Parallel dispatch sorts jobs by substrate (timing grade, geometry,
+    The shared pool sorts jobs by substrate (timing grade, geometry,
     stripe width, validation mode) and hands each worker a contiguous
     chunk, so jobs sharing a substrate profile it once per worker
     instead of once per job; caller order is restored before returning.
+    A worker that dies breaks the pool: the jobs left without a payload
+    re-run in the isolated executor, which classifies the death under
+    ``config``'s retry and quarantine budget instead of hanging.
     """
     faults.auto_install()
     if config is None:
         config = DEFAULT_SERVICE_CONFIG
     deadlines = _effective_deadlines(specs, config, deadlines)
-    any_deadline = any(d is not None for d in deadlines)
-    if config.wants_hardened(any_deadline):
+    if config.job_timeout_seconds is not None or any(
+        d is not None for d in deadlines
+    ):
         try:
             out = _run_hardened(specs, jobs, config, deadlines)
             _ingest_obs(out)
@@ -452,27 +457,44 @@ def run_specs(
         except (OSError, ValueError):
             _serial_fallback("isolated")
     elif jobs > 1 and len(specs) > 1:
+        # Imported here so that only a pooled batch pays for it.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         _warm_shared_substrates(specs)
         order = sorted(
             range(len(specs)), key=lambda i: _substrate_key(specs[i])
         )
         n_workers = min(jobs, len(specs))
         chunksize = -(-len(specs) // n_workers)  # ceil division
+        out: list[Optional[dict]] = [None] * len(specs)
         try:
             ctx = multiprocessing.get_context("fork")
             with span(
                 "pool.dispatch", jobs=n_workers, pending=len(specs)
-            ):
-                with ctx.Pool(processes=n_workers) as pool:
-                    sorted_out = pool.map(
-                        _forked_payload,
-                        [specs[i] for i in order],
-                        chunksize=chunksize,
-                    )
-            out: list[Optional[dict]] = [None] * len(specs)
-            for i, payload in zip(order, sorted_out):
-                payload["execution_mode"] = "parallel"
-                out[i] = payload
+            ), ProcessPoolExecutor(n_workers, mp_context=ctx) as pool:
+                sorted_out = pool.map(
+                    _forked_payload,
+                    [specs[i] for i in order],
+                    chunksize=chunksize,
+                )
+                try:
+                    for i, payload in zip(order, sorted_out):
+                        payload["execution_mode"] = "parallel"
+                        out[i] = payload
+                except BrokenProcessPool:
+                    pass  # re-run below
+            lost = [i for i, payload in enumerate(out) if payload is None]
+            if lost:
+                _logger.warning(
+                    "a pool worker died; re-running its jobs isolated",
+                    extra={"jobs": len(lost)},
+                )
+                rerun = _run_hardened(
+                    [specs[i] for i in lost], jobs, config, [None] * len(lost)
+                )
+                for i, payload in zip(lost, rerun):
+                    out[i] = payload
             _ingest_obs(out)
             return out
         except (OSError, ValueError):

@@ -153,9 +153,8 @@ def run_sweep(
 
     ``cache`` follows the :func:`~repro.service.api.submit_many`
     contract: the process-wide default cache unless one is passed,
-    ``None`` to disable caching. ``config`` selects the hardened
-    execution policy (timeouts, retries, quarantine) for the whole
-    campaign.
+    ``None`` to disable caching. ``config`` is the execution policy
+    (timeouts, retries, quarantine, deadline) for the whole campaign.
     """
     specs = expand_grid(base, axes)
     results = submit_many(specs, jobs=jobs, cache=cache, config=config)

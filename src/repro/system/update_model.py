@@ -5,7 +5,10 @@ command stream for a steady-state sample window, schedules it against
 the DDR4 state machines, validates the trace, and converts the result
 into per-parameter rates (time, command counts, energy-event counts).
 The training simulator then scales those rates by each layer's
-parameter count — the hybrid methodology of DESIGN.md §3.
+parameter count. This hybrid of cycle-level sampling and analytical
+scaling is sound because the update stream is stripe-periodic (paper
+§IV): a steady-state window's per-parameter rates hold for the whole
+array.
 
 Refresh is folded in analytically: every profile's time is derated by
 ``tREFI / (tREFI - tRFC)`` (the share of time the rank is unavailable),

@@ -1,11 +1,14 @@
 """ClusterConfig validation, shard-config pass-through, and the CLI."""
 
+import pickle
+
 import pytest
 
 from repro.cluster import ClusterConfig
 from repro.cluster.__main__ import _parser, main
 from repro.errors import ConfigError
 from repro.server import ServerConfig
+from repro.service.config import ServiceConfig
 
 
 class TestValidation:
@@ -44,30 +47,35 @@ class TestShardConfig:
             shard_workers=2,
             shard_queue_depth=7,
             cache_dir=str(tmp_path),
-            job_timeout_seconds=12.5,
-            job_max_retries=4,
-            quarantine_ttl_seconds=3.0,
+            execution=ServiceConfig(
+                job_timeout_seconds=12.5,
+                max_retries=4,
+                quarantine_ttl_seconds=3.0,
+            ),
             faults="seed=9;engine.slow:rate=0.1,delay_ms=1",
         )
         shard = config.shard_config()
         assert shard.workers == 2
         assert shard.queue_depth == 7
         assert shard.cache_dir == str(tmp_path)
-        assert shard.job_timeout_seconds == 12.5
-        assert shard.job_max_retries == 4
-        assert shard.quarantine_ttl_seconds == 3.0
+        assert shard.execution.job_timeout_seconds == 12.5
+        assert shard.execution.max_retries == 4
+        assert shard.execution.quarantine_ttl_seconds == 3.0
         # Same plan text = same seed: shard-side sites fire under the
         # one deterministic schedule the whole cluster shares.
         assert shard.faults == config.faults
 
-    def test_kwargs_round_trip_through_pickleable_dict(self):
-        # Shard children rebuild their ServerConfig from plain kwargs
-        # shipped over the spawn pipe; the dict must reconstruct the
-        # exact config.
-        config = ClusterConfig(shard_queue_depth=9)
-        kwargs = config.shard_config_kwargs()
-        assert isinstance(kwargs, dict)
-        assert ServerConfig(**kwargs) == config.shard_config()
+    def test_shard_config_round_trips_through_pickle(self):
+        # Shard children receive the frozen ServerConfig itself; it
+        # must pickle, nested execution policy included, to the exact
+        # config.
+        config = ClusterConfig(
+            shard_queue_depth=9,
+            execution=ServiceConfig(default_deadline_ms=1500),
+        )
+        shard = config.shard_config()
+        assert isinstance(shard, ServerConfig)
+        assert pickle.loads(pickle.dumps(shard)) == shard
 
 
 class TestCli:

@@ -1,6 +1,8 @@
 """Hardened pool execution: kills, hangs, timeouts, quarantine."""
 
 import multiprocessing
+import os
+import threading
 import time
 
 import pytest
@@ -102,6 +104,40 @@ class TestIsolatedExecution:
         assert outcome.failure_reason == "timeout"
         assert outcome.failure["attempts"] == 0
         assert "before execution" in outcome.failure["detail"]
+
+    def test_shared_pool_worker_death_does_not_hang(self, monkeypatch):
+        # A shared-pool worker that dies mid-task must not hang the
+        # batch: the pool breaks, the specs left without a payload
+        # re-run in the per-job executor, and the one that keeps dying
+        # ends classified (default policy: three deaths, quarantined).
+        specs = [cheap_spec(batch=b) for b in (16, 24, 40, 56)]
+        poison = specs[2]
+        execute = pool.execute_spec
+
+        def die_on_poison(spec):
+            if spec == poison:
+                os._exit(3)
+            return execute(spec)
+
+        monkeypatch.setattr(pool, "execute_spec", die_on_poison)
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(pool.run_specs(specs, jobs=2)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=120.0)
+        assert not runner.is_alive(), "run_specs hung on a dead worker"
+        [payloads] = results
+        for spec, payload in zip(specs, payloads):
+            if spec == poison:
+                assert payload["status"] == "failed"
+                assert payload["execution_mode"] == "isolated"
+                assert payload["failure"]["reason"] == "quarantined"
+                assert payload["failure"]["attempts"] == 3
+            else:
+                assert payload["status"] == "ok", payload
+        assert poison.content_hash() in pool.quarantined_hashes()
 
     def test_parallel_pool_records_execution_mode(self):
         specs = [cheap_spec(batch=b) for b in (16, 24)]

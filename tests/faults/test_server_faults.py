@@ -8,6 +8,7 @@ import pytest
 from repro import faults
 from repro.server import ServerClient, ServerConfig, create_server
 from repro.service import api
+from repro.service.config import ServiceConfig
 
 from tests.faults.conftest import CHEAP, cheap_spec
 
@@ -61,7 +62,7 @@ class TestDispatcherStop:
 class TestDeadlines:
     def test_queued_past_deadline_finishes_timed_out(self, live_server):
         server, client = live_server(
-            default_deadline_ms=50,
+            execution=ServiceConfig(default_deadline_ms=50),
             faults="seed=1;dispatcher.stall:rate=1,delay_ms=300,max=1",
         )
         [envelope] = client.submit(dict(CHEAP, batch=16))
@@ -77,9 +78,11 @@ class TestDeadlines:
         # the hardened pool kills it and the job terminates classified
         # instead of running forever.
         server, client = live_server(
-            default_deadline_ms=400,
-            job_timeout_seconds=30.0,
-            job_max_retries=0,
+            execution=ServiceConfig(
+                default_deadline_ms=400,
+                job_timeout_seconds=30.0,
+                max_retries=0,
+            ),
             faults="seed=1;worker.hang:rate=1,delay_ms=60000",
         )
         [envelope] = client.submit(dict(CHEAP, batch=16))
@@ -121,7 +124,7 @@ class TestChaosAcceptance:
         server, client = live_server(
             workers=4,
             queue_depth=128,
-            job_timeout_seconds=60.0,
+            execution=ServiceConfig(job_timeout_seconds=60.0),
             cache_dir=str(tmp_path),
             cache_max_entries=0,  # force every lookup through disk
             faults=self.CHAOS,

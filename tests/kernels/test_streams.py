@@ -4,6 +4,7 @@ import pytest
 
 from repro.dram.commands import CommandType
 from repro.errors import CompileError
+from repro.kernels.compiler import UpdateKernelCompiler
 from repro.kernels.streams import BaselineStreamGenerator
 from repro.optim import Adam, MomentumSGD, SGD
 from repro.optim.precision import PRECISION_8_32, PRECISION_FULL
@@ -121,6 +122,28 @@ class TestStreamStructure:
                 MOMENTUM, PRECISION_8_32, n_params=5,
                 columns_per_stripe=5,
             )
+
+    @pytest.mark.parametrize(
+        "generate",
+        [UpdateKernelCompiler().compile, GEN.generate],
+        ids=["compiler", "baseline"],
+    )
+    @pytest.mark.parametrize(
+        "size",
+        [
+            {"columns_per_stripe": 0},
+            {"columns_per_stripe": -3},
+            {"n_params": 0},
+            {"n_params": -5},
+        ],
+        ids=["cps=0", "cps=-3", "n_params=0", "n_params=-5"],
+    )
+    def test_empty_plans_rejected_by_every_generator(self, generate, size):
+        # One column plan serves both generators, so a size that would
+        # plan no column is a CompileError everywhere, never an empty
+        # stream.
+        with pytest.raises(CompileError):
+            generate(MOMENTUM, PRECISION_8_32, **size)
 
     def test_adam_working_set_shares_a_bank(self):
         """Adam's baseline has 6 arrays > 4 banks: the layout falls
