@@ -105,7 +105,7 @@ from pathlib import Path
 import numpy as np
 
 from _record import write_record
-from repro.dram.columnar import ColumnarStream, tile_block
+from repro.dram.columnar import ColumnarStream, TiledRun
 from repro.dram.scheduler import CommandScheduler
 from repro.dram.validator import validate_trace_columnar
 from repro.errors import TimingViolation
@@ -236,32 +236,24 @@ def bench_design(design, window: int, repeats: int) -> dict:
 def tile_stream(seed: ColumnarStream, reps: int) -> ColumnarStream:
     """Tile a valid stream ``reps`` times with block-shifted deps.
 
-    Uses the generators' columnar block tiler
-    (:func:`repro.dram.columnar.tile_block`): each copy is internally
-    identical to the original, with every dependency index offset into
-    its own block, so the tiled stream is schedulable whenever the
-    original is (later copies' ACTs are structurally blocked on the
-    open row until the earlier copy's final PRE closes it, which
-    serializes copies per bank without ever deadlocking). Tags and
-    scaler payloads are left off: scheduling never reads them.
+    The result is one :class:`repro.dram.columnar.TiledRun` of ``reps``
+    copies of the seed: each copy is internally identical to the
+    original, with every dependency index offset into its own block, so
+    the tiled stream is schedulable whenever the original is (later
+    copies' ACTs are structurally blocked on the open row until the
+    earlier copy's final PRE closes it, which serializes copies per
+    bank without ever deadlocking). Tags and scaler payloads are left
+    off: scheduling never reads them.
     """
-    block = np.stack(
-        [getattr(seed, name).astype(np.int64) for name in seed.COLUMNS],
-        axis=1,
+    rows = seed.rows(0, seed.n)
+    counts, deps = seed.deps(0, seed.n)
+    run = TiledRun(
+        0, seed.n, reps, rows, np.zeros_like(rows), counts, deps,
+        np.full(len(deps), seed.n),
     )
-    counts = np.diff(seed.dep_indptr)
-    rows, t_counts, t_deps = tile_block(
-        block, np.zeros_like(block), counts, seed.dep_indices,
-        np.full(len(seed.dep_indices), seed.n), reps - 1,
-    )
-    rows = np.concatenate([block, rows])
-    counts = np.concatenate([counts, t_counts])
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return ColumnarStream(
-        **{name: rows[:, i] for i, name in enumerate(seed.COLUMNS)},
-        dep_indptr=indptr,
-        dep_indices=np.concatenate([seed.dep_indices, t_deps]),
+    return ColumnarStream.from_parts(
+        seed.n * reps, rows[:0], np.zeros(1, dtype=np.int64),
+        deps[:0], [run],
     )
 
 

@@ -7,8 +7,9 @@ scheduled with steady-state replay) and once with ``engine="periodic"``
 (a warm sample extended in closed form, or the full stream when the
 sample does not lock), and prints what each model's
 :class:`~repro.obs.report.EngineReport` says: commands simulated,
-replayed, prepared and validated, segment locks, warm runs, fast paths
-and fallbacks by reason. Every one of these counts is deterministic:
+replayed, prepared, validated and materialized (tiled-run rows a
+whole-stream expansion wrote: 0 while every consumer reads the tiled
+form), segment locks, warm runs, fast paths and fallbacks by reason. Every one of these counts is deterministic:
 it depends on the code, never on the host.
 
 Run:  PYTHONPATH=src python scripts/lock_census.py [--verbose]
@@ -42,7 +43,8 @@ ENGINES = ("columnar", "periodic")
 #: The ``EngineReport`` counters the census records per engine.
 COUNTERS = (
     "commands_simulated", "commands_replayed", "commands_prepared",
-    "commands_validated", "lock_attempts", "locks_confirmed",
+    "commands_validated", "commands_materialized", "lock_attempts",
+    "locks_confirmed",
     "warm_runs", "fast_path", "fallback", "fallback_reasons",
 )
 

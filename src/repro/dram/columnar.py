@@ -1,22 +1,37 @@
-"""Columnar (struct-of-arrays) command streams and the exact scheduling loop.
+"""Columnar command streams, kept tiled, and the exact scheduling loop.
 
-A :class:`ColumnarStream` holds one command stream as parallel numpy
-columns — opcode, rank, bankgroup, bank, row, col, channel, operand
-fields, issue cycle — plus CSR-style dependency index arrays (both
-directions: ``deps`` and the transposed dependents adjacency). It is
+A :class:`ColumnarStream` holds one command stream as explicit integer
+rows — opcode, rank, bankgroup, bank, row, channel, col, operand
+fields, tag codes, issue cycle — plus a CSR dependency list, and as
+*tiled runs*: a :class:`TiledRun` is one block of rows standing for
+many copies of it, each copy's column address (and column-valued tag
+arguments) advanced by a per-row step and each dependency either kept
+(it points before the periodic body) or moved one block per copy. It is
 lossless: :meth:`ColumnarStream.from_commands` /
 :meth:`ColumnarStream.to_commands` round-trip every
 :class:`~repro.dram.commands.Command` field byte-identically, including
 dependency tuples (order and duplicates preserved), tags and scaler
-payloads. Kernel generators attach the columnar form: they emit
-straight into it through a :class:`StreamBuilder` (per-command integer
-rows, a flat CSR dependency list, :class:`TagCodes` instead of tag
-strings) and tile the periodic body of a sampled stream with
-:func:`tile_block`, so their artifacts hold the stream from
-construction and ``artifact.commands`` is only a view that
-:meth:`ColumnarStream.to_commands` materializes on first read (see
-:class:`repro.kernels.artifact.CommandStreamArtifact`). The hot path
-never builds ``Command`` objects.
+payloads. Kernel generators emit straight into it through a
+:class:`StreamBuilder` (per-command integer rows, a flat CSR dependency
+list, :class:`TagCodes` instead of tag strings); once a sampled
+stream's sweeps lock, :meth:`StreamBuilder.tile` records the rest of
+the segment body as one run instead of writing it, so a full-row stream
+holds a few thousand rows however long it is
+(:attr:`ColumnarStream.nbytes`). ``artifact.commands`` is only a view
+that :meth:`ColumnarStream.to_commands` materializes on first read (see
+:class:`repro.kernels.artifact.CommandStreamArtifact`).
+
+Every consumer on the profile path reads the tiled form: per-range
+accessors (:meth:`~ColumnarStream.rows`, :meth:`~ColumnarStream.take`,
+:meth:`~ColumnarStream.deps`, :meth:`~ColumnarStream.edges` for
+out-edges, by index arithmetic inside a run) and per-block aggregates
+(:meth:`~ColumnarStream.blocks`: a run's block stands for ``copies``
+copies of its shape). The full columns, the full dependency and
+dependents CSRs, the tag strings and ``to_commands`` expand every run
+once, for cold consumers only (``Command`` lists, channel splitting and
+replication, ``artifact.dependents``, tests), and each expansion counts
+the tiled rows it wrote in :attr:`ColumnarStream.materialized`, which
+the update model reports as ``EngineReport.commands_materialized``.
 
 :func:`schedule_columnar` is the simulator's one exact greedy FR-FCFS
 loop, behind every :meth:`~repro.dram.scheduler.CommandScheduler.run`
@@ -25,32 +40,38 @@ loop, behind every :meth:`~repro.dram.scheduler.CommandScheduler.run`
 steady-state sweeps in place):
 
 * **Per-run preparation.** Everything the issue loop needs per command
-  — kind codes, completion latencies, flat bank/group/rank/bus ids,
+  — kind codes, completion latencies, flat bank/group/rank ids,
   read/write flags, floor-table slots, out-edges, per-port queue links,
-  initial dependency refcounts — is derived from the columns with numpy
-  during a run, and dropped when the run ends. Only the refcounts and
-  ports become Python lists up front; the rest are filled chunk by
-  chunk when first needed (:class:`_Prepared`), so commands a
-  steady-state replay issues mostly never get them, and no replayed
+  initial dependency refcounts — is derived from the stream during a
+  run, and dropped when the run ends. Only the refcounts and ports
+  become Python lists up front, block by block; the rest are filled
+  chunk by chunk when first needed (:class:`_Prepared`), so commands a
+  steady-state replay issues mostly never get them. A run's fixed
+  dependencies (every copy on one earlier command) are never walked
+  edge by edge: their completions are counted per block position and
+  applied to a chunk when the loop first reaches it. No replayed
   command is written to a Python list: the issue vector is assembled
   with numpy from the replay records.
 
 * **Vectorized validation and statistics.** Backward-dependency and
-  rank/channel range checks are single array comparisons (cached per
-  geometry), and the :class:`~repro.dram.stats.TraceStats` counters are
-  ``bincount`` results — every command issues exactly once, so they do
-  not depend on the schedule at all.
+  rank/channel range checks run per piece — a run's on its block alone
+  (cached per geometry) — and the :class:`~repro.dram.stats.TraceStats`
+  counters are per-block ``bincount`` results times copies — every
+  command issues exactly once, so they do not depend on the schedule
+  at all.
 
 The cold loop (:func:`_schedule_cold`) keeps the machine state in flat
 Python lists and per-port queues as index-linked lists, and caches each
 candidate's earliest cycle, the rank / data-bus floors and each port's
 scan result. Exactness against the reference greedy loop kept in the
 test suite is enforced by golden, hand-built and Hypothesis tests
-(``tests/dram/test_engine_equivalence.py``).
+(``tests/dram/test_engine_equivalence.py``); the tiled form against its
+eager expansion by ``tests/dram/test_tiled.py``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -143,25 +164,324 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class ColumnarStream:
-    """One command stream as parallel read-only numpy columns.
+#: Per-command integer fields of a :class:`StreamBuilder` row, in order
+#: (the last three are the :class:`TagCodes` columns).
+BUILD_FIELDS = (
+    "kind", "rank", "bankgroup", "bank", "row", "col", "scale_id",
+    "dst_reg", "src_reg", "position", "tag", "tag_a", "tag_b",
+)
+#: Every per-command integer field of a stream, in the column order of
+#: its row matrices. The first :data:`SHAPE` of them are the stream's
+#: *shape*: what scheduling and validation read, and what every copy of
+#: a tiled run repeats exactly.
+FIELDS = (
+    "kind", "rank", "bankgroup", "bank", "row", "channel", "col",
+    "scale_id", "dst_reg", "src_reg", "position", "tag", "tag_a", "tag_b",
+    "issue_cycle",
+)
+SHAPE = 6
+_F = {name: i for i, name in enumerate(FIELDS)}
+KIND, RANK, BANKGROUP, BANK, ROW, CHANNEL = range(SHAPE)
+_TAG, _TAG_A, _TAG_B = _F["tag"], _F["tag_a"], _F["tag_b"]
 
-    Columns are frozen at construction (``writeable=False``): a stream
-    is a value, so artifacts can share it between runs and results.
-    ``tags`` / ``scalers`` exist purely for
-    lossless round-tripping (no hot path reads them): ``tags`` is a
-    plain list, or ``None`` when the whole stream carries none, given
-    either as strings or as :class:`TagCodes` rendered on each read;
-    ``scalers`` is stored sparsely (index -> payload) and read back as
-    a list the same way.
+#: Fields a tiled run may advance from one copy to the next (the column
+#: address and the column-valued tag arguments); every other field must
+#: repeat exactly.
+_AFFINE_FIELDS = frozenset({"col", "tag_a", "tag_b"})
+_FIXED_FIELD_MASK = np.array([name not in _AFFINE_FIELDS for name in FIELDS])
+_AFFINE = np.flatnonzero(~_FIXED_FIELD_MASK)
+_FIXED_BUILD_MASK = np.array(
+    [name not in _AFFINE_FIELDS for name in BUILD_FIELDS]
+)
+
+#: The dtype each full column materializes with.
+_DTYPES = {
+    "kind": np.int16, "row": np.int64, "col": np.int64,
+    "issue_cycle": np.int64,
+}
+
+
+def _widen(rows: np.ndarray, issue: int) -> np.ndarray:
+    """:data:`BUILD_FIELDS` rows as :data:`FIELDS` rows (channel 0,
+    issue cycle ``issue``)."""
+    out = np.empty((len(rows), len(FIELDS)), dtype=np.int64)
+    out[:, :CHANNEL] = rows[:, :CHANNEL]
+    out[:, CHANNEL] = 0
+    out[:, CHANNEL + 1:-1] = rows[:, CHANNEL:]
+    out[:, -1] = issue
+    return out
+
+
+#: Longest target range :meth:`TiledRun.edges` serves from its unrolled
+#: out-edge pattern (a loop chunk fits).
+_PATTERN_TARGETS = 512
+
+
+def _ragged(ptr: np.ndarray, r: np.ndarray):
+    """``(counts, entries)`` of CSR rows ``r``: each row's entry count and
+    the flat entry indices of all of them, in order."""
+    lo = ptr[r]
+    counts = ptr[r + 1] - lo
+    total = int(counts.sum())
+    if not total:
+        return counts, np.zeros(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    return counts, np.repeat(lo - ends + counts, counts) + np.arange(total)
+
+
+class TiledRun:
+    """``copies`` copies of one block of ``span`` commands, from stream
+    index ``start`` on.
+
+    Copy ``k`` of block row ``p`` (stream index ``start + k * span +
+    p``) is ``block[p] + k * step[p]``, a :data:`FIELDS` row; only the
+    affine fields (column address, tag arguments) may step, so every
+    shape field repeats exactly. Its dependencies are copy 0's
+    (``dep_counts`` per row, flat ``dep_indices``), each moved by ``k *
+    dep_step``: 0 for a dependency on a command before the periodic
+    body, ``span`` for one that moves with the block.
+
+    The out-edges of a target range are index arithmetic
+    (:meth:`edges`): a fixed dependency points at one command from
+    every copy, a moving one at a command one block further per copy,
+    so away from the run's ends a target's moving out-edges depend only
+    on its block position, and a short range is two slices of that
+    pattern unrolled over a few blocks.
     """
 
     __slots__ = (
-        "n", "kind", "rank", "bankgroup", "bank", "row", "col",
-        "channel", "scale_id", "dst_reg", "src_reg", "position",
-        "issue_cycle", "dep_indptr", "dep_indices", "out_indptr",
-        "out_indices", "_tags", "_tag_codes", "_scalers",
-        "_structure_ok",
+        "start", "span", "copies", "end", "block", "shape", "step",
+        "dep_counts", "dep_ptr", "dep_indices", "dep_step", "distance",
+        "_fixed", "_moving", "_reach", "_pattern", "_interior", "_fans",
+    )
+
+    def __init__(self, start, span, copies, block, step, dep_counts,
+                 dep_indices, dep_step) -> None:
+        self.start, self.span, self.copies = int(start), int(span), int(copies)
+        self.end = self.start + self.span * self.copies
+        self.block = _freeze(np.asarray(block, dtype=np.int64))
+        self.shape = _freeze(np.ascontiguousarray(self.block[:, :SHAPE]))
+        step = np.asarray(step, dtype=np.int64)
+        self.dep_counts = _freeze(np.asarray(dep_counts, dtype=np.int64))
+        self.dep_indices = _freeze(np.asarray(dep_indices, dtype=np.int64))
+        self.dep_step = _freeze(np.asarray(dep_step, dtype=np.int64))
+        ptr = np.zeros(self.span + 1, dtype=np.int64)
+        np.cumsum(self.dep_counts, out=ptr[1:])
+        self.dep_ptr = _freeze(ptr)
+        shape = (self.span, len(FIELDS))
+        if (self.span < 1 or self.copies < 1 or self.block.shape != shape
+                or step.shape != shape
+                or len(self.dep_counts) != self.span
+                or len(self.dep_indices) != ptr[-1]
+                or len(self.dep_step) != ptr[-1]):
+            raise ValueError("inconsistent tiled run")
+        if step[:, _FIXED_FIELD_MASK].any():
+            raise ValueError("a tiled run may step only its affine fields")
+        #: Per block row, the affine fields' advance per copy.
+        self.step = _freeze(np.ascontiguousarray(step[:, _AFFINE]))
+        if ((self.dep_step != 0) & (self.dep_step != self.span)).any():
+            raise ValueError("a dependency moves by 0 or one block per copy")
+        consumer = self.start + np.repeat(
+            np.arange(self.span, dtype=np.int64), self.dep_counts
+        )
+        fixed = self.dep_step == 0
+        order = np.argsort(self.dep_indices[fixed], kind="stable")
+        self._fixed = (self.dep_indices[fixed][order], consumer[fixed][order])
+        self._fans = None
+        self._moving = (self.dep_indices[~fixed], consumer[~fixed])
+        d, c = self._moving
+        span = self.span
+        #: The longest distance from a command to a moving dependency.
+        self.distance = int((c - d).max()) if len(d) else 0
+        self._reach = self._interior = (0, -1)
+        self._pattern = None
+        if len(d):
+            self._reach = (
+                int(d.min()), int(d.max()) + (self.copies - 1) * span
+            )
+            # Targets every moving dependency reaches from some copy.
+            self._interior = (
+                int(d.max()), int(d.min()) + (self.copies - 1) * span + 1
+            )
+            # Per block position of a target, its consumers' offsets;
+            # unrolled over enough blocks for any range of
+            # _PATTERN_TARGETS targets starting in the first.
+            position = (d - self.start) % span
+            order = np.lexsort((c - d, position))
+            reps = -(-_PATTERN_TARGETS // span) + 1
+            ptr = np.zeros(reps * span + 1, dtype=np.int64)
+            np.cumsum(
+                np.tile(np.bincount(position, minlength=span), reps),
+                out=ptr[1:],
+            )
+            block = np.arange(reps, dtype=np.int64)[:, None] * span
+            self._pattern = (
+                ptr,
+                (block + (c - d + position)[order]).ravel(),
+                # Each edge's copy-0 target: near the run's ends, a
+                # target before it or past its last copy's has no edge.
+                np.tile(d[order], reps),
+            )
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.block, self.shape, self.step, self.dep_counts, self.dep_ptr,
+            self.dep_indices, self.dep_step, *self._fixed, *self._moving,
+            *(self._pattern or ()),
+        ))
+
+    def take(self, idx: np.ndarray, shape: bool = False) -> np.ndarray:
+        """Rows of stream indices ``idx`` (all inside the run); only
+        their :data:`SHAPE` fields with ``shape``."""
+        if shape:
+            return self.shape[(idx - self.start) % self.span]
+        k, r = np.divmod(idx - self.start, self.span)
+        rows = self.block[r]
+        rows[:, _AFFINE] += k[:, None] * self.step[r]
+        return rows
+
+    def rows(self, a: int, b: int, shape: bool = False) -> np.ndarray:
+        """Rows ``[a, b)`` (inside the run), as :meth:`take`."""
+        return self.take(np.arange(a, b, dtype=np.int64), shape)
+
+    def deps(self, a: int, b: int):
+        """``(counts, indices)``: the dependency CSR of rows ``[a, b)``."""
+        return self.deps_at(np.arange(a, b, dtype=np.int64))
+
+    def deps_at(self, idx: np.ndarray):
+        """``(counts, indices)``: the dependency CSR of rows ``idx``."""
+        k, r = np.divmod(idx - self.start, self.span)
+        counts, e = _ragged(self.dep_ptr, r)
+        return counts, (
+            self.dep_indices[e] + np.repeat(k, counts) * self.dep_step[e]
+        )
+
+    def translation(self, shift: int):
+        """How row ``x`` of the run relates to row ``x - shift`` when
+        both lie in it: ``(back, carry)`` per block position ``p`` of
+        ``x`` — ``x - shift`` is block position ``back[p]``, ``shift //
+        span + carry[p]`` copies earlier."""
+        rem = shift % self.span
+        p = np.arange(self.span)
+        return (p - rem) % self.span, (p < rem).astype(np.int64)
+
+    @property
+    def fixed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copy 0's fixed dependencies as ``(targets, consumers)``,
+        ordered by target."""
+        return self._fixed
+
+    @property
+    def fans(self) -> list:
+        """``(target, positions, positions as a list, repeated)`` per
+        command the run's fixed dependencies point at: the block
+        positions depending on it (one entry per dependency) and
+        whether one depends on it twice."""
+        if self._fans is None:
+            targets, consumers = self._fixed
+            positions = consumers - self.start
+            twice = set(targets[1:][
+                (np.diff(targets) == 0) & (np.diff(positions) == 0)
+            ].tolist())
+            uniq, first = np.unique(targets, return_index=True)
+            self._fans = [
+                (d, mine, mine.tolist(), d in twice)
+                for d, mine in zip(uniq.tolist(),
+                                   np.split(positions, first[1:]))
+            ]
+        return self._fans
+
+    def edges(self, a: int, b: int, above: int = 0,
+              fixed: bool = True) -> tuple[list, list]:
+        """The run's dependencies on targets ``[a, b)`` from consumers
+        at or past ``above`` (its fixed ones only with ``fixed``), as
+        lists of ``(targets, consumers)`` array pairs (unordered)."""
+        targets, consumers = [], []
+        d, c = self._fixed
+        if fixed and len(d) and a <= d[-1] and b > d[0]:
+            lo, hi = np.searchsorted(d, (a, b))
+            if hi > lo:
+                t = np.repeat(d[lo:hi], self.copies)
+                u = (
+                    c[lo:hi, None]
+                    + self.span * np.arange(self.copies, dtype=np.int64)
+                ).ravel()
+                keep = u >= above
+                targets.append(t[keep])
+                consumers.append(u[keep])
+        d, c = self._moving
+        if above > a and len(d):
+            # A consumer lies less than a block's reach past its target.
+            a = max(a, above - int((c - d).max()))
+        lo, hi = self._interior
+        if a >= b or a > self._reach[1] or b <= self._reach[0]:
+            pass
+        elif b - a <= _PATTERN_TARGETS:
+            shift, local = divmod(a - self.start, self.span)
+            ptr, offsets, first = self._pattern
+            p = ptr[local:local + b - a + 1]
+            t = np.repeat(np.arange(a, b, dtype=np.int64), np.diff(p))
+            u = offsets[p[0]:p[-1]] + (self.start + shift * self.span)
+            if not (lo <= a and b <= hi):
+                d = first[p[0]:p[-1]]
+                keep = (t >= d) & (t <= d + (self.copies - 1) * self.span)
+                t, u = t[keep], u[keep]
+            if above > a:
+                keep = u >= above
+                t, u = t[keep], u[keep]
+            targets.append(t)
+            consumers.append(u)
+        else:
+            span = self.span
+            k_lo = np.clip(-((d - a) // span), 0, self.copies)
+            count = np.clip(-((d - b) // span), 0, self.copies) - k_lo
+            total = int(count.sum())
+            if total:
+                e = np.repeat(np.arange(len(d)), count)
+                shift = span * (np.arange(total) - np.repeat(
+                    np.cumsum(count) - count - k_lo, count
+                ))
+                t, u = d[e] + shift, c[e] + shift
+                if above > a:
+                    keep = u >= above
+                    t, u = t[keep], u[keep]
+                targets.append(t)
+                consumers.append(u)
+        return targets, consumers
+
+
+class ColumnarStream:
+    """One command stream: explicit rows plus tiled runs, read-only.
+
+    The stream is a sequence of *pieces*: stretches of explicit
+    :data:`FIELDS` rows (one ``int64`` row matrix and one dependency
+    CSR over all of them) and :class:`TiledRun` blocks, each standing
+    for many copies of one block. A stream built from full columns or
+    ``Command`` objects is one explicit stretch; a kernel generator's
+    stream is mostly runs (:meth:`StreamBuilder.tile`). Everything is
+    frozen (``writeable=False``): a stream is a value, so artifacts can
+    share it between runs and results.
+
+    Hot consumers read the tiled form through per-range accessors —
+    :meth:`rows`, :meth:`take`, :meth:`deps` (dependency CSR),
+    :meth:`edges` (out-edges) — and per-block aggregates
+    (:meth:`blocks`, whose run blocks stand for ``copies`` copies of
+    their shape fields). The full columns (``kind`` ... ``issue_cycle``,
+    ``dep_indptr`` / ``dep_indices``, ``out_indptr`` / ``out_indices``),
+    ``tags`` and :meth:`to_commands` expand every run once and keep the
+    result; each expansion adds the tiled rows it wrote to
+    :attr:`materialized`, the work counter that keeps profile paths off
+    them. ``tags`` / ``scalers`` exist purely for lossless
+    round-tripping: ``tags`` is a plain list, or encoded as
+    :class:`TagCodes` columns rendered on each read; ``scalers`` is
+    stored sparsely (index -> payload) and read back as a list.
+    """
+
+    __slots__ = (
+        "n", "_x", "_xptr", "_xdeps", "_runs", "_pieces", "_starts",
+        "_tags", "_templates", "_scalers", "_structure_ok", "_full",
+        "_cols", "_xedges", "materialized",
     )
 
     #: The per-command columns (everything but the dependency CSR).
@@ -187,40 +507,353 @@ class ColumnarStream:
         issue_cycle: np.ndarray,
         dep_indptr: np.ndarray,
         dep_indices: np.ndarray,
-        tags: "Optional[list | TagCodes]" = None,
+        tags: Optional[list] = None,
         scalers: Optional[dict[int, object]] = None,
     ) -> None:
-        self.n = int(len(kind))
-        self.kind = _freeze(np.asarray(kind, dtype=np.int16))
-        self.rank = _freeze(np.asarray(rank, dtype=np.int32))
-        self.bankgroup = _freeze(np.asarray(bankgroup, dtype=np.int32))
-        self.bank = _freeze(np.asarray(bank, dtype=np.int32))
-        self.row = _freeze(np.asarray(row, dtype=np.int64))
-        self.col = _freeze(np.asarray(col, dtype=np.int64))
-        self.channel = _freeze(np.asarray(channel, dtype=np.int32))
-        self.scale_id = _freeze(np.asarray(scale_id, dtype=np.int32))
-        self.dst_reg = _freeze(np.asarray(dst_reg, dtype=np.int32))
-        self.src_reg = _freeze(np.asarray(src_reg, dtype=np.int32))
-        self.position = _freeze(np.asarray(position, dtype=np.int32))
-        self.issue_cycle = _freeze(np.asarray(issue_cycle, dtype=np.int64))
-        self.dep_indptr = _freeze(np.asarray(dep_indptr, dtype=np.int64))
-        self.dep_indices = _freeze(np.asarray(dep_indices, dtype=np.int64))
-        out_indptr, out_indices = self._transpose_deps()
-        self.out_indptr = _freeze(out_indptr)
-        self.out_indices = _freeze(out_indices)
-        if isinstance(tags, TagCodes):
-            self._tags, self._tag_codes = None, tags
-        else:
-            self._tags, self._tag_codes = tags, None
+        """A stream of explicit full columns."""
+        values = dict(
+            kind=kind, rank=rank, bankgroup=bankgroup, bank=bank, row=row,
+            col=col, channel=channel, scale_id=scale_id, dst_reg=dst_reg,
+            src_reg=src_reg, position=position, issue_cycle=issue_cycle,
+        )
+        n = len(kind)
+        rows = np.zeros((n, len(FIELDS)), dtype=np.int64)
+        rows[:, _TAG] = -1
+        for name, column in values.items():
+            rows[:, _F[name]] = column
+        self._assemble(
+            n, rows, np.asarray(dep_indptr, dtype=np.int64),
+            np.asarray(dep_indices, dtype=np.int64), (), tags, None,
+            scalers,
+        )
+
+    @classmethod
+    def from_parts(cls, n, rows, dep_indptr, dep_indices, runs=(),
+                   tags=None, templates=None,
+                   scalers=None) -> "ColumnarStream":
+        """A stream of ``n`` commands: the explicit :data:`FIELDS`
+        ``rows`` (with their dependency CSR) fill, in order, what the
+        tiled ``runs`` (ascending, disjoint) leave of ``[0, n)``. Tags
+        are a list, or :class:`TagCodes` ``templates`` over the rows'
+        tag columns."""
+        stream = cls.__new__(cls)
+        stream._assemble(
+            n, np.asarray(rows, dtype=np.int64),
+            np.asarray(dep_indptr, dtype=np.int64),
+            np.asarray(dep_indices, dtype=np.int64), tuple(runs), tags,
+            templates, scalers,
+        )
+        return stream
+
+    def _assemble(self, n, rows, xptr, xdeps, runs, tags, templates,
+                  scalers) -> None:
+        self.n = int(n)
+        self._x = _freeze(rows)
+        self._xptr = _freeze(xptr)
+        self._xdeps = _freeze(xdeps.astype(np.int32))
+        self._runs = runs
+        pieces = []
+        pos = off = 0
+        for run in runs:
+            if run.start < pos:
+                raise ValueError("tiled runs must be ascending and disjoint")
+            if run.start > pos:
+                pieces.append((pos, run.start, None, off))
+                off += run.start - pos
+            pieces.append((run.start, run.end, run, 0))
+            pos = run.end
+        if self.n > pos:
+            pieces.append((pos, self.n, None, off))
+            off += self.n - pos
+        if pos > self.n or off != len(rows) or len(xptr) != off + 1 or (
+            int(xptr[-1]) != len(xdeps)
+        ):
+            raise ValueError("explicit rows do not fill the stream")
+        self._pieces = tuple(pieces)
+        self._starts = [p[0] for p in pieces]
+        self._tags, self._templates = tags, templates
         self._scalers = scalers or None
         self._structure_ok: set = set()
+        self._full = None
+        self._cols: dict = {}
+        self._xedges = None
+        self.materialized = 0
+
+    # -- per-range accessors ---------------------------------------------
+    def _overlap(self, a: int, b: int):
+        """``(lo, hi, run, offset)`` of every piece overlapping ``[a,
+        b)``: ``[lo, hi)`` is the overlap, ``offset`` the explicit row
+        of ``lo`` (explicit stretches, ``run`` is ``None``)."""
+        pieces = self._pieces
+        i = max(bisect_right(self._starts, a) - 1, 0)
+        out = []
+        while i < len(pieces) and pieces[i][0] < b:
+            start, end, run, off = pieces[i]
+            lo, hi = max(a, start), min(b, end)
+            if lo < hi:
+                out.append((lo, hi, run, off + lo - start))
+            i += 1
+        return out
+
+    def rows(self, a: int, b: int, shape: bool = False) -> np.ndarray:
+        """The :data:`FIELDS` rows of commands ``[a, b)`` (read-only);
+        only their :data:`SHAPE` fields with ``shape``."""
+        width = SHAPE if shape else len(FIELDS)
+        parts = [
+            self._x[off:off + hi - lo, :width] if run is None
+            else run.rows(lo, hi, shape)
+            for lo, hi, run, off in self._overlap(a, b)
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.zeros((0, width), dtype=np.int64)
+        return np.concatenate(parts)
+
+    def take(self, idx, shape: bool = False) -> np.ndarray:
+        """The rows of commands ``idx``, in that order, as :meth:`rows`."""
+        idx = np.asarray(idx, dtype=np.int64)
+        width = SHAPE if shape else len(FIELDS)
+        if not self._runs:
+            return self._x[idx, :width]
+        out = np.empty((len(idx), width), dtype=np.int64)
+        which = np.searchsorted(self._starts, idx, side="right") - 1
+        for i in np.unique(which).tolist():
+            start, _, run, off = self._pieces[i]
+            sel = which == i
+            out[sel] = (
+                self._x[idx[sel] - start + off, :width] if run is None
+                else run.take(idx[sel], shape)
+            )
+        return out
+
+    def deps(self, a: int, b: int):
+        """``(counts, indices)``: the dependency CSR of commands ``[a,
+        b)`` (per-command counts, flat dependency indices)."""
+        counts, indices = [], []
+        for lo, hi, run, off in self._overlap(a, b):
+            if run is None:
+                ptr = self._xptr[off:off + hi - lo + 1]
+                counts.append(np.diff(ptr))
+                indices.append(self._xdeps[ptr[0]:ptr[-1]])
+            else:
+                c, d = run.deps(lo, hi)
+                counts.append(c)
+                indices.append(d)
+        if len(counts) == 1:
+            return counts[0], indices[0]
+        if not counts:
+            return (np.zeros(0, dtype=np.int64),) * 2
+        return np.concatenate(counts), np.concatenate(indices)
+
+    def deps_at(self, idx):
+        """``(counts, indices)``: the dependency CSR of the ascending
+        commands ``idx``."""
+        idx = np.asarray(idx, dtype=np.int64)
+        bounds = np.searchsorted(idx, self._starts + [self.n])
+        counts, indices = [], []
+        for (start, _, run, off), lo, hi in zip(
+            self._pieces, bounds[:-1], bounds[1:]
+        ):
+            if lo == hi:
+                continue
+            if run is None:
+                c, e = _ragged(self._xptr, idx[lo:hi] - start + off)
+                d = self._xdeps[e]
+            else:
+                c, d = run.deps_at(idx[lo:hi])
+            counts.append(c)
+            indices.append(d)
+        if not counts:
+            return (np.zeros(0, dtype=np.int64),) * 2
+        return np.concatenate(counts), np.concatenate(indices)
+
+    def shape_columns(self, idx) -> np.ndarray:
+        """The :data:`SHAPE` fields of the ascending commands ``idx``,
+        one row per field."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.empty((SHAPE, len(idx)), dtype=np.int64)
+        bounds = np.searchsorted(idx, self._starts + [self.n])
+        for (start, _, run, off), lo, hi in zip(
+            self._pieces, bounds[:-1], bounds[1:]
+        ):
+            if lo < hi:
+                out[:, lo:hi] = (
+                    self._x[idx[lo:hi] - start + off, :SHAPE] if run is None
+                    else run.shape[(idx[lo:hi] - start) % run.span]
+                ).T
+        return out
+
+    def edges(self, a: int, b: int, ordered: bool = True, above: int = 0,
+              lazy=()):
+        """``(targets, consumers)``: every dependency on a command of
+        ``[a, b)`` (from a consumer at or past ``above``; none of the
+        fixed ones of the runs in ``lazy``), one entry per dependency (a
+        duplicated one twice), ordered by target, then consumer, unless
+        ``ordered`` is false."""
+        targets, consumers = [], []
+        xt, xc = self._explicit_edges()
+        lo, hi = np.searchsorted(xt, (a, b))
+        if hi > lo:
+            t, c = xt[lo:hi], xc[lo:hi]
+            if above:
+                keep = c >= above
+                t, c = t[keep], c[keep]
+            targets.append(t)
+            consumers.append(c)
+        for run in self._runs:
+            if run.end <= max(a, above):
+                continue  # its consumers all lie before the targets
+            t, c = run.edges(a, b, above, run not in lazy)
+            targets += t
+            consumers += c
+        if not targets:
+            return (np.zeros(0, dtype=np.int64),) * 2
+        if len(targets) == 1 and (hi > lo or not ordered):
+            return targets[0], consumers[0]
+        t = np.concatenate(targets)
+        c = np.concatenate(consumers)
+        if ordered:
+            key = t * self.n + c
+            key.sort()
+            t = key // self.n
+            c = key - t * self.n
+        return t, c
+
+    def _explicit_edges(self):
+        """The explicit rows' dependencies as ``(targets, consumers)``
+        ordered by target, then consumer (computed once)."""
+        if self._xedges is None:
+            consumer = np.repeat(self._explicit_index(), np.diff(self._xptr))
+            key = self._xdeps.astype(np.int64) * max(self.n, 1) + consumer
+            key.sort()
+            t = key // max(self.n, 1)
+            self._xedges = tuple(
+                _freeze(v.astype(np.int32))
+                for v in (t, key - t * max(self.n, 1))
+            )
+        return self._xedges
+
+    def _explicit_index(self) -> np.ndarray:
+        """The stream index of every explicit row."""
+        parts = [
+            np.arange(start, end, dtype=np.int64)
+            for start, end, run, _ in self._pieces if run is None
+        ]
+        return np.concatenate(parts) if parts else np.zeros(0, np.int64)
+
+    def blocks(self):
+        """``(start, end, rows, dep_counts, copies)`` per piece, in
+        stream order: an explicit stretch's rows once, or a run's block,
+        which stands for ``copies`` copies of its shape fields (and of
+        its dependency counts)."""
+        for start, end, run, off in self._pieces:
+            if run is None:
+                m = end - start
+                yield (start, end, self._x[off:off + m],
+                       np.diff(self._xptr[off:off + m + 1]), 1)
+            else:
+                yield start, end, run.block, run.dep_counts, run.copies
+
+    @property
+    def runs(self) -> tuple:
+        """The tiled runs, ascending."""
+        return self._runs
+
+    def translated(self, lo: int, hi: int, shift: int) -> list:
+        """``[lo, hi)`` split into ``(a, b, run)`` intervals: ``run`` is
+        the tiled run holding every ``x`` of ``[a, b)`` and ``x -
+        shift`` (``None`` where no run holds both), so how ``x`` repeats
+        ``x - shift`` follows from the run's block alone
+        (:meth:`TiledRun.translation`)."""
+        out = []
+
+        def gap(a: int, b: int) -> None:
+            if a < b:
+                if out and out[-1][2] is None and out[-1][1] == a:
+                    a = out.pop()[0]
+                out.append((a, b, None))
+
+        pos = lo
+        for run in self._runs:
+            a, b = max(pos, run.start + shift), min(hi, run.end)
+            if shift > 0 and a < b:
+                gap(pos, a)
+                out.append((a, b, run))
+                pos = b
+        gap(pos, hi)
+        return out
+
+    # -- full-length views (cold consumers) --------------------------------
+    def _materialize(self):
+        """``(rows, dep_indptr, dep_indices)`` of the whole stream,
+        expanded once (counted in :attr:`materialized`)."""
+        if self._full is None:
+            if self._runs:
+                counts, deps = self.deps(0, self.n)
+                indptr = np.zeros(self.n + 1, dtype=np.int64)
+                np.cumsum(counts, out=indptr[1:])
+                self._full = (
+                    _freeze(self.rows(0, self.n)), _freeze(indptr),
+                    _freeze(deps),
+                )
+                self.materialized += sum(r.end - r.start for r in self._runs)
+            else:
+                self._full = (
+                    self._x, self._xptr, _freeze(self._xdeps.astype(np.int64))
+                )
+        return self._full
+
+    def _column(self, name: str) -> np.ndarray:
+        column = self._cols.get(name)
+        if column is None:
+            rows = self._materialize()[0]
+            column = self._cols[name] = _freeze(
+                rows[:, _F[name]].astype(_DTYPES.get(name, np.int32))
+            )
+        return column
+
+    @property
+    def dep_indptr(self) -> np.ndarray:
+        return self._materialize()[1]
+
+    @property
+    def dep_indices(self) -> np.ndarray:
+        return self._materialize()[2]
+
+    @property
+    def out_indptr(self) -> np.ndarray:
+        """Dependents CSR offsets (the transpose of the deps CSR)."""
+        return self._transposed()[0]
+
+    @property
+    def out_indices(self) -> np.ndarray:
+        """Dependents CSR indices: ascending consumer index per
+        dependency (a duplicated dependency appears twice), the order a
+        ``Command`` list's dependency tuples give."""
+        return self._transposed()[1]
+
+    def _transposed(self):
+        if "out" not in self._cols:
+            self._materialize()
+            targets, consumers = self.edges(0, self.n)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(targets, minlength=self.n), out=indptr[1:])
+            self._cols["out"] = (
+                _freeze(indptr), _freeze(consumers.astype(np.int64))
+            )
+        return self._cols["out"]
 
     @property
     def tags(self) -> Optional[list]:
         """Per-command tag strings (``None`` when the stream has none).
         Encoded tags are rendered on every read and never kept."""
-        if self._tag_codes is not None:
-            return self._tag_codes.decode()
+        if self._templates is not None:
+            rows = self._materialize()[0]
+            return TagCodes(
+                self._templates, rows[:, _TAG], rows[:, _TAG_A],
+                rows[:, _TAG_B],
+            ).decode()
         return self._tags
 
     @property
@@ -233,26 +866,6 @@ class ColumnarStream:
         for i, value in self._scalers.items():
             out[i] = value
         return out
-
-    # ------------------------------------------------------------------
-    def _transpose_deps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dependents CSR (the transpose of the deps CSR), vectorized.
-
-        Row order within each dependent list is ascending consumer
-        index (a duplicated dependency appears twice), the order a
-        ``Command`` list's dependency tuples give.
-        """
-        n = self.n
-        counts = np.diff(self.dep_indptr)
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        order = np.argsort(self.dep_indices, kind="stable")
-        out_indices = rows[order]
-        out_counts = np.bincount(
-            self.dep_indices, minlength=n
-        ) if len(self.dep_indices) else np.zeros(n, dtype=np.int64)
-        out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_counts, out=out_indptr[1:])
-        return out_indptr, out_indices
 
     # ------------------------------------------------------------------
     @classmethod
@@ -293,22 +906,15 @@ class ColumnarStream:
         cycles (a :class:`ColumnarSchedule` passes its result vector).
         """
         n = self.n
-        kinds = self.kind.tolist()
-        ranks = self.rank.tolist()
-        bgs = self.bankgroup.tolist()
-        banks = self.bank.tolist()
-        rows = self.row.tolist()
-        cols = self.col.tolist()
-        channels = self.channel.tolist()
-        scale_ids = self.scale_id.tolist()
-        dsts = self.dst_reg.tolist()
-        srcs = self.src_reg.tolist()
-        positions = self.position.tolist()
+        rows, indptr, indices = self._materialize()
+        (kinds, ranks, bgs, banks, rows_, channels, cols, scale_ids, dsts,
+         srcs, positions) = (rows[:, j].tolist() for j in range(11))
         cycles = (
-            self.issue_cycle if issue_cycle is None else issue_cycle
+            rows[:, _F["issue_cycle"]] if issue_cycle is None
+            else issue_cycle
         ).tolist()
-        indptr = self.dep_indptr.tolist()
-        indices = self.dep_indices.tolist()
+        indptr = indptr.tolist()
+        indices = indices.tolist()
         tags = self.tags
         scalers = self._scalers or {}
         kind_order = KIND_ORDER
@@ -320,7 +926,7 @@ class ColumnarStream:
             cmd.rank = ranks[i]
             cmd.bankgroup = bgs[i]
             cmd.bank = banks[i]
-            cmd.row = rows[i]
+            cmd.row = rows_[i]
             cmd.col = cols[i]
             cmd.channel = channels[i]
             cmd.scale_id = scale_ids[i]
@@ -340,12 +946,19 @@ class ColumnarStream:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the numpy columns (the memory-win metric)."""
-        return sum(
-            getattr(self, name).nbytes
-            for name in self.COLUMNS + (
-                "dep_indptr", "dep_indices", "out_indptr", "out_indices",
-            )
+        """Bytes the stream holds: explicit rows and their dependency
+        CSR, the runs, and whatever has been computed from them and
+        kept (the explicit out-edges, expanded full columns)."""
+        arrays = [self._x, self._xptr, self._xdeps]
+        if self._xedges is not None:
+            arrays += self._xedges
+        if self._full is not None:
+            arrays += [a for a in self._full if a is not self._x
+                       and a is not self._xptr]
+        for value in self._cols.values():
+            arrays += value if isinstance(value, tuple) else (value,)
+        return sum(a.nbytes for a in arrays) + sum(
+            run.nbytes for run in self._runs
         )
 
     # ------------------------------------------------------------------
@@ -355,56 +968,43 @@ class ColumnarStream:
         Mirrors the scheduler's per-command validation loops: deps must
         point strictly backwards, ranks and channels must fit the
         geometry. Raises :class:`SimulationError` naming the first
-        offender exactly as the scalar loops do.
+        offender exactly as the scalar loops do. A run is checked on
+        its block: its other copies keep their shape, and each of their
+        dependencies keeps its distance or points where copy 0's does.
         """
         key = (geometry.ranks, geometry.channels)
         if key in self._structure_ok:
             return
-        n = self.n
-        if len(self.dep_indices):
-            counts = np.diff(self.dep_indptr)
-            rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-            bad = (self.dep_indices >= rows) | (self.dep_indices < 0)
+        blocks = list(self.blocks())
+        for start, _, _, counts, _ in blocks:
+            counts, deps = self.deps(start, start + len(counts))
+            consumer = start + np.repeat(
+                np.arange(len(counts), dtype=np.int64), counts
+            )
+            bad = (deps >= consumer) | (deps < 0)
             if bad.any():
                 first = int(np.argmax(bad))
                 raise SimulationError(
-                    f"command {int(rows[first])} has illegal dependency "
-                    f"{int(self.dep_indices[first])}"
+                    f"command {int(consumer[first])} has illegal "
+                    f"dependency {int(deps[first])}"
                 )
-        bad_rank = (self.rank < 0) | (self.rank >= geometry.ranks)
-        if bad_rank.any():
-            first = int(np.argmax(bad_rank))
-            raise SimulationError(f"command {first} rank out of range")
-        bad_ch = (self.channel < 0) | (self.channel >= geometry.channels)
-        if bad_ch.any():
-            first = int(np.argmax(bad_ch))
-            raise SimulationError(
-                f"command {first} channel {int(self.channel[first])} "
-                f"out of range (geometry has {geometry.channels})"
-            )
+        for column, limit in ((RANK, geometry.ranks),
+                              (CHANNEL, geometry.channels)):
+            for start, _, rows, _, _ in blocks:
+                values = rows[:, column]
+                bad = (values < 0) | (values >= limit)
+                if bad.any():
+                    first = int(np.argmax(bad))
+                    if column == RANK:
+                        raise SimulationError(
+                            f"command {start + first} rank out of range"
+                        )
+                    raise SimulationError(
+                        f"command {start + first} channel "
+                        f"{int(values[first])} out of range (geometry "
+                        f"has {geometry.channels})"
+                    )
         self._structure_ok.add(key)
-
-    def repeats(self, lo: int, hi: int, shift: int, moving: int) -> bool:
-        """Whether commands ``[lo, hi)`` repeat ``[lo - shift, hi -
-        shift)``: same kind and coordinates, and each dependency moved
-        by ``shift`` if it points at or past ``moving`` (into a periodic
-        body), else unchanged (into what precedes it)."""
-        if hi > self.n:
-            return False
-        a, b = slice(lo, hi), slice(lo - shift, hi - shift)
-        ptr, deps = self.dep_indptr, self.dep_indices
-        here, back = ptr[lo:hi + 1], ptr[lo - shift:hi - shift + 1]
-        before = deps[back[0]:back[-1]]
-        return all(
-            np.array_equal(col[a], col[b])
-            for col in (self.kind, self.rank, self.bankgroup, self.bank,
-                        self.row, self.channel)
-        ) and np.array_equal(here - here[0], back - back[0]) and (
-            np.array_equal(
-                deps[here[0]:here[-1]],
-                before + shift * (before >= moving),
-            )
-        )
 
     def select(self, indices, dep_indices, **columns) -> "ColumnarStream":
         """The stream of commands ``indices`` (in that order) whose
@@ -417,6 +1017,17 @@ class ColumnarStream:
             **{**fields, **columns}, dep_indptr=indptr,
             dep_indices=dep_indices,
         )
+
+
+def _column_property(name: str) -> property:
+    return property(
+        lambda self: self._column(name),
+        doc=f"The full ``{name}`` column (expanded on first read).",
+    )
+
+
+for _name in ColumnarStream.COLUMNS:
+    setattr(ColumnarStream, _name, _column_property(_name))
 
 
 class TagCodes:
@@ -461,60 +1072,17 @@ class TagCodes:
         return out
 
 
-#: Per-command integer fields of a :class:`StreamBuilder` row, in order
-#: (the last three are the :class:`TagCodes` columns).
-BUILD_FIELDS = (
-    "kind", "rank", "bankgroup", "bank", "row", "col", "scale_id",
-    "dst_reg", "src_reg", "position", "tag", "tag_a", "tag_b",
-)
-
-#: Fields a periodic block may advance from one copy to the next (the
-#: column address and the column-valued tag arguments); every other
-#: field must repeat exactly.
-_AFFINE_FIELDS = frozenset({"col", "tag_a", "tag_b"})
-_FIXED_FIELD_MASK = np.array(
-    [name not in _AFFINE_FIELDS for name in BUILD_FIELDS]
-)
-
-
-def tile_block(
-    block: np.ndarray,
-    step: np.ndarray,
-    dep_counts: np.ndarray,
-    dep_indices: np.ndarray,
-    dep_step: np.ndarray,
-    copies: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copies ``1..copies`` of one block of commands, as new rows.
-
-    ``block`` holds one row of integer fields per command and ``step``
-    the per-position advance per copy (copy ``k`` is ``block + k *
-    step``). The block's dependencies are CSR-shaped (``dep_counts``
-    per command, flat ``dep_indices``); copy ``k`` of a dependency is
-    ``index + k * dep_step`` (``dep_step`` is 0 for a dependency on a
-    command before the periodic region, the block length for one that
-    moves with the block). Returns ``(rows, dep_counts, dep_indices)``
-    of all copies, in stream order.
-    """
-    k = np.arange(1, copies + 1, dtype=np.int64)
-    rows = (block[None] + k[:, None, None] * step[None]).reshape(
-        -1, block.shape[1]
-    )
-    indices = (
-        dep_indices[None] + k[:, None] * dep_step[None]
-    ).reshape(-1)
-    return rows, np.tile(dep_counts, copies), indices
-
-
 class StreamBuilder:
     """An append-only command stream built straight into columns.
 
     Kernel generators emit through a builder instead of building
     :class:`~repro.dram.commands.Command` objects: :meth:`append` takes
     one row of :data:`BUILD_FIELDS` plus the command's dependency
-    indices, and :meth:`tile` repeats the stream's last periodic block
-    with numpy. :meth:`build` returns the frozen :class:`ColumnarStream`
-    (channel 0, unscheduled).
+    indices, and :meth:`tile` turns the stream's last two periodic
+    blocks into a :class:`TiledRun` of many copies without writing a
+    row of them. :meth:`build` returns the frozen
+    :class:`ColumnarStream` (channel 0, unscheduled): the explicit rows
+    and the runs, as built.
     """
 
     def __init__(self) -> None:
@@ -522,9 +1090,11 @@ class StreamBuilder:
         self._rows: list[tuple] = []  # pending scalar rows
         self._counts: list[int] = []  # pending dependency counts
         self._deps: list[int] = []  # pending dependency indices
+        # Explicit rows (every command outside a run) and their deps.
         self._mat = np.zeros((0, len(BUILD_FIELDS)), dtype=np.int64)
         self._dep_counts = np.zeros(0, dtype=np.int64)
         self._dep_indices = np.zeros(0, dtype=np.int64)
+        self.runs: list[TiledRun] = []
         self._scalers: dict[int, object] = {}
         self._templates: list[tuple[str, int]] = []
         self._template_ids: dict[tuple[str, int], int] = {}
@@ -564,85 +1134,63 @@ class StreamBuilder:
             )
             self._rows, self._counts, self._deps = [], [], []
 
-    def columns(self, start: int, end: int) -> np.ndarray:
-        """Rows ``start..end`` as an ``(n, len(BUILD_FIELDS))`` array."""
-        self._flush()
-        return self._mat[start:end]
-
     def tile(self, start: int, span: int, copies: int) -> bool:
         """Repeat a periodic block ``copies`` more times.
 
-        The stream must end with two consecutive blocks of ``span``
-        commands starting at ``start``. Their difference gives the
-        per-position step of every field and dependency; the tile goes
-        ahead only if that difference has the shape a periodic body
-        has: fields other than the column address repeat exactly,
+        The stream must end with two consecutive explicit blocks of
+        ``span`` commands starting at ``start``. Their difference gives
+        the per-position step of every field and dependency; the tile
+        goes ahead only if that difference has the shape a periodic
+        body has: fields other than the column address repeat exactly,
         every dependency either repeats (it points before the periodic
         region) or moves by exactly ``span``, all repeating ones point
-        below all moving ones, and no command carries a scaler.
-        Returns whether it tiled.
+        below all moving ones, and no command carries a scaler. The two
+        blocks and the copies become one :class:`TiledRun` of ``copies
+        + 2`` copies of the first block. Returns whether it tiled.
         """
         self._flush()
-        mid, end = start + span, start + 2 * span
-        if end != self.n or start < 0:
+        end = start + 2 * span
+        tail = self.n - (self.runs[-1].end if self.runs else 0)
+        if end != self.n or start < 0 or span < 1 or 2 * span > tail:
             return False
         if any(start <= i for i in self._scalers):
             return False
-        first = self._mat[start:mid]
-        second = self._mat[mid:end]
-        step = second - first
-        if step[:, _FIXED_FIELD_MASK].any():
+        x = len(self._mat) - 2 * span
+        first = self._mat[x:x + span]
+        step = self._mat[x + span:] - first
+        if step[:, _FIXED_BUILD_MASK].any():
             return False
-        counts = self._dep_counts[start:mid]
-        if not np.array_equal(counts, self._dep_counts[mid:end]):
+        counts = self._dep_counts[x:x + span]
+        if not np.array_equal(counts, self._dep_counts[x + span:]):
             return False
-        offsets = np.concatenate([[0], np.cumsum(self._dep_counts)])
-        a_deps = self._dep_indices[offsets[start]:offsets[mid]]
-        b_deps = self._dep_indices[offsets[mid]:offsets[end]]
-        moved = b_deps - a_deps
+        m = int(counts.sum())
+        d0 = len(self._dep_indices) - 2 * m
+        a_deps = self._dep_indices[d0:d0 + m]
+        moved = self._dep_indices[d0 + m:] - a_deps
         fixed = moved == 0
         if not (fixed | (moved == span)).all():
             return False
         if fixed.any() and not fixed.all():
             if a_deps[fixed].max() >= a_deps[~fixed].min():
                 return False
-        rows, t_counts, t_deps = tile_block(
-            second, step, counts, b_deps,
-            np.where(fixed, 0, span), copies,
-        )
-        self._mat = np.concatenate([self._mat, rows])
-        self._dep_counts = np.concatenate([self._dep_counts, t_counts])
-        self._dep_indices = np.concatenate([self._dep_indices, t_deps])
+        self.runs.append(TiledRun(
+            start, span, copies + 2, _widen(first, -1), _widen(step, 0),
+            counts, a_deps, np.where(fixed, 0, span),
+        ))
+        self._mat = self._mat[:x]
+        self._dep_counts = self._dep_counts[:x]
+        self._dep_indices = self._dep_indices[:d0]
         self.n += copies * span
         return True
 
     def build(self) -> "ColumnarStream":
         """The finished stream."""
         self._flush()
-        mat = self._mat
-        n = self.n
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr = np.zeros(len(self._mat) + 1, dtype=np.int64)
         np.cumsum(self._dep_counts, out=indptr[1:])
-        field = {name: mat[:, i] for i, name in enumerate(BUILD_FIELDS)}
-        return ColumnarStream(
-            kind=field["kind"],
-            rank=field["rank"],
-            bankgroup=field["bankgroup"],
-            bank=field["bank"],
-            row=field["row"],
-            col=field["col"],
-            channel=np.zeros(n, dtype=np.int32),
-            scale_id=field["scale_id"],
-            dst_reg=field["dst_reg"],
-            src_reg=field["src_reg"],
-            position=field["position"],
-            issue_cycle=np.full(n, -1, dtype=np.int64),
-            dep_indptr=indptr,
-            dep_indices=self._dep_indices,
-            tags=TagCodes(
-                self._templates, field["tag"], field["tag_a"],
-                field["tag_b"],
-            ),
+        return ColumnarStream.from_parts(
+            self.n, _widen(self._mat, -1), indptr, self._dep_indices,
+            self.runs, templates=tuple(self._templates),
             scalers=dict(self._scalers),
         )
 
@@ -669,38 +1217,61 @@ class ColumnarSchedule:
 class _Prepared:
     """Flat lists feeding one run of the scheduling loop.
 
-    Derived from the columns at the start of a run and dropped when it
-    ends: as Python lists they cost several times the stream's own
-    columns, so no stream keeps them between runs. The loop consumes
-    the queue links and dependency counters in place.
+    Derived from the stream at the start of a run and dropped when it
+    ends: as Python lists they cost several times the stream itself, so
+    no stream keeps them between runs. The loop consumes the queue
+    links and dependency counters in place.
 
     Only the dependency counters and ports are built up front (out-edges
-    and replay relinks reach any index). The rest is built from the
-    stream's columns :attr:`CHUNK` commands at a time, on first use:
-    the static lists (kind code, latency, flat bank / group / rank / bus
-    ids, row, bank group, read / write flags, floor-table slot,
+    and replay relinks reach any index), block by block: a run's
+    block-long lists are repeated ``copies`` times. So are the
+    per-kind and per-port issue counts and the data-bus ports
+    (per-block aggregates). The rest is built :attr:`CHUNK` commands at
+    a time, on first use: the static lists (kind code, latency, flat
+    bank / group / rank ids, row, read / write flags, floor-table slot,
     out-edges; :attr:`prepared` counts them) by :meth:`build`, when the
-    scan first evaluates a slot whose kind code reads :data:`_UNBUILT`;
-    the per-port queue links ``nxt`` / ``prv`` by :meth:`link`, when a
-    slot reading :data:`_UNLINKED` is first needed. A link the loop or
-    a replay writes into a chunk not linked yet (an unlink's successor,
-    a relink's ends) survives: :meth:`link` fills only sentinel slots.
-    Commands a steady-state replay issues are never scanned past the
-    lookahead window, so a replayed stream builds little more than its
-    simulated spans.
+    scan first evaluates a slot whose kind code reads :data:`_UNBUILT` —
+    a run's slots are slices of its block's, unrolled once per run, and
+    its out-edges come from the stream's accessors; the per-port queue
+    links ``nxt`` / ``prv`` by :meth:`link`, when a slot reading
+    :data:`_UNLINKED` is first needed. A link the loop or a replay writes
+    into a chunk not linked yet (an unlink's successor, a relink's ends)
+    survives: :meth:`link` fills only sentinel slots. Commands a
+    steady-state replay issues are never scanned past the lookahead
+    window, so a replayed stream builds little more than its simulated
+    spans.
+
+    A run's fixed dependencies (every copy of a block position on one
+    command before the run) are left out of the out-edge lists: a
+    completion is counted per block position (:meth:`fan_out`) and
+    applied to each chunk when it becomes reachable (:meth:`activate`),
+    so the copies a replay issues are never walked one by one.
+
+    Thirteen lists stay full-length placeholders (the static slots, the
+    out-edge bounds and the queue links). Allocating one costs about 5
+    ns per command (some 1.7 ms per 26k-command run for all of them),
+    but the loop indexes each by stream index on every scan, and any
+    denser form costs more there: a ``bytearray`` read alone is 40%
+    slower than a list read.
     """
 
     __slots__ = (
-        "kc", "lat", "bank_id", "group_id", "rank", "bus", "row",
-        "bg", "isrd", "iswr", "fkey", "port", "ndeps",
-        "optr", "oidx", "heads", "nxt", "prv", "n_ports",
+        "kc", "lat", "bank_id", "group_id", "rank", "row", "isrd",
+        "iswr", "fkey", "bus_of_rank", "port", "ndeps",
+        "optr", "oend", "oidx", "heads", "nxt", "prv", "n_ports",
         "n_banks", "n_groups", "n_ranks", "bus_ranks", "bus_ports",
-        "counts", "port_issued", "n", "prepared", "_stream", "_n_bg",
-        "_bpg", "_kinds", "_bus_of_rank", "_links",
+        "counts", "port_issued", "n", "prepared", "fans", "is_fan",
+        "dep_ready", "_stream", "_n_bg", "_bpg", "_kinds", "_bus_of_rank",
+        "_pieces", "_starts", "_lazy", "_lazy_runs", "_active", "_blocks",
+        "_links", "_linked",
     )
 
     #: Commands per on-demand build of the static lists and the links.
     CHUNK = 256
+    #: Fixed-dependency edges from which a run's are applied per chunk
+    #: (:meth:`activate`) rather than walked as out-edges: a chunk's
+    #: activation costs about what walking a few thousand edges does.
+    LAZY_FIXED = 4096
 
     def __init__(self, stream: ColumnarStream, timing, geometry,
                  issue_model, bus_ids) -> None:
@@ -717,97 +1288,210 @@ class _Prepared:
         ), axis=1)
         self._bus_of_rank = np.asarray(bus_ids, dtype=np.int64)
         self.kc = [_UNBUILT] * n
-        (self.lat, self.bank_id, self.group_id, self.rank, self.bus,
-         self.row, self.bg, self.isrd, self.iswr, self.fkey) = (
-            [0] * n for _ in range(10)
-        )
-        self.optr = [0] * (n + 1)
-        self.oidx = [0] * len(stream.out_indices)
-        self.ndeps = np.diff(stream.dep_indptr).tolist()
-        # Per-port pending queues as index-linked lists in stream order
-        # (:meth:`link` copies a chunk of these columns).
+        (self.lat, self.bank_id, self.group_id, self.rank, self.row,
+         self.isrd, self.iswr, self.fkey) = ([0] * n for _ in range(8))
+        self.bus_of_rank = list(bus_ids)
+        # Each command's out-edges are ``oidx[optr[i]:oend[i]]``; a
+        # chunk's are appended to ``oidx`` when it is built.
+        self.optr = [0] * n
+        self.oend = [0] * n
+        self.oidx: list[int] = []
         n_ports = issue_model.n_ports
-        port = np.asarray(issue_model.port_of_rank)[stream.rank]
-        self.port = port.tolist()
+        port_of_rank = np.asarray(issue_model.port_of_rank)
         n_buses = len(set(bus_ids))
         self.bus_ranks = [
             [r for r in range(n_ranks) if bus_ids[r] == b]
             for b in range(n_buses)
         ]
+        # Per block: dependency counters and ports (as lists repeated
+        # ``copies`` times), schedule-independent statistics (every
+        # command issues exactly once, so per-kind counts and per-port
+        # totals are stream properties), the (bus, port) pairs holding
+        # RD / WR, and each port's positions in the block.
+        self.ndeps, self.port = [], []
+        kcounts = np.zeros(len(KIND_ORDER), dtype=np.int64)
+        pcounts = np.zeros(n_ports, dtype=np.int64)
+        ext_pairs = np.zeros(n_buses * n_ports, dtype=np.int64)
+        self._pieces, self._starts, all_ports = [], [], []
+        for start, end, rows, dep_counts, copies in stream.blocks():
+            kinds = rows[:, KIND]
+            ports = port_of_rank[rows[:, RANK]]
+            self.ndeps += dep_counts.tolist() * copies
+            self.port += ports.tolist() * copies
+            kcounts += copies * np.bincount(kinds, minlength=len(KIND_ORDER))
+            pcounts += copies * np.bincount(ports, minlength=n_ports)
+            is_ext = _KC_TABLE[kinds] == _EXT_COL
+            ext_pairs += np.bincount(
+                self._bus_of_rank[rows[is_ext, RANK]] * n_ports
+                + ports[is_ext],
+                minlength=n_buses * n_ports,
+            )
+            self._starts.append(start)
+            self._pieces.append((start, len(rows), copies))
+            if n_ports > 1:
+                all_ports.append(np.tile(ports, copies))
         # Ports holding RD/WR on each bus: the only ports whose scans a
         # burst on that bus can change besides the issuing port's own.
-        is_ext = _KC_TABLE[stream.kind] == _EXT_COL
-        ext_pairs = np.bincount(
-            self._bus_of_rank[stream.rank[is_ext]] * n_ports
-            + port[is_ext],
-            minlength=n_buses * n_ports,
-        )
         self.bus_ports = [[] for _ in range(n_buses)]
         for pair in np.flatnonzero(ext_pairs).tolist():
             self.bus_ports[pair // n_ports].append(pair % n_ports)
-        self.heads = [-1] * n_ports
-        nxt = np.full(n, -1, dtype=np.int64)
-        prv = np.full(n, -1, dtype=np.int64)
-        for p in range(n_ports):
-            idxs = np.flatnonzero(port == p)
-            if len(idxs):
-                self.heads[p] = int(idxs[0])
-                nxt[idxs[:-1]] = idxs[1:]
-                prv[idxs[1:]] = idxs[:-1]
-        self.nxt, self.prv = [_UNLINKED] * n, [_UNLINKED] * n
-        self._links = ((self.nxt, nxt), (self.prv, prv))
         self.n_ports = n_ports
+        # A run's fixed dependencies (on commands before its periodic
+        # body) reach every copy, so the out-edge lists leave them out:
+        # their completions are counted per block position
+        # (:meth:`fan_out`) and applied to a chunk when it becomes
+        # reachable (:meth:`activate`), and copies a replay issues are
+        # never walked.
+        self.fans: dict[int, list] = {}
+        self.is_fan = bytearray(n)
+        self._lazy = []
+        self._lazy_runs = []
+        for run in stream.runs:
+            if run.copies * len(run.fixed[0]) < self.LAZY_FIXED:
+                continue
+            self._lazy_runs.append(run)
+            lazy = _LazyFixed(run)
+            self._lazy.append(lazy)
+            for d, *positions in run.fans:
+                self.fans.setdefault(d, []).append((lazy, *positions))
+                self.is_fan[d] = 1
+        self.dep_ready: list[int] = []  # the loop's, once it starts
+        self._blocks: dict[int, list] = {}  # a run's static slot lists
+        self._active = bytearray(-(-n // self.CHUNK))
+        self._linked = bytearray(-(-n // self.CHUNK))
+        # Per-port pending queues as index-linked lists in stream order.
+        # (:meth:`link` copies a chunk of these columns).
+        self.heads = [-1] * n_ports
+        self._links = None
+        if n_ports > 1:
+            port = np.concatenate(all_ports)
+            nxt = np.full(n, -1, dtype=np.int64)
+            prv = np.full(n, -1, dtype=np.int64)
+            for p in range(n_ports):
+                idxs = np.flatnonzero(port == p)
+                if len(idxs):
+                    self.heads[p] = int(idxs[0])
+                    nxt[idxs[:-1]] = idxs[1:]
+                    prv[idxs[1:]] = idxs[:-1]
+            self._links = (nxt, prv)
+        elif n:
+            self.heads[0] = 0
+        for head in self.heads:
+            if head >= 0:
+                self.activate(head)
+        self.nxt, self.prv = [_UNLINKED] * n, [_UNLINKED] * n
         self.n_banks = n_ranks * self._n_bg * self._bpg
         self.n_groups = n_ranks * self._n_bg
         self.n_ranks = n_ranks
-        # Schedule-independent statistics: every command issues exactly
-        # once, so per-kind counts and per-port totals are stream
-        # properties, not schedule properties.
-        kcounts = np.bincount(stream.kind, minlength=len(KIND_ORDER))
         self.counts = {
             KIND_ORDER[k]: c for k, c in enumerate(kcounts.tolist()) if c
         }
-        self.port_issued = np.bincount(port).tolist() if n else []
+        used = np.flatnonzero(pcounts)
+        self.port_issued = pcounts[:used[-1] + 1].tolist() if n else []
+
+    def _static(self, rows: np.ndarray) -> list:
+        """The static slots of ``rows`` (shape fields), as lists."""
+        rank = rows[:, RANK]
+        bg = rows[:, BANKGROUP]
+        gid = rank * self._n_bg + bg
+        kc, lat, isrd, iswr = self._kinds[rows[:, KIND]].T
+        # The rank/bus floor-table slot of an RD is 2 * rank + 1, of a
+        # WR 2 * rank; only RD / WR read it.
+        return [column.tolist() for column in (
+            kc, lat, gid * self._bpg + rows[:, BANK], gid, rank,
+            rows[:, ROW], isrd, iswr, 2 * rank + isrd,
+        )]
 
     def build(self, i: int) -> None:
-        """Fill the static slots of the chunk holding command ``i``."""
+        """Fill the static slots of the chunk holding command ``i``. A
+        run's slots repeat its block's, sliced from the block's lists
+        (computed once per run, unrolled past a chunk)."""
         a = i - i % self.CHUNK
         b = min(a + self.CHUNK, self.n)
         s = self._stream
-        rank = s.rank[a:b]
-        bg = s.bankgroup[a:b]
-        gid = rank * self._n_bg + bg
-        kc, lat, isrd, iswr = self._kinds[s.kind[a:b]].T
-        # The rank/bus floor-table slot of an RD is 2 * rank + 1, of a
-        # WR 2 * rank; only RD / WR read it.
-        for values, column in (
-            (self.kc, kc),
-            (self.lat, lat),
-            (self.bank_id, gid * self._bpg + s.bank[a:b]),
-            (self.group_id, gid),
-            (self.rank, rank),
-            (self.bus, self._bus_of_rank[rank]),
-            (self.row, s.row[a:b]),
-            (self.bg, bg),
-            (self.isrd, isrd),
-            (self.iswr, iswr),
-            (self.fkey, 2 * rank + isrd),
-        ):
-            values[a:b] = column.tolist()
-        ptr = s.out_indptr
-        self.optr[a:b + 1] = ptr[a:b + 1].tolist()
-        lo, hi = int(ptr[a]), int(ptr[b])
-        self.oidx[lo:hi] = s.out_indices[lo:hi].tolist()
+        lists = (
+            self.kc, self.lat, self.bank_id, self.group_id, self.rank,
+            self.row, self.isrd, self.iswr, self.fkey,
+        )
+        for k in range(bisect_right(self._starts, a) - 1, len(self._starts)):
+            start, span, copies = self._pieces[k]
+            if start >= b:
+                break
+            lo, hi = max(a, start), min(b, start + span * copies)
+            if copies == 1:
+                columns, r = self._static(s.rows(lo, hi, shape=True)), 0
+            else:
+                columns = self._blocks.get(k)
+                if columns is None:
+                    reps = -(-self.CHUNK // span) + 1
+                    columns = self._blocks[k] = [
+                        column * reps
+                        for column in self._static(s.rows(
+                            start, start + span, shape=True
+                        ))
+                    ]
+                r = (lo - start) % span
+            for values, column in zip(lists, columns):
+                values[lo:hi] = column[r:r + hi - lo]
+        # Grouped by target (a radix sort); the loop's out-edge pass
+        # does not depend on the order within a group.
+        targets, consumers = s.edges(
+            a, b, ordered=False, lazy=self._lazy_runs
+        )
+        slot = (targets - a).astype(np.uint16)
+        ends = np.cumsum(np.bincount(slot, minlength=b - a))
+        ends += len(self.oidx)
+        self.oend[a:b] = ends.tolist()
+        self.optr[a + 1:b] = ends[:-1].tolist()
+        self.optr[a] = len(self.oidx)
+        if len(slot) > 1 and (slot[1:] < slot[:-1]).any():
+            consumers = consumers[np.argsort(slot, kind="stable")]
+        self.oidx += consumers.tolist()
         self.prepared += b - a
 
     def link(self, i: int) -> None:
         """Fill the unlinked queue-link slots of the chunk holding
         command ``i`` with their initial links (a slot the loop or a
-        replay wrote keeps its link)."""
-        a = i - i % self.CHUNK
+        replay wrote keeps its link). A link into a chunk not reachable
+        yet stays unlinked until its own slot is asked for."""
+        c = i // self.CHUNK
+        active = self._active
+        if self._linked[c]:
+            # Only a link into a chunk not reachable then is missing.
+            after = (
+                i + 1 if self.n_ports == 1 else int(self._links[0][i])
+            )
+            if after >= 0 and not active[after // self.CHUNK]:
+                self.activate(after)
+            self.nxt[i] = after
+            return
+        self._linked[c] = 1
+        a = c * self.CHUNK
         b = min(a + self.CHUNK, self.n)
-        for values, column in self._links:
-            links = column[a:b].tolist()
+        if self.n_ports == 1:
+            nxt = list(range(a + 1, b + 1))
+            prv = list(range(a - 1, b - 1))
+            if b == self.n:
+                nxt[-1] = -1
+            elif not active[b // self.CHUNK]:
+                if i == b - 1:
+                    self.activate(b)
+                else:
+                    nxt[-1] = _UNLINKED
+        else:
+            nxt, prv = (links[a:b] for links in self._links)
+            # A link into a chunk not reachable yet is made when the
+            # walk needs it (``linked`` comes back here for it).
+            crossing = np.flatnonzero(nxt >= b)
+            nxt, prv = nxt.tolist(), prv.tolist()
+            for k in crossing.tolist():
+                c = nxt[k] // self.CHUNK
+                if not active[c]:
+                    if a + k == i:
+                        self.activate(c * self.CHUNK)
+                    else:
+                        nxt[k] = _UNLINKED
+        for values, links in ((self.nxt, nxt), (self.prv, prv)):
             held = values[a:b]
             if held.count(_UNLINKED) < b - a:
                 links = [
@@ -822,6 +1506,75 @@ class _Prepared:
         if links[i] == _UNLINKED:
             self.link(i)
         return links[i]
+
+    def activate(self, i: int) -> None:
+        """Make the chunk holding command ``i`` reachable: apply the
+        fixed-dependency completions counted so far to its dependency
+        counters and ready cycles. Every command a queue walk reaches
+        is activated first: the heads, the chunk a link leads into when
+        :meth:`link` makes it, and the commands a replay relinks."""
+        c = i // self.CHUNK
+        if self._active[c]:
+            return
+        self._active[c] = 1
+        a = c * self.CHUNK
+        b = min(a + self.CHUNK, self.n)
+        for lazy in self._lazy:
+            lo, hi = max(a, lazy.start), min(b, lazy.end)
+            if lo >= hi:
+                continue
+            lazy.active.append((lo, hi))
+            if not lazy.issued:
+                continue
+            r = (np.arange(lo, hi) - lazy.start) % lazy.span
+            ndeps, dep_ready = self.ndeps, self.dep_ready
+            ndeps[lo:hi] = [
+                v - k for v, k in zip(ndeps[lo:hi], lazy.count[r].tolist())
+            ]
+            dep_ready[lo:hi] = [
+                v if v > done else done
+                for v, done in zip(dep_ready[lo:hi], lazy.latest[r].tolist())
+            ]
+
+    def fan_out(self, d: int, comp: int, stale) -> None:
+        """Command ``d``, a fixed dependency of some run, completes at
+        ``comp``: count it per block position, and apply it now only in
+        the run's reachable chunks (marking the ports of commands it
+        makes ready stale, as an out-edge would)."""
+        ndeps, dep_ready, port_of = self.ndeps, self.dep_ready, self.port
+        multi = self.n_ports > 1
+        for lazy, positions, listed, repeated in self.fans[d]:
+            if repeated:
+                np.add.at(lazy.count, positions, 1)
+            else:
+                lazy.count[positions] += 1
+            lazy.latest[positions] = np.maximum(lazy.latest[positions], comp)
+            lazy.issued = True
+            start, span = lazy.start, lazy.span
+            for lo, hi in lazy.active:
+                for p in listed:
+                    for j in range(lo + (start + p - lo) % span, hi, span):
+                        left = ndeps[j] - 1
+                        ndeps[j] = left
+                        if comp > dep_ready[j]:
+                            dep_ready[j] = comp
+                        if multi and not left:
+                            stale[port_of[j]] = 1
+
+
+class _LazyFixed:
+    """One run's fixed-dependency completions, per block position
+    (:meth:`_Prepared.fan_out`), and its reachable chunk spans."""
+
+    __slots__ = ("start", "end", "span", "count", "latest", "issued",
+                 "active")
+
+    def __init__(self, run: TiledRun) -> None:
+        self.start, self.end, self.span = run.start, run.end, run.span
+        self.count = np.zeros(run.span, dtype=np.int64)
+        self.latest = np.zeros(run.span, dtype=np.int64)
+        self.issued = False
+        self.active: list[tuple[int, int]] = []
 
 
 def schedule_columnar(
@@ -857,12 +1610,15 @@ def schedule_columnar(
         events = np.array(replay.events, dtype=np.int64)
         t = np.arange(1, replay.copies + 1)[:, None]
         issue[events + t * replay.period] = issue[events] + t * replay.delta
+    # The last completion, block by block (a run's copies are rows).
+    latency = prep._kinds[:, 1]
+    total = 0
+    for start, end, rows, _, copies in stream.blocks():
+        done = issue[start:end].reshape(copies, -1) + latency[rows[:, KIND]]
+        total = max(total, int(done.max()))
     stats = TraceStats(
         counts=prep.counts,
-        total_cycles=(
-            int((issue + prep._kinds[stream.kind, 1]).max())
-            if stream.n else 0
-        ),
+        total_cycles=total,
         issued_commands=stream.n,
         port_issued=prep.port_issued,
     )
@@ -961,9 +1717,8 @@ def _schedule_cold(
     bank_id = prep.bank_id
     group_id = prep.group_id
     rank_arr = prep.rank
-    bus_arr = prep.bus
+    bus_of_rank = prep.bus_of_rank
     row_arr = prep.row
-    bg_arr = prep.bg
     is_read = prep.isrd
     is_write = prep.iswr
     fkey = prep.fkey
@@ -971,6 +1726,7 @@ def _schedule_cold(
     bus_ranks = prep.bus_ranks
     bus_ports = prep.bus_ports
     optr = prep.optr
+    oend = prep.oend
     oidx = prep.oidx
     ndeps = prep.ndeps
     nxt = prep.nxt
@@ -979,7 +1735,8 @@ def _schedule_cold(
     n_ports = prep.n_ports
     multi = n_ports > 1
 
-    dep_ready = [0] * n
+    dep_ready = prep.dep_ready = [0] * n
+    is_fan = prep.is_fan
     cached_e: list = [None] * n  # None: recompute on the next visit
     completion = [0] * n
     issue = [-1] * n
@@ -1095,7 +1852,7 @@ def _schedule_cold(
                             if lac >= 0:
                                 v = lac + (
                                     tRRD_L
-                                    if bg_arr[i] == r_lastgrp[rid]
+                                    if group_id[i] == r_lastgrp[rid]
                                     else tRRD_S
                                 )
                                 if v > e:
@@ -1209,7 +1966,7 @@ def _schedule_cold(
                 rd_same, wr_same, rd_other, wr_other = floor_off[
                     is_read[i]
                 ]
-                bi = bus_arr[i]
+                bi = bus_of_rank[rid]
                 for r in bus_ranks[bi]:
                     if r == rid:
                         rd_f = cycle + rd_same
@@ -1238,7 +1995,7 @@ def _schedule_cold(
             b_pre[bid] = cycle + tRAS
             r_actwin[rid].append(cycle)
             r_lastact[rid] = cycle
-            r_lastgrp[rid] = bg_arr[i]
+            r_lastgrp[rid] = group_id[i]
             flushes = (dirty_bank[bid], dirty_rank[rid])
         elif kc == _PRE:
             bid = bank_id[i]
@@ -1274,7 +2031,7 @@ def _schedule_cold(
 
         remaining -= 1
         if multi:
-            for j in oidx[optr[i]:optr[i + 1]]:
+            for j in oidx[optr[i]:oend[i]]:
                 left = ndeps[j] - 1
                 ndeps[j] = left
                 if comp > dep_ready[j]:
@@ -1282,10 +2039,12 @@ def _schedule_cold(
                 if not left:
                     stale[port_of[j]] = 1
         else:
-            for j in oidx[optr[i]:optr[i + 1]]:
+            for j in oidx[optr[i]:oend[i]]:
                 ndeps[j] -= 1
                 if comp > dep_ready[j]:
                     dep_ready[j] = comp
+        if is_fan[i]:
+            prep.fan_out(i, comp, stale)
         if steady is not None:
             remaining -= steady.issued(i, cycle, best_port)
             if steady.idle:

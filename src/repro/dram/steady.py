@@ -20,9 +20,9 @@ Every boundary's snapshot is kept, keyed by its structure and its
 relative timers with each stale one folded to the floor: snapshots
 that can match share a key, so one lookup finds every candidate
 whatever the cycle length. When one ``q`` boundaries back matches
-(newest first: the smallest ``q``) and one numpy compare shows the
-rest of the segment body repeats the matched sweeps shifted, the
-tracker *replays* all but the last few sweeps in place — dependents,
+(newest first: the smallest ``q``) and the stream shows the rest of
+the segment body repeats the matched sweeps shifted (:func:`_repeats`:
+inside a tiled run, from its block alone), the tracker *replays* all but the last few sweeps in place — dependents,
 queues, live timers shifted, the loop's caches marked stale — and the
 loop simulates the tail for real. No replayed command is written to a
 Python list: ``schedule_columnar`` assembles their issue cycles with
@@ -44,7 +44,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dram.columnar import KIND_ORDER, TURNAROUND_GAP, _UNLINKED
+from repro.dram.columnar import (
+    KIND,
+    KIND_ORDER,
+    TURNAROUND_GAP,
+    _UNLINKED,
+    _ragged,
+)
 from repro.dram.period import (
     PeriodicOutcome,
     Replay,
@@ -73,6 +79,71 @@ def stale_floor(timing) -> int:
         t.tMOD,
     )
     return 2 * span
+
+
+def _repeats(stream, lo: int, hi: int, shift: int, moving: int) -> bool:
+    """Whether commands ``[lo, hi)`` repeat ``[lo - shift, hi - shift)``:
+    the same shape, and each dependency moved by ``shift`` if it points
+    at or past ``moving`` (into a periodic body), else unchanged (into
+    what precedes it).
+
+    Where a tiled run holds a whole block of both sides the answer
+    follows from its block (:func:`_run_repeats`); elsewhere the rows
+    and dependencies are gathered and compared.
+    """
+    if hi > stream.n:
+        return False
+    for a, b, run in stream.translated(lo, hi, shift):
+        verdict = None
+        if run is not None and b - a >= run.span:
+            verdict = _run_repeats(run, a, shift, moving)
+        if verdict is None:
+            verdict = np.array_equal(
+                stream.rows(a, b, shape=True),
+                stream.rows(a - shift, b - shift, shape=True),
+            )
+            if verdict:
+                counts, deps = stream.deps(a, b)
+                back, before = stream.deps(a - shift, b - shift)
+                verdict = np.array_equal(counts, back) and np.array_equal(
+                    deps, before + shift * (before >= moving)
+                )
+        if not verdict:
+            return False
+    return True
+
+
+def _run_repeats(run, a: int, shift: int, moving: int):
+    """:func:`_repeats` over commands from ``a`` on whose block positions
+    all occur, ``x`` and ``x - shift`` in ``run``, decided from the
+    block: ``x`` at position ``p`` and copy ``k`` sits against position
+    ``back[p]`` of copy ``k - shift // span - carry[p]``. The shape and
+    dependency counts must match position by position; a moving
+    dependency of ``x - shift`` must point at or past ``moving`` from
+    its lowest copy on and a fixed one below it, and then each of
+    ``x``'s must be its partner moved by ``shift`` (moving) or the same
+    (fixed), whatever the copy. ``None`` when a dependency's status or
+    kind changes across the pair, which only a gather settles."""
+    back, carry = run.translation(shift)
+    counts = run.dep_counts
+    if not (np.array_equal(run.shape, run.shape[back])
+            and np.array_equal(counts, counts[back])):
+        return False
+    _, partner = _ragged(run.dep_ptr, back)
+    moves = run.dep_step != 0
+    if not np.array_equal(moves, moves[partner]):
+        return None
+    deps, theirs = run.dep_indices, run.dep_indices[partner]
+    # Lowest copy of x - shift at each position, per dependency.
+    p = np.arange(run.span)
+    lowest = -((run.start + p - a) // run.span) - shift // run.span - carry
+    low = theirs + np.repeat(lowest, counts) * run.span
+    if not np.array_equal(np.where(moves, low, theirs) >= moving, moves):
+        return None
+    drop = np.repeat(carry, counts) * run.span
+    return np.array_equal(
+        deps, np.where(moves, theirs + shift % run.span - drop, theirs)
+    )
 
 
 class SteadyTracker:
@@ -124,10 +195,16 @@ class SteadyTracker:
         self.marks: dict[int, int] = {}
 
     @property
-    def idle(self) -> bool:
-        """Nothing left to do: past the last segment, or the last
-        segment replayed or abandoned. The loop stops reporting."""
-        return self.done and self.seg_i >= len(self.segments) - 1
+    def done(self) -> bool:
+        """The open segment is replayed, abandoned or past the end."""
+        return self._done
+
+    @done.setter
+    def done(self, value: bool) -> None:
+        self._done = value
+        #: Nothing left to do: past the last segment, or the last
+        #: segment replayed or abandoned. The loop stops reporting.
+        self.idle = value and self.seg_i >= len(self.segments) - 1
 
     def attach(self, prep, *, timers, shape, act_windows, issue,
                completion, dep_ready, caches) -> None:
@@ -152,7 +229,7 @@ class SteadyTracker:
         into a new sweep, fingerprint the state, look for a steady cycle
         and replay it if the stream allows. Returns the commands
         replayed (or 0)."""
-        if not self.done:
+        if not self._done:
             self.ev_i.append(i)
             self.ev_c.append(cycle)
             self.ev_p.append(port)
@@ -169,7 +246,7 @@ class SteadyTracker:
         if seg is None or f < seg.start:
             return 0
         j = (f - seg.start) // seg.period
-        if j == self.boundary_j or self.done:
+        if j == self.boundary_j or self._done:
             return 0
         if j != self.boundary_j + 1:
             self._restart()  # a skipped boundary ends the run
@@ -258,7 +335,10 @@ class SteadyTracker:
         super-period across the segment middle."""
         ev_i, _, ev_port = events
         per_port = np.bincount(ev_port, minlength=self.prep.n_ports).tolist()
-        kinds = np.bincount(self.stream.kind[ev_i], minlength=len(KIND_ORDER))
+        kinds = np.bincount(
+            self.stream.take(ev_i, shape=True)[:, KIND],
+            minlength=len(KIND_ORDER),
+        )
         # Contamination horizon: a port's head advances by its
         # per-period count c_p while its scan looks ``window`` entries
         # ahead, so the last ``1 + ceil(window * q / c_p)`` sweeps may
@@ -295,15 +375,15 @@ class SteadyTracker:
             # segment end, so profile extrapolation may trust the lock.
             lo = seg.start + 2 * P
             if not lock.shape_ok and j - q >= 1 and lo < seg.end:
-                lock.shape_ok = self.stream.repeats(
-                    lo, seg.end, P, seg.start
+                lock.shape_ok = _repeats(
+                    self.stream, lo, seg.end, P, seg.start
                 )
             return 0
         # The replayed sweeps' windows see into the tail, so the shape
         # must hold through the segment end, not just the last image.
         last = int(ev_i.max()) + 1
-        if not self.stream.repeats(
-            b, max(seg.end, last + m * P), P, seg.start
+        if not _repeats(
+            self.stream, b, max(seg.end, last + m * P), P, seg.start
         ):
             self.shape_failures += 1
             if self.shape_failures >= self.MAX_SHAPE_FAILURES:
@@ -320,8 +400,7 @@ class SteadyTracker:
         self.outcome.skipped += m * P
         return m * P
 
-    #: Commands per numpy chunk of a replay's out-edge pass: bounds the
-    #: edge temporaries whatever the length of the segment.
+    #: Sources per call of a replay's out-edge pass.
     REPLAY_CHUNK = 1 << 14
 
     def _replay(self, events, m: int, P: int, delta: int,
@@ -340,9 +419,13 @@ class SteadyTracker:
           :class:`~repro.dram.period.Replay` record stands for them),
           but for the last copy's images issued ahead of the new
           frontier, whose cycles the next snapshots read;
-        * the span's out-edges are one slice of the stream's CSR; those
-          from an image to a command still pending are folded per
-          target (edge count, latest completion) and applied in Python;
+        * an image's dependents that are not images are still pending:
+          the span's pending commands, whose dependencies the stream's
+          accessors give, and commands past the span, which the span's
+          out-edges that leave it reach
+          (:meth:`~repro.dram.columnar.ColumnarStream.edges` with
+          ``above``); those edges are folded per target (edge count,
+          latest completion) and applied in Python;
         * each port's queue is relinked through the commands of the
           span that stay pending, so no queue reaches an image (whose
           own links are left as they were).
@@ -381,23 +464,31 @@ class SteadyTracker:
             u, w = int(mine.min()) + P, int(mine.max()) + m * P
             bounds[port] = (u, linked(prv, u), w, linked(nxt, w))
         # A command issued before the replay has no unissued
-        # dependency, so every out-edge target that is not an image is
-        # still pending. Most edges join two images.
-        optr, oidx = self.stream.out_indptr, self.stream.out_indices
-        ndeps, dep_ready = prep.ndeps, self.dep_ready
+        # dependency, so an image's dependents that are not images are
+        # still pending: the span's pending commands and commands past
+        # it. Their edges are the former's dependencies and the span's
+        # out-edges that leave it; most edges join two images and are
+        # never read.
+        stream = self.stream
+        sources, targets = [], []
+        if kept:
+            at = np.array(kept, dtype=np.int64)
+            counts, deps = stream.deps_at(at)
+            inside = (deps >= lo) & (deps < hi)
+            sources.append(deps[inside])
+            targets.append(np.repeat(at, counts)[inside])
         for a in range(lo, hi, self.REPLAY_CHUNK):
-            b = min(a + self.REPLAY_CHUNK, hi)
-            ptr = optr[a:b + 1]
-            target = oidx[ptr[0]:ptr[-1]]
-            edge = np.flatnonzero(np.take(free, target - lo, mode="clip"))
-            # Each edge's source, relative to ``lo``.
-            source = np.searchsorted(ptr, edge + ptr[0], side="right") + (
-                a - 1 - lo
+            source, target = stream.edges(
+                a, min(a + self.REPLAY_CHUNK, hi), ordered=False, above=hi
             )
-            from_image = image[source]
-            if not from_image.any():
-                continue
-            target = target[edge[from_image]]
+            sources.append(source)
+            targets.append(target)
+        source = np.concatenate(sources) - lo
+        target = np.concatenate(targets)
+        from_image = image[source]
+        ndeps, dep_ready = prep.ndeps, self.dep_ready
+        if from_image.any():
+            target = target[from_image]
             done = done_at[source[from_image]]
             # Many images feed the same few pending commands.
             base = int(target.min())
@@ -416,6 +507,7 @@ class SteadyTracker:
         # first command in the span, its survivors, the pending command
         # after its last command in the span.
         heads, port_of = prep.heads, prep.port
+        reached = set(kept)
         for port, (u, before, w, after) in bounds.items():
             chain = [j for j in kept if port_of[j] == port]
             if chain and chain[0] < u:
@@ -423,6 +515,7 @@ class SteadyTracker:
             if chain and chain[-1] > w:
                 after = linked(nxt, chain[-1])
             chain = [before, *chain, after]
+            reached.add(after)
             for p, q in zip(chain, chain[1:]):
                 if p >= 0:
                     nxt[p] = q
@@ -430,6 +523,9 @@ class SteadyTracker:
                     heads[port] = q
                 if q >= 0:
                     prv[q] = p
+        # The relinked commands become reachable.
+        for c in {j // prep.CHUNK for j in reached if j >= 0}:
+            prep.activate(c * prep.CHUNK)
         # Live timers advance; stale ones (untouched throughout) stay.
         live = anchor - self.floor
         shift = m * delta

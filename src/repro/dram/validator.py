@@ -8,7 +8,8 @@ a :class:`~repro.errors.TimingViolation`.
 There is one checker, :func:`validate_trace_columnar`, over a scheduled
 :class:`~repro.dram.columnar.ColumnarSchedule`. The whole-trace checks
 (channel range, unissued commands, dependencies) are single array
-compares over every command. Every rule family (command-bus slots,
+compares over every command (the dependency check per tiled run, by
+index arithmetic). Every rule family (command-bus slots,
 bank row-state, bank-group tCCD_L/tWTR_L/tPIM, rank
 tRRD/tFAW/tCCD_S/tWTR_S, data-bus occupancy) is a handful of
 whole-array numpy operations — segmented sorts, adjacent differences,
@@ -99,7 +100,16 @@ the commands at ``c`` and at ``c + delta`` correspond one to one
   is a breach at the moved one, which the compressed trace checks.
 
 So a compressed trace with no breach is a full trace with none.
-Dependencies are checked on every edge of the full trace either way.
+
+Dependencies are checked on the full trace, except for images that
+provably inherit their predecessors' timing (:func:`_implied`): inside
+a tiled run whose block shows each dependency of an image ``y`` is ``y
+- P``'s moved by ``P`` (onto another image) or unchanged, ``y`` is on
+time if ``y - P`` is, by induction down to the checked commands. If a
+checked dependency is late, every edge is checked again, so the first
+offender is the full check's. The translation check reads the shape of
+a span inside such a run from the run's block; only the rest is
+gathered.
 
 The test suite keeps a family-by-family formulation of the same rules
 as the oracle this checker is held to, pins its exception text with a
@@ -118,6 +128,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.dram.columnar import (
+    CHANNEL,
+    KIND,
     KIND_INDEX,
     KIND_ORDER,
     TURNAROUND_GAP,
@@ -137,7 +149,7 @@ from repro.dram.commands import (
 )
 from repro.dram.geometry import DeviceGeometry
 from repro.dram.period import PeriodicOutcome
-from repro.dram.steady import stale_floor
+from repro.dram.steady import _run_repeats, stale_floor
 from repro.dram.timing import TimingParams
 from repro.errors import TimingViolation
 
@@ -308,64 +320,116 @@ def validate_trace_columnar(
     t = schedule.issue_cycle.astype(np.int64)
     channels = geometry.channels
     if channels > 1:
-        ch = stream.channel.astype(np.int64)
-        out = (ch < 0) | (ch >= channels)
-        if bool(out.any()):
-            i = int(np.argmax(out))
-            raise TimingViolation(
-                "channel", max(int(t[i]), 0),
-                f"command {i} channel {int(ch[i])} out of range",
-            )
-    else:
-        ch = np.zeros(n, dtype=np.int64)
+        # A run's first offender lies in its first copy.
+        for start, _, rows, _, _ in stream.blocks():
+            ch = rows[:, CHANNEL]
+            out = (ch < 0) | (ch >= channels)
+            if bool(out.any()):
+                i = start + int(np.argmax(out))
+                raise TimingViolation(
+                    "channel", max(int(t[i]), 0),
+                    f"command {i} channel {int(ch[i - start])} out of "
+                    "range",
+                )
     if bool((t < 0).any()):
         raise TimingViolation(
             "unissued", 0, "command without an issue cycle in trace"
         )
+    replays = periodic.replays if periodic is not None else ()
+    keep, cut = _compressed(stream, t, replays, timing)
+    _check_dependencies(stream, t, timing, [
+        hole for replay in cut
+        if (hole := _implied(stream, replay)) is not None
+    ])
 
-    # Dependencies: every consumer must issue at or after each
-    # dependency's completion.
-    if len(stream.dep_indices):
-        kind = stream.kind.astype(np.int64)
-        done = t + _latency_table(timing)[kind]
-        rows = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(stream.dep_indptr)
-        )
-        late = t[rows] < done[stream.dep_indices]
+    args = (timing, geometry, port_of_rank, per_bank_pim, data_bus_scope)
+    validated = 0
+    if replays:
+        if keep is not None:
+            rows, cycles = keep
+            validated = len(rows)
+            if _families(
+                cycles, *_columns(stream, channels, rows), *args
+            ) is None:
+                return validated
+    first = _families(t, *_columns(stream, channels), *args)
+    if first is not None:
+        raise first
+    return validated + n
+
+
+def _check_dependencies(stream, t, timing, holes=()) -> None:
+    """Every consumer must issue at or after each dependency's
+    completion; raises on the first late one in stream (CSR) order.
+
+    Consumers in ``holes`` (``[lo, hi)`` ranges from :func:`_implied`)
+    are not checked: their dependencies are met if their predecessors'
+    are. If a checked one is late, the whole trace is checked again so
+    that the first offender is the full check's."""
+    latency = _latency_table(timing)
+    done = t + np.concatenate([
+        np.tile(latency[rows[:, KIND]], copies)
+        for _, _, rows, _, copies in stream.blocks()
+    ])
+    checked, pos = [], 0
+    for lo, hi in sorted(holes):
+        checked.append((pos, lo))
+        pos = hi
+    checked.append((pos, stream.n))
+    for a, b in checked:
+        counts, deps = stream.deps(a, b)
+        consumer = a + np.repeat(np.arange(b - a), counts)
+        late = t[consumer] < done[deps]
         if bool(late.any()):
+            if holes:
+                _check_dependencies(stream, t, timing)
             k = int(np.argmax(late))
-            i, d = int(rows[k]), int(stream.dep_indices[k])
+            i, d = int(consumer[k]), int(deps[k])
             raise TimingViolation(
                 "dependency", int(t[i]),
                 f"command {i} issued before dependency {d} "
                 f"completed at {int(done[d])}",
             )
 
-    args = (timing, geometry, port_of_rank, per_bank_pim, data_bus_scope)
-    validated = 0
-    if periodic is not None and periodic.replays:
-        keep = _compressed(stream, t, periodic.replays, timing)
-        if keep is not None:
-            rows, cycles = keep
-            validated = len(rows)
-            if _families(
-                cycles, *_columns(stream, ch, rows), *args
-            ) is None:
-                return validated
-    first = _families(t, *_columns(stream, ch), *args)
-    if first is not None:
-        raise first
-    return validated + n
+
+def _implied(stream, replay):
+    """``[lo, hi)``: images of a ``replay`` whose translation the trace
+    proves (:func:`_cut`) and whose dependencies are met if their
+    predecessors' are, or ``None``.
+
+    Every index in ``(E_max, E_min + m * P]`` is an image. Take an image
+    ``y`` there with ``y`` and ``y - P`` in one tiled run, where the
+    run's block shows (:func:`~repro.dram.steady._run_repeats`, threshold
+    ``E_max + 1 - P``) that each dependency of ``y`` is ``y - P``'s
+    moved by ``P`` or unchanged. A moved one lies past ``E_max``, so it
+    is an image, completing ``delta`` after its predecessor as ``y``
+    issues ``delta`` after ``y - P``; an unchanged one completed before
+    ``y - P`` issued. So ``y`` is on time if ``y - P`` is, and by
+    induction down to the checked commands below ``lo``, every image
+    in ``[lo, hi)`` is. ``lo`` clears the run's longest dependency
+    distance past ``E_max``, where that threshold can hold.
+    """
+    P, m = replay.period, replay.copies
+    first, last = replay.events[0], replay.events[-1]
+    for run in stream.runs:
+        lo = max(last + 1 + run.distance, run.start + P)
+        hi = min(first + m * P + 1, run.end)
+        if hi - lo >= run.span and _run_repeats(run, lo, P, last + 1 - P):
+            return lo, hi
+    return None
 
 
-def _columns(stream, ch, rows=None):
+def _columns(stream, channels, rows=None):
     """(kind, rank, bankgroup, bank, row, channel) of ``rows`` (every
-    command when ``None``), as int64 arrays."""
-    columns = (stream.kind, stream.rank, stream.bankgroup, stream.bank,
-               stream.row, ch)
-    if rows is None:
-        return tuple(c.astype(np.int64) for c in columns)
-    return tuple(c[rows].astype(np.int64) for c in columns)
+    command when ``None``), as int64 arrays; the channel is 0 on a
+    one-channel geometry."""
+    columns = (
+        stream.rows(0, stream.n, shape=True).T.copy() if rows is None
+        else stream.shape_columns(rows)
+    )
+    if channels == 1:
+        columns[-1] = 0
+    return tuple(columns)
 
 
 def _families(t, kind, rank, bg, bank, row, ch, timing, geometry,
@@ -561,26 +625,27 @@ def _reach(timing: TimingParams) -> int:
 
 
 def _compressed(stream, t, replays, timing):
-    """``(rows, cycles)`` of the trace with every replay's cut taken
-    out and the commands above each cut moved down by it, or ``None``
-    when a replay's translation or neighbourhood check fails (or its
-    cut would touch another's). Replays too short to cut are left
-    whole."""
+    """``((rows, cycles), cut)``: the trace with every replay's cut
+    taken out and the commands above each cut moved down by it (``None``
+    when a replay's translation or neighbourhood check fails, or its
+    cut would touch another's), and the replays whose translation and
+    neighbourhood it proved. Replays too short to cut are left whole."""
     reach = _reach(timing)
-    cuts = []
+    cuts, proven = [], []
     for replay in replays:
         cut = _cut(stream, t, replay, reach)
         if cut is False:
-            return None
+            return None, proven
         if cut is not None:
             cuts.append(cut)
+            proven.append(replay)
     if not cuts:
-        return None
+        return None, proven
     cuts.sort()
     # Each cut's checked neighbourhood must lie clear of the next's.
     for (_, _, _, hi), (lo, _, _, _) in zip(cuts, cuts[1:]):
         if hi > lo:
-            return None
+            return None, proven
     starts = np.array([c[1] for c in cuts], dtype=np.int64)
     ends = np.array([c[2] for c in cuts], dtype=np.int64)
     # Shift of a command: the lengths of the cuts that end at or below
@@ -589,7 +654,7 @@ def _compressed(stream, t, replays, timing):
     below = np.searchsorted(ends, t, side="right")
     inside = np.searchsorted(starts, t, side="right") > below
     rows = np.flatnonzero(~inside)
-    return rows, t[rows] - shift[below[rows]]
+    return (rows, t[rows] - shift[below[rows]]), proven
 
 
 def _cut(stream, t, replay, reach):
@@ -633,10 +698,10 @@ def _translates(stream, t, events, P, delta, m) -> bool:
     command ``y - P``'s kind and coordinates ``delta`` cycles later.
 
     Every index in ``(events[-1], events[0] + m * P]`` is an image, so
-    that span is compared slice against slice; the few images outside
-    it are gathered."""
-    columns = (stream.kind, stream.rank, stream.bankgroup, stream.bank,
-               stream.row, stream.channel)
+    that span is compared slice against slice: inside a tiled run whose
+    span divides ``P`` the shape repeats by construction, and only the
+    rest of it is gathered. The few images outside it are gathered
+    too."""
     a, b = int(events[-1]) + 1, int(events[0]) + m * P + 1
     u = np.arange(1, m + 1, dtype=np.int64)
     if a < b:
@@ -646,15 +711,28 @@ def _translates(stream, t, events, P, delta, m) -> bool:
     images = (events[None, :] + P * u[:, None]).ravel()
     if a < b:
         images = images[(images < a) | (images >= b)]
-        if not (
-            all((col[a:b] == col[a - P:b - P]).all() for col in columns)
-            and (t[a:b] - t[a - P:b - P] == delta).all()
-        ):
+        if not (t[a:b] - t[a - P:b - P] == delta).all():
             return False
+        for lo, hi, run in stream.translated(a, b, P):
+            if run is not None and hi - lo >= run.span:
+                # Every block position occurs: x's shape against its
+                # partner's, once per position.
+                same = np.array_equal(
+                    run.shape, run.shape[run.translation(P)[0]]
+                )
+            else:
+                same = np.array_equal(
+                    stream.rows(lo, hi, shape=True),
+                    stream.rows(lo - P, hi - P, shape=True),
+                )
+            if not same:
+                return False
     back = images - P
     return bool(
-        all((col[images] == col[back]).all() for col in columns)
-        and (t[images] - t[back] == delta).all()
+        (t[images] - t[back] == delta).all()
+        and np.array_equal(
+            stream.take(images, shape=True), stream.take(back, shape=True)
+        )
     )
 
 

@@ -28,9 +28,11 @@ from repro.faults.inject import (
     InjectedFault,
     active_injector,
     auto_install,
+    collect_relayed,
     corrupt_text,
     current_attempt,
     describe_active,
+    enter_shared_pool_worker,
     enter_worker_context,
     exit_worker_context,
     fire,
@@ -87,9 +89,11 @@ __all__ = [
     "WORKER_KILL",
     "active_injector",
     "auto_install",
+    "collect_relayed",
     "corrupt_text",
     "current_attempt",
     "describe_active",
+    "enter_shared_pool_worker",
     "enter_worker_context",
     "exit_worker_context",
     "fire",

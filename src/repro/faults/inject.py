@@ -20,19 +20,28 @@ the pool's isolated per-job workers — is mixed into the hash so a
 retried job re-rolls its faults instead of deterministically re-dying.
 
 Safety guard: the destructive sites (``worker.kill``, ``worker.hang``)
-fire **only inside a disposable per-job worker process** (the pool's
-hardened execution mode marks those with :func:`enter_worker_context`).
-In any other process — the pytest runner, the HTTP server, a shared
-fork-pool worker — they are suppressed and counted, never fired: fault
-injection must not create failures the system is not instrumented to
-recover from.
+fire **only where the pool can recover from them**: inside a disposable
+per-job worker process (the pool's hardened execution mode marks those
+with :func:`enter_worker_context`), and — ``worker.kill`` only — inside a
+shared fork-pool worker (marked by :func:`enter_shared_pool_worker`),
+whose death breaks the pool and sends the jobs it left unfinished to
+the hardened executor. ``worker.hang`` stays suppressed in a shared
+worker: the shared pool has no per-job timeout, so nothing would end
+the hang. In any other process — the pytest runner, the HTTP server —
+both are suppressed and counted, never fired: fault injection must not
+create failures the system is not instrumented to recover from.
 
 Every decision is observable: fires count into the process
 ``default_registry`` as ``faults_injected_total{site=...}`` (rendered
 ``repro_faults_injected_total``), suppressed destructive checks as
 ``faults_suppressed_total``, and the pool's parent-side recovery
 machinery adds ``faults_detected_total{kind=...}`` for worker deaths
-and job timeouts it observed and survived.
+and job timeouts it observed and survived. A ``worker.kill`` ends its
+process before the process's own metrics can ship, so the dying worker
+first writes one byte to a pipe the injector opened before any worker
+forked, and the installing process counts the bytes into its
+``faults_injected_total`` (:func:`collect_relayed`, which the pool calls
+as it folds in worker telemetry).
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.faults.plan import (
     DESTRUCTIVE_SITES,
+    WORKER_KILL,
     FaultPlan,
     FaultRule,
 )
@@ -92,6 +102,12 @@ class FaultInjector:
         self._fired = {site: 0 for site in self._rules}
         self._suppressed = {site: 0 for site in self._rules}
         self._lock = threading.Lock()
+        # Kill relay: (read end, write end), both non-blocking.
+        self._relay: Optional[tuple[int, int]] = None
+        if WORKER_KILL in self._rules:
+            self._relay = os.pipe()
+            for fd in self._relay:
+                os.set_blocking(fd, False)
 
     # ------------------------------------------------------------------
     def check(self, site: str) -> Optional[FaultRule]:
@@ -131,6 +147,46 @@ class FaultInjector:
             "faults_suppressed_total", {"site": site}
         )
 
+    def relay_kill(self) -> None:
+        """Record a ``worker.kill`` about to end this process where the
+        installing process can count it."""
+        if self._relay is not None:
+            try:
+                os.write(self._relay[1], b"k")
+            except OSError:
+                pass  # a full pipe loses the count, never the kill
+
+    def collect_relayed(self) -> int:
+        """Count the kills workers relayed into this injector's fires
+        and ``faults_injected_total`` (in the installing process only);
+        returns how many."""
+        if self._relay is None or os.getpid() != self.install_pid:
+            return 0
+        killed = 0
+        while True:
+            try:
+                chunk = os.read(self._relay[0], 4096)
+            except BlockingIOError:
+                break
+            if not chunk:
+                break
+            killed += len(chunk)
+        if killed:
+            with self._lock:
+                self._fired[WORKER_KILL] += killed
+            default_registry().inc(
+                "faults_injected_total", {"site": WORKER_KILL},
+                value=killed,
+            )
+        return killed
+
+    def close(self) -> None:
+        """Release the kill relay (the injector keeps deciding)."""
+        relay, self._relay = self._relay, None
+        if relay is not None and os.getpid() == self.install_pid:
+            for fd in relay:
+                os.close(fd)
+
     # ------------------------------------------------------------------
     def fired(self, site: Optional[str] = None) -> int:
         with self._lock:
@@ -160,9 +216,12 @@ _ACTIVE: Optional[FaultInjector] = None
 _ENV_INSTALLED_SPEC: Optional[str] = None
 
 #: Worker-context state: > -1 means "this process is a disposable
-#: per-job worker running attempt N" — the only context where the
-#: destructive sites may fire.
+#: per-job worker running attempt N" — the only context where every
+#: destructive site may fire.
 _ATTEMPT = -1
+#: Whether this process is a shared fork-pool worker, where
+#: ``worker.kill`` may fire too.
+_SHARED_POOL = False
 
 
 def install(plan: FaultPlan | FaultInjector) -> FaultInjector:
@@ -171,6 +230,8 @@ def install(plan: FaultPlan | FaultInjector) -> FaultInjector:
     injector = (
         plan if isinstance(plan, FaultInjector) else FaultInjector(plan)
     )
+    if _ACTIVE is not None and _ACTIVE is not injector:
+        _ACTIVE.close()
     _ACTIVE = injector
     _ENV_INSTALLED_SPEC = None
     return injector
@@ -181,6 +242,8 @@ def uninstall() -> Optional[FaultInjector]:
     global _ACTIVE, _ENV_INSTALLED_SPEC
     injector, _ACTIVE = _ACTIVE, None
     _ENV_INSTALLED_SPEC = None
+    if injector is not None:
+        injector.close()
     return injector
 
 
@@ -221,6 +284,12 @@ def auto_install(environ=None) -> Optional[FaultInjector]:
     return injector
 
 
+def collect_relayed() -> int:
+    """The active injector's :meth:`FaultInjector.collect_relayed` (0
+    when faults are off)."""
+    return _ACTIVE.collect_relayed() if _ACTIVE is not None else 0
+
+
 def describe_active() -> Optional[dict]:
     """The active injector's summary, or None when faults are off."""
     return _ACTIVE.describe() if _ACTIVE is not None else None
@@ -244,6 +313,13 @@ def in_worker_context() -> bool:
     return _ATTEMPT >= 0
 
 
+def enter_shared_pool_worker() -> None:
+    """Mark this process as a shared fork-pool worker (the pool's
+    worker initializer): ``worker.kill`` may fire here."""
+    global _SHARED_POOL
+    _SHARED_POOL = True
+
+
 def current_attempt() -> int:
     """The attempt number decisions mix in (0 outside workers)."""
     return _ATTEMPT if _ATTEMPT >= 0 else 0
@@ -257,7 +333,9 @@ def fire(site: str) -> Optional[FaultRule]:
     injector = _ACTIVE
     if injector is None:
         return None
-    if site in DESTRUCTIVE_SITES and not in_worker_context():
+    if site in DESTRUCTIVE_SITES and not in_worker_context() and not (
+        site == WORKER_KILL and _SHARED_POOL
+    ):
         injector.suppress(site)
         return None
     return injector.check(site)
@@ -283,6 +361,7 @@ def maybe_raise(site: str) -> None:
 def maybe_kill(site: str) -> None:
     """SIGKILL this process when the (guarded) site fires."""
     if fire(site) is not None:
+        _ACTIVE.relay_kill()
         os.kill(os.getpid(), signal.SIGKILL)
 
 

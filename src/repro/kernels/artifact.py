@@ -30,11 +30,14 @@ fingerprints at three boundaries ``q`` sweeps apart agree — every
 index entry either unchanged (it points before the periodic region)
 or moved by exactly one block, unchanged ones all below moved ones —
 every later sweep provably repeats the last block shifted, so the
-builder writes the rest of the segment body with numpy
-(:meth:`StreamBuilder.tile`), and the emitter advances its state by the
-skipped blocks and resumes command-by-command emission at the next
-phase. Sampled widths never exceed one row, so a tiled body never
-crosses a row and column addresses advance by a constant per sweep.
+builder records the rest of the segment body as copies of one block
+(:meth:`StreamBuilder.tile`: the two emitted blocks and their copies
+become one :class:`~repro.dram.columnar.TiledRun`, and no tiled row is
+ever written). The emitter reads that block to advance its state by
+the skipped blocks (:meth:`SweepEmitter._rebuild_accesses`) and
+resumes command-by-command emission at the next phase. Sampled widths
+never exceed one row, so a tiled body never crosses a row and column
+addresses advance by a constant per sweep.
 """
 
 from __future__ import annotations
@@ -280,8 +283,9 @@ class SweepEmitter:
                 lambda v: v if v in fixed else v + shift,
                 copies * q * self._columns_per_sweep,
             )
-            self._rebuild_accesses(here, here + shift)
-            self._count_tiled(here, here + shift)
+            run = self.out.runs[-1]
+            self._rebuild_accesses(run)
+            self._count_tiled(run.block, copies)
             offsets = [b - mid for b, _ in self._bounds[sweep - q:sweep]]
             for k in range(copies):
                 for t, offset in enumerate(offsets):
@@ -314,34 +318,35 @@ class SweepEmitter:
         for entry in self._rows.values():
             entry[2] = move(entry[2])
 
-    def _count_tiled(self, start: int, end: int) -> None:
-        """Account for commands ``start..end`` written by a tile."""
+    def _count_tiled(self, block: np.ndarray, copies: int) -> None:
+        """Account for ``copies`` tiled copies of ``block`` (rows whose
+        shape fields every copy repeats)."""
 
-    def _rebuild_accesses(self, start: int, end: int) -> None:
-        """Bring each open row's access list up to date with the tiled
-        commands ``start..end`` (the accesses since the row's ACT)."""
-        rows = self.out.columns(start, end)
+    def _rebuild_accesses(self, run) -> None:
+        """Bring each open row's access list up to date with the copies
+        ``run`` tiled past its two emitted blocks (the accesses since the
+        row's ACT), reading only its block: a bank the block activates
+        keeps the last copy's accesses after that ACT, any other gains
+        its accesses in every tiled copy."""
+        block = run.block
         geom = self.geometry
         bank_id = (
-            rows[:, _RANK] * geom.bankgroups + rows[:, _BANKGROUP]
-        ) * geom.banks_per_group + rows[:, _BANK]
-        kinds = rows[:, _KIND]
+            block[:, _RANK] * geom.bankgroups + block[:, _BANKGROUP]
+        ) * geom.banks_per_group + block[:, _BANK]
+        kinds = block[:, _KIND]
         accesses = np.flatnonzero(_IS_COLUMN[kinds])
-        order = np.argsort(bank_id[accesses], kind="stable")
-        by_bank = bank_id[accesses][order]
-        positions = accesses[order] + start
         acts = np.flatnonzero(kinds == _ACT)
+        copies = np.arange(run.start + 2 * run.span, run.end, run.span)
         for (rank, bankgroup, bank), entry in self._rows.items():
             key = (rank * geom.bankgroups + bankgroup) * (
                 geom.banks_per_group
             ) + bank
-            lo, hi = np.searchsorted(by_bank, (key, key + 1))
-            mine = positions[lo:hi]
+            mine = accesses[bank_id[accesses] == key]
             opened = acts[bank_id[acts] == key]
             if len(opened):
-                entry[1] = mine[mine > opened[-1] + start].tolist()
+                entry[1] = (mine[mine > opened[-1]] + copies[-1]).tolist()
             else:
-                entry[1].extend(mine.tolist())
+                entry[1].extend((copies[:, None] + mine).ravel().tolist())
 
     # -- rows --------------------------------------------------------------
     def _open_row(self, rank: int, bankgroup: int, bank: int,

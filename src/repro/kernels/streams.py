@@ -283,7 +283,7 @@ class _StreamEmitter(SweepEmitter):
             self.writes += 1
         return i
 
-    def _count_tiled(self, start: int, end: int) -> None:
-        kinds = self.out.columns(start, end)[:, _KIND]
-        self.reads += int(np.count_nonzero(kinds == _RD))
-        self.writes += int(np.count_nonzero(kinds == _WR))
+    def _count_tiled(self, block: np.ndarray, copies: int) -> None:
+        kinds = block[:, _KIND]
+        self.reads += copies * int(np.count_nonzero(kinds == _RD))
+        self.writes += copies * int(np.count_nonzero(kinds == _WR))

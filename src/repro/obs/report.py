@@ -44,6 +44,7 @@ _COUNTER_FIELDS = (
     "commands_replayed",
     "commands_prepared",
     "commands_validated",
+    "commands_materialized",
     "sweeps_extended",
 )
 _DICT_FIELDS = (
@@ -72,7 +73,10 @@ class EngineReport:
     replayed from a locked steady cycle; ``commands_prepared`` counts
     the commands whose per-command scheduling lists the loop built and
     ``commands_validated`` the rows the trace checker's rule families
-    ran over (deterministic work counters); ``sweeps_extended``
+    ran over, and ``commands_materialized`` the tiled-run rows a
+    whole-stream expansion wrote (:attr:`ColumnarStream.materialized
+    <repro.dram.columnar.ColumnarStream>`: 0 while every consumer reads
+    the tiled form) — deterministic work counters; ``sweeps_extended``
     counts the sweeps the closed-form extension added on top of the
     warm sample. ``scheduling_paths`` histograms how every schedule
     the model ran was served: ``"single-channel"``,
@@ -91,6 +95,7 @@ class EngineReport:
     commands_replayed: int = 0
     commands_prepared: int = 0
     commands_validated: int = 0
+    commands_materialized: int = 0
     sweeps_extended: int = 0
     fallback_reasons: dict = field(default_factory=dict)
     warm_widths: dict = field(default_factory=dict)
@@ -122,9 +127,11 @@ class EngineReport:
             self.locks_confirmed += 1
             self._bump(self.super_periods, lock.sweeps_per_period)
 
-    def record_work(self, *, prepared: int = 0, validated: int = 0) -> None:
+    def record_work(self, *, prepared: int = 0, validated: int = 0,
+                    materialized: int = 0) -> None:
         self.commands_prepared += prepared
         self.commands_validated += validated
+        self.commands_materialized += materialized
 
     def record_extension(self, sweeps: int) -> None:
         self.sweeps_extended += sweeps

@@ -492,7 +492,7 @@ class Dispatcher:
             )
         for name in (
             "commands_simulated", "commands_replayed", "commands_prepared",
-            "commands_validated", "sweeps_extended",
+            "commands_validated", "commands_materialized", "sweeps_extended",
         ):
             if report.get(name):
                 self.metrics.inc(

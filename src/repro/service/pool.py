@@ -290,8 +290,10 @@ def _run_payload(spec: SimJobSpec) -> dict:
     start = time.perf_counter()
     try:
         # Worker-side injection sites. The destructive pair (kill,
-        # hang) only fires inside a disposable hardened worker — the
-        # injector's context guard suppresses them here otherwise.
+        # hang) only fires inside a disposable hardened worker, and the
+        # kill inside a shared pool worker too (the batch re-runs what
+        # it left unfinished) — the injector's context guard suppresses
+        # them anywhere else.
         faults.maybe_kill(faults.WORKER_KILL)
         faults.sleep_site(faults.WORKER_HANG)
         faults.maybe_raise(faults.WORKER_EXCEPTION)
@@ -472,7 +474,10 @@ def run_specs(
             ctx = multiprocessing.get_context("fork")
             with span(
                 "pool.dispatch", jobs=n_workers, pending=len(specs)
-            ), ProcessPoolExecutor(n_workers, mp_context=ctx) as pool:
+            ), ProcessPoolExecutor(
+                n_workers, mp_context=ctx,
+                initializer=faults.enter_shared_pool_worker,
+            ) as pool:
                 sorted_out = pool.map(
                     _forked_payload,
                     [specs[i] for i in order],
@@ -746,8 +751,10 @@ def _ingest_obs(payloads: Sequence[Optional[dict]]) -> None:
     consumed here: spans join the active tracer (worker pids keep them
     on their own Perfetto tracks) and metrics snapshots merge into the
     process-global registry. The block is popped so cached/serialized
-    results never carry telemetry.
+    results never carry telemetry. Workers killed by an injected fault
+    ship nothing; their kills are counted from the injector's relay.
     """
+    faults.collect_relayed()
     tracer = obs_trace.active_tracer()
     for payload in payloads:
         if not payload:

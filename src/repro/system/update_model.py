@@ -350,6 +350,7 @@ class UpdatePhaseModel:
         geometry = self._one_channel()
         issue_model = config.issue_model(geometry)
         scheduler = self._scheduler(config, geometry, issue_model)
+        expanded = artifact.columnar.materialized
         with span(
             "engine.schedule",
             engine=self.engine,
@@ -381,6 +382,9 @@ class UpdatePhaseModel:
                     periodic=outcome,
                 )
             self.report.record_work(validated=validated)
+        self.report.record_work(
+            materialized=artifact.columnar.materialized - expanded
+        )
         return result.stats, n_params, offchip_accesses, outcome, period, shift
 
     #: Generated streams kept for reuse (see ``_streams``).

@@ -139,6 +139,31 @@ class TestIsolatedExecution:
                 assert payload["status"] == "ok", payload
         assert poison.content_hash() in pool.quarantined_hashes()
 
+    def test_injected_kill_in_shared_pool_is_recovered(self, monkeypatch):
+        # worker.kill fires in shared fork-pool workers too: a worker
+        # dies, the pool breaks, and the hardened re-run classifies the
+        # specs (at rate 1 every attempt dies too: quarantined). Killed
+        # workers ship no metrics; the injector relays their kills.
+        monkeypatch.setenv(faults.ENV_VAR, "seed=1;worker.kill:rate=1")
+        specs = [cheap_spec(batch=b) for b in (16, 24)]
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(pool.run_specs(specs, jobs=2)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=120.0)
+        assert not runner.is_alive(), "run_specs hung on a dead worker"
+        [payloads] = results
+        for payload in payloads:
+            assert payload["status"] == "failed", payload
+            assert payload["execution_mode"] == "isolated"
+            assert payload["failure"]["reason"] == "quarantined"
+        assert faults.active_injector().fired(faults.WORKER_KILL) > 0
+        rendered = default_registry().render()
+        assert 'faults_injected_total{site="worker.kill"}' in rendered
+        assert 'faults_suppressed_total{site="worker.kill"}' not in rendered
+
     def test_parallel_pool_records_execution_mode(self):
         specs = [cheap_spec(batch=b) for b in (16, 24)]
         results = api.submit_many(specs, jobs=2, cache=None)
