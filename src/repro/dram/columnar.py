@@ -46,10 +46,7 @@ steady-state sweeps in place):
   run, and dropped when the run ends. Only the refcounts and ports
   become Python lists up front, block by block; the rest are filled
   chunk by chunk when first needed (:class:`_Prepared`), so commands a
-  steady-state replay issues mostly never get them. A run's fixed
-  dependencies (every copy on one earlier command) are never walked
-  edge by edge: their completions are counted per block position and
-  applied to a chunk when the loop first reaches it. No replayed
+  steady-state replay issues mostly never get them. No replayed
   command is written to a Python list: the issue vector is assembled
   with numpy from the replay records.
 
@@ -71,7 +68,7 @@ eager expansion by ``tests/dram/test_tiled.py``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -212,11 +209,6 @@ def _widen(rows: np.ndarray, issue: int) -> np.ndarray:
     return out
 
 
-#: Longest target range :meth:`TiledRun.edges` serves from its unrolled
-#: out-edge pattern (a loop chunk fits).
-_PATTERN_TARGETS = 512
-
-
 def _ragged(ptr: np.ndarray, r: np.ndarray):
     """``(counts, entries)`` of CSR rows ``r``: each row's entry count and
     the flat entry indices of all of them, in order."""
@@ -243,16 +235,13 @@ class TiledRun:
 
     The out-edges of a target range are index arithmetic
     (:meth:`edges`): a fixed dependency points at one command from
-    every copy, a moving one at a command one block further per copy,
-    so away from the run's ends a target's moving out-edges depend only
-    on its block position, and a short range is two slices of that
-    pattern unrolled over a few blocks.
+    every copy, a moving one at a command one block further per copy.
     """
 
     __slots__ = (
         "start", "span", "copies", "end", "block", "shape", "step",
-        "dep_counts", "dep_ptr", "dep_indices", "dep_step", "distance",
-        "_fixed", "_moving", "_reach", "_pattern", "_interior", "_fans",
+        "dep_counts", "dep_ptr", "dep_indices", "dep_step", "_fixed",
+        "_moving", "_reach",
     )
 
     def __init__(self, start, span, copies, block, step, dep_counts,
@@ -287,48 +276,19 @@ class TiledRun:
         fixed = self.dep_step == 0
         order = np.argsort(self.dep_indices[fixed], kind="stable")
         self._fixed = (self.dep_indices[fixed][order], consumer[fixed][order])
-        self._fans = None
         self._moving = (self.dep_indices[~fixed], consumer[~fixed])
         d, c = self._moving
-        span = self.span
-        #: The longest distance from a command to a moving dependency.
-        self.distance = int((c - d).max()) if len(d) else 0
-        self._reach = self._interior = (0, -1)
-        self._pattern = None
-        if len(d):
-            self._reach = (
-                int(d.min()), int(d.max()) + (self.copies - 1) * span
-            )
-            # Targets every moving dependency reaches from some copy.
-            self._interior = (
-                int(d.max()), int(d.min()) + (self.copies - 1) * span + 1
-            )
-            # Per block position of a target, its consumers' offsets;
-            # unrolled over enough blocks for any range of
-            # _PATTERN_TARGETS targets starting in the first.
-            position = (d - self.start) % span
-            order = np.lexsort((c - d, position))
-            reps = -(-_PATTERN_TARGETS // span) + 1
-            ptr = np.zeros(reps * span + 1, dtype=np.int64)
-            np.cumsum(
-                np.tile(np.bincount(position, minlength=span), reps),
-                out=ptr[1:],
-            )
-            block = np.arange(reps, dtype=np.int64)[:, None] * span
-            self._pattern = (
-                ptr,
-                (block + (c - d + position)[order]).ravel(),
-                # Each edge's copy-0 target: near the run's ends, a
-                # target before it or past its last copy's has no edge.
-                np.tile(d[order], reps),
-            )
+        #: Targets some moving dependency reaches (from some copy).
+        self._reach = (
+            (int(d.min()), int(d.max()) + (self.copies - 1) * self.span)
+            if len(d) else (0, -1)
+        )
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (
             self.block, self.shape, self.step, self.dep_counts, self.dep_ptr,
             self.dep_indices, self.dep_step, *self._fixed, *self._moving,
-            *(self._pattern or ()),
         ))
 
     def take(self, idx: np.ndarray, shape: bool = False) -> np.ndarray:
@@ -346,8 +306,28 @@ class TiledRun:
         return self.take(np.arange(a, b, dtype=np.int64), shape)
 
     def deps(self, a: int, b: int):
-        """``(counts, indices)``: the dependency CSR of rows ``[a, b)``."""
-        return self.deps_at(np.arange(a, b, dtype=np.int64))
+        """``(counts, indices)``: the dependency CSR of rows ``[a, b)``:
+        its whole copies by broadcasting copy 0's, the partial ones at
+        either end gathered (:meth:`deps_at`)."""
+        span = self.span
+        k0 = -(-(a - self.start) // span)
+        k1 = (b - self.start) // span
+        if k1 - k0 < 2:
+            return self.deps_at(np.arange(a, b, dtype=np.int64))
+        mid, hi = self.start + k0 * span, self.start + k1 * span
+        head = self.deps_at(np.arange(a, mid, dtype=np.int64))
+        tail = self.deps_at(np.arange(hi, b, dtype=np.int64))
+        copies = np.arange(k0, k1, dtype=np.int64)[:, None]
+        return (
+            np.concatenate((
+                head[0], np.tile(self.dep_counts, k1 - k0), tail[0],
+            )),
+            np.concatenate((
+                head[1],
+                (self.dep_indices + copies * self.dep_step).ravel(),
+                tail[1],
+            )),
+        )
 
     def deps_at(self, idx: np.ndarray):
         """``(counts, indices)``: the dependency CSR of rows ``idx``."""
@@ -366,40 +346,13 @@ class TiledRun:
         p = np.arange(self.span)
         return (p - rem) % self.span, (p < rem).astype(np.int64)
 
-    @property
-    def fixed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copy 0's fixed dependencies as ``(targets, consumers)``,
-        ordered by target."""
-        return self._fixed
-
-    @property
-    def fans(self) -> list:
-        """``(target, positions, positions as a list, repeated)`` per
-        command the run's fixed dependencies point at: the block
-        positions depending on it (one entry per dependency) and
-        whether one depends on it twice."""
-        if self._fans is None:
-            targets, consumers = self._fixed
-            positions = consumers - self.start
-            twice = set(targets[1:][
-                (np.diff(targets) == 0) & (np.diff(positions) == 0)
-            ].tolist())
-            uniq, first = np.unique(targets, return_index=True)
-            self._fans = [
-                (d, mine, mine.tolist(), d in twice)
-                for d, mine in zip(uniq.tolist(),
-                                   np.split(positions, first[1:]))
-            ]
-        return self._fans
-
-    def edges(self, a: int, b: int, above: int = 0,
-              fixed: bool = True) -> tuple[list, list]:
+    def edges(self, a: int, b: int, above: int = 0) -> tuple[list, list]:
         """The run's dependencies on targets ``[a, b)`` from consumers
-        at or past ``above`` (its fixed ones only with ``fixed``), as
-        lists of ``(targets, consumers)`` array pairs (unordered)."""
+        at or past ``above``, as lists of ``(targets, consumers)`` array
+        pairs (unordered)."""
         targets, consumers = [], []
         d, c = self._fixed
-        if fixed and len(d) and a <= d[-1] and b > d[0]:
+        if len(d) and a <= d[-1] and b > d[0]:
             lo, hi = np.searchsorted(d, (a, b))
             if hi > lo:
                 t = np.repeat(d[lo:hi], self.copies)
@@ -407,32 +360,18 @@ class TiledRun:
                     c[lo:hi, None]
                     + self.span * np.arange(self.copies, dtype=np.int64)
                 ).ravel()
-                keep = u >= above
-                targets.append(t[keep])
-                consumers.append(u[keep])
+                if above > self.start:
+                    keep = u >= above
+                    t, u = t[keep], u[keep]
+                targets.append(t)
+                consumers.append(u)
         d, c = self._moving
         if above > a and len(d):
             # A consumer lies less than a block's reach past its target.
             a = max(a, above - int((c - d).max()))
-        lo, hi = self._interior
-        if a >= b or a > self._reach[1] or b <= self._reach[0]:
-            pass
-        elif b - a <= _PATTERN_TARGETS:
-            shift, local = divmod(a - self.start, self.span)
-            ptr, offsets, first = self._pattern
-            p = ptr[local:local + b - a + 1]
-            t = np.repeat(np.arange(a, b, dtype=np.int64), np.diff(p))
-            u = offsets[p[0]:p[-1]] + (self.start + shift * self.span)
-            if not (lo <= a and b <= hi):
-                d = first[p[0]:p[-1]]
-                keep = (t >= d) & (t <= d + (self.copies - 1) * self.span)
-                t, u = t[keep], u[keep]
-            if above > a:
-                keep = u >= above
-                t, u = t[keep], u[keep]
-            targets.append(t)
-            consumers.append(u)
-        else:
+        if a < b and a <= self._reach[1] and b > self._reach[0]:
+            # Copy k of dependency e targets d[e] + k * span: the copies
+            # landing in [a, b), per dependency.
             span = self.span
             k_lo = np.clip(-((d - a) // span), 0, self.copies)
             count = np.clip(-((d - b) // span), 0, self.copies) - k_lo
@@ -684,13 +623,11 @@ class ColumnarStream:
                 ).T
         return out
 
-    def edges(self, a: int, b: int, ordered: bool = True, above: int = 0,
-              lazy=()):
+    def edges(self, a: int, b: int, ordered: bool = True, above: int = 0):
         """``(targets, consumers)``: every dependency on a command of
-        ``[a, b)`` (from a consumer at or past ``above``; none of the
-        fixed ones of the runs in ``lazy``), one entry per dependency (a
-        duplicated one twice), ordered by target, then consumer, unless
-        ``ordered`` is false."""
+        ``[a, b)`` from a consumer at or past ``above``, one entry per
+        dependency (a duplicated one twice), ordered by target, then
+        consumer, unless ``ordered`` is false."""
         targets, consumers = [], []
         xt, xc = self._explicit_edges()
         lo, hi = np.searchsorted(xt, (a, b))
@@ -704,7 +641,7 @@ class ColumnarStream:
         for run in self._runs:
             if run.end <= max(a, above):
                 continue  # its consumers all lie before the targets
-            t, c = run.edges(a, b, above, run not in lazy)
+            t, c = run.edges(a, b, above)
             targets += t
             consumers += c
         if not targets:
@@ -1232,7 +1169,11 @@ class _Prepared:
     out-edges; :attr:`prepared` counts them) by :meth:`build`, when the
     scan first evaluates a slot whose kind code reads :data:`_UNBUILT` —
     a run's slots are slices of its block's, unrolled once per run, and
-    its out-edges come from the stream's accessors; the per-port queue
+    the out-edges are read from the stream's accessors and grouped by
+    target :attr:`WINDOW` chunks at a time (a run's builds cluster: on
+    the ``fullrow`` grid 267 chunk builds fall in 58 windows, and one
+    grouping of 16 chunks costs about what three per-chunk ones did);
+    the per-port queue
     links ``nxt`` / ``prv`` by :meth:`link`, when a slot reading
     :data:`_UNLINKED` is first needed. A link the loop or a replay writes
     into a chunk not linked yet (an unlink's successor, a relink's ends)
@@ -1240,12 +1181,6 @@ class _Prepared:
     steady-state replay issues are never scanned past the lookahead
     window, so a replayed stream builds little more than its simulated
     spans.
-
-    A run's fixed dependencies (every copy of a block position on one
-    command before the run) are left out of the out-edge lists: a
-    completion is counted per block position (:meth:`fan_out`) and
-    applied to each chunk when it becomes reachable (:meth:`activate`),
-    so the copies a replay issues are never walked one by one.
 
     Thirteen lists stay full-length placeholders (the static slots, the
     out-edge bounds and the queue links). Allocating one costs about 5
@@ -1260,18 +1195,17 @@ class _Prepared:
         "iswr", "fkey", "bus_of_rank", "port", "ndeps",
         "optr", "oend", "oidx", "heads", "nxt", "prv", "n_ports",
         "n_banks", "n_groups", "n_ranks", "bus_ranks", "bus_ports",
-        "counts", "port_issued", "n", "prepared", "fans", "is_fan",
-        "dep_ready", "_stream", "_n_bg", "_bpg", "_kinds", "_bus_of_rank",
-        "_pieces", "_starts", "_lazy", "_lazy_runs", "_active", "_blocks",
-        "_links", "_linked",
+        "counts", "port_issued", "n", "prepared", "_stream", "_n_bg",
+        "_bpg", "_kinds", "_pieces", "_starts", "_blocks", "_links",
+        "_windows",
     )
 
     #: Commands per on-demand build of the static lists and the links.
     CHUNK = 256
-    #: Fixed-dependency edges from which a run's are applied per chunk
-    #: (:meth:`activate`) rather than walked as out-edges: a chunk's
-    #: activation costs about what walking a few thousand edges does.
-    LAZY_FIXED = 4096
+    #: Chunks per out-edge window: :meth:`build` groups the out-edges of
+    #: a whole window by target at once (the builds of one run cluster),
+    #: and each chunk copies its slice.
+    WINDOW = 16
 
     def __init__(self, stream: ColumnarStream, timing, geometry,
                  issue_model, bus_ids) -> None:
@@ -1286,7 +1220,7 @@ class _Prepared:
         self._kinds = np.stack((
             _KC_TABLE, _latency_table(timing), _ISRD_TABLE, _ISWR_TABLE,
         ), axis=1)
-        self._bus_of_rank = np.asarray(bus_ids, dtype=np.int64)
+        bus_of_rank = np.asarray(bus_ids, dtype=np.int64)
         self.kc = [_UNBUILT] * n
         (self.lat, self.bank_id, self.group_id, self.rank, self.row,
          self.isrd, self.iswr, self.fkey) = ([0] * n for _ in range(8))
@@ -1306,80 +1240,59 @@ class _Prepared:
         # Per block: dependency counters and ports (as lists repeated
         # ``copies`` times), schedule-independent statistics (every
         # command issues exactly once, so per-kind counts and per-port
-        # totals are stream properties), the (bus, port) pairs holding
-        # RD / WR, and each port's positions in the block.
+        # totals are stream properties), and the (bus, port) pairs
+        # holding RD / WR.
         self.ndeps, self.port = [], []
-        kcounts = np.zeros(len(KIND_ORDER), dtype=np.int64)
-        pcounts = np.zeros(n_ports, dtype=np.int64)
-        ext_pairs = np.zeros(n_buses * n_ports, dtype=np.int64)
-        self._pieces, self._starts, all_ports = [], [], []
+        self._pieces, self._starts, kinds, ranks = [], [], [], []
+        all_ports = []
         for start, end, rows, dep_counts, copies in stream.blocks():
-            kinds = rows[:, KIND]
             ports = port_of_rank[rows[:, RANK]]
             self.ndeps += dep_counts.tolist() * copies
             self.port += ports.tolist() * copies
-            kcounts += copies * np.bincount(kinds, minlength=len(KIND_ORDER))
-            pcounts += copies * np.bincount(ports, minlength=n_ports)
-            is_ext = _KC_TABLE[kinds] == _EXT_COL
-            ext_pairs += np.bincount(
-                self._bus_of_rank[rows[is_ext, RANK]] * n_ports
-                + ports[is_ext],
-                minlength=n_buses * n_ports,
-            )
             self._starts.append(start)
             self._pieces.append((start, len(rows), copies))
-            if n_ports > 1:
-                all_ports.append(np.tile(ports, copies))
+            kinds.append(rows[:, KIND])
+            ranks.append(rows[:, RANK])
+            all_ports.append(np.tile(ports, copies))
+        # Every block row once, weighted by its copies.
+        kinds = np.concatenate(kinds or [np.zeros(0, np.int64)])
+        ranks = np.concatenate(ranks or [np.zeros(0, np.int64)])
+        ports = port_of_rank[ranks]
+        weight = np.repeat(
+            [copies for _, _, copies in self._pieces],
+            [span for _, span, _ in self._pieces],
+        )
+        kcounts = np.bincount(
+            kinds, weight, minlength=len(KIND_ORDER)
+        ).astype(np.int64)
+        pcounts = np.bincount(ports, weight, minlength=n_ports).astype(
+            np.int64
+        )
         # Ports holding RD/WR on each bus: the only ports whose scans a
         # burst on that bus can change besides the issuing port's own.
+        is_ext = _KC_TABLE[kinds] == _EXT_COL
         self.bus_ports = [[] for _ in range(n_buses)]
-        for pair in np.flatnonzero(ext_pairs).tolist():
+        for pair in np.unique(
+            bus_of_rank[ranks[is_ext]] * n_ports + ports[is_ext]
+        ).tolist():
             self.bus_ports[pair // n_ports].append(pair % n_ports)
-        self.n_ports = n_ports
-        # A run's fixed dependencies (on commands before its periodic
-        # body) reach every copy, so the out-edge lists leave them out:
-        # their completions are counted per block position
-        # (:meth:`fan_out`) and applied to a chunk when it becomes
-        # reachable (:meth:`activate`), and copies a replay issues are
-        # never walked.
-        self.fans: dict[int, list] = {}
-        self.is_fan = bytearray(n)
-        self._lazy = []
-        self._lazy_runs = []
-        for run in stream.runs:
-            if run.copies * len(run.fixed[0]) < self.LAZY_FIXED:
-                continue
-            self._lazy_runs.append(run)
-            lazy = _LazyFixed(run)
-            self._lazy.append(lazy)
-            for d, *positions in run.fans:
-                self.fans.setdefault(d, []).append((lazy, *positions))
-                self.is_fan[d] = 1
-        self.dep_ready: list[int] = []  # the loop's, once it starts
         self._blocks: dict[int, list] = {}  # a run's static slot lists
-        self._active = bytearray(-(-n // self.CHUNK))
-        self._linked = bytearray(-(-n // self.CHUNK))
-        # Per-port pending queues as index-linked lists in stream order.
+        self._windows: dict[int, tuple] = {}  # out-edge CSRs by window
+        # Per-port pending queues as index-linked lists in stream order
         # (:meth:`link` copies a chunk of these columns).
         self.heads = [-1] * n_ports
-        self._links = None
-        if n_ports > 1:
-            port = np.concatenate(all_ports)
-            nxt = np.full(n, -1, dtype=np.int64)
-            prv = np.full(n, -1, dtype=np.int64)
-            for p in range(n_ports):
-                idxs = np.flatnonzero(port == p)
-                if len(idxs):
-                    self.heads[p] = int(idxs[0])
-                    nxt[idxs[:-1]] = idxs[1:]
-                    prv[idxs[1:]] = idxs[:-1]
-            self._links = (nxt, prv)
-        elif n:
-            self.heads[0] = 0
-        for head in self.heads:
-            if head >= 0:
-                self.activate(head)
+        port = np.concatenate(all_ports) if all_ports else np.zeros(0)
+        nxt = np.full(n, -1, dtype=np.int64)
+        prv = np.full(n, -1, dtype=np.int64)
+        for p in range(n_ports):
+            idxs = np.flatnonzero(port == p)
+            if len(idxs):
+                self.heads[p] = int(idxs[0])
+                nxt[idxs[:-1]] = idxs[1:]
+                prv[idxs[1:]] = idxs[:-1]
         self.nxt, self.prv = [_UNLINKED] * n, [_UNLINKED] * n
+        self._links = ((self.nxt, nxt), (self.prv, prv))
+        self.n_ports = n_ports
         self.n_banks = n_ranks * self._n_bg * self._bpg
         self.n_groups = n_ranks * self._n_bg
         self.n_ranks = n_ranks
@@ -1433,65 +1346,44 @@ class _Prepared:
                 r = (lo - start) % span
             for values, column in zip(lists, columns):
                 values[lo:hi] = column[r:r + hi - lo]
-        # Grouped by target (a radix sort); the loop's out-edge pass
-        # does not depend on the order within a group.
-        targets, consumers = s.edges(
-            a, b, ordered=False, lazy=self._lazy_runs
-        )
-        slot = (targets - a).astype(np.uint16)
-        ends = np.cumsum(np.bincount(slot, minlength=b - a))
-        ends += len(self.oidx)
-        self.oend[a:b] = ends.tolist()
-        self.optr[a + 1:b] = ends[:-1].tolist()
-        self.optr[a] = len(self.oidx)
-        if len(slot) > 1 and (slot[1:] < slot[:-1]).any():
-            consumers = consumers[np.argsort(slot, kind="stable")]
-        self.oidx += consumers.tolist()
+        ptr, consumers, w = self._window(a)
+        ptr = ptr[a - w:b - w + 1]
+        lo = int(ptr[0])
+        base = len(self.oidx)
+        ends = self.oend[a:b] = (ptr[1:] + (base - lo)).tolist()
+        self.optr[a + 1:b] = ends[:-1]
+        self.optr[a] = base
+        self.oidx += consumers[lo:ptr[-1]].tolist()
         self.prepared += b - a
+
+    def _window(self, a: int):
+        """``(ptr, consumers, w)``: the out-edges of the window of
+        :attr:`WINDOW` chunks starting at ``w`` that holds command
+        ``a``, grouped by target (a radix sort; the loop's out-edge
+        pass does not depend on the order within a group) as a CSR over
+        its targets."""
+        size = self.WINDOW * self.CHUNK
+        w = a - a % size
+        window = self._windows.get(w)
+        if window is None:
+            b = min(w + size, self.n)
+            targets, consumers = self._stream.edges(w, b, ordered=False)
+            slot = (targets - w).astype(np.uint16)
+            ptr = np.zeros(b - w + 1, dtype=np.int64)
+            np.cumsum(np.bincount(slot, minlength=b - w), out=ptr[1:])
+            if len(slot) > 1 and (slot[1:] < slot[:-1]).any():
+                consumers = consumers[np.argsort(slot, kind="stable")]
+            window = self._windows[w] = (ptr, consumers, w)
+        return window
 
     def link(self, i: int) -> None:
         """Fill the unlinked queue-link slots of the chunk holding
         command ``i`` with their initial links (a slot the loop or a
-        replay wrote keeps its link). A link into a chunk not reachable
-        yet stays unlinked until its own slot is asked for."""
-        c = i // self.CHUNK
-        active = self._active
-        if self._linked[c]:
-            # Only a link into a chunk not reachable then is missing.
-            after = (
-                i + 1 if self.n_ports == 1 else int(self._links[0][i])
-            )
-            if after >= 0 and not active[after // self.CHUNK]:
-                self.activate(after)
-            self.nxt[i] = after
-            return
-        self._linked[c] = 1
-        a = c * self.CHUNK
+        replay wrote keeps its link)."""
+        a = i - i % self.CHUNK
         b = min(a + self.CHUNK, self.n)
-        if self.n_ports == 1:
-            nxt = list(range(a + 1, b + 1))
-            prv = list(range(a - 1, b - 1))
-            if b == self.n:
-                nxt[-1] = -1
-            elif not active[b // self.CHUNK]:
-                if i == b - 1:
-                    self.activate(b)
-                else:
-                    nxt[-1] = _UNLINKED
-        else:
-            nxt, prv = (links[a:b] for links in self._links)
-            # A link into a chunk not reachable yet is made when the
-            # walk needs it (``linked`` comes back here for it).
-            crossing = np.flatnonzero(nxt >= b)
-            nxt, prv = nxt.tolist(), prv.tolist()
-            for k in crossing.tolist():
-                c = nxt[k] // self.CHUNK
-                if not active[c]:
-                    if a + k == i:
-                        self.activate(c * self.CHUNK)
-                    else:
-                        nxt[k] = _UNLINKED
-        for values, links in ((self.nxt, nxt), (self.prv, prv)):
+        for values, column in self._links:
+            links = column[a:b].tolist()
             held = values[a:b]
             if held.count(_UNLINKED) < b - a:
                 links = [
@@ -1506,75 +1398,6 @@ class _Prepared:
         if links[i] == _UNLINKED:
             self.link(i)
         return links[i]
-
-    def activate(self, i: int) -> None:
-        """Make the chunk holding command ``i`` reachable: apply the
-        fixed-dependency completions counted so far to its dependency
-        counters and ready cycles. Every command a queue walk reaches
-        is activated first: the heads, the chunk a link leads into when
-        :meth:`link` makes it, and the commands a replay relinks."""
-        c = i // self.CHUNK
-        if self._active[c]:
-            return
-        self._active[c] = 1
-        a = c * self.CHUNK
-        b = min(a + self.CHUNK, self.n)
-        for lazy in self._lazy:
-            lo, hi = max(a, lazy.start), min(b, lazy.end)
-            if lo >= hi:
-                continue
-            lazy.active.append((lo, hi))
-            if not lazy.issued:
-                continue
-            r = (np.arange(lo, hi) - lazy.start) % lazy.span
-            ndeps, dep_ready = self.ndeps, self.dep_ready
-            ndeps[lo:hi] = [
-                v - k for v, k in zip(ndeps[lo:hi], lazy.count[r].tolist())
-            ]
-            dep_ready[lo:hi] = [
-                v if v > done else done
-                for v, done in zip(dep_ready[lo:hi], lazy.latest[r].tolist())
-            ]
-
-    def fan_out(self, d: int, comp: int, stale) -> None:
-        """Command ``d``, a fixed dependency of some run, completes at
-        ``comp``: count it per block position, and apply it now only in
-        the run's reachable chunks (marking the ports of commands it
-        makes ready stale, as an out-edge would)."""
-        ndeps, dep_ready, port_of = self.ndeps, self.dep_ready, self.port
-        multi = self.n_ports > 1
-        for lazy, positions, listed, repeated in self.fans[d]:
-            if repeated:
-                np.add.at(lazy.count, positions, 1)
-            else:
-                lazy.count[positions] += 1
-            lazy.latest[positions] = np.maximum(lazy.latest[positions], comp)
-            lazy.issued = True
-            start, span = lazy.start, lazy.span
-            for lo, hi in lazy.active:
-                for p in listed:
-                    for j in range(lo + (start + p - lo) % span, hi, span):
-                        left = ndeps[j] - 1
-                        ndeps[j] = left
-                        if comp > dep_ready[j]:
-                            dep_ready[j] = comp
-                        if multi and not left:
-                            stale[port_of[j]] = 1
-
-
-class _LazyFixed:
-    """One run's fixed-dependency completions, per block position
-    (:meth:`_Prepared.fan_out`), and its reachable chunk spans."""
-
-    __slots__ = ("start", "end", "span", "count", "latest", "issued",
-                 "active")
-
-    def __init__(self, run: TiledRun) -> None:
-        self.start, self.end, self.span = run.start, run.end, run.span
-        self.count = np.zeros(run.span, dtype=np.int64)
-        self.latest = np.zeros(run.span, dtype=np.int64)
-        self.issued = False
-        self.active: list[tuple[int, int]] = []
 
 
 def schedule_columnar(
@@ -1735,8 +1558,7 @@ def _schedule_cold(
     n_ports = prep.n_ports
     multi = n_ports > 1
 
-    dep_ready = prep.dep_ready = [0] * n
-    is_fan = prep.is_fan
+    dep_ready = [0] * n
     cached_e: list = [None] * n  # None: recompute on the next visit
     completion = [0] * n
     issue = [-1] * n
@@ -2043,8 +1865,6 @@ def _schedule_cold(
                 ndeps[j] -= 1
                 if comp > dep_ready[j]:
                     dep_ready[j] = comp
-        if is_fan[i]:
-            prep.fan_out(i, comp, stale)
         if steady is not None:
             remaining -= steady.issued(i, cycle, best_port)
             if steady.idle:

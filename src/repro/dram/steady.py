@@ -335,8 +335,9 @@ class SteadyTracker:
         super-period across the segment middle."""
         ev_i, _, ev_port = events
         per_port = np.bincount(ev_port, minlength=self.prep.n_ports).tolist()
+        ordered = np.sort(ev_i)
         kinds = np.bincount(
-            self.stream.take(ev_i, shape=True)[:, KIND],
+            self.stream.shape_columns(ordered)[KIND],
             minlength=len(KIND_ORDER),
         )
         # Contamination horizon: a port's head advances by its
@@ -391,7 +392,7 @@ class SteadyTracker:
             return 0
         self._replay(events, m, P, delta, anchor)
         self.outcome.replays.append(
-            Replay(tuple(np.sort(ev_i).tolist()), P, delta, m)
+            Replay(tuple(ordered.tolist()), P, delta, m)
         )
         self.boundary_j = j + m * q
         self.done = True
@@ -507,7 +508,6 @@ class SteadyTracker:
         # first command in the span, its survivors, the pending command
         # after its last command in the span.
         heads, port_of = prep.heads, prep.port
-        reached = set(kept)
         for port, (u, before, w, after) in bounds.items():
             chain = [j for j in kept if port_of[j] == port]
             if chain and chain[0] < u:
@@ -515,7 +515,6 @@ class SteadyTracker:
             if chain and chain[-1] > w:
                 after = linked(nxt, chain[-1])
             chain = [before, *chain, after]
-            reached.add(after)
             for p, q in zip(chain, chain[1:]):
                 if p >= 0:
                     nxt[p] = q
@@ -523,9 +522,6 @@ class SteadyTracker:
                     heads[port] = q
                 if q >= 0:
                     prv[q] = p
-        # The relinked commands become reachable.
-        for c in {j // prep.CHUNK for j in reached if j >= 0}:
-            prep.activate(c * prep.CHUNK)
         # Live timers advance; stale ones (untouched throughout) stay.
         live = anchor - self.floor
         shift = m * delta

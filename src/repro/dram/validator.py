@@ -100,16 +100,9 @@ the commands at ``c`` and at ``c + delta`` correspond one to one
   is a breach at the moved one, which the compressed trace checks.
 
 So a compressed trace with no breach is a full trace with none.
-
-Dependencies are checked on the full trace, except for images that
-provably inherit their predecessors' timing (:func:`_implied`): inside
-a tiled run whose block shows each dependency of an image ``y`` is ``y
-- P``'s moved by ``P`` (onto another image) or unchanged, ``y`` is on
-time if ``y - P`` is, by induction down to the checked commands. If a
-checked dependency is late, every edge is checked again, so the first
-offender is the full check's. The translation check reads the shape of
-a span inside such a run from the run's block; only the rest is
-gathered.
+Dependencies are checked on every edge of the full trace either way.
+The translation check reads the shape of a span inside a tiled run
+from the run's block; only the rest is gathered.
 
 The test suite keeps a family-by-family formulation of the same rules
 as the oracle this checker is held to, pins its exception text with a
@@ -149,7 +142,7 @@ from repro.dram.commands import (
 )
 from repro.dram.geometry import DeviceGeometry
 from repro.dram.period import PeriodicOutcome
-from repro.dram.steady import _run_repeats, stale_floor
+from repro.dram.steady import stale_floor
 from repro.dram.timing import TimingParams
 from repro.errors import TimingViolation
 
@@ -335,16 +328,12 @@ def validate_trace_columnar(
         raise TimingViolation(
             "unissued", 0, "command without an issue cycle in trace"
         )
-    replays = periodic.replays if periodic is not None else ()
-    keep, cut = _compressed(stream, t, replays, timing)
-    _check_dependencies(stream, t, timing, [
-        hole for replay in cut
-        if (hole := _implied(stream, replay)) is not None
-    ])
+    _check_dependencies(stream, t, timing)
 
     args = (timing, geometry, port_of_rank, per_bank_pim, data_bus_scope)
     validated = 0
-    if replays:
+    if periodic is not None and periodic.replays:
+        keep = _compressed(stream, t, periodic.replays, timing)
         if keep is not None:
             rows, cycles = keep
             validated = len(rows)
@@ -358,65 +347,27 @@ def validate_trace_columnar(
     return validated + n
 
 
-def _check_dependencies(stream, t, timing, holes=()) -> None:
+def _check_dependencies(stream, t, timing) -> None:
     """Every consumer must issue at or after each dependency's
     completion; raises on the first late one in stream (CSR) order.
-
-    Consumers in ``holes`` (``[lo, hi)`` ranges from :func:`_implied`)
-    are not checked: their dependencies are met if their predecessors'
-    are. If a checked one is late, the whole trace is checked again so
-    that the first offender is the full check's."""
+    The dependency CSR is read piece by piece (a run's by index
+    arithmetic from its block)."""
     latency = _latency_table(timing)
     done = t + np.concatenate([
         np.tile(latency[rows[:, KIND]], copies)
         for _, _, rows, _, copies in stream.blocks()
-    ])
-    checked, pos = [], 0
-    for lo, hi in sorted(holes):
-        checked.append((pos, lo))
-        pos = hi
-    checked.append((pos, stream.n))
-    for a, b in checked:
-        counts, deps = stream.deps(a, b)
-        consumer = a + np.repeat(np.arange(b - a), counts)
-        late = t[consumer] < done[deps]
-        if bool(late.any()):
-            if holes:
-                _check_dependencies(stream, t, timing)
-            k = int(np.argmax(late))
-            i, d = int(consumer[k]), int(deps[k])
-            raise TimingViolation(
-                "dependency", int(t[i]),
-                f"command {i} issued before dependency {d} "
-                f"completed at {int(done[d])}",
-            )
-
-
-def _implied(stream, replay):
-    """``[lo, hi)``: images of a ``replay`` whose translation the trace
-    proves (:func:`_cut`) and whose dependencies are met if their
-    predecessors' are, or ``None``.
-
-    Every index in ``(E_max, E_min + m * P]`` is an image. Take an image
-    ``y`` there with ``y`` and ``y - P`` in one tiled run, where the
-    run's block shows (:func:`~repro.dram.steady._run_repeats`, threshold
-    ``E_max + 1 - P``) that each dependency of ``y`` is ``y - P``'s
-    moved by ``P`` or unchanged. A moved one lies past ``E_max``, so it
-    is an image, completing ``delta`` after its predecessor as ``y``
-    issues ``delta`` after ``y - P``; an unchanged one completed before
-    ``y - P`` issued. So ``y`` is on time if ``y - P`` is, and by
-    induction down to the checked commands below ``lo``, every image
-    in ``[lo, hi)`` is. ``lo`` clears the run's longest dependency
-    distance past ``E_max``, where that threshold can hold.
-    """
-    P, m = replay.period, replay.copies
-    first, last = replay.events[0], replay.events[-1]
-    for run in stream.runs:
-        lo = max(last + 1 + run.distance, run.start + P)
-        hi = min(first + m * P + 1, run.end)
-        if hi - lo >= run.span and _run_repeats(run, lo, P, last + 1 - P):
-            return lo, hi
-    return None
+    ] or [np.zeros(0, dtype=np.int64)])
+    counts, deps = stream.deps(0, stream.n)
+    consumer = np.repeat(np.arange(stream.n), counts)
+    late = t[consumer] < done[deps]
+    if bool(late.any()):
+        k = int(np.argmax(late))
+        i, d = int(consumer[k]), int(deps[k])
+        raise TimingViolation(
+            "dependency", int(t[i]),
+            f"command {i} issued before dependency {d} "
+            f"completed at {int(done[d])}",
+        )
 
 
 def _columns(stream, channels, rows=None):
@@ -625,27 +576,26 @@ def _reach(timing: TimingParams) -> int:
 
 
 def _compressed(stream, t, replays, timing):
-    """``((rows, cycles), cut)``: the trace with every replay's cut
-    taken out and the commands above each cut moved down by it (``None``
-    when a replay's translation or neighbourhood check fails, or its
-    cut would touch another's), and the replays whose translation and
-    neighbourhood it proved. Replays too short to cut are left whole."""
+    """``(rows, cycles)`` of the trace with every replay's cut taken
+    out and the commands above each cut moved down by it, or ``None``
+    when a replay's translation or neighbourhood check fails (or its
+    cut would touch another's). Replays too short to cut are left
+    whole."""
     reach = _reach(timing)
-    cuts, proven = [], []
+    cuts = []
     for replay in replays:
         cut = _cut(stream, t, replay, reach)
         if cut is False:
-            return None, proven
+            return None
         if cut is not None:
             cuts.append(cut)
-            proven.append(replay)
     if not cuts:
-        return None, proven
+        return None
     cuts.sort()
     # Each cut's checked neighbourhood must lie clear of the next's.
     for (_, _, _, hi), (lo, _, _, _) in zip(cuts, cuts[1:]):
         if hi > lo:
-            return None, proven
+            return None
     starts = np.array([c[1] for c in cuts], dtype=np.int64)
     ends = np.array([c[2] for c in cuts], dtype=np.int64)
     # Shift of a command: the lengths of the cuts that end at or below
@@ -654,7 +604,7 @@ def _compressed(stream, t, replays, timing):
     below = np.searchsorted(ends, t, side="right")
     inside = np.searchsorted(starts, t, side="right") > below
     rows = np.flatnonzero(~inside)
-    return (rows, t[rows] - shift[below[rows]]), proven
+    return rows, t[rows] - shift[below[rows]]
 
 
 def _cut(stream, t, replay, reach):

@@ -13,6 +13,9 @@ its full columns:
 * ``to_commands()`` is identical, so the stream goldens hold;
 * a block dependency corrupted to point forward raises the same
   ``check_structure`` message from the tiled form as from the eager one;
+* every design's tiled stream, scheduled with and without steady-state
+  replay, issues every command on the reference scheduler's cycle
+  (multi-port designs included) without expanding a run;
 * a cold default-engine profile expands no run
   (``EngineReport.commands_materialized`` is 0), while a whole-stream
   read is counted;
@@ -25,6 +28,7 @@ import random
 import numpy as np
 import pytest
 
+from oracle import ReferenceScheduler
 from repro import TrainingSimulator, UpdatePhaseModel
 from repro.dram.columnar import (
     _AFFINE,
@@ -32,13 +36,14 @@ from repro.dram.columnar import (
     ColumnarStream,
     TiledRun,
 )
+from repro.dram.scheduler import CommandScheduler
 from repro.errors import SimulationError
 from repro.kernels.aos import AoSKernelGenerator
 from repro.kernels.compiler import UpdateKernelCompiler
 from repro.kernels.streams import BaselineStreamGenerator
 from repro.optim.precision import PRECISION_8_32
 from repro.optim.registry import build_optimizer
-from repro.system.design import DesignPoint
+from repro.system.design import DESIGNS, DesignPoint
 
 MOMENTUM = build_optimizer("momentum_sgd", {"eta": 0.01})
 GEOM = UpdatePhaseModel().geometry
@@ -131,6 +136,18 @@ class TestAccessors:
                 zip(want[0][keep].tolist(), want[1][keep].tolist())
             ), (a, b)
 
+    def test_out_edges_of_long_ranges(self, pair):
+        """Ranges as long as a loop's out-edge window and longer, from
+        around each run's start."""
+        tiled, eager = pair
+        rng = random.Random(4)
+        for run in tiled.runs:
+            for length in (4096, rng.randint(300, 20000)):
+                a = rng.randint(max(run.start - 100, 0), run.end)
+                b = min(a + length, tiled.n)
+                for got, want in zip(tiled.edges(a, b), eager.edges(a, b)):
+                    assert np.array_equal(got, want), (a, b)
+
     def test_gathers_by_index(self, pair):
         tiled, eager = pair
         rng = np.random.default_rng(3)
@@ -187,6 +204,43 @@ class TestStructureChecks:
             _eager(stream).check_structure(GEOM)
         assert str(tiled.value) == str(eager.value)
         assert "illegal dependency" in str(tiled.value)
+
+
+class TestScheduling:
+    @pytest.mark.parametrize("width", [8, 32, 128])
+    @pytest.mark.parametrize("design", list(DesignPoint))
+    def test_tiled_stream_schedules_as_the_oracle(self, design, width):
+        """The tiled stream itself, not its expansion, is scheduled: the
+        cold loop's per-chunk builds and the steady tracker's replays
+        read runs only through their accessors."""
+        config = DESIGNS[design]
+
+        def built():
+            model = UpdatePhaseModel(columns_per_stripe=width)
+            _, _, period, art = model._build_stream(
+                config, MOMENTUM, PRECISION_8_32
+            )
+            return model, period, art.columnar
+
+        model, period, stream = built()
+        geometry = model._one_channel()
+        issue_model = config.issue_model(geometry)
+        kwargs = dict(
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope,
+            window=model.window,
+        )
+        ref = ReferenceScheduler(
+            model.timing, geometry, issue_model, **kwargs
+        ).run(built()[2].to_commands())
+        scheduler = CommandScheduler(
+            model.timing, geometry, issue_model, **kwargs
+        )
+        for p in (None, period):
+            got = scheduler.run(stream, period=p)
+            assert got.issue_cycles() == ref.issue_cycles(), p
+            assert got.stats == ref.stats, p
+        assert stream.materialized == 0
 
 
 class TestMaterialization:
