@@ -1,6 +1,7 @@
-"""Steady-state lock census over the perfbench ``fullrow`` grid.
+"""Steady-state lock census over the perfbench ``fullrow`` grid and a
+figure regeneration.
 
-Profiles every optimizer x precision x timing grade of the ``fullrow``
+The ``fullrow`` grid profiles every optimizer x precision x timing grade of the ``fullrow``
 workload (3 x 4 x 2 = 24 configs) on all six design points at 128
 columns per stripe, once with the default engine (the full stream
 scheduled with steady-state replay) and once with ``engine="periodic"``
@@ -9,15 +10,19 @@ sample does not lock), and prints what each model's
 :class:`~repro.obs.report.EngineReport` says: commands simulated,
 replayed, prepared, validated and materialized (tiled-run rows a
 whole-stream expansion wrote: 0 while every consumer reads the tiled
-form), segment locks, warm runs, fast paths and fallbacks by reason. Every one of these counts is deterministic:
-it depends on the code, never on the host.
+form), segment locks, warm runs, fast paths and fallbacks by reason. The ``figures`` grid regenerates every figure
+in-process from cold update models (the perfbench ``figures`` cold
+operation) and records the schedules run and the same command counts,
+summed over the service's shared models. Every one of these counts is
+deterministic: it depends on the code, never on the host.
 
 Run:  PYTHONPATH=src python scripts/lock_census.py [--verbose]
       [--check benchmarks/lock_census.json | --write PATH]
 
 ``--check`` exits 1 on any difference from the checked-in totals (so
-a change that makes either engine do more work, or less, must update
-the record); ``--write`` records the current totals.
+a change that makes either engine or the figure regeneration do more
+work, or less, must update the record); ``--write`` records the
+current totals.
 """
 
 from __future__ import annotations
@@ -47,6 +52,12 @@ COUNTERS = (
     "locks_confirmed",
     "warm_runs", "fast_path", "fallback", "fallback_reasons",
 )
+#: The counters the ``figures`` grid records: schedules run, then the
+#: ``EngineReport`` command counts.
+FIGURE_COUNTERS = (
+    "schedules", "commands_simulated", "commands_replayed",
+    "commands_prepared", "commands_validated", "commands_materialized",
+)
 
 
 def census(engine: str, verbose: bool = False) -> dict:
@@ -72,6 +83,26 @@ def census(engine: str, verbose: bool = False) -> dict:
     return {name: counts[name] for name in COUNTERS}
 
 
+def figures_census() -> dict:
+    """:data:`FIGURE_COUNTERS` of one cold in-process figure
+    regeneration, summed over the service's shared update models."""
+    from repro.experiments.common import ExperimentContext
+    from repro.experiments.runner import EXPERIMENTS
+    from repro.service import pool
+
+    pool.clear_model_cache()
+    ctx = ExperimentContext(jobs=1)
+    for run in EXPERIMENTS.values():
+        run(ctx)
+    total = EngineReport()
+    for model in pool._MODELS.values():
+        total.merge(model.report)
+    pool.clear_model_cache()
+    counts = total.to_dict()
+    counts["schedules"] = sum(counts["scheduling_paths"].values())
+    return {name: counts[name] for name in FIGURE_COUNTERS}
+
+
 def _print_profile(engine, design, optimizer, mix, timing, before, after):
     sim, rep, built, checked, attempts, locks = (
         after[k] - before[k] for k in (
@@ -94,12 +125,11 @@ def _print_profile(engine, design, optimizer, mix, timing, before, after):
 
 def _differences(expected: dict, actual: dict) -> list[str]:
     out = []
-    for engine in ENGINES:
-        for name in COUNTERS:
-            want = expected.get(engine, {}).get(name)
-            got = actual[engine][name]
+    for grid, counts in actual.items():
+        for name, got in counts.items():
+            want = expected.get(grid, {}).get(name)
             if want != got:
-                out.append(f"{engine} {name}: recorded {want}, now {got}")
+                out.append(f"{grid} {name}: recorded {want}, now {got}")
     return out
 
 
@@ -128,6 +158,10 @@ def main(argv=None) -> int:
         for name in COUNTERS[:-1]:
             print(f"  {name + ':':20s} {counts[name]}")
         print(f"  {'fallback_reasons:':20s} {reasons or 'none'}")
+    totals["figures"] = figures_census()
+    print("figures:")
+    for name, count in totals["figures"].items():
+        print(f"  {name + ':':20s} {count}")
     if args.write:
         with open(args.write, "w") as handle:
             json.dump(totals, handle, indent=2, sort_keys=True)

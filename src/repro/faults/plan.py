@@ -68,7 +68,8 @@ DISPATCHER_STALL = "dispatcher.stall"
 #: Sleep ``delay_ms`` at the top of every update-phase profile.
 ENGINE_SLOW = "engine.slow"
 #: Raise inside a *periodic*-engine profile (exercises the graceful
-#: degradation path onto the incremental engine).
+#: degradation path: ``pool.execute_spec_resilient`` re-runs the spec
+#: with ``engine="columnar"``).
 ENGINE_FAIL = "engine.fail"
 #: SIGKILL a shard gateway child from the cluster supervisor's probe
 #: loop (the supervisor is instrumented to fail over and restart it).
