@@ -102,8 +102,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from _record import write_record
 from repro.dram.columnar import ColumnarStream, TiledRun
 from repro.dram.scheduler import CommandScheduler
@@ -245,16 +243,10 @@ def tile_stream(seed: ColumnarStream, reps: int) -> ColumnarStream:
     bank without ever deadlocking). Tags and scaler payloads are left
     off: scheduling never reads them.
     """
-    rows = seed.rows(0, seed.n)
     counts, deps = seed.deps(0, seed.n)
-    run = TiledRun(
-        0, seed.n, reps, rows, np.zeros_like(rows), counts, deps,
-        np.full(len(deps), seed.n),
-    )
-    return ColumnarStream.from_parts(
-        seed.n * reps, rows[:0], np.zeros(1, dtype=np.int64),
-        deps[:0], [run],
-    )
+    return ColumnarStream.from_runs([
+        TiledRun(0, seed.rows(0, seed.n), counts, deps, reps, moving_from=0)
+    ])
 
 
 def bench_large(target: int, window: int) -> dict:

@@ -1,20 +1,21 @@
 """Steady-state lock census over the perfbench ``fullrow`` grid and a
 figure regeneration.
 
-The ``fullrow`` grid profiles every optimizer x precision x timing grade of the ``fullrow``
-workload (3 x 4 x 2 = 24 configs) on all six design points at 128
-columns per stripe, once with the default engine (the full stream
-scheduled with steady-state replay) and once with ``engine="periodic"``
-(a warm sample extended in closed form, or the full stream when the
-sample does not lock), and prints what each model's
-:class:`~repro.obs.report.EngineReport` says: commands simulated,
-replayed, prepared, validated and materialized (tiled-run rows a
-whole-stream expansion wrote: 0 while every consumer reads the tiled
-form), segment locks, warm runs, fast paths and fallbacks by reason. The ``figures`` grid regenerates every figure
-in-process from cold update models (the perfbench ``figures`` cold
-operation) and records the schedules run and the same command counts,
-summed over the service's shared models. Every one of these counts is
-deterministic: it depends on the code, never on the host.
+The ``fullrow`` grid profiles every optimizer x precision x timing
+grade of the ``fullrow`` workload (3 x 4 x 2 = 24 configs) on all six
+design points at 128 columns per stripe, once with the default engine
+(the full stream scheduled with steady-state replay) and once with
+``engine="periodic"`` (a warm sample extended in closed form, or the
+full stream when the sample does not lock), and prints what each
+model's :class:`~repro.obs.report.EngineReport` says: commands
+simulated, replayed, prepared, validated and materialized (rows of
+runs of two copies or more a whole-stream expansion wrote: 0 while
+every consumer reads the tiled form), segment locks, warm runs, fast
+paths and fallbacks by reason. The ``figures`` grid regenerates every
+figure in-process from cold update models (the perfbench ``figures``
+cold operation) and records the schedules run and the same command
+counts, summed over the service's shared models. Every one of these
+counts is deterministic: it depends on the code, never on the host.
 
 Run:  PYTHONPATH=src python scripts/lock_census.py [--verbose]
       [--check benchmarks/lock_census.json | --write PATH]

@@ -1,13 +1,14 @@
 """Columnar command streams, kept tiled, and the exact scheduling loop.
 
-A :class:`ColumnarStream` holds one command stream as explicit integer
-rows — opcode, rank, bankgroup, bank, row, channel, col, operand
-fields, tag codes, issue cycle — plus a CSR dependency list, and as
-*tiled runs*: a :class:`TiledRun` is one block of rows standing for
-many copies of it, each copy's column address (and column-valued tag
-arguments) advanced by a per-row step and each dependency either kept
-(it points before the periodic body) or moved one block per copy. It is
-lossless: :meth:`ColumnarStream.from_commands` /
+A :class:`ColumnarStream` is one command stream held as the ordered
+pieces that tile it, all of one type: a :class:`TiledRun` is one block
+of integer rows — opcode, rank, bankgroup, bank, row, channel, col,
+operand fields, tag codes, issue cycle — with the dependency CSR of
+its first copy, standing for ``copies`` copies of it, each copy's
+column address (and column-valued tag arguments) advanced by a per-row
+step and each dependency either kept (it points before the periodic
+body) or moved one block per copy. A stretch of explicit rows is a run
+of one copy. It is lossless: :meth:`ColumnarStream.from_commands` /
 :meth:`ColumnarStream.to_commands` round-trip every
 :class:`~repro.dram.commands.Command` field byte-identically, including
 dependency tuples (order and duplicates preserved), tags and scaler
@@ -15,8 +16,8 @@ payloads. Kernel generators emit straight into it through a
 :class:`StreamBuilder` (per-command integer rows, a flat CSR dependency
 list, :class:`TagCodes` instead of tag strings); once a sampled
 stream's sweeps lock, :meth:`StreamBuilder.tile` records the rest of
-the segment body as one run instead of writing it, so a full-row stream
-holds a few thousand rows however long it is
+the segment body as one run of many copies instead of writing it, so a
+full-row stream holds a few thousand rows however long it is
 (:attr:`ColumnarStream.nbytes`). ``artifact.commands`` is only a view
 that :meth:`ColumnarStream.to_commands` materializes on first read (see
 :class:`repro.kernels.artifact.CommandStreamArtifact`).
@@ -25,13 +26,16 @@ Every consumer on the profile path reads the tiled form: per-range
 accessors (:meth:`~ColumnarStream.rows`, :meth:`~ColumnarStream.take`,
 :meth:`~ColumnarStream.deps`, :meth:`~ColumnarStream.edges` for
 out-edges, by index arithmetic inside a run) and per-block aggregates
-(:meth:`~ColumnarStream.blocks`: a run's block stands for ``copies``
-copies of its shape). The full columns, the full dependency and
-dependents CSRs, the tag strings and ``to_commands`` expand every run
-once, for cold consumers only (``Command`` lists, channel splitting and
-replication, ``artifact.dependents``, tests), and each expansion counts
-the tiled rows it wrote in :attr:`ColumnarStream.materialized`, which
-the update model reports as ``EngineReport.commands_materialized``.
+(each of :attr:`~ColumnarStream.pieces` stands for ``copies`` copies of
+its block's shape). Only a run of two copies or more proves how the
+stream repeats itself (:meth:`~ColumnarStream.translated`,
+:meth:`~ColumnarStream.shape_repeats`). The full columns, the full
+dependency and dependents CSRs, the tag strings and ``to_commands``
+expand every run once, for cold consumers only (``Command`` lists,
+channel splitting and replication, ``artifact.dependents``, tests), and
+each expansion counts the rows of runs of two copies or more it wrote
+in :attr:`ColumnarStream.materialized`, which the update model reports
+as ``EngineReport.commands_materialized``.
 
 :func:`schedule_columnar` is the simulator's one exact greedy FR-FCFS
 loop, behind every :meth:`~repro.dram.scheduler.CommandScheduler.run`
@@ -51,8 +55,8 @@ steady-state sweeps in place):
   with numpy from the replay records.
 
 * **Vectorized validation and statistics.** Backward-dependency and
-  rank/channel range checks run per piece — a run's on its block alone
-  (cached per geometry) — and the :class:`~repro.dram.stats.TraceStats`
+  rank/channel range checks run per run on its block alone (cached per
+  geometry), and the :class:`~repro.dram.stats.TraceStats`
   counters are per-block ``bincount`` results times copies — every
   command issues exactly once, so they do not depend on the schedule
   at all.
@@ -209,6 +213,10 @@ def _widen(rows: np.ndarray, issue: int) -> np.ndarray:
     return out
 
 
+#: The ``moving_from`` of a run none of whose dependencies moves.
+_NO_MOVE = 1 << 62
+
+
 def _ragged(ptr: np.ndarray, r: np.ndarray):
     """``(counts, entries)`` of CSR rows ``r``: each row's entry count and
     the flat entry indices of all of them, in order."""
@@ -222,94 +230,110 @@ def _ragged(ptr: np.ndarray, r: np.ndarray):
 
 
 class TiledRun:
-    """``copies`` copies of one block of ``span`` commands, from stream
-    index ``start`` on.
+    """``copies`` copies of one block of ``span`` commands from stream
+    index ``start`` on: the one piece of a :class:`ColumnarStream`.
 
     Copy ``k`` of block row ``p`` (stream index ``start + k * span +
     p``) is ``block[p] + k * step[p]``, a :data:`FIELDS` row; only the
     affine fields (column address, tag arguments) may step, so every
     shape field repeats exactly. Its dependencies are copy 0's
-    (``dep_counts`` per row, flat ``dep_indices``), each moved by ``k *
-    dep_step``: 0 for a dependency on a command before the periodic
-    body, ``span`` for one that moves with the block.
+    (``dep_counts`` per row, flat ``dep_indices``): one pointing at or
+    past ``moving_from`` moves one block per copy (it points into the
+    periodic body), one below it is kept (it points before the body).
+    An explicit stretch of rows is a run of one copy: nothing steps and
+    nothing moves.
 
     The out-edges of a target range are index arithmetic
-    (:meth:`edges`): a fixed dependency points at one command from
+    (:meth:`edges`): a kept dependency points at one command from
     every copy, a moving one at a command one block further per copy.
+    The dependencies are grouped by target on the first call and kept
+    as ``int32`` pairs, like the ``int32`` dependency list itself.
     """
 
     __slots__ = (
-        "start", "span", "copies", "end", "block", "shape", "step",
-        "dep_counts", "dep_ptr", "dep_indices", "dep_step", "_fixed",
-        "_moving", "_reach",
+        "start", "span", "copies", "end", "block", "step", "dep_counts",
+        "dep_ptr", "dep_indices", "moving_from", "_edges",
     )
 
-    def __init__(self, start, span, copies, block, step, dep_counts,
-                 dep_indices, dep_step) -> None:
-        self.start, self.span, self.copies = int(start), int(span), int(copies)
-        self.end = self.start + self.span * self.copies
+    def __init__(self, start, block, dep_counts, dep_indices, copies=1,
+                 step=None, moving_from=None) -> None:
+        self.start, self.copies = int(start), int(copies)
         self.block = _freeze(np.asarray(block, dtype=np.int64))
-        self.shape = _freeze(np.ascontiguousarray(self.block[:, :SHAPE]))
-        step = np.asarray(step, dtype=np.int64)
+        self.span = len(self.block)
+        self.end = self.start + self.span * self.copies
         self.dep_counts = _freeze(np.asarray(dep_counts, dtype=np.int64))
-        self.dep_indices = _freeze(np.asarray(dep_indices, dtype=np.int64))
-        self.dep_step = _freeze(np.asarray(dep_step, dtype=np.int64))
+        self.dep_indices = _freeze(np.asarray(dep_indices, dtype=np.int32))
         ptr = np.zeros(self.span + 1, dtype=np.int64)
         np.cumsum(self.dep_counts, out=ptr[1:])
         self.dep_ptr = _freeze(ptr)
         shape = (self.span, len(FIELDS))
+        if step is None:
+            step = np.zeros(shape, dtype=np.int64)
+        step = np.asarray(step, dtype=np.int64)
         if (self.span < 1 or self.copies < 1 or self.block.shape != shape
                 or step.shape != shape
                 or len(self.dep_counts) != self.span
-                or len(self.dep_indices) != ptr[-1]
-                or len(self.dep_step) != ptr[-1]):
+                or len(self.dep_indices) != ptr[-1]):
             raise ValueError("inconsistent tiled run")
         if step[:, _FIXED_FIELD_MASK].any():
             raise ValueError("a tiled run may step only its affine fields")
         #: Per block row, the affine fields' advance per copy.
         self.step = _freeze(np.ascontiguousarray(step[:, _AFFINE]))
-        if ((self.dep_step != 0) & (self.dep_step != self.span)).any():
-            raise ValueError("a dependency moves by 0 or one block per copy")
-        consumer = self.start + np.repeat(
-            np.arange(self.span, dtype=np.int64), self.dep_counts
+        #: The lowest dependency target that moves with the block.
+        self.moving_from = _NO_MOVE if moving_from is None else int(
+            moving_from
         )
-        fixed = self.dep_step == 0
-        order = np.argsort(self.dep_indices[fixed], kind="stable")
-        self._fixed = (self.dep_indices[fixed][order], consumer[fixed][order])
-        self._moving = (self.dep_indices[~fixed], consumer[~fixed])
-        d, c = self._moving
-        #: Targets some moving dependency reaches (from some copy).
-        self._reach = (
-            (int(d.min()), int(d.max()) + (self.copies - 1) * self.span)
-            if len(d) else (0, -1)
-        )
+        self._edges = None
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (
-            self.block, self.shape, self.step, self.dep_counts, self.dep_ptr,
-            self.dep_indices, self.dep_step, *self._fixed, *self._moving,
+            self.block, self.step, self.dep_counts, self.dep_ptr,
+            self.dep_indices, *(self._edges or ())[:4],
         ))
+
+    @property
+    def moves(self) -> np.ndarray:
+        """Per dependency of copy 0, whether it moves with the block."""
+        return self.dep_indices >= self.moving_from
 
     def take(self, idx: np.ndarray, shape: bool = False) -> np.ndarray:
         """Rows of stream indices ``idx`` (all inside the run); only
         their :data:`SHAPE` fields with ``shape``."""
-        if shape:
-            return self.shape[(idx - self.start) % self.span]
         k, r = np.divmod(idx - self.start, self.span)
+        if shape:
+            return self.block[r, :SHAPE]
         rows = self.block[r]
         rows[:, _AFFINE] += k[:, None] * self.step[r]
         return rows
 
     def rows(self, a: int, b: int, shape: bool = False) -> np.ndarray:
-        """Rows ``[a, b)`` (inside the run), as :meth:`take`."""
-        return self.take(np.arange(a, b, dtype=np.int64), shape)
+        """Rows ``[a, b)`` (inside the run), as :meth:`take`; a range
+        inside one copy is read from the block in place."""
+        k, p = divmod(a - self.start, self.span)
+        q = p + b - a
+        if q > self.span:
+            return self.take(np.arange(a, b, dtype=np.int64), shape)
+        if shape:
+            return self.block[p:q, :SHAPE]
+        rows = self.block[p:q]
+        if k:
+            rows = rows.copy()
+            rows[:, _AFFINE] += k * self.step[p:q]
+        return rows
 
     def deps(self, a: int, b: int):
         """``(counts, indices)``: the dependency CSR of rows ``[a, b)``:
         its whole copies by broadcasting copy 0's, the partial ones at
-        either end gathered (:meth:`deps_at`)."""
+        either end gathered (:meth:`deps_at`); a range inside one copy
+        is sliced from copy 0's."""
         span = self.span
+        k, p = divmod(a - self.start, span)
+        if p + b - a <= span:
+            d = self.dep_indices[self.dep_ptr[p]:self.dep_ptr[p + b - a]]
+            if k:
+                d = d + k * span * (d >= self.moving_from)
+            return self.dep_counts[p:p + b - a], d
         k0 = -(-(a - self.start) // span)
         k1 = (b - self.start) // span
         if k1 - k0 < 2:
@@ -324,7 +348,7 @@ class TiledRun:
             )),
             np.concatenate((
                 head[1],
-                (self.dep_indices + copies * self.dep_step).ravel(),
+                (self.dep_indices + copies * span * self.moves).ravel(),
                 tail[1],
             )),
         )
@@ -333,8 +357,9 @@ class TiledRun:
         """``(counts, indices)``: the dependency CSR of rows ``idx``."""
         k, r = np.divmod(idx - self.start, self.span)
         counts, e = _ragged(self.dep_ptr, r)
-        return counts, (
-            self.dep_indices[e] + np.repeat(k, counts) * self.dep_step[e]
+        d = self.dep_indices[e]
+        return counts, d + np.repeat(k * self.span, counts) * (
+            d >= self.moving_from
         )
 
     def translation(self, shift: int):
@@ -346,33 +371,60 @@ class TiledRun:
         p = np.arange(self.span)
         return (p - rem) % self.span, (p < rem).astype(np.int64)
 
+    def _grouped(self):
+        """``(kept targets, kept consumers, moving targets, moving
+        consumers, reach, lag)`` of copy 0's dependencies (built once):
+        the kept ones ordered by target, then consumer; ``reach`` the
+        targets some copy of a moving one reaches, ``lag`` the longest
+        distance from a moving one's target to its consumer."""
+        if self._edges is None:
+            d = self.dep_indices
+            consumer = (self.start + np.repeat(
+                np.arange(self.span, dtype=np.int64), self.dep_counts
+            )).astype(np.int32)
+            moving = self.moves
+            kept = ~moving
+            order = np.argsort(d[kept], kind="stable")
+            t, c = d[moving], consumer[moving]
+            self._edges = (
+                _freeze(d[kept][order]), _freeze(consumer[kept][order]),
+                _freeze(t), _freeze(c),
+                (int(t.min()), int(t.max()) + (self.copies - 1) * self.span)
+                if len(t) else (0, -1),
+                int((c - t).max()) if len(t) else 0,
+            )
+        return self._edges
+
     def edges(self, a: int, b: int, above: int = 0) -> tuple[list, list]:
         """The run's dependencies on targets ``[a, b)`` from consumers
         at or past ``above``, as lists of ``(targets, consumers)`` array
         pairs (unordered)."""
         targets, consumers = [], []
-        d, c = self._fixed
+        d, c, md, mc, reach, lag = self._grouped()
+        lo = hi = 0
         if len(d) and a <= d[-1] and b > d[0]:
             lo, hi = np.searchsorted(d, (a, b))
-            if hi > lo:
-                t = np.repeat(d[lo:hi], self.copies)
+        if hi > lo:
+            t, u = d[lo:hi], c[lo:hi]
+            if self.copies > 1:  # the same target, from every copy
+                t = np.repeat(t, self.copies)
                 u = (
-                    c[lo:hi, None]
+                    u[:, None]
                     + self.span * np.arange(self.copies, dtype=np.int64)
                 ).ravel()
-                if above > self.start:
-                    keep = u >= above
-                    t, u = t[keep], u[keep]
-                targets.append(t)
-                consumers.append(u)
-        d, c = self._moving
-        if above > a and len(d):
+            if above > self.start:
+                keep = u >= above
+                t, u = t[keep], u[keep]
+            targets.append(t)
+            consumers.append(u)
+        if above > a and len(md):
             # A consumer lies less than a block's reach past its target.
-            a = max(a, above - int((c - d).max()))
-        if a < b and a <= self._reach[1] and b > self._reach[0]:
-            # Copy k of dependency e targets d[e] + k * span: the copies
-            # landing in [a, b), per dependency.
+            a = max(a, above - lag)
+        if a < b and a <= reach[1] and b > reach[0]:
+            # Copy k of dependency e targets md[e] + k * span: the
+            # copies landing in [a, b), per dependency.
             span = self.span
+            d = md.astype(np.int64)
             k_lo = np.clip(-((d - a) // span), 0, self.copies)
             count = np.clip(-((d - b) // span), 0, self.copies) - k_lo
             total = int(count.sum())
@@ -381,7 +433,7 @@ class TiledRun:
                 shift = span * (np.arange(total) - np.repeat(
                     np.cumsum(count) - count - k_lo, count
                 ))
-                t, u = d[e] + shift, c[e] + shift
+                t, u = d[e] + shift, mc[e] + shift
                 if above > a:
                     keep = u >= above
                     t, u = t[keep], u[keep]
@@ -391,36 +443,36 @@ class TiledRun:
 
 
 class ColumnarStream:
-    """One command stream: explicit rows plus tiled runs, read-only.
+    """One command stream: the ordered :class:`TiledRun` pieces that
+    tile ``[0, n)``, read-only.
 
-    The stream is a sequence of *pieces*: stretches of explicit
-    :data:`FIELDS` rows (one ``int64`` row matrix and one dependency
-    CSR over all of them) and :class:`TiledRun` blocks, each standing
-    for many copies of one block. A stream built from full columns or
-    ``Command`` objects is one explicit stretch; a kernel generator's
-    stream is mostly runs (:meth:`StreamBuilder.tile`). Everything is
-    frozen (``writeable=False``): a stream is a value, so artifacts can
-    share it between runs and results.
+    A stretch of explicit rows is a run of one copy; a stream built
+    from full columns or ``Command`` objects is one such piece, a
+    kernel generator's stream mostly runs of many copies
+    (:meth:`StreamBuilder.tile`) between one-copy prologues. Everything
+    is frozen (``writeable=False``): a stream is a value, so artifacts
+    can share it between runs and results.
 
-    Hot consumers read the tiled form through per-range accessors —
+    Hot consumers read the pieces through per-range accessors —
     :meth:`rows`, :meth:`take`, :meth:`deps` (dependency CSR),
-    :meth:`edges` (out-edges) — and per-block aggregates
-    (:meth:`blocks`, whose run blocks stand for ``copies`` copies of
-    their shape fields). The full columns (``kind`` ... ``issue_cycle``,
+    :meth:`edges` (out-edges) — and per-block aggregates (each of
+    :attr:`pieces` is a block standing for ``copies`` copies of its
+    shape fields). :attr:`runs` and :meth:`translated` name only the
+    runs of two copies or more, whose block proves how the stream
+    repeats itself. The full columns (``kind`` ... ``issue_cycle``,
     ``dep_indptr`` / ``dep_indices``, ``out_indptr`` / ``out_indices``),
     ``tags`` and :meth:`to_commands` expand every run once and keep the
-    result; each expansion adds the tiled rows it wrote to
-    :attr:`materialized`, the work counter that keeps profile paths off
-    them. ``tags`` / ``scalers`` exist purely for lossless
-    round-tripping: ``tags`` is a plain list, or encoded as
+    result; each expansion adds the rows of runs of two copies or more
+    it wrote to :attr:`materialized`, the work counter that keeps
+    profile paths off them. ``tags`` / ``scalers`` exist purely for
+    lossless round-tripping: ``tags`` is a plain list, or encoded as
     :class:`TagCodes` columns rendered on each read; ``scalers`` is
     stored sparsely (index -> payload) and read back as a list.
     """
 
     __slots__ = (
-        "n", "_x", "_xptr", "_xdeps", "_runs", "_pieces", "_starts",
-        "_tags", "_templates", "_scalers", "_structure_ok", "_full",
-        "_cols", "_xedges", "materialized",
+        "n", "pieces", "_starts", "_tags", "_templates", "_scalers",
+        "_structure_ok", "_full", "_cols", "materialized",
     )
 
     #: The per-command columns (everything but the dependency CSR).
@@ -429,198 +481,118 @@ class ColumnarStream:
         "scale_id", "dst_reg", "src_reg", "position", "issue_cycle",
     )
 
-    def __init__(
-        self,
-        *,
-        kind: np.ndarray,
-        rank: np.ndarray,
-        bankgroup: np.ndarray,
-        bank: np.ndarray,
-        row: np.ndarray,
-        col: np.ndarray,
-        channel: np.ndarray,
-        scale_id: np.ndarray,
-        dst_reg: np.ndarray,
-        src_reg: np.ndarray,
-        position: np.ndarray,
-        issue_cycle: np.ndarray,
-        dep_indptr: np.ndarray,
-        dep_indices: np.ndarray,
-        tags: Optional[list] = None,
-        scalers: Optional[dict[int, object]] = None,
-    ) -> None:
-        """A stream of explicit full columns."""
-        values = dict(
-            kind=kind, rank=rank, bankgroup=bankgroup, bank=bank, row=row,
-            col=col, channel=channel, scale_id=scale_id, dst_reg=dst_reg,
-            src_reg=src_reg, position=position, issue_cycle=issue_cycle,
-        )
-        n = len(kind)
-        rows = np.zeros((n, len(FIELDS)), dtype=np.int64)
+    def __init__(self, *, dep_indptr, dep_indices, tags=None,
+                 scalers=None, **columns) -> None:
+        """A stream of explicit full columns, one of each of
+        :attr:`COLUMNS` (every field but the tags): one run of one
+        copy."""
+        if set(columns) != set(self.COLUMNS):
+            raise TypeError(f"a stream has the columns {self.COLUMNS}")
+        rows = np.zeros((len(columns["kind"]), len(FIELDS)), dtype=np.int64)
         rows[:, _TAG] = -1
-        for name, column in values.items():
+        for name, column in columns.items():
             rows[:, _F[name]] = column
-        self._assemble(
-            n, rows, np.asarray(dep_indptr, dtype=np.int64),
-            np.asarray(dep_indices, dtype=np.int64), (), tags, None,
-            scalers,
+        pieces = (
+            [TiledRun(0, rows, np.diff(dep_indptr), dep_indices)]
+            if len(rows) else []
         )
+        self._assemble(pieces, tags, None, scalers)
 
     @classmethod
-    def from_parts(cls, n, rows, dep_indptr, dep_indices, runs=(),
-                   tags=None, templates=None,
-                   scalers=None) -> "ColumnarStream":
-        """A stream of ``n`` commands: the explicit :data:`FIELDS`
-        ``rows`` (with their dependency CSR) fill, in order, what the
-        tiled ``runs`` (ascending, disjoint) leave of ``[0, n)``. Tags
-        are a list, or :class:`TagCodes` ``templates`` over the rows'
-        tag columns."""
+    def from_runs(cls, runs, tags=None, templates=None,
+                  scalers=None) -> "ColumnarStream":
+        """The stream of ``runs`` in order, each starting where the one
+        before it ends (the first at 0). Tags are a list, or
+        :class:`TagCodes` ``templates`` over the rows' tag columns."""
         stream = cls.__new__(cls)
-        stream._assemble(
-            n, np.asarray(rows, dtype=np.int64),
-            np.asarray(dep_indptr, dtype=np.int64),
-            np.asarray(dep_indices, dtype=np.int64), tuple(runs), tags,
-            templates, scalers,
-        )
+        stream._assemble(runs, tags, templates, scalers)
         return stream
 
-    def _assemble(self, n, rows, xptr, xdeps, runs, tags, templates,
-                  scalers) -> None:
-        self.n = int(n)
-        self._x = _freeze(rows)
-        self._xptr = _freeze(xptr)
-        self._xdeps = _freeze(xdeps.astype(np.int32))
-        self._runs = runs
-        pieces = []
-        pos = off = 0
-        for run in runs:
-            if run.start < pos:
-                raise ValueError("tiled runs must be ascending and disjoint")
-            if run.start > pos:
-                pieces.append((pos, run.start, None, off))
-                off += run.start - pos
-            pieces.append((run.start, run.end, run, 0))
-            pos = run.end
-        if self.n > pos:
-            pieces.append((pos, self.n, None, off))
-            off += self.n - pos
-        if pos > self.n or off != len(rows) or len(xptr) != off + 1 or (
-            int(xptr[-1]) != len(xdeps)
-        ):
-            raise ValueError("explicit rows do not fill the stream")
-        self._pieces = tuple(pieces)
-        self._starts = [p[0] for p in pieces]
+    def _assemble(self, runs, tags, templates, scalers) -> None:
+        self.pieces = tuple(runs)
+        self._starts = [run.start for run in self.pieces]
+        self.n = 0
+        for run in self.pieces:
+            if run.start != self.n:
+                raise ValueError("runs must tile the stream in order")
+            self.n = run.end
         self._tags, self._templates = tags, templates
         self._scalers = scalers or None
         self._structure_ok: set = set()
         self._full = None
         self._cols: dict = {}
-        self._xedges = None
         self.materialized = 0
 
     # -- per-range accessors ---------------------------------------------
     def _overlap(self, a: int, b: int):
-        """``(lo, hi, run, offset)`` of every piece overlapping ``[a,
-        b)``: ``[lo, hi)`` is the overlap, ``offset`` the explicit row
-        of ``lo`` (explicit stretches, ``run`` is ``None``)."""
-        pieces = self._pieces
+        """``(lo, hi, run)`` of every piece overlapping ``[a, b)``,
+        ``[lo, hi)`` the overlap."""
+        pieces = self.pieces
         i = max(bisect_right(self._starts, a) - 1, 0)
         out = []
-        while i < len(pieces) and pieces[i][0] < b:
-            start, end, run, off = pieces[i]
-            lo, hi = max(a, start), min(b, end)
+        while i < len(pieces) and pieces[i].start < b:
+            run = pieces[i]
+            lo, hi = max(a, run.start), min(b, run.end)
             if lo < hi:
-                out.append((lo, hi, run, off + lo - start))
+                out.append((lo, hi, run))
             i += 1
         return out
 
     def rows(self, a: int, b: int, shape: bool = False) -> np.ndarray:
         """The :data:`FIELDS` rows of commands ``[a, b)`` (read-only);
         only their :data:`SHAPE` fields with ``shape``."""
-        width = SHAPE if shape else len(FIELDS)
         parts = [
-            self._x[off:off + hi - lo, :width] if run is None
-            else run.rows(lo, hi, shape)
-            for lo, hi, run, off in self._overlap(a, b)
+            run.rows(lo, hi, shape) for lo, hi, run in self._overlap(a, b)
         ]
         if len(parts) == 1:
             return parts[0]
         if not parts:
-            return np.zeros((0, width), dtype=np.int64)
+            return np.zeros((0, SHAPE if shape else len(FIELDS)), np.int64)
         return np.concatenate(parts)
 
     def take(self, idx, shape: bool = False) -> np.ndarray:
         """The rows of commands ``idx``, in that order, as :meth:`rows`."""
         idx = np.asarray(idx, dtype=np.int64)
-        width = SHAPE if shape else len(FIELDS)
-        if not self._runs:
-            return self._x[idx, :width]
-        out = np.empty((len(idx), width), dtype=np.int64)
+        out = np.empty((len(idx), SHAPE if shape else len(FIELDS)), np.int64)
         which = np.searchsorted(self._starts, idx, side="right") - 1
         for i in np.unique(which).tolist():
-            start, _, run, off = self._pieces[i]
             sel = which == i
-            out[sel] = (
-                self._x[idx[sel] - start + off, :width] if run is None
-                else run.take(idx[sel], shape)
-            )
+            out[sel] = self.pieces[i].take(idx[sel], shape)
         return out
 
     def deps(self, a: int, b: int):
         """``(counts, indices)``: the dependency CSR of commands ``[a,
         b)`` (per-command counts, flat dependency indices)."""
-        counts, indices = [], []
-        for lo, hi, run, off in self._overlap(a, b):
-            if run is None:
-                ptr = self._xptr[off:off + hi - lo + 1]
-                counts.append(np.diff(ptr))
-                indices.append(self._xdeps[ptr[0]:ptr[-1]])
-            else:
-                c, d = run.deps(lo, hi)
-                counts.append(c)
-                indices.append(d)
-        if len(counts) == 1:
-            return counts[0], indices[0]
-        if not counts:
+        parts = [run.deps(lo, hi) for lo, hi, run in self._overlap(a, b)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
             return (np.zeros(0, dtype=np.int64),) * 2
-        return np.concatenate(counts), np.concatenate(indices)
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def deps_at(self, idx):
         """``(counts, indices)``: the dependency CSR of the ascending
         commands ``idx``."""
         idx = np.asarray(idx, dtype=np.int64)
-        bounds = np.searchsorted(idx, self._starts + [self.n])
-        counts, indices = [], []
-        for (start, _, run, off), lo, hi in zip(
-            self._pieces, bounds[:-1], bounds[1:]
-        ):
-            if lo == hi:
-                continue
-            if run is None:
-                c, e = _ragged(self._xptr, idx[lo:hi] - start + off)
-                d = self._xdeps[e]
-            else:
-                c, d = run.deps_at(idx[lo:hi])
-            counts.append(c)
-            indices.append(d)
-        if not counts:
+        bounds = np.searchsorted(idx, self._starts + [self.n]).tolist()
+        parts = [
+            run.deps_at(idx[lo:hi])
+            for run, lo, hi in zip(self.pieces, bounds[:-1], bounds[1:])
+            if lo < hi
+        ]
+        if not parts:
             return (np.zeros(0, dtype=np.int64),) * 2
-        return np.concatenate(counts), np.concatenate(indices)
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def shape_columns(self, idx) -> np.ndarray:
         """The :data:`SHAPE` fields of the ascending commands ``idx``,
         one row per field."""
         idx = np.asarray(idx, dtype=np.int64)
         out = np.empty((SHAPE, len(idx)), dtype=np.int64)
-        bounds = np.searchsorted(idx, self._starts + [self.n])
-        for (start, _, run, off), lo, hi in zip(
-            self._pieces, bounds[:-1], bounds[1:]
-        ):
+        bounds = np.searchsorted(idx, self._starts + [self.n]).tolist()
+        for run, lo, hi in zip(self.pieces, bounds[:-1], bounds[1:]):
             if lo < hi:
-                out[:, lo:hi] = (
-                    self._x[idx[lo:hi] - start + off, :SHAPE] if run is None
-                    else run.shape[(idx[lo:hi] - start) % run.span]
-                ).T
+                out[:, lo:hi] = run.take(idx[lo:hi], shape=True).T
         return out
 
     def edges(self, a: int, b: int, ordered: bool = True, above: int = 0):
@@ -629,80 +601,34 @@ class ColumnarStream:
         dependency (a duplicated one twice), ordered by target, then
         consumer, unless ``ordered`` is false."""
         targets, consumers = [], []
-        xt, xc = self._explicit_edges()
-        lo, hi = np.searchsorted(xt, (a, b))
-        if hi > lo:
-            t, c = xt[lo:hi], xc[lo:hi]
-            if above:
-                keep = c >= above
-                t, c = t[keep], c[keep]
-            targets.append(t)
-            consumers.append(c)
-        for run in self._runs:
-            if run.end <= max(a, above):
-                continue  # its consumers all lie before the targets
-            t, c = run.edges(a, b, above)
-            targets += t
-            consumers += c
+        for run in self.pieces:
+            if run.end > max(a, above):  # else its consumers all lie before
+                t, c = run.edges(a, b, above)
+                targets += t
+                consumers += c
         if not targets:
             return (np.zeros(0, dtype=np.int64),) * 2
-        if len(targets) == 1 and (hi > lo or not ordered):
-            return targets[0], consumers[0]
         t = np.concatenate(targets)
         c = np.concatenate(consumers)
         if ordered:
-            key = t * self.n + c
+            key = t.astype(np.int64) * self.n + c
             key.sort()
             t = key // self.n
             c = key - t * self.n
         return t, c
 
-    def _explicit_edges(self):
-        """The explicit rows' dependencies as ``(targets, consumers)``
-        ordered by target, then consumer (computed once)."""
-        if self._xedges is None:
-            consumer = np.repeat(self._explicit_index(), np.diff(self._xptr))
-            key = self._xdeps.astype(np.int64) * max(self.n, 1) + consumer
-            key.sort()
-            t = key // max(self.n, 1)
-            self._xedges = tuple(
-                _freeze(v.astype(np.int32))
-                for v in (t, key - t * max(self.n, 1))
-            )
-        return self._xedges
-
-    def _explicit_index(self) -> np.ndarray:
-        """The stream index of every explicit row."""
-        parts = [
-            np.arange(start, end, dtype=np.int64)
-            for start, end, run, _ in self._pieces if run is None
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0, np.int64)
-
-    def blocks(self):
-        """``(start, end, rows, dep_counts, copies)`` per piece, in
-        stream order: an explicit stretch's rows once, or a run's block,
-        which stands for ``copies`` copies of its shape fields (and of
-        its dependency counts)."""
-        for start, end, run, off in self._pieces:
-            if run is None:
-                m = end - start
-                yield (start, end, self._x[off:off + m],
-                       np.diff(self._xptr[off:off + m + 1]), 1)
-            else:
-                yield start, end, run.block, run.dep_counts, run.copies
-
     @property
     def runs(self) -> tuple:
-        """The tiled runs, ascending."""
-        return self._runs
+        """The runs of two copies or more, ascending."""
+        return tuple(run for run in self.pieces if run.copies > 1)
 
     def translated(self, lo: int, hi: int, shift: int) -> list:
         """``[lo, hi)`` split into ``(a, b, run)`` intervals: ``run`` is
-        the tiled run holding every ``x`` of ``[a, b)`` and ``x -
-        shift`` (``None`` where no run holds both), so how ``x`` repeats
-        ``x - shift`` follows from the run's block alone
-        (:meth:`TiledRun.translation`)."""
+        the run of two copies or more holding every ``x`` of ``[a, b)``
+        and ``x - shift`` (``None`` where no such run holds both), so
+        how ``x`` repeats ``x - shift`` follows from the run's block
+        alone (:meth:`TiledRun.translation`). A one-copy piece proves
+        nothing: its block is not periodic."""
         out = []
 
         def gap(a: int, b: int) -> None:
@@ -712,7 +638,7 @@ class ColumnarStream:
                 out.append((a, b, None))
 
         pos = lo
-        for run in self._runs:
+        for run in self.runs:
             a, b = max(pos, run.start + shift), min(hi, run.end)
             if shift > 0 and a < b:
                 gap(pos, a)
@@ -721,24 +647,40 @@ class ColumnarStream:
         gap(pos, hi)
         return out
 
+    def shape_repeats(self, lo: int, hi: int, shift: int) -> bool:
+        """Whether every command of ``[lo, hi)`` has the shape of the
+        command ``shift`` before it. Where a run holds a whole block of
+        both sides its block decides, position against position
+        (:meth:`TiledRun.translation`); elsewhere both ranges are
+        gathered and compared."""
+        for a, b, run in self.translated(lo, hi, shift):
+            if run is not None and b - a >= run.span:
+                shape = run.block[:, :SHAPE]
+                same = np.array_equal(
+                    shape, shape[run.translation(shift)[0]]
+                )
+            else:
+                same = np.array_equal(
+                    self.rows(a, b, shape=True),
+                    self.rows(a - shift, b - shift, shape=True),
+                )
+            if not same:
+                return False
+        return True
+
     # -- full-length views (cold consumers) --------------------------------
     def _materialize(self):
         """``(rows, dep_indptr, dep_indices)`` of the whole stream,
         expanded once (counted in :attr:`materialized`)."""
         if self._full is None:
-            if self._runs:
-                counts, deps = self.deps(0, self.n)
-                indptr = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-                self._full = (
-                    _freeze(self.rows(0, self.n)), _freeze(indptr),
-                    _freeze(deps),
-                )
-                self.materialized += sum(r.end - r.start for r in self._runs)
-            else:
-                self._full = (
-                    self._x, self._xptr, _freeze(self._xdeps.astype(np.int64))
-                )
+            counts, deps = self.deps(0, self.n)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            self._full = (
+                _freeze(self.rows(0, self.n)), _freeze(indptr),
+                _freeze(deps.astype(np.int64)),
+            )
+            self.materialized += sum(r.end - r.start for r in self.runs)
         return self._full
 
     def _column(self, name: str) -> np.ndarray:
@@ -883,19 +825,14 @@ class ColumnarStream:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the stream holds: explicit rows and their dependency
-        CSR, the runs, and whatever has been computed from them and
-        kept (the explicit out-edges, expanded full columns)."""
-        arrays = [self._x, self._xptr, self._xdeps]
-        if self._xedges is not None:
-            arrays += self._xedges
-        if self._full is not None:
-            arrays += [a for a in self._full if a is not self._x
-                       and a is not self._xptr]
+        """Bytes the stream holds: its runs, and whatever has been
+        computed from them and kept (out-edges, expanded full columns;
+        a view of a run's block holds no bytes of its own)."""
+        arrays = list(self._full or ())
         for value in self._cols.values():
             arrays += value if isinstance(value, tuple) else (value,)
-        return sum(a.nbytes for a in arrays) + sum(
-            run.nbytes for run in self._runs
+        return sum(a.nbytes for a in arrays if a.base is None) + sum(
+            run.nbytes for run in self.pieces
         )
 
     # ------------------------------------------------------------------
@@ -912,11 +849,10 @@ class ColumnarStream:
         key = (geometry.ranks, geometry.channels)
         if key in self._structure_ok:
             return
-        blocks = list(self.blocks())
-        for start, _, _, counts, _ in blocks:
-            counts, deps = self.deps(start, start + len(counts))
-            consumer = start + np.repeat(
-                np.arange(len(counts), dtype=np.int64), counts
+        for run in self.pieces:
+            deps = run.dep_indices  # copy 0's
+            consumer = run.start + np.repeat(
+                np.arange(run.span, dtype=np.int64), run.dep_counts
             )
             bad = (deps >= consumer) | (deps < 0)
             if bad.any():
@@ -927,8 +863,8 @@ class ColumnarStream:
                 )
         for column, limit in ((RANK, geometry.ranks),
                               (CHANNEL, geometry.channels)):
-            for start, _, rows, _, _ in blocks:
-                values = rows[:, column]
+            for run in self.pieces:
+                start, values = run.start, run.block[:, column]
                 bad = (values < 0) | (values >= limit)
                 if bad.any():
                     first = int(np.argmax(bad))
@@ -1017,9 +953,9 @@ class StreamBuilder:
     one row of :data:`BUILD_FIELDS` plus the command's dependency
     indices, and :meth:`tile` turns the stream's last two periodic
     blocks into a :class:`TiledRun` of many copies without writing a
-    row of them. :meth:`build` returns the frozen
-    :class:`ColumnarStream` (channel 0, unscheduled): the explicit rows
-    and the runs, as built.
+    row of them (the explicit rows before them become a run of one
+    copy). :meth:`build` returns the frozen :class:`ColumnarStream`
+    (channel 0, unscheduled) of those runs, as built.
     """
 
     def __init__(self) -> None:
@@ -1027,11 +963,11 @@ class StreamBuilder:
         self._rows: list[tuple] = []  # pending scalar rows
         self._counts: list[int] = []  # pending dependency counts
         self._deps: list[int] = []  # pending dependency indices
-        # Explicit rows (every command outside a run) and their deps.
+        # Explicit rows since the last run, and their deps.
         self._mat = np.zeros((0, len(BUILD_FIELDS)), dtype=np.int64)
         self._dep_counts = np.zeros(0, dtype=np.int64)
         self._dep_indices = np.zeros(0, dtype=np.int64)
-        self.runs: list[TiledRun] = []
+        self._runs: list[TiledRun] = []
         self._scalers: dict[int, object] = {}
         self._templates: list[tuple[str, int]] = []
         self._template_ids: dict[tuple[str, int], int] = {}
@@ -1071,7 +1007,18 @@ class StreamBuilder:
             )
             self._rows, self._counts, self._deps = [], [], []
 
-    def tile(self, start: int, span: int, copies: int) -> bool:
+    def _explicit(self, rows: int) -> list:
+        """The first ``rows`` explicit rows as a run of one copy (none
+        when ``rows`` is 0)."""
+        if not rows:
+            return []
+        counts = self._dep_counts[:rows]
+        return [TiledRun(
+            self.n - len(self._mat), _widen(self._mat[:rows], -1), counts,
+            self._dep_indices[:int(counts.sum())],
+        )]
+
+    def tile(self, start: int, span: int, copies: int) -> Optional[TiledRun]:
         """Repeat a periodic block ``copies`` more times.
 
         The stream must end with two consecutive explicit blocks of
@@ -1083,52 +1030,50 @@ class StreamBuilder:
         region) or moves by exactly ``span``, all repeating ones point
         below all moving ones, and no command carries a scaler. The two
         blocks and the copies become one :class:`TiledRun` of ``copies
-        + 2`` copies of the first block. Returns whether it tiled.
+        + 2`` copies of the first block, which is returned (``None``
+        when it did not tile).
         """
         self._flush()
-        end = start + 2 * span
-        tail = self.n - (self.runs[-1].end if self.runs else 0)
-        if end != self.n or start < 0 or span < 1 or 2 * span > tail:
-            return False
-        if any(start <= i for i in self._scalers):
-            return False
         x = len(self._mat) - 2 * span
+        if start + 2 * span != self.n or start < 0 or span < 1 or x < 0:
+            return None
+        if any(start <= i for i in self._scalers):
+            return None
         first = self._mat[x:x + span]
         step = self._mat[x + span:] - first
         if step[:, _FIXED_BUILD_MASK].any():
-            return False
+            return None
         counts = self._dep_counts[x:x + span]
         if not np.array_equal(counts, self._dep_counts[x + span:]):
-            return False
+            return None
         m = int(counts.sum())
         d0 = len(self._dep_indices) - 2 * m
         a_deps = self._dep_indices[d0:d0 + m]
         moved = self._dep_indices[d0 + m:] - a_deps
         fixed = moved == 0
         if not (fixed | (moved == span)).all():
-            return False
-        if fixed.any() and not fixed.all():
-            if a_deps[fixed].max() >= a_deps[~fixed].min():
-                return False
-        self.runs.append(TiledRun(
-            start, span, copies + 2, _widen(first, -1), _widen(step, 0),
-            counts, a_deps, np.where(fixed, 0, span),
-        ))
-        self._mat = self._mat[:x]
-        self._dep_counts = self._dep_counts[:x]
-        self._dep_indices = self._dep_indices[:d0]
+            return None
+        moving = a_deps[~fixed]
+        if len(moving) and fixed.any() and a_deps[fixed].max() >= moving.min():
+            return None
+        run = TiledRun(
+            start, _widen(first, -1), counts, a_deps, copies + 2,
+            _widen(step, 0), moving.min() if len(moving) else None,
+        )
+        self._runs += self._explicit(x)
+        self._runs.append(run)
+        self._mat = self._mat[:0]
+        self._dep_counts = self._dep_counts[:0]
+        self._dep_indices = self._dep_indices[:0]
         self.n += copies * span
-        return True
+        return run
 
     def build(self) -> "ColumnarStream":
         """The finished stream."""
         self._flush()
-        indptr = np.zeros(len(self._mat) + 1, dtype=np.int64)
-        np.cumsum(self._dep_counts, out=indptr[1:])
-        return ColumnarStream.from_parts(
-            self.n, _widen(self._mat, -1), indptr, self._dep_indices,
-            self.runs, templates=tuple(self._templates),
-            scalers=dict(self._scalers),
+        return ColumnarStream.from_runs(
+            self._runs + self._explicit(len(self._mat)),
+            templates=tuple(self._templates), scalers=dict(self._scalers),
         )
 
 
@@ -1168,7 +1113,8 @@ class _Prepared:
     bank / group / rank ids, row, read / write flags, floor-table slot,
     out-edges; :attr:`prepared` counts them) by :meth:`build`, when the
     scan first evaluates a slot whose kind code reads :data:`_UNBUILT` —
-    a run's slots are slices of its block's, unrolled once per run, and
+    the slots of a run of several copies are slices of its block's,
+    unrolled once per run (a one-copy run's are read in place), and
     the out-edges are read from the stream's accessors and grouped by
     target :attr:`WINDOW` chunks at a time (a run's builds cluster: on
     the ``fullrow`` grid 267 chunk builds fall in 58 windows, and one
@@ -1243,24 +1189,23 @@ class _Prepared:
         # totals are stream properties), and the (bus, port) pairs
         # holding RD / WR.
         self.ndeps, self.port = [], []
-        self._pieces, self._starts, kinds, ranks = [], [], [], []
+        self._pieces = stream.pieces
+        self._starts = [run.start for run in self._pieces]
         all_ports = []
-        for start, end, rows, dep_counts, copies in stream.blocks():
-            ports = port_of_rank[rows[:, RANK]]
-            self.ndeps += dep_counts.tolist() * copies
-            self.port += ports.tolist() * copies
-            self._starts.append(start)
-            self._pieces.append((start, len(rows), copies))
-            kinds.append(rows[:, KIND])
-            ranks.append(rows[:, RANK])
-            all_ports.append(np.tile(ports, copies))
+        for run in self._pieces:
+            ports = port_of_rank[run.block[:, RANK]]
+            self.ndeps += run.dep_counts.tolist() * run.copies
+            self.port += ports.tolist() * run.copies
+            all_ports.append(np.tile(ports, run.copies))
         # Every block row once, weighted by its copies.
-        kinds = np.concatenate(kinds or [np.zeros(0, np.int64)])
-        ranks = np.concatenate(ranks or [np.zeros(0, np.int64)])
+        blocks = [run.block for run in self._pieces]
+        kinds, ranks = np.concatenate(
+            blocks or [np.zeros((0, RANK + 1), np.int64)]
+        )[:, [KIND, RANK]].T
         ports = port_of_rank[ranks]
         weight = np.repeat(
-            [copies for _, _, copies in self._pieces],
-            [span for _, span, _ in self._pieces],
+            [run.copies for run in self._pieces],
+            [run.span for run in self._pieces],
         )
         kcounts = np.bincount(
             kinds, weight, minlength=len(KIND_ORDER)
@@ -1321,29 +1266,26 @@ class _Prepared:
         (computed once per run, unrolled past a chunk)."""
         a = i - i % self.CHUNK
         b = min(a + self.CHUNK, self.n)
-        s = self._stream
         lists = (
             self.kc, self.lat, self.bank_id, self.group_id, self.rank,
             self.row, self.isrd, self.iswr, self.fkey,
         )
         for k in range(bisect_right(self._starts, a) - 1, len(self._starts)):
-            start, span, copies = self._pieces[k]
-            if start >= b:
+            run = self._pieces[k]
+            if run.start >= b:
                 break
-            lo, hi = max(a, start), min(b, start + span * copies)
-            if copies == 1:
-                columns, r = self._static(s.rows(lo, hi, shape=True)), 0
+            lo, hi = max(a, run.start), min(b, run.end)
+            if run.copies == 1:
+                columns, r = self._static(run.rows(lo, hi, shape=True)), 0
             else:
                 columns = self._blocks.get(k)
                 if columns is None:
-                    reps = -(-self.CHUNK // span) + 1
+                    reps = -(-self.CHUNK // run.span) + 1
                     columns = self._blocks[k] = [
                         column * reps
-                        for column in self._static(s.rows(
-                            start, start + span, shape=True
-                        ))
+                        for column in self._static(run.block[:, :SHAPE])
                     ]
-                r = (lo - start) % span
+                r = (lo - run.start) % run.span
             for values, column in zip(lists, columns):
                 values[lo:hi] = column[r:r + hi - lo]
         ptr, consumers, w = self._window(a)
@@ -1436,9 +1378,9 @@ def schedule_columnar(
     # The last completion, block by block (a run's copies are rows).
     latency = prep._kinds[:, 1]
     total = 0
-    for start, end, rows, _, copies in stream.blocks():
-        done = issue[start:end].reshape(copies, -1) + latency[rows[:, KIND]]
-        total = max(total, int(done.max()))
+    for run in stream.pieces:
+        done = issue[run.start:run.end].reshape(run.copies, -1)
+        total = max(total, int((done + latency[run.block[:, KIND]]).max()))
     stats = TraceStats(
         counts=prep.counts,
         total_cycles=total,

@@ -83,54 +83,50 @@ def stale_floor(timing) -> int:
 
 def _repeats(stream, lo: int, hi: int, shift: int, moving: int) -> bool:
     """Whether commands ``[lo, hi)`` repeat ``[lo - shift, hi - shift)``:
-    the same shape, and each dependency moved by ``shift`` if it points
-    at or past ``moving`` (into a periodic body), else unchanged (into
-    what precedes it).
+    the same shape (:meth:`ColumnarStream.shape_repeats
+    <repro.dram.columnar.ColumnarStream.shape_repeats>`), and each
+    dependency moved by ``shift`` if it points at or past ``moving``
+    (into a periodic body), else unchanged (into what precedes it).
 
-    Where a tiled run holds a whole block of both sides the answer
-    follows from its block (:func:`_run_repeats`); elsewhere the rows
-    and dependencies are gathered and compared.
+    Where a run holds a whole block of both sides the dependencies
+    follow from its block (:func:`_run_deps_repeat`); elsewhere they are
+    gathered and compared.
     """
-    if hi > stream.n:
+    if hi > stream.n or not stream.shape_repeats(lo, hi, shift):
         return False
     for a, b, run in stream.translated(lo, hi, shift):
         verdict = None
         if run is not None and b - a >= run.span:
-            verdict = _run_repeats(run, a, shift, moving)
+            verdict = _run_deps_repeat(run, a, shift, moving)
         if verdict is None:
-            verdict = np.array_equal(
-                stream.rows(a, b, shape=True),
-                stream.rows(a - shift, b - shift, shape=True),
+            counts, deps = stream.deps(a, b)
+            back, before = stream.deps(a - shift, b - shift)
+            verdict = np.array_equal(counts, back) and np.array_equal(
+                deps, before + shift * (before >= moving)
             )
-            if verdict:
-                counts, deps = stream.deps(a, b)
-                back, before = stream.deps(a - shift, b - shift)
-                verdict = np.array_equal(counts, back) and np.array_equal(
-                    deps, before + shift * (before >= moving)
-                )
         if not verdict:
             return False
     return True
 
 
-def _run_repeats(run, a: int, shift: int, moving: int):
-    """:func:`_repeats` over commands from ``a`` on whose block positions
-    all occur, ``x`` and ``x - shift`` in ``run``, decided from the
-    block: ``x`` at position ``p`` and copy ``k`` sits against position
-    ``back[p]`` of copy ``k - shift // span - carry[p]``. The shape and
-    dependency counts must match position by position; a moving
-    dependency of ``x - shift`` must point at or past ``moving`` from
-    its lowest copy on and a fixed one below it, and then each of
-    ``x``'s must be its partner moved by ``shift`` (moving) or the same
-    (fixed), whatever the copy. ``None`` when a dependency's status or
-    kind changes across the pair, which only a gather settles."""
+def _run_deps_repeat(run, a: int, shift: int, moving: int):
+    """:func:`_repeats`' dependency check over commands from ``a`` on
+    whose block positions all occur, ``x`` and ``x - shift`` in ``run``,
+    decided from the block: ``x`` at position ``p`` and copy ``k`` sits
+    against position ``back[p]`` of copy ``k - shift // span -
+    carry[p]``. The dependency counts must match position by position;
+    a moving dependency of ``x - shift`` must point at or past
+    ``moving`` from its lowest copy on and a kept one below it, and
+    then each of ``x``'s must be its partner moved by ``shift``
+    (moving) or the same (kept), whatever the copy. ``None`` when a
+    dependency's status or kind changes across the pair, which only a
+    gather settles."""
     back, carry = run.translation(shift)
     counts = run.dep_counts
-    if not (np.array_equal(run.shape, run.shape[back])
-            and np.array_equal(counts, counts[back])):
+    if not np.array_equal(counts, counts[back]):
         return False
     _, partner = _ragged(run.dep_ptr, back)
-    moves = run.dep_step != 0
+    moves = run.moves
     if not np.array_equal(moves, moves[partner]):
         return None
     deps, theirs = run.dep_indices, run.dep_indices[partner]

@@ -314,8 +314,8 @@ def validate_trace_columnar(
     channels = geometry.channels
     if channels > 1:
         # A run's first offender lies in its first copy.
-        for start, _, rows, _, _ in stream.blocks():
-            ch = rows[:, CHANNEL]
+        for run in stream.pieces:
+            start, ch = run.start, run.block[:, CHANNEL]
             out = (ch < 0) | (ch >= channels)
             if bool(out.any()):
                 i = start + int(np.argmax(out))
@@ -354,8 +354,8 @@ def _check_dependencies(stream, t, timing) -> None:
     arithmetic from its block)."""
     latency = _latency_table(timing)
     done = t + np.concatenate([
-        np.tile(latency[rows[:, KIND]], copies)
-        for _, _, rows, _, copies in stream.blocks()
+        np.tile(latency[run.block[:, KIND]], run.copies)
+        for run in stream.pieces
     ] or [np.zeros(0, dtype=np.int64)])
     counts, deps = stream.deps(0, stream.n)
     consumer = np.repeat(np.arange(stream.n), counts)
@@ -648,10 +648,10 @@ def _translates(stream, t, events, P, delta, m) -> bool:
     command ``y - P``'s kind and coordinates ``delta`` cycles later.
 
     Every index in ``(events[-1], events[0] + m * P]`` is an image, so
-    that span is compared slice against slice: inside a tiled run whose
-    span divides ``P`` the shape repeats by construction, and only the
-    rest of it is gathered. The few images outside it are gathered
-    too."""
+    that span is compared slice against slice
+    (:meth:`~repro.dram.columnar.ColumnarStream.shape_repeats`: inside a
+    run of two copies or more a block decides, and only the rest of it
+    is gathered). The few images outside it are gathered too."""
     a, b = int(events[-1]) + 1, int(events[0]) + m * P + 1
     u = np.arange(1, m + 1, dtype=np.int64)
     if a < b:
@@ -661,22 +661,9 @@ def _translates(stream, t, events, P, delta, m) -> bool:
     images = (events[None, :] + P * u[:, None]).ravel()
     if a < b:
         images = images[(images < a) | (images >= b)]
-        if not (t[a:b] - t[a - P:b - P] == delta).all():
+        if not ((t[a:b] - t[a - P:b - P] == delta).all()
+                and stream.shape_repeats(a, b, P)):
             return False
-        for lo, hi, run in stream.translated(a, b, P):
-            if run is not None and hi - lo >= run.span:
-                # Every block position occurs: x's shape against its
-                # partner's, once per position.
-                same = np.array_equal(
-                    run.shape, run.shape[run.translation(P)[0]]
-                )
-            else:
-                same = np.array_equal(
-                    stream.rows(lo, hi, shape=True),
-                    stream.rows(lo - P, hi - P, shape=True),
-                )
-            if not same:
-                return False
     back = images - P
     return bool(
         (t[images] - t[back] == delta).all()

@@ -276,14 +276,14 @@ class SweepEmitter:
             fixed = _classify(first, second, span)
             if fixed is None or _classify(second, fingerprint, span) != fixed:
                 continue
-            if not self.out.tile(start, span, copies):
+            run = self.out.tile(start, span, copies)
+            if run is None:
                 continue
             shift = copies * span
             self._shift(
                 lambda v: v if v in fixed else v + shift,
                 copies * q * self._columns_per_sweep,
             )
-            run = self.out.runs[-1]
             self._rebuild_accesses(run)
             self._count_tiled(run.block, copies)
             offsets = [b - mid for b, _ in self._bounds[sweep - q:sweep]]

@@ -1,10 +1,10 @@
 """The tiled form of a generated stream against its eager expansion.
 
-Kernel generators build a stream as explicit rows plus tiled runs
-(:class:`repro.dram.columnar.TiledRun`: one block, many copies). For
-every generator (baseline, PIM kernel compiler, AoS) at widths 8, 32
-and 128, these tests hold the tiled stream to an eager copy built from
-its full columns:
+Kernel generators build a stream as tiled runs
+(:class:`repro.dram.columnar.TiledRun`: one block, many copies; an
+explicit stretch is a run of one copy). For every generator (baseline,
+PIM kernel compiler, AoS) at widths 8, 32 and 128, these tests hold
+the tiled stream to an eager copy built from its full columns:
 
 * every per-range accessor — rows (whole and shape-only), gathered
   rows, the dependency CSR by range and by index, out-edges (ordered,
@@ -20,7 +20,10 @@ its full columns:
   (``EngineReport.commands_materialized`` is 0), while a whole-stream
   read is counted;
 * the stream cache of a cold 128-column ``simulate("ResNet18")`` holds
-  at most 2 MB (``ColumnarStream.nbytes``).
+  at most 2 MB (``ColumnarStream.nbytes``);
+* a one-copy run (an explicit stretch) proves no translation, however
+  much longer than the shift it is, and an explicit-only stream
+  schedules and validates exactly as its ``to_commands()`` rebuild.
 """
 
 import random
@@ -37,6 +40,8 @@ from repro.dram.columnar import (
     TiledRun,
 )
 from repro.dram.scheduler import CommandScheduler
+from repro.dram.steady import _repeats
+from repro.dram.validator import validate_trace_columnar
 from repro.errors import SimulationError
 from repro.kernels.aos import AoSKernelGenerator
 from repro.kernels.compiler import UpdateKernelCompiler
@@ -174,21 +179,21 @@ class TestAccessors:
 
 def _corrupted(stream: ColumnarStream, moving: bool):
     """``stream`` with one dependency of its first run's block pointing
-    at the command after its consumer."""
+    at the command after its consumer: a moving one, or a kept one (in
+    a run where nothing moves)."""
     run = stream.runs[0]
-    entry = int(np.flatnonzero((run.dep_step != 0) == moving)[0])
+    entry = int(np.flatnonzero(run.moves == moving)[0])
     row = int(np.searchsorted(run.dep_ptr, entry, side="right")) - 1
     deps = run.dep_indices.copy()
     deps[entry] = run.start + row + 1
     full_step = np.zeros_like(run.block)
     full_step[:, _AFFINE] = run.step
     bad = TiledRun(
-        run.start, run.span, run.copies, run.block, full_step,
-        run.dep_counts, deps, run.dep_step,
+        run.start, run.block, run.dep_counts, deps, run.copies, full_step,
+        run.moving_from if moving else None,
     )
-    return ColumnarStream.from_parts(
-        stream.n, stream._x, stream._xptr, stream._xdeps,
-        [bad, *stream.runs[1:]],
+    return ColumnarStream.from_runs(
+        [bad if piece is run else piece for piece in stream.pieces]
     )
 
 
@@ -263,3 +268,62 @@ class TestMaterialization:
         TrainingSimulator(update_model=model).simulate("ResNet18")
         held = sum(art.columnar.nbytes for art in model._streams.values())
         assert 0 < held <= 2_000_000
+
+
+class TestOneCopyRuns:
+    @pytest.mark.parametrize("generator", list(GENERATORS))
+    def test_prologue_longer_than_the_shift_proves_nothing(self, generator):
+        """A one-copy piece holds both ``x`` and ``x - shift`` here, but
+        its block is not periodic: every check gathers."""
+        stream = GENERATORS[generator](128).stream
+        prologue = stream.pieces[0]
+        assert prologue.copies == 1 and prologue not in stream.runs
+        for shift in (1, prologue.span // 3, prologue.span - 1):
+            lo, hi = prologue.start + shift, prologue.end
+            assert stream.translated(lo, hi, shift) == [(lo, hi, None)]
+            gathered = np.array_equal(
+                stream.rows(lo, hi, shape=True),
+                stream.rows(lo - shift, hi - shift, shape=True),
+            )
+            assert stream.shape_repeats(lo, hi, shift) == gathered
+            counts, deps = stream.deps(lo, hi)
+            back, before = stream.deps(lo - shift, hi - shift)
+            assert _repeats(stream, lo, hi, shift, lo) == (
+                gathered and np.array_equal(counts, back)
+                and np.array_equal(deps, before + shift * (before >= lo))
+            )
+
+    @pytest.mark.parametrize("design", [
+        DesignPoint.BASELINE, DesignPoint.GRADPIM_BUFFERED, DesignPoint.AOS,
+    ])
+    def test_explicit_stream_schedules_as_its_rebuild(self, design):
+        config = DESIGNS[design]
+        model = UpdatePhaseModel(columns_per_stripe=32)
+        _, _, period, art = model._build_stream(
+            config, MOMENTUM, PRECISION_8_32
+        )
+        explicit = _eager(art.columnar)
+        rebuilt = ColumnarStream.from_commands(explicit.to_commands())
+        assert len(explicit.pieces) == len(rebuilt.pieces) == 1
+        geometry = model._one_channel()
+        issue_model = config.issue_model(geometry)
+        scheduler = CommandScheduler(
+            model.timing, geometry, issue_model,
+            per_bank_pim=config.per_bank_pim,
+            data_bus_scope=config.data_bus_scope, window=model.window,
+        )
+        outcomes = []
+        for stream in (explicit, rebuilt):
+            result = scheduler.run(stream, period=period)
+            validated = validate_trace_columnar(
+                result.columnar, model.timing, geometry,
+                issue_model.port_of_rank, per_bank_pim=config.per_bank_pim,
+                data_bus_scope=config.data_bus_scope,
+                periodic=result.periodic,
+            )
+            outcomes.append((
+                result.issue_cycles(), result.stats,
+                result.periodic.simulated, result.periodic.skipped,
+                result.commands_prepared, validated,
+            ))
+        assert outcomes[0] == outcomes[1]
