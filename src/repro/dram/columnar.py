@@ -608,6 +608,8 @@ class ColumnarStream:
                 consumers += c
         if not targets:
             return (np.zeros(0, dtype=np.int64),) * 2
+        if len(targets) == 1 and not ordered:
+            return targets[0], consumers[0]
         t = np.concatenate(targets)
         c = np.concatenate(consumers)
         if ordered:
